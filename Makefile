@@ -88,7 +88,7 @@ bench:
 # (host fingerprint, config, p50/p95/p99, speedup vs baseline) by running
 # the serving benchmarks that emit them, at the default preset.
 bench-json:
-	$(PYTHON) -m pytest -q \
+	REPRO_BENCH_ARTEFACTS=1 $(PYTHON) -m pytest -q \
 		benchmarks/test_service_throughput.py \
 		benchmarks/test_service_coldstart.py \
 		benchmarks/test_service_shards.py \

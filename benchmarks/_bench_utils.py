@@ -109,7 +109,7 @@ def _exact_percentiles(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def write_bench_json(name: str, *,
+def write_bench_json(name: str, directory: str, *,
                      workload: Dict[str, Any],
                      config: Optional[Dict[str, Any]] = None,
                      seconds: Optional[float] = None,
@@ -118,7 +118,7 @@ def write_bench_json(name: str, *,
                      samples: Optional[Sequence[float]] = None,
                      latency: Optional[Dict[str, Dict[str, float]]] = None,
                      extra: Optional[Dict[str, Any]] = None) -> str:
-    """Write one ``BENCH_<name>.json`` artefact next to the benchmarks.
+    """Write one ``BENCH_<name>.json`` artefact into ``directory``.
 
     This is the machine-readable half of the performance trajectory: where
     ``reproduced_artefacts.txt`` accumulates human-readable entries, each
@@ -129,6 +129,9 @@ def write_bench_json(name: str, *,
 
     Parameters
     ----------
+    directory:
+        Where to write: the ``artefact_dir`` fixture (the checked-in
+        ``benchmarks/`` directory only under ``REPRO_BENCH_ARTEFACTS=1``).
     workload:
         What was measured (cardinality, query counts, mix name, ...).
     config:
@@ -172,7 +175,7 @@ def write_bench_json(name: str, *,
     if extra:
         document["extra"] = dict(extra)
 
-    path = os.path.join(os.path.dirname(__file__), f"BENCH_{name}.json")
+    path = os.path.join(directory, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=False)
         handle.write("\n")

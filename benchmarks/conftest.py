@@ -64,14 +64,32 @@ def scale() -> ExperimentScale:
         ) from None
 
 
+#: Set to ``1`` to write the ``BENCH_*.json`` files and the artefact log into
+#: the checkout (``make bench-json`` and the regression gate do).
+ARTEFACTS_ENV = "REPRO_BENCH_ARTEFACTS"
+
+
 @pytest.fixture(scope="session")
-def report(request):
+def artefact_dir(tmp_path_factory) -> str:
+    """Where the benchmarks write ``BENCH_*.json`` and the artefact log.
+
+    The checked-in ``benchmarks/`` directory under ``REPRO_BENCH_ARTEFACTS=1``;
+    otherwise pytest's temporary directory, so a plain test run (tier-1
+    collects this directory) leaves the working tree clean.
+    """
+    if os.environ.get(ARTEFACTS_ENV) == "1":
+        return os.path.dirname(__file__)
+    return str(tmp_path_factory.mktemp("artefacts"))
+
+
+@pytest.fixture(scope="session")
+def report(request, artefact_dir):
     """Print a reproduced artefact so it lands in the benchmark output.
 
     Output capturing is temporarily disabled so the reproduced tables and
     series appear in the terminal (and in any ``tee``'d benchmark log) even
     for passing tests; they are also appended to
-    ``benchmarks/reproduced_artefacts.txt`` for later reference.
+    ``reproduced_artefacts.txt`` in :func:`artefact_dir` for later reference.
 
     Every recorded entry carries the process-default sweep-backend
     configuration (backend name plus numpy version, or "numpy absent"), so
@@ -83,7 +101,7 @@ def report(request):
     from repro.core.backends import backend_summary
 
     capture_manager = request.config.pluginmanager.getplugin("capturemanager")
-    results_path = os.path.join(os.path.dirname(__file__), "reproduced_artefacts.txt")
+    results_path = os.path.join(artefact_dir, "reproduced_artefacts.txt")
     backend_note = f"  [sweep-backend default: {backend_summary()}]"
 
     def _print(text: str) -> None:

@@ -61,7 +61,7 @@ def _timed_cold_query(engine, dataset, spec, **kwargs) -> float:
     return time.perf_counter() - start
 
 
-def test_query_introspection_overhead(scale, report):
+def test_query_introspection_overhead(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _uniform_dataset(cardinality)
     spec = QuerySpec.maxrs(0.02 * _DOMAIN, 0.02 * _DOMAIN)
@@ -122,7 +122,7 @@ def test_query_introspection_overhead(scale, report):
         f"  overhead: {overhead:+.2%}  (bound: <= 3% at paper scale)"
     )
     write_bench_json(
-        "introspect",
+        "introspect", artefact_dir,
         workload={"cardinality": cardinality, "rounds": ROUNDS,
                   "width": spec.width, "height": spec.height},
         config={"recorder": "tail", "recorder_capacity": 64,

@@ -89,7 +89,7 @@ def _timed_cold_query(engine, dataset, spec) -> float:
     return time.perf_counter() - start
 
 
-def test_disabled_tracing_overhead(scale, report):
+def test_disabled_tracing_overhead(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _uniform_dataset(cardinality)
     spec = QuerySpec.maxrs(0.02 * _DOMAIN, 0.02 * _DOMAIN)
@@ -118,7 +118,7 @@ def test_disabled_tracing_overhead(scale, report):
         f"  overhead: {overhead:+.2%}  (bound: <= 3% at paper scale)"
     )
     write_bench_json(
-        "obs_overhead",
+        "obs_overhead", artefact_dir,
         workload={"cardinality": cardinality, "rounds": ROUNDS,
                   "width": spec.width, "height": spec.height},
         config={"recorder": "null"},

@@ -145,7 +145,7 @@ def _assert_bit_identical(async_results, sync_results):
             assert got.location == want.location
 
 
-def _run_mix(mix_name, clients, objects, report, cardinality):
+def _run_mix(mix_name, clients, objects, report, artefact_dir, cardinality):
     sync_results, sync_seconds = _sequential_baseline(objects, clients)
     async_results, async_seconds, aio = _concurrent_async(objects, clients)
     _assert_bit_identical(async_results, sync_results)
@@ -172,7 +172,7 @@ def _run_mix(mix_name, clients, objects, report, cardinality):
         f"{total} queries"
     )
     write_bench_json(
-        f"async_{mix_name.replace('-', '_')}",
+        f"async_{mix_name.replace('-', '_')}", artefact_dir,
         workload={"cardinality": cardinality, "clients": len(clients),
                   "queries": total, "mix": mix_name},
         config={"max_inflight": max(4, cores), "overflow": "wait",
@@ -198,19 +198,21 @@ def _run_mix(mix_name, clients, objects, report, cardinality):
     return speedup, aio
 
 
-def test_async_hot_key_throughput(scale, report):
+def test_async_hot_key_throughput(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _hotspot_dataset(cardinality)
     clients = _hot_key_workload()
-    speedup, aio = _run_mix("hot-key", clients, objects, report, cardinality)
+    speedup, aio = _run_mix("hot-key", clients, objects, report,
+                            artefact_dir, cardinality)
     # The stampede must actually coalesce: 256 queries over 8 distinct specs
     # from 64 concurrent clients cannot all be admitted individually.
     assert aio["coalesce_hits"] > 0
     assert aio["admitted"] + aio["coalesce_hits"] == CLIENTS * QUERIES_PER_CLIENT
 
 
-def test_async_uniform_key_throughput(scale, report):
+def test_async_uniform_key_throughput(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _hotspot_dataset(cardinality, seed=13)
     clients = _uniform_key_workload()
-    _run_mix("uniform-key", clients, objects, report, cardinality)
+    _run_mix("uniform-key", clients, objects, report, artefact_dir,
+             cardinality)

@@ -58,7 +58,7 @@ def _hotspot_dataset(cardinality: int, seed: int = 19) -> list[WeightedPoint]:
             for x, y, w in zip(xs, ys, weights)]
 
 
-def test_coldstart_vs_warmstart(scale, report, tmp_path):
+def test_coldstart_vs_warmstart(scale, report, artefact_dir, tmp_path):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _hotspot_dataset(cardinality)
     specs = [QuerySpec.maxrs(w, h) for w, h in _SIZES]
@@ -113,7 +113,7 @@ def test_coldstart_vs_warmstart(scale, report, tmp_path):
         f"  answers bit-identical to cold recompute and pre-restart serving"
     )
     write_bench_json(
-        "coldstart",
+        "coldstart", artefact_dir,
         workload={"cardinality": cardinality, "queries": len(specs)},
         config={"persist": True, "block_size": 4096},
         seconds=warm_seconds, baseline_seconds=cold_seconds,

@@ -87,7 +87,7 @@ def _swept(engine: MaxRSEngine) -> int:
     return engine.metrics.snapshot()["counters"].get("swept_points", 0)
 
 
-def test_pyramid_vs_flat(scale, report):
+def test_pyramid_vs_flat(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     datasets = {"uniform": _uniform_columns(cardinality),
                 "hotspot": _hotspot_columns(cardinality)}
@@ -199,7 +199,7 @@ def test_pyramid_vs_flat(scale, report):
                  "degraded answer within its certified gap")
     report("\n".join(lines))
     write_bench_json(
-        "pyramid",
+        "pyramid", artefact_dir,
         workload={"cardinality": cardinality,
                   "fast_queries": len(fast_specs),
                   "exact_queries": len(exact_specs),

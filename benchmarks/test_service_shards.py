@@ -71,7 +71,7 @@ def _hotspot_columns(cardinality: int, seed: int = 37):
     return xs, ys, ws
 
 
-def test_sharded_vs_unsharded(scale, report):
+def test_sharded_vs_unsharded(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     xs, ys, ws = _hotspot_columns(cardinality)
     objects = [WeightedPoint(float(x), float(y), float(w))
@@ -135,7 +135,7 @@ def test_sharded_vs_unsharded(scale, report):
         f"  answers bit-identical across shard counts (merge safety holds)"
     )
     write_bench_json(
-        "shards",
+        "shards", artefact_dir,
         workload={"cardinality": cardinality, "queries": len(specs)},
         config={"shards": SHARDS, "executor": executor, "cores": cores},
         seconds=shard_total, baseline_seconds=mono_total,

@@ -100,7 +100,7 @@ def _in_memory_config(cardinality: int) -> EMConfig:
     return EMConfig(block_size=4096, buffer_size=max(2 * 4096, 2 * needed))
 
 
-def test_repeated_query_speedup(scale, report):
+def test_repeated_query_speedup(scale, report, artefact_dir):
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _hotspot_dataset(cardinality)
     sizes = _distinct_sizes(ACCEPTANCE_DISTINCT)
@@ -147,7 +147,7 @@ def test_repeated_query_speedup(scale, report):
         f"  answers: bit-identical on all {ACCEPTANCE_QUERIES} queries"
     )
     write_bench_json(
-        "repeated_query",
+        "repeated_query", artefact_dir,
         workload={"cardinality": cardinality,
                   "queries": ACCEPTANCE_QUERIES,
                   "distinct_sizes": ACCEPTANCE_DISTINCT},
@@ -178,7 +178,7 @@ def _uniform_dataset(cardinality: int, seed: int = 23) -> list[WeightedPoint]:
                                rng.choice([1.0, 2.0, 3.0], cardinality))]
 
 
-def test_backend_refined_cold_query(scale, report):
+def test_backend_refined_cold_query(scale, report, artefact_dir):
     """Sweep-backend A/B on the refined cold query; answers must agree."""
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _uniform_dataset(cardinality)
@@ -209,7 +209,7 @@ def test_backend_refined_cold_query(scale, report):
     lines.append(f"  answers bit-identical across backends: yes")
     report("\n".join(lines))
     write_bench_json(
-        "backend_refined_cold",
+        "backend_refined_cold", artefact_dir,
         workload={"cardinality": cardinality, "dataset": "uniform",
                   "width": spec.width, "height": spec.height},
         config={"backends": list(backends)},

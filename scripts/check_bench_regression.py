@@ -277,6 +277,9 @@ def run_benchmarks(bench_dir: Path, only: set[str] | None = None) -> int:
         print("bench-gate: no benchmark modules emit write_bench_json", file=sys.stderr)
         return 1
     env = dict(os.environ)
+    # The benchmarks then write their BENCH files into the checkout, where
+    # the gate reads them back (by default they go to a temporary dir).
+    env["REPRO_BENCH_ARTEFACTS"] = "1"
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")

@@ -6,8 +6,11 @@ backend replaces the dynamic tree with an *offline* formulation that numpy
 can chew through in bulk:
 
 1. **Vectorised preparation** -- event sorting (stable argsort on y),
-   clipping, elementary-boundary extraction (``np.unique``) and coordinate
-   compression (``np.searchsorted``) all happen in whole-array operations.
+   clipping, and elementary-boundary extraction with coordinate compression
+   (one ``np.unique(..., return_inverse=True)``) all happen in whole-array
+   operations.  The input may be a list of event tuples or an ``(n, 5)``
+   float array -- the resident engine builds the latter straight from its
+   point columns (:func:`repro.core.transform.columns_to_event_array`).
 2. **Chunked profile maintenance** -- h-lines are processed in chunks.  The
    location-weight profile at a chunk's start (``V0``, one value per
    elementary cell) is carried as a flat array.  Within a chunk the only
@@ -24,9 +27,30 @@ can chew through in bulk:
    floating-point run tolerance) fall back to small per-h-line scans.
 
 When the caller only needs the best strip (``include_records=False`` -- the
-resident engine's refine stage), steps emitting per-h-line tuples are skipped
-entirely: the chunk loop reduces to row maxima, and the single winning
-h-line's profile is reconstructed once at the end.
+resident engine's probe and refine stages), steps emitting per-h-line tuples
+are skipped entirely, and the chunk loop runs over a **slab plan** -- the
+in-memory form of ExactMaxRS's x-slabs (Choi et al., Algorithm 2):
+
+* the elementary cells are cut into x-slabs about one dual rectangle wide
+  (the mean event span in cells, at least ``_MIN_SLAB_CELLS``), and every
+  applying event is clipped into the slabs it touches -- about two pieces
+  per event on uniform data;
+* each slab numbers its *own* h-lines (the distinct y's of its pieces), and
+  every step of the chunk loop advances all slabs together by a few of their
+  own h-lines (``~0.4 * sqrt(slab width)``), with the slab starts as fixed
+  chunk-segment boundaries.  A step costs what a chunk costs (one pass over
+  the flat ``V0``), but there are only ``(h-lines per slab) / (rows per
+  step)`` steps instead of ``H / chunk_hlines``;
+* the answer's weight is the largest slab maximum (or the untouched ``0`` of
+  a slab that has not started yet), and its h-line is the earliest one at
+  which any slab reaches it.  The winning h-line's global profile is then
+  rebuilt once to recover the leftmost argmax and maximal run, so no merge
+  across slab borders is needed.
+
+When one slab would span more than a quarter of the cells (wide windows,
+most clustered data) the plan is a single slab whose rows are the global
+h-lines and whose pieces are the events themselves: the loop is exactly the
+plain chunk loop and builds no expansion arrays.
 
 The emitted tuples follow the reference backend's conventions exactly (same
 cell boundaries, leftmost argmax, same ``1e-12`` relative run tolerance), so
@@ -62,6 +86,10 @@ DEFAULT_CHUNK_HLINES = 128
 #: :meth:`repro.core.segment_tree.MaxAddSegmentTree.max_run_from` exactly.
 _RUN_TOLERANCE = 1e-12
 
+#: Narrowest x-slab of the best-only slab plan, in elementary cells: below
+#: this the per-step fixed costs outweigh the shorter steps.
+_MIN_SLAB_CELLS = 64
+
 
 class NumpySweepBackend:
     """Vectorised sweep backend; requires numpy.
@@ -69,8 +97,9 @@ class NumpySweepBackend:
     Parameters
     ----------
     chunk_hlines:
-        H-lines processed per vectorised chunk (performance knob only; the
-        output is independent of it).
+        H-lines processed per vectorised chunk, and the most h-lines of its
+        own a slab advances per step of a slab plan (performance knob only;
+        the output is independent of it).
     """
 
     name = "numpy"
@@ -98,6 +127,23 @@ class NumpySweepBackend:
         if len(event_records) == 0:
             return [], BestStrip.empty(slab_lo, slab_hi)
 
+        prepared = self._prepare(event_records, slab_lo, slab_hi)
+        if prepared is None:
+            return [], BestStrip.empty(slab_lo, slab_hi)
+        if include_records:
+            return self._sweep_records(*prepared)
+        return self._sweep_best_only(*prepared)
+
+    @staticmethod
+    def _prepare(event_records, slab_lo, slab_hi):
+        """Sort, clip and compress the events.
+
+        Returns ``(uy, xs, num_cells, left, right, delta, event_h)`` -- the
+        distinct h-lines, the cell boundaries, and per applying edge its
+        first cell, exclusive end cell, signed weight and h-line -- or
+        ``None`` when the slab has no cell.  Only these outlive the call, so
+        the sweep does not keep the sorted copy of the input alive.
+        """
         ev = np.asarray(event_records, dtype=np.float64)
         if ev.ndim != 2 or ev.shape[1] != 5:
             raise AlgorithmError(
@@ -114,16 +160,21 @@ class NumpySweepBackend:
         # edges *after* boundary extraction).
         lo = np.maximum(ev[:, 2], slab_lo)
         hi = np.minimum(ev[:, 3], slab_hi)
-        clipped = lo < hi
+        clipped = lo < hi  # False for NaN edges
         applies = clipped & (ev[:, 4] != 0.0)
 
-        coords = np.concatenate((lo[clipped], hi[clipped],
-                                 np.array([slab_lo, slab_hi])))
-        coords = coords[~np.isnan(coords)]
-        xs = np.unique(coords)
+        # Cell boundaries and, from the same sort, each clipped edge's
+        # boundary index (a NaN slab border is dropped, as the reference
+        # sweep does).
+        borders = np.array([slab_lo, slab_hi])
+        num_clipped = int(np.count_nonzero(clipped))
+        xs, inverse = np.unique(
+            np.concatenate((lo[clipped], hi[clipped],
+                            borders[~np.isnan(borders)])),
+            return_inverse=True)
         num_cells = len(xs) - 1
         if num_cells < 1:
-            return [], BestStrip.empty(slab_lo, slab_hi)
+            return None
 
         # Distinct h-lines, ascending, and each applying event's h-line.
         new_hline = np.empty(len(ey), dtype=bool)
@@ -132,78 +183,113 @@ class NumpySweepBackend:
         uy = ey[new_hline]
         h_index = np.cumsum(new_hline) - 1
 
-        left = np.searchsorted(xs, lo[applies])
-        right = np.searchsorted(xs, hi[applies])  # exclusive end cell
+        applying = applies[clipped]
+        left = inverse[:num_clipped][applying]
+        right = inverse[num_clipped:2 * num_clipped][applying]  # exclusive
         weights = ev[:, 4][applies]
         delta = np.where(ev[:, 1][applies] == EVENT_BOTTOM, weights, -weights)
         event_h = h_index[applies]
 
-        if include_records:
-            return self._sweep_records(uy, xs, num_cells,
-                                       left, right, delta, event_h)
-        return self._sweep_best_only(uy, xs, num_cells,
-                                     left, right, delta, event_h)
+        return uy, xs, num_cells, left, right, delta, event_h
 
     # ------------------------------------------------------------------ #
     # Shared chunk machinery
     # ------------------------------------------------------------------ #
-    def _chunks(self, num_hlines: int, event_h: "np.ndarray"):
-        """Yield ``(t0, t1, e0, e1)``: h-line and event ranges per chunk."""
-        starts = np.arange(0, num_hlines, self.chunk_hlines)
-        bounds = np.append(starts, num_hlines)
-        event_bounds = np.searchsorted(event_h, bounds)
-        for index, t0 in enumerate(bounds[:-1]):
-            yield (int(t0), int(bounds[index + 1]),
-                   int(event_bounds[index]), int(event_bounds[index + 1]))
-
     @staticmethod
-    def _chunk_offsets(V0, num_cells, t0, t1, e0, e1, left, right, delta,
-                       event_h):
-        """Segment structure and per-h-line offset matrix of one chunk.
+    def _chunk_offsets(V0, num_rows, cl, cr, cd, rows, edges):
+        """Segment structure and per-row offset matrix of one chunk.
+
+        ``cl``/``cr``/``cd`` are the chunk's edges (first cell, exclusive
+        end cell, signed weight), ``rows`` the row (h-line) of each within
+        the chunk, and ``edges`` the fixed cell boundaries every chunk keeps
+        (``[0, num_cells]``, plus the slab starts of a slab plan).
 
         Returns ``(bnd, M0, W, net)`` where ``bnd`` are the chunk-segment
         cell boundaries, ``M0[s]`` the max of ``V0`` on segment ``s``,
         ``W[t, s] = M0[s] + Delta_t[s]`` the per-segment maxima after the
-        chunk's first ``t+1`` h-lines, and ``net[s]`` the chunk's total
+        chunk's first ``t+1`` rows, and ``net[s]`` the chunk's total
         per-segment delta (for carrying ``V0`` forward).
         """
-        cl = left[e0:e1]
-        cr = right[e0:e1]
-        cd = delta[e0:e1]
-        rows = event_h[e0:e1] - t0
-        bnd = np.unique(np.concatenate((cl, cr,
-                                        np.array([0, num_cells],
-                                                 dtype=cl.dtype))))
+        num_edges = len(cl)
+        bnd, inverse = np.unique(np.concatenate((cl, cr, edges)),
+                                 return_inverse=True)
         M0 = np.maximum.reduceat(V0, bnd[:-1])
-        sl = np.searchsorted(bnd, cl)
-        sr = np.searchsorted(bnd, cr)
-        diff = np.zeros((t1 - t0, len(bnd)))
-        np.add.at(diff, (rows, sl), cd)
-        np.add.at(diff, (rows, sr), -cd)
+        diff = np.zeros((num_rows, len(bnd)))
+        np.add.at(diff, (rows, inverse[:num_edges]), cd)
+        np.add.at(diff, (rows, inverse[num_edges:2 * num_edges]), -cd)
         np.cumsum(diff, axis=1, out=diff)      # un-diff over segments
-        np.cumsum(diff, axis=0, out=diff)      # accumulate over h-lines
+        np.cumsum(diff, axis=0, out=diff)      # accumulate over rows
         W = diff[:, :-1]
         net = W[-1].copy()
         W += M0
         return bnd, M0, W, net
 
     # ------------------------------------------------------------------ #
-    # Best-only mode (the engine's refine stage)
+    # Best-only mode (the engine's probe and refine stages)
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _slab_width(num_cells, left, right) -> int:
+        """Cells per x-slab of the best-only slab plan.
+
+        About one dual rectangle wide: the mean applying-event span in
+        cells, at least ``_MIN_SLAB_CELLS``.  Returns ``num_cells`` (one
+        slab) when a slab would exceed a quarter of the cells.
+        """
+        if len(left) == 0:
+            return num_cells
+        span = (int(right.sum()) - int(left.sum())) // len(left)
+        width = max(_MIN_SLAB_CELLS, span)
+        return width if 4 * width <= num_cells else num_cells
+
     def _sweep_best_only(self, uy, xs, num_cells, left, right, delta,
                          event_h):
         num_hlines = len(uy)
-        best_value = np.empty(num_hlines)
+        width = self._slab_width(num_cells, left, right)
+        if width == num_cells:
+            # One slab: its rows are the global h-lines and its pieces the
+            # events themselves (already in row order).
+            step = self.chunk_hlines
+            edges = np.array([0, num_cells], dtype=left.dtype)
+            pieces = (left, right, delta, event_h)
+            lines = np.array([num_hlines])
+            line_h = np.arange(num_hlines)
+            bounds = np.searchsorted(
+                event_h, np.arange(0, num_hlines + step, step))
+        else:
+            # A step's pass over the cells costs ~width per slab and its
+            # matrix ~rows**2 per slab, so rows ~ sqrt(width) balances them
+            # (0.4 measured best on 200k uniform points).
+            step = min(self.chunk_hlines,
+                       max(1, int(0.4 * math.sqrt(width))))
+            edges = np.append(np.arange(0, num_cells, width), num_cells)
+            pieces, lines, line_h, bounds = _cut_into_slabs(
+                width, len(edges) - 1, step, left, right, delta, event_h)
+        line_offset = np.cumsum(lines) - lines
+
+        # Each slab's maximum after each of its own h-lines, indexed by
+        # ``line_offset[slab] + own row``.
+        slab_best = np.empty(int(lines.sum()))
         V0 = np.zeros(num_cells)
-        for t0, t1, e0, e1 in self._chunks(num_hlines, event_h):
+        longest = int(lines.max())
+        for index, first_row in enumerate(range(0, longest, step)):
+            e0, e1 = int(bounds[index]), int(bounds[index + 1])
+            num_rows = min(step, longest - first_row)
+            pl, pr, pd, prow = (piece[e0:e1] for piece in pieces)
             bnd, _, W, net = self._chunk_offsets(
-                V0, num_cells, t0, t1, e0, e1, left, right, delta, event_h)
-            arg = W.argmax(axis=1)
-            best_value[t0:t1] = W[np.arange(t1 - t0), arg]
+                V0, num_rows, pl, pr, pd, prow - first_row, edges)
+            row_max = np.maximum.reduceat(
+                W, np.searchsorted(bnd, edges[:-1]), axis=1)
+            own_row = first_row + np.arange(num_rows)[:, None]
+            live = own_row < lines
+            slab_best[(line_offset + own_row)[live]] = row_max[live]
             V0 += np.repeat(net, np.diff(bnd))
 
-        t_best = int(np.argmax(best_value))
-        weight = float(best_value[t_best])
+        weight = float(slab_best.max())
+        t_best = int(line_h[slab_best == weight].min())
+        # A slab with no piece on the first h-line is still all zeros there.
+        first_lines = line_h[line_offset[lines > 0]]
+        if weight <= 0.0 and ((lines == 0).any() or (first_lines > 0).any()):
+            weight, t_best = 0.0, 0
         y1 = float(uy[t_best])
         y2 = float(uy[t_best + 1]) if t_best + 1 < num_hlines else math.inf
 
@@ -234,10 +320,17 @@ class NumpySweepBackend:
         out_cell = np.empty(num_hlines, dtype=np.int64)
         out_run = np.empty(num_hlines, dtype=np.int64)
         V0 = np.zeros(num_cells)
+        step = self.chunk_hlines
+        edges = np.array([0, num_cells], dtype=left.dtype)
+        bounds = np.searchsorted(event_h,
+                                 np.arange(0, num_hlines + step, step))
 
-        for t0, t1, e0, e1 in self._chunks(num_hlines, event_h):
+        for index, t0 in enumerate(range(0, num_hlines, step)):
+            t1 = min(t0 + step, num_hlines)
+            e0, e1 = int(bounds[index]), int(bounds[index + 1])
             bnd, M0, W, net = self._chunk_offsets(
-                V0, num_cells, t0, t1, e0, e1, left, right, delta, event_h)
+                V0, t1 - t0, left[e0:e1], right[e0:e1], delta[e0:e1],
+                event_h[e0:e1] - t0, edges)
             Mn0 = np.minimum.reduceat(V0, bnd[:-1])
             rows = np.arange(t1 - t0)
             s_star = W.argmax(axis=1)
@@ -328,3 +421,60 @@ class NumpySweepBackend:
             a, b = bnd[s], bnd[s + 1]
             hit = np.nonzero(V0[a:b] < thr[t] - delta_h[i, s])[0]
             run[t] = a + hit[0] - 1 if hit.size else b - 1
+
+
+def _cut_into_slabs(width, num_slabs, step, left, right, delta, event_h):
+    """Clip the applying events into x-slabs of ``width`` cells.
+
+    Returns ``(pieces, lines, line_h, bounds)``:
+
+    * ``pieces`` -- ``(left, right, delta, row)`` of every clipped piece,
+      ``row`` being the piece's h-line among its slab's own h-lines; ordered
+      by step (``row // step``) and, within a step, by slab;
+    * ``lines[s]`` -- the number of h-lines slab ``s`` has;
+    * ``line_h`` -- the global h-line of every slab h-line, slab-major (the
+      order ``line_offset[slab] + row`` indexes);
+    * ``bounds`` -- the piece range of each step.
+
+    Piece-level integers are 32-bit (cells, h-lines and pieces all number
+    far below 2**31 in any profile that fits in memory), which halves the
+    expansion's footprint.
+    """
+    first = left // width
+    count = (right - 1) // width - first + 1
+    slab = np.repeat((first - np.cumsum(count) + count).astype(np.int32),
+                     count)
+    slab += np.arange(len(slab), dtype=np.int32)
+    # Slab-major, and stable: each slab's pieces stay in h-line order.
+    order = _stable_order(slab, num_slabs)
+    event = np.repeat(np.arange(len(left), dtype=np.int32), count)[order]
+    slab = slab[order]
+    piece_h = event_h.astype(np.int32)[event]
+    new_line = np.empty(len(event), dtype=bool)
+    new_line[0] = True
+    new_line[1:] = (slab[1:] != slab[:-1]) | (piece_h[1:] != piece_h[:-1])
+    line_h = piece_h[new_line]
+    lines = np.bincount(slab[new_line], minlength=num_slabs)
+    row = np.cumsum(new_line, dtype=np.int32)
+    row -= (np.cumsum(lines) - lines + 1).astype(np.int32)[slab]
+    # Step-major for the chunk loop; stable, so slab-major within a step.
+    num_steps = -(-int(lines.max()) // step)
+    step_of = row // step
+    order = _stable_order(step_of, num_steps)
+    bounds = np.searchsorted(step_of[order], np.arange(num_steps + 1))
+    event, slab = event[order], slab[order] * width
+    pieces = (np.maximum(left.astype(np.int32)[event], slab),
+              np.minimum(right.astype(np.int32)[event], slab + width),
+              delta[event], row[order])
+    return pieces, lines, line_h, bounds
+
+
+def _stable_order(keys, bound):
+    """Stable argsort of non-negative integer ``keys`` below ``bound``.
+
+    Keys that fit 16 bits take numpy's radix sort, several times faster
+    than the comparison sort it uses for wider integers.
+    """
+    if bound <= np.iinfo(np.int16).max:
+        keys = keys.astype(np.int16)
+    return np.argsort(keys, kind="stable")

@@ -32,7 +32,10 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 from repro import obs
 from repro.core.beststrip import BestStrip, BestStripTracker
 from repro.core.segment_tree import MaxAddSegmentTree
-from repro.core.transform import objects_to_event_records
+from repro.core.transform import (
+    columns_to_event_array,
+    objects_to_event_records,
+)
 from repro.core.result import MaxRSResult
 from repro.em.codecs import EVENT_BOTTOM
 from repro.geometry import Interval, WeightedPoint
@@ -40,7 +43,8 @@ from repro.geometry import Interval, WeightedPoint
 if TYPE_CHECKING:  # lazily imported at runtime (see solve_in_memory)
     from repro.core.backends import BackendSpec
 
-__all__ = ["sweep_events", "solve_in_memory", "PlaneSweepOutput"]
+__all__ = ["sweep_events", "solve_in_memory", "solve_columns",
+           "PlaneSweepOutput"]
 
 Record = Tuple[float, ...]
 
@@ -159,7 +163,32 @@ def solve_in_memory(objects: Sequence[WeightedPoint], width: float,
     from repro.core.backends import resolve_backend
 
     records = objects_to_event_records(objects, width, height)
-    sweep_backend = resolve_backend(backend, len(records))
+    return _solve_events(records, resolve_backend(backend, len(records)))
+
+
+def solve_columns(xs, ys, ws, width: float, height: float, *,
+                  backend: "BackendSpec" = None) -> MaxRSResult:
+    """:func:`solve_in_memory` over points held as numpy columns.
+
+    The events are built with numpy
+    (:func:`~repro.core.transform.columns_to_event_array`), so no point
+    objects are needed.  The numpy backend sweeps that array as is; any
+    other backend receives the same records as tuples.  The answer is
+    bit-identical to :func:`solve_in_memory` on the objects the columns
+    hold.  Requires numpy.
+    """
+    from repro.core.backends import resolve_backend
+    from repro.core.backends.numpy_backend import NumpySweepBackend
+
+    events = columns_to_event_array(xs, ys, ws, width, height)
+    sweep_backend = resolve_backend(backend, len(events))
+    if not isinstance(sweep_backend, NumpySweepBackend):
+        events = list(map(tuple, events.tolist()))
+    return _solve_events(events, sweep_backend)
+
+
+def _solve_events(records, sweep_backend) -> MaxRSResult:
+    """The best-strip sweep of ``records`` as a :class:`MaxRSResult`."""
     with obs.span("backend.sweep", backend=sweep_backend.name,
                   events=len(records)):
         _, best = sweep_backend.sweep(records, Interval.full(),

@@ -13,7 +13,9 @@ This module provides the transformation in the two forms used by the rest of
 the library:
 
 * purely in memory (lists of objects -> lists of rectangles / events), used by
-  the plane-sweep base case, the baselines' oracles and the tests;
+  the plane-sweep base case, the baselines' oracles and the tests -- plus a
+  columnar twin (numpy point columns -> one event array) for the resident
+  query engine, whose datasets live as columns;
 * streaming over the external-memory substrate (an object
   :class:`~repro.em.record_file.RecordFile` -> an event file), used by
   ExactMaxRS and the externalized baselines.  The streaming form costs one
@@ -34,6 +36,7 @@ __all__ = [
     "dual_rectangle",
     "dual_rectangles",
     "objects_to_event_records",
+    "columns_to_event_array",
     "build_event_file",
     "objects_file_to_event_file",
     "write_objects_file",
@@ -77,6 +80,34 @@ def objects_to_event_records(objects: Iterable[WeightedPoint], width: float,
         records.append((o.y - half_h, EVENT_BOTTOM, x1, x2, o.weight))
         records.append((o.y + half_h, EVENT_TOP, x1, x2, o.weight))
     return records
+
+
+def columns_to_event_array(xs, ys, ws, width: float, height: float):
+    """:func:`objects_to_event_records` for points held as numpy columns.
+
+    Returns one ``(2n, 5)`` float64 array: row ``2i`` is object ``i``'s
+    bottom-edge record and row ``2i + 1`` its top-edge record, equal bit for
+    bit to the tuples :func:`objects_to_event_records` builds from the same
+    points (the same IEEE-754 operations on the same doubles).  Requires
+    numpy, imported here so the object path keeps working without it.
+    """
+    import numpy as np
+
+    if width <= 0 or height <= 0:
+        raise GeometryError(
+            f"query rectangle must have positive extent, got {width} x {height}"
+        )
+    half_w = width / 2.0
+    half_h = height / 2.0
+    events = np.empty((len(xs), 2, 5))
+    events[:, 0, 0] = ys - half_h
+    events[:, 1, 0] = ys + half_h
+    events[:, 0, 1] = EVENT_BOTTOM
+    events[:, 1, 1] = EVENT_TOP
+    events[:, :, 2] = (xs - half_w)[:, None]
+    events[:, :, 3] = (xs + half_w)[:, None]
+    events[:, :, 4] = ws[:, None]
+    return events.reshape(-1, 5)
 
 
 def write_objects_file(ctx: EMContext, objects: Iterable[WeightedPoint],

@@ -9,8 +9,9 @@ parameters cheaply.  Per query it composes four layers:
    from the best pre-aggregated window (``refine=False`` stops here);
 3. safe pruning -- cells whose aggregate upper bound cannot reach the
    approximate answer are discarded, and the exact sweep
-   (:func:`~repro.core.plane_sweep.solve_in_memory`, via the shared
-   :mod:`repro.core.dispatch` entry point) runs on the surviving points only;
+   (:func:`~repro.core.plane_sweep.solve_columns`, which builds its events
+   straight from the store's point columns) runs on the surviving points
+   only;
 4. region restoration -- the one answer component pruning can coarsen is the
    h-line closing the best strip (an event of a pruned point may close it
    earlier); it is recomputed exactly from the dataset's sorted y-column.
@@ -56,8 +57,8 @@ from repro.core.backends import (
     numpy_version,
     resolve_backend,
 )
-from repro.core.dispatch import solve_point_set, solve_point_set_top_k
-from repro.core.plane_sweep import solve_in_memory
+from repro.core.dispatch import solve_point_set_top_k
+from repro.core.plane_sweep import solve_columns
 from repro.core.result import MaxCRSResult, MaxRegion, MaxRSResult
 from repro.em.config import EMConfig
 from repro import obs
@@ -709,6 +710,17 @@ class MaxRSEngine:
         backend = resolve_backend(self.sweep_backend, 2 * num_objects)
         self._count(f"sweep_backend_{backend.name}")
         return backend
+
+    def _sweep(self, entry: RegisteredDataset, indices: Optional[np.ndarray],
+               width: float, height: float) -> MaxRSResult:
+        """Exact MaxRS over the entry's points at ``indices`` (all: None).
+
+        The events come straight from the store's columns, so no point
+        object is built (a column-registered dataset stays lazy).
+        """
+        count = entry.count if indices is None else len(indices)
+        return solve_columns(*entry.columns(indices), width, height,
+                             backend=self._backend_for(count))
 
     def _count(self, counter: str, amount: int = 1) -> None:
         """Increment a work counter globally *and* on the active query ledger.
@@ -1548,9 +1560,7 @@ class MaxRSEngine:
         width, height = spec.width, spec.height
         grid = self._grids.get(entry.handle.dataset_id)
         if grid is None:  # empty dataset
-            return solve_point_set(entry.objects, width, height,
-                                   force_in_memory=True,
-                                   backend=self._backend_for(entry.count))
+            return self._sweep(entry, None, width, height)
 
         with self.metrics.time_stage("approximate"), \
                 obs.span("engine.approximate") as approx_span:
@@ -1560,9 +1570,7 @@ class MaxRSEngine:
             approx_span.set_attribute("probe_points", int(len(probe_indices)))
             self._note(probe_points=int(len(probe_indices)))
             self._count("swept_points", int(len(probe_indices)))
-            probe = solve_in_memory(
-                entry.subset(probe_indices), width, height,
-                backend=self._backend_for(len(probe_indices)))
+            probe = self._sweep(entry, probe_indices, width, height)
         if not spec.refine:
             return probe
 
@@ -1577,17 +1585,13 @@ class MaxRSEngine:
             if len(subset_indices) == entry.count:
                 self._count("refine_unpruned")
                 refine_span.set_attribute("pruned", False)
-                return solve_point_set(entry.objects, width, height,
-                                       force_in_memory=True,
-                                       backend=self._backend_for(entry.count))
+                return self._sweep(entry, None, width, height)
             self._count("refine_pruned")
             refine_span.set_attribute("pruned", True)
             if np.array_equal(subset_indices, probe_indices):
                 result = probe
             else:
-                result = solve_in_memory(
-                    entry.subset(subset_indices), width, height,
-                    backend=self._backend_for(len(subset_indices)))
+                result = self._sweep(entry, subset_indices, width, height)
             return _restore_closing_hline(result, entry, height)
 
     def _compute_maxcrs(self, entry: RegisteredDataset,
@@ -1689,9 +1693,7 @@ class MaxRSEngine:
             approx_span.set_attribute("probe_points", int(len(probe_indices)))
             self._note(probe_points=int(len(probe_indices)))
             self._count("swept_points", int(len(probe_indices)))
-            probe = solve_in_memory(
-                entry.subset(probe_indices), width, height,
-                backend=self._backend_for(len(probe_indices)))
+            probe = self._sweep(entry, probe_indices, width, height)
         self._count("pyramid_descents")
         with self.metrics.time_stage("descend"):
             gap, live = self._descend(grid, width, height,
@@ -1712,9 +1714,7 @@ class MaxRSEngine:
             if np.array_equal(subset_indices, probe_indices):
                 result = probe
             else:
-                result = solve_in_memory(
-                    entry.subset(subset_indices), width, height,
-                    backend=self._backend_for(len(subset_indices)))
+                result = self._sweep(entry, subset_indices, width, height)
             return replace(_restore_closing_hline(result, entry, height),
                            gap=0.0)
 

@@ -24,7 +24,7 @@ from repro.core.backends import (
 )
 from repro.core.backends.pure import PurePythonBackend
 from repro.core.dispatch import solve_point_set, solve_point_set_top_k
-from repro.core.plane_sweep import solve_in_memory, sweep_events
+from repro.core.plane_sweep import solve_columns, solve_in_memory, sweep_events
 from repro.core.transform import objects_to_event_records
 from repro.errors import ConfigurationError
 from repro.geometry import Interval, WeightedPoint
@@ -160,6 +160,115 @@ class TestParityProperty:
         self._assert_parity(records, None)
 
 
+@pytest.fixture
+def slab_plans(monkeypatch):
+    """Record each best-only sweep's slab plan: (slabs, most slabs one
+    applying event spans)."""
+    plans = []
+    plan = NumpySweepBackend._slab_width
+
+    def spy(num_cells, left, right):
+        width = plan(num_cells, left, right)
+        spanned = (right - 1) // width - left // width + 1
+        plans.append((-(-num_cells // width),
+                      int(spanned.max()) if len(left) else 0))
+        return width
+
+    monkeypatch.setattr(NumpySweepBackend, "_slab_width", staticmethod(spy))
+    return plans
+
+
+def _rect_records(rng, count, *, domain=100.0, sides=(0.5, 4.0),
+                  weight_choices=(0.0, 1.0, 2.0, 3.0)):
+    """Event records of ``count`` random rectangles with varying sides."""
+    records = []
+    for _ in range(count):
+        x, y = rng.uniform(0.0, domain), rng.uniform(0.0, domain)
+        half_w, half_h = (rng.choice(sides) / 2.0 for _ in range(2))
+        weight = rng.choice(weight_choices)
+        records.append((y - half_h, 1.0, x - half_w, x + half_w, weight))
+        records.append((y + half_h, -1.0, x - half_w, x + half_w, weight))
+    return records
+
+
+class TestSlabPlanParity:
+    """Best-only sweeps whose slab plan cuts at least four slabs.
+
+    Small inputs plan a single slab, so these inputs are sized to force
+    the multi-slab loop; each case asserts that it did.
+    """
+
+    def _assert_parity(self, records, slab_plans, slab_range=None):
+        expected = sweep_events(records, slab_range)[1]
+        for backend in (NumpySweepBackend(), NumpySweepBackend(chunk_hlines=3),
+                        NumpySweepBackend(chunk_hlines=1)):
+            assert backend.sweep(records, slab_range,
+                                 include_records=False) == ([], expected)
+        assert min(slabs for slabs, _ in slab_plans) >= 4
+
+    def test_ties_across_slab_borders(self, slab_plans):
+        # Snapped coordinates: equal-weight placements tie across slabs.
+        rng = random.Random(7)
+        for trial in range(6):
+            objs = _random_dataset(rng, 500, snap=0.25,
+                                   weight_choices=(1.0,))
+            self._assert_parity(objects_to_event_records(objs, 2.0, 2.0),
+                                slab_plans)
+
+    def test_uniform_grid_plateaus(self, slab_plans):
+        # A grid of equal weights: the maximum ties in every slab.
+        objs = [WeightedPoint(float(x), float(y), 1.0)
+                for x in range(150) for y in range(6)]
+        self._assert_parity(objects_to_event_records(objs, 1.5, 1.5),
+                            slab_plans)
+
+    def test_shared_hlines(self, slab_plans):
+        rng = random.Random(11)
+        objs = [WeightedPoint(rng.uniform(0.0, 100.0),
+                              float(rng.choice((5, 7, 9))), float(1 + i % 3))
+                for i in range(400)]
+        self._assert_parity(objects_to_event_records(objs, 1.0, 3.0),
+                            slab_plans)
+
+    def test_zero_and_small_integer_weights(self, slab_plans):
+        rng = random.Random(13)
+        for weights in ((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 1.0)):
+            objs = _random_dataset(rng, 400, weight_choices=weights)
+            self._assert_parity(objects_to_event_records(objs, 1.0, 5.0),
+                                slab_plans)
+
+    def test_negative_weights_keep_untouched_zeros(self, slab_plans):
+        # Raw event records may carry negative weights.  Here the first
+        # h-line covers three whole slabs (64 one-cell tiles each), so every
+        # slab maximum on it is negative; the untouched zeros of the slabs
+        # that have no edge on it still make it the answer's h-line.
+        def tiles(x0, x1, y0, y1):
+            cells = [(x0 + k / 2.0, x0 + (k + 1) / 2.0)
+                     for k in range(int(2 * (x1 - x0)))]
+            return ([(y0, 1.0, a, b, -1.0) for a, b in cells]
+                    + [(y1, -1.0, a, b, -1.0) for a, b in cells])
+
+        records = tiles(0.0, 96.0, 0.0, 1.0) + tiles(96.0, 200.0, 2.0, 3.0)
+        self._assert_parity(records, slab_plans, Interval(0.0, 200.0))
+
+    def test_events_spanning_three_or_more_slabs(self, slab_plans):
+        # Mostly narrow rectangles keep the slabs narrow; a few wide ones
+        # span many of them.
+        rng = random.Random(17)
+        for trial in range(4):
+            records = _rect_records(rng, 400, sides=(0.5,) * 30 + (20.0,))
+            self._assert_parity(records, slab_plans)
+            assert slab_plans[-1][1] >= 3
+
+    def test_clipped_slab_range(self, slab_plans):
+        rng = random.Random(19)
+        for trial in range(4):
+            objs = _random_dataset(rng, 600)
+            slab = Interval(rng.uniform(0.0, 20.0), rng.uniform(80.0, 100.0))
+            self._assert_parity(objects_to_event_records(objs, 1.0, 4.0),
+                                slab_plans, slab)
+
+
 class TestDispatchThreading:
     """The backend knob reaches every solve path and changes no answer."""
 
@@ -194,6 +303,11 @@ class TestDispatchThreading:
         vec = solve_in_memory(objs, 5.0, 5.0, backend="numpy")
         assert pure.total_weight == vec.total_weight
         assert pure.region == vec.region
+        # The columnar entry point: array for numpy, tuples for pure.
+        columns = [np.array([getattr(o, f) for o in objs])
+                   for f in ("x", "y", "weight")]
+        for backend in ("pure", "numpy", None):
+            assert solve_columns(*columns, 5.0, 5.0, backend=backend) == pure
 
     def test_exact_maxrs_leaves_use_backend(self):
         """The external recursion's base case honours the selection too."""

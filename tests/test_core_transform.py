@@ -45,6 +45,24 @@ class TestDualRectangles:
         assert bottom == (17.0, EVENT_BOTTOM, 8.0, 12.0, 5.0)
         assert top == (23.0, EVENT_TOP, 8.0, 12.0, 5.0)
 
+    def test_column_events_equal_object_records_bit_for_bit(self, make_objects):
+        np = pytest.importorskip("numpy")
+        from repro.core.transform import columns_to_event_array
+
+        objs = make_objects(300, seed=5, extent=1e6)
+        xs, ys, ws = (np.array([getattr(o, field) for o in objs])
+                      for field in ("x", "y", "weight"))
+        for width, height in ((3.7, 1.1), (0.1, 12345.678)):
+            events = columns_to_event_array(xs, ys, ws, width, height)
+            expected = np.array(objects_to_event_records(objs, width, height))
+            assert events.dtype == np.float64
+            assert np.array_equal(events.view(np.int64),
+                                  expected.view(np.int64))
+        assert columns_to_event_array(xs[:0], ys[:0], ws[:0], 1.0, 1.0
+                                      ).shape == (0, 5)
+        with pytest.raises(GeometryError):
+            columns_to_event_array(xs, ys, ws, 0.0, 1.0)
+
 
 class TestFileTransforms:
     def test_write_objects_file_roundtrip(self, tiny_ctx, make_objects):

@@ -47,7 +47,7 @@ def first_result(result):
 # ---------------------------------------------------------------------- #
 class TestCostLedger:
     def test_miss_cost_fields(self, make_objects):
-        engine = MaxRSEngine()
+        engine = MaxRSEngine(shards=1)
         try:
             ds = engine.register_dataset(make_objects(400, seed=1))
             result = engine.query(ds, QuerySpec.maxrs(9.0, 9.0))

@@ -8,6 +8,7 @@ points -> dataset skipped and reported, never silently wrong).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -101,6 +102,29 @@ class TestWarmStart:
         assert after[0].total_weight == truth.total_weight
         assert after[0].region == truth.region
 
+    def test_restored_dataset_sweeps_its_columns(self, tmp_path, objects):
+        """A warm-started (column-registered) dataset answers exact and
+        bounded MaxRS -- pruned and unpruned refines -- bit-identical to the
+        in-memory solve, without ever building its point objects."""
+        # A hot spot, so that small windows prune the rest away.
+        objects = objects + [WeightedPoint(50.0 + i % 7 / 4, 50.0 + i % 5 / 4)
+                             for i in range(200)]
+        MaxRSEngine(persist_dir=tmp_path).register_dataset(objects, name="ds")
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        for width, height in ((4.0, 4.0), (90.0, 80.0)):
+            truth = solve_in_memory(objects, width, height)
+            assert day2.query("ds", QuerySpec.maxrs(width, height)) == truth
+            bounded = day2.query("ds", QuerySpec.maxrs(width, height,
+                                                       error_bound=1e-9))
+            if not bounded.cost["descent"]["certified"]:
+                assert replace(bounded, gap=None) == truth
+            assert bounded.total_weight * (1 + bounded.gap) \
+                >= truth.total_weight
+        assert day2.metrics.counter("refine_pruned") >= 1
+        assert day2.metrics.counter("refine_unpruned") >= 1
+        assert day2.metrics.counter("descent_stop_exact") >= 1
+        assert day2.store.get("ds")._objects is None  # still lazy
+
     def test_restored_grid_is_the_persisted_one(self, tmp_path, objects):
         day1 = MaxRSEngine(persist_dir=tmp_path, target_points_per_cell=4)
         day1.register_dataset(objects, name="ds")
@@ -184,7 +208,7 @@ class TestDegradation:
             day2.query("ds", QuerySpec.maxrs(2.0, 2.0))
 
     def test_corrupt_grid_blob_falls_back_to_rebuild(self, tmp_path, objects):
-        day1 = MaxRSEngine(persist_dir=tmp_path)
+        day1 = MaxRSEngine(persist_dir=tmp_path, shards=1)
         day1.register_dataset(objects, name="ds")
         truth = day1.query("ds", QuerySpec.maxrs(8.0, 8.0))
         blob = tmp_path / open_catalog(tmp_path).get("ds").grid.file
@@ -192,7 +216,7 @@ class TestDegradation:
         raw[-3] ^= 0xFF
         blob.write_bytes(bytes(raw))
 
-        day2 = MaxRSEngine(persist_dir=tmp_path)
+        day2 = MaxRSEngine(persist_dir=tmp_path, shards=1)
         stats = day2.stats()["persist"]
         assert stats["datasets_restored"] == 1
         assert stats["grids_restored"] == 0
@@ -203,7 +227,7 @@ class TestDegradation:
         # ... and the rebuild self-healed the durable copy: the next restart
         # restores the grid from disk again.
         assert day2.metrics.counter("grids_repaired") == 1
-        day3 = MaxRSEngine(persist_dir=tmp_path)
+        day3 = MaxRSEngine(persist_dir=tmp_path, shards=1)
         assert day3.stats()["persist"]["grids_restored"] == 1
 
     def test_stale_grid_aggregates_rejected_by_cross_check(self, objects):
