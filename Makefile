@@ -44,10 +44,9 @@ bench-backends:
 bench-persist:
 	$(PYTHON) -m pytest benchmarks/test_service_coldstart.py -q
 
-# Sharded (4 shards on the best available executor, the multiprocess data
-# plane where shared memory works) vs unsharded grid index on registration and
-# refined cold queries; the >= 2x acceptance bound is asserted at
-# (near-)paper scale on hosts with >= 4 cores, e.g.
+# Sharded (4 shards on the threaded executor) vs unsharded grid index on
+# registration and refined cold queries; the >= 2x acceptance bound is
+# asserted at (near-)paper scale on hosts with >= 4 cores, e.g.
 # REPRO_BENCH_PRESET=paper make bench-shards.
 bench-shards:
 	$(PYTHON) -m pytest benchmarks/test_service_shards.py -q
@@ -102,8 +101,9 @@ bench-json:
 # fresh p50 latency / speedup numbers against the checked-in BENCH_*.json
 # trajectory, and fail when a tracked metric slips beyond tolerance
 # (REPRO_BENCH_TOLERANCE, default 0.30).  Entries recorded on a different
-# host fingerprint are skipped with a warning; the checked-in files are
-# restored afterwards so the gate never dirties the working tree.
+# host fingerprint are skipped with a warning; the checked-in BENCH files and
+# the artefact log are restored afterwards so the gate never dirties the
+# working tree.
 bench-gate:
 	$(PYTHON) scripts/check_bench_regression.py
 

@@ -2,12 +2,11 @@
 
 The sharding acceptance workload at (near-)paper scale, 200k points: build
 the pre-aggregation index and serve a set of refined cold queries, once with
-the monolithic 1-shard serial baseline and once with 4 shards on the best
-parallel executor the platform provides (the ``process`` data plane where
-POSIX shared memory works, else ``threaded``).  Both engines must return
-**bit-identical** refined answers (the module's merge-safety property); on a
-multi-core host the sharded path must win by >= 2x on registration + refined
-cold query combined.
+the monolithic 1-shard serial baseline and once with 4 shards on the
+``threaded`` executor.  Both engines must return **bit-identical** refined
+answers (the module's merge-safety property); on a multi-core host the
+sharded path must win by >= 2x on registration + refined cold query
+combined.
 
 The entry records the executor actually used, per-phase wall clock, the
 shard point balance and the schedulable core count, so numbers appended to
@@ -29,11 +28,7 @@ from _bench_utils import write_bench_json
 from repro.geometry import WeightedPoint
 from repro.service import MaxRSEngine, QuerySpec
 from repro.service.grid_index import GridIndex
-from repro.service.sharding import (
-    ShardedGridIndex,
-    available_executors,
-    effective_cpu_count,
-)
+from repro.service.sharding import ShardedGridIndex, effective_cpu_count
 
 #: Paper-scale cardinality of the sharding benchmark dataset.
 PAPER_CARDINALITY = 200_000
@@ -41,9 +36,8 @@ PAPER_CARDINALITY = 200_000
 #: The acceptance configuration: 4 parallel shards vs 1-shard serial.
 SHARDS = 4
 
-#: The best parallel tier this platform provides (the multiprocess data
-#: plane where shared memory works, else the GIL-bound threaded fan-out).
-EXECUTOR = "process" if "process" in available_executors() else "threaded"
+#: The parallel shard executor under test.
+EXECUTOR = "threaded"
 
 _DOMAIN = 1_000_000.0
 
@@ -107,8 +101,7 @@ def test_sharded_vs_unsharded(scale, report, artefact_dir):
         assert shard_r.total_weight == mono_r.total_weight, spec
         assert shard_r.region == mono_r.region, spec
     assert grid_stats["shard_count"] == SHARDS
-    # Record the executor the engine *actually* served on (it may have
-    # degraded, e.g. when shared memory vanished at runtime).
+    # Record the executor the engine actually served on.
     executor = grid_stats["executor"]
     assert executor == EXECUTOR
 

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Live fleet status: health checks, per-process gauges, SLO burn rates.
+"""Live service status: health checks, resource gauges, SLO burn rates.
 
-PR 8's fleet telemetry makes the parent engine whole-fleet truth: worker
-processes ship their counters and timings home as reset-on-export deltas, a
-resource sampler polls per-process CPU/RSS and the shared-memory arenas, a
-health monitor folds it all into ``healthz``/``readyz`` verdicts, and an
-SLO tracker burns an error budget per query.  This demo drives a sharded
-multiprocess engine through a query mix while rendering a one-screen fleet
-status after every batch -- then SIGKILLs a worker mid-run to show the
-``workers`` check flip to *degraded* and the engine degrade (correctly) to
-its threaded executor without losing a single metric.
+The engine's telemetry folds into one status screen: a resource sampler
+polls the serving process's CPU/RSS and the result cache into gauges, a
+health monitor folds named checks into ``healthz``/``readyz`` verdicts, and
+an SLO tracker burns an error budget per query.  This demo serves a warm
+working set (mostly cache hits) while rendering a status frame after every
+batch -- then fires a burst of cold queries, each a full sweep, at a tight
+latency objective.  The objective's burn-rate alert fires and flips the
+``slo`` check to *degraded*: ``healthz`` still reports ``ok=True`` because
+every answer stays correct, and the demo checks that too against the
+in-memory reference sweep.
 
 On a TTY the screen redraws in place (ANSI home + clear); when piped, the
 frames print sequentially.  Runs bounded and exits cleanly, so it is safe
@@ -22,21 +23,27 @@ Run with::
 
 from __future__ import annotations
 
-import os
-import signal
 import sys
-import warnings
 
 import numpy as np
 
 from repro import MaxRSEngine, QuerySpec
+from repro.core.plane_sweep import solve_in_memory
 from repro.obs import SLObjective
-from repro.service.procpool import process_available
 
-#: Query batches rendered as status frames; the worker dies after this many.
-FRAMES_BEFORE_KILL = 3
-FRAMES_AFTER_KILL = 2
+#: Warm-working-set frames rendered before the cold burst.
+STEADY_FRAMES = 3
+#: Passes over the query mix per frame (only the first pass is cold).
+REPEATS = 6
+#: Distinct cold queries in the burst.
+BURST = 40
 
+#: The tight latency objective: a cache hit answers in microseconds, a cold
+#: sweep over the city takes tens of milliseconds.
+FAST_BUDGET_S = 0.005
+FAST_SLO = "latency-5ms"
+
+_DOMAIN = 100_000.0
 _STATUS_GLYPH = {"ok": "+", "degraded": "~", "failing": "!"}
 
 
@@ -44,10 +51,9 @@ def make_city(seed: int = 29, count: int = 8_000) -> list:
     from repro.geometry import WeightedPoint
 
     rng = np.random.default_rng(seed)
-    domain = 100_000.0
     return [WeightedPoint(float(x), float(y), float(w))
-            for x, y, w in zip(rng.uniform(0.0, domain, count),
-                               rng.uniform(0.0, domain, count),
+            for x, y, w in zip(rng.uniform(0.0, _DOMAIN, count),
+                               rng.uniform(0.0, _DOMAIN, count),
                                rng.choice([1.0, 2.0, 3.0], count))]
 
 
@@ -61,18 +67,22 @@ def query_mix() -> list:
             QuerySpec.maxrs(3_000.0, 3_000.0)]  # repeat: cache hit
 
 
-def gauges_by_process(stats: dict) -> dict:
-    """Pivot the gauge list into ``{process: {gauge: value}}``."""
-    fleet: dict = {}
-    for name in ("process_cpu_seconds", "process_rss_bytes",
-                 "pool_queue_depth"):
-        for sample in stats["gauges"].get(name, []):
-            tag = sample["labels"].get("process", "parent")
-            fleet.setdefault(tag, {})[name] = sample["value"]
-    return fleet
+def burst_specs() -> list:
+    """Distinct exact MaxRS windows, so every one misses the cache."""
+    return [QuerySpec.maxrs(2_000.0 + 150.0 * i, 3_000.0 - 40.0 * i)
+            for i in range(BURST)]
 
 
-def scalar_gauge(stats: dict, name: str, default: float = 0.0) -> float:
+def check_answer(objects: list, spec: QuerySpec, answer) -> None:
+    """Exact MaxRS answers must equal the in-memory reference sweep."""
+    if spec.kind != "maxrs" or spec.error_bound is not None:
+        return
+    expected = solve_in_memory(objects, spec.width, spec.height)
+    assert answer.total_weight == expected.total_weight, spec
+    assert answer.region == expected.region, spec
+
+
+def gauge(stats: dict, name: str, default: float = 0.0) -> float:
     for sample in stats["gauges"].get(name, []):
         if not sample["labels"]:
             return sample["value"]
@@ -83,33 +93,28 @@ def render_frame(engine: MaxRSEngine, frame: int, note: str) -> None:
     stats = engine.stats()
     health = stats["health"]["healthz"]
     ready = stats["health"]["readyz"]
+    checks = {**ready["checks"], **health["checks"]}
     lines = [
-        f"Fleet status -- frame {frame}  {note}",
+        f"Service status -- frame {frame}  {note}",
         "=" * 64,
         f"healthz: {health['status']:<9} (ok={health['ok']})   "
         f"readyz: {'ready' if ready['ready'] else 'NOT READY'}",
         "",
         "checks:",
     ]
-    for name, check in sorted(health["checks"].items()):
+    for name, check in sorted(checks.items()):
         glyph = _STATUS_GLYPH.get(check["status"], "?")
         detail = check["detail"][:44]
         lines.append(f"  [{glyph}] {name:<10} {check['status']:<9} {detail}")
-    lines += ["", "processes:",
-              f"  {'tag':<10} {'cpu_s':>8} {'rss_mb':>8} {'queue':>6}"]
-    for tag, gauges in sorted(gauges_by_process(stats).items()):
-        lines.append(
-            f"  {tag:<10} {gauges.get('process_cpu_seconds', 0.0):>8.2f} "
-            f"{gauges.get('process_rss_bytes', 0.0) / 2**20:>8.1f} "
-            f"{gauges.get('pool_queue_depth', 0.0):>6.0f}")
-    arena_mb = scalar_gauge(stats, "shm_arena_bytes") / 2**20
+    sharding = stats["sharding"]
     lines += [
         "",
-        f"shared memory: {scalar_gauge(stats, 'shm_arenas'):.0f} arenas, "
-        f"{arena_mb:.1f} MiB   "
-        f"pool workers alive: "
-        f"{scalar_gauge(stats, 'pool_workers_alive'):.0f}   "
-        f"executor: {stats['sharding']['resolved_executor']}",
+        f"process: cpu {gauge(stats, 'process_cpu_seconds'):.2f} s, "
+        f"rss {gauge(stats, 'process_rss_bytes') / 2**20:.1f} MiB   "
+        f"cache: {gauge(stats, 'cache_entries'):.0f}/"
+        f"{gauge(stats, 'cache_capacity'):.0f} entries   "
+        f"shards: {sharding['effective_shards']} on "
+        f"{sharding['resolved_executor']!r}",
         "",
         "SLOs:",
     ]
@@ -119,7 +124,7 @@ def render_frame(engine: MaxRSEngine, frame: int, note: str) -> None:
             f"  {name:<14} target={slo['target']:<6} "
             f"events={slo['events']:<4} bad={slo['bad_events']:<3} "
             f"burn_rate={slo['burn_rate']:.2f}  [{state}]")
-    counters = engine.metrics.snapshot()["counters"]
+    counters = stats["counters"]
     grid = stats["grids"].get("city", {})
     ladder = " -> ".join(f"{lv['rows']}x{lv['cols']}"
                          for lv in grid.get("levels") or [])
@@ -134,11 +139,9 @@ def render_frame(engine: MaxRSEngine, frame: int, note: str) -> None:
         f"descents={counters.get('pyramid_descents', 0)} "
         f"levels={counters.get('descent_levels', 0)} stops={stops}",
         "",
-        f"fleet counters: queries={counters.get('queries', 0)} "
+        f"counters: queries={counters.get('queries', 0)} "
         f"cache_hits={stats['cache']['hits']} "
-        f"worker_tasks="
-        f"{sum(v for k, v in counters.items() if k.startswith('worker_'))} "
-        f"degraded={counters.get('executor_degraded', 0)}",
+        f"cache_misses={stats['cache']['misses']}",
     ]
     if sys.stdout.isatty():
         sys.stdout.write("\x1b[H\x1b[2J")
@@ -149,40 +152,37 @@ def render_frame(engine: MaxRSEngine, frame: int, note: str) -> None:
 def main() -> None:
     objects = make_city()
     engine = MaxRSEngine(
-        shards=4, shard_executor="process", sample_interval_s=0.05,
+        sample_interval_s=0.05,
         slo=[SLObjective("availability", target=0.999),
-             SLObjective("latency-1s", target=0.95,
-                         latency_threshold_s=1.0)])
+             # A 20% budget: a warm working set stays far inside it, a burst
+             # of cold sweeps burns through it.
+             SLObjective(FAST_SLO, target=0.8,
+                         latency_threshold_s=FAST_BUDGET_S, min_events=30)])
     try:
         engine.register_dataset(objects, name="city")
-        for frame in range(1, FRAMES_BEFORE_KILL + 1):
-            for spec in query_mix():
-                engine.query("city", spec)
-            render_frame(engine, frame, "(steady state)")
-
-        workers = (engine._proc_executor.worker_info()
-                   if engine._proc_executor is not None else [])
-        if workers and process_available():
-            os.kill(workers[0]["pid"], signal.SIGKILL)
-            engine.clear_cache()  # force real fan-outs onto the dead pool
-            print(f">>> SIGKILLed worker pid={workers[0]['pid']}; "
-                  f"the next query degrades to threads...\n")
-        else:
-            print(">>> no worker processes on this platform; "
-                  "skipping the kill\n")
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the degrade
-            for frame in range(FRAMES_BEFORE_KILL + 1,
-                               FRAMES_BEFORE_KILL + FRAMES_AFTER_KILL + 1):
+        for frame in range(1, STEADY_FRAMES + 1):
+            for repeat in range(REPEATS):
                 for spec in query_mix():
-                    engine.query("city", spec)
-                render_frame(engine, frame, "(after worker death)")
+                    answer = engine.query("city", spec)
+                    if frame == 1 and repeat == 0:  # later passes: hits
+                        check_answer(objects, spec, answer)
+            render_frame(engine, frame, "(warm working set)")
+        verdict = engine.healthz()
+        assert verdict["status"] == "ok", verdict
+
+        print(f">>> burst: {BURST} cold queries of distinct sizes, each a "
+              f"full sweep against a {FAST_BUDGET_S * 1e3:.0f} ms budget...\n")
+        for spec in burst_specs():
+            check_answer(objects, spec, engine.query("city", spec))
+        render_frame(engine, STEADY_FRAMES + 1, "(after the cold burst)")
 
         verdict = engine.healthz()
+        assert verdict["checks"]["slo"]["status"] == "degraded", verdict
+        assert verdict["status"] == "degraded" and verdict["ok"] is True
+        assert engine.stats()["health"]["slo"][FAST_SLO]["alerting"]
         print(f"final healthz: {verdict['status']} (ok={verdict['ok']}) -- "
-              f"degraded keeps serving; every worker metric survived the "
-              f"kill exactly once.")
+              f"the {FAST_SLO!r} burn-rate alert fired, and every exact "
+              f"answer matched the in-memory sweep.")
     finally:
         engine.close()
     print(f"after close: readyz ready={engine.readyz()['ready']} "

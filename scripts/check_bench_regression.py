@@ -34,8 +34,10 @@ machine that produced the baselines).
 The default tolerance is 0.30 (30%), wide enough to absorb normal
 wall-clock noise at the fast preset; override with ``--tolerance`` or the
 ``REPRO_BENCH_TOLERANCE`` environment variable.  After the comparison the
-checked-in files are restored so the gate never dirties the working tree;
-pass ``--keep-fresh`` to keep the re-run's files instead (e.g. when
+checked-in ``BENCH_*.json`` files and the ``reproduced_artefacts.txt`` log
+the benchmarks append to are restored byte for byte (and artefacts the run
+created are removed), so the gate never dirties the working tree; pass
+``--keep-fresh`` to keep the re-run's files instead (e.g. when
 intentionally re-baselining).
 
 Usage::
@@ -87,6 +89,9 @@ LATENCY_FLOOR_SECONDS = 100e-6
 #: excluded -- they churn without changing what the benchmarks measure.
 HOST_KEYS = ("machine", "cpu_count")
 
+#: The human-readable log every benchmark run appends to.
+ARTEFACT_LOG = "reproduced_artefacts.txt"
+
 
 def load_entries(directory: Path) -> dict[str, dict]:
     """Load every ``BENCH_<name>.json`` in *directory*, keyed by name."""
@@ -97,6 +102,12 @@ def load_entries(directory: Path) -> dict[str, dict]:
         name = entry.get("name") or path.stem[len("BENCH_"):]
         entries[name] = entry
     return entries
+
+
+def artefact_paths(directory: Path) -> list[Path]:
+    """The files a benchmark run writes into *directory*: every
+    ``BENCH_*.json`` plus the appended artefact log."""
+    return [*directory.glob("BENCH_*.json"), *directory.glob(ARTEFACT_LOG)]
 
 
 def bench_modules(directory: Path) -> list[Path]:
@@ -353,17 +364,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_run:
         fresh = load_entries(args.fresh_dir)
     else:
-        # Snapshot the checked-in artefacts: the benchmarks overwrite them
-        # in place, and the gate must not dirty the working tree.
+        # Snapshot the checked-in artefacts: the benchmarks overwrite the
+        # BENCH files and append to the log in place, and the gate must not
+        # dirty the working tree.
         with tempfile.TemporaryDirectory(prefix="bench-gate-") as tmp:
             snapshot = Path(tmp)
-            for path in bench_dir.glob("BENCH_*.json"):
+            before = artefact_paths(bench_dir)
+            for path in before:
                 shutil.copy2(path, snapshot / path.name)
             rc = run_benchmarks(bench_dir, only)
             fresh = load_entries(bench_dir)
             if not args.keep_fresh:
-                for path in snapshot.glob("BENCH_*.json"):
-                    shutil.copy2(path, bench_dir / path.name)
+                for path in set(artefact_paths(bench_dir)) - set(before):
+                    path.unlink()
+                for path in before:
+                    shutil.copy2(snapshot / path.name, path)
             if rc != 0:
                 print("bench-gate: benchmark run failed", file=sys.stderr)
                 return 1

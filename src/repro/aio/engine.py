@@ -264,7 +264,7 @@ class AsyncMaxRSEngine:
             else MaxRSEngine(**engine_kwargs)
         self._admission = _AdmissionGate(max_inflight, max_queue, overflow)
         # The front-end's admission state rides the engine's resource
-        # sampler, so scrapes see queue pressure next to the fleet gauges.
+        # sampler, so scrapes see queue pressure next to the engine gauges.
         self._engine.sampler.add_source(self._admission_gauge_source)
         self._gate = _ReadWriteGate()
         #: In-flight coalescing table: query identity -> the leader's future.

@@ -277,7 +277,7 @@ class MaxRSServer:
         if op == "metrics_text":
             # The engine render (not the bare exporter): it samples the
             # resource gauges first, so every scrape carries current
-            # RSS/CPU/queue-depth values for the whole fleet.
+            # RSS/CPU/queue-depth values.
             return {"id": request_id, "ok": True,
                     "text": self.engine.engine.metrics_text()}
         if op == "healthz":

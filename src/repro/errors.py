@@ -28,10 +28,6 @@ More specific subclasses indicate which subsystem detected the problem:
 * :class:`PersistError` -- the durable snapshot store (:mod:`repro.persist`)
   found a corrupt, truncated, or incompatible snapshot (bad magic, checksum
   mismatch, fingerprint mismatch, unsupported catalog version, ...).
-* :class:`ExecutorError` -- the multiprocess data plane
-  (:mod:`repro.service.procpool` / :mod:`repro.service.shm`) lost a worker
-  process or cannot use shared memory; the sharded index catches it to
-  degrade to the threaded tier.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "GeometryError",
     "AlgorithmError",
     "DatasetError",
-    "ExecutorError",
     "PersistError",
     "ServiceDegradedError",
     "ServiceError",
@@ -105,17 +100,6 @@ class ServiceDegradedError(ServiceError):
     callers can distinguish "retry later" (:class:`ServiceOverloadError`) from
     "this query cannot be degraded".  A :class:`ServiceError` subclass so
     existing guards keep working.
-    """
-
-
-class ExecutorError(ServiceError):
-    """Raised when a shard-executor backend fails as infrastructure.
-
-    Distinct from a *task* exception (which propagates unchanged under the
-    first-failure contract): this signals the executor itself is unusable --
-    a worker process died mid-map, the platform lacks POSIX shared memory,
-    or the pool was closed.  :class:`~repro.service.sharding.ShardedGridIndex`
-    treats it as the cue to degrade to the threaded tier and keep serving.
     """
 
 

@@ -21,11 +21,10 @@ each of them per request.  The pieces:
   latency-bounding span chain of one trace.
 * :func:`metrics_text` (:mod:`repro.obs.export`) — Prometheus-style text
   exposition of :class:`~repro.service.metrics.EngineMetrics`, including
-  cumulative latency-histogram buckets, per-process worker series and
-  sampled resource gauges.
-* fleet health (:mod:`repro.obs.health`) — :class:`ResourceSampler` polls
-  per-process CPU/RSS, shared-memory arena bytes, queue depths and cache
-  occupancy into gauges; :class:`HealthMonitor` aggregates named checks
+  cumulative latency-histogram buckets and sampled resource gauges.
+* service health (:mod:`repro.obs.health`) — :class:`ResourceSampler` polls
+  the serving process's CPU/RSS, queue depths and cache occupancy into
+  gauges; :class:`HealthMonitor` aggregates named checks
   into ``healthz``/``readyz`` verdicts; :class:`SLOTracker` watches
   rolling-window latency/error objectives and fires burn-rate alerts into
   pluggable sinks (:func:`log_alert_sink`, :func:`json_lines_alert_sink`).
@@ -41,8 +40,7 @@ from repro.obs.analyze import (critical_path, profile, render_profile,
                                span_self_seconds)
 from repro.obs.export import metrics_text
 from repro.obs.health import (HealthMonitor, ResourceSampler, SLObjective,
-                              SLOTracker, arena_gauge_source,
-                              json_lines_alert_sink, log_alert_sink,
+                              SLOTracker, json_lines_alert_sink, log_alert_sink,
                               process_gauge_source, read_proc_stats)
 from repro.obs.recorder import (JsonLinesRecorder, NullRecorder, RingRecorder,
                                 TailSamplingRecorder, TraceRecorder,
@@ -64,7 +62,6 @@ __all__ = [
     "Trace",
     "TraceRecorder",
     "Tracer",
-    "arena_gauge_source",
     "critical_path",
     "current_span",
     "current_trace_id",

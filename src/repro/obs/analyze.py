@@ -12,9 +12,9 @@ flat answer to "which stage is actually costing me".  Two folds provide it:
   single trace's root: the sequence of spans that bounded the request's
   latency (speeding up anything off this path cannot help).
 
-Both operate on plain :class:`~repro.obs.span.Span` trees, so spans grafted
-from other processes (the procpool worker envelope path) are analysed
-exactly like local ones — after grafting they *are* ordinary children.
+Both operate on plain :class:`~repro.obs.span.Span` trees, so spans
+rebuilt with :meth:`~repro.obs.span.Span.from_dict` (e.g. fetched over the
+wire with the ``trace`` op) are analysed exactly like local ones.
 
 The engine exposes :func:`profile` over the wire as the ``trace_profile``
 op; :func:`render_profile` is the human-readable table the examples print.

@@ -6,14 +6,10 @@ into the Prometheus text exposition format (version 0.0.4): counters become
 ``_seconds_total``/``_count_total`` pairs, and every
 :class:`~repro.service.metrics.LatencyHistogram` becomes a real Prometheus
 histogram — **cumulative** ``_bucket{le=...}`` series ending in ``+Inf``,
-plus ``_sum`` and ``_count``.  When the engine runs the multiprocess data
-plane, per-process series (``<ns>_process_*`` tagged
-``process="parent|worker-<i>"``) break the fleet totals down by where the
-work ran, and sampled resource gauges (RSS, CPU, arena bytes, queue
-depths) are emitted as ``gauge`` families.  The function only duck-types
-its argument
-(``snapshot()`` + ``histograms()``), keeping :mod:`repro.obs` free of
-runtime imports from the service layer.
+plus ``_sum`` and ``_count``.  Sampled resource gauges (RSS, CPU, cache
+occupancy, admission queue depth) are emitted as ``gauge`` families.  The
+function only duck-types its argument (``snapshot()`` + ``histograms()``),
+keeping :mod:`repro.obs` free of runtime imports from the service layer.
 
 The server exposes this as the ``metrics_text`` op so one TCP round-trip
 yields a scrape-ready payload; there is deliberately no HTTP listener here
@@ -32,12 +28,9 @@ __all__ = ["metrics_text"]
 #: HELP text for the gauge families the resource sampler emits; anything
 #: not listed falls back to a generic description.
 _GAUGE_HELP = {
-    "process_cpu_seconds": "Cumulative CPU seconds (user+system) per process.",
-    "process_rss_bytes": "Resident set size in bytes per process.",
-    "shm_arena_bytes": "Bytes of live owned shared-memory column arenas.",
-    "shm_arenas": "Count of live owned shared-memory column arenas.",
-    "pool_queue_depth": "Outstanding tasks per shard-worker queue.",
-    "pool_workers_alive": "Live shard worker processes.",
+    "process_cpu_seconds": "Cumulative CPU seconds (user+system) of the "
+                           "serving process.",
+    "process_rss_bytes": "Resident set size in bytes of the serving process.",
     "admission_inflight": "Queries currently holding an admission slot.",
     "admission_queue_depth": "Queries waiting for an admission slot.",
     "cache_entries": "Entries resident in the engine result cache.",
@@ -113,44 +106,6 @@ def metrics_text(metrics: "EngineMetrics", *, namespace: str = "repro",
                     f"shard={_label(shard_id)}}} "
                     f"{_num(entry['total_seconds'])}")
 
-    # Per-process breakdown: present when the fleet has worker children
-    # (snapshot()["processes"]) -- the untagged series above stay the
-    # whole-fleet merge, these attribute the same work to where it ran.
-    processes = snapshot.get("processes", {})
-    if processes:
-        lines.append(f"# HELP {namespace}_process_counter_total Engine "
-                     f"event counters per process.")
-        lines.append(f"# TYPE {namespace}_process_counter_total counter")
-        for process in sorted(processes):
-            for name in sorted(processes[process].get("counters", {})):
-                lines.append(
-                    f"{namespace}_process_counter_total"
-                    f"{{process={_label(process)},name={_label(name)}}} "
-                    f"{processes[process]['counters'][name]}")
-        lines.append(f"# HELP {namespace}_process_stage_seconds_total "
-                     f"Cumulative stage seconds per process.")
-        lines.append(f"# TYPE {namespace}_process_stage_seconds_total counter")
-        for process in sorted(processes):
-            stages_for = processes[process].get("stages", {})
-            for stage in sorted(stages_for):
-                lines.append(
-                    f"{namespace}_process_stage_seconds_total"
-                    f"{{process={_label(process)},stage={_label(stage)}}} "
-                    f"{_num(stages_for[stage]['total_seconds'])}")
-        lines.append(f"# HELP {namespace}_process_shard_seconds_total "
-                     f"Cumulative per-shard seconds per process.")
-        lines.append(f"# TYPE {namespace}_process_shard_seconds_total counter")
-        for process in sorted(processes):
-            shards_for = processes[process].get("shards", {})
-            for stage in sorted(shards_for):
-                for shard_id in sorted(shards_for[stage]):
-                    entry = shards_for[stage][shard_id]
-                    lines.append(
-                        f"{namespace}_process_shard_seconds_total"
-                        f"{{process={_label(process)},stage={_label(stage)},"
-                        f"shard={_label(shard_id)}}} "
-                        f"{_num(entry['total_seconds'])}")
-
     # Per-client accounting: one series per (client, ledger field).  The
     # source mapping is LRU-bounded, so cardinality is too.
     if clients:
@@ -165,7 +120,7 @@ def metrics_text(metrics: "EngineMetrics", *, namespace: str = "repro",
                     f"name={_label(field)}}} {_num(float(ledger[field]))}")
 
     # Sampled gauges (resource sampler output): one family per gauge name,
-    # series distinguished by labels (typically process="parent|worker-i").
+    # series distinguished by labels.
     gauges = snapshot.get("gauges", {})
     for name in sorted(gauges):
         help_text = _GAUGE_HELP.get(name, "Sampled gauge.")

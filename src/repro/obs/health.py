@@ -1,20 +1,20 @@
-"""Fleet health: resource sampling, health/readiness checks, SLO burn rates.
+"""Service health: resource sampling, health/readiness checks, SLO burn rates.
 
-PR 7 put the data plane on real processes; this module is the telemetry
-that makes such a fleet operable.  Three pieces, all dependency-free and
-engine-agnostic (the engine wires them up, but they only see callables):
+The telemetry that makes the serving engine operable.  Three pieces, all
+dependency-free and engine-agnostic (the engine wires them up, but they only
+see callables):
 
 * :class:`ResourceSampler` -- polls pluggable *sources* into
-  :class:`~repro.service.metrics.EngineMetrics` gauges: per-process CPU and
-  RSS (``/proc`` with ``os.times()``/``getrusage`` fallback), shared-memory
-  arena bytes from the :mod:`repro.service.shm` registry, worker queue
-  depths, cache occupancy.  Sampling is pull-by-default (``sample()``
-  whenever ``stats()``/``metrics_text`` wants fresh gauges) with an
-  optional background thread for push-style deployments.
-* :class:`HealthMonitor` -- named checks (degraded/broken executor, worker
-  liveness, persist-dir writability, arena leaks) aggregated into
-  ``healthz`` (liveness) and ``readyz`` (readiness) verdicts.  A check
-  reports ``ok`` / ``degraded`` / ``failing``; the aggregate is the worst.
+  :class:`~repro.service.metrics.EngineMetrics` gauges: the serving
+  process's CPU and RSS (``/proc`` with ``os.times()``/``getrusage``
+  fallback), cache occupancy, admission queue depth.  Sampling is
+  pull-by-default (``sample()`` whenever ``stats()``/``metrics_text`` wants
+  fresh gauges) with an optional background thread for push-style
+  deployments.
+* :class:`HealthMonitor` -- named checks (persist-dir writability, a closed
+  engine, SLO burn) aggregated into ``healthz`` (liveness) and ``readyz``
+  (readiness) verdicts.  A check reports ``ok`` / ``degraded`` /
+  ``failing``; the aggregate is the worst.
 * :class:`SLOTracker` -- rolling-window latency/error-rate objectives with
   **burn-rate** alerting: an objective with target 99.9% has an error
   budget of 0.1%, and burn rate is the fraction of bad events divided by
@@ -24,9 +24,9 @@ engine-agnostic (the engine wires them up, but they only see callables):
   sinks: :func:`log_alert_sink`, :func:`json_lines_alert_sink`, or any
   callable -- a machine-readable shed signal for a future gateway tier.
 
-See ``docs/observability.md`` ("Fleet telemetry & health") for the gauge
+See ``docs/observability.md`` ("Service telemetry & health") for the gauge
 catalogue and configuration examples, and ``examples/health_monitor.py``
-for a live one-screen fleet status rendering.
+for a live one-screen status rendering.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import os
 import threading
 import time
 from collections import deque
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 if TYPE_CHECKING:  # type hints only; no runtime service-layer import
     from repro.service.metrics import EngineMetrics
@@ -48,7 +48,6 @@ __all__ = [
     "ResourceSampler",
     "SLOTracker",
     "SLObjective",
-    "arena_gauge_source",
     "json_lines_alert_sink",
     "log_alert_sink",
     "process_gauge_source",
@@ -168,47 +167,16 @@ class ResourceSampler:
             thread.join(timeout=5.0)
 
 
-def process_gauge_source(pids: Callable[[], Mapping[str, Optional[int]]]
-                         ) -> Callable[["EngineMetrics"], None]:
-    """A sampler source setting per-process CPU/RSS gauges.
+def process_gauge_source() -> Callable[["EngineMetrics"], None]:
+    """A sampler source setting the serving process's CPU/RSS gauges.
 
-    ``pids`` returns ``{tag: pid}`` (e.g. ``{"parent": 1234,
-    "worker-0": 1240}``); dead or unreadable pids simply drop out of the
-    gauge set on the next poll.  The calling process falls back to
+    Reads ``/proc`` for the calling process, falling back to
     ``os.times``/``getrusage`` where ``/proc`` is unavailable.
     """
     def source(metrics: "EngineMetrics") -> None:
-        own = os.getpid()
-        cpu_series, rss_series = [], []
-        for tag, pid in pids().items():
-            if pid is None:
-                continue
-            stats = read_proc_stats(pid)
-            if stats is None and pid == own:
-                stats = _own_process_stats()
-            if stats is None:
-                continue
-            cpu, rss = stats
-            cpu_series.append(({"process": tag}, cpu))
-            rss_series.append(({"process": tag}, rss))
-        metrics.replace_gauge("process_cpu_seconds", cpu_series)
-        metrics.replace_gauge("process_rss_bytes", rss_series)
-    return source
-
-
-def arena_gauge_source() -> Callable[["EngineMetrics"], None]:
-    """A sampler source for shared-memory arena occupancy.
-
-    Reads the process-global owner registry in :mod:`repro.service.shm`
-    (imported lazily: :mod:`repro.obs` stays importable without numpy).
-    """
-    def source(metrics: "EngineMetrics") -> None:
-        from repro.service import shm
-
-        entries = shm.arena_registry()
-        metrics.set_gauge("shm_arenas", len(entries))
-        metrics.set_gauge("shm_arena_bytes",
-                          sum(entry["bytes"] for entry in entries))
+        cpu, rss = read_proc_stats(os.getpid()) or _own_process_stats()
+        metrics.set_gauge("process_cpu_seconds", cpu)
+        metrics.set_gauge("process_rss_bytes", rss)
     return source
 
 
@@ -275,10 +243,10 @@ class HealthMonitor:
     def healthz(self) -> Dict[str, object]:
         """Liveness: ``{"ok", "status", "checks"}``.
 
-        ``ok`` is False only for ``failing`` -- a *degraded* fleet (e.g.
-        the process executor fell back to threads) keeps serving correct
-        answers, and ``status`` carries that distinction for monitors that
-        alert on any flip away from ``"ok"``.
+        ``ok`` is False only for ``failing`` -- a *degraded* service (e.g.
+        an SLO burn-rate alert firing) keeps serving correct answers, and
+        ``status`` carries that distinction for monitors that alert on any
+        flip away from ``"ok"``.
         """
         verdict = self._evaluate(readiness=False)
         verdict["ok"] = verdict["status"] != "failing"

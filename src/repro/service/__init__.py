@@ -11,10 +11,11 @@ many queries* with varying rectangle / circle sizes:
   (per-cell weight sums and point lists) built once per dataset; it serves
   fast approximate answers and prunes the exact sweep to candidate regions;
 * :mod:`repro.service.sharding` -- per-region shards of that index behind a
-  pluggable parallel executor (``serial`` / ``threaded``): registration,
-  window bounds and pruned-point gathering fan out across cores while the
-  cross-shard merge keeps refined answers bit-identical to the unsharded
-  index (``MaxRSEngine(shards=..., shard_executor=...)``);
+  shard executor (``serial`` inline, or ``threaded`` on the engine's thread
+  pool): registration, window bounds and pruned-point gathering fan out
+  per shard, in one process, while the cross-shard merge keeps refined
+  answers bit-identical to the unsharded index
+  (``MaxRSEngine(shards=..., shard_executor=...)``);
 * :mod:`repro.service.cache` -- an LRU result cache keyed by
   ``(dataset fingerprint, query kind, parameters)``;
 * :mod:`repro.service.metrics` -- per-stage timing and counter aggregation;
@@ -54,9 +55,7 @@ __all__ = [
     "ShardExecutor",
     "ShardedGridIndex",
     "ThreadedExecutor",
-    "available_executors",
     "default_shard_count",
-    "get_executor",
     "resolve_executor",
 ]
 
@@ -74,9 +73,7 @@ _LAZY_EXPORTS = {
     "ShardExecutor": "repro.service.sharding",
     "ShardedGridIndex": "repro.service.sharding",
     "ThreadedExecutor": "repro.service.sharding",
-    "available_executors": "repro.service.sharding",
     "default_shard_count": "repro.service.sharding",
-    "get_executor": "repro.service.sharding",
     "resolve_executor": "repro.service.sharding",
 }
 

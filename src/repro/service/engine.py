@@ -41,7 +41,6 @@ import os
 import sys
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -62,12 +61,7 @@ from repro.core.plane_sweep import solve_columns
 from repro.core.result import MaxCRSResult, MaxRegion, MaxRSResult
 from repro.em.config import EMConfig
 from repro import obs
-from repro.errors import (
-    ConfigurationError,
-    ExecutorError,
-    PersistError,
-    ServiceError,
-)
+from repro.errors import ConfigurationError, PersistError, ServiceError
 from repro.geometry import Point, WeightedPoint
 from repro.persist.format import ShardedGridSnapshot
 from repro.persist.store import SnapshotStore
@@ -136,18 +130,23 @@ class QuerySpec:
             raise ConfigurationError(
                 f"unknown query kind {self.kind!r}; expected one of {_KINDS}"
             )
+        # Sizes come from outside the program (the wire decoder accepts the
+        # NaN and Infinity tokens), and NaN slips past a plain `<= 0` test.
         if self.kind in ("maxrs", "maxkrs"):
             if self.width is None or self.height is None \
-                    or self.width <= 0 or self.height <= 0:
+                    or not 0 < self.width < math.inf \
+                    or not 0 < self.height < math.inf:
                 raise ConfigurationError(
-                    f"{self.kind} queries need a positive width x height, "
-                    f"got {self.width} x {self.height}"
+                    f"{self.kind} queries need a positive finite width x "
+                    f"height, got {self.width} x {self.height}"
                 )
         if self.kind == "maxkrs" and self.k < 1:
             raise ConfigurationError(f"k must be at least 1, got {self.k}")
-        if self.kind == "maxcrs" and (self.diameter is None or self.diameter <= 0):
+        if self.kind == "maxcrs" and (self.diameter is None
+                                      or not 0 < self.diameter < math.inf):
             raise ConfigurationError(
-                f"maxcrs queries need a positive diameter, got {self.diameter}"
+                f"maxcrs queries need a positive finite diameter, got "
+                f"{self.diameter}"
             )
         if self.error_bound is not None:
             if self.kind == "maxkrs":
@@ -345,12 +344,8 @@ class MaxRSEngine:
         # threaded shard executors; created lazily, shut down by close().
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        # One long-lived process pool serves every process-tier shard
-        # fan-out of this engine (workers warm up on the first register and
-        # stay resident); created on first resolution, shut down by close().
-        self._proc_executor = None
         self._closed = False
-        # Fleet telemetry: health checks, SLO burn tracking and the gauge
+        # Telemetry: health checks, SLO burn tracking and the gauge
         # sampler all live per-engine, reading engine state via closures
         # registered by _register_telemetry().
         self.health = obs.HealthMonitor()
@@ -404,27 +399,11 @@ class MaxRSEngine:
         The engine stays queryable afterwards -- batch execution and shard
         fan-out simply degrade to the calling thread, so a drained service
         can still answer stragglers during shutdown.
-
-        Multiprocess serving state is fully reclaimed: sharded indexes copy
-        their shared-memory views back to the heap and release their arenas,
-        the worker processes are stopped, and the store's shared column
-        segments are unlinked -- ``close()`` leaks no shared-memory segment,
-        whatever tier the engine was serving on.
         """
         self.sampler.stop()
         with self._pool_lock:
             self._closed = True
             pool, self._pool = self._pool, None
-            proc, self._proc_executor = self._proc_executor, None
-        # Grids first: a plane index's release handshake needs live workers
-        # and valid column views, so it must run before the process pool and
-        # the store arenas go away.
-        for grid in self._grids.values():
-            if isinstance(grid, ShardedGridIndex):
-                grid.close()
-        if proc is not None:
-            proc.close()
-        self.store.unshare_all()
         if pool is not None:
             pool.shutdown(wait=wait)
 
@@ -435,45 +414,17 @@ class MaxRSEngine:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Fleet telemetry: gauges, health checks, SLOs
+    # Telemetry: gauges, health checks, SLOs
     # ------------------------------------------------------------------ #
     def _register_telemetry(self) -> None:
         """Wire the engine's gauge sources and health checks (once, at
         construction).  Everything registered here reads live engine state
         at sample/check time; nothing is evaluated eagerly."""
-        self.sampler.add_source(obs.process_gauge_source(self._process_pids))
-        self.sampler.add_source(obs.arena_gauge_source())
-        self.sampler.add_source(self._pool_gauge_source)
+        self.sampler.add_source(obs.process_gauge_source())
         self.sampler.add_source(self._cache_gauge_source)
-        self.health.add_check("executor", self._check_executor)
-        self.health.add_check("workers", self._check_workers)
-        self.health.add_check("arenas", self._check_arenas)
         self.health.add_check("persist", self._check_persist, liveness=False)
         self.health.add_check("closed", self._check_closed, liveness=False)
         self.health.add_check("slo", self._check_slo, readiness=False)
-
-    def _process_pids(self) -> Dict[str, Optional[int]]:
-        """``{tag: pid}`` for the fleet, matching the metric process tags."""
-        pids: Dict[str, Optional[int]] = {"parent": os.getpid()}
-        proc = self._proc_executor
-        if proc is not None:
-            for worker in proc.worker_info():
-                pids[f"worker-{worker['index']}"] = worker["pid"]
-        return pids
-
-    def _pool_gauge_source(self, metrics: EngineMetrics) -> None:
-        """Gauge source: shard-worker liveness and per-worker queue depth."""
-        proc = self._proc_executor
-        if proc is None:
-            metrics.set_gauge("pool_workers_alive", 0)
-            metrics.replace_gauge("pool_queue_depth", [])
-            return
-        info = proc.worker_info()
-        metrics.set_gauge("pool_workers_alive",
-                          sum(1 for worker in info if worker["alive"]))
-        metrics.replace_gauge("pool_queue_depth", [
-            ({"process": f"worker-{index}"}, depth)
-            for index, depth in sorted(proc.queue_depths().items())])
 
     def _cache_gauge_source(self, metrics: EngineMetrics) -> None:
         """Gauge source: result-cache occupancy (entry count and shallow
@@ -484,60 +435,6 @@ class MaxRSEngine:
         metrics.set_gauge("cache_capacity", stats.capacity)
         metrics.set_gauge("cache_bytes", float(sum(
             sys.getsizeof(value) for _, value, _ in self.cache.entries())))
-
-    def _check_executor(self):
-        """Health: is the shard fan-out still on its configured tier?"""
-        proc = self._proc_executor
-        if proc is not None and proc.broken:
-            return ("degraded",
-                    "process pool broken; shard fan-out degraded to threads")
-        return ("ok", f"shard fan-out on {self._resolved_executor_name()!r}")
-
-    def _check_workers(self):
-        """Health: every spawned shard worker process is still alive."""
-        proc = self._proc_executor
-        if proc is None:
-            return ("ok", "no process pool in use")
-        info = proc.worker_info()
-        dead = [worker["index"] for worker in info if not worker["alive"]]
-        if dead:
-            return ("degraded", f"dead shard workers: {dead}")
-        return ("ok", f"{len(info)} shard workers live")
-
-    def _expected_arena_keys(self) -> set:
-        """Keys of every shared-memory arena this engine accounts for."""
-        keys = set()
-        for handle in self.store.handles():
-            arena = getattr(self.store.get(handle.dataset_id), "arena", None)
-            if arena is not None and not arena.closed:
-                keys.add(arena.key)
-        for grid in list(self._grids.values()):
-            for attr in ("_column_arena", "_index_arena"):
-                arena = getattr(grid, attr, None)
-                if arena is not None and not getattr(arena, "closed", True):
-                    keys.add(arena.key)
-        return keys
-
-    def _check_arenas(self):
-        """Health: shared-memory accounting is consistent.
-
-        Failing when an arena a live dataset depends on has vanished from
-        the owner registry (serving would crash on the next plane fan-out),
-        or when arenas survive ``close()`` (a leak: the segments would
-        outlive the engine until process exit).
-        """
-        from repro.service.shm import arena_registry
-
-        expected = self._expected_arena_keys()
-        if self._closed and expected:
-            return ("failing",
-                    f"arenas leaked past close(): {sorted(expected)}")
-        live = {entry["key"] for entry in arena_registry()}
-        missing = sorted(expected - live)
-        if missing:
-            return ("failing",
-                    f"arenas vanished under live datasets: {missing}")
-        return ("ok", f"{len(expected)} arenas accounted for")
 
     def _check_persist(self):
         """Readiness: the snapshot directory accepts writes."""
@@ -567,7 +464,7 @@ class MaxRSEngine:
     def healthz(self) -> Dict[str, object]:
         """Liveness verdict (fresh gauges included as a side effect):
         ``{"ok", "status", "checks"}`` -- ``status`` is ``"degraded"``
-        while e.g. the process pool is broken, ``ok`` stays True as long
+        while e.g. an SLO burn-rate alert fires, ``ok`` stays True as long
         as correct answers are still being served."""
         self.sampler.sample()
         return self.health.healthz()
@@ -580,11 +477,10 @@ class MaxRSEngine:
         return self.health.readyz()
 
     def metrics_text(self, *, namespace: str = "repro") -> str:
-        """Prometheus exposition of the fleet's metrics, gauges included.
+        """Prometheus exposition of the engine's metrics, gauges included.
 
         Takes a fresh resource sample first, so a scrape always sees
-        current RSS/CPU/queue-depth/arena gauges next to the cumulative
-        counters (which the worker delta merge keeps fleet-wide).
+        current RSS/CPU/cache gauges next to the cumulative counters.
         """
         self.sampler.sample()
         return obs.metrics_text(self.metrics, namespace=namespace,
@@ -599,50 +495,19 @@ class MaxRSEngine:
 
         Named/auto threaded executors run on the engine's long-lived thread
         pool (the same one ``query_batch`` uses -- the executor's
-        cancel-or-inline ``map`` keeps nested fan-out deadlock-free);
-        process-tier resolutions share the engine's long-lived
-        :class:`~repro.service.procpool.ProcessShardExecutor` (one worker
-        pool per engine, warmed up on the first registration).  Once that
-        pool *breaks* (a worker died) the engine stays on the threaded tier
-        -- respawning after a crash would hide a recurring failure.  A
+        cancel-or-inline ``map`` keeps nested fan-out deadlock-free).  A
         closed engine always fans out serially.
         """
         spec = self.shard_executor
-        if spec is not None and not isinstance(spec, str):
-            return resolve_executor(spec, shard_count)
         resolved = resolve_executor(spec, shard_count)
-        if getattr(resolved, "owns_shards", False):
-            owned = self._own_process_executor(resolved)
-            if owned is not None:
-                return owned
-            resolved = ThreadedExecutor()
+        if resolved is spec:
+            return resolved
         if isinstance(resolved, ThreadedExecutor):
             pool = self._ensure_pool()
             if pool is None:
                 return SerialExecutor()
             return ThreadedExecutor(pool=pool)
         return resolved
-
-    def _own_process_executor(self, candidate):
-        """Adopt/reuse the engine's process pool; ``None`` once broken/closed.
-
-        ``candidate`` is a freshly resolved (never started -- construction
-        spawns nothing) process executor; the first resolution adopts it as
-        the engine's, later ones discard theirs and reuse the adopted one.
-        """
-        with self._pool_lock:
-            if self._closed:
-                return None
-            proc = self._proc_executor
-            if proc is None:
-                # Adopt: worker metric deltas flow into the engine's
-                # accumulator as per-process children from the first spawn.
-                candidate.bind_metrics(self.metrics)
-                self._proc_executor = candidate
-                return candidate
-            if proc.broken:
-                return None
-            return proc
 
     def _build_index(self, entry: RegisteredDataset) -> AnyGridIndex:
         """Build the grid index for one non-empty dataset.
@@ -662,42 +527,19 @@ class MaxRSEngine:
                 *entry.columns(),
                 shards=shard_count,
                 executor=executor,
-                arena=self._shared_arena_for(entry, executor),
                 target_points_per_cell=self._target_points_per_cell,
                 max_cells_per_side=self._max_cells_per_side,
                 pyramid_levels=self._pyramid_levels,
                 timing_hook=self.metrics.observe_shard,
-                counter_hook=self.metrics.increment,
             )
             if index.shard_count > 1:
                 return index
-            # The tiling collapsed to one region: drop any plane state the
-            # sharded build adopted before falling back to the plain index.
-            index.close()
         return GridIndex(
             *entry.columns(),
             target_points_per_cell=self._target_points_per_cell,
             max_cells_per_side=self._max_cells_per_side,
             pyramid_levels=self._pyramid_levels,
         )
-
-    def _shared_arena_for(self, entry: RegisteredDataset, executor):
-        """The store's shared column arena when ``executor`` is a plane tier.
-
-        ``None`` otherwise -- and, with a warning, when the store cannot
-        share (shared memory exhausted at runtime); the sharded index then
-        falls back to a private arena or degrades on its own.
-        """
-        if not getattr(executor, "owns_shards", False):
-            return None
-        try:
-            return self.store.share_columns(entry.handle.dataset_id)
-        except ExecutorError as exc:
-            warnings.warn(
-                f"cannot back dataset {entry.handle.dataset_id!r} with "
-                f"shared-memory columns ({exc})",
-                RuntimeWarning, stacklevel=3)
-            return None
 
     def _backend_for(self, num_objects: int) -> SweepBackend:
         """Resolve the sweep backend for a solve over ``num_objects`` points.
@@ -782,7 +624,7 @@ class MaxRSEngine:
                 # evict the old fingerprint's cached results (unless another
                 # dataset still holds byte-identical data), and never let an
                 # opted-out snapshot resurrect the old binding on restart.
-                self._drop_grid(handle.dataset_id)
+                self._grids.pop(handle.dataset_id, None)
                 if not any(h.fingerprint == old_fingerprint
                            for h in self.store.handles()):
                     self._evict_fingerprint(old_fingerprint)
@@ -831,20 +673,12 @@ class MaxRSEngine:
         """
         dataset_id = _dataset_id(dataset)
         fingerprint = self.store.get(dataset_id).handle.fingerprint
-        # Grid before store: a plane index's release handshake needs the
-        # column views the store's arena still backs.
-        self._drop_grid(dataset_id)
+        self._grids.pop(dataset_id, None)
         self.store.unregister(dataset_id)
         if not any(h.fingerprint == fingerprint for h in self.store.handles()):
             self._evict_fingerprint(fingerprint)
         if self.persist is not None and not keep_snapshot:
             self.persist.delete_dataset(dataset_id)
-
-    def _drop_grid(self, dataset_id: str) -> None:
-        """Forget a dataset's index, releasing any shared-memory state."""
-        grid = self._grids.pop(dataset_id, None)
-        if isinstance(grid, ShardedGridIndex):
-            grid.close()
 
     def checkpoint(self) -> None:
         """Flush warm serving state: persist every dataset's hot results.
@@ -998,18 +832,11 @@ class MaxRSEngine:
         1-shard layout), whatever this engine's ``shards=`` configuration.
         """
         if isinstance(snap, ShardedGridSnapshot):
-            executor = self._resolve_shard_executor(len(snap.shards))
-            # The arena is created *before* from_snapshot reads the columns,
-            # so under a plane executor the warm start maps the blob columns
-            # straight into shared memory: workers verify the persisted
-            # aggregates without the parent ever re-aggregating.
             return ShardedGridIndex.from_snapshot(
                 entry.xs, entry.ys, entry.ws, snap,
-                executor=executor,
-                arena=self._shared_arena_for(entry, executor),
+                executor=self._resolve_shard_executor(len(snap.shards)),
                 pyramid_levels=self._pyramid_levels,
                 timing_hook=self.metrics.observe_shard,
-                counter_hook=self.metrics.increment,
             )
         return GridIndex.from_snapshot(entry.xs, entry.ys, entry.ws, snap,
                                        pyramid_levels=self._pyramid_levels)
@@ -1113,11 +940,10 @@ class MaxRSEngine:
                        io_before) -> Dict[str, object]:
         """Fold one finished computation's ledger into its cost record.
 
-        Counter-based fields (swept points, descent, backend uses, worker
-        seconds) come from the per-query :class:`QueryLedger` the compute
-        path double-booked into -- including worker-attributed stage seconds
-        the process executor adds from result envelopes -- so they attribute
-        correctly whatever tier the shard fan-out ran on.
+        Counter-based fields (swept points, descent, backend uses) come
+        from the per-query :class:`QueryLedger` the compute path
+        double-booked into, so they attribute correctly whatever tier the
+        shard fan-out ran on.
         """
         counters = dict(ledger.counters)
         facts = dict(ledger.fields)
@@ -1142,9 +968,6 @@ class MaxRSEngine:
                 "stop_scale": facts.get("descent_stop_scale"),
                 "certified_gap": facts.get("descent_gap"),
             }
-        arena = getattr(entry, "arena", None)
-        arena_bytes = (int(arena.nbytes)
-                       if arena is not None and not arena.closed else 0)
         block_reads = block_writes = 0
         if io_before is not None:
             delta = self.persist.counters.snapshot() - io_before
@@ -1162,10 +985,8 @@ class MaxRSEngine:
             "descent": descent,
             "shards": int(shards),
             "executor": str(executor),
-            "worker_seconds": float(counters.get("worker_seconds", 0.0)),
             "block_reads": int(block_reads),
             "block_writes": int(block_writes),
-            "arena_bytes": arena_bytes,
         }
 
     def _account_client(self, client_id: Optional[str],
@@ -1316,10 +1137,10 @@ class MaxRSEngine:
                 "configured_executor": (configured_executor
                                         if configured_executor is not None
                                         else "auto"),
-                # Resolved without touching the shared pools: naming the
-                # executor must not spawn threads or processes as a side
-                # effect (process executors spawn lazily, on first use).
-                "resolved_executor": self._resolved_executor_name(),
+                # Resolved without touching the shared pool: naming the
+                # executor must not start threads as a side effect.
+                "resolved_executor": resolve_executor(
+                    self.shard_executor, self._effective_shards()).name,
             },
             "datasets": len(self.store),
             "queries": snapshot["counters"].get("queries", 0),
@@ -1345,9 +1166,6 @@ class MaxRSEngine:
             "shard_stages": snapshot["shards"],
             "latency": snapshot["latency"],
             "gauges": snapshot["gauges"],
-            # Per-process breakdown: populated once the multiprocess plane
-            # has shipped worker deltas; {} on serial/threaded tiers.
-            "processes": snapshot.get("processes", {}),
             "health": {
                 "healthz": self.health.healthz(),
                 "readyz": self.health.readyz(),
@@ -1362,20 +1180,6 @@ class MaxRSEngine:
                 for grid in (self._grids.get(handle.dataset_id),)
             },
         }
-
-    def _resolved_executor_name(self) -> str:
-        """What a shard fan-out would run on *right now* (stats reporting).
-
-        Config-level resolution, adjusted for runtime state: a broken
-        process pool (or a closed engine) means new fan-outs run threaded.
-        """
-        resolved = resolve_executor(self.shard_executor,
-                                    self._effective_shards())
-        if getattr(resolved, "owns_shards", False):
-            proc = self._proc_executor
-            if self._closed or (proc is not None and proc.broken):
-                return "threaded"
-        return resolved.name
 
     def clear_cache(self) -> None:
         """Drop every cached result (datasets and indexes stay resident)."""
@@ -1501,11 +1305,9 @@ class MaxRSEngine:
         """Per-stage self-time breakdown of retained traces.
 
         Folds the tracer's recorded traces (all of them, or just the ones
-        matching ``trace_id``) through :func:`repro.obs.analyze.profile`;
-        spans grafted back from process workers are ordinary children by
-        the time they are retained, so cross-process stages attribute like
-        local ones.  Requires a retaining recorder (ring or tail); with the
-        default ``NullRecorder`` the profile is empty.
+        matching ``trace_id``) through :func:`repro.obs.analyze.profile`.
+        Requires a retaining recorder (ring or tail); with the default
+        ``NullRecorder`` the profile is empty.
         """
         from repro.obs import analyze
 

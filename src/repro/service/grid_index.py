@@ -123,9 +123,8 @@ class GridLevel:
 
     Carries the rolled-up aggregates plus the level's own zero-padded
     prefix-sum table, so the ``O(#cells)`` window-bound machinery runs
-    unchanged at every granularity.  The aggregate arrays may be shared-
-    memory views (the multiprocess data plane allocates them in the index
-    arena); treat them as read-only after construction.
+    unchanged at every granularity.  Treat the arrays as read-only after
+    construction.
     """
 
     __slots__ = ("scale", "n_rows", "n_cols", "cell_weights", "cell_counts",
@@ -147,21 +146,15 @@ class GridLevel:
         return _prefix_window_sums(self._prefix, self.n_rows, self.n_cols,
                                    halo_rows, halo_cols)
 
-    def detach(self) -> "GridLevel":
-        """A heap-backed copy (for releasing shared-memory arenas)."""
-        return GridLevel(self.scale, np.array(self.cell_weights),
-                         np.array(self.cell_counts))
-
 
 def pyramid_shapes(n_rows: int, n_cols: int,
                    pyramid_levels: Optional[int] = None,
                    ) -> List[Tuple[int, int, int]]:
     """The ``(scale, rows, cols)`` of every coarse level above a base grid.
 
-    Pure geometry -- the sharded index uses it to size shared-memory arenas
-    before any aggregate exists, and the restore path to validate persisted
-    blobs.  ``pyramid_levels`` counts the base: ``1`` (or an axis already at
-    most ``_MIN_LEVEL_SIDE`` cells) means a flat, level-free grid.
+    Pure geometry: the roll-up walks it level by level.  ``pyramid_levels``
+    counts the base: ``1`` (or an axis already at most ``_MIN_LEVEL_SIDE``
+    cells) means a flat, level-free grid.
     """
     if pyramid_levels is not None and pyramid_levels < 1:
         raise ConfigurationError(
@@ -180,29 +173,19 @@ def pyramid_shapes(n_rows: int, n_cols: int,
 
 def build_pyramid(cell_weights: np.ndarray, cell_counts: np.ndarray, *,
                   pyramid_levels: Optional[int] = None,
-                  out: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
                   ) -> Tuple[GridLevel, ...]:
     """Roll base aggregates up into the coarse levels (finest first).
 
     ``levels[0]`` is 2x coarser than the base, each next entry 2x coarser
     again, stopping at ``_MIN_LEVEL_SIDE`` or after ``pyramid_levels`` total
-    levels (base included).  ``out``, when given, supplies pre-allocated
-    ``(weights, counts)`` destination arrays per level (the sharded index
-    points these into a shared-memory arena); the roll-up is written through
-    them so workers see the filled tables.
+    levels (base included).
     """
     levels: List[GridLevel] = []
     weights, counts = cell_weights, cell_counts
-    for index, (scale, rows, cols) in enumerate(
-            pyramid_shapes(*cell_weights.shape,
-                           pyramid_levels=pyramid_levels)):
+    for scale, _, _ in pyramid_shapes(*cell_weights.shape,
+                                      pyramid_levels=pyramid_levels):
         weights = rollup_aggregates(weights)
         counts = rollup_aggregates(counts)
-        if out is not None:
-            dest_w, dest_c = out[index]
-            np.copyto(dest_w, weights, casting="no")
-            np.copyto(dest_c, counts, casting="same_kind")
-            weights, counts = dest_w, dest_c
         levels.append(GridLevel(scale, weights, counts))
     return tuple(levels)
 
@@ -521,31 +504,6 @@ class GridIndex(GridQueryOps):
         self._adopt_geometry(geometry)
         self.point_cell = np.asarray(point_cell, dtype=np.int64)
         self._aggregate(ws)
-        self._build_derived()
-        return self
-
-    @classmethod
-    def from_aggregates(cls, cell_weights: np.ndarray, cell_counts: np.ndarray,
-                        point_cell: np.ndarray, *,
-                        geometry: GridGeometry) -> "GridIndex":
-        """Adopt already-computed per-cell aggregates over binned points.
-
-        The multiprocess data plane's shard constructor: worker processes
-        compute a shard's aggregates from shared-memory columns, and the
-        parent materialises the local :class:`GridIndex` lazily without
-        re-aggregating.  ``cell_weights`` / ``cell_counts`` must be the
-        ``(n_rows, n_cols)`` aggregates of ``point_cell`` (the caller
-        guarantees consistency; no cross-check here -- the restore path
-        verifies against persisted aggregates before adopting).
-        """
-        self = cls.__new__(cls)
-        self.count = len(point_cell)
-        self._adopt_geometry(geometry)
-        self.point_cell = np.asarray(point_cell, dtype=np.int64)
-        self.cell_weights = np.asarray(cell_weights, dtype=np.float64).reshape(
-            self.n_rows, self.n_cols)
-        self.cell_counts = np.asarray(cell_counts, dtype=np.int64).reshape(
-            self.n_rows, self.n_cols)
         self._build_derived()
         return self
 

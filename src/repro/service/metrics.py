@@ -11,22 +11,10 @@ query stuck behind admission control is invisible in a mean.
 (bounded memory, no per-sample storage) from which p50/p95/p99 are estimated;
 the sync ``query()`` path and the async front-end (:mod:`repro.aio`) both
 record per-query-kind latencies through :meth:`EngineMetrics.observe_latency`,
-under the same lock as every other accumulator.
-
-Since the data plane spans processes, metrics do too.  Worker processes keep
-their own :class:`EngineMetrics` and periodically :meth:`~EngineMetrics.
-drain_state` it -- an atomic export-and-clear that yields the *delta* since
-the previous drain, cheap enough to piggyback on existing result envelopes.
-The parent folds each delta into a per-process **child** accumulator
-(:meth:`EngineMetrics.child` / :meth:`EngineMetrics.merge_state`), and
-:meth:`EngineMetrics.snapshot` then reports whole-fleet totals plus a
-``"processes"`` breakdown tagged ``parent`` / ``worker-<i>``.  Because a
-drained state is shipped at most once, merging is idempotent by construction:
-a final shutdown flush can never double-count what already rode along on task
-results.  :class:`EngineMetrics` also carries last-write-wins **gauges**
-(sampled resource readings such as per-process RSS or arena bytes) that the
-Prometheus exposition in :func:`repro.obs.metrics_text` emits alongside the
-cumulative series.
+under the same lock as every other accumulator.  :class:`EngineMetrics` also
+carries last-write-wins **gauges** (sampled resource readings such as the
+process RSS or the result-cache size) that the Prometheus exposition in
+:func:`repro.obs.metrics_text` emits alongside the cumulative series.
 
 The implementation deliberately avoids any dependency on a metrics backend:
 :meth:`EngineMetrics.snapshot` returns plain dictionaries that callers can
@@ -123,7 +111,7 @@ class LatencyHistogram:
 
         Merging is exact -- bucket counts add, extremes combine -- which is
         what lets per-shard and per-connection histograms aggregate into a
-        fleet view without re-observing samples.  Mismatched bucket bounds
+        combined view without re-observing samples.  Mismatched bucket bounds
         would silently misattribute counts, so they are rejected.
         """
         if other.bounds != self.bounds:
@@ -188,12 +176,6 @@ class EngineMetrics:
     :meth:`observe_shard`) takes the instance lock: ``query_batch`` already
     mutates counters from pool threads, and shard fan-out widens the set of
     concurrent writers to every per-shard build/gather task.
-
-    An instance can additionally act as the **fleet root**: per-process
-    child accumulators created via :meth:`child` (fed from worker
-    :meth:`drain_state` deltas) are folded into :meth:`snapshot`,
-    :meth:`counter` and :meth:`histograms`, with a per-process breakdown
-    under ``snapshot()["processes"]``.
     """
 
     def __init__(self) -> None:
@@ -209,8 +191,6 @@ class EngineMetrics:
         self._latency: Dict[str, LatencyHistogram] = {}
         #: Last-write-wins sampled gauges: ``name -> {label items -> value}``.
         self._gauges: Dict[str, Dict[Tuple[Tuple[str, str], ...], float]] = {}
-        #: Per-process child accumulators, keyed by tag ("worker-0", ...).
-        self._children: Dict[str, "EngineMetrics"] = {}
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -260,15 +240,15 @@ class EngineMetrics:
         Unlike the cumulative accumulators, gauges are point-in-time
         readings -- the :class:`repro.obs.health.ResourceSampler` overwrites
         them on every poll.  ``labels`` distinguish series of the same name,
-        e.g. ``set_gauge("process_rss_bytes", rss, process="worker-0")``.
+        e.g. ``set_gauge("admission_queue_depth", depth, server="a")``.
         """
         key = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
         with self._lock:
             self._gauges.setdefault(name, {})[key] = float(value)
 
     def clear_gauge(self, name: str) -> None:
-        """Drop every series of one gauge (e.g. before re-sampling a fleet
-        whose member set may have shrunk)."""
+        """Drop every series of one gauge (e.g. before re-sampling a label
+        set that may have shrunk)."""
         with self._lock:
             self._gauges.pop(name, None)
 
@@ -301,88 +281,6 @@ class EngineMetrics:
         finally:
             self.observe_seconds(stage, time.perf_counter() - start)
 
-    # ------------------------------------------------------------------ #
-    # Cross-process aggregation
-    # ------------------------------------------------------------------ #
-    def child(self, tag: str) -> "EngineMetrics":
-        """Get or create the per-process child accumulator for ``tag``.
-
-        The parent merges each worker's :meth:`drain_state` deltas into
-        ``child(f"worker-{i}")``; fleet reads (:meth:`snapshot`,
-        :meth:`counter`, :meth:`histograms`) then include it automatically.
-        """
-        with self._lock:
-            child = self._children.get(tag)
-            if child is None:
-                child = self._children[tag] = EngineMetrics()
-            return child
-
-    def children(self) -> Dict[str, "EngineMetrics"]:
-        """The live per-process child accumulators (shared, not copies)."""
-        with self._lock:
-            return dict(self._children)
-
-    def drain_state(self) -> Optional[Dict[str, object]]:
-        """Atomically export and clear the cumulative accumulators.
-
-        Returns the raw counters/stage/shard/latency state recorded since
-        the previous drain, or ``None`` when nothing was recorded -- so a
-        caller piggybacking deltas on existing message envelopes can skip
-        empty payloads.  Because each observation is exported exactly once,
-        downstream merging is idempotent by construction: a final shutdown
-        flush cannot double-count what already shipped with task results.
-        Gauges and children are left untouched (gauges are point-in-time,
-        not cumulative).
-        """
-        with self._lock:
-            if not (self._counters or self._stage_count
-                    or self._shard_count or self._latency):
-                return None
-            state = {
-                "counters": self._counters,
-                "stage_count": self._stage_count,
-                "stage_seconds": self._stage_seconds,
-                "shard_count": self._shard_count,
-                "shard_seconds": self._shard_seconds,
-                "latency": self._latency,
-            }
-            self._counters = {}
-            self._stage_count = {}
-            self._stage_seconds = {}
-            self._shard_count = {}
-            self._shard_seconds = {}
-            self._latency = {}
-            return state
-
-    def merge_state(self, state: Mapping[str, object]) -> None:
-        """Fold a :meth:`drain_state` payload into this accumulator.
-
-        Histograms merge exactly through :meth:`LatencyHistogram.merge`;
-        everything else is a sum.  Safe against concurrent local mutators.
-        """
-        with self._lock:
-            for name, amount in state.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + amount
-            for stage, count in state.get("stage_count", {}).items():
-                self._stage_count[stage] = \
-                    self._stage_count.get(stage, 0) + count
-            for stage, seconds in state.get("stage_seconds", {}).items():
-                self._stage_seconds[stage] = \
-                    self._stage_seconds.get(stage, 0.0) + seconds
-            for key, count in state.get("shard_count", {}).items():
-                key = (key[0], int(key[1]))
-                self._shard_count[key] = self._shard_count.get(key, 0) + count
-            for key, seconds in state.get("shard_seconds", {}).items():
-                key = (key[0], int(key[1]))
-                self._shard_seconds[key] = \
-                    self._shard_seconds.get(key, 0.0) + seconds
-            for name, histogram in state.get("latency", {}).items():
-                mine = self._latency.get(name)
-                if mine is None:
-                    mine = self._latency[name] = \
-                        LatencyHistogram(histogram.bounds)
-                mine.merge(histogram)
-
     def _raw_copy(self) -> Dict[str, object]:
         """A consistent private copy of the cumulative accumulators."""
         with self._lock:
@@ -400,15 +298,9 @@ class EngineMetrics:
     # Reading
     # ------------------------------------------------------------------ #
     def counter(self, name: str) -> int:
-        """Fleet-wide value of a counter (0 when never incremented).
-
-        Includes every per-process child, so after worker deltas merge the
-        parent reads one whole-fleet total.
-        """
-        children = self.children()
+        """Current value of a counter (0 when never incremented)."""
         with self._lock:
-            value = self._counters.get(name, 0)
-        return value + sum(child.counter(name) for child in children.values())
+            return self._counters.get(name, 0)
 
     def gauge(self, name: str, **labels: str) -> Optional[float]:
         """One gauge series' last sampled value (None when never set)."""
@@ -439,28 +331,17 @@ class EngineMetrics:
                 else LatencyHistogram().summary()
 
     def histograms(self) -> Dict[str, LatencyHistogram]:
-        """Fleet-merged deep copies of the per-name latency histograms.
+        """Deep copies of the per-name latency histograms.
 
         Unlike :meth:`snapshot`, this preserves the raw bucket counts that
         percentile summaries throw away -- the Prometheus exposition in
         :func:`repro.obs.metrics_text` needs them to emit cumulative
         ``le`` bucket series, and callers may :meth:`~LatencyHistogram.merge`
-        them across engines.  Per-process children are folded in, so the
-        bucket series are whole-fleet truth.  The copies are private to the
-        caller.
+        them across engines.  The copies are private to the caller.
         """
-        children = self.children()
         with self._lock:
-            copies = {name: _clone_histogram(histogram)
-                      for name, histogram in self._latency.items()}
-        for child in children.values():
-            for name, histogram in child.histograms().items():
-                mine = copies.get(name)
-                if mine is None:
-                    copies[name] = histogram  # already a private copy
-                else:
-                    mine.merge(histogram)
-        return copies
+            return {name: _clone_histogram(histogram)
+                    for name, histogram in self._latency.items()}
 
     def snapshot(self) -> Dict[str, object]:
         """Return all counters, stage/shard timings, latencies and gauges.
@@ -469,31 +350,13 @@ class EngineMetrics:
         ``snapshot()["shards"]["shard_build"][0]["total_seconds"]``;
         ``"latency"`` maps each observed name to its histogram summary, e.g.
         ``snapshot()["latency"]["maxrs"]["p95_seconds"]``.
-
-        When per-process children exist, the top-level series are the
-        whole-fleet merge and a ``"processes"`` key breaks the same data
-        down per process (``"parent"`` plus each child tag).
         """
-        children = self.children()
-        own = self._raw_copy()
-        if not children:
-            result = _render_state(own)
-            result["gauges"] = self.gauges()
-            return result
-        fleet = EngineMetrics()
-        fleet.merge_state(own)
-        processes = {"parent": _render_state(own)}
-        for tag in sorted(children):
-            raw = children[tag]._raw_copy()
-            fleet.merge_state(raw)
-            processes[tag] = _render_state(raw)
-        result = _render_state(fleet._raw_copy())
+        result = _render_state(self._raw_copy())
         result["gauges"] = self.gauges()
-        result["processes"] = processes
         return result
 
     def reset(self) -> None:
-        """Clear every accumulator, gauge and per-process child."""
+        """Clear every accumulator and gauge."""
         with self._lock:
             self._counters.clear()
             self._stage_count.clear()
@@ -502,7 +365,6 @@ class EngineMetrics:
             self._shard_seconds.clear()
             self._latency.clear()
             self._gauges.clear()
-            self._children.clear()
 
 
 # ---------------------------------------------------------------------- #
@@ -513,12 +375,11 @@ class QueryLedger:
 
     The global :class:`EngineMetrics` counters answer "how much work has this
     engine done"; a ledger answers "how much of it was *this* query".  The
-    engine opens one per cache miss (:func:`ledger_scope`), the compute path
-    double-books its counter increments into it, and downstream layers --
-    e.g. the process-pool executor attributing worker stage-seconds from
-    result envelopes -- add through :func:`active_ledger`.  By construction
-    the per-query counters sum exactly to the global counter deltas, which
-    the reconciliation property test asserts across executors.
+    engine opens one per cache miss (:func:`ledger_scope`) and the compute
+    path double-books its counter increments into it through
+    :func:`active_ledger`.  By construction the per-query counters sum
+    exactly to the global counter deltas, which the reconciliation property
+    test asserts across executors.
 
     Locked: the threaded shard executor copies the ambient context into pool
     threads, so additions may race the query thread.
@@ -528,7 +389,7 @@ class QueryLedger:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: Summable work counters (``swept_points``, ``worker_seconds``, ...).
+        #: Summable work counters (``swept_points``, ``descent_levels``...).
         self.counters: Dict[str, float] = {}
         #: Last-write-wins facts (``probe_points``, ``descent_stop_scale``...).
         self.fields: Dict[str, object] = {}

@@ -15,8 +15,7 @@ to the unsharded index:
 * each shard owns a :class:`~repro.service.grid_index.GridIndex` partition
   over its points (built via :meth:`GridIndex.from_cells` with the imposed
   frame), whose construction, window-sum blocks and pruned-point gathering
-  fan out over a pluggable :class:`ShardExecutor` (``serial`` / ``threaded``
-  / ``process``, registry-based like :mod:`repro.core.backends`);
+  fan out over a :class:`ShardExecutor` (``serial`` or ``threaded``);
 * the cross-shard merge is provably safe: upper bounds are four prefix-table
   lookups per cell on a **global** prefix-sum table (assembled from the shard
   aggregates), so a window straddling a shard boundary is never undercounted;
@@ -25,22 +24,12 @@ to the unsharded index:
   reaches across shard boundaries -- the halo-correctness invariant of the
   unsharded index, made explicit at shard edges.
 
-Executor tiers (see ``docs/parallelism.md``): the registry maps names to
-factories with availability and auto-selection rules, so
-:func:`resolve_executor` is data-driven -- ``serial`` always works,
-``threaded`` wants more than one shard and core, and ``process`` (the
-multiprocess data plane of :mod:`repro.service.procpool`, registered on
-lazy import) additionally wants working POSIX shared memory.  Core counts
-come from :func:`effective_cpu_count` -- ``sched_getaffinity``-aware, so a
-CPU-limited container does not over-shard.
-
-When the executor *owns shards* (``owns_shards = True``, the process tier),
-this index switches to plane mode: the columns live in a shared-memory
-:class:`~repro.service.shm.ColumnArena`, the parent computes binning and the
-stable shard order into a second arena, and worker processes adopt their
-shards and run aggregation, window-sum blocks and mask gathers locally.  A
-lost worker degrades the index to a fresh ``threaded`` executor with a
-warning -- the parent always holds enough state to keep serving, bit-identical.
+Executor tiers (see ``docs/parallelism.md``): ``serial`` runs every shard
+task on the calling thread, ``threaded`` fans them out over a thread pool.
+:func:`resolve_executor` picks ``threaded`` when there is more than one shard
+and more than one schedulable core, else ``serial``.  Core counts come from
+:func:`effective_cpu_count` -- ``sched_getaffinity``-aware, so a CPU-limited
+container does not over-shard.
 
 Bit-identity argument
 ---------------------
@@ -51,17 +40,13 @@ membership preserves the dataset order), the prefix table is the same cumsum
 of the same values, window sums are the same four lookups per cell, and the
 pruned point subset is the same ascending index set (per-shard gathers are
 disjoint and re-sorted).  Executors only change *where* block computations
-run, never their operands -- worker processes recover global ``rows``/``cols``
-from the parent's ``point_cell`` by exact integer division -- so MaxRS /
-MaxkRS / MaxCRS answers refined through a sharded index equal the unsharded
-ones bit for bit.
+run, never their operands, so MaxRS / MaxkRS / MaxCRS answers refined
+through a sharded index equal the unsharded ones bit for bit.
 
 The grid **pyramid** (the bounded-error fast path's coarse levels) extends
 the argument: levels are rolled up from the *assembled global* aggregates
 after the shard merge, so every level array -- and hence every certified gap
--- is bit-identical across shard counts and executors too.  In plane mode
-the level arrays live in the shared index arena next to ``prefix`` (workers
-ignore them; level-bound evaluation is a parent-side prefix walk).
+-- is bit-identical across shard counts and executors too.
 """
 
 from __future__ import annotations
@@ -71,16 +56,15 @@ import math
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as _wait_futures
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, \
-    Tuple, Union, runtime_checkable
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, \
+    Union, runtime_checkable
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigurationError, ExecutorError, PersistError
+from repro.errors import ConfigurationError, PersistError
 from repro.persist.format import (
     GridShardSnapshot,
     GridSnapshot,
@@ -93,7 +77,6 @@ from repro.service.grid_index import (
     adopt_pyramid,
     build_pyramid,
     plan_geometry,
-    pyramid_shapes,
     snapshot_levels,
 )
 
@@ -104,12 +87,9 @@ __all__ = [
     "ShardExecutor",
     "ShardedGridIndex",
     "ThreadedExecutor",
-    "available_executors",
     "default_shard_count",
     "effective_cpu_count",
-    "get_executor",
     "plan_tiles",
-    "register_executor",
     "resolve_executor",
 ]
 
@@ -146,11 +126,7 @@ class ShardExecutor(Protocol):
 
     ``map`` must return results aligned with ``items`` and propagate the
     first exception a task raises.  Implementations may run tasks on the
-    calling thread, on a pool, or on worker processes; they must never
-    reorder results.  An executor may additionally advertise
-    ``owns_shards = True`` (the process tier), in which case the sharded
-    index routes builds, window sums and gathers through its data-plane
-    operations instead of closure-based ``map`` tasks.
+    calling thread or on a pool; they must never reorder results.
     """
 
     #: Stable identifier used for selection, metrics and stats reporting.
@@ -264,171 +240,35 @@ def default_shard_count() -> int:
     return max(1, min(DEFAULT_MAX_AUTO_SHARDS, effective_cpu_count()))
 
 
-# ---------------------------------------------------------------------- #
-# Executor registry
-# ---------------------------------------------------------------------- #
-class ExecutorInfo:
-    """One registered executor tier: factory plus selection rules."""
-
-    __slots__ = ("name", "factory", "available", "auto_eligible",
-                 "auto_priority", "fallback")
-
-    def __init__(self, name: str, factory: Callable[..., ShardExecutor], *,
-                 available: Optional[Callable[[], bool]],
-                 auto_eligible: Optional[Callable[[int, int], bool]],
-                 auto_priority: int,
-                 fallback: Optional[str]) -> None:
-        self.name = name
-        self.factory = factory
-        self.available = available
-        self.auto_eligible = auto_eligible
-        self.auto_priority = auto_priority
-        self.fallback = fallback
-
-
-#: Registry of executor tiers, in registration order (reference first).
-_EXECUTORS: Dict[str, ExecutorInfo] = {}
-
-_PLUGINS_LOADED = False
-
-
-def register_executor(name: str, factory: Callable[..., ShardExecutor], *,
-                      available: Optional[Callable[[], bool]] = None,
-                      auto_eligible: Optional[Callable[[int, int], bool]] = None,
-                      auto_priority: int = 0,
-                      fallback: Optional[str] = None) -> None:
-    """Register (or replace) an executor tier.
-
-    Parameters
-    ----------
-    factory:
-        ``factory(pool=None) -> ShardExecutor``; ``pool`` is the engine's
-        shared thread pool, which thread-based tiers may adopt.
-    available:
-        Platform predicate; ``None`` means always available.
-    auto_eligible:
-        ``f(shard_count, cores) -> bool`` -- whether ``auto`` selection may
-        pick this tier for the given fan-out and schedulable core count.
-    auto_priority:
-        Among eligible tiers, the highest priority wins ``auto``.
-    fallback:
-        Tier to degrade to (with a warning) when this one is *named* but
-        unavailable on the platform, instead of raising.
-    """
-    _EXECUTORS[name] = ExecutorInfo(
-        name, factory, available=available, auto_eligible=auto_eligible,
-        auto_priority=auto_priority, fallback=fallback)
-
-
-register_executor(
-    "serial", lambda pool=None: SerialExecutor(),
-    auto_eligible=lambda shard_count, cores: True, auto_priority=0)
-register_executor(
-    "threaded", lambda pool=None: ThreadedExecutor(pool=pool),
-    auto_eligible=lambda shard_count, cores: shard_count > 1 and cores > 1,
-    auto_priority=10)
-
-
-def _load_plugins() -> None:
-    """Import optional executor modules that self-register (once)."""
-    global _PLUGINS_LOADED
-    if not _PLUGINS_LOADED:
-        _PLUGINS_LOADED = True
-        try:
-            from repro.service import procpool  # noqa: F401 (registers itself)
-        except Exception:  # pragma: no cover - stripped multiprocessing
-            pass
-
-
-def available_executors() -> Tuple[str, ...]:
-    """Names of the executors this build/platform provides, reference first."""
-    _load_plugins()
-    return tuple(name for name, info in _EXECUTORS.items()
-                 if info.available is None or info.available())
-
-
-def get_executor(name: str) -> ShardExecutor:
-    """Return an executor instance by name.
-
-    Raises
-    ------
-    ConfigurationError
-        For unknown names (``available_executors`` lists the valid ones) and
-        for registered tiers the platform cannot run.
-    """
-    _load_plugins()
-    info = _EXECUTORS.get(name)
-    if info is None:
-        raise ConfigurationError(
-            f"unknown shard executor {name!r}; expected one of "
-            f"{tuple(_EXECUTORS)} (for automatic selection pass None)"
-        )
-    if info.available is not None and not info.available():
-        raise ConfigurationError(
-            f"shard executor {name!r} is not available on this platform; "
-            f"available: {available_executors()}"
-        )
-    return info.factory()
-
-
 #: Anything accepted as an executor selector: an instance, a name, or
-#: ``None`` / ``"auto"`` for the registry-driven rule of
-#: :func:`resolve_executor`.
+#: ``None`` / ``"auto"`` for the core-count rule of :func:`resolve_executor`.
 ExecutorSpec = Union[str, ShardExecutor, None]
 
 
-def resolve_executor(executor: ExecutorSpec, shard_count: int, *,
-                     pool: Optional[ThreadPoolExecutor] = None) -> ShardExecutor:
+def resolve_executor(executor: ExecutorSpec,
+                     shard_count: int) -> ShardExecutor:
     """Resolve an executor specification to a concrete instance.
 
-    ``None`` / ``"auto"`` asks the registry: among the available tiers whose
-    ``auto_eligible(shard_count, cores)`` holds (cores =
-    :func:`effective_cpu_count`, affinity-aware), the highest-priority one
-    wins -- ``process`` where shared memory works and there is parallelism to
-    exploit, else ``threaded``, else ``serial``.  Naming an unavailable tier
-    degrades along its registered ``fallback`` chain with a
-    :class:`RuntimeWarning` (e.g. ``"process"`` on a platform without POSIX
-    shared memory resolves to ``threaded``).  ``pool`` supplies a shared
-    thread pool to any threaded executor this call constructs; instances are
-    returned as-is.
-
-    Construction is side-effect free: the process tier spawns its workers
-    lazily on first use, so resolving (e.g. from ``stats()``) never forks.
+    ``None`` / ``"auto"`` picks ``threaded`` when there is fan-out to
+    parallelise (``shard_count > 1``) and more than one schedulable core
+    (:func:`effective_cpu_count`), else ``serial``.  ``"serial"`` and
+    ``"threaded"`` resolve by name; any other name raises
+    :class:`~repro.errors.ConfigurationError`.  Instances are returned
+    as-is.  Construction is side-effect free: a threaded executor starts its
+    threads on first use.
     """
-    _load_plugins()
     if executor is None or executor == "auto":
-        cores = effective_cpu_count()
-        best: Optional[ExecutorInfo] = None
-        for info in _EXECUTORS.values():
-            if info.available is not None and not info.available():
-                continue
-            if info.auto_eligible is None \
-                    or not info.auto_eligible(shard_count, cores):
-                continue
-            if best is None or info.auto_priority > best.auto_priority:
-                best = info
-        if best is None:  # pragma: no cover - serial is always eligible
-            return SerialExecutor()
-        return best.factory(pool=pool)
+        parallel = shard_count > 1 and effective_cpu_count() > 1
+        executor = "threaded" if parallel else "serial"
     if isinstance(executor, str):
-        info = _EXECUTORS.get(executor)
-        if info is None:
-            raise ConfigurationError(
-                f"unknown shard executor {executor!r}; expected one of "
-                f"{tuple(_EXECUTORS)} (for automatic selection pass None)"
-            )
-        if info.available is not None and not info.available():
-            if info.fallback is not None:
-                warnings.warn(
-                    f"shard executor {executor!r} is unavailable on this "
-                    f"platform; falling back to {info.fallback!r}",
-                    RuntimeWarning, stacklevel=2)
-                return resolve_executor(info.fallback, shard_count, pool=pool)
-            raise ConfigurationError(
-                f"shard executor {executor!r} is not available on this "
-                f"platform; available: {available_executors()}"
-            )
-        return info.factory(pool=pool)
+        if executor == "serial":
+            return SerialExecutor()
+        if executor == "threaded":
+            return ThreadedExecutor()
+        raise ConfigurationError(
+            f"unknown shard executor {executor!r}; expected 'serial' or "
+            f"'threaded' (for automatic selection pass None)"
+        )
     if not isinstance(executor, ShardExecutor):
         raise ConfigurationError(
             f"shard executor must be a name or implement ShardExecutor "
@@ -479,23 +319,18 @@ class GridShard:
 
     ``part`` is a full :class:`GridIndex` over the shard's points with the
     block's frame imposed, so per-shard aggregates, CSR point lists and local
-    prefix sums come from the exact machinery the unsharded index uses.  In
-    plane mode (process executor) the part is materialised **lazily** from
-    worker-computed aggregates -- the hot paths never need it.
+    prefix sums come from the exact machinery the unsharded index uses.
     ``point_ids`` are the owned points' indices into the *dataset* columns
     (ascending) and ``global_cell`` their flat cell ids in the *global* grid
     -- what mask gathers test against.
     """
 
     __slots__ = ("shard_id", "row0", "row1", "col0", "col1", "point_ids",
-                 "global_cell", "_part", "_part_factory", "_aggregates")
+                 "global_cell", "part")
 
     def __init__(self, shard_id: int, row0: int, row1: int, col0: int,
                  col1: int, point_ids: np.ndarray, global_cell: np.ndarray,
-                 part: Optional[GridIndex] = None,
-                 part_factory: Optional[Callable[[], GridIndex]] = None,
-                 aggregates: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                 ) -> None:
+                 part: GridIndex) -> None:
         self.shard_id = shard_id
         self.row0 = row0
         self.row1 = row1
@@ -503,28 +338,7 @@ class GridShard:
         self.col1 = col1
         self.point_ids = point_ids
         self.global_cell = global_cell
-        self._part = part
-        self._part_factory = part_factory
-        if aggregates is None and part is not None:
-            aggregates = (part.cell_weights, part.cell_counts)
-        self._aggregates = aggregates
-
-    @property
-    def part(self) -> GridIndex:
-        """The shard-local :class:`GridIndex` (materialised on first use)."""
-        if self._part is None:
-            if self._part_factory is None:  # pragma: no cover - defensive
-                raise ConfigurationError(
-                    f"shard {self.shard_id} has no part and no factory")
-            self._part = self._part_factory()
-        return self._part
-
-    def aggregates(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cell_weights, cell_counts)`` without materialising the part."""
-        if self._aggregates is None:
-            part = self.part
-            self._aggregates = (part.cell_weights, part.cell_counts)
-        return self._aggregates
+        self.part = part
 
     @property
     def points(self) -> int:
@@ -546,14 +360,6 @@ class ShardedGridIndex(GridQueryOps):
     masked points are gathered (per shard, merged).  Construction, window-sum
     blocks and mask gathers fan out per shard over the executor.
 
-    With a plane executor (``owns_shards``, the ``process`` tier) the fan-out
-    crosses process boundaries: columns and derived arrays live in
-    shared-memory arenas, workers own shards, and :class:`ExecutorError`
-    (dead worker, closed pool) degrades this index to a fresh ``threaded``
-    executor with a warning -- serving continues from parent-side state,
-    still bit-identical.  Call :meth:`close` to release the arenas; the
-    index remains queryable afterwards (arrays are copied back to the heap).
-
     Parameters
     ----------
     shards:
@@ -562,37 +368,23 @@ class ShardedGridIndex(GridQueryOps):
         a shard owns at least one whole grid cell, so e.g. a degenerate
         single-cell grid always collapses to one shard.
     executor:
-        Executor selection: a name (``"serial"`` / ``"threaded"`` /
-        ``"process"``), a :class:`ShardExecutor` instance, or ``None`` /
-        ``"auto"`` for the registry rule.
-    arena:
-        Optional shared-memory arena already holding these exact ``xs`` /
-        ``ys`` / ``ws`` columns (the engine's :class:`~repro.service.store.
-        PointStore` passes its own); without one, plane mode creates and
-        owns a private copy.
+        Executor selection: a name (``"serial"`` / ``"threaded"``), a
+        :class:`ShardExecutor` instance, or ``None`` / ``"auto"`` for the
+        core-count rule of :func:`resolve_executor`.  An executor resolved
+        here from a name owns its thread pool; :meth:`close` shuts it down.
     timing_hook:
         Optional ``hook(stage, shard_id, seconds)`` callback; the engine
         wires this to :meth:`EngineMetrics.observe_shard` so per-shard build
-        and gather timings appear in ``stats()``.  Under a plane executor
-        the workers record their own shard timings instead (shipped back as
-        metric deltas), so the hook only fires for work done in-process.
-    counter_hook:
-        Optional ``hook(counter_name)`` callback fired on notable events --
-        currently ``"executor_degraded"`` whenever the plane executor fails
-        and the index falls back to the threaded tier.  The engine wires
-        this to :meth:`EngineMetrics.increment` so degrades are countable,
-        not just a one-shot warning.
+        and gather timings appear in ``stats()``.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, *,
                  shards: Optional[int] = None,
                  executor: ExecutorSpec = None,
-                 arena: Optional[Any] = None,
                  target_points_per_cell: int = 1,
                  max_cells_per_side: int = 512,
                  pyramid_levels: Optional[int] = None,
-                 timing_hook: Optional[TimingHook] = None,
-                 counter_hook: Optional[Callable[[str], None]] = None) -> None:
+                 timing_hook: Optional[TimingHook] = None) -> None:
         if shards is not None and shards < 1:
             raise ConfigurationError(
                 f"shard count must be positive, got {shards}")
@@ -606,10 +398,9 @@ class ShardedGridIndex(GridQueryOps):
                   for r0, r1 in zip(row_edges, row_edges[1:])
                   for c0, c1 in zip(col_edges, col_edges[1:])]
         self._hook = timing_hook
-        self._counter_hook = counter_hook
         self._pyramid_levels = pyramid_levels
         self._adopt_executor(executor, len(blocks))
-        self._build(xs, ys, ws, geometry, blocks, persisted=None, arena=arena)
+        self._build(xs, ys, ws, geometry, blocks, persisted=None)
 
     # ------------------------------------------------------------------ #
     # Construction / persistence
@@ -618,10 +409,8 @@ class ShardedGridIndex(GridQueryOps):
     def from_snapshot(cls, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
                       snap: Union[ShardedGridSnapshot, GridSnapshot], *,
                       executor: ExecutorSpec = None,
-                      arena: Optional[Any] = None,
                       pyramid_levels: Optional[int] = None,
-                      timing_hook: Optional[TimingHook] = None,
-                      counter_hook: Optional[Callable[[str], None]] = None
+                      timing_hook: Optional[TimingHook] = None
                       ) -> "ShardedGridIndex":
         """Rebuild a sharded index from persisted per-shard aggregates.
 
@@ -632,9 +421,7 @@ class ShardedGridIndex(GridQueryOps):
         tolerance, or :class:`~repro.errors.PersistError` is raised and the
         caller falls back to a full rebuild.  A plain
         :class:`~repro.persist.format.GridSnapshot` (format v1) is adopted as
-        a 1-shard layout.  Under a plane executor the recomputation runs on
-        the workers -- the warm-start path maps the blob columns straight
-        into the shared arena and never re-aggregates in the parent.
+        a 1-shard layout.
         """
         if isinstance(snap, GridSnapshot):
             snap = ShardedGridSnapshot.from_single(snap)
@@ -664,60 +451,26 @@ class ShardedGridIndex(GridQueryOps):
         blocks = [(s.row0, s.row1, s.col0, s.col1) for s in snap.shards]
         self = cls.__new__(cls)
         self._hook = timing_hook
-        self._counter_hook = counter_hook
         self._pyramid_levels = pyramid_levels
         self._adopt_executor(executor, len(blocks))
         self._build(xs, ys, ws, geometry, blocks, persisted=snap.shards,
-                    arena=arena, persisted_levels=snap.levels)
+                    persisted_levels=snap.levels)
         return self
 
     def _adopt_executor(self, executor: ExecutorSpec, shard_count: int) -> None:
         self._executor = resolve_executor(executor, shard_count)
-        # A process executor resolved from a *name* (or auto) exists only for
-        # this index, so close() must tear its workers down; an instance the
-        # caller passed in (e.g. the engine's shared one) is theirs to close.
-        owned_spec = executor is None or isinstance(executor, str)
-        self._owned_plane_executor = (
-            self._executor
-            if owned_spec and getattr(self._executor, "owns_shards", False)
-            else None)
-        self._degraded_executor: Optional[ThreadedExecutor] = None
+        # An executor resolved here from a name (or auto) exists only for
+        # this index, so close() must release its pool; an instance the
+        # caller passed in (e.g. the engine's) is theirs to close.
+        self._owns_executor = executor is None or isinstance(executor, str)
 
     def _build(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
                geometry: GridGeometry, blocks: List[Tuple[int, int, int, int]],
                persisted: Optional[Sequence[GridShardSnapshot]],
-               arena: Optional[Any] = None,
                persisted_levels: Tuple = ()) -> None:
         (self.n_rows, self.n_cols, self.x0, self.y0,
          self.cell_w, self.cell_h) = geometry
         self.count = len(xs)
-        self._closed = False
-        self._plane_lock = threading.Lock()
-        self._plane: Optional[Any] = None
-        self._plane_key: Optional[str] = None
-        self._index_arena: Optional[Any] = None
-        self._column_arena = arena
-        self._owns_column_arena = False
-
-        if getattr(self._executor, "owns_shards", False):
-            try:
-                self._build_plane(xs, ys, ws, blocks, persisted,
-                                  persisted_levels)
-                return
-            except PersistError:
-                # Stale/corrupt snapshot: clean up the half-built plane and
-                # let the caller fall back to a full rebuild.
-                self._release_plane()
-                raise
-            except ExecutorError as exc:
-                self._release_plane()
-                self._degrade_executor(exc)
-        self._build_local(xs, ys, ws, blocks, persisted, persisted_levels)
-
-    def _build_local(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
-                     blocks: List[Tuple[int, int, int, int]],
-                     persisted: Optional[Sequence[GridShardSnapshot]],
-                     persisted_levels: Tuple = ()) -> None:
         # Bin every point against the *global* frame exactly once -- the same
         # float computation GridIndex._assign_points runs, so shard ownership
         # can never disagree with unsharded cell assignment.
@@ -763,11 +516,19 @@ class ShardedGridIndex(GridQueryOps):
                                 dtype=np.float64)
         np.cumsum(np.cumsum(self.cell_weights, axis=0), axis=1,
                   out=self._prefix[1:, 1:])
-        self._finish_levels(persisted, persisted_levels)
+        # The pyramid rolls up from the assembled global aggregates, so every
+        # level is element-wise identical whatever the shard count or
+        # executor; a restore verifies-then-adopts the persisted levels so a
+        # restart's certified gaps are bit-identical to the ones it saved.
+        if persisted is not None:
+            self.levels = adopt_pyramid(
+                self.cell_weights, self.cell_counts, persisted_levels,
+                pyramid_levels=self._pyramid_levels)
+        else:
+            self.levels = build_pyramid(
+                self.cell_weights, self.cell_counts,
+                pyramid_levels=self._pyramid_levels)
 
-    # ------------------------------------------------------------------ #
-    # The multiprocess data plane
-    # ------------------------------------------------------------------ #
     def _shard_order(self, point_cell: np.ndarray,
                      blocks: List[Tuple[int, int, int, int]]
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -783,124 +544,6 @@ class ShardedGridIndex(GridQueryOps):
         np.cumsum(counts, out=offsets[1:])
         return order, offsets
 
-    def _build_plane(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
-                     blocks: List[Tuple[int, int, int, int]],
-                     persisted: Optional[Sequence[GridShardSnapshot]],
-                     persisted_levels: Tuple = ()) -> None:
-        """Adopt the columns into shared memory and build on the workers.
-
-        The parent computes the global binning and the stable shard order
-        (exactly as the local build does) directly into a shared index
-        arena; workers slice their shards out of it and aggregate locally.
-        Worker arithmetic recovers ``rows``/``cols`` from ``point_cell`` by
-        exact integer division, so aggregates are bit-identical.
-        """
-        from repro.service.shm import ColumnArena
-
-        executor = self._executor
-        if self._column_arena is None:
-            self._column_arena = ColumnArena.create({
-                "xs": np.ascontiguousarray(xs, dtype=np.float64),
-                "ys": np.ascontiguousarray(ys, dtype=np.float64),
-                "ws": np.ascontiguousarray(ws, dtype=np.float64)})
-            self._owns_column_arena = True
-        xs = self._column_arena.view("xs")
-        ys = self._column_arena.view("ys")
-        ws = self._column_arena.view("ws")
-
-        layouts: Dict[str, Tuple[Tuple[int, ...], Any]] = {
-            "point_cell": ((self.count,), np.int64),
-            "order": ((self.count,), np.int64),
-            "prefix": ((self.n_rows + 1, self.n_cols + 1), np.float64)}
-        # Pyramid levels ride in the index arena next to the prefix table
-        # (pre-sized from pure geometry; workers simply never view them).
-        # A snapshot restore adopts the persisted heap arrays instead.
-        level_shapes = () if persisted is not None else tuple(pyramid_shapes(
-            self.n_rows, self.n_cols, self._pyramid_levels))
-        for depth, (_, level_rows, level_cols) in enumerate(level_shapes):
-            layouts[f"level{depth}_weights"] = ((level_rows, level_cols),
-                                                np.float64)
-            layouts[f"level{depth}_counts"] = ((level_rows, level_cols),
-                                               np.int64)
-        self._index_arena = ColumnArena.allocate(layouts)
-        point_cell = self._index_arena.view("point_cell")
-        cols = np.clip((xs - self.x0) / self.cell_w,
-                       0, self.n_cols - 1).astype(np.int64)
-        rows = np.clip((ys - self.y0) / self.cell_h,
-                       0, self.n_rows - 1).astype(np.int64)
-        point_cell[:] = rows * self.n_cols + cols
-        self.point_cell = point_cell
-
-        order_view = self._index_arena.view("order")
-        order, offsets = self._shard_order(point_cell, blocks)
-        order_view[:] = order
-        spans = [(int(offsets[index]), int(offsets[index + 1]))
-                 for index in range(len(blocks))]
-
-        stage = "restore" if persisted is not None else "build"
-        key = self._index_arena.key
-        built = executor.adopt_dataset(
-            key, column_spec=self._column_arena.spec(),
-            index_spec=self._index_arena.spec(),
-            grid_shape=(self.n_rows, self.n_cols),
-            blocks=blocks, spans=spans, stage=stage)
-        self._plane = executor
-        self._plane_key = key
-
-        shards: List[GridShard] = []
-        for index, (r0, r1, c0, c1) in enumerate(blocks):
-            info = built[index]
-            cell_weights = info["cell_weights"]
-            cell_counts = info["cell_counts"]
-            if persisted is not None:
-                snap = persisted[index]
-                self._verify_shard_aggregates(cell_weights, cell_counts, snap)
-                cell_weights = snap.cell_weights.astype(np.float64).reshape(
-                    r1 - r0, c1 - c0)
-                cell_counts = snap.cell_counts.astype(np.int64).reshape(
-                    r1 - r0, c1 - c0)
-            ids = order_view[spans[index][0]:spans[index][1]]
-            shards.append(GridShard(
-                shard_id=index, row0=r0, row1=r1, col0=c0, col1=c1,
-                point_ids=ids, global_cell=point_cell[ids],
-                aggregates=(cell_weights, cell_counts),
-                part_factory=self._make_part_factory(index)))
-            # No timing-hook call here: the worker that ran this shard
-            # recorded the timing into its own metrics, which ship back as
-            # deltas -- recording the shipped seconds again parent-side
-            # would double-count them in the fleet view.
-        self._shards = shards
-        self._assemble_globals()
-        prefix = self._index_arena.view("prefix")
-        prefix.fill(0.0)
-        np.cumsum(np.cumsum(self.cell_weights, axis=0), axis=1,
-                  out=prefix[1:, 1:])
-        self._prefix = prefix
-        level_out = [(self._index_arena.view(f"level{depth}_weights"),
-                      self._index_arena.view(f"level{depth}_counts"))
-                     for depth in range(len(level_shapes))]
-        self._finish_levels(persisted, persisted_levels,
-                            out=level_out or None)
-
-    def _finish_levels(self, persisted, persisted_levels: Tuple,
-                       out: Optional[List] = None) -> None:
-        """Roll the pyramid up from the assembled global aggregates.
-
-        Fresh builds roll up (into ``out`` arrays when the plane pre-sized
-        arena slots); snapshot restores verify-then-adopt the persisted
-        level arrays so a restart's certified gaps are bit-identical to the
-        ones it saved.  Built after the shard merge, the levels are
-        element-wise identical whatever the shard count or executor.
-        """
-        if persisted is not None:
-            self.levels = adopt_pyramid(
-                self.cell_weights, self.cell_counts, persisted_levels,
-                pyramid_levels=self._pyramid_levels)
-        else:
-            self.levels = build_pyramid(
-                self.cell_weights, self.cell_counts,
-                pyramid_levels=self._pyramid_levels, out=out)
-
     def _assemble_globals(self) -> None:
         """The global aggregates the merge layer serves from -- assembled
         from per-shard aggregates, bit-identical to the unsharded index's."""
@@ -908,173 +551,45 @@ class ShardedGridIndex(GridQueryOps):
                                      dtype=np.float64)
         self.cell_counts = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
         for shard in self._shards:
-            weights, counts = shard.aggregates()
             self.cell_weights[shard.row0:shard.row1,
-                              shard.col0:shard.col1] = weights
+                              shard.col0:shard.col1] = shard.part.cell_weights
             self.cell_counts[shard.row0:shard.row1,
-                             shard.col0:shard.col1] = counts
-
-    def _make_part_factory(self, index: int) -> Callable[[], GridIndex]:
-        """Lazy shard-part constructor for plane mode (cold paths only)."""
-        def materialise() -> GridIndex:
-            shard = self._shards[index]
-            r0, r1 = shard.row0, shard.row1
-            c0, c1 = shard.col0, shard.col1
-            local_cell = ((shard.global_cell // self.n_cols - r0) * (c1 - c0)
-                          + (shard.global_cell % self.n_cols - c0))
-            geometry = GridGeometry(
-                r1 - r0, c1 - c0,
-                self.x0 + c0 * self.cell_w, self.y0 + r0 * self.cell_h,
-                self.cell_w, self.cell_h)
-            weights, counts = shard.aggregates()
-            return GridIndex.from_aggregates(weights, counts, local_cell,
-                                             geometry=geometry)
-        return materialise
-
-    def _degrade_executor(self, exc: BaseException) -> None:
-        """Swap the broken plane executor for a fresh threaded one."""
-        warnings.warn(
-            f"process shard executor failed ({exc}); sharded index "
-            f"degrading to the threaded executor",
-            RuntimeWarning, stacklevel=4)
-        # Degrades must be countable and traceable, not just a one-shot
-        # warning: bump the engine-wired counter and stamp the ambient span
-        # so the in-flight query's trace shows where serving fell back.
-        if self._counter_hook is not None:
-            try:
-                self._counter_hook("executor_degraded")
-            except Exception:  # pragma: no cover - hook must not block
-                pass
-        span = obs.current_span()
-        if span is not None:
-            span.set_attribute("executor_degraded", True)
-            span.set_attribute("degrade_reason", str(exc))
-        self._degraded_executor = ThreadedExecutor()
-        self._executor = self._degraded_executor
-        if self._owned_plane_executor is not None:
-            try:
-                self._owned_plane_executor.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-            self._owned_plane_executor = None
-
-    def _degrade_plane(self, exc: BaseException) -> None:
-        """Detach from a failed data plane and keep serving locally.
-
-        Parent-side state (point ids, global cell ids, aggregates, the
-        prefix table) is always sufficient: copy the shared views back to
-        the heap, release the arenas, and continue on a threaded executor.
-        Idempotent under concurrent queries.
-        """
-        with self._plane_lock:
-            if self._plane is None:
-                return
-            plane, self._plane = self._plane, None
-            key, self._plane_key = self._plane_key, None
-            self._detach_shared()
-            try:
-                plane.release_dataset(key)
-            except Exception:  # pragma: no cover - plane already dead
-                pass
-            self._release_arenas()
-            self._degrade_executor(exc)
-
-    def _detach_shared(self) -> None:
-        """Copy every shared-memory-backed array this index serves from back
-        to the heap (views die when the arenas are released)."""
-        self.point_cell = np.array(self.point_cell)
-        self._prefix = np.array(self._prefix)
-        self.levels = tuple(level.detach() for level in self.levels)
-        for shard in self._shards:
-            shard.point_ids = np.array(shard.point_ids)
-
-    def _release_arenas(self) -> None:
-        if self._index_arena is not None:
-            self._index_arena.release()
-            self._index_arena = None
-        if self._owns_column_arena and self._column_arena is not None:
-            self._column_arena.release()
-        self._column_arena = None
-        self._owns_column_arena = False
-
-    def _release_plane(self) -> None:
-        """Tear down a (possibly half-built) plane without detaching arrays:
-        the caller is about to rebuild or re-raise."""
-        plane, self._plane = self._plane, None
-        key, self._plane_key = self._plane_key, None
-        if plane is not None:
-            try:
-                plane.release_dataset(key)
-            except Exception:  # pragma: no cover - plane already dead
-                pass
-        self._release_arenas()
+                             shard.col0:shard.col1] = shard.part.cell_counts
 
     def close(self) -> None:
-        """Release shared-memory arenas and any owned executors (idempotent).
+        """Shut down a thread pool this index created for itself (idempotent).
 
-        The index stays queryable afterwards -- shared views are copied back
-        to the heap and the fan-out degrades to the calling thread, matching
-        the ``MaxRSEngine.close()`` contract.
+        The index stays queryable afterwards: the fan-out runs on the
+        calling thread, matching the ``MaxRSEngine.close()`` contract.
         """
-        with self._plane_lock:
-            if self._closed:
-                return
-            self._closed = True
-            plane, self._plane = self._plane, None
-            key, self._plane_key = self._plane_key, None
-            if plane is not None:
-                self._detach_shared()
-                try:
-                    plane.release_dataset(key)
-                except Exception:  # pragma: no cover - plane already dead
-                    pass
-            self._release_arenas()
-            if getattr(self._executor, "owns_shards", False):
-                self._executor = SerialExecutor()
-            if self._owned_plane_executor is not None:
-                self._owned_plane_executor.close()
-                self._owned_plane_executor = None
-            if self._degraded_executor is not None:
-                self._degraded_executor.close()
-                self._degraded_executor = None
-                self._executor = SerialExecutor()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
-        try:
-            if not getattr(self, "_closed", True):
-                self.close()
-        except Exception:
-            pass
+        if self._owns_executor:
+            self._owns_executor = False
+            close = getattr(self._executor, "close", None)
+            if close is not None:
+                close()
+            self._executor = SerialExecutor()
 
     @staticmethod
-    def _verify_shard_aggregates(cell_weights: np.ndarray,
-                                 cell_counts: np.ndarray,
-                                 snap: GridShardSnapshot) -> None:
+    def _verify_and_adopt(part: GridIndex, snap: GridShardSnapshot) -> None:
         """Cross-check one shard's recomputed aggregates against persisted
-        ones; raises :class:`PersistError` on disagreement."""
-        if not np.array_equal(cell_counts,
-                              snap.cell_counts.reshape(cell_counts.shape)):
+        ones (raising :class:`PersistError` on disagreement), then serve the
+        persisted ones so a restart's bounds are bit-identical to the ones
+        it saved."""
+        if not np.array_equal(part.cell_counts,
+                              snap.cell_counts.reshape(part.cell_counts.shape)):
             raise PersistError(
                 "persisted per-shard point counts disagree with the point "
                 "columns; the sharded grid snapshot is stale or corrupt"
             )
         tolerance = 1e-9 * max(
-            1.0, float(np.abs(cell_weights).max(initial=0.0)))
-        if not np.allclose(cell_weights,
-                           snap.cell_weights.reshape(cell_weights.shape),
+            1.0, float(np.abs(part.cell_weights).max(initial=0.0)))
+        if not np.allclose(part.cell_weights,
+                           snap.cell_weights.reshape(part.cell_weights.shape),
                            rtol=0.0, atol=tolerance):
             raise PersistError(
                 "persisted per-shard weights disagree with the point "
                 "columns; the sharded grid snapshot is stale or corrupt"
             )
-
-    @classmethod
-    def _verify_and_adopt(cls, part: GridIndex,
-                          snap: GridShardSnapshot) -> None:
-        """Cross-check one shard's recomputed aggregates, then serve the
-        persisted ones (so a restart's bounds are bit-identical to the ones
-        it saved)."""
-        cls._verify_shard_aggregates(part.cell_weights, part.cell_counts, snap)
         part.cell_weights = snap.cell_weights.astype(np.float64).reshape(
             part.n_rows, part.n_cols)
         part.cell_counts = snap.cell_counts.astype(np.int64).reshape(
@@ -1084,12 +599,12 @@ class ShardedGridIndex(GridQueryOps):
     def snapshot(self) -> ShardedGridSnapshot:
         """The persistable state: global geometry plus per-shard aggregates."""
         def shard_snapshot(shard: GridShard) -> GridShardSnapshot:
-            weights, counts = shard.aggregates()
             return GridShardSnapshot(
                 row0=shard.row0, row1=shard.row1,
                 col0=shard.col0, col1=shard.col1,
-                cell_weights=np.array(weights, dtype=np.float64),
-                cell_counts=np.array(counts, dtype=np.int64))
+                cell_weights=np.array(shard.part.cell_weights,
+                                      dtype=np.float64),
+                cell_counts=np.array(shard.part.cell_counts, dtype=np.int64))
 
         return ShardedGridSnapshot(
             n_rows=self.n_rows, n_cols=self.n_cols,
@@ -1118,7 +633,7 @@ class ShardedGridIndex(GridQueryOps):
 
         Powers ``engine.explain``'s shard-layout section: half-open row and
         column ranges of each shard's tile plus the points it owns, without
-        touching shard internals (or spawning executors).
+        touching shard internals (or starting executor threads).
         """
         return [{"shard": shard.shard_id,
                  "rows": [shard.row0, shard.row1],
@@ -1137,21 +652,6 @@ class ShardedGridIndex(GridQueryOps):
         sweep is the same ascending index list the unsharded index returns.
         """
         flat = np.ascontiguousarray(mask).ravel()
-
-        plane = self._plane
-        if plane is not None:
-            try:
-                gathered = plane.gather_points(self._plane_key,
-                                               len(self._shards), flat)
-            except ExecutorError as exc:
-                self._degrade_plane(exc)
-            else:
-                # No timing-hook call: the owning workers recorded these
-                # gather timings locally and ship them back as metric
-                # deltas -- re-recording parent-side would double-count.
-                parts = [gathered[shard.shard_id]["indices"]
-                         for shard in self._shards]
-                return np.sort(np.concatenate(parts))
 
         def gather(shard: GridShard) -> np.ndarray:
             with obs.span(f"shard.map[{shard.shard_id}]",
@@ -1187,7 +687,7 @@ class ShardedGridIndex(GridQueryOps):
         occupied = int((self.cell_counts > 0).sum())
 
         def shard_stats(shard: GridShard) -> dict:
-            weights, counts = shard.aggregates()
+            weights, counts = shard.part.cell_weights, shard.part.cell_counts
             return {
                 "rows": [shard.row0, shard.row1],
                 "cols": [shard.col0, shard.col1],
@@ -1225,22 +725,6 @@ class ShardedGridIndex(GridQueryOps):
         unsharded index's; fanning the blocks out only changes where each
         block is evaluated.
         """
-        plane = self._plane
-        if plane is not None:
-            try:
-                blocks = plane.window_blocks(self._plane_key,
-                                             len(self._shards),
-                                             (halo_rows, halo_cols),
-                                             values=values)
-            except ExecutorError as exc:
-                self._degrade_plane(exc)
-            else:
-                out = np.empty((self.n_rows, self.n_cols), dtype=np.float64)
-                for shard in self._shards:
-                    out[shard.row0:shard.row1,
-                        shard.col0:shard.col1] = blocks[shard.shard_id]["block"]
-                return out
-
         if values is None:
             prefix = self._prefix
         else:

@@ -81,7 +81,7 @@ class RegisteredDataset:
     whole-dataset path (MaxkRS, an unpruned refine) needs it.
     """
 
-    __slots__ = ("handle", "xs", "ys", "ws", "ys_sorted", "arena", "_objects")
+    __slots__ = ("handle", "xs", "ys", "ws", "ys_sorted", "_objects")
 
     def __init__(self, handle: DatasetHandle, xs: np.ndarray, ys: np.ndarray,
                  ws: np.ndarray, ys_sorted: np.ndarray,
@@ -91,25 +91,7 @@ class RegisteredDataset:
         self.ys = ys
         self.ws = ws
         self.ys_sorted = ys_sorted
-        #: Shared-memory arena backing the columns when the multiprocess data
-        #: plane serves this dataset (see :meth:`PointStore.share_columns`).
-        self.arena = None
         self._objects = objects
-
-    def release_shared(self) -> None:
-        """Move the columns back to the heap and release the shared arena.
-
-        Idempotent.  Called on unregister and on engine ``close()``: the
-        entry must stay readable (closed engines keep answering) after the
-        shared segments are unlinked, so the views are copied first.
-        """
-        arena, self.arena = self.arena, None
-        if arena is None:
-            return
-        self.xs = np.array(self.xs)
-        self.ys = np.array(self.ys)
-        self.ws = np.array(self.ws)
-        arena.release()
 
     @property
     def count(self) -> int:
@@ -257,66 +239,14 @@ class PointStore:
                 handle=handle, xs=xs, ys=ys, ws=ws,
                 ys_sorted=np.sort(ys), objects=objects,
             )
-        if existing is not None:
-            # replace=True displaced the old entry: release its shared
-            # segments (the store held the last owning reference).
-            existing.release_shared()
         return handle
 
     def unregister(self, dataset_id: str) -> None:
-        """Forget a dataset; raises :class:`ServiceError` when unknown.
-
-        Any shared-memory arena backing the entry's columns is released --
-        unregistering is the owner's last reference, so holding the segments
-        past this point would leak them until process exit.
-        """
+        """Forget a dataset; raises :class:`ServiceError` when unknown."""
         with self._lock:
             entry = self._by_id.pop(dataset_id, None)
         if entry is None:
             raise ServiceError(f"unknown dataset id {dataset_id!r}")
-        entry.release_shared()
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory columns (the multiprocess data plane)
-    # ------------------------------------------------------------------ #
-    def share_columns(self, dataset_id: str):
-        """Back a dataset's columns with a shared-memory arena (idempotent).
-
-        Copies ``(xs, ys, ws)`` into a fresh
-        :class:`~repro.service.shm.ColumnArena` and swaps the entry's arrays
-        for the zero-copy views, so worker processes can attach the same
-        physical pages by name.  Returns the arena (``None`` for an empty
-        dataset -- nothing to fan out).  Raises
-        :class:`~repro.errors.ExecutorError` when the platform has no usable
-        shared memory; callers degrade to the threaded tier.
-        """
-        from repro.service.shm import ColumnArena
-
-        with self._lock:
-            entry = self._by_id.get(dataset_id)
-            if entry is None:
-                raise ServiceError(
-                    f"unknown dataset id {dataset_id!r}; register the "
-                    "dataset first"
-                )
-            if entry.arena is not None:
-                return entry.arena
-            if not len(entry.xs):
-                return None
-            arena = ColumnArena.create(
-                {"xs": entry.xs, "ys": entry.ys, "ws": entry.ws})
-            entry.xs = arena.view("xs")
-            entry.ys = arena.view("ys")
-            entry.ws = arena.view("ws")
-            entry.arena = arena
-            return arena
-
-    def unshare_all(self) -> None:
-        """Release every shared column arena (entries stay readable)."""
-        with self._lock:
-            entries = list(self._by_id.values())
-        for entry in entries:
-            entry.release_shared()
 
     # ------------------------------------------------------------------ #
     # Lookup

@@ -35,6 +35,19 @@ def small_ctx() -> EMContext:
     return EMContext(EMConfig(block_size=4096, buffer_size=64 * 1024))
 
 
+@pytest.fixture(params=[1, 2, 8], ids=lambda n: f"{n}core")
+def cores(request, monkeypatch) -> int:
+    """Pretend this host has 1, 2 or 8 schedulable cores.
+
+    Patches :func:`repro.service.sharding.effective_cpu_count`, which both
+    the auto shard count and the auto executor rule read, so the auto path
+    runs at every core count whatever the host has.
+    """
+    monkeypatch.setattr("repro.service.sharding.effective_cpu_count",
+                        lambda: request.param)
+    return request.param
+
+
 @pytest.fixture
 def make_objects() -> Callable[..., List[WeightedPoint]]:
     """Factory for reproducible random weighted point sets."""

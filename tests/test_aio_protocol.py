@@ -7,6 +7,7 @@ dataset's max-region is the whole plane).  A hypothesis property round-trips
 arbitrary float patterns to pin the JSON float path.
 """
 
+import json
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.aio import protocol
 from repro.core.result import MaxCRSResult, MaxRegion, MaxRSResult
 from repro.errors import (
+    ConfigurationError,
     ReproError,
     SerializationError,
     ServiceError,
@@ -76,6 +78,14 @@ class TestSpecs:
         with pytest.raises(SerializationError):
             protocol.spec_from_wire({"kind": "maxrs", "width": "wide",
                                      "height": 2.0})
+
+    def test_non_finite_sizes_from_the_wire_rejected(self):
+        """``json.loads`` accepts the NaN and Infinity tokens, so the spec
+        decoder must not let them reach the engine."""
+        for line in ('{"kind":"maxrs","width":NaN,"height":1.0}',
+                     '{"kind":"maxcrs","diameter":Infinity}'):
+            with pytest.raises(ConfigurationError):
+                protocol.spec_from_wire(json.loads(line))
 
 
 class TestPoints:

@@ -233,6 +233,29 @@ class TestCli:
         assert rc == 0
         assert "nothing to gate" in out
 
+    def test_run_leaves_bench_files_and_artefact_log_untouched(
+            self, tmp_path, monkeypatch, capsys):
+        """The gate restores what the re-run rewrites or appends to, and
+        removes what it creates."""
+        bench_dir = tmp_path / "benchmarks"
+        _write(bench_dir, [_entry("shards", speedup=2.0, p50=0.01)])
+        (bench_dir / gate.ARTEFACT_LOG).write_text("checked-in entry\n",
+                                                   encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in bench_dir.iterdir()}
+
+        def fake_run(directory, only=None):
+            _write(directory, [_entry("shards", speedup=1.9, p50=0.011),
+                               _entry("brand_new", speedup=1.0)])
+            with (directory / gate.ARTEFACT_LOG).open(
+                    "a", encoding="utf-8") as log:
+                log.write("fresh entry\n")
+            return 0
+
+        monkeypatch.setattr(gate, "run_benchmarks", fake_run)
+        rc, out = self._run(["--benchmarks-dir", str(bench_dir)], capsys)
+        assert rc == 0, out
+        assert {p.name: p.read_bytes() for p in bench_dir.iterdir()} == before
+
     def test_no_run_requires_fresh_dir(self, tmp_path):
         with pytest.raises(SystemExit):
             gate.main(["--no-run", "--benchmarks-dir", str(tmp_path)])

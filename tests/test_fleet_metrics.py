@@ -1,28 +1,16 @@
-"""Fleet telemetry integration: cross-process aggregation, health, gauges.
+"""Engine telemetry integration: counters, health checks, gauges, SLOs.
 
-The contract under test: with the multiprocess data plane, the parent's
-:class:`~repro.service.metrics.EngineMetrics` is *whole-fleet truth* --
-worker-side counters and timings ship as reset-on-export deltas riding the
-result envelopes, merge before the query returns, and can never be counted
-twice (not even by the shutdown flush or a SIGKILLed worker).  On top of
-that sit the health checks (``healthz`` flips within one query of a worker
-dying) and the resource gauges.
+The contracts under test: semantic counter totals do not depend on the
+shard executor, the health and gauge surface stands on every engine, the
+persist directory gates readiness, and every query -- failures included --
+feeds the SLO tracker whose burn-rate alert flips ``healthz`` to degraded.
 """
 
 import os
-import signal
 
 import pytest
 
 from repro.service.engine import MaxRSEngine, QuerySpec
-from repro.service.procpool import process_available
-from repro.service.shm import arena_registry
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::RuntimeWarning")  # degrade warnings are part of the scenarios
-
-needs_processes = pytest.mark.skipif(
-    not process_available(), reason="no usable multiprocessing on platform")
 
 #: A mixed workload: repeats (cache hits), several kinds, both refine modes.
 QUERY_MIX = [
@@ -44,15 +32,14 @@ def run_mix(engine, objects):
     return [engine.query("d", spec) for spec in QUERY_MIX]
 
 
-@needs_processes
 @pytest.mark.parametrize("seed", [3, 17])
 def test_counter_totals_identical_across_executors(make_objects, seed):
     """Property: the same query mix yields the same semantic counter totals
-    and latency counts on the serial, threaded and process tiers -- fleet
-    aggregation changes *where* numbers come from, never what they say."""
+    and latency counts on the serial and threaded tiers -- the executor
+    changes *where* shard work runs, never what the counters say."""
     objects = make_objects(1500, seed=seed)
     totals, answers = {}, {}
-    for tier in ("serial", "threaded", "process"):
+    for tier in ("serial", "threaded"):
         engine = MaxRSEngine(shards=4, shard_executor=tier)
         try:
             answers[tier] = run_mix(engine, objects)
@@ -64,150 +51,21 @@ def test_counter_totals_identical_across_executors(make_objects, seed):
                 snapshot["latency"].get("maxrs", {}).get("count", 0)
         finally:
             engine.close()
-    assert totals["serial"] == totals["threaded"] == totals["process"]
-    assert answers["serial"] == answers["threaded"] == answers["process"]
-
-
-@needs_processes
-def test_worker_deltas_merge_into_fleet_snapshot(make_objects):
-    engine = MaxRSEngine(shards=4, shard_executor="process")
-    try:
-        run_mix(engine, make_objects(1500, seed=5))
-        snapshot = engine.metrics.snapshot()
-        # Worker-side op counters exist only through the delta merge.
-        worker_tasks = sum(
-            count for name, count in snapshot["counters"].items()
-            if name.startswith("worker_") and name.endswith("_tasks"))
-        assert worker_tasks > 0
-        assert "processes" in snapshot
-        tags = sorted(snapshot["processes"])
-        assert "parent" in tags
-        workers = [tag for tag in tags if tag.startswith("worker-")]
-        assert workers
-        # The same worker tasks, attributed per process, sum to the fleet.
-        per_process = sum(
-            count
-            for tag in workers
-            for name, count in snapshot["processes"][tag]["counters"].items()
-            if name.startswith("worker_") and name.endswith("_tasks"))
-        assert per_process == worker_tasks
-        # Worker-side stage/shard seconds made it across the wire.
-        assert any(stage.startswith("worker_")
-                   for stage in snapshot["stages"])
-        assert any(stage.startswith("shard_")
-                   for stage in snapshot["shards"])
-    finally:
-        engine.close()
-
-
-@needs_processes
-def test_metrics_text_carries_worker_series_and_gauges(make_objects):
-    """Acceptance: with the process executor, one scrape shows worker-side
-    stage seconds and per-process RSS/CPU/arena gauges."""
-    engine = MaxRSEngine(shards=4, shard_executor="process")
-    try:
-        run_mix(engine, make_objects(1500, seed=5))
-        text = engine.metrics_text()
-        assert "repro_process_stage_seconds_total" in text
-        assert 'process="worker-' in text
-        assert "repro_process_rss_bytes" in text
-        assert "repro_process_cpu_seconds" in text
-        assert "repro_shm_arena_bytes" in text
-        assert "repro_pool_workers_alive" in text
-    finally:
-        engine.close()
-
-
-@needs_processes
-def test_graceful_close_flush_never_double_counts(make_objects):
-    """Every per-task delta was already merged when its query returned, so
-    the shutdown flush carries nothing new: totals must not move."""
-    engine = MaxRSEngine(shards=4, shard_executor="process")
-    run_mix(engine, make_objects(1500, seed=5))
-    before = {
-        name: count
-        for name, count in engine.metrics.snapshot()["counters"].items()
-        if name.startswith("worker_")}
-    assert before
-    engine.close()  # workers drain, send their final flush, exit
-    after = {
-        name: count
-        for name, count in engine.metrics.snapshot()["counters"].items()
-        if name.startswith("worker_")}
-    # Every pre-close counter is exactly unchanged; the flush may only add
-    # genuinely *new* work (the release ops close() itself dispatched).
-    for name, count in before.items():
-        assert after[name] == count
-    assert set(after) - set(before) <= {"worker_release_tasks"}
-
-
-@needs_processes
-def test_sigkilled_worker_cannot_double_count(make_objects):
-    """A SIGKILLed worker sends no flush at all -- and whatever it already
-    shipped stays merged exactly once through the degrade and close."""
-    engine = MaxRSEngine(shards=4, shard_executor="process")
-    try:
-        run_mix(engine, make_objects(1500, seed=5))
-        before = {
-            name: count
-            for name, count in engine.metrics.snapshot()["counters"].items()
-            if name.startswith("worker_")}
-        for worker in engine._proc_executor.worker_info():
-            os.kill(worker["pid"], signal.SIGKILL)
-        # The next query degrades to threads; worker totals must not move.
-        engine.query("d", QuerySpec.maxrs(5.0, 5.0))
-        after = {
-            name: count
-            for name, count in engine.metrics.snapshot()["counters"].items()
-            if name.startswith("worker_")}
-        assert after == before
-        assert engine.metrics.counter("executor_degraded") >= 1
-    finally:
-        engine.close()
-
-
-@needs_processes
-def test_healthz_flips_within_one_query_of_worker_death(make_objects):
-    engine = MaxRSEngine(shards=4, shard_executor="process")
-    try:
-        run_mix(engine, make_objects(1500, seed=5))
-        assert engine.healthz()["status"] == "ok"
-        victim = engine._proc_executor.worker_info()[0]
-        os.kill(victim["pid"], signal.SIGKILL)
-        engine.query("d", QuerySpec.maxrs(5.0, 5.0))  # at most one query...
-        verdict = engine.healthz()                    # ...then the flip
-        assert verdict["status"] == "degraded"
-        assert verdict["ok"] is True  # degraded still serves correct answers
-        statuses = {verdict["checks"]["workers"]["status"],
-                    verdict["checks"]["executor"]["status"]}
-        assert "degraded" in statuses
-        assert engine.stats()["sharding"]["resolved_executor"] == "threaded"
-    finally:
-        engine.close()
-
-
-@needs_processes
-def test_arena_registry_empty_after_close(make_objects):
-    engine = MaxRSEngine(shards=4, shard_executor="process")
-    run_mix(engine, make_objects(1500, seed=5))
-    assert arena_registry()  # the plane is sharing columns right now
-    assert engine.healthz()["checks"]["arenas"]["status"] == "ok"
-    engine.close()
-    assert arena_registry() == []
+    assert totals["serial"] == totals["threaded"]
+    assert answers["serial"] == answers["threaded"]
 
 
 def test_health_surface_without_processes(make_objects):
-    """The health/gauge surface also stands on the serial tier (no pool,
-    no arenas): checks pass, gauges exist, readyz flips on close."""
+    """The health/gauge surface stands on a one-shard serial engine: checks
+    pass, gauges exist, readyz flips on close."""
     engine = MaxRSEngine(shards=1)
     run_mix(engine, make_objects(300, seed=9))
     stats = engine.stats()
     assert stats["health"]["healthz"]["ok"] is True
     assert stats["health"]["readyz"]["ready"] is True
-    assert stats["processes"] == {}
     names = set(stats["gauges"])
     assert {"process_cpu_seconds", "process_rss_bytes", "cache_entries",
-            "cache_capacity", "pool_workers_alive"} <= names
+            "cache_capacity"} <= names
     engine.close()
     verdict = engine.readyz()
     assert verdict["ready"] is False

@@ -37,7 +37,7 @@ from repro.obs import metrics_text
 from repro.persist import open_catalog
 from repro.service import MaxRSEngine, QuerySpec
 from repro.service.grid_index import GridIndex, rollup_aggregates
-from repro.service.sharding import ShardedGridIndex, available_executors
+from repro.service.sharding import ShardedGridIndex
 
 _SETTINGS = settings(max_examples=15, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -160,12 +160,10 @@ class TestExactBitIdentity:
                 pyramid, pyramid.register_dataset(objects, name="ds"))
         _assert_identical(truth, answers)
 
-    @pytest.mark.parametrize("executor", ["threaded", "process"])
+    @pytest.mark.parametrize("executor", ["threaded"])
     @pytest.mark.parametrize("shards", [2, 7])
     def test_flat_vs_pyramid_parallel_executors(self, make_objects, executor,
                                                 shards):
-        if executor not in available_executors():
-            pytest.skip(f"{executor} executor unavailable on this platform")
         objects = make_objects(400, seed=9)
         with MaxRSEngine(shards=1, shard_executor="serial",
                          pyramid_levels=1) as flat, \

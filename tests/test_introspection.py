@@ -6,8 +6,8 @@ Three contracts pinned here:
   no answer, bit for bit, on any executor tier at any shard count;
 * **reconciliation** -- per-query ``cost`` records and per-client ledgers
   are *exact* decompositions of the global ``EngineMetrics`` counters
-  (property-tested across the serial, threaded and process tiers, and
-  under concurrent clients);
+  (property-tested across the serial and threaded tiers, and under
+  concurrent clients);
 * **bounded cardinality** -- client accounting cannot grow without bound:
   the tracked-ledger LRU evicts and counts, it never expands.
 """
@@ -20,10 +20,6 @@ import pytest
 pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
 
 from repro.service.engine import MaxRSEngine, QuerySpec
-from repro.service.procpool import process_available
-
-needs_processes = pytest.mark.skipif(
-    not process_available(), reason="no usable multiprocessing on platform")
 
 #: A mixed workload: repeats (cache hits), several kinds, both refine
 #: modes, and a bounded-error request.
@@ -64,6 +60,16 @@ class TestCostLedger:
             assert cost["executor"] == "local"
             assert sum(cost["backends"].values()) >= 1
             assert cost["block_reads"] == 0 and cost["block_writes"] == 0
+        finally:
+            engine.close()
+
+    def test_sharded_miss_cost_names_the_tier(self, make_objects):
+        engine = MaxRSEngine(shards=4, shard_executor="threaded")
+        try:
+            ds = engine.register_dataset(make_objects(1200, seed=14))
+            cost = engine.query(ds, QuerySpec.maxrs(12.0, 12.0)).cost
+            assert cost["shards"] == 4
+            assert cost["executor"] == "threaded"
         finally:
             engine.close()
 
@@ -234,13 +240,6 @@ class TestExplainZeroEffect:
         self._assert_zero_effect(objects, self._reference(objects),
                                  tier, shard_count)
 
-    @needs_processes
-    @pytest.mark.parametrize("shard_count", [1, 2, 4, 7])
-    def test_process_tier(self, make_objects, shard_count):
-        objects = make_objects(600, seed=11)
-        self._assert_zero_effect(objects, self._reference(objects),
-                                 "process", shard_count)
-
 
 # ---------------------------------------------------------------------- #
 # Reconciliation: per-query ledgers decompose the global counters
@@ -280,14 +279,6 @@ class TestReconciliation:
         finally:
             engine.close()
 
-    @needs_processes
-    def test_process_tier(self, make_objects):
-        engine = MaxRSEngine(shards=4, shard_executor="process")
-        try:
-            self._assert_reconciled(engine, make_objects(900, seed=12))
-        finally:
-            engine.close()
-
     def test_block_deltas_sum_to_store_counters(self, make_objects):
         """Per-query block I/O deltas decompose the store's counter delta
         over a sequential query phase."""
@@ -305,19 +296,6 @@ class TestReconciliation:
                     io_after.block_writes - io_before.block_writes
             finally:
                 engine.close()
-
-    @needs_processes
-    def test_process_tier_attributes_worker_seconds(self, make_objects):
-        engine = MaxRSEngine(shards=4, shard_executor="process")
-        try:
-            ds = engine.register_dataset(make_objects(1200, seed=14))
-            result = engine.query(ds, QuerySpec.maxrs(12.0, 12.0))
-            assert result.cost["executor"] == "process"
-            assert result.cost["shards"] == 4
-            assert result.cost["worker_seconds"] > 0.0
-            assert result.cost["arena_bytes"] > 0
-        finally:
-            engine.close()
 
 
 # ---------------------------------------------------------------------- #

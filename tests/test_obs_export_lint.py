@@ -6,7 +6,7 @@ charsets, HELP/TYPE pairing per family, sample ordering within a family,
 and -- for histograms -- monotone ``le`` bounds with cumulative bucket
 counts that reconcile with ``_count``.  This test parses the exposition
 line-by-line against those rules, driven by an engine exercising the full
-surface (counters, stages, shards, per-process series, gauges, histograms).
+surface (counters, stages, shards, gauges, histograms).
 """
 
 import math
@@ -175,17 +175,14 @@ def test_real_exposition_passes_the_linter():
         engine.close()
 
 
-def test_per_process_series_pass_the_linter():
-    """Synthetic fleet state (no real processes needed): children and
-    gauges with labels that need escaping."""
+def test_escaped_gauge_labels_pass_the_linter():
+    """Synthetic state: stage and shard timings plus a gauge whose label
+    needs escaping."""
     metrics = EngineMetrics()
     metrics.increment("queries", 2)
     metrics.observe_latency("maxrs", 0.01)
-    child = metrics.child("worker-0")
-    child.increment("worker_window_tasks", 3)
-    child.observe_seconds("worker_window", 0.5)
-    child.observe_shard("shard_window", 1, 0.25)
-    metrics.set_gauge("process_rss_bytes", 4096, process="worker-0")
+    metrics.observe_seconds("refine", 0.5)
+    metrics.observe_shard("shard_gather", 1, 0.25)
     metrics.set_gauge("custom_gauge", 1.5, path='tricky"\\name\n')
     text = obs.metrics_text(metrics)
     samples, types = lint(text)
@@ -193,10 +190,9 @@ def test_per_process_series_pass_the_linter():
     by_name = {}
     for name, labels, value in samples:
         by_name.setdefault(name, []).append((labels, value))
-    assert ({"process": "parent", "name": "queries"}, 2.0) in \
-        by_name["repro_process_counter_total"]
-    assert ({"process": "worker-0", "name": "worker_window_tasks"}, 3.0) in \
-        by_name["repro_process_counter_total"]
+    assert ({"name": "queries"}, 2.0) in by_name["repro_counter_total"]
+    assert ({"stage": "shard_gather", "shard": "1"}, 0.25) in \
+        by_name["repro_shard_seconds_total"]
     # The escaped label round-trips through the linter's unescape-free
     # parser as its escaped form.
     tricky = by_name["repro_custom_gauge"][0][0]["path"]

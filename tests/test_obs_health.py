@@ -3,8 +3,8 @@
 The health layer is deliberately engine-agnostic (callables in, verdicts
 out), so these tests drive it with plain fakes: a hand-rolled clock for the
 SLO windows, lambda checks for the monitor, counting sources for the
-sampler.  Engine integration (real workers, real arenas) lives in
-``tests/test_fleet_metrics.py``.
+sampler.  Engine integration (a real engine's checks, gauges and SLOs)
+lives in ``tests/test_fleet_metrics.py``.
 """
 
 import json

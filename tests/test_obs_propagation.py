@@ -321,53 +321,3 @@ def test_stats_surface_trace_summaries():
     assert [s["name"] for s in summaries] == ["engine.register",
                                               "engine.query"]
     assert all(s["spans"] >= 1 and s["duration_s"] > 0.0 for s in summaries)
-
-
-# ---------------------------------------------------------------------- #
-# Degraded-path trace shape: a mid-query executor failure is observable
-# ---------------------------------------------------------------------- #
-def test_executor_degrade_is_counted_and_stamped_on_the_trace():
-    """Pin the degraded-path observability shape: when the process plane
-    dies mid-query, the fleeting RuntimeWarning is backed by a durable
-    ``executor_degraded`` counter and by ``executor_degraded`` /
-    ``degrade_reason`` attributes on the ambient span of the query that hit
-    the failure -- so post-hoc trace analysis can find exactly which
-    request paid the degrade."""
-    from repro.service.procpool import process_available
-
-    if not process_available():
-        pytest.skip("no usable multiprocessing on platform")
-    engine = MaxRSEngine(tracer="ring", shards=4, shard_executor="process")
-    recorder = engine.tracer.recorder
-    try:
-        dataset = engine.register_dataset(grid(1500))
-        engine.query(dataset, SPEC)
-        assert engine.metrics.counter("executor_degraded") == 0
-        for worker in engine._proc_executor.worker_info():
-            import os
-            import signal
-            os.kill(worker["pid"], signal.SIGKILL)
-        probe = QuerySpec.maxrs(17.0, 3.0)
-        with pytest.warns(RuntimeWarning, match="degrading"):
-            degraded_answer = engine.query(dataset, probe)
-        assert engine.metrics.counter("executor_degraded") == 1
-        # The degrade is stamped on a span of the query that hit it.
-        trace = recorder.last()
-        stamped = [sp for sp in trace.spans()
-                   if sp.attributes.get("executor_degraded") is True]
-        assert stamped, trace.render()
-        assert "degrade_reason" in stamped[0].attributes
-        assert "died" in stamped[0].attributes["degrade_reason"]
-        # Earlier, healthy traces carry no degrade mark.
-        healthy = next(t for t in recorder.traces()
-                       if t.name == "engine.query")
-        assert not [sp for sp in healthy.spans()
-                    if "executor_degraded" in sp.attributes]
-        # And the degraded query still answered correctly.
-        reference = MaxRSEngine(shards=1)
-        assert_same_answer(
-            degraded_answer,
-            reference.query(reference.register_dataset(grid(1500)), probe))
-        reference.close()
-    finally:
-        engine.close()

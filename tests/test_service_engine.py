@@ -170,6 +170,18 @@ class TestQuerySpec:
         with pytest.raises(ConfigurationError):
             QuerySpec.maxcrs(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make_spec", [
+        lambda bad: QuerySpec.maxrs(bad, 5.0),
+        lambda bad: QuerySpec.maxrs(5.0, bad),
+        lambda bad: QuerySpec.maxkrs(bad, 3.0, 2),
+        lambda bad: QuerySpec.maxcrs(bad),
+    ], ids=["maxrs-width", "maxrs-height", "maxkrs-width", "maxcrs-diameter"])
+    def test_non_finite_sizes_rejected(self, make_spec, bad):
+        with pytest.raises(ConfigurationError):
+            make_spec(bad)
+
 
 class TestTopKAndBatch:
     def test_maxkrs_matches_dispatch(self, make_objects):

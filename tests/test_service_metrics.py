@@ -43,7 +43,6 @@ class TestCountersAndStages:
         metrics.observe_shard("shard_build", 0, 0.1)
         metrics.observe_latency("maxrs", 0.1)
         metrics.set_gauge("cache_entries", 3)
-        metrics.child("worker-0").increment("worker_tasks")
         metrics.reset()
         snapshot = metrics.snapshot()
         assert snapshot == {"counters": {}, "stages": {}, "shards": {},
@@ -187,80 +186,6 @@ class TestGauges:
         series = metrics.gauges()["g"]
         assert [entry["labels"]["process"] for entry in series] == \
             ["worker-0", "worker-1"]
-
-
-class TestCrossProcessDeltas:
-    """The reset-on-export delta protocol behind the multiprocess fleet
-    merge: each observation ships exactly once, so merging deltas can never
-    double-count -- the property the killed-worker final flush relies on."""
-
-    def test_drain_empty_returns_none(self):
-        assert EngineMetrics().drain_state() is None
-
-    def test_drain_exports_and_clears(self):
-        metrics = EngineMetrics()
-        metrics.increment("worker_window_tasks", 3)
-        metrics.observe_seconds("worker_window", 0.5)
-        metrics.observe_shard("shard_window", 2, 0.25)
-        metrics.observe_latency("maxrs", 0.01)
-        state = metrics.drain_state()
-        assert state is not None
-        assert state["counters"]["worker_window_tasks"] == 3
-        # Drained: the accumulator is empty and the next drain is None.
-        assert metrics.snapshot() == {"counters": {}, "stages": {},
-                                      "shards": {}, "latency": {},
-                                      "gauges": {}}
-        assert metrics.drain_state() is None
-
-    def test_merge_state_roundtrips_everything(self):
-        worker = EngineMetrics()
-        worker.increment("worker_adopt_tasks")
-        worker.observe_seconds("worker_adopt", 1.5)
-        worker.observe_shard("shard_build", 1, 0.5)
-        worker.observe_latency("maxrs", 0.02)
-        parent = EngineMetrics()
-        parent.merge_state(worker.drain_state())
-        snapshot = parent.snapshot()
-        assert snapshot["counters"]["worker_adopt_tasks"] == 1
-        assert snapshot["stages"]["worker_adopt"]["total_seconds"] == 1.5
-        assert snapshot["shards"]["shard_build"][1]["count"] == 1
-        assert snapshot["latency"]["maxrs"]["count"] == 1
-
-    def test_merging_two_drains_equals_one_accumulation(self):
-        """Shipping in two deltas or observing locally must agree exactly."""
-        local = EngineMetrics()
-        remote = EngineMetrics()
-        sink = EngineMetrics()
-        for round_index in range(2):
-            for metrics in (local, remote):
-                metrics.increment("queries", round_index + 1)
-                metrics.observe_seconds("refine", 0.25)
-                metrics.observe_latency("maxrs", 0.004)
-            sink.merge_state(remote.drain_state())
-        assert sink.snapshot() == local.snapshot()
-
-    def test_children_fold_into_fleet_reads(self):
-        parent = EngineMetrics()
-        parent.increment("queries", 2)
-        parent.child("worker-0").increment("queries", 3)
-        parent.child("worker-1").observe_latency("maxrs", 0.01)
-        assert parent.counter("queries") == 5
-        snapshot = parent.snapshot()
-        assert snapshot["counters"]["queries"] == 5
-        assert snapshot["latency"]["maxrs"]["count"] == 1
-        assert sorted(snapshot["processes"]) == ["parent", "worker-0",
-                                                 "worker-1"]
-        assert snapshot["processes"]["parent"]["counters"]["queries"] == 2
-        assert snapshot["processes"]["worker-0"]["counters"]["queries"] == 3
-
-    def test_child_is_stable_and_isolated(self):
-        parent = EngineMetrics()
-        child = parent.child("worker-0")
-        assert parent.child("worker-0") is child
-        child.increment("worker_tasks")
-        assert parent.snapshot()["processes"]["parent"].get(
-            "counters", {}) == {}
-        assert parent.counter("worker_tasks") == 1
 
 
 class TestThreadSafety:

@@ -30,9 +30,7 @@ from repro.service.sharding import (
     SerialExecutor,
     ShardedGridIndex,
     ThreadedExecutor,
-    available_executors,
     default_shard_count,
-    get_executor,
     plan_tiles,
     resolve_executor,
 )
@@ -66,24 +64,10 @@ def boundary_hotspots(make_objects):
 # Executors
 # ---------------------------------------------------------------------- #
 class TestExecutors:
-    def test_registry_names(self):
-        names = available_executors()
-        assert names[:2] == ("serial", "threaded")
-        assert set(names) <= {"serial", "threaded", "process"}
-        assert get_executor("serial").name == "serial"
-        assert get_executor("threaded").name == "threaded"
-
-    def test_process_tier_is_registered(self):
-        from repro.service.procpool import process_available
-
-        if process_available():
-            assert "process" in available_executors()
-        else:
-            assert "process" not in available_executors()
-
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_executor("distributed")
+        for name in ("distributed", "process"):
+            with pytest.raises(ConfigurationError):
+                resolve_executor(name, 4)
 
     def test_resolve_accepts_instances_and_rejects_junk(self):
         serial = SerialExecutor()
@@ -180,6 +164,75 @@ class TestExecutors:
         assert default_shard_count() >= 1
 
 
+def _square(v):
+    return v * v
+
+
+def _fail_on_three(v):
+    if v == 3:
+        raise ValueError(f"task {v} failed")
+    return v
+
+
+@pytest.mark.parametrize("make_executor", [
+    SerialExecutor,
+    lambda: ThreadedExecutor(max_workers=2),
+], ids=["serial", "threaded"])
+def test_first_failure_contract_across_all_tiers(make_executor):
+    """Every tier raises the first failure and stays usable afterwards."""
+    executor = make_executor()
+    try:
+        with pytest.raises(ValueError, match="task 3"):
+            executor.map(_fail_on_three, range(6))
+        assert executor.map(_square, range(5)) == [v * v for v in range(5)]
+    finally:
+        if hasattr(executor, "close"):
+            executor.close()
+
+
+class TestAutoResolution:
+    """The auto path at 1, 2 and 8 cores (the ``cores`` fixture), whatever
+    this host has."""
+
+    def test_auto_rule_follows_the_core_count(self, cores):
+        shards = default_shard_count()
+        resolved = resolve_executor(None, shards)
+        if cores == 1:
+            assert shards == 1 and resolved.name == "serial"
+        else:
+            assert shards == cores and resolved.name == "threaded"
+        assert resolve_executor("auto", shards).name == resolved.name
+        # Explicit fan-out still needs a second core to go threaded.
+        assert resolve_executor(None, 4).name == \
+            ("serial" if cores == 1 else "threaded")
+        with pytest.raises(ConfigurationError):
+            resolve_executor("process", shards)
+        with pytest.raises(ConfigurationError):
+            MaxRSEngine(shard_executor="process")
+        with MaxRSEngine() as engine:
+            sharding = engine.stats()["sharding"]
+        assert sharding["effective_shards"] == shards
+        assert sharding["resolved_executor"] == resolved.name
+
+    def test_default_engine_matches_one_shard(self, cores, boundary_hotspots):
+        specs = [QuerySpec.maxrs(8.0, 8.0),
+                 QuerySpec.maxrs(30.0, 30.0, error_bound=0.2),
+                 QuerySpec.maxcrs(10.0),
+                 QuerySpec.maxkrs(8.0, 8.0, 2)]
+        with MaxRSEngine() as engine, MaxRSEngine(shards=1) as single:
+            handle = engine.register_dataset(boundary_hotspots)
+            reference = single.register_dataset(boundary_hotspots)
+            grid = engine.grid_index(handle)
+            if cores == 1:
+                assert isinstance(grid, GridIndex)
+            else:
+                assert isinstance(grid, ShardedGridIndex)
+                assert grid.executor_name == "threaded"
+            for spec in specs:
+                assert engine.query(handle, spec) == \
+                    single.query(reference, spec), spec
+
+
 class TestPlanTiles:
     def test_tiles_partition_the_grid(self):
         for shards, n_rows, n_cols in [(1, 5, 5), (4, 10, 10), (7, 9, 13),
@@ -252,6 +305,25 @@ class TestIndexBitIdentity:
         for row, col in occupied[:: max(1, len(occupied) // 20)]:
             assert np.array_equal(sharded.points_in_cell(int(row), int(col)),
                                   mono.points_in_cell(int(row), int(col)))
+
+    def test_index_stays_queryable_after_close(self, boundary_hotspots):
+        xs, ys, ws = _columns(boundary_hotspots)
+        mono = GridIndex(xs, ys, ws)
+        index = ShardedGridIndex(xs, ys, ws, shards=4, executor="threaded")
+        windows = index._window_sums(2, 2)
+        index.close()
+        index.close()  # idempotent
+        assert index.executor_name == "serial"
+        assert np.array_equal(index._window_sums(2, 2), windows)
+        mask = mono.cell_weights > np.median(mono.cell_weights)
+        assert np.array_equal(index.points_in_mask(mask),
+                              mono.points_in_mask(mask))
+        # An executor the caller passed in is theirs to close.
+        shared = ThreadedExecutor(max_workers=2)
+        borrowed = ShardedGridIndex(xs, ys, ws, shards=4, executor=shared)
+        borrowed.close()
+        assert borrowed.executor_name == "threaded"
+        shared.close()
 
     def test_stats_report_shards_and_executor(self, boundary_hotspots):
         xs, ys, ws = _columns(boundary_hotspots)
