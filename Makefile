@@ -108,12 +108,13 @@ bench-gate:
 	$(PYTHON) scripts/check_bench_regression.py
 
 # The observability smoke: obs unit + propagation + introspection tests,
+# the engine's stage contract (span, stage histogram and cost ledger agree),
 # the disabled-tracing overhead guard, and the traced-query example --
 # which exercises explain(), the cost ledger and trace_profile() end-to-end.
 trace-smoke:
 	$(PYTHON) -m pytest -q tests/test_obs_span.py tests/test_obs_tail.py \
 		tests/test_obs_propagation.py tests/test_introspection.py \
-		benchmarks/test_obs_overhead.py
+		tests/test_stage_contract.py benchmarks/test_obs_overhead.py
 	$(PYTHON) examples/traced_query.py
 
 examples:

@@ -88,8 +88,10 @@ def report(request, artefact_dir):
 
     Output capturing is temporarily disabled so the reproduced tables and
     series appear in the terminal (and in any ``tee``'d benchmark log) even
-    for passing tests; they are also appended to
-    ``reproduced_artefacts.txt`` in :func:`artefact_dir` for later reference.
+    for passing tests; they are also written to ``reproduced_artefacts.txt``
+    in :func:`artefact_dir` for later reference.  The session's first entry
+    truncates the log, so it describes the last run only, like the
+    ``BENCH_*.json`` files.
 
     Every recorded entry carries the process-default sweep-backend
     configuration (backend name plus numpy version, or "numpy absent"), so
@@ -103,15 +105,18 @@ def report(request, artefact_dir):
     capture_manager = request.config.pluginmanager.getplugin("capturemanager")
     results_path = os.path.join(artefact_dir, "reproduced_artefacts.txt")
     backend_note = f"  [sweep-backend default: {backend_summary()}]"
+    mode = "w"
 
     def _print(text: str) -> None:
+        nonlocal mode
         block = "\n" + text + "\n" + backend_note + "\n"
         if capture_manager is not None:
             with capture_manager.global_and_fixture_disabled():
                 print(block)
         else:  # pragma: no cover - capture plugin always present under pytest
             print(block)
-        with open(results_path, "a") as handle:
+        with open(results_path, mode) as handle:
             handle.write(block)
+        mode = "a"
 
     return _print

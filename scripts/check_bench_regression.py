@@ -35,7 +35,7 @@ The default tolerance is 0.30 (30%), wide enough to absorb normal
 wall-clock noise at the fast preset; override with ``--tolerance`` or the
 ``REPRO_BENCH_TOLERANCE`` environment variable.  After the comparison the
 checked-in ``BENCH_*.json`` files and the ``reproduced_artefacts.txt`` log
-the benchmarks append to are restored byte for byte (and artefacts the run
+the benchmarks rewrite are restored byte for byte (and artefacts the run
 created are removed), so the gate never dirties the working tree; pass
 ``--keep-fresh`` to keep the re-run's files instead (e.g. when
 intentionally re-baselining).
@@ -89,7 +89,7 @@ LATENCY_FLOOR_SECONDS = 100e-6
 #: excluded -- they churn without changing what the benchmarks measure.
 HOST_KEYS = ("machine", "cpu_count")
 
-#: The human-readable log every benchmark run appends to.
+#: The human-readable log every benchmark run rewrites.
 ARTEFACT_LOG = "reproduced_artefacts.txt"
 
 
@@ -106,7 +106,7 @@ def load_entries(directory: Path) -> dict[str, dict]:
 
 def artefact_paths(directory: Path) -> list[Path]:
     """The files a benchmark run writes into *directory*: every
-    ``BENCH_*.json`` plus the appended artefact log."""
+    ``BENCH_*.json`` plus the artefact log."""
     return [*directory.glob("BENCH_*.json"), *directory.glob(ARTEFACT_LOG)]
 
 

@@ -1,12 +1,16 @@
 """Brute-force oracles used to validate every solver on small instances.
 
 These are deliberately simple, obviously-correct (and slow) reference
-implementations.  They rely on the standard candidate argument: an optimal
-axis-aligned rectangle can always be translated until its right edge passes
-just right of some object's x-coordinate and its top edge just above some
-object's y-coordinate, so it suffices to test ``O(N^2)`` candidate centres;
-likewise an optimal circle can be centred at an object or arbitrarily close to
-an intersection point of two object-centred circles.
+implementations.  For MaxRS, an open ``w x h`` rectangle centred at ``(cx,
+cy)`` covers object ``o`` exactly when ``cx`` lies strictly between
+``o.x - w/2`` and ``o.x + w/2`` (likewise in y).  Which objects are covered
+therefore changes only at those boundary values: between two consecutive
+distinct x-boundaries the covered x-set is constant, and at a boundary it is
+a subset of either side's.  Testing the midpoint of every pair of
+consecutive distinct x-boundaries against every such y-midpoint --
+``O(N^2)`` candidate centres -- thus meets every coverage class, with no
+nudge constant to get wrong.  An optimal circle can be centred at an object
+or arbitrarily close to an intersection point of two object-centred circles.
 
 The oracles evaluate the objective by scanning all objects per candidate, so
 they are ``O(N^3)``; tests only use them with a few dozen objects.
@@ -28,8 +32,13 @@ from repro.geometry import (
 
 __all__ = ["brute_force_maxrs", "brute_force_maxcrs"]
 
-#: Relative nudge used to place candidate centres strictly past boundaries.
-_EPS = 1e-9
+
+def _cell_midpoints(coords: Sequence[float], extent: float) -> List[float]:
+    """Midpoints between consecutive distinct values of ``{c +- extent/2}``:
+    one candidate centre coordinate inside every open elementary interval."""
+    half = extent / 2.0
+    edges = sorted({c - half for c in coords} | {c + half for c in coords})
+    return [(lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:])] or edges
 
 
 def brute_force_maxrs(objects: Sequence[WeightedPoint], width: float,
@@ -40,10 +49,8 @@ def brute_force_maxrs(objects: Sequence[WeightedPoint], width: float,
     """
     if not objects:
         return Point(0.0, 0.0), 0.0
-    scale_x = max(1.0, max(abs(o.x) for o in objects))
-    scale_y = max(1.0, max(abs(o.y) for o in objects))
-    xs = sorted({o.x + width / 2.0 - _EPS * scale_x for o in objects})
-    ys = sorted({o.y + height / 2.0 - _EPS * scale_y for o in objects})
+    xs = _cell_midpoints([o.x for o in objects], width)
+    ys = _cell_midpoints([o.y for o in objects], height)
     best_point = Point(xs[0], ys[0])
     best_weight = -1.0
     for cx in xs:

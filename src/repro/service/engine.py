@@ -43,8 +43,10 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -553,17 +555,6 @@ class MaxRSEngine:
         self._count(f"sweep_backend_{backend.name}")
         return backend
 
-    def _sweep(self, entry: RegisteredDataset, indices: Optional[np.ndarray],
-               width: float, height: float) -> MaxRSResult:
-        """Exact MaxRS over the entry's points at ``indices`` (all: None).
-
-        The events come straight from the store's columns, so no point
-        object is built (a column-registered dataset stays lazy).
-        """
-        count = entry.count if indices is None else len(indices)
-        return solve_columns(*entry.columns(indices), width, height,
-                             backend=self._backend_for(count))
-
     def _count(self, counter: str, amount: int = 1) -> None:
         """Increment a work counter globally *and* on the active query ledger.
 
@@ -577,13 +568,6 @@ class MaxRSEngine:
         ledger = active_ledger()
         if ledger is not None:
             ledger.count(counter, amount)
-
-    @staticmethod
-    def _note(**facts) -> None:
-        """Record point-in-time facts on the active query ledger, if any."""
-        ledger = active_ledger()
-        if ledger is not None:
-            ledger.note(**facts)
 
     # ------------------------------------------------------------------ #
     # Dataset lifecycle
@@ -634,8 +618,7 @@ class MaxRSEngine:
                 entry = self.store.get(handle.dataset_id)
                 grid: Optional[AnyGridIndex] = None
                 if entry.count > 0:
-                    with self.metrics.time_stage("grid_build"), \
-                            obs.span("engine.grid_build"):
+                    with self._stage("grid_build"):
                         grid = self._build_index(entry)
                 self._grids[handle.dataset_id] = grid
             if self.persist is not None and persist is not False:
@@ -653,7 +636,7 @@ class MaxRSEngine:
                      or _grid_layout_matches(manifest.grid, grid)):
             return  # identical snapshot (grid coverage and layout) on disk
         entry = self.store.get(handle.dataset_id)
-        with self.metrics.time_stage("persist_save"):
+        with self._stage("persist_save"):
             self.persist.save_dataset(
                 handle.dataset_id, entry.xs, entry.ys, entry.ws,
                 grid=grid.snapshot() if want_grid else None,
@@ -701,7 +684,7 @@ class MaxRSEngine:
             raise ServiceError(
                 "checkpoint() needs an engine constructed with persist_dir=..."
             )
-        with self.metrics.time_stage("checkpoint"):
+        with self._stage("checkpoint"):
             entries = self.cache.entries()
             for handle in self.store.handles():
                 manifest = self.persist.manifest_for(handle.dataset_id)
@@ -779,7 +762,7 @@ class MaxRSEngine:
         """
         for dataset_id in self.persist.dataset_ids():
             try:
-                with self.metrics.time_stage("restore"):
+                with self._stage("restore"):
                     loaded = self.persist.load_dataset(dataset_id)
                     handle = self.store.register_columns(
                         loaded.xs, loaded.ys, loaded.ws, name=dataset_id,
@@ -799,7 +782,7 @@ class MaxRSEngine:
                         elif loaded.grid_error is not None:
                             self.metrics.increment("grid_restore_failures")
                         if grid is None:
-                            with self.metrics.time_stage("grid_build"):
+                            with self._stage("grid_build"):
                                 grid = self._build_index(entry)
                             if loaded.manifest.grid is not None and self._persist_grid:
                                 # Self-heal: the persisted grid was unusable,
@@ -1242,10 +1225,7 @@ class MaxRSEngine:
                 self.sweep_backend, 2 * entry.count).name}
             plan["sharding"] = {"shards": 1, "executor": "local", "tiles": []}
         else:
-            if spec.kind == "maxrs":
-                w, h = spec.width, spec.height
-            else:
-                w, h = spec.diameter, spec.diameter
+            w, h = _window(spec)
             bounds = grid.upper_bounds(w, h)
             row, col, best_bound = grid.best_cell(w, h, bounds)
             probe_points = int(len(grid.points_in_window(row, col, w, h)))
@@ -1266,21 +1246,10 @@ class MaxRSEngine:
                 "pruned_points": max(0, int(entry.count) - subset_estimate),
             }
             slack = _PRUNE_SLACK * max(1.0, abs(best_bound))
-            levels: List[Dict[str, object]] = []
-            for level in reversed(grid.levels):
-                level_bounds = grid.level_bounds(level, w, h)
-                levels.append({
-                    "scale": int(level.scale),
-                    "cells": int(level_bounds.size),
-                    "live_cells": int((level_bounds
-                                       >= best_bound - slack).sum()),
-                })
-            levels.append({
-                "scale": 1,
-                "cells": int(bounds.size),
-                "live_cells": int((bounds >= best_bound - slack).sum()),
-            })
-            plan["levels"] = levels
+            plan["levels"] = [
+                {"scale": int(scale), "cells": int(level_bounds.size),
+                 "live_cells": int((level_bounds >= best_bound - slack).sum())}
+                for scale, level_bounds in _level_ladder(grid, w, h, bounds)]
             if isinstance(grid, ShardedGridIndex):
                 plan["sharding"] = {"shards": grid.shard_count,
                                     "executor": grid.executor_name,
@@ -1334,107 +1303,91 @@ class MaxRSEngine:
     # Query execution
     # ------------------------------------------------------------------ #
     def _compute(self, entry: RegisteredDataset, spec: QuerySpec) -> QueryResult:
-        if spec.kind == "maxrs":
-            if spec.error_bound is None:
-                return self._compute_maxrs(entry, spec)
-            grid = self._grids.get(entry.handle.dataset_id)
-            if grid is None:  # empty dataset: the exact answer is free
-                return replace(self._compute_maxrs(entry, spec), gap=0.0)
-            return self._bounded_maxrs(entry, spec, grid)
+        """Answer one cache miss: probe -> [descend] -> refine -> restore.
+
+        MaxRS and MaxCRS run the same pipeline; they differ only in the
+        query window (:func:`_window`) and the exact solver (:meth:`_solve`).
+        The probe solves the best grid window exactly, which anchors the
+        prune; ``error_bound=`` queries then descend the pyramid and serve
+        the probe when the descent certifies it; otherwise the refine solves
+        the points of every cell that can still beat the probe.
+        """
         if spec.kind == "maxkrs":
             # Top-k strips may lie anywhere (the 2nd best placement can sit in
             # a region the bound would prune), so MaxkRS always solves the
             # full resident set -- caching still amortises repeats.
-            with self.metrics.time_stage("maxkrs"):
+            with self._stage("maxkrs"):
                 return tuple(solve_point_set_top_k(
                     entry.objects, spec.width, spec.height, spec.k,
                     force_in_memory=True,
                     backend=self._backend_for(entry.count)))
-        if spec.error_bound is not None:
-            grid = self._grids.get(entry.handle.dataset_id)
-            if grid is None:
-                return replace(self._compute_maxcrs(entry, spec), gap=0.0)
-            return self._bounded_maxcrs(entry, spec, grid)
-        return self._compute_maxcrs(entry, spec)
-
-    def _compute_maxrs(self, entry: RegisteredDataset,
-                       spec: QuerySpec) -> MaxRSResult:
-        width, height = spec.width, spec.height
+        bounded = spec.error_bound is not None
         grid = self._grids.get(entry.handle.dataset_id)
-        if grid is None:  # empty dataset
-            return self._sweep(entry, None, width, height)
-
-        with self.metrics.time_stage("approximate"), \
-                obs.span("engine.approximate") as approx_span:
+        if grid is None:  # empty dataset: the exact answer is free
+            result = self._solve(entry, spec, None)
+            return replace(result, gap=0.0) if bounded else result
+        width, height = _window(spec)
+        with self._stage("approximate") as note:
             bounds = grid.upper_bounds(width, height)
             row, col, _ = grid.best_cell(width, height, bounds)
             probe_indices = grid.points_in_window(row, col, width, height)
-            approx_span.set_attribute("probe_points", int(len(probe_indices)))
-            self._note(probe_points=int(len(probe_indices)))
+            note(probe_points=int(len(probe_indices)))
+            probe = self._solve(entry, spec, probe_indices)
             self._count("swept_points", int(len(probe_indices)))
-            probe = self._sweep(entry, probe_indices, width, height)
         if not spec.refine:
             return probe
-
-        with self.metrics.time_stage("refine"), \
-                obs.span("engine.refine") as refine_span:
-            mask = grid.candidate_mask(width, height, probe.total_weight, bounds)
-            subset_indices = grid.points_in_mask(grid.dilate(mask, width, height))
-            refine_span.set_attribute("subset_points",
-                                      int(len(subset_indices)))
-            self._note(subset_points=int(len(subset_indices)))
-            self._count("swept_points", int(len(subset_indices)))
-            if len(subset_indices) == entry.count:
-                self._count("refine_unpruned")
-                refine_span.set_attribute("pruned", False)
-                return self._sweep(entry, None, width, height)
-            self._count("refine_pruned")
-            refine_span.set_attribute("pruned", True)
+        live = None
+        if bounded:
+            gap, live = self._descend(grid, width, height, probe.total_weight,
+                                      spec.error_bound, bounds)
+            if live is None:
+                return replace(probe, gap=gap)
+        with self._stage("refine") as note:
+            mask = grid.candidate_mask(width, height, probe.total_weight,
+                                       bounds)
+            if live is not None:
+                mask &= live
+            subset_indices = grid.points_in_mask(grid.dilate(mask, width,
+                                                             height))
+            pruned = len(subset_indices) < entry.count
+            note(subset_points=int(len(subset_indices)), pruned=pruned)
+            self._count("refine_pruned" if pruned else "refine_unpruned")
             if np.array_equal(subset_indices, probe_indices):
                 result = probe
             else:
-                result = self._sweep(entry, subset_indices, width, height)
-            return _restore_closing_hline(result, entry, height)
-
-    def _compute_maxcrs(self, entry: RegisteredDataset,
-                        spec: QuerySpec) -> MaxCRSResult:
-        diameter = spec.diameter
-        grid = self._grids.get(entry.handle.dataset_id)
-        if grid is None:  # empty dataset
-            centre, weight = exact_maxcrs(entry.objects, diameter)
-            return MaxCRSResult(location=centre, total_weight=weight)
-
-        # A circle fits in its bounding square, so the square window bound is
-        # a valid upper bound for circle placements too.
-        with self.metrics.time_stage("approximate"), \
-                obs.span("engine.approximate") as approx_span:
-            bounds = grid.upper_bounds(diameter, diameter)
-            row, col, _ = grid.best_cell(diameter, diameter, bounds)
-            probe_indices = grid.points_in_window(row, col, diameter, diameter)
-            approx_span.set_attribute("probe_points", int(len(probe_indices)))
-            self._note(probe_points=int(len(probe_indices)))
-            self._check_maxcrs_budget(len(probe_indices))
-            self._count("swept_points", int(len(probe_indices)))
-            centre, weight = exact_maxcrs(entry.subset(probe_indices), diameter)
-        if not spec.refine:
-            return MaxCRSResult(location=centre, total_weight=weight)
-
-        with self.metrics.time_stage("refine"), \
-                obs.span("engine.refine") as refine_span:
-            mask = grid.candidate_mask(diameter, diameter, weight, bounds)
-            subset_indices = grid.points_in_mask(grid.dilate(mask, diameter, diameter))
-            refine_span.set_attribute("subset_points",
-                                      int(len(subset_indices)))
-            self._note(subset_points=int(len(subset_indices)))
-            self._check_maxcrs_budget(len(subset_indices))
+                result = self._solve(entry, spec,
+                                     subset_indices if pruned else None)
             self._count("swept_points", int(len(subset_indices)))
-            if not np.array_equal(subset_indices, probe_indices):
-                centre, weight = exact_maxcrs(entry.subset(subset_indices), diameter)
-            return MaxCRSResult(location=centre, total_weight=weight)
+            if pruned and spec.kind == "maxrs":
+                result = _restore_closing_hline(result, entry, height)
+        return replace(result, gap=0.0) if bounded else result
 
-    # ------------------------------------------------------------------ #
-    # Bounded-error fast path (pyramid descent)
-    # ------------------------------------------------------------------ #
+    def _solve(self, entry: RegisteredDataset, spec: QuerySpec,
+               indices: Optional[np.ndarray]) -> Union[MaxRSResult,
+                                                       MaxCRSResult]:
+        """The exact answer over the entry's points at ``indices`` (all: None).
+
+        MaxRS sweeps with events built straight from the store's columns, so
+        no point object is built (a column-registered dataset stays lazy).
+        MaxCRS runs the quadratic exact circle solver, which a resident
+        service must not let block on one innocuous query: past
+        ``maxcrs_exact_limit`` points it fails fast with guidance instead.
+        """
+        count = entry.count if indices is None else len(indices)
+        if spec.kind == "maxrs":
+            return solve_columns(*entry.columns(indices), spec.width,
+                                 spec.height, backend=self._backend_for(count))
+        if count > self.maxcrs_exact_limit:
+            raise ServiceError(
+                f"maxcrs would run the quadratic exact solver on "
+                f"{count} points (limit {self.maxcrs_exact_limit}); "
+                "raise maxcrs_exact_limit, use a smaller diameter, or use "
+                "the one-shot approximate MaxCRSSolver"
+            )
+        points = entry.objects if indices is None else entry.subset(indices)
+        centre, weight = exact_maxcrs(points, spec.diameter)
+        return MaxCRSResult(location=centre, total_weight=weight)
+
     def _descend(self, grid: AnyGridIndex, width: float, height: float,
                  anchor: float, error_bound: float,
                  base_bounds: np.ndarray
@@ -1455,125 +1408,70 @@ class MaxRSEngine:
         """
         slack = _PRUNE_SLACK * max(1.0, abs(anchor))
         mask: Optional[np.ndarray] = None
-        for level in (*reversed(grid.levels), None):
-            scale = 1 if level is None else level.scale
-            with obs.span(f"grid.descend[{scale}]") as span:
-                bounds = (base_bounds if level is None
-                          else grid.level_bounds(level, width, height))
-                if mask is None:
+        self._count("pyramid_descents")
+        with self._stage("descend") as note:
+            for scale, bounds in _level_ladder(grid, width, height,
+                                               base_bounds):
+                with obs.span(f"grid.descend[{scale}]") as span:
                     live = bounds >= anchor - slack
-                else:
-                    mask = grid.refine_level_mask(mask, bounds.shape[0],
-                                                  bounds.shape[1])
-                    live = mask & (bounds >= anchor - slack)
-                upper = float(bounds[live].max()) if live.any() else -math.inf
-                gap = _certified_gap(anchor, upper)
-                span.set_attribute("live_cells", int(live.sum()))
-                span.set_attribute("gap", gap if math.isfinite(gap) else -1.0)
-                self._count("descent_levels")
-                if gap <= error_bound:
-                    self._count("descent_certified")
-                    self._count(f"descent_stop_level_{scale}")
-                    self._note(descent_stop_scale=scale, descent_gap=gap)
-                    return gap, None
-                mask = live
-        self._count("descent_stop_exact")
-        return 0.0, mask
+                    if mask is not None:
+                        live &= grid.refine_level_mask(mask, bounds.shape[0],
+                                                       bounds.shape[1])
+                    upper = (float(bounds[live].max()) if live.any()
+                             else -math.inf)
+                    gap = _certified_gap(anchor, upper)
+                    span.set_attribute("live_cells", int(live.sum()))
+                    span.set_attribute("gap",
+                                       gap if math.isfinite(gap) else -1.0)
+                    self._count("descent_levels")
+                    if gap <= error_bound:
+                        self._count("descent_certified")
+                        self._count(f"descent_stop_level_{scale}")
+                        note(descent_stop_scale=scale, descent_gap=gap)
+                        return gap, None
+                    mask = live
+            self._count("descent_stop_exact")
+            return 0.0, mask
 
-    def _bounded_maxrs(self, entry: RegisteredDataset, spec: QuerySpec,
-                       grid: AnyGridIndex) -> MaxRSResult:
-        """MaxRS with a certified optimality gap: probe once at the base
-        grid's best window (an achievable anchor), then descend the pyramid
-        only far enough to certify ``spec.error_bound``; fall through to the
-        exact sweep on the surviving cells when certification fails."""
-        width, height = spec.width, spec.height
-        with self.metrics.time_stage("approximate"), \
-                obs.span("engine.approximate") as approx_span:
-            bounds = grid.upper_bounds(width, height)
-            row, col, _ = grid.best_cell(width, height, bounds)
-            probe_indices = grid.points_in_window(row, col, width, height)
-            approx_span.set_attribute("probe_points", int(len(probe_indices)))
-            self._note(probe_points=int(len(probe_indices)))
-            self._count("swept_points", int(len(probe_indices)))
-            probe = self._sweep(entry, probe_indices, width, height)
-        self._count("pyramid_descents")
-        with self.metrics.time_stage("descend"):
-            gap, live = self._descend(grid, width, height,
-                                      probe.total_weight, spec.error_bound,
-                                      bounds)
-        if live is None:
-            return replace(probe, gap=gap)
-        with self.metrics.time_stage("refine"), \
-                obs.span("engine.refine") as refine_span:
-            mask = grid.candidate_mask(width, height, probe.total_weight,
-                                       bounds) & live
-            subset_indices = grid.points_in_mask(
-                grid.dilate(mask, width, height))
-            refine_span.set_attribute("subset_points",
-                                      int(len(subset_indices)))
-            self._note(subset_points=int(len(subset_indices)))
-            self._count("swept_points", int(len(subset_indices)))
-            if np.array_equal(subset_indices, probe_indices):
-                result = probe
-            else:
-                result = self._sweep(entry, subset_indices, width, height)
-            return replace(_restore_closing_hline(result, entry, height),
-                           gap=0.0)
+    @contextmanager
+    def _stage(self, name: str) -> Iterator[Callable[..., None]]:
+        """One engine stage, instrumented by this one call.
 
-    def _bounded_maxcrs(self, entry: RegisteredDataset, spec: QuerySpec,
-                        grid: AnyGridIndex) -> MaxCRSResult:
-        """MaxCRS with a certified gap against the square-window bound (a
-        circle fits in its bounding square, so the pyramid's rectangle
-        bounds cap circle placements too)."""
-        diameter = spec.diameter
-        with self.metrics.time_stage("approximate"), \
-                obs.span("engine.approximate") as approx_span:
-            bounds = grid.upper_bounds(diameter, diameter)
-            row, col, _ = grid.best_cell(diameter, diameter, bounds)
-            probe_indices = grid.points_in_window(row, col, diameter, diameter)
-            approx_span.set_attribute("probe_points", int(len(probe_indices)))
-            self._note(probe_points=int(len(probe_indices)))
-            self._check_maxcrs_budget(len(probe_indices))
-            self._count("swept_points", int(len(probe_indices)))
-            centre, weight = exact_maxcrs(entry.subset(probe_indices),
-                                          diameter)
-        self._count("pyramid_descents")
-        with self.metrics.time_stage("descend"):
-            gap, live = self._descend(grid, diameter, diameter, weight,
-                                      spec.error_bound, bounds)
-        if live is None:
-            return MaxCRSResult(location=centre, total_weight=weight, gap=gap)
-        with self.metrics.time_stage("refine"), \
-                obs.span("engine.refine") as refine_span:
-            mask = grid.candidate_mask(diameter, diameter, weight,
-                                       bounds) & live
-            subset_indices = grid.points_in_mask(
-                grid.dilate(mask, diameter, diameter))
-            refine_span.set_attribute("subset_points",
-                                      int(len(subset_indices)))
-            self._note(subset_points=int(len(subset_indices)))
-            self._check_maxcrs_budget(len(subset_indices))
-            self._count("swept_points", int(len(subset_indices)))
-            if not np.array_equal(subset_indices, probe_indices):
-                centre, weight = exact_maxcrs(entry.subset(subset_indices),
-                                              diameter)
-            return MaxCRSResult(location=centre, total_weight=weight, gap=0.0)
-
-    def _check_maxcrs_budget(self, subset_size: int) -> None:
-        """Refuse MaxCRS work that would hang the engine.
-
-        The exact MaxCRS solver is quadratic; a resident service must not
-        block on one innocuous query.  When grid pruning cannot shrink the
-        problem below ``maxcrs_exact_limit`` points, fail fast with guidance
-        instead of running for hours.
+        Opens the ``engine.<name>`` span, times the block into the stage's
+        histogram (``stats()["stages"][name]``), and yields
+        ``note(**facts)``, which writes each fact both as a span attribute
+        and onto the active query ledger (the source of ``result.cost``).
         """
-        if subset_size > self.maxcrs_exact_limit:
-            raise ServiceError(
-                f"maxcrs would run the quadratic exact solver on "
-                f"{subset_size} points (limit {self.maxcrs_exact_limit}); "
-                "raise maxcrs_exact_limit, use a smaller diameter, or use "
-                "the one-shot approximate MaxCRSSolver"
-            )
+        ledger = active_ledger()
+        with self.metrics.time_stage(name), \
+                obs.span(f"engine.{name}") as span:
+            def note(**facts: object) -> None:
+                span.set_attributes(**facts)
+                if ledger is not None:
+                    ledger.note(**facts)
+            yield note
+
+
+def _window(spec: QuerySpec) -> Tuple[float, float]:
+    """The rectangle a query's grid bounds are taken over.
+
+    MaxRS uses its ``width x height``; MaxCRS uses the circle's ``d x d``
+    bounding square (the square the paper's ApproxMaxCRS solves MaxRS
+    for): a circle fits in it, so the square's window bounds cap circle
+    placements too.
+    """
+    if spec.kind == "maxcrs":
+        return spec.diameter, spec.diameter
+    return spec.width, spec.height
+
+
+def _level_ladder(grid: AnyGridIndex, width: float, height: float,
+                  base_bounds: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(scale, window bounds)`` per pyramid level, coarsest first, ending
+    with the base grid's ``base_bounds`` at scale 1."""
+    for level in reversed(grid.levels):
+        yield level.scale, grid.level_bounds(level, width, height)
+    yield 1, base_bounds
 
 
 def _restore_closing_hline(result: MaxRSResult, entry: RegisteredDataset,

@@ -11,10 +11,12 @@ query stuck behind admission control is invisible in a mean.
 (bounded memory, no per-sample storage) from which p50/p95/p99 are estimated;
 the sync ``query()`` path and the async front-end (:mod:`repro.aio`) both
 record per-query-kind latencies through :meth:`EngineMetrics.observe_latency`,
-under the same lock as every other accumulator.  :class:`EngineMetrics` also
-carries last-write-wins **gauges** (sampled resource readings such as the
-process RSS or the result-cache size) that the Prometheus exposition in
-:func:`repro.obs.metrics_text` emits alongside the cumulative series.
+under the same lock as every other accumulator.  Stage and per-shard timings
+are the same histograms, so every stage reports its percentiles too.
+:class:`EngineMetrics` also carries last-write-wins **gauges** (sampled
+resource readings such as the process RSS or the result-cache size) that
+the Prometheus exposition in :func:`repro.obs.metrics_text` emits alongside
+the cumulative series.
 
 The implementation deliberately avoids any dependency on a metrics backend:
 :meth:`EngineMetrics.snapshot` returns plain dictionaries that callers can
@@ -28,12 +30,13 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 __all__ = ["EngineMetrics", "LatencyHistogram", "QueryLedger", "StageTimings",
            "active_ledger", "ledger_scope"]
 
-#: Snapshot of one stage: number of observations, total and mean seconds.
+#: Snapshot of one timing series: observation count, total and mean seconds
+#: (stage snapshots add min/max and the p50/p95/p99 estimates).
 StageTimings = Dict[str, float]
 
 
@@ -145,47 +148,24 @@ def _clone_histogram(histogram: LatencyHistogram) -> LatencyHistogram:
     return clone
 
 
-def _render_state(raw: Mapping[str, object]) -> Dict[str, object]:
-    """Render one raw accumulator state into the public snapshot shape."""
-    stages: Dict[str, StageTimings] = {}
-    for stage, count in raw["stage_count"].items():
-        total = raw["stage_seconds"][stage]
-        stages[stage] = {
-            "count": count,
-            "total_seconds": total,
-            "mean_seconds": total / count if count else 0.0,
-        }
-    shards: Dict[str, Dict[int, StageTimings]] = {}
-    for (stage, shard_id), count in raw["shard_count"].items():
-        total = raw["shard_seconds"][(stage, shard_id)]
-        shards.setdefault(stage, {})[shard_id] = {
-            "count": count,
-            "total_seconds": total,
-            "mean_seconds": total / count if count else 0.0,
-        }
-    latency = {name: histogram.summary()
-               for name, histogram in raw["latency"].items()}
-    return {"counters": dict(raw["counters"]), "stages": stages,
-            "shards": shards, "latency": latency}
-
-
 class EngineMetrics:
-    """Thread-safe counters and per-stage wall-clock timing accumulators.
+    """Thread-safe counters, timing histograms and sampled gauges.
 
     Every mutator (:meth:`increment`, :meth:`observe_seconds`,
-    :meth:`observe_shard`) takes the instance lock: ``query_batch`` already
-    mutates counters from pool threads, and shard fan-out widens the set of
-    concurrent writers to every per-shard build/gather task.
+    :meth:`observe_shard`, :meth:`observe_latency`) takes the instance
+    lock: ``query_batch`` already mutates counters from pool threads, and
+    shard fan-out widens the set of concurrent writers to every per-shard
+    build/gather task.  Stage, shard and latency timings are all
+    :class:`LatencyHistogram` tables fed through one :meth:`_observe`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._stage_count: Dict[str, int] = {}
-        self._stage_seconds: Dict[str, float] = {}
-        #: Per-shard timing accumulators: ``(stage, shard_id) -> count/total``.
-        self._shard_count: Dict[tuple, int] = {}
-        self._shard_seconds: Dict[tuple, float] = {}
+        #: Per-stage timing histograms (``"refine"``, ``"register"``...).
+        self._stages: Dict[str, LatencyHistogram] = {}
+        #: Per-shard timing histograms: ``(stage, shard_id) -> histogram``.
+        self._shards: Dict[Tuple[str, int], LatencyHistogram] = {}
         #: Per-name latency histograms, e.g. query kind ("maxrs") on the sync
         #: path and "aio_<kind>" end-to-end latencies on the async front-end.
         self._latency: Dict[str, LatencyHistogram] = {}
@@ -200,11 +180,18 @@ class EngineMetrics:
         with self._lock:
             self._counters[counter] = self._counters.get(counter, 0) + amount
 
+    def _observe(self, table: Dict[Hashable, LatencyHistogram],
+                 key: Hashable, seconds: float) -> None:
+        """Record one timing observation into ``table[key]``."""
+        with self._lock:
+            histogram = table.get(key)
+            if histogram is None:
+                histogram = table[key] = LatencyHistogram()
+            histogram.observe(seconds)
+
     def observe_seconds(self, stage: str, seconds: float) -> None:
         """Record one observation of ``stage`` taking ``seconds``."""
-        with self._lock:
-            self._stage_count[stage] = self._stage_count.get(stage, 0) + 1
-            self._stage_seconds[stage] = self._stage_seconds.get(stage, 0.0) + seconds
+        self._observe(self._stages, stage, seconds)
 
     def observe_shard(self, stage: str, shard_id: int, seconds: float) -> None:
         """Record one observation of ``stage`` on one shard.
@@ -214,10 +201,7 @@ class EngineMetrics:
         it), so ``snapshot()["shards"]`` exposes how balanced the spatial
         partitioning actually is.
         """
-        key = (stage, int(shard_id))
-        with self._lock:
-            self._shard_count[key] = self._shard_count.get(key, 0) + 1
-            self._shard_seconds[key] = self._shard_seconds.get(key, 0.0) + seconds
+        self._observe(self._shards, (stage, int(shard_id)), seconds)
 
     def observe_latency(self, name: str, seconds: float) -> None:
         """Record one end-to-end latency observation under ``name``.
@@ -228,11 +212,7 @@ class EngineMetrics:
         ``aio_<kind>``.  ``snapshot()["latency"]`` reports p50/p95/p99 per
         name.
         """
-        with self._lock:
-            histogram = self._latency.get(name)
-            if histogram is None:
-                histogram = self._latency[name] = LatencyHistogram()
-            histogram.observe(seconds)
+        self._observe(self._latency, name, seconds)
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         """Set a sampled gauge series (last write wins).
@@ -246,32 +226,6 @@ class EngineMetrics:
         with self._lock:
             self._gauges.setdefault(name, {})[key] = float(value)
 
-    def clear_gauge(self, name: str) -> None:
-        """Drop every series of one gauge (e.g. before re-sampling a label
-        set that may have shrunk)."""
-        with self._lock:
-            self._gauges.pop(name, None)
-
-    def replace_gauge(self, name: str,
-                      series: Iterable[Tuple[Mapping[str, str], float]]
-                      ) -> None:
-        """Atomically swap every series of one gauge.
-
-        ``series`` is ``[(labels, value), ...]``.  Unlike clear-then-set,
-        a concurrent :meth:`snapshot` (e.g. a scrape racing the background
-        :class:`~repro.obs.health.ResourceSampler`) can never observe the
-        gauge half-populated or empty mid-resample.
-        """
-        fresh = {
-            tuple(sorted((str(k), str(v)) for k, v in labels.items())):
-                float(value)
-            for labels, value in series}
-        with self._lock:
-            if fresh:
-                self._gauges[name] = fresh
-            else:
-                self._gauges.pop(name, None)
-
     @contextmanager
     def time_stage(self, stage: str) -> Iterator[None]:
         """Context manager timing a block as one observation of ``stage``."""
@@ -280,19 +234,6 @@ class EngineMetrics:
             yield
         finally:
             self.observe_seconds(stage, time.perf_counter() - start)
-
-    def _raw_copy(self) -> Dict[str, object]:
-        """A consistent private copy of the cumulative accumulators."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "stage_count": dict(self._stage_count),
-                "stage_seconds": dict(self._stage_seconds),
-                "shard_count": dict(self._shard_count),
-                "shard_seconds": dict(self._shard_seconds),
-                "latency": {name: _clone_histogram(histogram)
-                            for name, histogram in self._latency.items()},
-            }
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -346,25 +287,40 @@ class EngineMetrics:
     def snapshot(self) -> Dict[str, object]:
         """Return all counters, stage/shard timings, latencies and gauges.
 
-        ``"shards"`` maps each shard stage to a per-shard-id breakdown, e.g.
+        ``"stages"`` maps each stage to its histogram summary plus
+        ``total_seconds``, e.g. ``snapshot()["stages"]["refine"]
+        ["p99_seconds"]``; ``"shards"`` maps each shard stage to a
+        per-shard-id count/total/mean breakdown, e.g.
         ``snapshot()["shards"]["shard_build"][0]["total_seconds"]``;
         ``"latency"`` maps each observed name to its histogram summary, e.g.
         ``snapshot()["latency"]["maxrs"]["p95_seconds"]``.
         """
-        result = _render_state(self._raw_copy())
+        with self._lock:
+            shards: Dict[str, Dict[int, StageTimings]] = {}
+            for (stage, shard_id), histogram in self._shards.items():
+                shards.setdefault(stage, {})[shard_id] = {
+                    "count": histogram.count,
+                    "total_seconds": histogram.total,
+                    "mean_seconds": histogram.total / histogram.count,
+                }
+            result: Dict[str, object] = {
+                "counters": dict(self._counters),
+                "stages": {stage: {"total_seconds": histogram.total,
+                                   **histogram.summary()}
+                           for stage, histogram in self._stages.items()},
+                "shards": shards,
+                "latency": {name: histogram.summary()
+                            for name, histogram in self._latency.items()},
+            }
         result["gauges"] = self.gauges()
         return result
 
     def reset(self) -> None:
         """Clear every accumulator and gauge."""
         with self._lock:
-            self._counters.clear()
-            self._stage_count.clear()
-            self._stage_seconds.clear()
-            self._shard_count.clear()
-            self._shard_seconds.clear()
-            self._latency.clear()
-            self._gauges.clear()
+            for table in (self._counters, self._stages, self._shards,
+                          self._latency, self._gauges):
+                table.clear()
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ pytest.importorskip("numpy")  # exercises numpy-backed subsystems
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_maxrs
@@ -118,6 +118,10 @@ def test_record_file_roundtrip(records):
 # ---------------------------------------------------------------------- #
 @_SETTINGS
 @given(objects=objects_strategy, width=query_sizes, height=query_sizes)
+# Two points 1e-12 short of one width apart: a fixed nudge off each
+# rectangle edge steps past the thin class holding both.
+@example(objects=[WeightedPoint(1.0, 0.0, 0.5), WeightedPoint(1e-12, 0.0, 0.5)],
+         width=1.0, height=1.0)
 def test_plane_sweep_matches_brute_force(objects, width, height):
     _, expected = brute_force_maxrs(objects, width, height)
     result = solve_in_memory(objects, width, height)

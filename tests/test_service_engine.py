@@ -8,18 +8,20 @@ around it (caching, batching, dataset lifecycle, statistics, the store).
 """
 
 import math
+import random
 
 import pytest
 
 pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import solve_many
 from repro.circles.exact_maxcrs import exact_maxcrs
 from repro.core.dispatch import solve_point_set_top_k
 from repro.core.plane_sweep import solve_in_memory
+from repro.core.result import MaxCRSResult, MaxRSResult
 from repro.errors import ConfigurationError, ServiceError
 from repro.geometry import Circle, WeightedPoint, weight_in_circle
 from repro.service import MaxRSEngine, PointStore, QuerySpec
@@ -76,6 +78,102 @@ def test_refined_maxcrs_matches_exact_solver(objects, diameter):
     assert result.total_weight == pytest.approx(optimum, abs=1e-9)
     achieved = weight_in_circle(objects, Circle(result.location, diameter))
     assert achieved == pytest.approx(result.total_weight, abs=1e-9)
+
+
+# ---------------------------------------------------------------------- #
+# One pipeline for both shapes: the bounded fall-through and the unpruned
+# refine answer like the exact path and the reference solvers
+# ---------------------------------------------------------------------- #
+def _shape_spec(kind, size, **kwargs):
+    if kind == "maxrs":
+        return QuerySpec.maxrs(size, 0.75 * size, **kwargs)
+    return QuerySpec.maxcrs(size, **kwargs)
+
+
+def _refines(engine):
+    return (engine.metrics.counter("refine_pruned")
+            + engine.metrics.counter("refine_unpruned"))
+
+
+def _assert_same_answer(left, right):
+    assert left.total_weight == right.total_weight
+    assert left.location == right.location
+    if isinstance(left, MaxRSResult):
+        assert left.region == right.region
+
+
+def _hot_spot(seed, background, hot):
+    """Uniform background plus a tight unit-weight hot spot.
+
+    Small windows then prune the background, which a few dozen uniform
+    points never are: their grid has too few cells for any bound to fall
+    below the probe.  The tie-heavy unit weights make the restored closing
+    h-line matter.
+    """
+    rng = random.Random(seed)
+    points = [WeightedPoint(rng.uniform(0, 100), rng.uniform(0, 100))
+              for _ in range(background)]
+    points += [WeightedPoint(50 + rng.uniform(-2, 2), 50 + rng.uniform(-2, 2))
+               for _ in range(hot)]
+    return points
+
+
+@_SETTINGS
+@given(objects=st.builds(_hot_spot, st.integers(0, 2 ** 16),
+                         st.integers(50, 300), st.integers(20, 100)),
+       kind=st.sampled_from(["maxrs", "maxcrs"]),
+       size=st.floats(min_value=0.5, max_value=5.0),
+       shards=st.sampled_from([1, 4]),
+       error_bound=st.sampled_from([1e-9, 0.05, 0.5]))
+# Pruned fall-throughs whose closing h-line an event of a pruned point
+# moves: only the restoration makes them match the exact query.
+@example(objects=_hot_spot(10, 100, 30), kind="maxrs", size=4.0, shards=1,
+         error_bound=1e-9)
+@example(objects=_hot_spot(19, 300, 100), kind="maxrs", size=4.0, shards=4,
+         error_bound=1e-9)
+def test_bounded_fall_through_equals_the_exact_query(objects, kind, size,
+                                                     shards, error_bound):
+    with MaxRSEngine(shards=shards, shard_executor="serial") as engine:
+        dataset = engine.register_dataset(objects)
+        start = _refines(engine)
+        exact = engine.query(dataset, _shape_spec(kind, size))
+        assert _refines(engine) == start + 1
+        engine.query(dataset, _shape_spec(kind, size, refine=False))
+        assert _refines(engine) == start + 1
+        bounded = engine.query(dataset, _shape_spec(
+            kind, size, error_bound=error_bound))
+        certified = bounded.cost["descent"]["certified"]
+        assert _refines(engine) == start + 1 + (not certified)
+    if not certified:
+        assert bounded.gap == 0.0
+        _assert_same_answer(bounded, exact)
+
+
+@_SETTINGS
+@given(objects=st.lists(st.builds(WeightedPoint, coordinates, coordinates,
+                                  weights), min_size=1, max_size=30),
+       kind=st.sampled_from(["maxrs", "maxcrs"]),
+       size=st.floats(min_value=250.0, max_value=1000.0),
+       shards=st.sampled_from([1, 4]))
+def test_window_past_the_data_answers_like_the_reference(objects, kind, size,
+                                                         shards):
+    """A window wider than twice the data's extent reaches every point from
+    every cell, so nothing is pruned and the refine solves the full set."""
+    if kind == "maxrs":
+        reference = solve_in_memory(objects, size, 0.75 * size)
+    else:
+        centre, weight = exact_maxcrs(objects, size)
+        reference = MaxCRSResult(location=centre, total_weight=weight)
+    with MaxRSEngine(shards=shards, shard_executor="serial") as engine:
+        dataset = engine.register_dataset(objects)
+        exact = engine.query(dataset, _shape_spec(kind, size))
+        assert engine.metrics.counter("refine_unpruned") == 1
+        assert exact.cost["pruned_points"] == 0
+        bounded = engine.query(dataset, _shape_spec(kind, size,
+                                                    error_bound=0.05))
+    _assert_same_answer(exact, reference)
+    _assert_same_answer(bounded, reference)
+    assert bounded.gap == 0.0
 
 
 # ---------------------------------------------------------------------- #

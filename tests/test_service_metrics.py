@@ -158,27 +158,6 @@ class TestGauges:
         gauges = metrics.gauges()
         assert gauges["cache_entries"] == [{"labels": {}, "value": 7.0}]
 
-    def test_clear_gauge_drops_every_series(self):
-        metrics = EngineMetrics()
-        metrics.set_gauge("pool_queue_depth", 3, process="worker-0")
-        metrics.set_gauge("pool_queue_depth", 1, process="worker-1")
-        metrics.clear_gauge("pool_queue_depth")
-        assert "pool_queue_depth" not in metrics.gauges()
-
-    def test_replace_gauge_swaps_the_whole_series_set(self):
-        metrics = EngineMetrics()
-        metrics.set_gauge("process_rss_bytes", 1.0, process="parent")
-        metrics.set_gauge("process_rss_bytes", 2.0, process="worker-0")
-        metrics.replace_gauge("process_rss_bytes", [
-            ({"process": "parent"}, 3.0),
-            ({"process": "worker-1"}, 4.0)])
-        series = metrics.gauges()["process_rss_bytes"]
-        assert series == [{"labels": {"process": "parent"}, "value": 3.0},
-                          {"labels": {"process": "worker-1"}, "value": 4.0}]
-        # An empty replacement drops the gauge entirely (== clear_gauge).
-        metrics.replace_gauge("process_rss_bytes", [])
-        assert "process_rss_bytes" not in metrics.gauges()
-
     def test_gauges_sorted_by_labels(self):
         metrics = EngineMetrics()
         metrics.set_gauge("g", 2.0, process="worker-1")

@@ -1,0 +1,91 @@
+"""The engine's stage contract: one instrumentation call per stage.
+
+Every engine stage books itself once, and that one call feeds three
+consumers that must agree: the ``engine.<stage>`` span of the query's
+trace, the stage's timing histogram in ``stats()["stages"]``, and the
+per-query cost ledger on ``result.cost``.  One cold query per query path
+pins all three:
+
+* the trace's ``engine.*`` spans are exactly the stages the path ran;
+* the point counts the spans carry equal the ledger's;
+* each stage's histogram counted the run and reports its percentiles.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
+
+from repro.geometry import WeightedPoint
+from repro.service import MaxRSEngine, QuerySpec
+
+#: Query path -> (spec, the engine stages that path runs, in order).
+PATHS = {
+    "exact": (QuerySpec.maxrs(6.0, 6.0), ["approximate", "refine"]),
+    "approximate": (QuerySpec.maxrs(7.0, 7.0, refine=False),
+                    ["approximate"]),
+    "bounded_certified": (QuerySpec.maxrs(60.0, 60.0, error_bound=5.0),
+                          ["approximate", "descend"]),
+    "bounded_fall_through": (QuerySpec.maxrs(5.0, 5.0, error_bound=1e-9),
+                             ["approximate", "descend", "refine"]),
+    "maxcrs": (QuerySpec.maxcrs(6.0), ["approximate", "refine"]),
+    "maxkrs": (QuerySpec.maxkrs(8.0, 8.0, 2), ["maxkrs"]),
+}
+
+
+def _clustered(count=400, seed=5):
+    """A dense hot spot over sparse background: every refining path in
+    :data:`PATHS` prunes, so its refine span carries ``pruned=True``."""
+    rng = random.Random(seed)
+    points = [WeightedPoint(rng.uniform(0, 100), rng.uniform(0, 100),
+                            rng.choice([1.0, 2.0])) for _ in range(count)]
+    points += [WeightedPoint(50 + rng.uniform(-2, 2), 50 + rng.uniform(-2, 2))
+               for _ in range(count // 2)]
+    return points
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_one_call_feeds_span_histogram_and_ledger(path, shards):
+    spec, stages = PATHS[path]
+    with MaxRSEngine(tracer="ring", shards=shards,
+                     shard_executor="serial") as engine:
+        dataset = engine.register_dataset(_clustered())
+        before = engine.stats()["stages"]
+        result = engine.query(dataset, spec)
+        after = engine.stats()["stages"]
+        trace = engine.tracer.recorder.last()
+
+    cost = (result[0] if isinstance(result, tuple) else result).cost
+    assert cost["cache"] == "miss"
+    if path.startswith("bounded"):
+        assert cost["descent"]["certified"] is (path == "bounded_certified")
+
+    spans = trace.find_all("engine.")
+    assert spans[0] is trace.root and trace.root.name == "engine.query"
+    assert [span.name for span in spans[1:]] == \
+        [f"engine.{stage}" for stage in stages]
+
+    by_stage = {span.name[len("engine."):]: span for span in spans[1:]}
+    if "approximate" in by_stage:
+        assert by_stage["approximate"].attributes["probe_points"] == \
+            cost["probe_points"]
+    if "refine" in by_stage:
+        refine = by_stage["refine"].attributes
+        assert refine["subset_points"] == cost["subset_points"]
+        assert cost["subset_points"] < cost["dataset_points"]
+        assert refine["pruned"] is True
+    if "descend" in by_stage:
+        levels = [span for span in by_stage["descend"].children
+                  if span.name.startswith("grid.descend[")]
+        assert len(levels) == cost["descent"]["levels_visited"]
+
+    ran = {name for name, summary in after.items()
+           if summary["count"] != before.get(name, {}).get("count", 0)}
+    assert ran == set(stages)
+    for stage in stages:
+        summary = after[stage]
+        assert summary["count"] == before.get(stage, {}).get("count", 0) + 1
+        assert 0.0 <= summary["p50_seconds"] <= summary["p99_seconds"]
+
