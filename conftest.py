@@ -1,9 +1,8 @@
 """Repository-level pytest configuration.
 
 Ensures the ``repro`` package under ``src/`` is importable even when the
-package has not been installed (e.g. in fully offline environments where
-``pip install -e .`` cannot build an editable wheel; see README, section
-"Installation").
+package has not been installed with ``pip install .`` (see ``setup.py``):
+an installed copy is used as is, otherwise ``src/`` goes on ``sys.path``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ This example:
    interest dataset with popularity weights;
 2. runs ApproxMaxCRS (the paper's (1/4)-approximation) with a 1 km walking
    diameter on the simulated external-memory substrate;
-3. compares the answer against the exact MaxCRS optimum (the O(n^2 log n)
-   solver the paper uses as its accuracy yardstick) and prints the achieved
+3. compares the answer against the exact MaxCRS optimum (the angular sweep
+   the paper uses as its accuracy yardstick) and prints the achieved
    approximation ratio -- in practice far better than the worst-case 1/4;
 4. shows the five candidate centres the algorithm evaluated.
 
@@ -58,7 +58,7 @@ def main() -> None:
         marker = "  <-- chosen" if weight == approx.total_weight else ""
         print(f"  ({candidate.x:10,.1f}, {candidate.y:10,.1f})  covers {weight:8,.1f}{marker}")
 
-    # Accuracy check against the exact (quadratic) solver.
+    # Accuracy check against the exact solver.
     _, optimum = exact_maxcrs(attractions, WALKING_DIAMETER)
     ratio = approx.total_weight / optimum if optimum else 1.0
     print(f"\nexact optimum          : {optimum:,.1f}")

@@ -1,10 +1,27 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the ``repro`` package under ``src/``.
 
-The project metadata lives in ``pyproject.toml``; this file exists so the
-package can be installed editable (``pip install -e .``) in fully offline
-environments whose toolchain predates PEP 660 editable wheels.
+Install with ``pip install .`` (or ``pip install -e .`` for a development
+checkout); the tests and examples also run uninstalled with
+``PYTHONPATH=src``.  numpy is optional: the package imports without it,
+and the numpy sweep backend, the resident engine and the exact circle
+solver need it.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(),
+                     re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description=("Maximizing range sum in spatial databases: ExactMaxRS, "
+                 "ApproxMaxCRS and a resident MaxRS query engine"),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

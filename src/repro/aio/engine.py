@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import math
 import time
 from collections import deque
 from dataclasses import replace
@@ -57,7 +56,7 @@ from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, \
 from repro import obs
 from repro.errors import ConfigurationError, ServiceDegradedError, \
     ServiceError, ServiceOverloadError
-from repro.geometry import WeightedPoint
+from repro.geometry import WeightedPoint, is_positive_finite
 from repro.service.engine import MaxRSEngine, QueryResult, QuerySpec
 from repro.service.store import DatasetHandle
 
@@ -252,9 +251,8 @@ class AsyncMaxRSEngine:
             raise ConfigurationError(
                 f"unknown overflow policy {overflow!r}; expected one of "
                 f"{_OVERFLOW_POLICIES}")
-        if degraded_error_bound is not None and not (
-                math.isfinite(degraded_error_bound)
-                and degraded_error_bound > 0):
+        if degraded_error_bound is not None and not is_positive_finite(
+                degraded_error_bound):
             raise ConfigurationError(
                 "degraded_error_bound must be a positive finite relative "
                 f"gap, got {degraded_error_bound!r}")

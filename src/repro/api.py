@@ -36,7 +36,7 @@ from repro.core.result import MaxCRSResult, MaxRSResult
 from repro.em.config import EMConfig
 from repro.em.context import EMContext
 from repro.errors import ConfigurationError
-from repro.geometry import WeightedPoint
+from repro.geometry import WeightedPoint, is_positive_finite
 
 __all__ = ["MaxRSSolver", "MaxCRSSolver", "solve_many"]
 
@@ -75,9 +75,10 @@ class MaxRSSolver:
                  config: Optional[EMConfig] = None,
                  force_external: bool = False,
                  backend: BackendSpec = None) -> None:
-        if width <= 0 or height <= 0:
+        if not is_positive_finite(width, height):
             raise ConfigurationError(
-                f"query rectangle must have positive extent, got {width} x {height}"
+                "query rectangle must have a positive finite extent, "
+                f"got {width} x {height}"
             )
         self.width = width
         self.height = height
@@ -182,8 +183,9 @@ class MaxCRSSolver:
     """Solve MaxCRS instances: where should a circle of a given diameter go?
 
     Uses ApproxMaxCRS (the paper's (1/4)-approximation); optionally also runs
-    the exact ``O(n^2 log n)`` solver to report the achieved approximation
-    ratio, which is what the paper's Figure 17 measures.
+    the exact solver (:func:`~repro.circles.exact_maxcrs.exact_maxcrs`) to
+    report the achieved approximation ratio, which is what the paper's
+    Figure 17 measures.
 
     Parameters
     ----------
@@ -198,8 +200,9 @@ class MaxCRSSolver:
 
     def __init__(self, diameter: float, *, config: Optional[EMConfig] = None,
                  sigma: Optional[float] = None) -> None:
-        if diameter <= 0:
-            raise ConfigurationError(f"diameter must be positive, got {diameter}")
+        if not is_positive_finite(diameter):
+            raise ConfigurationError(
+                f"diameter must be positive and finite, got {diameter}")
         self.diameter = diameter
         self.config = config if config is not None else EMConfig()
         self.sigma = sigma
@@ -215,9 +218,11 @@ class MaxCRSSolver:
         """Solve approximately and report the achieved approximation ratio.
 
         Returns ``(result, ratio)`` where ``ratio = W(c_hat) / W(c*)`` (1.0
-        for empty datasets).  Note the exact solver is quadratic: reserve this
-        for validation-sized inputs, as the paper did.  Empty inputs
-        short-circuit before the exact solver is invoked at all.
+        for empty datasets).  The exact solver costs ``O(n + P log P)`` for
+        the ``P`` pairs of objects closer than the diameter: fast on sparse
+        inputs, quadratic when most objects lie within one diameter of each
+        other.  Empty inputs short-circuit before the exact solver is
+        invoked at all.
         """
         result = self.solve(objects)
         if not objects:

@@ -43,7 +43,7 @@ from repro.em.external_sort import external_sort
 from repro.em.record_file import RecordFile
 from repro.em.serializer import StructRecordCodec
 from repro.errors import AlgorithmError, ConfigurationError
-from repro.geometry import WeightedPoint
+from repro.geometry import WeightedPoint, is_positive_finite
 
 __all__ = ["ASBTree", "ASBTreeSweep"]
 
@@ -265,9 +265,10 @@ class ASBTreeSweep:
 
     def __init__(self, ctx: EMContext, width: float, height: float, *,
                  simulate_io: bool = False) -> None:
-        if width <= 0 or height <= 0:
+        if not is_positive_finite(width, height):
             raise ConfigurationError(
-                f"query rectangle must have positive extent, got {width} x {height}"
+                "query rectangle must have a positive finite extent, "
+                f"got {width} x {height}"
             )
         self.ctx = ctx
         self.width = width

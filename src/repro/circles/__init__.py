@@ -6,9 +6,10 @@
   and the admissible shift-distance interval of Lemma 5.
 * :mod:`repro.circles.coverage` -- single-scan evaluation of candidate circle
   centres (in memory or over a disk-resident dataset).
-* :mod:`repro.circles.exact_maxcrs` -- the classical ``O(n^2 log n)`` exact
-  solver (angular sweep over circle intersections) used as the accuracy
-  yardstick in the Figure 17 experiment.
+* :mod:`repro.circles.exact_maxcrs` -- the classical exact solver (the
+  angular sweep over circle intersections, every circle in one vectorised
+  pass): the accuracy yardstick of the Figure 17 experiment and the resident
+  engine's exact MaxCRS solver.
 """
 
 from repro.circles.approx_maxcrs import ApproxMaxCRS

@@ -35,7 +35,7 @@ from repro.core.transform import write_objects_file
 from repro.em.context import EMContext
 from repro.em.record_file import RecordFile
 from repro.errors import ConfigurationError
-from repro.geometry import WeightedPoint
+from repro.geometry import WeightedPoint, is_positive_finite
 
 __all__ = ["ApproxMaxCRS"]
 
@@ -70,8 +70,9 @@ class ApproxMaxCRS:
                  sigma: Optional[float] = None,
                  fanout: Optional[int] = None,
                  memory_records: Optional[int] = None) -> None:
-        if diameter <= 0:
-            raise ConfigurationError(f"diameter must be positive, got {diameter}")
+        if not is_positive_finite(diameter):
+            raise ConfigurationError(
+                f"diameter must be positive and finite, got {diameter}")
         self.ctx = ctx
         self.diameter = diameter
         self.sigma = sigma

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 from repro.em.record_file import RecordFile
 from repro.errors import ConfigurationError
-from repro.geometry import Point, WeightedPoint
+from repro.geometry import Point, WeightedPoint, is_positive_finite
 
 __all__ = ["coverage_of_candidates", "coverage_of_candidates_file", "best_candidate"]
 
@@ -27,8 +27,9 @@ def coverage_of_candidates(objects: Sequence[WeightedPoint],
     One pass over ``objects``; boundary objects are excluded (open disks),
     matching the problem definition.
     """
-    if diameter <= 0:
-        raise ConfigurationError(f"diameter must be positive, got {diameter}")
+    if not is_positive_finite(diameter):
+        raise ConfigurationError(
+            f"diameter must be positive and finite, got {diameter}")
     radius_sq = (diameter / 2.0) ** 2
     totals = [0.0] * len(candidates)
     for obj in objects:
@@ -49,8 +50,9 @@ def coverage_of_candidates_file(objects_file: RecordFile,
     final step costs exactly one linear pass of I/O regardless of how many
     candidates are evaluated.
     """
-    if diameter <= 0:
-        raise ConfigurationError(f"diameter must be positive, got {diameter}")
+    if not is_positive_finite(diameter):
+        raise ConfigurationError(
+            f"diameter must be positive and finite, got {diameter}")
     radius_sq = (diameter / 2.0) ** 2
     totals = [0.0] * len(candidates)
     for x, y, weight in objects_file.reader():

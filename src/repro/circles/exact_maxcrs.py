@@ -5,9 +5,9 @@ weight found by ApproxMaxCRS and the true optimum.  The authors obtained
 ``W(c*)`` from "a theoretical algorithm [Drezner 1981] that has time
 complexity O(n^2 log n) (and therefore, is not practical)".  This module
 implements the same classical algorithm -- the angular sweep over circle
-intersections (Chazelle & Lee / Drezner) -- vectorised with NumPy so the
-approximation-quality experiment can be reproduced on datasets of a few
-thousand objects.
+intersections (Chazelle & Lee / Drezner) -- as one vectorised numpy pass
+over every circle.  It is the resident engine's exact MaxCRS solver as well
+as the approximation-quality yardstick.
 
 Algorithm sketch (equal radii ``r = d/2``):
 
@@ -20,7 +20,32 @@ Algorithm sketch (equal radii ``r = d/2``):
   that circle; the maximum total weight over all arcs (plus ``w_i`` itself,
   since points just inside the boundary are covered by disk ``i``) is the best
   depth attainable on that circle.  Together with the disk-centre candidates
-  this yields the global optimum in ``O(n^2 log n)`` time.
+  this yields the global optimum.
+
+The pass over all circles has three parts:
+
+1. **Neighbour pairs from a grid hash.**  Objects are binned into square
+   cells wider than ``d`` (with margin for the rounding of the binning), so
+   every object within ``d`` of object ``i`` lies in the 3x3 cells around
+   ``i``'s cell.  Those cells give each object its candidate neighbours;
+   the per-circle predicates decide membership: ``np.hypot(dx, dy) < d``
+   for an arc, ``dx**2 + dy**2 < r*r`` for the disk-centre weight.
+2. **Every arc at once.**  Disk-centre weights are one ``bincount`` over the
+   pairs.  Each neighbour's arc becomes two angle entries (four when it
+   wraps past ``2*pi``), all circles' entries are sorted once, stably, by
+   (circle, angle), and one cumulative sum gives every circle's running
+   weight, read at the last entry of each equal-angle group.
+3. **Blocks under a pair budget.**  Circles are processed in blocks of at
+   most ``_PAIR_BUDGET`` candidate pairs, so memory stays bounded when
+   every object is within ``d`` of every other.
+
+With ``P`` pairs of objects closer than ``d``, the cost is
+``O(n + P log P)`` time.  ``P`` is ``n^2`` when every point is within ``d``
+of every other, so dense inputs are still quadratic.  Ties are resolved as
+the classical per-circle loop does (disk centres first, then circles, in
+input order; within a circle the first best arc in angle order), so
+answers equal that loop's -- bit for bit when the weight sums are exactly
+representable, as with integer weights.
 """
 
 from __future__ import annotations
@@ -31,9 +56,17 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry import Point, WeightedPoint
+from repro.geometry import Point, WeightedPoint, is_positive_finite
 
 __all__ = ["exact_maxcrs"]
+
+#: Most candidate pairs (a circle and one object in the 3x3 cells around
+#: it) that one block of circles expands at once.  It keeps a block's
+#: working memory to tens of MB however dense the input; only a circle
+#: with more candidates than this makes a larger block, of its own.
+_PAIR_BUDGET = 1 << 17
+
+_TWO_PI = 2.0 * math.pi
 
 
 def exact_maxcrs(objects: Sequence[WeightedPoint],
@@ -55,11 +88,14 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
 
     Notes
     -----
-    Complexity is ``Θ(n^2 log n)`` -- use it for validation-sized inputs (a
-    few thousand objects), as the paper itself did.
+    Cost is ``O(n + P log P)`` for ``P`` pairs of objects closer than
+    ``diameter``: near-linear on sparse inputs, and still
+    ``Θ(n^2 log n)`` when every object is within ``diameter`` of every
+    other.
     """
-    if diameter <= 0:
-        raise ConfigurationError(f"diameter must be positive, got {diameter}")
+    if not is_positive_finite(diameter):
+        raise ConfigurationError(
+            f"diameter must be positive and finite, got {diameter}")
     count = len(objects)
     if count == 0:
         return Point(0.0, 0.0), 0.0
@@ -69,91 +105,187 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     ws = np.array([o.weight for o in objects], dtype=np.float64)
     radius = diameter / 2.0
 
-    best_weight, best_point = _best_at_centres(xs, ys, ws, radius)
+    centre_weight = np.zeros(count)
+    # A circle without an arc keeps its own weight, and its centre (no angle).
+    circle_weight = ws.copy()
+    circle_angle = np.full(count, np.nan)
+    for owners, slot, neighbours in _candidate_blocks(xs, ys, diameter):
+        centre_weight[owners], swept, extra, angle = _sweep_block(
+            owners, slot, neighbours, xs, ys, ws, radius)
+        swept = owners[swept]
+        circle_weight[swept] = ws[swept] + extra
+        circle_angle[swept] = angle
 
-    for i in range(count):
-        weight_i, point_i = _sweep_circle(i, xs, ys, ws, radius)
-        if weight_i > best_weight:
-            best_weight = weight_i
-            best_point = point_i
-
-    return best_point, best_weight
-
-
-def _best_at_centres(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
-                     radius: float) -> Tuple[float, Point]:
-    """Evaluate every object location as a candidate centre (vectorised)."""
-    best_weight = -math.inf
-    best_point = Point(float(xs[0]), float(ys[0]))
-    radius_sq = radius * radius
-    for i in range(len(xs)):
-        dist_sq = (xs - xs[i]) ** 2 + (ys - ys[i]) ** 2
-        weight = float(ws[dist_sq < radius_sq].sum())
-        if weight > best_weight:
-            best_weight = weight
-            best_point = Point(float(xs[i]), float(ys[i]))
-    return best_weight, best_point
-
-
-def _sweep_circle(i: int, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
-                  radius: float) -> Tuple[float, Point]:
-    """Angular sweep over the boundary circle of disk ``i``.
-
-    Returns the best attainable weight just inside that circle and a point
-    achieving it (nudged towards the centre so it lies strictly inside disk
-    ``i`` and strictly inside every disk covering the winning arc).
-    """
-    dx = xs - xs[i]
-    dy = ys - ys[i]
-    dist = np.hypot(dx, dy)
-    neighbour = (dist > 0.0) & (dist < 2.0 * radius)
-    base = float(ws[i])
+    # The first maximum over centres then circles, in input order: the
+    # loop's strict ``>`` scan.
+    best = int(np.argmax(np.concatenate((centre_weight, circle_weight))))
+    if best < count:
+        return Point(float(xs[best]), float(ys[best])), float(
+            centre_weight[best])
+    i = best - count
     centre = Point(float(xs[i]), float(ys[i]))
-    if not neighbour.any():
-        return base, centre
-
-    theta = np.arctan2(dy[neighbour], dx[neighbour])
-    half_angle = np.arccos(np.clip(dist[neighbour] / (2.0 * radius), -1.0, 1.0))
-    weights = ws[neighbour]
-
-    starts = theta - half_angle
-    ends = theta + half_angle
-
-    # Unroll arcs onto [0, 2*pi) with wrap-around split.
-    angles = []
-    deltas = []
-    for start, end, weight in zip(starts, ends, weights):
-        start = float(start) % (2.0 * math.pi)
-        end = float(end) % (2.0 * math.pi)
-        if start <= end:
-            angles.extend((start, end))
-            deltas.extend((weight, -weight))
-        else:
-            angles.extend((start, 2.0 * math.pi, 0.0, end))
-            deltas.extend((weight, -weight, weight, -weight))
-
-    order = np.argsort(np.array(angles), kind="stable")
-    sorted_angles = np.array(angles)[order]
-    sorted_deltas = np.array(deltas)[order]
-
-    best_extra = 0.0
-    best_angle = 0.0
-    running = 0.0
-    index = 0
-    total = len(sorted_angles)
-    while index < total:
-        angle = sorted_angles[index]
-        while index < total and sorted_angles[index] == angle:
-            running += sorted_deltas[index]
-            index += 1
-        if running > best_extra:
-            best_extra = running
-            # Midpoint of the winning arc segment keeps the point strictly
-            # inside the covering disks (rather than on their boundary).
-            next_angle = sorted_angles[index] if index < total else angle + 2.0 * math.pi
-            best_angle = (angle + next_angle) / 2.0
-
+    angle = float(circle_angle[i])
+    if math.isnan(angle):
+        return centre, float(circle_weight[i])
+    # Just inside the circle, at the midpoint of the winning arc segment:
+    # strictly inside disk ``i`` and every disk covering that segment.
     nudge = radius * (1.0 - 1e-9)
-    point = Point(centre.x + nudge * math.cos(best_angle),
-                  centre.y + nudge * math.sin(best_angle))
-    return base + float(best_extra), point
+    return (Point(centre.x + nudge * math.cos(angle),
+                  centre.y + nudge * math.sin(angle)),
+            float(circle_weight[i]))
+
+
+def _candidate_blocks(xs: np.ndarray, ys: np.ndarray, diameter: float):
+    """Yield candidate pairs in blocks of whole circles.
+
+    Every object ``j`` within ``diameter`` of object ``i`` (``i`` itself
+    included) appears as a pair ``(i, j)``, along with the other objects of
+    the 3x3 grid cells around ``i``.  A block is ``(owners, slot,
+    neighbours)``: its circles' object indices, and per pair the position
+    of its circle in ``owners`` (pairs grouped by circle) and the index of
+    its neighbour.  A block holds at most ``_PAIR_BUDGET`` pairs unless one
+    circle alone has more.
+
+    Objects with an infinite coordinate are left out: the per-circle
+    predicates put nothing within ``diameter`` of them, not even
+    themselves.
+    """
+    ids = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
+    if len(ids) == 0:
+        return
+    fx, fy = xs[ids], ys[ids]
+    # ``x / cell`` rounds by at most ``|x| / cell * 2**-53`` cells.  With
+    # ``|x| / cell`` below 2**30 that is far less than the 2**-16 margin
+    # the cell has over ``diameter``, so a pair within ``diameter`` always
+    # lands in adjacent cells; keys then fit 31 bits per axis.
+    reach = max(float(np.abs(fx).max()), float(np.abs(fy).max()))
+    cell = max(diameter, reach * 2.0 ** -30) * (1.0 + 2.0 ** -16)
+    kx = np.floor(fx / cell).astype(np.int64)
+    ky = np.floor(fy / cell).astype(np.int64)
+    kx -= kx.min() - 1  # one free cell on every side
+    ky -= ky.min() - 1
+    stride = int(ky.max()) + 2
+    key = kx * stride + ky
+
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    members = ids[order]
+    cell_first = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    cell_key = sorted_key[cell_first]
+    cell_size = np.diff(np.r_[cell_first, len(members)])
+    cell_of = np.repeat(np.arange(len(cell_key)), cell_size)
+
+    # Each cell's 3x3 neighbourhood as (first member, member count) ranges.
+    offsets = (np.arange(-1, 2)[:, None] * stride
+               + np.arange(-1, 2)[None, :]).ravel()
+    around = cell_key[:, None] + offsets[None, :]
+    slot = np.minimum(np.searchsorted(cell_key, around), len(cell_key) - 1)
+    present = cell_key[slot] == around
+    range_first = np.where(present, cell_first[slot], 0)
+    range_size = np.where(present, cell_size[slot], 0)
+    candidates = range_size.sum(axis=1)[cell_of]
+
+    total = np.cumsum(candidates)
+    start = 0
+    while start < len(members):
+        done = int(total[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(total, done + _PAIR_BUDGET,
+                                                  side="right")))
+        block = cell_of[start:stop]
+        sizes = range_size[block].ravel()
+        shift = np.repeat(range_first[block].ravel() - (np.cumsum(sizes)
+                                                        - sizes), sizes)
+        neighbours = members[np.arange(len(shift)) + shift]
+        slot = np.repeat(np.arange(stop - start), candidates[start:stop])
+        yield members[start:stop], slot, neighbours
+        start = stop
+
+
+def _sweep_block(owners: np.ndarray, slot: np.ndarray,
+                 neighbours: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 ws: np.ndarray, radius: float):
+    """Score the disk centres and sweep the circles of one block.
+
+    The block is one :func:`_candidate_blocks` item.  Returns
+    ``(centre, swept, extra, angle)``: the weight within ``radius`` of each
+    owner's centre, and :func:`_best_arcs` over the block's arcs.
+    """
+    circles = owners[slot]
+    dx = xs[neighbours] - xs[circles]
+    dy = ys[neighbours] - ys[circles]
+    inside = dx ** 2 + dy ** 2 < radius * radius
+    centre = np.bincount(slot[inside], weights=ws[neighbours[inside]],
+                         minlength=len(owners))
+
+    dist = np.hypot(dx, dy)
+    arc = (dist > 0.0) & (dist < 2.0 * radius)
+    theta = np.arctan2(dy[arc], dx[arc])
+    half_angle = np.arccos(np.clip(dist[arc] / (2.0 * radius), -1.0, 1.0))
+    return (centre,) + _best_arcs(slot[arc],
+                                  (theta - half_angle) % _TWO_PI,
+                                  (theta + half_angle) % _TWO_PI,
+                                  ws[neighbours[arc]])
+
+
+def _best_arcs(slot: np.ndarray, start: np.ndarray, end: np.ndarray,
+               weight: np.ndarray):
+    """The angular sweep of every circle at once.
+
+    Arc ``k`` covers the angles from ``start[k]`` to ``end[k]`` (both in
+    ``[0, 2*pi)``, wrapping past ``2*pi`` when ``start > end``) of circle
+    ``slot[k]`` with ``weight[k]``; arcs are grouped by circle.  Returns
+    ``(swept, extra, angle)``: the circles with an arc, each one's best
+    covered weight (``0.0`` when none is positive) and the midpoint angle
+    of the first arc segment reaching it (``0.0`` then).
+    """
+    if len(slot) == 0:
+        return slot, start, start
+    # Entries per arc: (start, +w), (end, -w); an arc past 2*pi splits into
+    # (start, +w), (2*pi, -w), (0, +w), (end, -w).
+    wraps = start > end
+    size = 2 + 2 * wraps
+    first = np.cumsum(size) - size
+    angles = np.empty(int(first[-1] + size[-1]))
+    deltas = np.empty(len(angles))
+    angles[first] = start
+    deltas[first] = weight
+    angles[first + size - 1] = end
+    deltas[first + size - 1] = -weight
+    split = first[wraps]
+    angles[split + 1] = _TWO_PI
+    deltas[split + 1] = -weight[wraps]
+    angles[split + 2] = 0.0
+    deltas[split + 2] = weight[wraps]
+    owner = np.repeat(slot, size)
+
+    order = np.lexsort((angles, owner))
+    angles = angles[order]
+    owner = owner[order]
+    running = np.cumsum(deltas[order])
+    # Restart the running sum at 0.0 on every circle.
+    same_circle = owner[1:] == owner[:-1]
+    circle_first = np.flatnonzero(np.r_[True, ~same_circle])
+    carried = np.r_[0.0, running[circle_first[1:] - 1]]
+    running -= np.repeat(carried, np.diff(np.r_[circle_first, len(owner)]))
+
+    # Each equal-angle group is read at its last entry; its arc segment
+    # runs to the next group's angle (for a circle's last group, whose
+    # running sum is back to zero, to its own angle plus 2*pi).
+    group_last = np.flatnonzero(np.r_[(angles[1:] != angles[:-1])
+                                      | ~same_circle, True])
+    value = np.where(running[group_last] > 0.0, running[group_last], 0.0)
+    following = np.r_[angles[1:], 0.0][group_last]
+    circle_last = ~np.r_[same_circle, False][group_last]
+    following[circle_last] = angles[group_last[circle_last]] + _TWO_PI
+    midpoint = (angles[group_last] + following) / 2.0
+
+    # Per circle, the first group reaching its largest positive value.
+    group_owner = owner[group_last]
+    new_circle = np.r_[True, group_owner[1:] != group_owner[:-1]]
+    top = np.maximum.reduceat(value, np.flatnonzero(new_circle))
+    circle_of_group = np.cumsum(new_circle) - 1
+    winner = np.flatnonzero((value > 0.0) & (value == top[circle_of_group]))
+    winner = winner[np.diff(circle_of_group[winner], prepend=-1) != 0]
+    angle = np.zeros(len(top))
+    angle[circle_of_group[winner]] = midpoint[winner]
+    return group_owner[new_circle], top, angle

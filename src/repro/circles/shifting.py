@@ -22,7 +22,7 @@ import math
 from typing import List
 
 from repro.errors import ConfigurationError
-from repro.geometry import Point
+from repro.geometry import Point, is_positive_finite
 
 __all__ = [
     "default_shift_distance",
@@ -34,8 +34,9 @@ __all__ = [
 
 def shift_distance_bounds(diameter: float) -> tuple[float, float]:
     """Return the open interval of admissible shift distances for ``diameter``."""
-    if diameter <= 0:
-        raise ConfigurationError(f"diameter must be positive, got {diameter}")
+    if not is_positive_finite(diameter):
+        raise ConfigurationError(
+            f"diameter must be positive and finite, got {diameter}")
     return ((math.sqrt(2.0) - 1.0) * diameter / 2.0, diameter / 2.0)
 
 

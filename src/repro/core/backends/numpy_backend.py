@@ -65,6 +65,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.beststrip import BestStrip
 from repro.em.codecs import EVENT_BOTTOM
 from repro.errors import AlgorithmError, ConfigurationError
@@ -127,12 +128,14 @@ class NumpySweepBackend:
         if len(event_records) == 0:
             return [], BestStrip.empty(slab_lo, slab_hi)
 
-        prepared = self._prepare(event_records, slab_lo, slab_hi)
+        with obs.span("backend.sweep.prepare"):
+            prepared = self._prepare(event_records, slab_lo, slab_hi)
         if prepared is None:
             return [], BestStrip.empty(slab_lo, slab_hi)
-        if include_records:
-            return self._sweep_records(*prepared)
-        return self._sweep_best_only(*prepared)
+        with obs.span("backend.sweep.kernel"):
+            if include_records:
+                return self._sweep_records(*prepared)
+            return self._sweep_best_only(*prepared)
 
     @staticmethod
     def _prepare(event_records, slab_lo, slab_hi):

@@ -48,7 +48,7 @@ from repro.em.codecs import EVENT_CODEC
 from repro.em.config import EMConfig
 from repro.em.context import EMContext
 from repro.errors import ConfigurationError
-from repro.geometry import Interval, WeightedPoint
+from repro.geometry import Interval, WeightedPoint, is_positive_finite
 
 __all__ = ["fits_in_memory", "solve_point_set", "solve_point_set_top_k"]
 
@@ -146,9 +146,10 @@ def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
 
 def _check_args(width: float, height: float, config: Optional[EMConfig],
                 force_external: bool, force_in_memory: bool) -> EMConfig:
-    if width <= 0 or height <= 0:
+    if not is_positive_finite(width, height):
         raise ConfigurationError(
-            f"query rectangle must have positive extent, got {width} x {height}"
+            "query rectangle must have a positive finite extent, "
+            f"got {width} x {height}"
         )
     if force_external and force_in_memory:
         raise ConfigurationError(

@@ -46,7 +46,7 @@ from repro.em.context import EMContext
 from repro.em.external_sort import external_sort
 from repro.em.record_file import RecordFile
 from repro.errors import AlgorithmError, ConfigurationError
-from repro.geometry import WeightedPoint
+from repro.geometry import WeightedPoint, is_positive_finite
 
 __all__ = ["ExactMaxRS", "records_to_strips", "select_disjoint_strips"]
 
@@ -90,9 +90,10 @@ class ExactMaxRS:
                  memory_records: Optional[int] = None,
                  max_depth: int = 64,
                  sweep_backend: BackendSpec = None) -> None:
-        if width <= 0 or height <= 0:
+        if not is_positive_finite(width, height):
             raise ConfigurationError(
-                f"query rectangle must have positive extent, got {width} x {height}"
+                "query rectangle must have a positive finite extent, "
+                f"got {width} x {height}"
             )
         self.ctx = ctx
         self.width = width

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from repro import obs
 from repro.core.beststrip import BestStrip, BestStripTracker
@@ -40,8 +40,8 @@ from repro.core.result import MaxRSResult
 from repro.em.codecs import EVENT_BOTTOM
 from repro.geometry import Interval, WeightedPoint
 
-if TYPE_CHECKING:  # lazily imported at runtime (see solve_in_memory)
-    from repro.core.backends import BackendSpec
+if TYPE_CHECKING:  # lazily imported at runtime (see _solve_best)
+    from repro.core.backends import BackendSpec, SweepBackend
 
 __all__ = ["sweep_events", "solve_in_memory", "solve_columns",
            "PlaneSweepOutput"]
@@ -79,14 +79,21 @@ def sweep_events(event_records: Sequence[Record],
     if not event_records:
         return [], BestStrip.empty(slab_lo, slab_hi)
 
-    events = sorted(event_records)
-    xs = _elementary_boundaries(events, slab_lo, slab_hi)
+    with obs.span("backend.sweep.prepare"):
+        events = sorted(event_records)
+        xs = _elementary_boundaries(events, slab_lo, slab_hi)
     num_cells = len(xs) - 1
     if num_cells < 1:
         # Degenerate slab (zero width): nothing can be covered strictly inside.
         return [], BestStrip.empty(slab_lo, slab_hi)
+    with obs.span("backend.sweep.kernel"):
+        return _sweep_cells(events, xs, slab_lo, slab_hi)
 
-    tree = MaxAddSegmentTree(num_cells)
+
+def _sweep_cells(events: Sequence[Record], xs: List[float], slab_lo: float,
+                 slab_hi: float) -> PlaneSweepOutput:
+    """The segment-tree sweep of y-sorted ``events`` over the cells ``xs``."""
+    tree = MaxAddSegmentTree(len(xs) - 1)
     tracker = BestStripTracker()
     output: List[Record] = []
 
@@ -158,12 +165,9 @@ def solve_in_memory(objects: Sequence[WeightedPoint], width: float,
     >>> result.total_weight
     2.0
     """
-    # Imported lazily: repro.core.backends imports this module's
-    # sweep_events for its reference backend.
-    from repro.core.backends import resolve_backend
-
-    records = objects_to_event_records(objects, width, height)
-    return _solve_events(records, resolve_backend(backend, len(records)))
+    return _solve_best(
+        backend, 2 * len(objects),
+        lambda _: objects_to_event_records(objects, width, height))
 
 
 def solve_columns(xs, ys, ws, width: float, height: float, *,
@@ -177,20 +181,35 @@ def solve_columns(xs, ys, ws, width: float, height: float, *,
     bit-identical to :func:`solve_in_memory` on the objects the columns
     hold.  Requires numpy.
     """
-    from repro.core.backends import resolve_backend
     from repro.core.backends.numpy_backend import NumpySweepBackend
 
-    events = columns_to_event_array(xs, ys, ws, width, height)
-    sweep_backend = resolve_backend(backend, len(events))
-    if not isinstance(sweep_backend, NumpySweepBackend):
-        events = list(map(tuple, events.tolist()))
-    return _solve_events(events, sweep_backend)
+    def build(sweep_backend):
+        events = columns_to_event_array(xs, ys, ws, width, height)
+        if isinstance(sweep_backend, NumpySweepBackend):
+            return events
+        return list(map(tuple, events.tolist()))
+
+    return _solve_best(backend, 2 * len(xs), build)
 
 
-def _solve_events(records, sweep_backend) -> MaxRSResult:
-    """The best-strip sweep of ``records`` as a :class:`MaxRSResult`."""
+def _solve_best(backend: "BackendSpec", num_events: int,
+                build: Callable[["SweepBackend"], Sequence[Record]]
+                ) -> MaxRSResult:
+    """Sweep the events ``build`` makes for the resolved backend.
+
+    Returns the best strip as a :class:`MaxRSResult`.  The event build runs
+    inside the ``backend.sweep`` span, as its ``backend.sweep.events``
+    child.
+    """
+    # Imported lazily: repro.core.backends imports this module's
+    # sweep_events for its reference backend.
+    from repro.core.backends import resolve_backend
+
+    sweep_backend = resolve_backend(backend, num_events)
     with obs.span("backend.sweep", backend=sweep_backend.name,
-                  events=len(records)):
+                  events=num_events):
+        with obs.span("backend.sweep.events"):
+            records = build(sweep_backend)
         _, best = sweep_backend.sweep(records, Interval.full(),
                                       include_records=False)
     region = best.to_region()

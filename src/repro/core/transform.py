@@ -30,7 +30,7 @@ from repro.em.codecs import EVENT_BOTTOM, EVENT_CODEC, EVENT_TOP, OBJECT_CODEC
 from repro.em.context import EMContext
 from repro.em.record_file import RecordFile
 from repro.errors import GeometryError
-from repro.geometry import Rect, WeightedPoint
+from repro.geometry import Rect, WeightedPoint, is_positive_finite
 
 __all__ = [
     "dual_rectangle",
@@ -43,13 +43,19 @@ __all__ = [
 ]
 
 
+def _check_extent(width: float, height: float) -> None:
+    """Reject a query rectangle that is not positive and finite."""
+    if not is_positive_finite(width, height):
+        raise GeometryError(
+            "query rectangle must have a positive finite extent, "
+            f"got {width} x {height}"
+        )
+
+
 def dual_rectangle(obj: WeightedPoint, width: float, height: float) -> Rect:
     """Return the dual rectangle of one object: the query-sized rectangle
     centred at the object's location."""
-    if width <= 0 or height <= 0:
-        raise GeometryError(
-            f"query rectangle must have positive extent, got {width} x {height}"
-        )
+    _check_extent(width, height)
     return Rect.centered_at(obj.point, width, height)
 
 
@@ -67,10 +73,7 @@ def objects_to_event_records(objects: Iterable[WeightedPoint], width: float,
     its dual rectangle.  The caller is responsible for sorting by y before
     sweeping.
     """
-    if width <= 0 or height <= 0:
-        raise GeometryError(
-            f"query rectangle must have positive extent, got {width} x {height}"
-        )
+    _check_extent(width, height)
     half_w = width / 2.0
     half_h = height / 2.0
     records: List[Tuple[float, ...]] = []
@@ -93,10 +96,7 @@ def columns_to_event_array(xs, ys, ws, width: float, height: float):
     """
     import numpy as np
 
-    if width <= 0 or height <= 0:
-        raise GeometryError(
-            f"query rectangle must have positive extent, got {width} x {height}"
-        )
+    _check_extent(width, height)
     half_w = width / 2.0
     half_h = height / 2.0
     events = np.empty((len(xs), 2, 5))
@@ -128,10 +128,7 @@ def build_event_file(ctx: EMContext, objects: Iterable[WeightedPoint],
     Prefer :func:`objects_file_to_event_file` when the objects already live on
     the simulated disk, so the read pass is charged as I/O.
     """
-    if width <= 0 or height <= 0:
-        raise GeometryError(
-            f"query rectangle must have positive extent, got {width} x {height}"
-        )
+    _check_extent(width, height)
     file = ctx.create_file(EVENT_CODEC, name=name)
     half_w = width / 2.0
     half_h = height / 2.0
@@ -154,10 +151,7 @@ def objects_file_to_event_file(ctx: EMContext, objects_file: RecordFile,
     of 24 bytes, so roughly ``3.3 N / B`` block transfers in total with the
     default 4 KB blocks).
     """
-    if width <= 0 or height <= 0:
-        raise GeometryError(
-            f"query rectangle must have positive extent, got {width} x {height}"
-        )
+    _check_extent(width, height)
     event_file = ctx.create_file(EVENT_CODEC, name=name)
     half_w = width / 2.0
     half_h = height / 2.0

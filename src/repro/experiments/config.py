@@ -91,8 +91,10 @@ class ExperimentScale:
         Run the two baselines in their I/O-faithful simulation mode (the only
         practical option near paper scale; see DESIGN.md).
     quality_cardinality_scale:
-        Extra multiplier for the approximation-quality experiment (Figure 17),
-        whose exact-MaxCRS yardstick is quadratic.
+        Extra multiplier for the approximation-quality experiment (Figure 17).
+        Its exact-MaxCRS yardstick costs ``O(n + P log P)`` for the ``P``
+        object pairs closer than the diameter: near-linear on sparse data,
+        quadratic when most objects lie within one diameter of each other.
     """
 
     cardinality_scale: float = 0.1

@@ -243,9 +243,10 @@ def figure16(scale: ExperimentScale | None = None) -> List[FigureResult]:
 def figure17(scale: ExperimentScale | None = None) -> FigureResult:
     """Figure 17: ratio W(c_hat) / W(c*) as the circle diameter varies.
 
-    The exact optimum ``W(c*)`` comes from the ``O(n^2 log n)`` solver, so the
-    workloads use the (smaller) quality scale of the harness -- exactly the
-    compromise the paper itself made by calling that algorithm "not practical".
+    The exact optimum ``W(c*)`` comes from the angular sweep the paper called
+    "not practical" at ``O(n^2 log n)``.  Swept for every circle in one
+    vectorised pass it costs ``O(n + P log P)`` for the ``P`` object pairs
+    closer than the diameter; the workloads use the harness's quality scale.
     """
     scale = scale or ExperimentScale()
     figure = FigureResult(

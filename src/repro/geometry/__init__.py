@@ -15,7 +15,11 @@ vocabulary:
   (the MaxCRS query region).
 * :class:`~repro.geometry.weighted.WeightedPoint` -- an input object with a
   non-negative weight.
+* :func:`is_positive_finite` -- the one validity rule for query sizes
+  (widths, heights, diameters).
 """
+
+import math
 
 from repro.geometry.circle import Circle
 from repro.geometry.interval import Interval
@@ -37,8 +41,21 @@ __all__ = [
     "Rect",
     "WeightedPoint",
     "bounding_rect",
+    "is_positive_finite",
     "normalize_to_domain",
     "total_weight",
     "weight_in_circle",
     "weight_in_rect",
 ]
+
+
+def is_positive_finite(*sizes: float) -> bool:
+    """Whether every one of ``sizes`` satisfies ``0 < size < inf``.
+
+    The one validity rule for query extents: every entry point that takes
+    a width, height or diameter checks it with this.  A plain
+    ``size <= 0`` test lets NaN through (every comparison with NaN is
+    false), and a NaN or infinite size makes the sweeps answer nonsense or
+    never finish.
+    """
+    return all(0 < size < math.inf for size in sizes)

@@ -64,7 +64,7 @@ from repro.core.result import MaxCRSResult, MaxRegion, MaxRSResult
 from repro.em.config import EMConfig
 from repro import obs
 from repro.errors import ConfigurationError, PersistError, ServiceError
-from repro.geometry import Point, WeightedPoint
+from repro.geometry import Point, WeightedPoint, is_positive_finite
 from repro.persist.format import ShardedGridSnapshot
 from repro.persist.store import SnapshotStore
 from repro.service.cache import LRUCache
@@ -136,16 +136,16 @@ class QuerySpec:
         # NaN and Infinity tokens), and NaN slips past a plain `<= 0` test.
         if self.kind in ("maxrs", "maxkrs"):
             if self.width is None or self.height is None \
-                    or not 0 < self.width < math.inf \
-                    or not 0 < self.height < math.inf:
+                    or not is_positive_finite(self.width, self.height):
                 raise ConfigurationError(
                     f"{self.kind} queries need a positive finite width x "
                     f"height, got {self.width} x {self.height}"
                 )
         if self.kind == "maxkrs" and self.k < 1:
             raise ConfigurationError(f"k must be at least 1, got {self.k}")
-        if self.kind == "maxcrs" and (self.diameter is None
-                                      or not 0 < self.diameter < math.inf):
+        if self.kind == "maxcrs" and (
+                self.diameter is None
+                or not is_positive_finite(self.diameter)):
             raise ConfigurationError(
                 f"maxcrs queries need a positive finite diameter, got "
                 f"{self.diameter}"
@@ -156,7 +156,7 @@ class QuerySpec:
                     "maxkrs queries cannot be served with a certified "
                     "error bound; use exact maxkrs"
                 )
-            if not (math.isfinite(self.error_bound) and self.error_bound > 0):
+            if not is_positive_finite(self.error_bound):
                 raise ConfigurationError(
                     f"error_bound must be a positive finite relative gap, "
                     f"got {self.error_bound}"
@@ -213,9 +213,12 @@ class MaxRSEngine:
         bounded-error query mode; exact queries never consult it, so any
         depth serves bit-identical exact answers.
     maxcrs_exact_limit:
-        MaxCRS queries run the quadratic exact circle solver on the pruned
-        subset; when the subset exceeds this many points the engine raises
-        :class:`~repro.errors.ServiceError` instead of hanging on one query.
+        MaxCRS queries run the exact circle solver on the pruned subset.  It
+        costs ``O(n + P log P)`` for the ``P`` point pairs closer than the
+        diameter, which is quadratic when most of the subset lies within one
+        diameter; so when the subset exceeds this many points the engine
+        raises :class:`~repro.errors.ServiceError` instead of hanging on one
+        query.
     sweep_backend:
         Execution backend for every plane sweep the engine runs (``"pure"``,
         ``"numpy"``, a :class:`~repro.core.backends.SweepBackend` instance,
@@ -1369,9 +1372,10 @@ class MaxRSEngine:
 
         MaxRS sweeps with events built straight from the store's columns, so
         no point object is built (a column-registered dataset stays lazy).
-        MaxCRS runs the quadratic exact circle solver, which a resident
-        service must not let block on one innocuous query: past
-        ``maxcrs_exact_limit`` points it fails fast with guidance instead.
+        MaxCRS runs the exact circle solver, quadratic on a dense subset,
+        which a resident service must not let block on one innocuous query:
+        past ``maxcrs_exact_limit`` points it fails fast with guidance
+        instead.
         """
         count = entry.count if indices is None else len(indices)
         if spec.kind == "maxrs":
@@ -1379,7 +1383,7 @@ class MaxRSEngine:
                                  spec.height, backend=self._backend_for(count))
         if count > self.maxcrs_exact_limit:
             raise ServiceError(
-                f"maxcrs would run the quadratic exact solver on "
+                "maxcrs would run the exact circle solver on "
                 f"{count} points (limit {self.maxcrs_exact_limit}); "
                 "raise maxcrs_exact_limit, use a smaller diameter, or use "
                 "the one-shot approximate MaxCRSSolver"

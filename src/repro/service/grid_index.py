@@ -57,6 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, PersistError
+from repro.geometry import is_positive_finite
 from repro.persist.format import GridLevelSnapshot, GridSnapshot
 
 __all__ = ["GridGeometry", "GridIndex", "GridLevel", "GridQueryOps",
@@ -326,9 +327,10 @@ class GridQueryOps:
     def level_halo(self, level: GridLevel, width: float,
                    height: float) -> Tuple[int, int]:
         """The query halo in *level* cells: the base margin rule, at scale."""
-        if width <= 0 or height <= 0:
+        if not is_positive_finite(width, height):
             raise ConfigurationError(
-                f"query extent must be positive, got {width} x {height}"
+                "query extent must be positive and finite, "
+                f"got {width} x {height}"
             )
         return (_axis_halo(height / 2.0, level.scale * self.cell_h,
                            level.n_rows),
@@ -376,9 +378,10 @@ class GridQueryOps:
         (but still valid) bound, and the cap keeps queries much larger than
         the data extent -- or denormal cell sizes -- well behaved.
         """
-        if width <= 0 or height <= 0:
+        if not is_positive_finite(width, height):
             raise ConfigurationError(
-                f"query extent must be positive, got {width} x {height}"
+                "query extent must be positive and finite, "
+                f"got {width} x {height}"
             )
         return (_axis_halo(height / 2.0, self.cell_h, self.n_rows),
                 _axis_halo(width / 2.0, self.cell_w, self.n_cols))

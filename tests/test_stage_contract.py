@@ -9,6 +9,10 @@ pins all three:
 * the trace's ``engine.*`` spans are exactly the stages the path ran;
 * the point counts the spans carry equal the ledger's;
 * each stage's histogram counted the run and reports its percentiles.
+
+Below the stages, every ``backend.sweep`` span splits into its event build,
+its preparation (y sort, boundary compression) and its kernel, on either
+sweep backend.
 """
 
 import random
@@ -89,3 +93,35 @@ def test_one_call_feeds_span_histogram_and_ledger(path, shards):
         assert summary["count"] == before.get(stage, {}).get("count", 0) + 1
         assert 0.0 <= summary["p50_seconds"] <= summary["p99_seconds"]
 
+
+
+def test_sweep_spans_split_into_events_prepare_and_kernel():
+    # Uniform points: the probe window is small enough for the pure-Python
+    # sweep, the refine subset is past the numpy crossover.
+    rng = random.Random(9)
+    points = [WeightedPoint(rng.uniform(0, 100), rng.uniform(0, 100))
+              for _ in range(4000)]
+    with MaxRSEngine(tracer="ring", shards=1) as engine:
+        dataset = engine.register_dataset(points)
+        engine.query(dataset, QuerySpec.maxrs(10.0, 10.0))
+        trace = engine.tracer.recorder.last()
+
+    sweeps = [span for span in trace.find_all("backend.sweep")
+              if span.name == "backend.sweep"]
+    assert [span.attributes["backend"] for span in sweeps] == \
+        ["pure", "numpy"]
+    for sweep in sweeps:
+        children = sweep.children
+        assert [child.name for child in children] == [
+            "backend.sweep.events", "backend.sweep.prepare",
+            "backend.sweep.kernel"]
+        # In order, inside the parent (1 ms of slack for the wall clock the
+        # start times come from).
+        sweep_end = sweep.start_unix + sweep.duration_s
+        previous_end = sweep.start_unix
+        for child in children:
+            assert child.start_unix >= previous_end - 1e-3
+            previous_end = child.start_unix + child.duration_s
+            assert previous_end <= sweep_end + 1e-3
+        assert sum(child.duration_s for child in children) <= \
+            sweep.duration_s
