@@ -3,8 +3,10 @@
 Install with ``pip install .`` (or ``pip install -e .`` for a development
 checkout); the tests and examples also run uninstalled with
 ``PYTHONPATH=src``.  numpy is optional: the package imports without it,
-and the numpy sweep backend, the resident engine and the exact circle
-solver need it.
+and ExactMaxRS (pure sweeps and the record-at-a-time MergeSweep),
+ApproxMaxCRS, ``MaxRSSolver``, ``MaxCRSSolver`` and the baselines still
+answer.  The numpy sweep backend, the block-batched MergeSweep, the
+resident engine and the exact circle solver need it.
 """
 
 import re

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.circles.approx_maxcrs import ApproxMaxCRS
-from repro.core.backends import BackendSpec
+from repro.core.backends import BackendSpec, resolve_backend
 from repro.circles.exact_maxcrs import exact_maxcrs
 from repro.core.dispatch import solve_point_set, solve_point_set_top_k
 from repro.core.result import MaxCRSResult, MaxRSResult
@@ -56,12 +56,13 @@ class MaxRSSolver:
         in the configured memory.  By default small inputs take the in-memory
         plane-sweep fast path, exactly as Algorithm 2 does.
     backend:
-        Execution backend for the in-memory sweep: ``"pure"``, ``"numpy"``,
-        a :class:`~repro.core.backends.SweepBackend` instance, or ``None`` /
-        ``"auto"`` (default) for the size-based rule -- numpy at serving
-        scale when available, pure Python otherwise.  Backends return the
-        same answers (bit-identical for exactly-representable weight sums);
-        the knob trades per-call overhead against vectorised throughput.
+        Execution backend for every sweep: ``"pure"``, ``"numpy"``, a
+        :class:`~repro.core.backends.SweepBackend` instance, or ``None`` /
+        ``"auto"`` (default) for numpy when it imports, pure Python
+        otherwise.  Backends return the same answers (bit-identical for
+        exactly-representable weight sums).  Resolved at construction, so
+        an unknown or unavailable backend raises
+        :class:`~repro.errors.ConfigurationError` here.
 
     Examples
     --------
@@ -84,7 +85,7 @@ class MaxRSSolver:
         self.height = height
         self.config = config if config is not None else EMConfig()
         self.force_external = force_external
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         self._objects: Optional[List[WeightedPoint]] = None
 
     @classmethod

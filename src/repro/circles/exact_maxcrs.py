@@ -53,10 +53,13 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.geometry import Point, WeightedPoint, is_positive_finite
+
+try:  # guarded: the package imports without numpy; this solver needs it
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
+    np = None
 
 __all__ = ["exact_maxcrs"]
 
@@ -86,6 +89,12 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
         ``centre`` is a point whose circle of ``diameter`` covers (up to
         boundary-degenerate ties) the maximum possible weight ``weight``.
 
+    Raises
+    ------
+    ConfigurationError
+        If ``diameter`` is not positive and finite, or numpy does not
+        import.
+
     Notes
     -----
     Cost is ``O(n + P log P)`` for ``P`` pairs of objects closer than
@@ -93,6 +102,9 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     ``Θ(n^2 log n)`` when every object is within ``diameter`` of every
     other.
     """
+    if np is None:
+        raise ConfigurationError(
+            "the exact MaxCRS solver needs numpy, which is not importable")
     if not is_positive_finite(diameter):
         raise ConfigurationError(
             f"diameter must be positive and finite, got {diameter}")

@@ -12,7 +12,7 @@ Layout of the package (bottom-up):
   case of the recursion and the exact reference solver.
 * :mod:`repro.core.backends` -- pluggable execution backends for that sweep:
   the pure-Python reference tree and a numpy-vectorised implementation,
-  selected explicitly or by event count.
+  selected explicitly or, by default, numpy whenever it imports.
 * :mod:`repro.core.slab` -- slabs, boundary selection and the division phase.
 * :mod:`repro.core.slabfile` / :mod:`repro.core.maxinterval` -- slab-files and
   their max-interval tuples (Definition 6).

@@ -12,14 +12,14 @@ several specialised implementations:
 * :class:`~repro.core.backends.pure.PurePythonBackend` -- the reference
   implementation, a lazy segment tree in pure Python.  Always available;
 * :class:`~repro.core.backends.numpy_backend.NumpySweepBackend` -- a
-  numpy-vectorised sweep (chunked difference-array profile maintenance) that
-  is several times faster at serving scale.  Available only when numpy is
-  importable.
+  numpy-vectorised sweep (chunked difference-array profile maintenance).
+  Available only when numpy is importable.
 
 Selection is by name (``"pure"`` / ``"numpy"``), by instance, or automatic
-(``None`` / ``"auto"``): numpy for event counts at or above
-:func:`auto_crossover` (where vectorisation amortises its fixed overhead),
-pure Python below it and whenever numpy is absent.
+(``None`` / ``"auto"``): numpy whenever it imports, pure Python otherwise.
+The numpy sweep is at least as fast from about 20 points (40 events) up,
+and every sweep of the library that small costs well under a millisecond
+either way, so the choice does not depend on the input.
 
 Determinism contract
 --------------------
@@ -34,7 +34,6 @@ pin the exact case.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 from repro.core.beststrip import BestStrip
@@ -46,7 +45,6 @@ __all__ = [
     "SweepBackend",
     "SweepRecord",
     "SweepOutput",
-    "DEFAULT_NUMPY_CROSSOVER",
     "auto_crossover",
     "available_backends",
     "backend_summary",
@@ -60,12 +58,6 @@ SweepRecord = Tuple[float, ...]
 
 #: (slab-file records, best strip) -- the output contract of every backend.
 SweepOutput = Tuple[List[SweepRecord], BestStrip]
-
-#: Below this many event records the pure-Python sweep wins: the vectorised
-#: backend pays fixed costs (array conversion, per-chunk numpy dispatch) that
-#: only amortise on larger inputs.  Override with ``REPRO_SWEEP_CROSSOVER``.
-DEFAULT_NUMPY_CROSSOVER = 2048
-
 
 @runtime_checkable
 class SweepBackend(Protocol):
@@ -95,8 +87,8 @@ class SweepBackend(Protocol):
 
 
 #: Anything accepted as a backend selector throughout the library: a
-#: concrete instance, a backend name, or ``None`` / ``"auto"`` for the
-#: size-based rule of :func:`resolve_backend`.
+#: concrete instance, a backend name, or ``None`` / ``"auto"`` for numpy
+#: whenever it imports (see :func:`resolve_backend`).
 BackendSpec = Union[str, SweepBackend, None]
 
 
@@ -115,25 +107,13 @@ def numpy_version() -> Optional[str]:
 
 
 def auto_crossover() -> int:
-    """Event-count threshold at which auto-selection switches to numpy.
+    """Event count from which ``"auto"`` picks numpy: always 0.
 
-    Reads ``REPRO_SWEEP_CROSSOVER`` so deployments can tune the switch point
-    to their hardware without code changes.
+    ``"auto"`` resolves to numpy whenever numpy imports, whatever the
+    sweep's size.  Kept for callers that still report the old size
+    threshold.
     """
-    raw = os.environ.get("REPRO_SWEEP_CROSSOVER")
-    if raw is None:
-        return DEFAULT_NUMPY_CROSSOVER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SWEEP_CROSSOVER must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(
-            f"REPRO_SWEEP_CROSSOVER must be non-negative, got {value}"
-        )
-    return value
+    return 0
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -167,19 +147,17 @@ def get_backend(name: str) -> SweepBackend:
         return NumpySweepBackend()
     raise ConfigurationError(
         f"unknown sweep backend {name!r}; expected 'pure' or 'numpy' "
-        "(for 'auto' / size-based selection use resolve_backend)"
+        "(for 'auto' use resolve_backend)"
     )
 
 
-def resolve_backend(backend: BackendSpec, num_events: int) -> SweepBackend:
+def resolve_backend(backend: BackendSpec) -> SweepBackend:
     """Resolve a backend specification to a concrete instance.
 
     ``backend`` may be an instance (returned as-is), a name (``"pure"`` /
-    ``"numpy"``), or ``None`` / ``"auto"`` for the size-based rule: numpy for
-    ``num_events >= auto_crossover()`` when numpy is importable, pure Python
-    otherwise.  The rule keeps tiny sweeps (ExactMaxRS leaves, probe windows)
-    on the low-overhead reference path and routes big refines to the
-    vectorised one.
+    ``"numpy"``), or ``None`` / ``"auto"``: numpy when it imports, pure
+    Python otherwise.  Callers resolve once, where the specification is
+    configured, so an unknown or unavailable backend fails there.
 
     Raises
     ------
@@ -188,9 +166,7 @@ def resolve_backend(backend: BackendSpec, num_events: int) -> SweepBackend:
         implement the :class:`SweepBackend` protocol.
     """
     if backend is None or backend == "auto":
-        if numpy_available() and num_events >= auto_crossover():
-            return get_backend("numpy")
-        return get_backend("pure")
+        return get_backend("numpy" if numpy_available() else "pure")
     if isinstance(backend, str):
         return get_backend(backend)
     if not isinstance(backend, SweepBackend):
@@ -206,13 +182,12 @@ def backend_summary(backend: Union[str, SweepBackend, None] = None) -> str:
 
     Used by the benchmark artefact log so perf numbers recorded across PRs
     stay attributable to the sweep implementation that produced them, e.g.
-    ``auto (numpy 2.4.6, crossover 2048)`` or ``pure (numpy absent)``.
+    ``auto -> numpy (numpy 2.4.6)`` or ``pure (numpy absent)``.
     """
     version = numpy_version()
     numpy_note = f"numpy {version}" if version is not None else "numpy absent"
     if backend is None or backend == "auto":
-        if version is None:
-            return f"auto -> pure ({numpy_note})"
-        return f"auto ({numpy_note}, crossover {auto_crossover()})"
+        resolved = "numpy" if version is not None else "pure"
+        return f"auto -> {resolved} ({numpy_note})"
     name = backend if isinstance(backend, str) else backend.name
     return f"{name} ({numpy_note})"

@@ -4,11 +4,10 @@ This is the original :func:`repro.core.plane_sweep.sweep_events` behind the
 :class:`~repro.core.backends.SweepBackend` protocol.  It exists as a named
 backend for three reasons:
 
-* it is always available (no third-party dependency);
+* it is always available (no third-party dependency), so ``"auto"``
+  falls back to it when numpy does not import;
 * it is the semantic reference the vectorised backends are property-tested
-  against (see ``tests/test_core_backends.py``);
-* per-call overhead is minimal, which makes it the faster choice for the
-  small sweeps that dominate ExactMaxRS leaves and grid probe windows.
+  against (see ``tests/test_core_backends.py``).
 """
 
 from __future__ import annotations

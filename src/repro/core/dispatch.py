@@ -26,7 +26,7 @@ The dispatch is controlled by two flags:
 Orthogonally to the strategy choice, ``backend`` selects the *execution
 backend* of the in-memory sweep itself (:mod:`repro.core.backends`): the
 pure-Python reference tree, the numpy-vectorised sweep, or ``None``/"auto"
-for the size-based rule.  The external path threads the same selection into
+for numpy whenever it imports.  The external path threads the same selection into
 the ExactMaxRS base case, so every sweep in the process honours one knob.
 """
 
@@ -122,7 +122,7 @@ def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
                   strategy="in_memory" if in_memory else "external"):
         if in_memory:
             records = objects_to_event_records(objects, width, height)
-            sweep_backend = resolve_backend(backend, len(records))
+            sweep_backend = resolve_backend(backend)
             with obs.span("backend.sweep", backend=sweep_backend.name,
                           events=len(records)):
                 tuples, _ = sweep_backend.sweep(records, Interval.full())

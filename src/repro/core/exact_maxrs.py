@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.beststrip import BestStrip
 from repro.core.events import events_sort_key
@@ -73,7 +74,13 @@ class ExactMaxRS:
     sweep_backend:
         Execution backend for the in-memory sweep at the leaves (a
         :class:`~repro.core.backends.SweepBackend`, a name, or ``None`` for
-        the per-leaf size-based auto rule; see :mod:`repro.core.backends`).
+        numpy whenever it imports; see :mod:`repro.core.backends`).
+        Resolved here, so an unknown or unavailable backend raises
+        :class:`~repro.errors.ConfigurationError` before any I/O.
+
+    Each layer of a solve opens a span (:mod:`repro.obs`):
+    ``exact_maxrs.sort`` around the external sort, ``backend.sweep`` around
+    every leaf sweep, and ``exact_maxrs.merge`` around every MergeSweep.
 
     Examples
     --------
@@ -111,14 +118,28 @@ class ExactMaxRS:
             )
         self.max_depth = max_depth
         self.sweep_backend = sweep_backend
+        self._backend = resolve_backend(sweep_backend)
         self._leaf_count = 0
         self._deepest_level = 0
 
     def _sweep(self, records: Sequence[Tuple[float, ...]],
                x_range) -> Tuple[List[Tuple[float, ...]], BestStrip]:
-        """Run the in-memory sweep on the configured (or auto) backend."""
-        backend = resolve_backend(self.sweep_backend, len(records))
-        return backend.sweep(records, x_range)
+        """Run the in-memory sweep on the resolved backend."""
+        with obs.span("backend.sweep", backend=self._backend.name,
+                      events=len(records)):
+            return self._backend.sweep(records, x_range)
+
+    def _sort(self, event_file: RecordFile) -> RecordFile:
+        """Sort the event file by y with the external merge sort."""
+        with obs.span("exact_maxrs.sort", records=len(event_file)) as span:
+            start = self.ctx.stats.snapshot()
+            sorted_events = external_sort(
+                self.ctx, event_file, EVENT_CODEC, key=events_sort_key,
+                delete_input=True)
+            io = self.ctx.stats.since(start)
+            span.set_attributes(block_reads=io.block_reads,
+                                block_writes=io.block_writes)
+        return sorted_events
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -143,9 +164,7 @@ class ExactMaxRS:
 
         event_file = objects_file_to_event_file(
             self.ctx, objects_file, self.width, self.height, name="maxrs-events")
-        sorted_events = external_sort(
-            self.ctx, event_file, EVENT_CODEC, key=events_sort_key, delete_input=True)
-        best = self._solve_root(sorted_events)
+        best = self._solve_root(self._sort(event_file))
 
         io = self.ctx.io_since(start)
         region = best.to_region()
@@ -206,9 +225,16 @@ class ExactMaxRS:
                 child_file, _ = self._recurse(sub_file, sub_slab, depth + 1)
             child_files.append(child_file)
 
-        merged, best = merge_sweep(
-            self.ctx, sub_slabs, child_files, spanning_file,
-            name=f"merged-level{depth}-slab{slab.index}")
+        records_in = len(spanning_file) + sum(len(f) for f in child_files)
+        with obs.span("exact_maxrs.merge", sub_slabs=len(sub_slabs),
+                      records_in=records_in) as span:
+            start = self.ctx.stats.snapshot()
+            merged, best = merge_sweep(
+                self.ctx, sub_slabs, child_files, spanning_file,
+                name=f"merged-level{depth}-slab{slab.index}")
+            span.set_attributes(
+                hlines=len(merged),
+                block_reads=self.ctx.stats.since(start).block_reads)
         for child in child_files:
             child.delete()
         spanning_file.delete()
@@ -245,10 +271,7 @@ class ExactMaxRS:
             start = self.ctx.stats.snapshot()
             event_file = objects_file_to_event_file(
                 self.ctx, objects_file, self.width, self.height, name="maxkrs-events")
-            sorted_events = external_sort(
-                self.ctx, event_file, EVENT_CODEC, key=events_sort_key,
-                delete_input=True)
-            strips = self._collect_strips(sorted_events)
+            strips = self._collect_strips(self._sort(event_file))
             io = self.ctx.io_since(start)
         finally:
             objects_file.delete()

@@ -154,7 +154,7 @@ def solve_in_memory(objects: Sequence[WeightedPoint], width: float,
 
     ``backend`` selects the sweep execution strategy (a
     :class:`~repro.core.backends.SweepBackend` instance, a name, or ``None``
-    for the size-based auto rule -- see :mod:`repro.core.backends`).  Only
+    for numpy whenever it imports -- see :mod:`repro.core.backends`).  Only
     the best strip is consumed here, so backends may skip materialising the
     slab-file tuples.
 
@@ -205,7 +205,7 @@ def _solve_best(backend: "BackendSpec", num_events: int,
     # sweep_events for its reference backend.
     from repro.core.backends import resolve_backend
 
-    sweep_backend = resolve_backend(backend, num_events)
+    sweep_backend = resolve_backend(backend)
     with obs.span("backend.sweep", backend=sweep_backend.name,
                   events=num_events):
         with obs.span("backend.sweep.events"):

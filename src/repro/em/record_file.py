@@ -16,6 +16,13 @@ Access patterns provided:
   per block not already resident in the buffer pool.
 * :meth:`RecordFile.read_block_records` -- random access to one block, used by
   the external merge and by the aSB-tree baseline.
+
+Files whose records are runs of float64 fields also move whole blocks as
+numpy arrays: :meth:`RecordFile.read_block_array` reads one block as a
+``(records, fields)`` array and :meth:`RecordWriter.append_rows` appends an
+array's rows a block at a time.  Both are charged exactly as the record
+paths are (one buffer-pool ``get`` per block read, one flushed block write
+per full or final block) and the bytes are the struct codec's packing.
 """
 
 from __future__ import annotations
@@ -24,7 +31,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.em.buffer_pool import BufferPool
 from repro.em.serializer import RecordCodec
-from repro.errors import StorageError
+from repro.errors import SerializationError, StorageError
+
+try:  # guarded: the record paths run without numpy, the array paths need it
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
+    np = None
 
 __all__ = ["RecordFile", "RecordReader", "RecordWriter"]
 
@@ -118,6 +130,26 @@ class RecordFile:
             records = records[:remainder]
         return records
 
+    def read_block_array(self, block_index: int):
+        """Return the records of the ``block_index``-th block as an array.
+
+        The array has shape ``(records, fields)`` and dtype float64; the
+        block is fetched through the buffer pool exactly as
+        :meth:`read_block_records` fetches it.  Requires numpy and a codec
+        whose records are float64 runs.
+        """
+        fields = _float64_fields(self.codec)
+        self._check_alive()
+        if not 0 <= block_index < len(self.block_ids):
+            raise StorageError(
+                f"block index {block_index} out of range for file {self.name!r} "
+                f"with {len(self.block_ids)} blocks"
+            )
+        frame = self.pool.get(self.block_ids[block_index])
+        count = self._records_in_block(block_index)
+        return np.frombuffer(bytes(frame.data), dtype="<f8",
+                             count=count * fields).reshape(count, fields)
+
     def write_block_records(self, block_index: int, records: Sequence[Record]) -> None:
         """Overwrite the ``block_index``-th block with ``records``.
 
@@ -170,9 +202,10 @@ class RecordFile:
 class RecordWriter:
     """Append-only writer over a :class:`RecordFile`.
 
-    The writer keeps one block's worth of records in memory (the output buffer
-    of the EM model) and flushes it to a freshly allocated block when full.
-    Use it as a context manager so the final partial block is flushed:
+    The writer keeps one block's worth of encoded records in memory (the
+    output buffer of the EM model) and flushes it to a freshly allocated
+    block when full.  Use it as a context manager so the final partial block
+    is flushed:
 
     >>> # doctest-style sketch; see tests for runnable examples
     >>> # with file.writer() as w:
@@ -181,15 +214,20 @@ class RecordWriter:
 
     def __init__(self, file: RecordFile) -> None:
         self.file = file
-        self._buffer: List[Record] = []
+        self._per_block = file.records_per_block
+        self._encode = file.codec.encode_one
+        #: Encoded records (or runs of them) of the block being filled.
+        self._parts: List[bytes] = []
+        self._count = 0
         self._closed = False
 
     def append(self, record: Record) -> None:
         """Append one record to the file."""
         if self._closed:
             raise StorageError(f"writer for file {self.file.name!r} is closed")
-        self._buffer.append(record)
-        if len(self._buffer) >= self.file.records_per_block:
+        self._parts.append(self._encode(record))
+        self._count += 1
+        if self._count >= self._per_block:
             self._flush_buffer()
 
     def extend(self, records: Iterable[Record]) -> None:
@@ -197,18 +235,44 @@ class RecordWriter:
         for record in records:
             self.append(record)
 
+    def append_rows(self, rows) -> None:
+        """Append the rows of a ``(records, fields)`` float64 array.
+
+        Rows are packed a block at a time (``tobytes`` of a little-endian
+        float64 slice is byte-for-byte the struct codec's packing), so the
+        file gets the same bytes and the same block writes as appending the
+        rows one record at a time.
+        """
+        if self._closed:
+            raise StorageError(f"writer for file {self.file.name!r} is closed")
+        fields = _float64_fields(self.file.codec)
+        data = np.ascontiguousarray(rows, dtype="<f8")
+        if data.ndim != 2 or data.shape[1] != fields:
+            raise SerializationError(
+                f"rows of shape {data.shape} do not match the {fields} "
+                f"float64 fields of file {self.file.name!r}"
+            )
+        start, total = 0, len(data)
+        while start < total:
+            take = min(self._per_block - self._count, total - start)
+            self._parts.append(data[start:start + take].tobytes())
+            self._count += take
+            start += take
+            if self._count >= self._per_block:
+                self._flush_buffer()
+
     def close(self) -> None:
         """Flush the final partial block and seal the writer."""
         if self._closed:
             return
-        if self._buffer:
+        if self._count:
             self._flush_buffer()
         self._closed = True
 
     def _flush_buffer(self) -> None:
         device = self.file.pool.device
         block_id = device.allocate()
-        payload = self.file.codec.encode_block(self._buffer, device.config.block_size)
+        payload = b"".join(self._parts)
         self.file.pool.put(block_id, payload)
         # Sequential writers immediately push the block to disk and release the
         # frame: the EM model gives a sequential writer a single output buffer,
@@ -216,8 +280,9 @@ class RecordWriter:
         self.file.pool.flush_block(block_id)
         self.file.pool.invalidate(block_id)
         self.file.block_ids.append(block_id)
-        self.file.num_records += len(self._buffer)
-        self._buffer = []
+        self.file.num_records += self._count
+        self._parts = []
+        self._count = 0
 
     def __enter__(self) -> "RecordWriter":
         return self
@@ -263,3 +328,15 @@ class RecordReader:
             self._record_index = 0
             self._block_index += 1
         return self._records[self._record_index]
+
+
+def _float64_fields(codec: RecordCodec) -> int:
+    """The float64 field count of ``codec``'s records, for the array paths."""
+    if np is None:
+        raise StorageError("block arrays need numpy, which is not importable")
+    if codec.float64_fields is None:
+        raise SerializationError(
+            f"codec {codec!r} does not store float64 records; "
+            "use the record paths"
+        )
+    return codec.float64_fields

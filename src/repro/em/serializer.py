@@ -14,7 +14,7 @@ them exactly, so no special casing is needed.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SerializationError
 
@@ -33,6 +33,10 @@ class RecordCodec:
 
     #: Size in bytes of one encoded record.
     record_size: int
+
+    #: Number of fields when a record is a run of little-endian float64s
+    #: (so a block is a ``(records, fields)`` float64 array), else ``None``.
+    float64_fields: Optional[int] = None
 
     def encode_one(self, record: Record) -> bytes:
         """Encode a single record to exactly :attr:`record_size` bytes."""
@@ -90,6 +94,8 @@ class StructRecordCodec(RecordCodec):
         self._struct = struct.Struct(fmt)
         self.record_size = self._struct.size
         self.fmt = fmt
+        if fmt[:1] == "<" and len(fmt) > 1 and set(fmt[1:]) == {"d"}:
+            self.float64_fields = len(fmt) - 1
 
     def encode_one(self, record: Record) -> bytes:
         try:

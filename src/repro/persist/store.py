@@ -400,7 +400,26 @@ class SnapshotStore:
     # ------------------------------------------------------------------ #
     def _write_records(self, file_name: str, codec: RecordCodec,
                        records) -> None:
-        """Write records as one record file, mirror its blocks to a blob.
+        """Write records as one record file, mirror its blocks to a blob."""
+        self._write_file(file_name, codec,
+                         lambda writer: writer.extend(records))
+
+    def _write_columns(self, file_name: str, columns: List[np.ndarray]) -> None:
+        """Write float64 columns, one after another, as a columnar blob.
+
+        The columns go through the writer's block-array path, matching the
+        read path's ``frombuffer``: the bytes and the charged block writes
+        are those of packing 8-byte records one at a time.
+        """
+        def append_columns(writer) -> None:
+            for column in columns:
+                writer.append_rows(
+                    np.asarray(column, dtype=np.float64).reshape(-1, 1))
+
+        self._write_file(file_name, COLUMN_CODEC, append_columns)
+
+    def _write_file(self, file_name: str, codec: RecordCodec, fill) -> None:
+        """Write one record file with ``fill(writer)``, mirror it to a blob.
 
         The record file is written through the buffer pool (one charged block
         write per block, the EM cost of spilling the snapshot), its finished
@@ -412,7 +431,7 @@ class SnapshotStore:
             file = self.context.create_file(codec, name=file_name)
             try:
                 with file.writer() as writer:
-                    writer.extend(records)
+                    fill(writer)
                 payloads = [self.context.device.peek(block_id)
                             for block_id in file.block_ids]
                 write_blob(self.root / file_name,
@@ -423,45 +442,6 @@ class SnapshotStore:
                 # -- the store's EMContext is long-lived and must not leak
                 # them.
                 file.delete()
-            delta = self.context.stats.since(before)
-            span.set_attributes(block_reads=delta.block_reads,
-                                block_writes=delta.block_writes)
-
-    def _write_columns(self, file_name: str, columns: List[np.ndarray]) -> None:
-        """Write float64 columns, one after another, as a columnar blob.
-
-        The write path is vectorised to match the read path's ``frombuffer``:
-        the concatenated column bytes are sliced into block payloads and
-        pushed through the buffer pool block by block (one charged write
-        each, exactly as a :class:`~repro.em.record_file.RecordWriter` would
-        be charged), rather than packing 8-byte records one at a time.
-        """
-        with obs.span("persist.blob_io", file=file_name, mode="write") as span:
-            before = self.context.stats.snapshot()
-            stream = b"".join(np.ascontiguousarray(column, dtype="<f8").tobytes()
-                              for column in columns)
-            block_size = self.context.config.block_size
-            records_per_block = block_size // COLUMN_CODEC.record_size
-            payload_size = records_per_block * COLUMN_CODEC.record_size
-            device = self.context.device
-            pool = self.context.pool
-            block_ids = []
-            payloads = []
-            try:
-                for offset in range(0, len(stream), payload_size):
-                    payload = stream[offset:offset + payload_size]
-                    block_id = device.allocate()
-                    pool.put(block_id, payload)
-                    pool.flush_block(block_id)  # one charged block write
-                    pool.invalidate(block_id)
-                    block_ids.append(block_id)
-                    payloads.append(payload)
-                write_blob(self.root / file_name, block_size=block_size,
-                           payloads=payloads,
-                           num_records=len(stream) // COLUMN_CODEC.record_size)
-            finally:
-                for block_id in block_ids:
-                    device.free(block_id)
             delta = self.context.stats.since(before)
             span.set_attributes(block_reads=delta.block_reads,
                                 block_writes=delta.block_writes)

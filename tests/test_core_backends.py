@@ -13,8 +13,8 @@ import random
 
 import pytest
 
+import repro.core.backends as backends_module
 from repro.core.backends import (
-    DEFAULT_NUMPY_CROSSOVER,
     auto_crossover,
     available_backends,
     backend_summary,
@@ -64,28 +64,43 @@ class TestRegistry:
 
     def test_resolve_passes_instances_through(self):
         backend = PurePythonBackend()
-        assert resolve_backend(backend, 10 ** 9) is backend
+        assert resolve_backend(backend) is backend
 
-    def test_auto_selection_by_size(self):
-        crossover = auto_crossover()
-        assert resolve_backend(None, crossover - 1).name == "pure"
-        assert resolve_backend(None, crossover).name == "numpy"
-        assert resolve_backend("auto", crossover).name == "numpy"
+    def test_auto_resolves_to_numpy_whatever_the_size(self, monkeypatch):
+        # No size rule: "auto" is numpy for every sweep (the crossover is 0
+        # events, so 0, 1 and 10**9 events all qualify), pure without numpy.
+        assert auto_crossover() == 0
+        assert resolve_backend(None).name == "numpy"
+        assert resolve_backend("auto").name == "numpy"
+        # The smallest sweeps take it too: a one-point engine query.
+        from repro.service import MaxRSEngine, QuerySpec
 
-    def test_crossover_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CROSSOVER", "7")
-        assert auto_crossover() == 7
-        assert resolve_backend(None, 7).name == "numpy"
-        assert resolve_backend(None, 6).name == "pure"
-        monkeypatch.setenv("REPRO_SWEEP_CROSSOVER", "banana")
+        with MaxRSEngine(tracer="ring") as engine:
+            handle = engine.register_dataset([WeightedPoint(0.0, 0.0)])
+            engine.query(handle, QuerySpec.maxrs(1.0, 1.0))
+            sweeps = engine.tracer.recorder.last().find_all("backend.sweep")
+            assert {span.attributes["backend"] for span in sweeps
+                    if span.name == "backend.sweep"} == {"numpy"}
+        monkeypatch.setattr(backends_module, "numpy_available", lambda: False)
+        assert resolve_backend(None).name == "pure"
+        assert resolve_backend("auto").name == "pure"
+
+    @pytest.mark.parametrize("spec", ["banana", "cuda", object()],
+                             ids=["banana", "cuda", "not-a-backend"])
+    @pytest.mark.parametrize("construct", ["ExactMaxRS", "MaxRSSolver",
+                                           "MaxRSEngine"])
+    def test_bad_backend_rejected_at_construction(self, construct, spec):
         with pytest.raises(ConfigurationError):
-            auto_crossover()
-        monkeypatch.setenv("REPRO_SWEEP_CROSSOVER", "-1")
-        with pytest.raises(ConfigurationError):
-            auto_crossover()
+            _construct(construct, spec)
 
-    def test_default_crossover_sane(self):
-        assert 0 < DEFAULT_NUMPY_CROSSOVER <= 1_000_000
+    @pytest.mark.parametrize("construct", ["ExactMaxRS", "MaxRSSolver",
+                                           "MaxRSEngine"])
+    def test_unavailable_backend_rejected_at_construction(self, construct,
+                                                          monkeypatch):
+        monkeypatch.setattr(backends_module, "numpy_available", lambda: False)
+        with pytest.raises(ConfigurationError, match="numpy"):
+            _construct(construct, "numpy")
+        _construct(construct, "auto")  # falls back to pure
 
     def test_backend_summary_mentions_numpy_version(self):
         assert str(np.__version__) in backend_summary("numpy")
@@ -94,6 +109,22 @@ class TestRegistry:
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):
             NumpySweepBackend(chunk_hlines=0)
+
+
+def _construct(name, spec):
+    """Build one of the three objects that take a sweep backend."""
+    from repro import MaxRSSolver
+    from repro.core import ExactMaxRS
+    from repro.em import EMContext
+    from repro.service import MaxRSEngine
+
+    if name == "ExactMaxRS":
+        return ExactMaxRS(EMContext(), 1.0, 1.0, sweep_backend=spec)
+    if name == "MaxRSSolver":
+        return MaxRSSolver(1.0, 1.0, backend=spec)
+    engine = MaxRSEngine(sweep_backend=spec)
+    engine.close()
+    return engine
 
 
 class TestParityProperty:

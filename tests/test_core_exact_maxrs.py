@@ -169,3 +169,59 @@ class TestTopK:
         full = solver.solve(objs)
         assert len(top1) == 1
         assert top1[0].total_weight == pytest.approx(full.total_weight)
+
+
+class TestLayerSpans:
+    """Every layer of a traced solve opens its span."""
+
+    def test_sort_leaf_sweeps_and_merges_are_spans(self, monkeypatch,
+                                                   make_objects):
+        import importlib
+
+        from repro import obs
+        from repro.core.backends import resolve_backend
+        from repro.core.dispatch import solve_point_set
+
+        exact_module = importlib.import_module("repro.core.exact_maxrs")
+        merges = []
+        real_merge = exact_module.merge_sweep
+
+        def counting_merge(*args, **kwargs):
+            merges.append(args[1])
+            return real_merge(*args, **kwargs)
+
+        monkeypatch.setattr(exact_module, "merge_sweep", counting_merge)
+        recorder = obs.RingRecorder()
+        tracer = obs.Tracer(recorder)
+        objs = make_objects(300, seed=4)
+        config = EMConfig(block_size=512, buffer_size=4 * 512)
+        with tracer.trace("solve"):
+            result = solve_point_set(objs, 6.0, 6.0, config=config,
+                                     force_external=True)
+        spans = list(recorder.last().root.iter_spans())
+        by_id = {span.span_id: span for span in spans}
+
+        leaf_sweeps = [s for s in spans if s.name == "backend.sweep"]
+        assert len(leaf_sweeps) == result.leaf_count > 1
+        auto = resolve_backend(None).name   # numpy wherever it imports
+        assert all(s.attributes["backend"] == auto for s in leaf_sweeps)
+        assert all(s.attributes["events"] > 0 for s in leaf_sweeps)
+
+        merge_spans = [s for s in spans if s.name == "exact_maxrs.merge"]
+        assert len(merge_spans) == len(merges) >= 2   # one per internal node
+        assert result.recursion_levels >= 3
+        for span, sub_slabs in zip(merge_spans, merges):
+            attrs = span.attributes
+            assert attrs["sub_slabs"] == len(sub_slabs)
+            assert attrs["records_in"] > 0 and attrs["hlines"] > 0
+            assert attrs["block_reads"] > 0
+
+        sorts = [s for s in spans if s.name == "exact_maxrs.sort"]
+        assert len(sorts) == 1
+        assert sorts[0].attributes["records"] == 2 * len(objs)
+
+        kernels = [s for s in spans if s.name in (
+            "backend.sweep.prepare", "backend.sweep.kernel")]
+        assert len(kernels) == 2 * len(leaf_sweeps)
+        assert all(by_id[s.parent_id].name == "backend.sweep"
+                   for s in kernels)

@@ -162,3 +162,85 @@ class TestDeletion:
         records = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]
         file.write_all(records)
         assert file.read_all() == records
+
+
+class TestBlockArrays:
+    """Whole blocks as float64 arrays: same bytes, same charges."""
+
+    @pytest.mark.parametrize("count", [0, 1, 11, 12, 13, 40])
+    @pytest.mark.parametrize("chunks", [1, 3, 7])
+    def test_append_rows_matches_record_appends(self, tiny_ctx, count,
+                                                chunks):
+        np = pytest.importorskip("numpy")
+        from repro.em import EVENT_CODEC, MAX_INTERVAL_CODEC
+
+        for codec in (MAX_INTERVAL_CODEC, EVENT_CODEC):
+            fields = codec.float64_fields
+            values = np.arange(count * fields, dtype=np.float64) / 4.0 - 3.0
+            rows = values.reshape(count, fields)
+            if count:
+                rows[0, 0] = -np.inf
+                rows[-1, -1] = np.inf
+            records = [tuple(row) for row in rows.tolist()]
+
+            before = tiny_ctx.stats.snapshot()
+            by_record = tiny_ctx.create_file(codec)
+            by_record.write_all(records)
+            record_io = tiny_ctx.io_since(before)
+
+            before = tiny_ctx.stats.snapshot()
+            by_rows = tiny_ctx.create_file(codec)
+            with by_rows.writer() as writer:
+                # Uneven pieces, so appends start mid-block.
+                for piece in np.array_split(rows, chunks):
+                    writer.append_rows(piece)
+            rows_io = tiny_ctx.io_since(before)
+
+            assert rows_io == record_io
+            assert by_rows.num_records == by_record.num_records == count
+            assert [tiny_ctx.device.peek(b) for b in by_rows.block_ids] == \
+                [tiny_ctx.device.peek(b) for b in by_record.block_ids]
+
+            tiny_ctx.clear_cache()
+            before = tiny_ctx.stats.snapshot()
+            arrays = [by_rows.read_block_array(i)
+                      for i in range(by_rows.num_blocks)]
+            array_io = tiny_ctx.io_since(before)
+            tiny_ctx.clear_cache()
+            before = tiny_ctx.stats.snapshot()
+            assert by_record.read_all() == records
+            assert tiny_ctx.io_since(before) == array_io
+            assert array_io.block_reads == by_rows.num_blocks
+            got = [tuple(r) for a in arrays for r in a.tolist()]
+            assert got == records
+
+    def test_mixed_record_and_row_appends_keep_order(self, tiny_ctx):
+        np = pytest.importorskip("numpy")
+        from repro.em import MAX_INTERVAL_CODEC
+
+        file = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
+        with file.writer() as writer:
+            writer.append((0.0, 1.0, 2.0, 3.0))
+            writer.append_rows(np.ones((20, 4)))
+            writer.append((4.0, 5.0, 6.0, 7.0))
+        records = file.read_all()
+        assert records[0] == (0.0, 1.0, 2.0, 3.0)
+        assert records[1:21] == [(1.0,) * 4] * 20
+        assert records[21] == (4.0, 5.0, 6.0, 7.0)
+
+    def test_array_paths_need_float64_records(self, tiny_ctx):
+        np = pytest.importorskip("numpy")
+        from repro.em import MAX_INTERVAL_CODEC
+        from repro.errors import SerializationError
+
+        mixed = StructRecordCodec("<dq")   # a double and an int64
+        assert mixed.float64_fields is None
+        file = tiny_ctx.create_file(mixed)
+        file.write_all([(float(i), i) for i in range(3)])
+        with pytest.raises(SerializationError):
+            file.read_block_array(0)
+        with pytest.raises(SerializationError):
+            tiny_ctx.create_file(mixed).writer().append_rows(np.zeros((1, 2)))
+        wide = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
+        with pytest.raises(SerializationError):
+            wide.writer().append_rows(np.zeros((2, 5)))

@@ -96,32 +96,34 @@ def test_one_call_feeds_span_histogram_and_ledger(path, shards):
 
 
 def test_sweep_spans_split_into_events_prepare_and_kernel():
-    # Uniform points: the probe window is small enough for the pure-Python
-    # sweep, the refine subset is past the numpy crossover.
+    # One engine per backend: the probe and the refine sweep both run on
+    # it, and each backend opens the same three children.
     rng = random.Random(9)
     points = [WeightedPoint(rng.uniform(0, 100), rng.uniform(0, 100))
               for _ in range(4000)]
-    with MaxRSEngine(tracer="ring", shards=1) as engine:
-        dataset = engine.register_dataset(points)
-        engine.query(dataset, QuerySpec.maxrs(10.0, 10.0))
-        trace = engine.tracer.recorder.last()
+    for backend in ("pure", "numpy"):
+        with MaxRSEngine(tracer="ring", shards=1,
+                         sweep_backend=backend) as engine:
+            dataset = engine.register_dataset(points)
+            engine.query(dataset, QuerySpec.maxrs(10.0, 10.0))
+            trace = engine.tracer.recorder.last()
 
-    sweeps = [span for span in trace.find_all("backend.sweep")
-              if span.name == "backend.sweep"]
-    assert [span.attributes["backend"] for span in sweeps] == \
-        ["pure", "numpy"]
-    for sweep in sweeps:
-        children = sweep.children
-        assert [child.name for child in children] == [
-            "backend.sweep.events", "backend.sweep.prepare",
-            "backend.sweep.kernel"]
-        # In order, inside the parent (1 ms of slack for the wall clock the
-        # start times come from).
-        sweep_end = sweep.start_unix + sweep.duration_s
-        previous_end = sweep.start_unix
-        for child in children:
-            assert child.start_unix >= previous_end - 1e-3
-            previous_end = child.start_unix + child.duration_s
-            assert previous_end <= sweep_end + 1e-3
-        assert sum(child.duration_s for child in children) <= \
-            sweep.duration_s
+        sweeps = [span for span in trace.find_all("backend.sweep")
+                  if span.name == "backend.sweep"]
+        assert [span.attributes["backend"] for span in sweeps] == \
+            [backend, backend]
+        for sweep in sweeps:
+            children = sweep.children
+            assert [child.name for child in children] == [
+                "backend.sweep.events", "backend.sweep.prepare",
+                "backend.sweep.kernel"]
+            # In order, inside the parent (1 ms of slack for the wall clock
+            # the start times come from).
+            sweep_end = sweep.start_unix + sweep.duration_s
+            previous_end = sweep.start_unix
+            for child in children:
+                assert child.start_unix >= previous_end - 1e-3
+                previous_end = child.start_unix + child.duration_s
+                assert previous_end <= sweep_end + 1e-3
+            assert sum(child.duration_s for child in children) <= \
+                sweep.duration_s
