@@ -5,7 +5,6 @@
 #   make bench          - the benchmark suite at its standard preset
 #   make bench-backends - sweep-backend A/B comparison (smoke preset)
 #   make bench-persist  - warm-start vs cold re-ingest comparison (fast preset)
-#   make bench-shards   - sharded vs unsharded grid index (fast preset)
 #   make bench-pyramid  - grid pyramid + bounded-error descent vs flat (fast preset)
 #   make bench-async    - concurrent async clients vs sequential sync (fast preset)
 #   make bench-obs      - fleet-telemetry overhead guard (fast preset)
@@ -22,9 +21,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench bench-backends bench-persist bench-shards \
-	bench-pyramid bench-async bench-obs bench-introspect bench-json \
-	bench-gate trace-smoke examples verify
+.PHONY: test bench-smoke bench bench-backends bench-persist bench-pyramid \
+	bench-async bench-obs bench-introspect bench-json bench-gate \
+	trace-smoke examples verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,13 +42,6 @@ bench-backends:
 # REPRO_BENCH_PRESET=paper make bench-persist.
 bench-persist:
 	$(PYTHON) -m pytest benchmarks/test_service_coldstart.py -q
-
-# Sharded (4 shards on the threaded executor) vs unsharded grid index on
-# registration and refined cold queries; the >= 2x acceptance bound is
-# asserted at (near-)paper scale on hosts with >= 4 cores, e.g.
-# REPRO_BENCH_PRESET=paper make bench-shards.
-bench-shards:
-	$(PYTHON) -m pytest benchmarks/test_service_shards.py -q
 
 # Grid pyramid (bounded-error coarse-to-fine descent, error_bound=0.05) vs
 # the flat single-level index on large cold queries; the >= 2x acceptance
@@ -90,7 +82,6 @@ bench-json:
 	REPRO_BENCH_ARTEFACTS=1 $(PYTHON) -m pytest -q \
 		benchmarks/test_service_throughput.py \
 		benchmarks/test_service_coldstart.py \
-		benchmarks/test_service_shards.py \
 		benchmarks/test_service_pyramid.py \
 		benchmarks/test_service_async.py \
 		benchmarks/test_obs_overhead.py \

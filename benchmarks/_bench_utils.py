@@ -135,7 +135,7 @@ def write_bench_json(name: str, directory: str, *,
     workload:
         What was measured (cardinality, query counts, mix name, ...).
     config:
-        How the engine was configured (backend, shards, executor, ...).
+        How the engine was configured (backend, pyramid depth, ...).
     seconds, baseline_seconds, speedup:
         The headline measurement, its baseline, and their ratio.
     samples:

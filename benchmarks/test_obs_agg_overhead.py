@@ -78,6 +78,13 @@ def test_fleet_telemetry_overhead(scale, report, artefact_dir):
         # Untimed warm-up round for each variant.
         _timed_cold_query(baseline_engine, baseline_ds, spec)
         _timed_cold_query(enabled_engine, enabled_ds, spec)
+        # The timed rounds must run with the background sampler already
+        # sampling.  At the fast preset every round together can finish
+        # inside one sampling interval, so wait for its first sample.
+        deadline = time.perf_counter() + 5.0
+        while enabled_engine.sampler.samples == 0 \
+                and time.perf_counter() < deadline:
+            time.sleep(SAMPLE_INTERVAL_S / 5)
 
         baseline, enabled = [], []
         for _ in range(ROUNDS):

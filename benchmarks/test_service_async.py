@@ -18,7 +18,7 @@ Answers must stay **bit-identical** to the sequential sync engine's on every
 query -- that part is asserted unconditionally, at every scale, on every
 host.  The >= 2x acceptance bound is asserted at (near-)paper scale on hosts
 with >= 4 cores; single-core hosts record their (roughly parity) ratio into
-the artefact log instead, as the shard benchmark does.
+the artefact log instead.
 """
 
 from __future__ import annotations

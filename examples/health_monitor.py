@@ -106,15 +106,13 @@ def render_frame(engine: MaxRSEngine, frame: int, note: str) -> None:
         glyph = _STATUS_GLYPH.get(check["status"], "?")
         detail = check["detail"][:44]
         lines.append(f"  [{glyph}] {name:<10} {check['status']:<9} {detail}")
-    sharding = stats["sharding"]
     lines += [
         "",
         f"process: cpu {gauge(stats, 'process_cpu_seconds'):.2f} s, "
         f"rss {gauge(stats, 'process_rss_bytes') / 2**20:.1f} MiB   "
         f"cache: {gauge(stats, 'cache_entries'):.0f}/"
         f"{gauge(stats, 'cache_capacity'):.0f} entries   "
-        f"shards: {sharding['effective_shards']} on "
-        f"{sharding['resolved_executor']!r}",
+        f"datasets: {stats['datasets']}",
         "",
         "SLOs:",
     ]

@@ -70,9 +70,9 @@ def main() -> None:
     register_seconds = time.perf_counter() - start
     print(f"register + index      : {register_seconds * 1e3:.1f} ms")
     grid_stats = engine.stats()["grids"]["city"]
-    print(f"grid index            : {grid_stats['shard_count']} shard(s), "
-          f"executor {grid_stats['executor']} "
-          f"({grid_stats['rows']} x {grid_stats['cols']} cells)")
+    print(f"grid index            : {grid_stats['rows']} x "
+          f"{grid_stats['cols']} cells, "
+          f"{grid_stats['occupied_cells']} occupied")
     levels = grid_stats.get("levels") or []
     ladder = " -> ".join(f"{lv['rows']}x{lv['cols']}" for lv in levels)
     print(f"grid pyramid          : depth {grid_stats['pyramid_depth']} "

@@ -2,12 +2,12 @@
 """End-to-end query introspection: watch one query walk through the engine.
 
 The observability subsystem (:mod:`repro.obs`) records each query as a tree
-of timed spans -- admission, cache lookup, shard fan-out, the plane sweep,
-blob I/O -- and renders it as an indented tree.  Since the introspection
-work each answer also carries a **cost ledger** and the engine can
-**explain** a query's plan without running it.  This demo registers a
-dataset on a sharded, persistent engine with an in-memory ring recorder,
-then prints, for each of three queries --
+of timed spans -- admission, cache lookup, the grid probe and prune, the
+plane sweep, blob I/O -- and renders it as an indented tree.  Each answer
+also carries a **cost ledger**, and the engine can **explain** a query's
+plan without running it.  This demo registers a dataset on a persistent
+engine with an in-memory ring recorder, then prints, for each of three
+queries --
 
 * one **cold query** (cache miss, approximate probe, pruned exact refine,
   the backend sweep at the bottom),
@@ -69,9 +69,6 @@ def show_plan(plan: dict) -> None:
     for level in plan.get("levels", []):
         print(f"  level scale={level['scale']:>3}: "
               f"{level['live_cells']}/{level['cells']} cells live")
-    sharding = plan.get("sharding", {})
-    print(f"  sharding: {sharding.get('shards')} shard(s) "
-          f"on the {sharding.get('executor')} executor")
 
 
 def show_cost(result) -> None:
@@ -89,9 +86,7 @@ def main() -> None:
     print("Traced query demo")
     print("-----------------")
     with tempfile.TemporaryDirectory(prefix="repro-obs-") as persist_dir:
-        engine = MaxRSEngine(tracer="ring", shards=2,
-                             shard_executor="threaded",
-                             persist_dir=persist_dir)
+        engine = MaxRSEngine(tracer="ring", persist_dir=persist_dir)
         # Anything slower than a millisecond lands in the slow-query log --
         # a deliberately hair-trigger threshold so the demo shows it firing.
         engine.tracer.slow_query_log(0.001, sink=slow_log.append)

@@ -54,7 +54,7 @@ bounded admission with backpressure, and ``MaxRSServer`` /
 answers; see ``examples/async_service.py``.
 
 The whole stack is observable through :mod:`repro.obs`: per-query traces of
-nested spans (admission, cache, shards, plane sweep, blob I/O) that follow a
+nested spans (admission, cache, grid, plane sweep, blob I/O) that follow a
 query across threads, tasks and the TCP wire, a slow-query log, and
 Prometheus-style metrics exposition; see ``docs/observability.md`` and
 ``examples/traced_query.py``.

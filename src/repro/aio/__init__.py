@@ -1,7 +1,7 @@
 """repro.aio -- asyncio-native serving front-end for the resident engine.
 
-The resident :class:`~repro.service.engine.MaxRSEngine` (PRs 1-4) is fast,
-sharded and durable, but blocking: one caller at a time drives it through a
+The resident :class:`~repro.service.engine.MaxRSEngine` is fast and
+durable, but blocking: one caller at a time drives it through a
 synchronous Python API.  This package is the serving tier that lets **one
 resident process hold heavy concurrent traffic**:
 
@@ -27,7 +27,7 @@ Every layer participates in :mod:`repro.obs` tracing: the client stamps its
 trace id onto each request's ``trace`` field, the server continues it in a
 ``server.request`` span, and the async engine's executor hand-off carries
 the span context into the worker threads -- one distributed trace covers
-admission, coalescing, cache, shards, sweep and blob I/O.  The ``trace`` and
+admission, coalescing, cache, grid, sweep and blob I/O.  The ``trace`` and
 ``metrics_text`` protocol ops fetch server-retained traces and a
 Prometheus-style metrics snapshot over the same connection.
 

@@ -217,7 +217,7 @@ class AsyncQueryClient:
 
         Returns the engine's :meth:`~repro.service.engine.MaxRSEngine.
         explain` dict (path, cache membership, probe/prune estimates,
-        pyramid level survival, shard layout, backend choice).  Explaining
+        pyramid level survival, backend choice).  Explaining
         never sweeps and never mutates server state.
         """
         response = await self._call({
@@ -264,8 +264,8 @@ class AsyncQueryClient:
         """The server's liveness verdict: ``{"ok", "status", "checks"}``.
 
         Unlike :meth:`ping` (which only proves the socket and event loop),
-        this reports what the engine knows about itself -- a degraded
-        executor, dead shard workers, firing SLO alerts.
+        this reports what the engine knows about itself -- a closed engine,
+        an unwritable snapshot directory, firing SLO alerts.
         """
         response = await self._call({"op": "healthz"})
         return response["health"]

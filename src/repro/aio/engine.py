@@ -226,7 +226,7 @@ class AsyncMaxRSEngine:
         :class:`~repro.errors.ServiceDegradedError`.
     engine_kwargs:
         Passed through to :class:`MaxRSEngine` when ``engine`` is ``None``
-        (``cache_size=``, ``shards=``, ``persist_dir=``, ...).
+        (``cache_size=``, ``max_workers=``, ``persist_dir=``, ...).
 
     Examples
     --------

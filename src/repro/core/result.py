@@ -98,7 +98,7 @@ class MaxRSResult:
         Per-query cost ledger attached by the serving engine
         (:meth:`repro.service.MaxRSEngine.query`): a plain JSON-ready dict of
         what answering cost -- wall/CPU seconds, swept vs pruned points,
-        pyramid descent, cache outcome, shard fan-out, block I/O.  ``None``
+        pyramid descent, cache outcome, sweep backends, block I/O.  ``None``
         for answers from the bare solvers.  Excluded from equality so
         ledger-carrying answers compare bit-identical to plain ones.
     """

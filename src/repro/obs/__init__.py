@@ -1,9 +1,9 @@
 """Dependency-free tracing and telemetry for the MaxRS serving stack.
 
 One query crosses six layers — asyncio admission, coalescing, the result
-cache, dispatch, shard fan-out, the sweep backends, and persist/EM block
-I/O — and :mod:`repro.obs` is the spine that attributes wall-clock time to
-each of them per request.  The pieces:
+cache, the grid index, the sweep backends, and persist/EM block I/O — and
+:mod:`repro.obs` is the spine that attributes wall-clock time to each of
+them per request.  The pieces:
 
 * :class:`Span` / :class:`Trace` / :class:`Tracer`
   (:mod:`repro.obs.span`) — nested timed spans carried through threads and

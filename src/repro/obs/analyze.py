@@ -32,9 +32,10 @@ __all__ = ["critical_path", "profile", "render_profile", "span_self_seconds"]
 def span_self_seconds(span_: Span) -> float:
     """Seconds spent in ``span_`` itself, excluding its children.
 
-    Clamped at zero: children running concurrently (threaded shard fan-out)
-    can sum past their parent's wall clock, and that overshoot is
-    parallelism, not negative work.
+    Clamped at zero: children running concurrently (the pool-thread
+    queries of a ``query_batch`` issued inside a trace) can sum past their
+    parent's wall clock, and that overshoot is parallelism, not negative
+    work.
     """
     duration = span_.duration_s or 0.0
     children = sum(child.duration_s or 0.0 for child in span_.children)

@@ -2,7 +2,7 @@
 
 :func:`metrics_text` turns an :class:`~repro.service.metrics.EngineMetrics`
 into the Prometheus text exposition format (version 0.0.4): counters become
-``<ns>_counter_total{name=...}``, stage and per-shard timings become
+``<ns>_counter_total{name=...}``, stage timings become
 ``_seconds_total``/``_count_total`` pairs, and every
 :class:`~repro.service.metrics.LatencyHistogram` becomes a real Prometheus
 histogram — **cumulative** ``_bucket{le=...}`` series ending in ``+Inf``,
@@ -58,7 +58,7 @@ def metrics_text(metrics: "EngineMetrics", *, namespace: str = "repro",
     """Render ``metrics`` as Prometheus text exposition (one big string).
 
     ``metrics`` is anything with the :class:`EngineMetrics` read interface:
-    ``snapshot()`` for counters/stages/shards and ``histograms()`` for the
+    ``snapshot()`` for counters/stages/gauges and ``histograms()`` for the
     raw latency bucket counts (summaries alone cannot rebuild the
     cumulative ``le`` series).
 
@@ -92,19 +92,6 @@ def metrics_text(metrics: "EngineMetrics", *, namespace: str = "repro",
     for stage in sorted(stages):
         lines.append(f"{namespace}_stage_count_total{{stage={_label(stage)}}} "
                      f"{stages[stage]['count']}")
-
-    shards = snapshot.get("shards", {})
-    if shards:
-        lines.append(f"# HELP {namespace}_shard_seconds_total Cumulative "
-                     f"wall-clock seconds per shard stage and shard id.")
-        lines.append(f"# TYPE {namespace}_shard_seconds_total counter")
-        for stage in sorted(shards):
-            for shard_id in sorted(shards[stage]):
-                entry = shards[stage][shard_id]
-                lines.append(
-                    f"{namespace}_shard_seconds_total{{stage={_label(stage)},"
-                    f"shard={_label(shard_id)}}} "
-                    f"{_num(entry['total_seconds'])}")
 
     # Per-client accounting: one series per (client, ledger field).  The
     # source mapping is LRU-bounded, so cardinality is too.

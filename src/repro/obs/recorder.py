@@ -20,7 +20,7 @@ Four implementations cover the deployment spectrum:
   tooling can chew on both.
 
 All recorders are thread-safe: the engine finishes traces from asyncio
-tasks, pool threads, and shard workers alike.
+tasks and pool threads alike.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ one request form a tree; the tree plus its identity is a **trace**.
 
 The design constraint that shapes everything here is the serving engine's
 execution model: a query enters on an asyncio task, hops into the engine's
-thread pool via ``run_in_executor``, and may fan out again across shard
-worker threads.  The *current span* therefore lives in a
+thread pool via ``run_in_executor``, and ``query_batch`` fans queries out
+over the same pool.  The *current span* therefore lives in a
 :class:`contextvars.ContextVar` — the only ambient-state mechanism in the
 stdlib that is simultaneously task-local under asyncio and copyable across
 thread hand-offs.  The hand-offs themselves do **not** copy context
 automatically (``run_in_executor`` is a plain ``executor.submit`` under the
 hood), so the call sites in :mod:`repro.aio.engine` and
-:mod:`repro.service.sharding` wrap submitted work in
+:mod:`repro.service.engine` (``query_batch``) wrap submitted work in
 ``contextvars.copy_context().run`` explicitly.
 
 The second constraint is overhead: every hot path in the engine calls
@@ -26,7 +26,7 @@ materialise inside an active trace, and traces only start when a
 or when a remote caller supplied a ``trace_id`` to continue.
 
 Thread-safety: a span's *children* list may be appended to from several
-shard worker threads at once; ``list.append`` is atomic under the GIL, and
+pool threads at once; ``list.append`` is atomic under the GIL, and
 each child's own fields are written only by the thread that runs it.  The
 span that *owns* a subtree is always finished after its children, so the
 recorded tree is consistent by construction.
@@ -317,7 +317,7 @@ def span(name: str, **attributes: Any):
     child = Span(name, parent.trace_id, parent_id=parent.span_id,
                  attributes=attributes)
     # Visible in the tree immediately; list.append is atomic under the GIL,
-    # so concurrent shard workers can attach children to one parent safely.
+    # so concurrent pool threads can attach children to one parent safely.
     parent.children.append(child)
     return _ActiveSpan(child)
 

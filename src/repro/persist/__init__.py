@@ -64,9 +64,7 @@ from repro.persist.format import (
     DatasetManifest,
     GridManifest,
     GridShardManifest,
-    GridShardSnapshot,
     GridSnapshot,
-    ShardedGridSnapshot,
     SnapshotCatalog,
     fingerprint_columns,
 )
@@ -80,11 +78,9 @@ __all__ = [
     "DatasetManifest",
     "GridManifest",
     "GridShardManifest",
-    "GridShardSnapshot",
     "GridSnapshot",
     "LoadedSnapshot",
     "RESULT_CODEC",
-    "ShardedGridSnapshot",
     "SnapshotCatalog",
     "SnapshotStore",
     "fingerprint_columns",

@@ -25,8 +25,7 @@ Two kinds of files live in a persist directory (see the package docstring in
   manifest -- at worst an orphaned blob, which a later save overwrites.
 
 This module knows nothing about the service layer: it deals in numpy columns,
-dataclasses and bytes, so the same machinery can back future sharded or
-replicated deployments.
+dataclasses and bytes.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ __all__ = [
     "GridLevelSnapshot",
     "GridManifest",
     "GridShardManifest",
-    "GridShardSnapshot",
     "GridSnapshot",
-    "ShardedGridSnapshot",
     "SnapshotCatalog",
     "fingerprint_columns",
     "load_catalog",
@@ -80,9 +77,10 @@ CATALOG_FILENAME = "catalog.json"
 
 #: Catalog format version this build writes.  Version 2 added sharded grid
 #: manifests (one blob per shard); version 3 added grid-pyramid level blobs
-#: (one checksummed blob per coarse level).  Version-1 catalogs (a single
-#: grid blob per dataset) are still read and their grids adopted as 1-shard
-#: indexes; v1/v2 catalogs restore as 1-level (flat) pyramids.
+#: (one checksummed blob per coarse level).  This build writes single-blob
+#: grids only.  All three versions are read: a sharded grid entry still
+#: parses, but its grid is rebuilt from the points instead of loaded, and
+#: v1/v2 single-blob grids restore as 1-level (flat) pyramids.
 CATALOG_VERSION = 3
 
 #: Catalog format versions this build can read.
@@ -236,68 +234,14 @@ class GridSnapshot:
 
 
 @dataclass(frozen=True, slots=True)
-class GridShardSnapshot:
-    """The persistable state of one shard: its cell block plus aggregates.
-
-    ``row0:row1`` / ``col0:col1`` is the shard's half-open block of **global**
-    grid cells; the aggregate arrays have the block's shape.  The blocks of a
-    :class:`ShardedGridSnapshot` tile the global grid exactly -- loaders
-    verify that before adopting a persisted layout.
-    """
-
-    row0: int
-    row1: int
-    col0: int
-    col1: int
-    cell_weights: np.ndarray  # float64, shape (row1-row0, col1-col0)
-    cell_counts: np.ndarray   # int64,  shape (row1-row0, col1-col0)
-
-
-@dataclass(frozen=True, slots=True)
-class ShardedGridSnapshot:
-    """Format-v2 grid state: one global geometry, one aggregate block per shard.
-
-    The sharded sibling of :class:`GridSnapshot`.  Each shard's aggregates are
-    persisted (and restored) as their own blob so a warm start can rebuild
-    shard partitions in parallel.
-    """
-
-    n_rows: int
-    n_cols: int
-    x0: float
-    y0: float
-    cell_w: float
-    cell_h: float
-    shards: Tuple[GridShardSnapshot, ...]
-    levels: Tuple[GridLevelSnapshot, ...] = ()
-
-    @classmethod
-    def from_single(cls, snap: GridSnapshot) -> "ShardedGridSnapshot":
-        """Adopt a single-grid snapshot as a 1-shard layout."""
-        return cls(
-            n_rows=snap.n_rows, n_cols=snap.n_cols,
-            x0=snap.x0, y0=snap.y0, cell_w=snap.cell_w, cell_h=snap.cell_h,
-            shards=(GridShardSnapshot(
-                row0=0, row1=snap.n_rows, col0=0, col1=snap.n_cols,
-                cell_weights=snap.cell_weights,
-                cell_counts=snap.cell_counts),),
-            levels=snap.levels,
-        )
-
-    def tiles_exactly(self) -> bool:
-        """Whether the shard blocks partition the global grid exactly."""
-        coverage = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for shard in self.shards:
-            if not (0 <= shard.row0 < shard.row1 <= self.n_rows
-                    and 0 <= shard.col0 < shard.col1 <= self.n_cols):
-                return False
-            coverage[shard.row0:shard.row1, shard.col0:shard.col1] += 1
-        return bool((coverage == 1).all())
-
-
-@dataclass(frozen=True, slots=True)
 class GridShardManifest:
-    """Catalog entry describing one shard's grid blob and cell block."""
+    """Catalog entry describing one shard's grid blob and cell block.
+
+    Earlier builds saved a grid as one blob per shard.  This build no longer
+    writes or reads those blobs, but still parses, lists and re-serialises
+    the entry, so a catalog holding one keeps working (see
+    :attr:`GridManifest.shards`).
+    """
 
     file: str
     row0: int
@@ -348,9 +292,11 @@ class GridManifest:
     Two base layouts share this entry: the version-1 single-blob grid
     (``file`` set, ``shards`` ``None``) and the version-2 sharded grid
     (``shards`` set, ``file`` ``None``).  Exactly one of the two must be
-    present.  ``levels`` (format v3) is orthogonal to the base layout: the
-    pyramid rolls up from the *global* aggregates, so either layout may
-    carry level blobs (finest first).
+    present.  This build writes the single-blob layout only; a sharded
+    entry from an earlier build still parses and lists its blobs, and the
+    engine rebuilds its grid on restore.  ``levels`` (format v3) is
+    orthogonal to the base layout: either may carry level blobs (finest
+    first).
     """
 
     file: Optional[str]
@@ -543,9 +489,9 @@ def save_catalog(directory: Path, catalog: SnapshotCatalog) -> None:
     The stamped format version is the *lowest* one that can express the
     catalog: a store whose grids are all single-blob (or absent) is written
     as version 1, so it stays readable by pre-sharding builds after a
-    rollback; a catalog containing sharded grid entries but no pyramid
-    levels is stamped version 2, and only one actually carrying level blobs
-    is stamped version 3.
+    rollback; a catalog still holding a sharded grid entry of an earlier
+    build but no pyramid levels is stamped version 2, and only one actually
+    carrying level blobs is stamped version 3.
     """
     path = Path(directory) / CATALOG_FILENAME
     grids = [manifest.grid for manifest in catalog.datasets.values()

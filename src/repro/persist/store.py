@@ -26,7 +26,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -45,10 +45,7 @@ from repro.persist.format import (
     GridLevelManifest,
     GridLevelSnapshot,
     GridManifest,
-    GridShardManifest,
-    GridShardSnapshot,
     GridSnapshot,
-    ShardedGridSnapshot,
     SnapshotCatalog,
     fingerprint_columns,
     load_catalog,
@@ -76,18 +73,18 @@ class LoadedSnapshot:
     """One dataset read back from the snapshot store.
 
     ``grid`` is ``None`` when no grid was persisted *or* when the persisted
-    grid blob failed verification -- the latter also sets ``grid_error`` so
-    callers can report the fallback; the point columns themselves are always
-    fingerprint-verified or the load raises.
+    grid could not be loaded: a blob that failed verification, or a grid
+    saved in the sharded layout of earlier builds.  A grid that could not be
+    loaded also sets ``grid_error`` so callers can report the fallback; the
+    point columns themselves are always fingerprint-verified or the load
+    raises.
     """
 
     manifest: DatasetManifest
     xs: np.ndarray
     ys: np.ndarray
     ws: np.ndarray
-    #: A :class:`GridSnapshot` (format v1, single grid) or a
-    #: :class:`ShardedGridSnapshot` (format v2, one aggregate block per shard).
-    grid: Union[GridSnapshot, ShardedGridSnapshot, None]
+    grid: Optional[GridSnapshot]
     grid_error: Optional[str] = None
 
     def objects(self) -> List[WeightedPoint]:
@@ -145,17 +142,14 @@ class SnapshotStore:
     # ------------------------------------------------------------------ #
     def save_dataset(self, dataset_id: str, xs: np.ndarray, ys: np.ndarray,
                      ws: np.ndarray, *,
-                     grid: Union[GridSnapshot, ShardedGridSnapshot,
-                                 None] = None) -> DatasetManifest:
+                     grid: Optional[GridSnapshot] = None) -> DatasetManifest:
         """Persist one dataset's columns (and optionally its grid aggregates).
 
-        ``grid`` may be a single-grid :class:`GridSnapshot` (persisted as one
-        blob, the format-v1 layout) or a :class:`ShardedGridSnapshot`
-        (persisted as **one blob per shard**, so a warm start can verify and
-        adopt the shards in parallel).  Either kind may carry pyramid levels,
-        persisted as one checksummed blob per coarse level (format v3).
-        Overwrites any existing snapshot under ``dataset_id``.  Returns the
-        new manifest; the catalog file is rewritten atomically.
+        ``grid`` is persisted as one blob (the format-v1 layout) plus one
+        checksummed blob per pyramid level (format v3).  Overwrites any
+        existing snapshot under ``dataset_id``; blobs of the old snapshot
+        that nothing references any more are deleted.  Returns the new
+        manifest; the catalog file is rewritten atomically.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         fingerprint = fingerprint_columns(xs, ys, ws)
@@ -164,9 +158,7 @@ class SnapshotStore:
         self._write_columns(points_file, [xs, ys, ws])
 
         grid_manifest = None
-        if isinstance(grid, ShardedGridSnapshot):
-            grid_manifest = self._save_sharded_grid(stem, grid)
-        elif grid is not None:
+        if grid is not None:
             # The resolution is part of the stem: byte-identical datasets
             # share points blobs, but grids indexed at different resolutions
             # are different content and must not clobber each other.
@@ -206,37 +198,8 @@ class SnapshotStore:
             self._remove_orphaned_blobs(previous)
         return manifest
 
-    def _save_sharded_grid(self, stem: str,
-                           grid: ShardedGridSnapshot) -> GridManifest:
-        """Write one aggregate blob per shard and return the v2 manifest.
-
-        Each blob's name carries the global resolution *and* the shard's cell
-        block, so grids indexed at different resolutions or partitioned
-        differently are different content and never clobber each other.
-        """
-        shard_manifests = []
-        for shard in grid.shards:
-            shard_file = (f"{stem}-{grid.n_rows}x{grid.n_cols}"
-                          f"-r{shard.row0}-{shard.row1}"
-                          f"-c{shard.col0}-{shard.col1}.grid")
-            self._write_columns(
-                shard_file,
-                [shard.cell_weights.ravel(),
-                 shard.cell_counts.ravel().astype(np.float64)],
-            )
-            shard_manifests.append(GridShardManifest(
-                file=shard_file, row0=shard.row0, row1=shard.row1,
-                col0=shard.col0, col1=shard.col1))
-        return GridManifest(
-            file=None, n_rows=grid.n_rows, n_cols=grid.n_cols,
-            x0=grid.x0, y0=grid.y0, cell_w=grid.cell_w, cell_h=grid.cell_h,
-            shards=tuple(shard_manifests),
-            levels=self._save_grid_levels(stem, grid),
-        )
-
     def _save_grid_levels(self, stem: str,
-                          grid: Union[GridSnapshot, ShardedGridSnapshot],
-                          ) -> Optional[tuple]:
+                          grid: GridSnapshot) -> Optional[tuple]:
         """Write one aggregate blob per pyramid level (format v3).
 
         Level blobs reuse the grid blob layout (weights column, counts
@@ -336,9 +299,10 @@ class SnapshotStore:
         PersistError
             When the dataset is not in the catalog, was written with an
             incompatible codec or block size, or its points blob is corrupt.
-            A corrupt *grid* blob does not raise: the points still verify, so
-            the snapshot is returned with ``grid=None`` and the failure
-            recorded in ``grid_error`` (callers rebuild the index).
+            A corrupt *grid* blob, or a grid in the sharded layout of
+            earlier builds, does not raise: the points still verify, so the
+            snapshot is returned with ``grid=None`` and the reason recorded
+            in ``grid_error`` (callers rebuild the index).
         """
         manifest = self.catalog.get(dataset_id)
         if manifest is None:
@@ -368,7 +332,7 @@ class SnapshotStore:
                 f"{manifest.fingerprint[:12]}...; rejecting the corrupt snapshot"
             )
 
-        grid: Union[GridSnapshot, ShardedGridSnapshot, None] = None
+        grid: Optional[GridSnapshot] = None
         grid_error: Optional[str] = None
         if manifest.grid is not None:
             try:
@@ -506,9 +470,11 @@ class SnapshotStore:
         return np.frombuffer(data, dtype="<f8")
 
     def _load_grid(self, dataset_id: str, manifest: GridManifest
-                   ) -> Union[GridSnapshot, ShardedGridSnapshot]:
+                   ) -> GridSnapshot:
         if manifest.shards is not None:
-            return self._load_sharded_grid(dataset_id, manifest)
+            raise PersistError(
+                f"grid of {dataset_id!r} was saved as one blob per shard by "
+                "an earlier build; this build rebuilds it from the points")
         weights, counts = self._read_grid_blob(
             dataset_id, manifest.file, manifest.n_rows, manifest.n_cols)
         return GridSnapshot(
@@ -544,38 +510,6 @@ class SnapshotStore:
                 scale=level.scale, n_rows=level.n_rows, n_cols=level.n_cols,
                 cell_weights=weights, cell_counts=counts))
         return tuple(levels)
-
-    def _load_sharded_grid(self, dataset_id: str,
-                           manifest: GridManifest) -> ShardedGridSnapshot:
-        shards = []
-        for shard in manifest.shards:
-            rows = shard.row1 - shard.row0
-            cols = shard.col1 - shard.col0
-            if rows < 1 or cols < 1:
-                raise PersistError(
-                    f"grid shard of {dataset_id!r} spans an empty cell block "
-                    f"[{shard.row0}, {shard.row1}) x [{shard.col0}, {shard.col1})"
-                )
-            weights, counts = self._read_grid_blob(
-                dataset_id, shard.file, rows, cols)
-            shards.append(GridShardSnapshot(
-                row0=shard.row0, row1=shard.row1,
-                col0=shard.col0, col1=shard.col1,
-                cell_weights=weights, cell_counts=counts))
-        snap = ShardedGridSnapshot(
-            n_rows=manifest.n_rows, n_cols=manifest.n_cols,
-            x0=manifest.x0, y0=manifest.y0,
-            cell_w=manifest.cell_w, cell_h=manifest.cell_h,
-            shards=tuple(shards),
-            levels=self._load_grid_levels(dataset_id, manifest),
-        )
-        if not snap.tiles_exactly():
-            raise PersistError(
-                f"grid shards of {dataset_id!r} do not tile the "
-                f"{manifest.n_rows} x {manifest.n_cols} grid exactly; "
-                "rejecting the corrupt sharded grid snapshot"
-            )
-        return snap
 
     def _read_grid_blob(self, dataset_id: str, file_name: str,
                         n_rows: int, n_cols: int):

@@ -8,14 +8,9 @@ many queries* with varying rectangle / circle sizes:
 * :mod:`repro.service.store` -- :class:`~repro.service.store.PointStore`
   snapshots, sorts and fingerprints each registered dataset;
 * :mod:`repro.service.grid_index` -- a uniform-grid pre-aggregation index
-  (per-cell weight sums and point lists) built once per dataset; it serves
-  fast approximate answers and prunes the exact sweep to candidate regions;
-* :mod:`repro.service.sharding` -- per-region shards of that index behind a
-  shard executor (``serial`` inline, or ``threaded`` on the engine's thread
-  pool): registration, window bounds and pruned-point gathering fan out
-  per shard, in one process, while the cross-shard merge keeps refined
-  answers bit-identical to the unsharded index
-  (``MaxRSEngine(shards=..., shard_executor=...)``);
+  (per-cell weight sums and point counts) built once per dataset, on the
+  calling thread; it serves fast approximate answers and prunes the exact
+  sweep to candidate regions;
 * :mod:`repro.service.cache` -- an LRU result cache keyed by
   ``(dataset fingerprint, query kind, parameters)``;
 * :mod:`repro.service.metrics` -- per-stage timing and counter aggregation;
@@ -51,16 +46,10 @@ __all__ = [
     "MaxRSEngine",
     "PointStore",
     "QuerySpec",
-    "SerialExecutor",
-    "ShardExecutor",
-    "ShardedGridIndex",
-    "ThreadedExecutor",
-    "default_shard_count",
-    "resolve_executor",
 ]
 
 #: Lazily exported symbols and their defining submodules.  The engine, grid
-#: index, sharding layer and point store are numpy-backed; deferring their
+#: index and point store are numpy-backed; deferring their
 #: import keeps the numpy-free parts of the package (result cache, metrics)
 #: usable -- and their tests runnable -- on hosts without numpy.
 _LAZY_EXPORTS = {
@@ -69,12 +58,6 @@ _LAZY_EXPORTS = {
     "GridIndex": "repro.service.grid_index",
     "DatasetHandle": "repro.service.store",
     "PointStore": "repro.service.store",
-    "SerialExecutor": "repro.service.sharding",
-    "ShardExecutor": "repro.service.sharding",
-    "ShardedGridIndex": "repro.service.sharding",
-    "ThreadedExecutor": "repro.service.sharding",
-    "default_shard_count": "repro.service.sharding",
-    "resolve_executor": "repro.service.sharding",
 }
 
 

@@ -18,12 +18,12 @@ parameters cheaply.  Per query it composes four layers:
 
 Refined (default) answers are therefore *identical* to solving the full
 dataset in memory -- same weight, same max-region -- while touching only the
-points near contention hot spots.  ``query_batch`` deduplicates identical
-requests and fans independent ones out over the engine's **long-lived**
-thread pool -- the same pool threaded shard fan-out uses (``shards=`` builds
-a :class:`~repro.service.sharding.ShardedGridIndex` whose per-region work
-parallelises); ``close()`` (or using the engine as a context manager) shuts
-it down.
+points near contention hot spots.  Each dataset is served from one grid
+index, built and queried on the calling thread.  ``query_batch``
+deduplicates identical requests and fans independent ones out over the
+engine's **long-lived** thread pool, which the async front-end
+(:mod:`repro.aio`) also runs its solves on; ``close()`` (or using the engine
+as a context manager) shuts it down.
 
 With ``persist_dir=...`` the engine is additionally **durable**: registered
 datasets (and their grid aggregates) are written through to a
@@ -36,6 +36,7 @@ transfers, by :meth:`MaxRSEngine.stats`.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import sys
@@ -43,6 +44,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as _wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
@@ -65,7 +67,6 @@ from repro.em.config import EMConfig
 from repro import obs
 from repro.errors import ConfigurationError, PersistError, ServiceError
 from repro.geometry import Point, WeightedPoint, is_positive_finite
-from repro.persist.format import ShardedGridSnapshot
 from repro.persist.store import SnapshotStore
 from repro.service.cache import LRUCache
 from repro.service.grid_index import _PRUNE_SLACK, GridIndex
@@ -75,18 +76,7 @@ from repro.service.metrics import (
     active_ledger,
     ledger_scope,
 )
-from repro.service.sharding import (
-    ExecutorSpec,
-    SerialExecutor,
-    ShardedGridIndex,
-    ThreadedExecutor,
-    default_shard_count,
-    resolve_executor,
-)
 from repro.service.store import DatasetHandle, PointStore, RegisteredDataset
-
-#: Either index layout a registered dataset may carry.
-AnyGridIndex = Union[GridIndex, ShardedGridIndex]
 
 __all__ = ["MaxRSEngine", "QuerySpec"]
 
@@ -200,10 +190,12 @@ class MaxRSEngine:
     cache_size:
         Capacity of the LRU result cache (entries, across all datasets).
     max_workers:
-        Default thread-pool width for :meth:`query_batch` (``None`` lets
-        :class:`~concurrent.futures.ThreadPoolExecutor` pick).
+        Width of the engine's thread pool, which :meth:`query_batch` and the
+        async front-end run queries on (``None`` lets
+        :class:`~concurrent.futures.ThreadPoolExecutor` pick; otherwise at
+        least 1).
     target_points_per_cell, max_cells_per_side:
-        Grid-index resolution knobs, passed to
+        Grid-index resolution knobs (both at least 1), passed to
         :class:`~repro.service.grid_index.GridIndex`.
     pyramid_levels:
         Depth of the grid pyramid built on top of each dataset's base grid
@@ -226,18 +218,6 @@ class MaxRSEngine:
         once, here: an unknown or unavailable backend raises
         :class:`~repro.errors.ConfigurationError`.  Every sweep is counted
         and reported by :meth:`stats`.
-    shards:
-        Shard count for new grid indexes: ``None`` (default) auto-sizes from
-        the core count, ``1`` keeps the monolithic
-        :class:`~repro.service.grid_index.GridIndex`, and higher values build
-        a :class:`~repro.service.sharding.ShardedGridIndex` whose
-        registration, window bounds and pruned-point gathering fan out
-        per region -- with answers bit-identical to the unsharded index.
-    shard_executor:
-        Executor for the shard fan-out (``"serial"``, ``"threaded"``, a
-        :class:`~repro.service.sharding.ShardExecutor` instance, or ``None``
-        / ``"auto"`` for the core-count rule).  Named/auto threaded
-        executors run on the engine's shared long-lived thread pool.
     persist_dir:
         Directory for durable dataset snapshots (:mod:`repro.persist`).  When
         given, the snapshot catalog found there is restored on construction
@@ -300,8 +280,6 @@ class MaxRSEngine:
                  pyramid_levels: Optional[int] = None,
                  maxcrs_exact_limit: int = 5_000,
                  sweep_backend: BackendSpec = None,
-                 shards: Optional[int] = None,
-                 shard_executor: ExecutorSpec = None,
                  persist_dir: Union[str, os.PathLike, None] = None,
                  persist_config: Optional[EMConfig] = None,
                  persist_grid: bool = True,
@@ -315,16 +293,21 @@ class MaxRSEngine:
             raise ConfigurationError(
                 f"max_tracked_clients must be positive, got "
                 f"{max_tracked_clients}")
-        if shards is not None and shards < 1:
+        # Fail at the configuration site, not at the first registration or
+        # the first query that needs the thread pool.
+        if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
-                f"shards must be positive (or None for auto), got {shards}")
+                f"max_workers must be positive (or None for the pool's "
+                f"default), got {max_workers}")
+        if target_points_per_cell < 1 or max_cells_per_side < 1:
+            raise ConfigurationError(
+                f"target_points_per_cell and max_cells_per_side must be "
+                f"positive, got {target_points_per_cell} and "
+                f"{max_cells_per_side}")
         if pyramid_levels is not None and pyramid_levels < 1:
             raise ConfigurationError(
                 f"pyramid_levels must be positive (or None for auto), "
                 f"got {pyramid_levels}")
-        # Fail at the configuration site, not on the first registration (or,
-        # worse, from stats()): resolving validates names and the protocol.
-        resolve_executor(shard_executor, 2)
         self._sweep_backend = resolve_backend(sweep_backend)
         self.store = PointStore()
         self.cache = LRUCache(cache_size)
@@ -334,12 +317,10 @@ class MaxRSEngine:
         self.max_workers = max_workers
         self.maxcrs_exact_limit = maxcrs_exact_limit
         self.sweep_backend = sweep_backend
-        self.shards = shards
-        self.shard_executor = shard_executor
         self._target_points_per_cell = target_points_per_cell
         self._max_cells_per_side = max_cells_per_side
         self._pyramid_levels = pyramid_levels
-        self._grids: Dict[str, Optional[AnyGridIndex]] = {}
+        self._grids: Dict[str, Optional[GridIndex]] = {}
         self._persist_grid = persist_grid
         self._restore_errors: Dict[str, str] = {}
         # Per-client accounting: a bounded LRU of client_id -> cumulative
@@ -348,8 +329,8 @@ class MaxRSEngine:
         self.max_tracked_clients = max_tracked_clients
         self._clients: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
         self._clients_lock = threading.Lock()
-        # One long-lived thread pool serves both query_batch fan-out and
-        # threaded shard executors; created lazily, shut down by close().
+        # One long-lived thread pool serves query_batch fan-out and the
+        # async front-end's solves; created lazily, shut down by close().
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -389,8 +370,8 @@ class MaxRSEngine:
 
         Exposed for front-ends that schedule engine work themselves -- the
         async serving layer (:mod:`repro.aio`) runs blocking solves on this
-        pool via ``loop.run_in_executor`` so queries, ``query_batch`` fan-out
-        and shard fan-out all share one set of threads.
+        pool via ``loop.run_in_executor``, so its queries and ``query_batch``
+        fan-out share one set of threads.
         """
         return self._ensure_pool()
 
@@ -398,15 +379,15 @@ class MaxRSEngine:
         """Shut down the shared thread pool (idempotent), draining by default.
 
         ``wait=True`` (the default) blocks until every task already submitted
-        to the pool -- outstanding ``query_batch`` futures, in-flight shard
-        fan-out, async front-end solves -- has run to completion: closing an
-        engine never drops admitted work.  ``wait=False`` returns immediately;
-        already-running tasks still finish (Python thread pools cannot be
-        pre-empted) but the caller no longer waits for them.
+        to the pool -- outstanding ``query_batch`` futures, async front-end
+        solves -- has run to completion: closing an engine never drops
+        admitted work.  ``wait=False`` returns immediately; already-running
+        tasks still finish (Python thread pools cannot be pre-empted) but
+        the caller no longer waits for them.
 
-        The engine stays queryable afterwards -- batch execution and shard
-        fan-out simply degrade to the calling thread, so a drained service
-        can still answer stragglers during shutdown.
+        The engine stays queryable afterwards -- batch execution simply
+        degrades to the calling thread, so a drained service can still
+        answer stragglers during shutdown.
         """
         self.sampler.stop()
         with self._pool_lock:
@@ -494,54 +475,8 @@ class MaxRSEngine:
         return obs.metrics_text(self.metrics, namespace=namespace,
                                 clients=self.client_ledgers())
 
-    def _effective_shards(self) -> int:
-        """The shard count new indexes are built with."""
-        return self.shards if self.shards is not None else default_shard_count()
-
-    def _resolve_shard_executor(self, shard_count: int):
-        """Resolve the executor for a shard fan-out, wiring in shared pools.
-
-        Named/auto threaded executors run on the engine's long-lived thread
-        pool (the same one ``query_batch`` uses -- the executor's
-        cancel-or-inline ``map`` keeps nested fan-out deadlock-free).  A
-        closed engine always fans out serially.
-        """
-        spec = self.shard_executor
-        resolved = resolve_executor(spec, shard_count)
-        if resolved is spec:
-            return resolved
-        if isinstance(resolved, ThreadedExecutor):
-            pool = self._ensure_pool()
-            if pool is None:
-                return SerialExecutor()
-            return ThreadedExecutor(pool=pool)
-        return resolved
-
-    def _build_index(self, entry: RegisteredDataset) -> AnyGridIndex:
-        """Build the grid index for one non-empty dataset.
-
-        One shard keeps the plain :class:`GridIndex` (and hence the v1
-        snapshot layout); more than one builds a :class:`ShardedGridIndex`
-        whose construction fans out over the resolved executor.  A sharded
-        build whose tiling *collapses* to a single region (a grid too small
-        to tile, e.g. a single-point dataset) also keeps the plain index --
-        the shard layer would add fan-out overhead and stamp the snapshot
-        with format v2 for content fully expressible in v1.
-        """
-        shard_count = self._effective_shards()
-        if shard_count > 1:
-            executor = self._resolve_shard_executor(shard_count)
-            index = ShardedGridIndex(
-                *entry.columns(),
-                shards=shard_count,
-                executor=executor,
-                target_points_per_cell=self._target_points_per_cell,
-                max_cells_per_side=self._max_cells_per_side,
-                pyramid_levels=self._pyramid_levels,
-                timing_hook=self.metrics.observe_shard,
-            )
-            if index.shard_count > 1:
-                return index
+    def _build_index(self, entry: RegisteredDataset) -> GridIndex:
+        """Build the grid index for one non-empty dataset."""
         return GridIndex(
             *entry.columns(),
             target_points_per_cell=self._target_points_per_cell,
@@ -619,7 +554,7 @@ class MaxRSEngine:
                     self.persist.delete_dataset(handle.dataset_id)
             if handle.dataset_id not in self._grids:
                 entry = self.store.get(handle.dataset_id)
-                grid: Optional[AnyGridIndex] = None
+                grid: Optional[GridIndex] = None
                 if entry.count > 0:
                     with self._stage("grid_build"):
                         grid = self._build_index(entry)
@@ -761,7 +696,10 @@ class MaxRSEngine:
 
         Corrupt or mismatched snapshots are skipped (recorded in
         ``stats()["persist"]["restore_errors"]``); a bad grid blob only
-        degrades to an in-memory grid rebuild, never loses the dataset.
+        degrades to an in-memory grid rebuild, never loses the dataset.  So
+        does a grid saved in the sharded layout of earlier builds (one blob
+        per shard), which this build no longer reads: the rebuilt grid is
+        saved back as one blob.
         """
         for dataset_id in self.persist.dataset_ids():
             try:
@@ -772,12 +710,13 @@ class MaxRSEngine:
                         expected_fingerprint=loaded.manifest.fingerprint,
                     )
                     entry = self.store.get(handle.dataset_id)
-                    grid: Optional[AnyGridIndex] = None
+                    grid: Optional[GridIndex] = None
                     if entry.count > 0:
                         if loaded.grid is not None:
                             try:
-                                grid = self._adopt_grid_snapshot(entry,
-                                                                 loaded.grid)
+                                grid = GridIndex.from_snapshot(
+                                    entry.xs, entry.ys, entry.ws, loaded.grid,
+                                    pyramid_levels=self._pyramid_levels)
                                 self.metrics.increment("grids_restored")
                             except PersistError:
                                 grid = None
@@ -808,27 +747,8 @@ class MaxRSEngine:
                 self._restore_errors[dataset_id] = str(exc)
                 self.metrics.increment("restore_failures")
 
-    def _adopt_grid_snapshot(self, entry: RegisteredDataset,
-                             snap) -> AnyGridIndex:
-        """Rebuild a dataset's index from its persisted aggregates.
-
-        A v2 sharded snapshot restores its shard partitions in parallel over
-        the resolved executor and adopts the persisted layout verbatim; a v1
-        single-grid snapshot keeps the plain index (i.e. is adopted as a
-        1-shard layout), whatever this engine's ``shards=`` configuration.
-        """
-        if isinstance(snap, ShardedGridSnapshot):
-            return ShardedGridIndex.from_snapshot(
-                entry.xs, entry.ys, entry.ws, snap,
-                executor=self._resolve_shard_executor(len(snap.shards)),
-                pyramid_levels=self._pyramid_levels,
-                timing_hook=self.metrics.observe_shard,
-            )
-        return GridIndex.from_snapshot(entry.xs, entry.ys, entry.ws, snap,
-                                       pyramid_levels=self._pyramid_levels)
-
     def grid_index(self, dataset: Union[str, DatasetHandle]
-                   ) -> Optional[AnyGridIndex]:
+                   ) -> Optional[GridIndex]:
         """The grid index of a registered dataset (``None`` when empty)."""
         entry = self.store.get(_dataset_id(dataset))
         return self._grids.get(entry.handle.dataset_id)
@@ -855,7 +775,7 @@ class MaxRSEngine:
         Every answer carries a **cost ledger** on its ``cost`` field: a plain
         dict attributing the work this specific delivery cost -- wall/CPU
         seconds, swept vs pruned points, pyramid descent, cache outcome,
-        shard fan-out, snapshot block I/O (see *Query introspection* in
+        sweep backends, snapshot block I/O (see *Query introspection* in
         ``docs/observability.md`` for the field reference).  The ledger never
         changes the answer itself: ``cost`` is excluded from result equality
         and from the cache key, so ledger-carrying answers stay bit-identical
@@ -928,16 +848,11 @@ class MaxRSEngine:
 
         Counter-based fields (swept points, descent, backend uses) come
         from the per-query :class:`QueryLedger` the compute path
-        double-booked into, so they attribute correctly whatever tier the
-        shard fan-out ran on.
+        double-booked into, so they attribute correctly even when
+        ``query_batch`` runs queries side by side on the pool.
         """
         counters = dict(ledger.counters)
         facts = dict(ledger.fields)
-        grid = self._grids.get(entry.handle.dataset_id)
-        if isinstance(grid, ShardedGridIndex):
-            shards, executor = grid.shard_count, grid.executor_name
-        else:
-            shards, executor = 1, "local"
         prefix = "sweep_backend_"
         backends = {name[len(prefix):]: int(count)
                     for name, count in sorted(counters.items())
@@ -969,8 +884,6 @@ class MaxRSEngine:
             "pruned_points": max(0, int(entry.count) - int(swept_footprint)),
             "backends": backends,
             "descent": descent,
-            "shards": int(shards),
-            "executor": str(executor),
             "block_reads": int(block_reads),
             "block_writes": int(block_writes),
         }
@@ -1025,14 +938,19 @@ class MaxRSEngine:
 
         Identical specs in one batch are computed once; distinct cache-missing
         specs run concurrently on the engine's **long-lived** thread pool (one
-        pool for the engine's lifetime, shared with threaded shard fan-out,
+        pool for the engine's lifetime, shared with the async front-end,
         instead of a pool built and torn down per call -- ``close()`` shuts it
         down).  A per-call ``max_workers`` that differs from the engine's
         cannot resize the shared pool and is honoured with a one-off pool.
-        Results come back aligned with ``specs``.  ``client_id`` attributes
-        each *distinct* executed query to the client (duplicates within the
-        batch are served from the one computation, so they account once --
-        keeping per-client query totals reconciled with the global counter).
+        The first distinct spec runs on the calling thread, and a spec no
+        pool thread has picked up yet is run there too, so a batch issued
+        from inside a pool task cannot deadlock and a closed engine answers
+        inline.  Results come back aligned with ``specs``; the first failure
+        in spec order propagates once no query of the batch is still
+        running.  ``client_id`` attributes each *distinct* executed query to
+        the client (duplicates within the batch are served from the one
+        computation, so they account once -- keeping per-client query totals
+        reconciled with the global counter).
         """
         entry = self.store.get(_dataset_id(dataset))
         dataset_id = entry.handle.dataset_id
@@ -1052,17 +970,13 @@ class MaxRSEngine:
             answers = [run_query(spec) for spec in distinct]
         elif max_workers is not None and max_workers != self.max_workers:
             with ThreadPoolExecutor(max_workers=max_workers) as one_off:
-                answers = ThreadedExecutor(pool=one_off).map(run_query,
-                                                             distinct)
+                answers = _pool_map(one_off, run_query, distinct)
         else:
             pool = self._ensure_pool()
             if pool is None:  # closed: degrade to the calling thread
                 answers = [run_query(spec) for spec in distinct]
             else:
-                # ThreadedExecutor.map is cancel-or-inline, so a batch issued
-                # from inside a pool thread (or racing a close()) still makes
-                # progress instead of deadlocking on its own workers.
-                answers = ThreadedExecutor(pool=pool).map(run_query, distinct)
+                answers = _pool_map(pool, run_query, distinct)
         by_spec = dict(zip(distinct, answers))
         return [by_spec[spec] for spec in specs]
 
@@ -1102,10 +1016,6 @@ class MaxRSEngine:
                     "total_ios": io.total_ios,
                 },
             }
-        configured_executor = self.shard_executor
-        if configured_executor is not None \
-                and not isinstance(configured_executor, str):
-            configured_executor = configured_executor.name
         prefix = "sweep_backend_"
         return {
             "persist": persist,
@@ -1117,17 +1027,10 @@ class MaxRSEngine:
                          for name, count in sorted(snapshot["counters"].items())
                          if name.startswith(prefix)},
             },
-            "sharding": {
-                "configured_shards": self.shards,
-                "effective_shards": self._effective_shards(),
-                "configured_executor": (configured_executor
-                                        if configured_executor is not None
-                                        else "auto"),
-                # Resolved without touching the shared pool: naming the
-                # executor must not start threads as a side effect.
-                "resolved_executor": resolve_executor(
-                    self.shard_executor, self._effective_shards()).name,
-            },
+            # Constant: every grid is one index on the calling thread.
+            # perfbench/workloads.py reads these two keys; ROADMAP.md item 4
+            # deletes them.
+            "sharding": {"effective_shards": 1, "resolved_executor": "serial"},
             "datasets": len(self.store),
             "queries": snapshot["counters"].get("queries", 0),
             "cache": {
@@ -1149,7 +1052,6 @@ class MaxRSEngine:
             },
             "stages": snapshot["stages"],
             "counters": snapshot["counters"],
-            "shard_stages": snapshot["shards"],
             "latency": snapshot["latency"],
             "gauges": snapshot["gauges"],
             "health": {
@@ -1176,12 +1078,12 @@ class MaxRSEngine:
         """The plan :meth:`query` would take for ``spec`` -- without running it.
 
         Reads the same structures the query path reads (cache membership,
-        grid window sums, pyramid levels, shard layout, backend resolution)
-        but performs **no sweep and no state mutation**: the cache probe is
-        the non-refreshing membership test, no work counters advance beyond
+        grid window sums, pyramid levels, backend resolution) but performs
+        **no sweep and no state mutation**: the cache probe is the
+        non-refreshing membership test, no work counters advance beyond
         ``explains``, and nothing is cached -- so explaining a query has
-        zero effect on any subsequent answer (property-tested bit-identical
-        across executors and shard counts).
+        zero effect on any subsequent answer (tested bit-identical against
+        an engine that never explains).
 
         The returned dict holds:
 
@@ -1200,9 +1102,8 @@ class MaxRSEngine:
         ``levels``
             Per pyramid level (coarsest first): cell count and how many
             cells survive the optimistic anchor -- the descent's best case.
-        ``sharding`` / ``backend``
-            Tile layout and fan-out executor; the sweep backend the probe
-            and refine solves would resolve to.
+        ``backend``
+            The sweep backend the probe and refine solves would run on.
         ``actual``
             ``result.cost`` when a previously answered ``result`` is passed
             in, placing measured work next to the estimates.
@@ -1225,7 +1126,6 @@ class MaxRSEngine:
             plan["path"] = "full_sweep" if spec.kind == "maxkrs" else "direct"
             plan["estimates"] = {"swept_points": int(entry.count)}
             plan["backend"] = {"sweep": self._sweep_backend.name}
-            plan["sharding"] = {"shards": 1, "executor": "local", "tiles": []}
         else:
             w, h = _window(spec)
             bounds = grid.upper_bounds(w, h)
@@ -1252,13 +1152,6 @@ class MaxRSEngine:
                 {"scale": int(scale), "cells": int(level_bounds.size),
                  "live_cells": int((level_bounds >= best_bound - slack).sum())}
                 for scale, level_bounds in _level_ladder(grid, w, h, bounds)]
-            if isinstance(grid, ShardedGridIndex):
-                plan["sharding"] = {"shards": grid.shard_count,
-                                    "executor": grid.executor_name,
-                                    "tiles": grid.tile_layout()}
-            else:
-                plan["sharding"] = {"shards": 1, "executor": "local",
-                                    "tiles": []}
             plan["backend"] = {"probe": self._sweep_backend.name,
                                "refine": self._sweep_backend.name}
         if result is not None:
@@ -1387,7 +1280,7 @@ class MaxRSEngine:
         centre, weight = exact_maxcrs(points, spec.diameter)
         return MaxCRSResult(location=centre, total_weight=weight)
 
-    def _descend(self, grid: AnyGridIndex, width: float, height: float,
+    def _descend(self, grid: GridIndex, width: float, height: float,
                  anchor: float, error_bound: float,
                  base_bounds: np.ndarray
                  ) -> Tuple[float, Optional[np.ndarray]]:
@@ -1464,7 +1357,7 @@ def _window(spec: QuerySpec) -> Tuple[float, float]:
     return spec.width, spec.height
 
 
-def _level_ladder(grid: AnyGridIndex, width: float, height: float,
+def _level_ladder(grid: GridIndex, width: float, height: float,
                   base_bounds: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     """``(scale, window bounds)`` per pyramid level, coarsest first, ending
     with the base grid's ``base_bounds`` at scale 1."""
@@ -1523,28 +1416,73 @@ def _certified_gap(anchor: float, upper: float) -> float:
     return (upper - anchor) / anchor
 
 
-def _grid_layout_matches(grid_manifest, grid: "AnyGridIndex") -> bool:
+def _grid_layout_matches(grid_manifest, grid: GridIndex) -> bool:
     """Whether a persisted grid manifest matches an index's exact layout.
 
     Used by write-through to decide whether a snapshot with the right
     fingerprint still needs re-saving: an engine re-registering a dataset
-    under a different resolution, shard count or tile partitioning (or
-    switching between the single-grid and sharded layouts) must refresh the
-    durable grid, or a restart would adopt a layout the engine no longer
-    serves with.
+    under a different resolution or pyramid depth must refresh the durable
+    grid, or a restart would adopt a layout the engine no longer serves
+    with.  A grid saved in the sharded layout of earlier builds never
+    matches, so it is rewritten as one blob.
     """
     if (grid_manifest.n_rows, grid_manifest.n_cols) != (grid.n_rows,
                                                         grid.n_cols):
         return False
     if len(grid_manifest.levels or ()) != len(grid.levels):
         return False  # pyramid depth changed: refresh the durable levels
-    if isinstance(grid, ShardedGridIndex):
-        if grid_manifest.shards is None:
-            return False
-        return ([(m.row0, m.row1, m.col0, m.col1)
-                 for m in grid_manifest.shards]
-                == [(s.row0, s.row1, s.col0, s.col1) for s in grid.shards])
     return grid_manifest.shards is None
+
+
+def _pool_map(pool: ThreadPoolExecutor, fn: Callable, items: Sequence) -> List:
+    """``[fn(item) for item in items]``, fanned out over ``pool``.
+
+    Deadlock-free under nesting: the first item always runs on the calling
+    thread, and each remaining item is *cancelled-or-inlined* -- if the pool
+    never picked it up (all workers busy, e.g. saturated by a batch issued
+    from inside a pool task), the caller cancels the future and runs the
+    item itself.  Progress is therefore guaranteed even with a single
+    worker thread.  A pool shut down underneath the map (``close()`` racing
+    a batch) degrades the same way: items the pool refuses run inline.
+
+    On failure nothing is left behind: when an item raises, every
+    outstanding future is cancelled and the ones already running are
+    awaited before the first exception in item order propagates -- a failed
+    batch cannot leak orphan tasks onto the shared engine pool.
+    """
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    futures = []
+    for item in items[1:]:
+        try:
+            # Each submission carries its own context snapshot: pool threads
+            # otherwise start from an empty context, which would orphan the
+            # caller's trace spans (one copy per task -- a single Context
+            # cannot be entered concurrently).
+            context = contextvars.copy_context()
+            futures.append(pool.submit(context.run, fn, item))
+        except RuntimeError:
+            # The pool was shut down (a closed engine still answering
+            # stragglers): run this and every remaining item inline.
+            break
+    try:
+        results = [fn(items[0])]
+        for future, item in zip(futures, items[1:]):
+            if future.cancel():
+                results.append(fn(item))
+            else:
+                results.append(future.result())
+        results.extend(fn(item) for item in items[1 + len(futures):])
+        return results
+    except BaseException:
+        # First failure: cancel everything still queued and await the tasks
+        # already running, so the failed map leaves no orphan task on a pool
+        # shared with other queries.
+        for future in futures:
+            future.cancel()
+        _wait_futures(futures)
+        raise
 
 
 def _dataset_id(dataset: Union[str, DatasetHandle]) -> str:

@@ -4,8 +4,8 @@ The classic answer to a read-heavy analytical workload is to pre-aggregate
 ("On the Scalability of Multidimensional Databases"): pay once at ingestion,
 then answer every query from the aggregate.  For MaxRS the useful aggregate
 is a uniform grid over the dataset's bounding box storing, per cell, the
-total weight and the list of points.  From it the index derives, for **any**
-query rectangle size, a per-cell **upper bound**:
+total weight and point count, plus the cell id of every point.  From it the
+index derives, for **any** query rectangle size, a per-cell **upper bound**:
 
     ``ub[c]`` = total weight of the cells within ``halo`` cells of ``c``,
 
@@ -47,6 +47,12 @@ between the best achievable answer and the surviving upper bound is small
 enough; exact queries keep using the base level verbatim, which is what
 makes the pyramid bit-identical to the flat grid whenever ``error_bound``
 is unset.
+
+The engine serves every dataset from one :class:`GridIndex`, built and
+queried on the calling thread.  Binning, window sums and point gathers take
+a few percent of an exact query; the plane sweep takes the rest, so
+spreading the index over threads moved no measured number (see *Why the
+grid index runs on one thread* in ``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -60,9 +66,8 @@ from repro.errors import ConfigurationError, PersistError
 from repro.geometry import is_positive_finite
 from repro.persist.format import GridLevelSnapshot, GridSnapshot
 
-__all__ = ["GridGeometry", "GridIndex", "GridLevel", "GridQueryOps",
-           "adopt_pyramid", "build_pyramid", "plan_geometry",
-           "rollup_aggregates"]
+__all__ = ["GridGeometry", "GridIndex", "GridLevel", "adopt_pyramid",
+           "build_pyramid", "plan_geometry", "rollup_aggregates"]
 
 #: Relative slack applied when comparing upper bounds against a lower bound,
 #: guarding against prefix-sum rounding pruning a borderline-optimal cell.
@@ -87,7 +92,7 @@ def _prefix_window_sums(prefix: np.ndarray, n_rows: int, n_cols: int,
     """Halo window sums for every cell from a zero-padded prefix table.
 
     Four lookups per cell, clamped at the grid edges -- the one formula every
-    granularity (base grid, pyramid levels, worker-side shard blocks) uses.
+    granularity (the base grid and every pyramid level) uses.
     """
     rows = np.arange(n_rows)
     cols = np.arange(n_cols)
@@ -250,13 +255,7 @@ def snapshot_levels(levels: Sequence[GridLevel]) -> Tuple[GridLevelSnapshot, ...
 
 
 class GridGeometry(NamedTuple):
-    """The fixed frame of a grid index: origin, resolution and cell sizes.
-
-    Shared by :class:`GridIndex` and the sharded index
-    (:mod:`repro.service.sharding`): shards are blocks of cells of **one**
-    global geometry, so every per-cell quantity a shard computes coincides
-    exactly with what the unsharded index would compute for the same cell.
-    """
+    """The fixed frame of a grid index: resolution, origin and cell sizes."""
 
     n_rows: int
     n_cols: int
@@ -271,11 +270,12 @@ def plan_geometry(xs: np.ndarray, ys: np.ndarray, *,
                   max_cells_per_side: int = 512) -> GridGeometry:
     """Choose the grid frame for a non-empty point set.
 
-    This is *the* sizing rule of the serving stack -- the sharded index calls
-    it too, so a ``shards=1`` index and an unsharded one always agree on the
-    frame (and hence on every bound).  A degenerate axis (all points aligned,
-    or an extent so small the per-cell width underflows) collapses to a single
-    cell of nominal unit width so index arithmetic stays well defined.
+    This is *the* sizing rule of the serving stack: about
+    ``target_points_per_cell`` points per cell over the bounding box,
+    capped at ``max_cells_per_side`` per axis.  A degenerate axis (all
+    points aligned, or an extent so small the per-cell width underflows)
+    collapses to a single cell of nominal unit width so index arithmetic
+    stays well defined.
     """
     count = len(xs)
     if count == 0:
@@ -302,24 +302,158 @@ def plan_geometry(xs: np.ndarray, ys: np.ndarray, *,
     return GridGeometry(n_rows, n_cols, x0, y0, cell_w, cell_h)
 
 
-class GridQueryOps:
-    """The bound-safety query surface shared by both index layouts.
+class GridIndex:
+    """Uniform-grid pre-aggregation over one immutable point set.
 
-    :class:`GridIndex` and :class:`~repro.service.sharding.ShardedGridIndex`
-    serve queries through *exactly* these methods -- one implementation, so
-    the pruning-correctness invariants (halo margin, prune slack, dilation)
-    can never diverge between the monolithic and sharded layouts.  Subclasses
-    provide the geometry attributes (``n_rows`` / ``n_cols`` / ``x0`` /
-    ``y0`` / ``cell_w`` / ``cell_h``), :meth:`_window_sums` (how window sums
-    are evaluated -- in one block, or fanned out per shard) and
-    ``points_in_mask``.
+    Parameters
+    ----------
+    xs, ys, ws:
+        Coordinate and weight columns of a **non-empty** dataset (empty
+        datasets short-circuit before indexing; see the engine).
+    target_points_per_cell:
+        Controls the resolution: the grid aims for roughly this many points
+        per cell, capped at ``max_cells_per_side`` per axis.  The default of
+        1 (a ``sqrt(n) x sqrt(n)`` grid) is deliberately fine: window sums
+        cost ``O(#cells)`` regardless of the query size, and the upper bound
+        only bites when cells are small relative to the query rectangle.
+    max_cells_per_side:
+        Upper limit on the number of rows/columns, bounding index memory and
+        per-query aggregate work to ``O(max_cells_per_side^2)`` regardless of
+        dataset size.
+    pyramid_levels:
+        Total pyramid depth including the base grid.  ``None`` (default)
+        rolls up until the coarsest level fits in a few cells; ``1`` keeps
+        the grid flat (no coarse levels -- the pre-pyramid behaviour).
     """
 
-    #: Coarse pyramid levels, finest first (``levels[0]`` is 2x coarser than
-    #: the base).  Shard-local partitions and pyramid-disabled indexes keep
-    #: the empty default -- every query path must work with a flat grid.
-    levels: Tuple[GridLevel, ...] = ()
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, *,
+                 target_points_per_cell: int = 1,
+                 max_cells_per_side: int = 512,
+                 pyramid_levels: Optional[int] = None) -> None:
+        self.count = len(xs)
+        (self.n_rows, self.n_cols, self.x0, self.y0,
+         self.cell_w, self.cell_h) = plan_geometry(
+            xs, ys, target_points_per_cell=target_points_per_cell,
+            max_cells_per_side=max_cells_per_side)
+        self._assign_points(xs, ys)
+        num_cells = self.n_rows * self.n_cols
+        #: Per-cell aggregates: total weight and point count.
+        self.cell_weights = np.bincount(
+            self.point_cell, weights=ws, minlength=num_cells
+        ).reshape(self.n_rows, self.n_cols)
+        self.cell_counts = np.bincount(
+            self.point_cell, minlength=num_cells
+        ).reshape(self.n_rows, self.n_cols)
+        self._build_prefix()
+        #: Coarse pyramid levels, finest first (``levels[0]`` is 2x coarser
+        #: than the base); empty for a flat grid.
+        self.levels = build_pyramid(self.cell_weights, self.cell_counts,
+                                    pyramid_levels=pyramid_levels)
 
+    # ------------------------------------------------------------------ #
+    # Persistence
+    # ------------------------------------------------------------------ #
+    def snapshot(self) -> GridSnapshot:
+        """The persistable state of this index: geometry + cell aggregates.
+
+        The per-point cell ids and the prefix-sum tables are derived data
+        and are rebuilt (vectorised) by :meth:`from_snapshot`; only what
+        cannot be reproduced bit-identically from the point columns alone --
+        the chosen resolution and the aggregate tables, base and pyramid
+        levels alike -- is part of the snapshot.
+        """
+        return GridSnapshot(
+            n_rows=self.n_rows, n_cols=self.n_cols,
+            x0=self.x0, y0=self.y0,
+            cell_w=self.cell_w, cell_h=self.cell_h,
+            cell_weights=self.cell_weights.copy(),
+            cell_counts=self.cell_counts.astype(np.int64),
+            levels=snapshot_levels(self.levels),
+        )
+
+    @classmethod
+    def from_snapshot(cls, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
+                      snap: GridSnapshot, *,
+                      pyramid_levels: Optional[int] = None) -> "GridIndex":
+        """Rebuild an index from persisted aggregates, verifying consistency.
+
+        The persisted geometry is adopted verbatim -- a restarted engine
+        prunes with *exactly* the resolution it served before, even if the
+        sizing heuristic changes between versions.  The per-cell point counts
+        are recomputed from the columns and must match the persisted ones
+        exactly; the persisted weights must agree with the recomputed ones to
+        within float tolerance (bincount summation order may differ across
+        numpy versions).  Any disagreement raises
+        :class:`~repro.errors.PersistError`, and callers fall back to a full
+        rebuild -- a stale or corrupt aggregate must never silently loosen or
+        tighten the pruning bound.
+        """
+        count = len(xs)
+        if count == 0:
+            raise ConfigurationError("GridIndex requires a non-empty dataset")
+        if (snap.n_rows < 1 or snap.n_cols < 1
+                or not (snap.cell_w > 0.0 and snap.cell_h > 0.0)
+                or not (math.isfinite(snap.x0) and math.isfinite(snap.y0))):
+            raise PersistError(
+                f"persisted grid geometry is degenerate: "
+                f"{snap.n_rows} x {snap.n_cols} cells of "
+                f"{snap.cell_w} x {snap.cell_h}"
+            )
+        if snap.cell_weights.shape != (snap.n_rows, snap.n_cols) \
+                or snap.cell_counts.shape != (snap.n_rows, snap.n_cols):
+            raise PersistError("persisted grid aggregates have the wrong shape")
+
+        self = cls.__new__(cls)
+        self.count = count
+        self.x0, self.y0 = snap.x0, snap.y0
+        self.n_rows, self.n_cols = snap.n_rows, snap.n_cols
+        self.cell_w, self.cell_h = snap.cell_w, snap.cell_h
+        self._assign_points(xs, ys)
+
+        num_cells = self.n_rows * self.n_cols
+        counts = np.bincount(self.point_cell, minlength=num_cells)
+        if not np.array_equal(counts, snap.cell_counts.ravel()):
+            raise PersistError(
+                "persisted per-cell point counts disagree with the point "
+                "columns; the grid snapshot is stale or corrupt"
+            )
+        weights = np.bincount(self.point_cell, weights=ws, minlength=num_cells)
+        persisted = snap.cell_weights.ravel()
+        tolerance = 1e-9 * max(1.0, float(np.abs(weights).max(initial=0.0)))
+        if not np.allclose(weights, persisted, rtol=0.0, atol=tolerance):
+            raise PersistError(
+                "persisted per-cell weights disagree with the point columns; "
+                "the grid snapshot is stale or corrupt"
+            )
+        # Serve from the *persisted* aggregates (not the recomputation), so a
+        # restarted engine's bounds are bit-identical to the ones it saved.
+        self.cell_weights = snap.cell_weights.astype(np.float64).reshape(
+            self.n_rows, self.n_cols)
+        self.cell_counts = snap.cell_counts.astype(np.int64).reshape(
+            self.n_rows, self.n_cols)
+        self._build_prefix()
+        self.levels = adopt_pyramid(self.cell_weights, self.cell_counts,
+                                    snap.levels,
+                                    pyramid_levels=pyramid_levels)
+        return self
+
+    def _assign_points(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Bin every point into the (already fixed) grid geometry."""
+        cols = np.clip((xs - self.x0) / self.cell_w, 0, self.n_cols - 1).astype(np.int64)
+        rows = np.clip((ys - self.y0) / self.cell_h, 0, self.n_rows - 1).astype(np.int64)
+        #: Flat cell id of every point, row-major.
+        self.point_cell = rows * self.n_cols + cols
+
+    def _build_prefix(self) -> None:
+        """Zero-padded 2-D prefix sums of the cell weights: window sums for
+        any halo become four lookups per cell."""
+        self._prefix = np.zeros((self.n_rows + 1, self.n_cols + 1), dtype=np.float64)
+        np.cumsum(np.cumsum(self.cell_weights, axis=0), axis=1,
+                  out=self._prefix[1:, 1:])
+
+    # ------------------------------------------------------------------ #
+    # The pyramid
+    # ------------------------------------------------------------------ #
     def pyramid_depth(self) -> int:
         """Total pyramid depth, base grid included (1 = flat)."""
         return 1 + len(self.levels)
@@ -367,6 +501,9 @@ class GridQueryOps:
             for level in self.levels
         ]
 
+    # ------------------------------------------------------------------ #
+    # Bounds and pruning
+    # ------------------------------------------------------------------ #
     def halo(self, width: float, height: float) -> Tuple[int, int]:
         """Return the halo ``(rows, cols)`` for a ``width x height`` query.
 
@@ -442,6 +579,13 @@ class GridQueryOps:
         return self._window_sums(halo_rows, halo_cols,
                                  values=mask.astype(np.float64)) > 0.0
 
+    # ------------------------------------------------------------------ #
+    # Point retrieval
+    # ------------------------------------------------------------------ #
+    def points_in_mask(self, mask: np.ndarray) -> np.ndarray:
+        """Indices (ascending) of the points lying in the masked cells."""
+        return np.flatnonzero(mask.ravel()[self.point_cell])
+
     def points_in_window(self, row: int, col: int, width: float,
                          height: float) -> np.ndarray:
         """Indices of the points within the query halo of one cell."""
@@ -449,218 +593,11 @@ class GridQueryOps:
         mask[row, col] = True
         return self.points_in_mask(self.dilate(mask, width, height))
 
-
-class GridIndex(GridQueryOps):
-    """Uniform-grid pre-aggregation over one immutable point set.
-
-    Parameters
-    ----------
-    xs, ys, ws:
-        Coordinate and weight columns of a **non-empty** dataset (empty
-        datasets short-circuit before indexing; see the engine).
-    target_points_per_cell:
-        Controls the resolution: the grid aims for roughly this many points
-        per cell, capped at ``max_cells_per_side`` per axis.  The default of
-        1 (a ``sqrt(n) x sqrt(n)`` grid) is deliberately fine: window sums
-        cost ``O(#cells)`` regardless of the query size, and the upper bound
-        only bites when cells are small relative to the query rectangle.
-    max_cells_per_side:
-        Upper limit on the number of rows/columns, bounding index memory and
-        per-query aggregate work to ``O(max_cells_per_side^2)`` regardless of
-        dataset size.
-    pyramid_levels:
-        Total pyramid depth including the base grid.  ``None`` (default)
-        rolls up until the coarsest level fits in a few cells; ``1`` keeps
-        the grid flat (no coarse levels -- the pre-pyramid behaviour).
-    """
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, *,
-                 target_points_per_cell: int = 1,
-                 max_cells_per_side: int = 512,
-                 pyramid_levels: Optional[int] = None) -> None:
-        self.count = len(xs)
-        self._adopt_geometry(plan_geometry(
-            xs, ys, target_points_per_cell=target_points_per_cell,
-            max_cells_per_side=max_cells_per_side))
-        self._assign_points(xs, ys)
-        self._aggregate(ws)
-        self._build_derived()
-        self.levels = build_pyramid(self.cell_weights, self.cell_counts,
-                                    pyramid_levels=pyramid_levels)
-
-    @classmethod
-    def from_cells(cls, ws: np.ndarray, point_cell: np.ndarray, *,
-                   geometry: GridGeometry) -> "GridIndex":
-        """Build an index over points already binned into an imposed frame.
-
-        The shard constructor: the sharded index bins every point against the
-        *global* geometry exactly once (one float computation per point, so a
-        boundary point can never land in different cells under different shard
-        counts) and hands each shard its points' local cell ids.  Unlike the
-        public constructor this accepts an **empty** partition -- a spatial
-        shard may own no points.  Shard partitions carry no pyramid: levels
-        roll up from the *global* aggregates (see ``ShardedGridIndex``),
-        never from a tile.
-        """
-        self = cls.__new__(cls)
-        self.count = len(ws)
-        self._adopt_geometry(geometry)
-        self.point_cell = np.asarray(point_cell, dtype=np.int64)
-        self._aggregate(ws)
-        self._build_derived()
-        return self
-
-    def _adopt_geometry(self, geometry: GridGeometry) -> None:
-        (self.n_rows, self.n_cols, self.x0, self.y0,
-         self.cell_w, self.cell_h) = geometry
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return GridGeometry(self.n_rows, self.n_cols, self.x0, self.y0,
-                            self.cell_w, self.cell_h)
-
-    def _aggregate(self, ws: np.ndarray) -> None:
-        num_cells = self.n_rows * self.n_cols
-        #: Per-cell aggregates: total weight and point count.
-        self.cell_weights = np.bincount(
-            self.point_cell, weights=ws, minlength=num_cells
-        ).reshape(self.n_rows, self.n_cols)
-        self.cell_counts = np.bincount(
-            self.point_cell, minlength=num_cells
-        ).reshape(self.n_rows, self.n_cols)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> GridSnapshot:
-        """The persistable state of this index: geometry + cell aggregates.
-
-        The CSR point lists and the prefix-sum tables are derived data and
-        are rebuilt (vectorised) by :meth:`from_snapshot`; only what cannot
-        be reproduced bit-identically from the point columns alone -- the
-        chosen resolution and the aggregate tables, base and pyramid levels
-        alike -- is part of the snapshot.
-        """
-        return GridSnapshot(
-            n_rows=self.n_rows, n_cols=self.n_cols,
-            x0=self.x0, y0=self.y0,
-            cell_w=self.cell_w, cell_h=self.cell_h,
-            cell_weights=self.cell_weights.copy(),
-            cell_counts=self.cell_counts.astype(np.int64),
-            levels=snapshot_levels(self.levels),
-        )
-
-    @classmethod
-    def from_snapshot(cls, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
-                      snap: GridSnapshot, *,
-                      pyramid_levels: Optional[int] = None) -> "GridIndex":
-        """Rebuild an index from persisted aggregates, verifying consistency.
-
-        The persisted geometry is adopted verbatim -- a restarted engine
-        prunes with *exactly* the resolution it served before, even if the
-        sizing heuristic changes between versions.  The per-cell point counts
-        are recomputed from the columns and must match the persisted ones
-        exactly; the persisted weights must agree with the recomputed ones to
-        within float tolerance (bincount summation order may differ across
-        numpy versions).  Any disagreement raises
-        :class:`~repro.errors.PersistError`, and callers fall back to a full
-        rebuild -- a stale or corrupt aggregate must never silently loosen or
-        tighten the pruning bound.
-        """
-        count = len(xs)
-        if count == 0:
-            raise ConfigurationError("GridIndex requires a non-empty dataset")
-        if (snap.n_rows < 1 or snap.n_cols < 1
-                or not (snap.cell_w > 0.0 and snap.cell_h > 0.0)
-                or not (math.isfinite(snap.x0) and math.isfinite(snap.y0))):
-            raise PersistError(
-                f"persisted grid geometry is degenerate: "
-                f"{snap.n_rows} x {snap.n_cols} cells of "
-                f"{snap.cell_w} x {snap.cell_h}"
-            )
-        if snap.cell_weights.shape != (snap.n_rows, snap.n_cols) \
-                or snap.cell_counts.shape != (snap.n_rows, snap.n_cols):
-            raise PersistError("persisted grid aggregates have the wrong shape")
-
-        self = cls.__new__(cls)
-        self.count = count
-        self.x0, self.y0 = snap.x0, snap.y0
-        self.n_rows, self.n_cols = snap.n_rows, snap.n_cols
-        self.cell_w, self.cell_h = snap.cell_w, snap.cell_h
-        self._assign_points(xs, ys)
-
-        num_cells = self.n_rows * self.n_cols
-        counts = np.bincount(self.point_cell, minlength=num_cells)
-        if not np.array_equal(counts, snap.cell_counts.ravel()):
-            raise PersistError(
-                "persisted per-cell point counts disagree with the point "
-                "columns; the grid snapshot is stale or corrupt"
-            )
-        weights = np.bincount(self.point_cell, weights=ws, minlength=num_cells)
-        persisted = snap.cell_weights.ravel()
-        tolerance = 1e-9 * max(1.0, float(np.abs(weights).max(initial=0.0)))
-        if not np.allclose(weights, persisted, rtol=0.0, atol=tolerance):
-            raise PersistError(
-                "persisted per-cell weights disagree with the point columns; "
-                "the grid snapshot is stale or corrupt"
-            )
-        # Serve from the *persisted* aggregates (not the recomputation), so a
-        # restarted engine's bounds are bit-identical to the ones it saved.
-        self.cell_weights = snap.cell_weights.astype(np.float64).reshape(
-            self.n_rows, self.n_cols)
-        self.cell_counts = snap.cell_counts.astype(np.int64).reshape(
-            self.n_rows, self.n_cols)
-        self._build_derived()
-        self.levels = adopt_pyramid(self.cell_weights, self.cell_counts,
-                                    snap.levels,
-                                    pyramid_levels=pyramid_levels)
-        return self
-
-    def _assign_points(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Bin every point into the (already fixed) grid geometry."""
-        cols = np.clip((xs - self.x0) / self.cell_w, 0, self.n_cols - 1).astype(np.int64)
-        rows = np.clip((ys - self.y0) / self.cell_h, 0, self.n_rows - 1).astype(np.int64)
-        #: Flat cell id of every point, row-major.
-        self.point_cell = rows * self.n_cols + cols
-
-    def _build_derived(self) -> None:
-        """Build the CSR point lists and prefix-sum table from the aggregates."""
-        num_cells = self.n_rows * self.n_cols
-        #: Per-cell point lists in compact CSR form: ``point_order`` holds the
-        #: point indices grouped by cell, ``cell_offsets[c]:cell_offsets[c+1]``
-        #: delimits cell ``c``'s group.
-        self.point_order = np.argsort(self.point_cell, kind="stable")
-        self.cell_offsets = np.zeros(num_cells + 1, dtype=np.int64)
-        np.cumsum(self.cell_counts.ravel(), out=self.cell_offsets[1:])
-
-        # Zero-padded 2-D prefix sums of the cell weights: window sums for any
-        # halo become four lookups per cell.
-        self._prefix = np.zeros((self.n_rows + 1, self.n_cols + 1), dtype=np.float64)
-        np.cumsum(np.cumsum(self.cell_weights, axis=0), axis=1,
-                  out=self._prefix[1:, 1:])
-
-    # ------------------------------------------------------------------ #
-    # Point retrieval (the query surface itself lives on GridQueryOps)
-    # ------------------------------------------------------------------ #
-    def points_in_mask(self, mask: np.ndarray) -> np.ndarray:
-        """Indices (ascending) of the points lying in the masked cells."""
-        return np.flatnonzero(mask.ravel()[self.point_cell])
-
-    def points_in_cell(self, row: int, col: int) -> np.ndarray:
-        """Indices of the points assigned to one cell (CSR lookup)."""
-        cell = row * self.n_cols + col
-        return self.point_order[self.cell_offsets[cell]:self.cell_offsets[cell + 1]]
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Shape and occupancy statistics (for ``MaxRSEngine.stats()``).
-
-        ``shard_count`` / ``executor`` mirror the keys the sharded index
-        reports, so callers can read one schema regardless of which index
-        layout a dataset got.
-        """
+        """Shape and occupancy statistics (for ``MaxRSEngine.stats()``)."""
         occupied = int((self.cell_counts > 0).sum())
         return {
             "rows": self.n_rows,
@@ -670,8 +607,6 @@ class GridIndex(GridQueryOps):
             "points": self.count,
             "occupied_cells": occupied,
             "max_points_per_cell": int(self.cell_counts.max()),
-            "shard_count": 1,
-            "executor": "serial",
             "pyramid_depth": self.pyramid_depth(),
             "levels": self.level_stats(),
         }
@@ -690,3 +625,8 @@ class GridIndex(GridQueryOps):
             np.cumsum(np.cumsum(values, axis=0), axis=1, out=prefix[1:, 1:])
         return _prefix_window_sums(prefix, self.n_rows, self.n_cols,
                                    halo_rows, halo_cols)
+
+
+#: The former name of the query surface, kept because ``perfbench/tracing.py``
+#: wraps the grid's query methods on it.  ROADMAP.md item 4 deletes it.
+GridQueryOps = GridIndex

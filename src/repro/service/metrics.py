@@ -11,8 +11,8 @@ query stuck behind admission control is invisible in a mean.
 (bounded memory, no per-sample storage) from which p50/p95/p99 are estimated;
 the sync ``query()`` path and the async front-end (:mod:`repro.aio`) both
 record per-query-kind latencies through :meth:`EngineMetrics.observe_latency`,
-under the same lock as every other accumulator.  Stage and per-shard timings
-are the same histograms, so every stage reports its percentiles too.
+under the same lock as every other accumulator.  Stage timings are the same
+histograms, so every stage reports its percentiles too.
 :class:`EngineMetrics` also carries last-write-wins **gauges** (sampled
 resource readings such as the process RSS or the result-cache size) that
 the Prometheus exposition in :func:`repro.obs.metrics_text` emits alongside
@@ -32,12 +32,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-__all__ = ["EngineMetrics", "LatencyHistogram", "QueryLedger", "StageTimings",
+__all__ = ["EngineMetrics", "LatencyHistogram", "QueryLedger",
            "active_ledger", "ledger_scope"]
-
-#: Snapshot of one timing series: observation count, total and mean seconds
-#: (stage snapshots add min/max and the p50/p95/p99 estimates).
-StageTimings = Dict[str, float]
 
 
 def _default_bucket_bounds() -> Tuple[float, ...]:
@@ -113,7 +109,7 @@ class LatencyHistogram:
         """Fold another histogram (with identical bounds) into this one.
 
         Merging is exact -- bucket counts add, extremes combine -- which is
-        what lets per-shard and per-connection histograms aggregate into a
+        what lets per-engine and per-connection histograms aggregate into a
         combined view without re-observing samples.  Mismatched bucket bounds
         would silently misattribute counts, so they are rejected.
         """
@@ -152,11 +148,10 @@ class EngineMetrics:
     """Thread-safe counters, timing histograms and sampled gauges.
 
     Every mutator (:meth:`increment`, :meth:`observe_seconds`,
-    :meth:`observe_shard`, :meth:`observe_latency`) takes the instance
-    lock: ``query_batch`` already mutates counters from pool threads, and
-    shard fan-out widens the set of concurrent writers to every per-shard
-    build/gather task.  Stage, shard and latency timings are all
-    :class:`LatencyHistogram` tables fed through one :meth:`_observe`.
+    :meth:`observe_latency`) takes the instance lock: ``query_batch`` and
+    the async front-end mutate from pool threads.  Stage and latency timings
+    are both :class:`LatencyHistogram` tables fed through one
+    :meth:`_observe`.
     """
 
     def __init__(self) -> None:
@@ -164,8 +159,6 @@ class EngineMetrics:
         self._counters: Dict[str, int] = {}
         #: Per-stage timing histograms (``"refine"``, ``"register"``...).
         self._stages: Dict[str, LatencyHistogram] = {}
-        #: Per-shard timing histograms: ``(stage, shard_id) -> histogram``.
-        self._shards: Dict[Tuple[str, int], LatencyHistogram] = {}
         #: Per-name latency histograms, e.g. query kind ("maxrs") on the sync
         #: path and "aio_<kind>" end-to-end latencies on the async front-end.
         self._latency: Dict[str, LatencyHistogram] = {}
@@ -192,16 +185,6 @@ class EngineMetrics:
     def observe_seconds(self, stage: str, seconds: float) -> None:
         """Record one observation of ``stage`` taking ``seconds``."""
         self._observe(self._stages, stage, seconds)
-
-    def observe_shard(self, stage: str, shard_id: int, seconds: float) -> None:
-        """Record one observation of ``stage`` on one shard.
-
-        The sharded grid index reports every per-shard build, restore and
-        gather task through this hook (from whichever executor thread ran
-        it), so ``snapshot()["shards"]`` exposes how balanced the spatial
-        partitioning actually is.
-        """
-        self._observe(self._shards, (stage, int(shard_id)), seconds)
 
     def observe_latency(self, name: str, seconds: float) -> None:
         """Record one end-to-end latency observation under ``name``.
@@ -285,30 +268,20 @@ class EngineMetrics:
                     for name, histogram in self._latency.items()}
 
     def snapshot(self) -> Dict[str, object]:
-        """Return all counters, stage/shard timings, latencies and gauges.
+        """Return all counters, stage timings, latencies and gauges.
 
         ``"stages"`` maps each stage to its histogram summary plus
         ``total_seconds``, e.g. ``snapshot()["stages"]["refine"]
-        ["p99_seconds"]``; ``"shards"`` maps each shard stage to a
-        per-shard-id count/total/mean breakdown, e.g.
-        ``snapshot()["shards"]["shard_build"][0]["total_seconds"]``;
-        ``"latency"`` maps each observed name to its histogram summary, e.g.
+        ["p99_seconds"]``; ``"latency"`` maps each observed name to its
+        histogram summary, e.g.
         ``snapshot()["latency"]["maxrs"]["p95_seconds"]``.
         """
         with self._lock:
-            shards: Dict[str, Dict[int, StageTimings]] = {}
-            for (stage, shard_id), histogram in self._shards.items():
-                shards.setdefault(stage, {})[shard_id] = {
-                    "count": histogram.count,
-                    "total_seconds": histogram.total,
-                    "mean_seconds": histogram.total / histogram.count,
-                }
             result: Dict[str, object] = {
                 "counters": dict(self._counters),
                 "stages": {stage: {"total_seconds": histogram.total,
                                    **histogram.summary()}
                            for stage, histogram in self._stages.items()},
-                "shards": shards,
                 "latency": {name: histogram.summary()
                             for name, histogram in self._latency.items()},
             }
@@ -318,8 +291,8 @@ class EngineMetrics:
     def reset(self) -> None:
         """Clear every accumulator and gauge."""
         with self._lock:
-            for table in (self._counters, self._stages, self._shards,
-                          self._latency, self._gauges):
+            for table in (self._counters, self._stages, self._latency,
+                          self._gauges):
                 table.clear()
 
 
@@ -334,11 +307,11 @@ class QueryLedger:
     engine opens one per cache miss (:func:`ledger_scope`) and the compute
     path double-books its counter increments into it through
     :func:`active_ledger`.  By construction the per-query counters sum
-    exactly to the global counter deltas, which the reconciliation property
-    test asserts across executors.
+    exactly to the global counter deltas, which the reconciliation test
+    asserts.
 
-    Locked: the threaded shard executor copies the ambient context into pool
-    threads, so additions may race the query thread.
+    Locked, so the ledger stays exact whichever thread a piece of the
+    computation runs on.
     """
 
     __slots__ = ("_lock", "counters", "fields")
@@ -363,8 +336,8 @@ class QueryLedger:
 
 #: The query ledger of the computation currently running on this context
 #: (``None`` outside a metered query).  A ``ContextVar`` rather than a
-#: thread-local so the threaded shard executor's ``copy_context`` workers
-#: and the asyncio front-end's wrapped calls see their query's ledger.
+#: thread-local so the asyncio front-end's wrapped calls and work submitted
+#: to the engine's pool under ``copy_context`` see their query's ledger.
 _ACTIVE_LEDGER: ContextVar[Optional[QueryLedger]] = ContextVar(
     "repro_query_ledger", default=None)
 

@@ -116,10 +116,10 @@ class RegisteredDataset:
         """The packed ``(xs, ys, ws)`` columns, optionally row-selected.
 
         With ``indices=None`` the shared full columns are returned (no copy;
-        treat as read-only) -- what index construction consumes.  With a
-        shard's ``point_ids`` it returns that shard's aligned column views,
-        so per-shard work (rebuilds, audits, benchmarks) can address exactly
-        the rows a spatial shard owns without materialising point objects.
+        treat as read-only) -- what index construction consumes.  With the
+        indices of a pruned subset it returns that subset's aligned columns,
+        which the exact sweep consumes without materialising point
+        objects.
         """
         if indices is None:
             return self.xs, self.ys, self.ws

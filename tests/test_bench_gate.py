@@ -179,16 +179,15 @@ class TestHelpers:
     def test_bench_modules_finds_emitters(self):
         modules = {p.name for p in
                    gate.bench_modules(gate.REPO_ROOT / "benchmarks")}
-        assert "test_service_shards.py" in modules
+        assert "test_service_pyramid.py" in modules
         assert "test_service_throughput.py" in modules
         assert "test_figure12_cardinality.py" not in modules
 
     def test_real_checked_in_artefacts_load_and_self_compare(self):
         baselines = gate.load_entries(gate.REPO_ROOT / "benchmarks")
-        assert "shards" in baselines
+        assert "pyramid" in baselines
         assert any(gate.tracked_metrics(e) for e in baselines.values())
-        assert baselines["shards"]["config"]["executor"] in (
-            "serial", "threaded", "process")
+        assert baselines["pyramid"]["config"]["error_bound"] == 0.05
         rows, failures = gate.compare_entries(
             baselines, copy.deepcopy(baselines), tolerance=0.0,
             strict_host=True)

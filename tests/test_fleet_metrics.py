@@ -1,7 +1,7 @@
 """Engine telemetry integration: counters, health checks, gauges, SLOs.
 
-The contracts under test: semantic counter totals do not depend on the
-shard executor, the health and gauge surface stands on every engine, the
+The contracts under test: semantic counter totals follow the query mix, the
+health and gauge surface stands on every engine, the
 persist directory gates readiness, and every query -- failures included --
 feeds the SLO tracker whose burn-rate alert flips ``healthz`` to degraded.
 """
@@ -22,10 +22,6 @@ QUERY_MIX = [
     QuerySpec.maxrs(20.0, 2.0),
 ]
 
-#: Counters whose totals are execution-tier independent: they count query
-#: semantics (what was asked and how pruning went), not where work ran.
-SEMANTIC_COUNTERS = ("queries", "refine_pruned", "refine_unpruned")
-
 
 def run_mix(engine, objects):
     engine.register_dataset(objects, name="d")
@@ -33,32 +29,30 @@ def run_mix(engine, objects):
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-def test_counter_totals_identical_across_executors(make_objects, seed):
-    """Property: the same query mix yields the same semantic counter totals
-    and latency counts on the serial and threaded tiers -- the executor
-    changes *where* shard work runs, never what the counters say."""
-    objects = make_objects(1500, seed=seed)
-    totals, answers = {}, {}
-    for tier in ("serial", "threaded"):
-        engine = MaxRSEngine(shards=4, shard_executor=tier)
-        try:
-            answers[tier] = run_mix(engine, objects)
-            snapshot = engine.metrics.snapshot()
-            totals[tier] = {
-                name: snapshot["counters"].get(name, 0)
-                for name in SEMANTIC_COUNTERS}
-            totals[tier]["latency_maxrs"] = \
-                snapshot["latency"].get("maxrs", {}).get("count", 0)
-        finally:
-            engine.close()
-    assert totals["serial"] == totals["threaded"]
-    assert answers["serial"] == answers["threaded"]
+def test_counter_totals_follow_the_query_mix(make_objects, seed):
+    """The semantic counters count what the mix asked and how pruning went:
+    one query each, one refine per distinct refined MaxRS miss, one latency
+    observation per MaxRS query (cache hits included)."""
+    engine = MaxRSEngine()
+    try:
+        run_mix(engine, make_objects(1500, seed=seed))
+        snapshot = engine.metrics.snapshot()
+    finally:
+        engine.close()
+    counters = snapshot["counters"]
+    refined = {spec for spec in QUERY_MIX
+               if spec.kind == "maxrs" and spec.refine}
+    assert counters.get("queries", 0) == len(QUERY_MIX)
+    assert counters.get("refine_pruned", 0) \
+        + counters.get("refine_unpruned", 0) == len(refined)
+    assert snapshot["latency"]["maxrs"]["count"] == \
+        sum(spec.kind == "maxrs" for spec in QUERY_MIX)
 
 
 def test_health_surface_without_processes(make_objects):
-    """The health/gauge surface stands on a one-shard serial engine: checks
-    pass, gauges exist, readyz flips on close."""
-    engine = MaxRSEngine(shards=1)
+    """The health/gauge surface stands on a default engine: checks pass,
+    gauges exist, readyz flips on close."""
+    engine = MaxRSEngine()
     run_mix(engine, make_objects(300, seed=9))
     stats = engine.stats()
     assert stats["health"]["healthz"]["ok"] is True

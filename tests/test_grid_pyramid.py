@@ -7,8 +7,8 @@ The load-bearing properties, each hypothesis-driven:
   independent scatter-add, not the production roll-up);
 * **exactness is untouched** -- without ``error_bound`` the pyramid engine's
   answers are bit-identical to the flat (``pyramid_levels=1``) engine's,
-  across shard counts and executors (the pyramid is a pruning accelerator,
-  never a semantic change);
+  also when a batch runs on the engine's thread pool (the pyramid is a
+  pruning accelerator, never a semantic change);
 * **the certificate holds** -- a bounded-error answer's ``gap`` really does
   bound the exact optimum: ``exact <= approx * (1 + gap)`` with
   ``gap <= error_bound``.
@@ -37,7 +37,6 @@ from repro.obs import metrics_text
 from repro.persist import open_catalog
 from repro.service import MaxRSEngine, QuerySpec
 from repro.service.grid_index import GridIndex, rollup_aggregates
-from repro.service.sharding import ShardedGridIndex
 
 _SETTINGS = settings(max_examples=15, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -49,9 +48,6 @@ objects_strategy = st.lists(
     st.builds(WeightedPoint, coordinates, coordinates, weights),
     min_size=1, max_size=120,
 )
-
-#: The shard counts the acceptance property is pinned across.
-SHARD_COUNTS = (1, 2, 4, 7)
 
 
 def _columns(objects):
@@ -105,18 +101,6 @@ class TestRollup:
         assert rc.sum() == counts.sum()
         assert np.array_equal(rw, _rebin(weights, 1))
 
-    @_SETTINGS
-    @given(objects=objects_strategy, shards=st.sampled_from(SHARD_COUNTS))
-    def test_sharded_pyramid_equals_monolithic(self, objects, shards):
-        mono = GridIndex(*_columns(objects))
-        sharded = ShardedGridIndex(*_columns(objects), shards=shards,
-                                   executor="serial")
-        assert sharded.pyramid_depth() == mono.pyramid_depth()
-        for lhs, rhs in zip(sharded.levels, mono.levels):
-            assert lhs.scale == rhs.scale
-            assert np.array_equal(lhs.cell_weights, rhs.cell_weights)
-            assert np.array_equal(lhs.cell_counts, rhs.cell_counts)
-
 
 # ---------------------------------------------------------------------- #
 # Property (b): exact answers bit-identical flat vs pyramid
@@ -150,27 +134,26 @@ def _assert_identical(lhs, rhs):
 
 class TestExactBitIdentity:
     @_SETTINGS
-    @given(objects=objects_strategy, shards=st.sampled_from(SHARD_COUNTS))
-    def test_flat_vs_pyramid_across_shard_counts(self, objects, shards):
-        with MaxRSEngine(shards=1, shard_executor="serial",
-                         pyramid_levels=1) as flat, \
-                MaxRSEngine(shards=shards, shard_executor="serial") as pyramid:
+    @given(objects=objects_strategy)
+    def test_flat_vs_pyramid_answers_match(self, objects):
+        with MaxRSEngine(pyramid_levels=1) as flat, MaxRSEngine() as pyramid:
             truth = _answers(flat, flat.register_dataset(objects, name="ds"))
             answers = _answers(
                 pyramid, pyramid.register_dataset(objects, name="ds"))
         _assert_identical(truth, answers)
 
-    @pytest.mark.parametrize("executor", ["threaded"])
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_flat_vs_pyramid_parallel_executors(self, make_objects, executor,
-                                                shards):
+    @pytest.mark.parametrize("workers", [2, 7],
+                             ids=lambda workers: f"{workers}-threaded")
+    def test_flat_vs_pyramid_parallel_executors(self, make_objects, workers):
+        """The pyramid engine answering one batch on its thread pool matches
+        the flat engine answering query by query."""
         objects = make_objects(400, seed=9)
-        with MaxRSEngine(shards=1, shard_executor="serial",
-                         pyramid_levels=1) as flat, \
-                MaxRSEngine(shards=shards, shard_executor=executor) as pyramid:
+        with MaxRSEngine(pyramid_levels=1) as flat, \
+                MaxRSEngine(max_workers=workers) as pyramid:
             truth = _answers(flat, flat.register_dataset(objects, name="ds"))
-            answers = _answers(
-                pyramid, pyramid.register_dataset(objects, name="ds"))
+            answers = pyramid.query_batch(
+                pyramid.register_dataset(objects, name="ds"),
+                _IDENTITY_SPECS)
         _assert_identical(truth, answers)
 
 

@@ -3,11 +3,12 @@
 Three contracts pinned here:
 
 * **zero effect** -- explaining a query and carrying cost ledgers changes
-  no answer, bit for bit, on any executor tier at any shard count;
+  no answer, bit for bit, whether the query runs on the calling thread or
+  in a batch on the engine's thread pool, flat or under a pyramid;
 * **reconciliation** -- per-query ``cost`` records and per-client ledgers
   are *exact* decompositions of the global ``EngineMetrics`` counters
-  (property-tested across the serial and threaded tiers, and under
-  concurrent clients);
+  (on the calling thread, in pooled batches, and under concurrent
+  clients);
 * **bounded cardinality** -- client accounting cannot grow without bound:
   the tracked-ledger LRU evicts and counts, it never expands.
 """
@@ -43,7 +44,7 @@ def first_result(result):
 # ---------------------------------------------------------------------- #
 class TestCostLedger:
     def test_miss_cost_fields(self, make_objects):
-        engine = MaxRSEngine(shards=1)
+        engine = MaxRSEngine()
         try:
             ds = engine.register_dataset(make_objects(400, seed=1))
             result = engine.query(ds, QuerySpec.maxrs(9.0, 9.0))
@@ -56,20 +57,8 @@ class TestCostLedger:
                     <= cost["dataset_points"])
             assert cost["wall_seconds"] > 0.0
             assert cost["cpu_seconds"] >= 0.0
-            assert cost["shards"] == 1
-            assert cost["executor"] == "local"
             assert sum(cost["backends"].values()) >= 1
             assert cost["block_reads"] == 0 and cost["block_writes"] == 0
-        finally:
-            engine.close()
-
-    def test_sharded_miss_cost_names_the_tier(self, make_objects):
-        engine = MaxRSEngine(shards=4, shard_executor="threaded")
-        try:
-            ds = engine.register_dataset(make_objects(1200, seed=14))
-            cost = engine.query(ds, QuerySpec.maxrs(12.0, 12.0)).cost
-            assert cost["shards"] == 4
-            assert cost["executor"] == "threaded"
         finally:
             engine.close()
 
@@ -130,7 +119,7 @@ class TestCostLedger:
 # ---------------------------------------------------------------------- #
 class TestExplain:
     def test_plan_structure(self, make_objects):
-        engine = MaxRSEngine(shards=2, shard_executor="threaded")
+        engine = MaxRSEngine()
         try:
             ds = engine.register_dataset(make_objects(600, seed=6))
             plan = engine.explain(ds, QuerySpec.maxrs(9.0, 9.0))
@@ -145,9 +134,6 @@ class TestExplain:
             assert plan["levels"], "pyramid level survival missing"
             for level in plan["levels"]:
                 assert 0 <= level["live_cells"] <= level["cells"]
-            assert plan["sharding"]["shards"] == 2
-            assert plan["sharding"]["executor"] == "threaded"
-            assert len(plan["sharding"]["tiles"]) == 2
             assert set(plan["backend"]) == {"probe", "refine"}
         finally:
             engine.close()
@@ -211,49 +197,72 @@ class TestExplainZeroEffect:
              QuerySpec.maxrs(14.0, 5.0, error_bound=0.5),
              QuerySpec.maxkrs(8.0, 8.0, 2)]
 
-    def _reference(self, objects):
-        engine = MaxRSEngine()
+    def _reference(self, objects, depth):
+        engine = MaxRSEngine(pyramid_levels=depth)
         try:
             ds = engine.register_dataset(objects)
             return [engine.query(ds, spec) for spec in self.SPECS]
         finally:
             engine.close()
 
-    def _assert_zero_effect(self, objects, want, tier, shard_count):
-        engine = MaxRSEngine(shards=shard_count, shard_executor=tier)
+    def _assert_zero_effect(self, objects, want, tier, depth):
+        engine = MaxRSEngine(pyramid_levels=depth)
         try:
             ds = engine.register_dataset(objects)
-            for spec, expected in zip(self.SPECS, want):
-                engine.explain(ds, spec)               # before the query
-                got = engine.query(ds, spec)
-                assert got == expected, (tier, shard_count, spec)
-                engine.explain(ds, spec, result=got)   # and after
-                again = engine.query(ds, spec)         # cache hit path
-                assert again == expected, (tier, shard_count, spec)
+            if tier == "serial":
+                for spec, expected in zip(self.SPECS, want):
+                    engine.explain(ds, spec)               # before the query
+                    got = engine.query(ds, spec)
+                    assert got == expected, (tier, depth, spec)
+                    engine.explain(ds, spec, result=got)   # and after
+                    again = engine.query(ds, spec)         # cache hit path
+                    assert again == expected, (tier, depth, spec)
+            else:
+                # The batch fans the specs out over the engine's thread pool.
+                for spec in self.SPECS:
+                    engine.explain(ds, spec)
+                got = engine.query_batch(ds, self.SPECS)
+                assert got == want, (tier, depth)
+                for spec, result in zip(self.SPECS, got):
+                    engine.explain(ds, spec, result=result)
+                again = engine.query_batch(ds, self.SPECS)
+                assert again == want, (tier, depth)
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("shard_count", [1, 2, 4, 7])
+    @pytest.mark.parametrize("depth", [1, 2, 4, 7])
     @pytest.mark.parametrize("tier", ["serial", "threaded"])
-    def test_thread_tiers(self, make_objects, tier, shard_count):
+    def test_thread_tiers(self, make_objects, tier, depth):
         objects = make_objects(600, seed=11)
-        self._assert_zero_effect(objects, self._reference(objects),
-                                 tier, shard_count)
+        self._assert_zero_effect(objects, self._reference(objects, depth),
+                                 tier, depth)
 
 
 # ---------------------------------------------------------------------- #
 # Reconciliation: per-query ledgers decompose the global counters
 # ---------------------------------------------------------------------- #
 class TestReconciliation:
-    def _run_mix(self, engine, objects):
+    def _run_mix(self, engine, objects, tier):
+        """Run :data:`QUERY_MIX` for two alternating clients; return one
+        result per executed query.  ``serial`` issues every query on the
+        calling thread; ``threaded`` sends each client's share as one
+        ``query_batch`` over the engine's pool, which answers a repeated spec
+        once."""
         ds = engine.register_dataset(objects)
-        return [engine.query(ds, spec,
-                             client_id=f"client-{index % 2}")
-                for index, spec in enumerate(QUERY_MIX)]
+        if tier == "serial":
+            return [engine.query(ds, spec,
+                                 client_id=f"client-{index % 2}")
+                    for index, spec in enumerate(QUERY_MIX)]
+        executed = []
+        for client in range(2):
+            batch = engine.query_batch(ds, QUERY_MIX[client::2],
+                                       client_id=f"client-{client}")
+            executed += {id(result): result for result in batch}.values()
+        return executed
 
-    def _assert_reconciled(self, engine, objects):
+    def _assert_reconciled(self, engine, objects, tier):
         before = engine.metrics.snapshot()["counters"]
-        results = self._run_mix(engine, objects)
+        results = self._run_mix(engine, objects, tier)
         after = engine.metrics.snapshot()["counters"]
 
         costs = [first_result(result).cost for result in results]
@@ -273,9 +282,9 @@ class TestReconciliation:
 
     @pytest.mark.parametrize("tier", ["serial", "threaded"])
     def test_thread_tiers(self, make_objects, tier):
-        engine = MaxRSEngine(shards=4, shard_executor=tier)
+        engine = MaxRSEngine(max_workers=4)
         try:
-            self._assert_reconciled(engine, make_objects(900, seed=12))
+            self._assert_reconciled(engine, make_objects(900, seed=12), tier)
         finally:
             engine.close()
 

@@ -6,7 +6,7 @@ charsets, HELP/TYPE pairing per family, sample ordering within a family,
 and -- for histograms -- monotone ``le`` bounds with cumulative bucket
 counts that reconcile with ``_count``.  This test parses the exposition
 line-by-line against those rules, driven by an engine exercising the full
-surface (counters, stages, shards, gauges, histograms).
+surface (counters, stages, gauges, histograms).
 """
 
 import math
@@ -146,7 +146,7 @@ def assert_histograms_are_cumulative(samples, types):
 
 
 def exercised_engine():
-    engine = MaxRSEngine(shards=2, shard_executor="threaded")
+    engine = MaxRSEngine()
     points = [WeightedPoint(float(i % 30) * 3.0, float(i // 30) * 3.0,
                             1.0 + i % 5) for i in range(900)]
     dataset = engine.register_dataset(points)
@@ -176,13 +176,12 @@ def test_real_exposition_passes_the_linter():
 
 
 def test_escaped_gauge_labels_pass_the_linter():
-    """Synthetic state: stage and shard timings plus a gauge whose label
-    needs escaping."""
+    """Synthetic state: stage timings plus a gauge whose label needs
+    escaping."""
     metrics = EngineMetrics()
     metrics.increment("queries", 2)
     metrics.observe_latency("maxrs", 0.01)
     metrics.observe_seconds("refine", 0.5)
-    metrics.observe_shard("shard_gather", 1, 0.25)
     metrics.set_gauge("custom_gauge", 1.5, path='tricky"\\name\n')
     text = obs.metrics_text(metrics)
     samples, types = lint(text)
@@ -191,8 +190,8 @@ def test_escaped_gauge_labels_pass_the_linter():
     for name, labels, value in samples:
         by_name.setdefault(name, []).append((labels, value))
     assert ({"name": "queries"}, 2.0) in by_name["repro_counter_total"]
-    assert ({"stage": "shard_gather", "shard": "1"}, 0.25) in \
-        by_name["repro_shard_seconds_total"]
+    assert ({"stage": "refine"}, 0.5) in \
+        by_name["repro_stage_seconds_total"]
     # The escaped label round-trips through the linter's unescape-free
     # parser as its escaped form.
     tricky = by_name["repro_custom_gauge"][0][0]["path"]

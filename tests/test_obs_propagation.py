@@ -5,14 +5,14 @@ spans if context were not carried explicitly:
 
 1. ``AsyncMaxRSEngine`` hops from the event loop into the engine's thread
    pool via ``run_in_executor``;
-2. the sharded grid index fans out across shard worker threads through
-   ``ThreadedExecutor.map``;
+2. ``MaxRSEngine.query_batch`` fans a batch's queries out over the same
+   pool;
 3. ``AsyncQueryClient`` crosses process (and potentially host) boundaries
    over the JSON-lines protocol's ``trace`` field.
 
 These tests pin each hand-off down, plus the interop guarantees (peers
 without the field keep working) and the end-to-end acceptance shape: one
-client-initiated trace covering client -> server -> engine -> shards ->
+client-initiated trace covering client -> server -> engine -> grid ->
 backend -> persist with the client's trace id on every span.  No
 pytest-asyncio: each test drives its own ``asyncio.run``.
 """
@@ -20,6 +20,7 @@ pytest-asyncio: each test drives its own ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -92,41 +93,44 @@ def test_coalesced_followers_get_their_own_span():
 
 
 # ---------------------------------------------------------------------- #
-# Hand-off 2: shard fan-out worker threads
+# Hand-off 2: query_batch on the engine's thread pool
 # ---------------------------------------------------------------------- #
-def test_shard_spans_parent_correctly_under_threaded_executor():
-    engine = MaxRSEngine(tracer="ring", shards=2, shard_executor="threaded")
-    recorder = engine.tracer.recorder
+def test_batch_spans_carry_the_caller_trace_id():
+    engine = MaxRSEngine(tracer="ring", max_workers=2)
     dataset = engine.register_dataset(grid())
-    engine.query(dataset, SPEC)
+    specs = [QuerySpec.maxrs(4.0 + 2.0 * i, 6.0) for i in range(6)]
+    seen = []  # (thread, ambient trace id) of every computed query
+    compute = engine._compute
 
-    register_trace = next(t for t in recorder.traces()
-                          if t.name == "engine.register")
-    build_spans = [sp for sp in register_trace.find_all("shard.map[")
-                   if sp.attributes.get("stage") == "build"]
-    assert {sp.name for sp in build_spans} == {"shard.map[0]", "shard.map[1]"}
-    for sp in build_spans:  # ran on worker threads, still in the tree
-        assert sp.trace_id == register_trace.trace_id
+    def recorded(entry, spec):
+        seen.append((threading.current_thread(), obs.current_trace_id()))
+        return compute(entry, spec)
 
-    query_trace = next(t for t in recorder.traces()
-                       if t.name == "engine.query")
-    shard_spans = query_trace.find_all("shard.map[")
-    assert {sp.name for sp in shard_spans} == {"shard.map[0]", "shard.map[1]"}
-    assert {sp.attributes.get("stage") for sp in shard_spans} >= {"gather"}
-    approximate = query_trace.find("engine.approximate")
-    gather_parents = {sp.parent_id for sp in shard_spans
-                      if sp.attributes.get("stage") == "gather"}
-    # Gather tasks submitted under engine.approximate/refine attach there,
-    # not to whatever span another thread happened to be in.
-    assert approximate.span_id in gather_parents \
-        or query_trace.find("engine.refine").span_id in gather_parents
+    engine._compute = recorded
+    try:
+        with engine.tracer.trace("caller") as root:
+            engine.query_batch(dataset, specs)
+    finally:
+        engine.close()
+
+    # Some queries ran on pool threads, and each saw the caller's trace...
+    assert any(thread is not threading.current_thread()
+               for thread, _ in seen)
+    assert {trace_id for _, trace_id in seen} == {root.trace_id}
+    # ...so their engine.query spans joined the caller's tree.
+    trace = engine.tracer.recorder.last()
+    assert trace.name == "caller"
+    query_spans = trace.find_all("engine.query")
+    assert len(query_spans) == len(specs)
+    assert {sp.trace_id for sp in query_spans} == {root.trace_id}
+    assert {sp.parent_id for sp in query_spans} == {trace.root.span_id}
 
 
 def test_tracing_does_not_change_answers():
     objects = grid()
     plain = MaxRSEngine()
     want = plain.query(plain.register_dataset(objects), SPEC)
-    traced = MaxRSEngine(tracer="ring", shards=2, shard_executor="threaded")
+    traced = MaxRSEngine(tracer="ring")
     got = traced.query(traced.register_dataset(objects), SPEC)
     assert_same_answer(got, want)
 
@@ -135,8 +139,7 @@ def test_tracing_does_not_change_answers():
 # Hand-off 3: the TCP wire
 # ---------------------------------------------------------------------- #
 def test_server_continues_client_trace_id(tmp_path):
-    engine = MaxRSEngine(tracer="ring", shards=2, shard_executor="threaded",
-                         persist_dir=str(tmp_path))
+    engine = MaxRSEngine(tracer="ring", persist_dir=str(tmp_path))
     objects = grid()
 
     async def run():
@@ -253,8 +256,7 @@ def test_metrics_text_over_the_wire():
 # Acceptance: one distributed trace, client to blob I/O
 # ---------------------------------------------------------------------- #
 def test_end_to_end_distributed_trace(tmp_path):
-    engine = MaxRSEngine(tracer="ring", shards=2, shard_executor="threaded",
-                         persist_dir=str(tmp_path))
+    engine = MaxRSEngine(tracer="ring", persist_dir=str(tmp_path))
     objects = grid(400)
     spec = QuerySpec.maxrs(15.0, 15.0)
 
@@ -291,15 +293,13 @@ def test_end_to_end_distributed_trace(tmp_path):
     blob_spans = register_trace.find_all("persist.blob_io")
     assert blob_spans, register_trace.render()
     assert any(sp.attributes.get("block_writes", 0) > 0 for sp in blob_spans)
-    # ...and the shard builds.
-    assert {sp.name for sp in register_trace.find_all("shard.map[")} >= \
-        {"shard.map[0]", "shard.map[1]"}
+    # ...and the grid build.
+    assert register_trace.find("engine.grid_build") is not None
 
     # The query trace is >= 6 spans deep-and-wide across every layer.
     for name in ("server.request", "aio.query", "engine.query",
-                 "cache.lookup", "backend.sweep"):
+                 "cache.lookup", "engine.approximate", "backend.sweep"):
         assert query_trace.find(name) is not None, query_trace.render()
-    assert query_trace.find_all("shard.map[")
     assert len(query_trace.spans()) >= 6
 
     # Every span of every piece carries the client's trace id.

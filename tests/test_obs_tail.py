@@ -154,16 +154,16 @@ class TestAnalyze:
         assert lines[2].startswith("backend.sweep")  # hottest self first
 
     def test_profile_includes_grafted_worker_spans(self):
-        """Spans grafted from a worker envelope are ordinary children."""
-        trace = make_trace(1.0, children=(("shard.map[0]", 0.4),))
+        """Spans grafted from a serialised trace are ordinary children."""
+        trace = make_trace(1.0, children=(("backend.sweep", 0.4),))
         worker = Span.from_dict({
-            "name": "shard.map[0]", "trace_id": trace.trace_id,
+            "name": "backend.sweep", "trace_id": trace.trace_id,
             "duration_s": 0.3, "children": []})
         worker.parent_id = trace.root.span_id
         trace.root.children.append(worker)
         stages = obs.profile([trace])
-        assert stages["shard.map[0]"]["count"] == 2
-        assert stages["shard.map[0]"]["total_seconds"] == pytest.approx(0.7)
+        assert stages["backend.sweep"]["count"] == 2
+        assert stages["backend.sweep"]["total_seconds"] == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------- #

@@ -50,7 +50,7 @@ class TestConstruction:
         grid = _make_grid([WeightedPoint(3.0, 4.0, 2.5)])
         assert grid.n_rows == grid.n_cols == 1
         assert grid.cell_weights[0, 0] == 2.5
-        assert list(grid.points_in_cell(0, 0)) == [0]
+        assert list(grid.points_in_mask(np.ones((1, 1), dtype=bool))) == [0]
 
     def test_degenerate_axis_collapses_to_one_cell(self):
         objects = [WeightedPoint(float(i), 7.0, 1.0) for i in range(50)]
@@ -65,9 +65,10 @@ class TestConstruction:
         assert grid.cell_counts.sum() == 200
         assert grid.cell_weights.sum() == pytest.approx(
             sum(o.weight for o in objects))
-        # CSR point lists partition the dataset.
-        seen = np.sort(grid.point_order)
-        assert np.array_equal(seen, np.arange(200))
+        # Every point is binned into exactly the cells the counts describe.
+        assert np.array_equal(
+            np.bincount(grid.point_cell, minlength=grid.n_rows * grid.n_cols),
+            grid.cell_counts.ravel())
 
     def test_resolution_cap(self, make_objects):
         objects = make_objects(400, seed=5)
@@ -157,13 +158,15 @@ class TestPointRetrieval:
                         and y_lo - height / 2 < o.y < y_lo + grid.cell_h + height / 2):
                     assert i in indices
 
-    def test_points_in_cell_matches_assignment(self, make_objects):
+    def test_points_in_mask_matches_assignment(self, make_objects):
         objects = make_objects(80, seed=17)
         grid = _make_grid(objects)
         total = 0
         for row in range(grid.n_rows):
             for col in range(grid.n_cols):
-                indices = grid.points_in_cell(row, col)
+                mask = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
+                mask[row, col] = True
+                indices = grid.points_in_mask(mask)
                 total += len(indices)
                 for i in indices:
                     assert grid.point_cell[i] == row * grid.n_cols + col

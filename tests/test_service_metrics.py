@@ -1,9 +1,8 @@
 """Tests for :mod:`repro.service.metrics`.
 
-The engine mutates counters from ``query_batch`` pool threads and -- since
-the sharded grid index -- from every per-shard build/gather task, so the
-accumulators must hold up under genuinely concurrent writers.  These tests
-hammer them from threads and pin the per-shard timing surface.
+The engine mutates counters from ``query_batch`` pool threads and from the
+async front-end's solves, so the accumulators must hold up under genuinely
+concurrent writers.  These tests hammer them from threads.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -40,27 +39,12 @@ class TestCountersAndStages:
         metrics = EngineMetrics()
         metrics.increment("queries")
         metrics.observe_seconds("refine", 0.1)
-        metrics.observe_shard("shard_build", 0, 0.1)
         metrics.observe_latency("maxrs", 0.1)
         metrics.set_gauge("cache_entries", 3)
         metrics.reset()
         snapshot = metrics.snapshot()
-        assert snapshot == {"counters": {}, "stages": {}, "shards": {},
-                            "latency": {}, "gauges": {}}
-
-
-class TestShardTimings:
-    def test_observe_shard_keys_by_stage_and_shard(self):
-        metrics = EngineMetrics()
-        metrics.observe_shard("shard_build", 0, 0.5)
-        metrics.observe_shard("shard_build", 1, 0.25)
-        metrics.observe_shard("shard_gather", 0, 0.125)
-        metrics.observe_shard("shard_build", 0, 0.5)
-        shards = metrics.snapshot()["shards"]
-        assert shards["shard_build"][0] == {
-            "count": 2, "total_seconds": 1.0, "mean_seconds": 0.5}
-        assert shards["shard_build"][1]["count"] == 1
-        assert shards["shard_gather"][0]["total_seconds"] == 0.125
+        assert snapshot == {"counters": {}, "stages": {}, "latency": {},
+                            "gauges": {}}
 
 
 class TestLatencyHistogram:
@@ -169,7 +153,8 @@ class TestGauges:
 
 class TestThreadSafety:
     """Concurrent writers must never lose an update (the engine's
-    ``query_batch`` and shard fan-out both mutate from pool threads)."""
+    ``query_batch`` and the async front-end both mutate from pool
+    threads)."""
 
     WRITERS = 8
     ROUNDS = 500
@@ -193,15 +178,11 @@ class TestThreadSafety:
         def hammer(worker):
             for _ in range(self.ROUNDS):
                 metrics.observe_seconds("refine", 0.001)
-                metrics.observe_shard("shard_gather", worker % 4, 0.002)
                 metrics.observe_latency("maxrs", 0.001 * (worker + 1))
 
         with ThreadPoolExecutor(max_workers=self.WRITERS) as pool:
             list(pool.map(hammer, range(self.WRITERS)))
         snapshot = metrics.snapshot()
         assert snapshot["stages"]["refine"]["count"] == self.WRITERS * self.ROUNDS
-        gather = snapshot["shards"]["shard_gather"]
-        assert sum(entry["count"] for entry in gather.values()) == \
-            self.WRITERS * self.ROUNDS
         assert snapshot["latency"]["maxrs"]["count"] == \
             self.WRITERS * self.ROUNDS

@@ -7,8 +7,11 @@ block transfers, and degrades gracefully (corrupt grid -> rebuild; corrupt
 points -> dataset skipped and reported, never silently wrong).
 """
 
+import json
 import math
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +22,12 @@ import numpy as np
 from repro.core.plane_sweep import solve_in_memory
 from repro.errors import ServiceError
 from repro.geometry import WeightedPoint
-from repro.persist import open_catalog
+from repro.persist import SnapshotStore, open_catalog
 from repro.service import GridIndex, MaxRSEngine, QuerySpec
+
+#: A catalog written by an earlier build with ``MaxRSEngine(shards=2)``; see
+#: the README in that directory for how it was made.
+LEGACY_CATALOG = Path(__file__).parent / "data" / "legacy_sharded_catalog"
 
 
 def _dataset(count=400, seed=5):
@@ -208,7 +215,7 @@ class TestDegradation:
             day2.query("ds", QuerySpec.maxrs(2.0, 2.0))
 
     def test_corrupt_grid_blob_falls_back_to_rebuild(self, tmp_path, objects):
-        day1 = MaxRSEngine(persist_dir=tmp_path, shards=1)
+        day1 = MaxRSEngine(persist_dir=tmp_path)
         day1.register_dataset(objects, name="ds")
         truth = day1.query("ds", QuerySpec.maxrs(8.0, 8.0))
         blob = tmp_path / open_catalog(tmp_path).get("ds").grid.file
@@ -216,7 +223,7 @@ class TestDegradation:
         raw[-3] ^= 0xFF
         blob.write_bytes(bytes(raw))
 
-        day2 = MaxRSEngine(persist_dir=tmp_path, shards=1)
+        day2 = MaxRSEngine(persist_dir=tmp_path)
         stats = day2.stats()["persist"]
         assert stats["datasets_restored"] == 1
         assert stats["grids_restored"] == 0
@@ -227,7 +234,7 @@ class TestDegradation:
         # ... and the rebuild self-healed the durable copy: the next restart
         # restores the grid from disk again.
         assert day2.metrics.counter("grids_repaired") == 1
-        day3 = MaxRSEngine(persist_dir=tmp_path, shards=1)
+        day3 = MaxRSEngine(persist_dir=tmp_path)
         assert day3.stats()["persist"]["grids_restored"] == 1
 
     def test_stale_grid_aggregates_rejected_by_cross_check(self, objects):
@@ -289,51 +296,85 @@ class TestLifecycle:
 
 
 class TestShardedPersistence:
-    """Snapshot format v2: one grid blob per shard, restored in parallel."""
+    """Catalogs written by earlier builds, whose default engine saved each
+    grid as one blob per shard (``tests/data/legacy_sharded_catalog``).
 
-    def test_sharded_write_through_and_warm_start(self, tmp_path, objects):
-        spec = QuerySpec.maxrs(7.0, 5.0)
-        day1 = MaxRSEngine(shards=4, shard_executor="threaded",
-                           persist_dir=tmp_path)
-        day1.register_dataset(objects, name="ds")
-        before = day1.query("ds", spec)
-        day1.close()
-        manifest = open_catalog(tmp_path).get("ds")
-        assert manifest.grid is not None
-        assert manifest.grid.shards is not None
-        assert len(manifest.grid.shards) == 4
-        # One blob per shard, plus one per pyramid level (format v3).
-        assert len(manifest.grid.files()) == 4 + len(manifest.grid.levels or ())
+    This build no longer reads those blobs: a restore rebuilds the grid from
+    the fingerprint-verified points, the way it handles a corrupt grid blob,
+    and saves it back as one blob.
+    """
 
-        day2 = MaxRSEngine(persist_dir=tmp_path)
-        stats = day2.stats()["persist"]
+    @pytest.fixture
+    def legacy_dir(self, tmp_path):
+        target = tmp_path / "legacy"
+        shutil.copytree(LEGACY_CATALOG, target)
+        return target
+
+    def test_sharded_restore_matches_unsharded_restore(self, legacy_dir):
+        restored = MaxRSEngine(persist_dir=legacy_dir)
+        assert restored.stats()["persist"]["restore_errors"] == {}
+        # The checkpointed answer is still a cache hit...
+        hit = restored.query("ds", QuerySpec.maxrs(7.0, 5.0))
+        assert hit.cost["cache"] == "hit"
+        # ...and every refined answer is bit-identical to a fresh engine's
+        # on the same points.
+        objects = SnapshotStore(legacy_dir).load_dataset("ds").objects()
+        fresh = MaxRSEngine()
+        handle = fresh.register_dataset(objects)
+        for spec in (QuerySpec.maxrs(7.0, 5.0), QuerySpec.maxrs(12.0, 3.0),
+                     QuerySpec.maxcrs(9.0)):
+            got, want = restored.query("ds", spec), fresh.query(handle, spec)
+            assert got.total_weight == want.total_weight, spec
+            assert got.location == want.location, spec
+            if spec.kind == "maxrs":
+                assert got.region == want.region, spec
+
+    def test_rebuilt_grid_refreshes_snapshot_layout(self, legacy_dir):
+        assert open_catalog(legacy_dir).get("ds").grid.shards is not None
+        assert sorted(legacy_dir.glob("*-r*-c*.grid"))
+
+        day1 = MaxRSEngine(persist_dir=legacy_dir)
+        counters = day1.stats()["counters"]
+        assert counters["grid_restore_failures"] == 1
+        assert counters["grids_repaired"] == 1
+        grid = open_catalog(legacy_dir).get("ds").grid
+        assert grid.file is not None and grid.shards is None
+        assert not sorted(legacy_dir.glob("*-r*-c*.grid"))  # no shard blob
+
+        day2 = MaxRSEngine(persist_dir=legacy_dir)
+        stats = day2.stats()
+        assert stats["persist"]["grids_restored"] == 1
+        assert stats["persist"]["restore_errors"] == {}
+        assert "grid_restore_failures" not in stats["counters"]
+
+    def test_grid_less_rewrite_keeps_the_legacy_entry_loadable(
+            self, legacy_dir, objects):
+        """An engine that persists no grids does not repair the legacy one;
+        its next save rewrites the catalog around the legacy entry, which a
+        later engine must still load."""
+        reader = MaxRSEngine(persist_grid=False, persist_dir=legacy_dir)
+        assert reader.stats()["persist"]["restore_errors"] == {}
+        assert reader.metrics.counter("grids_repaired") == 0
+        reader.register_dataset(objects, name="other")
+        catalog = open_catalog(legacy_dir)
+        assert catalog.get("ds").grid.shards is not None
+        assert catalog.get("other").grid is None
+
+        third = MaxRSEngine(persist_dir=legacy_dir)
+        stats = third.stats()["persist"]
         assert stats["restore_errors"] == {}
-        assert stats["grids_restored"] == 1
-        assert stats["io"]["block_reads"] > 0  # blobs flowed through repro.em
-        restored = day2.grid_index("ds")
-        assert restored.shard_count == 4
-        after = day2.query("ds", spec)
-        assert after.total_weight == before.total_weight
-        assert after.region == before.region
-
-    def test_sharded_restore_matches_unsharded_restore(self, tmp_path, objects):
-        spec = QuerySpec.maxrs(6.0, 6.0)
-        mono_dir, shard_dir = tmp_path / "mono", tmp_path / "sharded"
-        MaxRSEngine(shards=1, persist_dir=mono_dir) \
-            .register_dataset(objects, name="ds")
-        MaxRSEngine(shards=4, persist_dir=shard_dir) \
-            .register_dataset(objects, name="ds")
-        mono = MaxRSEngine(persist_dir=mono_dir).query("ds", spec)
-        sharded = MaxRSEngine(persist_dir=shard_dir).query("ds", spec)
-        assert sharded.total_weight == mono.total_weight
-        assert sharded.region == mono.region
+        assert stats["datasets_restored"] == 2
+        assert third.query("ds", QuerySpec.maxrs(7.0, 5.0)).cost["cache"] \
+            == "hit"
+        reference = solve_in_memory(objects, 6.0, 6.0)
+        answer = third.query("other", QuerySpec.maxrs(6.0, 6.0))
+        assert answer.total_weight == reference.total_weight
+        assert answer.region == reference.region
 
     def test_v1_catalog_still_restores(self, tmp_path, objects):
         """A pre-sharding store (format_version 1) must keep working."""
-        import json
-
         spec = QuerySpec.maxrs(7.0, 5.0)
-        writer = MaxRSEngine(shards=1, persist_dir=tmp_path)
+        writer = MaxRSEngine(persist_dir=tmp_path)
         writer.register_dataset(objects, name="ds")
         before = writer.query("ds", spec)
         catalog_path = tmp_path / "catalog.json"
@@ -342,81 +383,22 @@ class TestShardedPersistence:
         document["format_version"] = 1
         catalog_path.write_text(json.dumps(document))
 
-        reader = MaxRSEngine(shards=4, persist_dir=tmp_path)
+        reader = MaxRSEngine(persist_dir=tmp_path)
         assert reader.stats()["persist"]["restore_errors"] == {}
-        # The v1 single-grid snapshot is adopted as a 1-shard index even
-        # though this engine is configured for 4 shards.
-        assert isinstance(reader.grid_index("ds"), GridIndex)
+        assert reader.stats()["persist"]["grids_restored"] == 1
         after = reader.query("ds", spec)
         assert after.total_weight == before.total_weight
         assert after.region == before.region
 
-    def test_corrupt_shard_blob_falls_back_to_rebuild(self, tmp_path, objects):
-        spec = QuerySpec.maxrs(7.0, 5.0)
-        day1 = MaxRSEngine(shards=2, persist_dir=tmp_path)
-        day1.register_dataset(objects, name="ds")
-        before = day1.query("ds", spec)
-        blob = sorted(tmp_path.glob("*-r*.grid"))[0]
-        raw = bytearray(blob.read_bytes())
-        raw[80] ^= 0xFF
-        blob.write_bytes(bytes(raw))
-
-        day2 = MaxRSEngine(shards=2, persist_dir=tmp_path)
-        stats = day2.stats()
-        assert stats["persist"]["restore_errors"] == {}  # dataset survived
-        assert stats["counters"]["grid_restore_failures"] == 1
-        assert stats["counters"]["grids_repaired"] == 1
-        after = day2.query("ds", spec)
-        assert after.total_weight == before.total_weight
-        assert after.region == before.region
-
-    def test_restore_adopts_persisted_layout_over_configuration(
-            self, tmp_path, objects):
-        """Like the resolution, the persisted *layout* wins on warm start:
-        a 4-shard engine restoring a v1 store serves the 1-shard index it
-        saved (bit-identical bounds), not a repartitioned one."""
-        MaxRSEngine(shards=1, persist_dir=tmp_path) \
-            .register_dataset(objects, name="ds")
-        reader = MaxRSEngine(shards=4, persist_dir=tmp_path)
-        assert isinstance(reader.grid_index("ds"), GridIndex)
-        # Re-registering identical bytes is a no-op: the adopted layout (and
-        # its snapshot) stays.
-        reader.register_dataset(objects, name="ds")
-        assert open_catalog(tmp_path).get("ds").grid.shards is None
-
-    def test_rebuilt_grid_refreshes_snapshot_layout(self, tmp_path, objects):
-        MaxRSEngine(shards=1, persist_dir=tmp_path) \
-            .register_dataset(objects, name="ds")
-        assert open_catalog(tmp_path).get("ds").grid.shards is None
-        # Dropping the resident index (snapshot kept) forces the next
-        # registration to rebuild under the configured sharding; the
-        # write-through must then refresh the durable grid so a restart
-        # adopts the partitioning this engine actually serves with.
-        engine = MaxRSEngine(shards=4, persist_dir=tmp_path)
-        engine.unregister_dataset("ds", keep_snapshot=True)
-        engine.register_dataset(objects, name="ds")
-        manifest = open_catalog(tmp_path).get("ds")
-        assert manifest.grid.shards is not None
-        assert len(manifest.grid.shards) == 4
-
     def test_catalog_version_is_lowest_expressible(self, tmp_path, objects):
-        """Flat unsharded stores stay version 1 (rollback-safe), flat
-        sharded ones version 2; only catalogs actually holding pyramid
-        level blobs are stamped version 3."""
-        import json
-
-        MaxRSEngine(shards=1, pyramid_levels=1,
-                    persist_dir=tmp_path / "mono") \
+        """Flat single-blob stores stay version 1 (rollback-safe); only
+        catalogs actually holding pyramid level blobs are stamped version
+        3."""
+        MaxRSEngine(pyramid_levels=1, persist_dir=tmp_path / "flat") \
             .register_dataset(objects, name="ds")
-        mono = json.loads((tmp_path / "mono" / "catalog.json").read_text())
-        assert mono["format_version"] == 1
-        MaxRSEngine(shards=4, pyramid_levels=1,
-                    persist_dir=tmp_path / "sharded") \
-            .register_dataset(objects, name="ds")
-        sharded = json.loads(
-            (tmp_path / "sharded" / "catalog.json").read_text())
-        assert sharded["format_version"] == 2
-        MaxRSEngine(shards=1, persist_dir=tmp_path / "pyramid") \
+        flat = json.loads((tmp_path / "flat" / "catalog.json").read_text())
+        assert flat["format_version"] == 1
+        MaxRSEngine(persist_dir=tmp_path / "pyramid") \
             .register_dataset(objects, name="ds")
         pyramid = json.loads(
             (tmp_path / "pyramid" / "catalog.json").read_text())
@@ -424,30 +406,14 @@ class TestShardedPersistence:
 
     def test_rebuilt_grid_refreshes_snapshot_resolution(self, tmp_path,
                                                         objects):
-        """Same shard count, different resolution: the layout check must
-        see through it and refresh the durable grid."""
-        MaxRSEngine(shards=4, persist_dir=tmp_path) \
-            .register_dataset(objects, name="ds")
+        """A different resolution: the layout check must see through it and
+        refresh the durable grid."""
+        MaxRSEngine(persist_dir=tmp_path).register_dataset(objects, name="ds")
         before = open_catalog(tmp_path).get("ds").grid
-        engine = MaxRSEngine(shards=4, target_points_per_cell=4,
-                             persist_dir=tmp_path)
+        engine = MaxRSEngine(target_points_per_cell=4, persist_dir=tmp_path)
         engine.unregister_dataset("ds", keep_snapshot=True)
         engine.register_dataset(objects, name="ds")
         after = open_catalog(tmp_path).get("ds").grid
         assert (after.n_rows, after.n_cols) != (before.n_rows, before.n_cols)
         served = engine.grid_index("ds")
         assert (after.n_rows, after.n_cols) == (served.n_rows, served.n_cols)
-
-    def test_collapsed_sharding_keeps_v1_layout(self, tmp_path):
-        """A grid too small to tile (single point) must not stamp the
-        catalog v2: a multi-shard engine falls back to the plain index."""
-        import json
-
-        from repro.service import GridIndex as PlainGridIndex
-
-        engine = MaxRSEngine(shards=4, persist_dir=tmp_path)
-        engine.register_dataset([WeightedPoint(1.0, 2.0, 3.0)], name="one")
-        assert isinstance(engine.grid_index("one"), PlainGridIndex)
-        document = json.loads((tmp_path / "catalog.json").read_text())
-        assert document["format_version"] == 1
-        assert open_catalog(tmp_path).get("one").grid.shards is None

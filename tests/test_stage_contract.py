@@ -3,11 +3,12 @@
 Every engine stage books itself once, and that one call feeds three
 consumers that must agree: the ``engine.<stage>`` span of the query's
 trace, the stage's timing histogram in ``stats()["stages"]``, and the
-per-query cost ledger on ``result.cost``.  One cold query per query path
-pins all three:
+per-query cost ledger on ``result.cost``.  One cold query per query path,
+on a flat grid and on a four-level pyramid, pins all three:
 
 * the trace's ``engine.*`` spans are exactly the stages the path ran;
-* the point counts the spans carry equal the ledger's;
+* the point counts the spans carry equal the ledger's (the descent opens
+  one ``grid.descend[...]`` span per pyramid level it visits);
 * each stage's histogram counted the run and reports its percentiles.
 
 Below the stages, every ``backend.sweep`` span splits into its event build,
@@ -49,13 +50,13 @@ def _clustered(count=400, seed=5):
     return points
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("depth", [1, 4])
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_one_call_feeds_span_histogram_and_ledger(path, shards):
+def test_one_call_feeds_span_histogram_and_ledger(path, depth):
     spec, stages = PATHS[path]
-    with MaxRSEngine(tracer="ring", shards=shards,
-                     shard_executor="serial") as engine:
+    with MaxRSEngine(tracer="ring", pyramid_levels=depth) as engine:
         dataset = engine.register_dataset(_clustered())
+        assert engine.grid_index(dataset).pyramid_depth() == depth
         before = engine.stats()["stages"]
         result = engine.query(dataset, spec)
         after = engine.stats()["stages"]
@@ -102,8 +103,7 @@ def test_sweep_spans_split_into_events_prepare_and_kernel():
     points = [WeightedPoint(rng.uniform(0, 100), rng.uniform(0, 100))
               for _ in range(4000)]
     for backend in ("pure", "numpy"):
-        with MaxRSEngine(tracer="ring", shards=1,
-                         sweep_backend=backend) as engine:
+        with MaxRSEngine(tracer="ring", sweep_backend=backend) as engine:
             dataset = engine.register_dataset(points)
             engine.query(dataset, QuerySpec.maxrs(10.0, 10.0))
             trace = engine.tracer.recorder.last()
