@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.baselines.common import BaselineResult, SimulatedLRUCache
-from repro.core.events import events_sort_key
 from repro.core.transform import objects_file_to_event_file, write_objects_file
 from repro.em.codecs import EVENT_BOTTOM, EVENT_CODEC
 from repro.em.context import EMContext
@@ -296,7 +295,7 @@ class ASBTreeSweep:
         event_file = objects_file_to_event_file(
             self.ctx, objects_file, self.width, self.height, name="asb-events")
         sorted_events = external_sort(
-            self.ctx, event_file, EVENT_CODEC, key=events_sort_key, delete_input=True)
+            self.ctx, event_file, EVENT_CODEC, delete_input=True)
 
         tree = ASBTree(self.ctx, boundaries, simulate_io=self.simulate_io)
         best_weight = 0.0

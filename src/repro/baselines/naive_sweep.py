@@ -33,7 +33,6 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.baselines.common import BaselineResult
-from repro.core.events import events_sort_key
 from repro.core.transform import objects_file_to_event_file, write_objects_file
 from repro.em.codecs import EVENT_BOTTOM, EVENT_CODEC
 from repro.em.context import EMContext
@@ -94,7 +93,7 @@ class NaivePlaneSweep:
         event_file = objects_file_to_event_file(
             self.ctx, objects_file, self.width, self.height, name="naive-events")
         sorted_events = external_sort(
-            self.ctx, event_file, EVENT_CODEC, key=events_sort_key, delete_input=True)
+            self.ctx, event_file, EVENT_CODEC, delete_input=True)
         if self.simulate_io:
             result = self._sweep_simulated(sorted_events)
         else:

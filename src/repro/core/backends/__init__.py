@@ -65,9 +65,11 @@ class SweepBackend(Protocol):
 
     A backend is a drop-in execution strategy for
     :func:`repro.core.plane_sweep.sweep_events`: it receives the flat event
-    records ``(y, kind, x1, x2, weight)`` of a slab's dual rectangles and
-    returns the slab-file (one max-interval tuple per distinct event
-    y-coordinate, ascending) together with the best strip of the sweep.
+    records ``(y, kind, x1, x2, weight)`` of a slab's dual rectangles -- as
+    tuples, or as the ``(n, 5)`` float64 array ExactMaxRS's leaves read
+    from their event files -- and returns the slab-file (one max-interval
+    tuple per distinct event y-coordinate, ascending) together with the
+    best strip of the sweep.
     """
 
     #: Stable identifier used for selection, metrics and artefact logging.

@@ -22,9 +22,12 @@ can chew through in bulk:
    Each h-line's global maximum is then a row maximum of a matrix that is a
    few hundred elements wide, instead of a tree query over 10^5 cells.
 3. **Leftmost argmax and maximal runs** -- resolved per chunk with segmented
-   index tricks (``np.minimum.reduceat`` over masked cell indices); only the
-   rare runs that cross chunk-segment boundaries (or sit within the
-   floating-point run tolerance) fall back to small per-h-line scans.
+   index tricks (``np.minimum.reduceat`` over masked cell indices).  The
+   runs that cross chunk-segment boundaries (every h-line of a typical
+   ExactMaxRS leaf) or sit within the floating-point run tolerance are
+   finished by ragged first-hit searches over the concatenated cell ranges
+   they still have to scan: a fixed number of numpy calls per chunk, no
+   per-h-line loop.
 
 When the caller only needs the best strip (``include_records=False`` -- the
 resident engine's probe and refine stages), steps emitting per-h-line tuples
@@ -90,6 +93,10 @@ _RUN_TOLERANCE = 1e-12
 #: Narrowest x-slab of the best-only slab plan, in elementary cells: below
 #: this the per-step fixed costs outweigh the shorter steps.
 _MIN_SLAB_CELLS = 64
+
+#: Cells one batch of the maximal-run scans gathers at most (plus one
+#: range), which bounds their index arrays to a few MB.
+_SCAN_CELLS = 1 << 18
 
 
 class NumpySweepBackend:
@@ -398,32 +405,65 @@ class NumpySweepBackend:
         Two cases land here: runs whose plateau reaches the end of the
         attaining chunk segment (they may continue into later segments), and
         the rare floating-point case where the next cell differs from the
-        maximum by less than the run tolerance.  Work per h-line is a couple
-        of small scans, and only a minority of h-lines take this path.
+        maximum by less than the run tolerance.  Both scans are ragged
+        first-hit searches (:func:`_first_below`), so all hard runs of a
+        chunk finish in a fixed number of numpy calls.
         """
-        num_segments = len(bnd) - 1
-        delta_h = W[hard] - M0[None, :]
-        seg_min = Mn0[None, :] + delta_h
-        candidates = ((seg_min < thr[hard, None])
-                      & (np.arange(num_segments)[None, :] > s_star[hard, None]))
-        has_break = candidates.any(axis=1)
-        break_seg = candidates.argmax(axis=1)
-        for i, t in enumerate(hard):
-            if in_seg[t]:
-                # Tolerance case: scan the rest of the attaining segment
-                # with the exact rule of the reference tree.
-                a, b = plateau_end[t], seg_end[t]
-                hit = np.nonzero(V0[a:b] < thr0[t])[0]
-                if hit.size:
-                    run[t] = a + hit[0] - 1
-                    continue
-            if not has_break[i]:
-                run[t] = num_cells - 1
-                continue
-            s = break_seg[i]
-            a, b = bnd[s], bnd[s + 1]
-            hit = np.nonzero(V0[a:b] < thr[t] - delta_h[i, s])[0]
-            run[t] = a + hit[0] - 1 if hit.size else b - 1
+        # Tolerance case: scan the rest of the attaining segment with the
+        # exact rule of the reference tree; a run that finds no break there
+        # goes on like the others.
+        tolerance = hard[in_seg[hard]]
+        if tolerance.size:
+            end = seg_end[tolerance]
+            first = _first_below(V0, plateau_end[tolerance], end,
+                                 thr0[tolerance])
+            found = first < end
+            run[tolerance[found]] = first[found] - 1
+            hard = np.setdiff1d(hard, tolerance[found], assume_unique=True)
+        if not hard.size:
+            return
+        # The first segment right of the attaining one whose minimum drops
+        # below the threshold holds the break; without one the run reaches
+        # the last cell.  Segments left of every attaining one cannot.
+        first = int(s_star[hard].min()) + 1
+        rows_w = W if len(hard) == len(W) else W[hard]
+        seg_min = rows_w[:, first:] - M0[None, first:]
+        seg_min += Mn0[None, first:]
+        candidates = seg_min < thr[hard, None]
+        candidates &= np.arange(first, len(bnd) - 1) > s_star[hard, None]
+        if not candidates.size:
+            run[hard] = num_cells - 1
+            return
+        seg = candidates.argmax(axis=1)
+        has_break = candidates[np.arange(len(hard)), seg]
+        run[hard[~has_break]] = num_cells - 1
+        hard, seg = hard[has_break], seg[has_break] + first
+        limit = thr[hard] - (W[hard, seg] - M0[seg])
+        run[hard] = _first_below(V0, bnd[seg], bnd[seg + 1], limit) - 1
+
+
+def _first_below(values, starts, ends, limits):
+    """The first ``c`` in ``[starts[k], ends[k])`` with ``values[c] <
+    limits[k]``, or ``ends[k]`` where there is none, for every ``k``.
+
+    One pass over the concatenated ranges, which must not be empty; the
+    ranges are halved until each pass gathers at most ``_SCAN_CELLS`` cells
+    (or one range), so its index arrays stay bounded.
+    """
+    if not len(starts):
+        return ends
+    lengths = ends - starts
+    if int(lengths.sum()) > _SCAN_CELLS and len(starts) > 1:
+        half = len(starts) // 2
+        return np.concatenate((
+            _first_below(values, starts[:half], ends[:half], limits[:half]),
+            _first_below(values, starts[half:], ends[half:], limits[half:])))
+    offsets = np.cumsum(lengths) - lengths
+    cells = np.arange(offsets[-1] + lengths[-1]) + np.repeat(starts - offsets,
+                                                              lengths)
+    below = values[cells] < np.repeat(limits, lengths)
+    return np.minimum.reduceat(
+        np.where(below, cells, np.repeat(ends, lengths)), offsets)
 
 
 def _cut_into_slabs(width, num_slabs, step, left, right, delta, event_h):

@@ -32,4 +32,6 @@ class PurePythonBackend:
         # per-h-line queries, so there is nothing to save when the caller
         # only wants the best strip; ``include_records`` is accepted for
         # protocol compatibility.
+        if hasattr(event_records, "tolist"):   # an (n, 5) array of rows
+            event_records = event_records.tolist()
         return sweep_events(event_records, slab_range)

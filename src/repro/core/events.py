@@ -89,7 +89,9 @@ def events_sort_key(record: Tuple[float, ...]) -> Tuple[float, ...]:
     Events are ordered primarily by y.  Ties are broken by the remaining
     fields purely for determinism; the algorithms process *all* events sharing
     a y-coordinate before emitting output for the strip above it, so any
-    within-y order is correct.
+    within-y order is correct.  The key is the whole record, the external
+    sort's default order, so the solvers sort event files without a key
+    (which lets the sort run on block arrays).
     """
     return record
 

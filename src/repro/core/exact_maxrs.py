@@ -23,6 +23,13 @@ the distribution-sweep paradigm:
 
 Total cost: ``O((N/B) log_{M/B}(N/B))`` I/Os (Theorem 2), dominated by the
 initial sort and by one linear pass per recursion level.
+
+Every pass moves whole blocks as float64 arrays whenever numpy imports
+(the transform, the external sort, the division and the leaves' slab-file
+reads and writes; see :mod:`repro.em.record_file` for the read/write-order
+rule they keep) and runs record by record without it.  This module does not
+branch on numpy: the passes and :class:`~repro.em.record_file.RecordFile`
+do, and both paths read and write the same blocks, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.beststrip import BestStrip
-from repro.core.events import events_sort_key
 from repro.core.merge_sweep import merge_sweep
 from repro.core.result import MaxRSResult
 from repro.core.slab import (
@@ -79,8 +85,10 @@ class ExactMaxRS:
         :class:`~repro.errors.ConfigurationError` before any I/O.
 
     Each layer of a solve opens a span (:mod:`repro.obs`):
-    ``exact_maxrs.sort`` around the external sort, ``backend.sweep`` around
-    every leaf sweep, and ``exact_maxrs.merge`` around every MergeSweep.
+    ``exact_maxrs.transform`` around the dual transform,
+    ``exact_maxrs.sort`` around the external sort, ``exact_maxrs.divide``
+    around every division, ``backend.sweep`` around every leaf sweep, and
+    ``exact_maxrs.merge`` around every MergeSweep.
 
     Examples
     --------
@@ -129,17 +137,48 @@ class ExactMaxRS:
                       events=len(records)):
             return self._backend.sweep(records, x_range)
 
+    def _transform(self, objects_file: RecordFile) -> RecordFile:
+        """Write the dual rectangles' (unsorted) event file."""
+        with obs.span("exact_maxrs.transform",
+                      records=len(objects_file)) as span:
+            start = self.ctx.stats.snapshot()
+            event_file = objects_file_to_event_file(
+                self.ctx, objects_file, self.width, self.height,
+                name="maxrs-events")
+            self._set_io(span, start)
+        return event_file
+
     def _sort(self, event_file: RecordFile) -> RecordFile:
-        """Sort the event file by y with the external merge sort."""
+        """Sort the event file by y (whole records) with the external sort."""
         with obs.span("exact_maxrs.sort", records=len(event_file)) as span:
             start = self.ctx.stats.snapshot()
             sorted_events = external_sort(
-                self.ctx, event_file, EVENT_CODEC, key=events_sort_key,
-                delete_input=True)
-            io = self.ctx.stats.since(start)
-            span.set_attributes(block_reads=io.block_reads,
-                                block_writes=io.block_writes)
+                self.ctx, event_file, EVENT_CODEC, delete_input=True)
+            self._set_io(span, start)
         return sorted_events
+
+    def _divide(self, event_file: RecordFile, slab: Slab, depth: int):
+        """Division: ``(sub_files, spanning_file, sub_slabs)``, or ``None``
+        when every edge shares one x-coordinate."""
+        with obs.span("exact_maxrs.divide", records=len(event_file),
+                      sub_slabs=0, spanning=0) as span:
+            start = self.ctx.stats.snapshot()
+            boundaries = choose_boundaries(
+                collect_edge_xs(event_file, slab), self.fanout)
+            divided = None
+            if boundaries:
+                divided = partition_event_file(
+                    self.ctx, event_file, slab, boundaries,
+                    name_prefix=f"level{depth}-slab{slab.index}")
+                span.set_attributes(sub_slabs=len(divided[2]),
+                                    spanning=len(divided[1]))
+            self._set_io(span, start)
+        return divided
+
+    def _set_io(self, span, start) -> None:
+        io = self.ctx.stats.since(start)
+        span.set_attributes(block_reads=io.block_reads,
+                            block_writes=io.block_writes)
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -162,9 +201,7 @@ class ExactMaxRS:
         self._leaf_count = 0
         self._deepest_level = 0
 
-        event_file = objects_file_to_event_file(
-            self.ctx, objects_file, self.width, self.height, name="maxrs-events")
-        best = self._solve_root(self._sort(event_file))
+        best = self._solve_root(self._sort(self._transform(objects_file)))
 
         io = self.ctx.io_since(start)
         region = best.to_region()
@@ -186,7 +223,7 @@ class ExactMaxRS:
             # The whole input fits in memory: PlaneSweep causes no further
             # I/O and there is no slab-file to materialise (Algorithm 2,
             # line 9, invoked at the top level).
-            records = event_file.read_all()
+            records = event_file.read_rows()
             event_file.delete()
             self._leaf_count = 1
             _, best = self._sweep(records, root.x_range)
@@ -203,16 +240,12 @@ class ExactMaxRS:
         if total_events <= self.memory_records or depth > self.max_depth:
             return self._leaf(event_file, slab)
 
-        edge_xs = collect_edge_xs(event_file, slab)
-        boundaries = choose_boundaries(edge_xs, self.fanout)
-        if not boundaries:
+        divided = self._divide(event_file, slab, depth)
+        if divided is None:
             # Every edge shares one x-coordinate: division cannot separate the
             # rectangles, so fall back to the in-memory sweep (see DESIGN.md).
             return self._leaf(event_file, slab)
-
-        sub_files, spanning_file, sub_slabs = partition_event_file(
-            self.ctx, event_file, slab, boundaries,
-            name_prefix=f"level{depth}-slab{slab.index}")
+        sub_files, spanning_file, sub_slabs = divided
         event_file.delete()
 
         child_files: List[RecordFile] = []
@@ -243,7 +276,7 @@ class ExactMaxRS:
     def _leaf(self, event_file: RecordFile, slab: Slab) -> Tuple[RecordFile, BestStrip]:
         """Solve a sub-problem that fits in memory and write its slab-file."""
         self._leaf_count += 1
-        records = event_file.read_all()
+        records = event_file.read_rows()
         event_file.delete()
         tuples, best = self._sweep(records, slab.x_range)
         slab_file = self.ctx.create_file(
@@ -269,9 +302,8 @@ class ExactMaxRS:
         objects_file = write_objects_file(self.ctx, objects, name="maxkrs-objects")
         try:
             start = self.ctx.stats.snapshot()
-            event_file = objects_file_to_event_file(
-                self.ctx, objects_file, self.width, self.height, name="maxkrs-events")
-            strips = self._collect_strips(self._sort(event_file))
+            strips = self._collect_strips(
+                self._sort(self._transform(objects_file)))
             io = self.ctx.io_since(start)
         finally:
             objects_file.delete()
@@ -296,7 +328,7 @@ class ExactMaxRS:
         self._leaf_count = 0
         self._deepest_level = 0
         if len(event_file) <= self.memory_records:
-            records = event_file.read_all()
+            records = event_file.read_rows()
             event_file.delete()
             self._leaf_count = 1
             tuples, _ = self._sweep(records, root.x_range)

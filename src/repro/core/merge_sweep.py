@@ -358,10 +358,13 @@ class _TileSweep:
         spanned = first < end  # an edge spanning no sub-slab changes nothing
         delta = spans[spanned, 4]
         cell = span_row[spanned] * (m + 1)
+        # float64 even when no edge spans anything: bincount of empty
+        # input ignores its weights and counts in integers.
         diff = np.bincount(
             np.concatenate((cell + first[spanned], cell + end[spanned])),
             weights=np.concatenate((delta, -delta)),
-            minlength=rows * (m + 1)).reshape(rows, m + 1)
+            minlength=rows * (m + 1)).astype(np.float64, copy=False)
+        diff = diff.reshape(rows, m + 1)
         np.cumsum(diff, axis=1, out=diff)
         np.cumsum(diff, axis=0, out=diff)
         upsum = diff[:, :m]

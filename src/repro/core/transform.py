@@ -20,6 +20,13 @@ the library:
   :class:`~repro.em.record_file.RecordFile` -> an event file), used by
   ExactMaxRS and the externalized baselines.  The streaming form costs one
   linear read of the object file plus one linear write of the event file.
+
+Whenever numpy imports the streaming form moves whole blocks: each object
+block becomes its event rows (bottom, then top, per object) with the
+arithmetic of :func:`columns_to_event_array`, appended before the next
+object block is read, and :func:`write_objects_file` packs the objects
+once.  The files get the record path's bytes and block transfers, which
+is what a host without numpy runs.
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ from repro.em.context import EMContext
 from repro.em.record_file import RecordFile
 from repro.errors import GeometryError
 from repro.geometry import Rect, WeightedPoint, is_positive_finite
+
+try:  # guarded: the object and record paths run without numpy
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
+    np = None
 
 __all__ = [
     "dual_rectangle",
@@ -92,13 +104,14 @@ def columns_to_event_array(xs, ys, ws, width: float, height: float):
     bottom-edge record and row ``2i + 1`` its top-edge record, equal bit for
     bit to the tuples :func:`objects_to_event_records` builds from the same
     points (the same IEEE-754 operations on the same doubles).  Requires
-    numpy, imported here so the object path keeps working without it.
+    numpy.
     """
-    import numpy as np
-
     _check_extent(width, height)
-    half_w = width / 2.0
-    half_h = height / 2.0
+    return _event_rows(xs, ys, ws, width / 2.0, height / 2.0)
+
+
+def _event_rows(xs, ys, ws, half_w: float, half_h: float):
+    """The ``(2n, 5)`` event rows of points held as columns."""
     events = np.empty((len(xs), 2, 5))
     events[:, 0, 0] = ys - half_h
     events[:, 1, 0] = ys + half_h
@@ -114,10 +127,7 @@ def write_objects_file(ctx: EMContext, objects: Iterable[WeightedPoint],
                        name: str = "objects") -> RecordFile:
     """Write a dataset of objects to a new record file on the simulated disk."""
     file = ctx.create_file(OBJECT_CODEC, name=name)
-    with file.writer() as writer:
-        for o in objects:
-            writer.append((o.x, o.y, o.weight))
-    return file
+    return file.write_all([(o.x, o.y, o.weight) for o in objects])
 
 
 def build_event_file(ctx: EMContext, objects: Iterable[WeightedPoint],
@@ -155,6 +165,12 @@ def objects_file_to_event_file(ctx: EMContext, objects_file: RecordFile,
     event_file = ctx.create_file(EVENT_CODEC, name=name)
     half_w = width / 2.0
     half_h = height / 2.0
+    if objects_file.supports_arrays:
+        with event_file.writer() as writer:
+            for block in objects_file.iter_block_arrays():
+                writer.append_rows(_event_rows(
+                    block[:, 0], block[:, 1], block[:, 2], half_w, half_h))
+        return event_file
     with event_file.writer() as writer:
         for x, y, weight in objects_file.reader():
             x1 = x - half_w

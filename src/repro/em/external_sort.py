@@ -14,6 +14,26 @@ external merge sort implemented here:
 
 Total cost ``O((N/B) log_{M/B}(N/B))``, the sorting bound that also lower
 bounds the MaxRS problem itself (Theorem 2).
+
+Records are ordered as whole tuples unless the caller passes a ``key``.
+That whole-record order on float64 records (every file of ExactMaxRS and
+the baselines) runs on block arrays whenever numpy imports:
+
+* a run is read block by block, ordered by one stable ``np.lexsort`` over
+  all columns (``list.sort``'s order: the first column decides, ties go to
+  the next, equal records keep their input order) and written with
+  ``append_rows``;
+* a merge holds the unconsumed rows of every run, ordered by byte keys that
+  compare as the records do, then by run index -- the heap's ``(key,
+  run)`` order.  It steps one run block at a time, exactly when the heap
+  merge would read: it emits every pending row up to the smallest
+  last-read row among the runs that still have unread blocks, flushes the
+  output blocks that fill, then reads that run's next block.
+
+So both paths write the same bytes with the same block reads and writes,
+in the same order.  A caller's own ``key``, a codec that is not float64 or
+a host without numpy take the record path: ``list.sort`` per run and a
+heap of ``(key, run)`` entries per merge.
 """
 
 from __future__ import annotations
@@ -25,6 +45,11 @@ from repro.em.context import EMContext
 from repro.em.record_file import RecordFile, RecordReader
 from repro.em.serializer import RecordCodec
 from repro.errors import AlgorithmError
+
+try:  # guarded: the record path sorts without numpy
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
+    np = None  # RecordFile.supports_arrays is then False: no array path runs
 
 __all__ = ["ExternalSorter", "external_sort"]
 
@@ -42,7 +67,8 @@ class ExternalSorter:
     codec:
         Codec of the records being sorted (also used for the temporary runs).
     key:
-        Sort key, as for :func:`sorted`.  Defaults to the whole record.
+        Sort key, as for :func:`sorted`.  Defaults to the whole record,
+        which sorts float64 records on block arrays when numpy imports.
     """
 
     def __init__(self, ctx: EMContext, codec: RecordCodec,
@@ -50,6 +76,7 @@ class ExternalSorter:
         self.ctx = ctx
         self.codec = codec
         self.key: KeyFunc = key if key is not None else (lambda record: record)
+        self._whole_records = key is None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -81,10 +108,17 @@ class ExternalSorter:
     # ------------------------------------------------------------------ #
     # Phase 1: run formation
     # ------------------------------------------------------------------ #
+    def _on_rows(self, file: RecordFile) -> bool:
+        """Whether ``file`` sorts on block arrays: whole-record order on
+        float64 records, with numpy."""
+        return self._whole_records and file.supports_arrays
+
     def _form_runs(self, file: RecordFile) -> List[RecordFile]:
         memory_records = self.ctx.memory_capacity_records(self.codec.record_size)
         if memory_records < 1:
             raise AlgorithmError("memory cannot hold even one record")
+        if self._on_rows(file):
+            return self._form_row_runs(file, memory_records)
         runs: List[RecordFile] = []
         chunk: List[Record] = []
         for record in file.reader():
@@ -102,6 +136,34 @@ class ExternalSorter:
         run.write_all(chunk)
         return run
 
+    def _form_row_runs(self, file: RecordFile,
+                       memory_records: int) -> List[RecordFile]:
+        """Runs of ``memory_records`` rows, cut and written as the record
+        path cuts them: a run is written as soon as it fills, before the
+        next input block is read."""
+        runs: List[RecordFile] = []
+        pending: List = []
+        count = 0
+        for block in file.iter_block_arrays():
+            pending.append(block)
+            count += len(block)
+            while count >= memory_records:
+                rows = np.concatenate(pending)
+                runs.append(
+                    self._write_row_run(rows[:memory_records], len(runs)))
+                pending = [rows[memory_records:]]
+                count -= memory_records
+        if count:
+            runs.append(self._write_row_run(np.concatenate(pending), len(runs)))
+        return runs
+
+    def _write_row_run(self, rows, index: int) -> RecordFile:
+        # lexsort's last key is the primary one.
+        order = np.lexsort(rows.T[::-1])
+        run = self.ctx.create_file(self.codec, name=f"sort-run-{index}")
+        run.write_all(rows[order])
+        return run
+
     # ------------------------------------------------------------------ #
     # Phase 2: multiway merge
     # ------------------------------------------------------------------ #
@@ -116,6 +178,8 @@ class ExternalSorter:
     def _merge_group(self, group: Sequence[RecordFile]) -> RecordFile:
         if len(group) == 1:
             return group[0]
+        if self._on_rows(group[0]):
+            return self._merge_row_group(group)
         output = self.ctx.create_file(self.codec, name="sort-merge")
         readers = [run.reader() for run in group]
         heap: List[Tuple[object, int, Record, RecordReader]] = []
@@ -134,6 +198,67 @@ class ExternalSorter:
         for run in group:
             run.delete()
         return output
+
+    def _merge_row_group(self, group: Sequence[RecordFile]) -> RecordFile:
+        """:meth:`_merge_group` one run block at a time (see the module
+        docstring): the same output, reads and writes, in the same order."""
+        output = self.ctx.create_file(self.codec, name="sort-merge")
+        next_block = [0] * len(group)
+        last: List[bytes] = [b""] * len(group)   # each run's last read key
+        # The unconsumed rows of each run's current block, and their keys.
+        keys: List = [None] * len(group)
+        rows: List = [None] * len(group)
+
+        def read(run: int) -> None:
+            rows[run] = group[run].read_block_array(next_block[run])
+            next_block[run] += 1
+            keys[run] = _order_keys(rows[run], run)
+            last[run] = keys[run][-1]
+
+        for run in range(len(group)):
+            read(run)
+        with output.writer() as writer:
+            while True:
+                unread = [run for run in range(len(group))
+                          if next_block[run] < group[run].num_blocks]
+                step = min(unread, key=last.__getitem__) if unread else None
+                bound = last[step] if unread else None
+                due_keys, due_rows = [], []
+                for run, run_keys in enumerate(keys):
+                    if not len(run_keys) or (unread and run_keys[0] > bound):
+                        continue
+                    cut = (len(run_keys) if bound is None else
+                           int(np.searchsorted(run_keys, bound, side="right")))
+                    due_keys.append(run_keys[:cut])
+                    due_rows.append(rows[run][:cut])
+                    keys[run], rows[run] = run_keys[cut:], rows[run][cut:]
+                if due_keys:
+                    order = np.argsort(np.concatenate(due_keys), kind="stable")
+                    writer.append_rows(np.concatenate(due_rows)[order])
+                if step is None:
+                    break
+                read(step)
+        for run in group:
+            run.delete()
+        return output
+
+
+def _order_keys(rows, run: int):
+    """Byte keys of ``rows`` that compare as the rows do as tuples of
+    floats, then by ``run``.
+
+    Each field maps onto a big-endian unsigned integer in value order
+    (negatives flip every bit, the rest their sign bit); ``+ 0.0`` folds
+    ``-0.0`` into ``0.0``, which compare equal as floats.
+    """
+    bits = (rows + 0.0).view(np.int64)
+    ordered = np.where(bits < 0, ~bits, bits ^ np.int64(-2 ** 63))
+    count, fields = rows.shape
+    keys = np.empty((count, 8 * fields + 4), dtype=np.uint8)
+    keys[:, :8 * fields] = ordered.astype(">i8").view(np.uint8).reshape(
+        count, 8 * fields)
+    keys[:, 8 * fields:] = np.frombuffer(run.to_bytes(4, "big"), np.uint8)
+    return keys.view(f"S{8 * fields + 4}").ravel()
 
 
 def external_sort(ctx: EMContext, file: RecordFile, codec: RecordCodec,

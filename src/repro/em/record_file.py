@@ -18,11 +18,27 @@ Access patterns provided:
   the external merge and by the aSB-tree baseline.
 
 Files whose records are runs of float64 fields also move whole blocks as
-numpy arrays: :meth:`RecordFile.read_block_array` reads one block as a
-``(records, fields)`` array and :meth:`RecordWriter.append_rows` appends an
-array's rows a block at a time.  Both are charged exactly as the record
-paths are (one buffer-pool ``get`` per block read, one flushed block write
-per full or final block) and the bytes are the struct codec's packing.
+numpy arrays (:attr:`RecordFile.supports_arrays`, true whenever numpy
+imports):
+
+* :meth:`RecordFile.read_block_array` reads one block as a
+  ``(records, fields)`` array, :meth:`RecordFile.iter_block_arrays` reads
+  the blocks in file order, one per step, and :meth:`RecordFile.read_rows`
+  reads the whole file as one array;
+* :meth:`RecordWriter.append_rows` appends an array's rows, cut at the
+  block boundaries, :meth:`RecordFile.write_all` takes that path for an
+  array or a list of records, and :class:`RowScatter` appends rows bound
+  for many files at once (the division phase's sub-slab files).
+
+Both are charged exactly as the record paths are (one buffer-pool ``get``
+per block read, one flushed block write per full or final block) and the
+bytes are the struct codec's packing.  The block passes built on them (the
+external sort, the dual transform, the division phase and the leaves of
+ExactMaxRS) keep one rule, so their buffer-pool traffic, and with it every
+later cache hit, is the record paths' own: a pass reads input block ``i``,
+then makes the writes its records cause, then reads block ``i + 1``.
+Without numpy ``read_rows`` returns record tuples and ``write_all`` appends
+record by record.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ try:  # guarded: the record paths run without numpy, the array paths need it
 except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
     np = None
 
-__all__ = ["RecordFile", "RecordReader", "RecordWriter"]
+__all__ = ["RecordFile", "RecordReader", "RecordWriter", "RowScatter"]
 
 Record = Tuple[float, ...]
 
@@ -93,11 +109,27 @@ class RecordFile:
             )
         return RecordWriter(self)
 
+    @property
+    def supports_arrays(self) -> bool:
+        """``True`` when blocks can move as float64 arrays: numpy imports
+        and the codec stores float64 records."""
+        return np is not None and self.codec.float64_fields is not None
+
     def write_all(self, records: Iterable[Record]) -> "RecordFile":
-        """Append every record in ``records`` and return ``self``."""
+        """Append every record in ``records`` and return ``self``.
+
+        An array, or a list or tuple of records, is appended as rows when
+        :attr:`supports_arrays` holds: the same bytes and block writes
+        without a per-record encode.
+        """
         with self.writer() as writer:
-            for record in records:
-                writer.append(record)
+            if self.supports_arrays and isinstance(
+                    records, (list, tuple, np.ndarray)):
+                writer.append_rows(
+                    _as_rows(records, self.codec.float64_fields))
+            else:
+                for record in records:
+                    writer.append(record)
         return self
 
     # ------------------------------------------------------------------ #
@@ -114,6 +146,30 @@ class RecordFile:
     def read_all(self) -> List[Record]:
         """Read the entire file into memory (caller is responsible for fit)."""
         return list(self.reader())
+
+    def read_rows(self):
+        """Read the entire file into memory as rows.
+
+        A ``(records, fields)`` float64 array when :attr:`supports_arrays`
+        holds, else the list :meth:`read_all` returns.  Either way every
+        block is read once, in file order.
+        """
+        if not self.supports_arrays:
+            return self.read_all()
+        blocks = list(self.iter_block_arrays())
+        if not blocks:
+            return np.empty((0, self.codec.float64_fields))
+        return np.concatenate(blocks)
+
+    def iter_block_arrays(self) -> Iterator:
+        """Yield every block as a float64 array, in file order.
+
+        Each block is read when the consumer asks for it, so whatever the
+        consumer writes between two steps lands between the two reads.
+        """
+        self._check_alive()
+        for block_index in range(len(self.block_ids)):
+            yield self.read_block_array(block_index)
 
     def read_block_records(self, block_index: int) -> List[Record]:
         """Return the records of the ``block_index``-th block of the file."""
@@ -223,8 +279,7 @@ class RecordWriter:
 
     def append(self, record: Record) -> None:
         """Append one record to the file."""
-        if self._closed:
-            raise StorageError(f"writer for file {self.file.name!r} is closed")
+        self._check_open()
         self._parts.append(self._encode(record))
         self._count += 1
         if self._count >= self._per_block:
@@ -238,13 +293,12 @@ class RecordWriter:
     def append_rows(self, rows) -> None:
         """Append the rows of a ``(records, fields)`` float64 array.
 
-        Rows are packed a block at a time (``tobytes`` of a little-endian
-        float64 slice is byte-for-byte the struct codec's packing), so the
-        file gets the same bytes and the same block writes as appending the
-        rows one record at a time.
+        Rows are packed once (``tobytes`` of a little-endian float64 array
+        is byte-for-byte the struct codec's packing) and cut at the block
+        boundaries, so the file gets the same bytes and the same block
+        writes as appending the rows one record at a time.
         """
-        if self._closed:
-            raise StorageError(f"writer for file {self.file.name!r} is closed")
+        self._check_open()
         fields = _float64_fields(self.file.codec)
         data = np.ascontiguousarray(rows, dtype="<f8")
         if data.ndim != 2 or data.shape[1] != fields:
@@ -252,12 +306,19 @@ class RecordWriter:
                 f"rows of shape {data.shape} do not match the {fields} "
                 f"float64 fields of file {self.file.name!r}"
             )
-        start, total = 0, len(data)
-        while start < total:
-            take = min(self._per_block - self._count, total - start)
-            self._parts.append(data[start:start + take].tobytes())
+        self._append_packed(memoryview(data.tobytes()), 0, len(data))
+
+    def _append_packed(self, data: memoryview, start: int, count: int) -> None:
+        """Append ``count`` records of ``data``, packed by the codec, from
+        record ``start`` on."""
+        self._check_open()
+        size = self.file.codec.record_size
+        while count:
+            take = min(self._per_block - self._count, count)
+            self._parts.append(data[start * size:(start + take) * size])
             self._count += take
             start += take
+            count -= take
             if self._count >= self._per_block:
                 self._flush_buffer()
 
@@ -268,6 +329,10 @@ class RecordWriter:
         if self._count:
             self._flush_buffer()
         self._closed = True
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageError(f"writer for file {self.file.name!r} is closed")
 
     def _flush_buffer(self) -> None:
         device = self.file.pool.device
@@ -328,6 +393,91 @@ class RecordReader:
             self._record_index = 0
             self._block_index += 1
         return self._records[self._record_index]
+
+
+class RowScatter:
+    """Appends rows to several files at once, each row to its own file.
+
+    Opens a :class:`RecordWriter` per file and keeps each file's one-block
+    output buffer as a row of one shared array.  Rows are only counted as
+    they arrive; they are placed in the buffers when some file's block
+    fills, so a batch costs a few numpy calls, and a batch that fills
+    blocks also one writer call per block.  Each file gets its rows in
+    arrival order, with the bytes and block writes of
+    :meth:`RecordWriter.append_rows`, and every block a batch fills is
+    written before :meth:`append` returns; which file flushes first within
+    a batch does not matter, as no block is read in between.  Closing hands
+    each partial block to its writer and closes it.  The files must share
+    one float64 record type.
+    """
+
+    def __init__(self, files: Sequence[RecordFile]) -> None:
+        self.writers = [file.writer() for file in files]
+        self._per_block = files[0].records_per_block
+        fields = _float64_fields(files[0].codec)
+        self._buffer = np.empty((len(files), self._per_block, fields))
+        self._placed = np.zeros(len(files), dtype=np.intp)  # rows in the buffer
+        self._total = np.zeros(len(files), dtype=np.intp)   # ... plus queued
+        self._queue: List = []
+
+    def append(self, targets, rows) -> None:
+        """Append ``rows[k]`` to file ``targets[k]``, for every ``k``."""
+        self._queue.append((targets, rows))
+        self._total += np.bincount(targets, minlength=len(self.writers))
+        if (self._total >= self._per_block).any():
+            self._drain()
+
+    def _drain(self) -> None:
+        """Place the queued rows; write every block that fills."""
+        if not self._queue:
+            return
+        targets = np.concatenate([t for t, _ in self._queue])
+        rows = np.concatenate([r for _, r in self._queue])
+        self._queue.clear()
+        order = np.argsort(targets, kind="stable")
+        targets, rows = targets[order], rows[order]
+        counts = np.bincount(targets, minlength=len(self.writers))
+        # Slot of each row in its file's stream of buffered rows; slot
+        # ``g * B + k`` is place ``k`` of the ``g``-th block filled here.
+        slot = (self._placed[targets] + np.arange(len(targets))
+                - (np.cumsum(counts) - counts)[targets])
+        block = slot // self._per_block
+        for g in range(int(block.max()) + 1):
+            now = block == g
+            place = slot[now] - g * self._per_block
+            self._buffer[targets[now], place] = rows[now]
+            full = self._total >= (g + 1) * self._per_block
+            for target in np.flatnonzero(full).tolist():
+                self.writers[target]._append_packed(
+                    memoryview(self._buffer[target].tobytes()), 0,
+                    self._per_block)
+        self._total %= self._per_block
+        self._placed[:] = self._total
+
+    def close(self) -> None:
+        self._drain()
+        for writer, buffer, fill in zip(self.writers, self._buffer,
+                                        self._placed.tolist()):
+            if fill:
+                writer._append_packed(memoryview(buffer[:fill].tobytes()),
+                                      0, fill)
+            writer.close()
+
+    def __enter__(self) -> "RowScatter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+def _as_rows(records, fields: int):
+    """``records`` (an array or a sequence of records) as float64 rows."""
+    try:
+        rows = np.asarray(records, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"records are not runs of {fields} floats: {exc}") from exc
+    return rows.reshape(-1, fields) if rows.size == 0 else rows
 
 
 def _float64_fields(codec: RecordCodec) -> int:

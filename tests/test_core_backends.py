@@ -31,6 +31,7 @@ from repro.geometry import Interval, WeightedPoint
 
 np = pytest.importorskip("numpy")
 
+import repro.core.backends.numpy_backend as numpy_backend_module  # noqa: E402
 from repro.core.backends.numpy_backend import NumpySweepBackend  # noqa: E402
 
 
@@ -189,6 +190,66 @@ class TestParityProperty:
         objs += [WeightedPoint(float(i) + 0.5, 7.0, 1.0) for i in range(20)]
         records = objects_to_event_records(objs, 3.0, 4.0)
         self._assert_parity(records, None)
+
+
+class TestHardRuns:
+    """Runs the vectorised fast path leaves open, finished by ragged
+    first-hit searches (``_resolve_hard_runs``)."""
+
+    @staticmethod
+    def _tolerance_records():
+        # At y = 0, x in [0, 1] weighs 1 + 2**-44 and x in [1, 2] weighs 1:
+        # within the 1e-12 run tolerance, so the best run spans both cells
+        # although they differ.  The edges far right (weight 0.5) make
+        # later chunks whose first segment holds both cells, so the run's
+        # plateau ends inside the attaining segment.
+        tiny = 2.0 ** -44
+        records = [(0.0, 1.0, 0.0, 2.0, 1.0), (50.0, -1.0, 0.0, 2.0, 1.0),
+                   (0.0, 1.0, 0.0, 1.0, tiny), (50.0, -1.0, 0.0, 1.0, tiny)]
+        for y in range(1, 6):
+            records.append((float(y), 1.0, 100.0, 101.0, 0.5))
+            records.append((y + 0.5, -1.0, 100.0, 101.0, 0.5))
+        return records
+
+    @pytest.mark.parametrize("chunk_hlines", [1, 2, 3])
+    def test_run_tolerance_case(self, monkeypatch, chunk_hlines):
+        reached = []
+        resolve = NumpySweepBackend._resolve_hard_runs
+
+        def spy(run, hard, V0, Mn0, M0, W, bnd, s_star, seg_end,
+                plateau_end, in_seg, thr, thr0, num_cells):
+            reached.append(bool(in_seg[hard].any()))
+            return resolve(run, hard, V0, Mn0, M0, W, bnd, s_star, seg_end,
+                           plateau_end, in_seg, thr, thr0, num_cells)
+
+        monkeypatch.setattr(NumpySweepBackend, "_resolve_hard_runs",
+                            staticmethod(spy))
+        records = self._tolerance_records()
+        expected = sweep_events(records)
+        assert NumpySweepBackend(chunk_hlines=chunk_hlines).sweep(records) \
+            == expected
+        assert any(reached)            # the tolerance scan ran
+        assert expected[0][1] == (1.0, 0.0, 2.0, 1.0 + 2.0 ** -44)
+
+    def test_scans_split_into_bounded_batches(self, monkeypatch):
+        # With a 4-cell budget every search is halved down to single
+        # ranges; the answers stay the reference's.
+        monkeypatch.setattr(numpy_backend_module, "_SCAN_CELLS", 4)
+        rng = random.Random(11)
+        for _ in range(10):
+            objs = _random_dataset(rng, 60, snap=rng.choice((None, 1.0)))
+            records = objects_to_event_records(objs, 7.0, 5.0)
+            records += self._tolerance_records()
+            assert NumpySweepBackend(chunk_hlines=4).sweep(records) == \
+                sweep_events(records)
+
+    def test_array_input_on_both_backends(self):
+        rng = random.Random(2)
+        records = objects_to_event_records(_random_dataset(rng, 50), 6.0, 4.0)
+        rows = np.array(records)
+        expected = sweep_events(records)
+        assert NumpySweepBackend().sweep(rows) == expected
+        assert PurePythonBackend().sweep(rows) == expected
 
 
 @pytest.fixture

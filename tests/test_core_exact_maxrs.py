@@ -1,9 +1,14 @@
 """Unit and integration tests for :mod:`repro.core.exact_maxrs` (Algorithm 2)."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from external_cases import (IO_PINS, SPECIAL_XS, check_against_in_memory,
+                            measure_io, pool_state, use_record_paths)
 from repro.baselines import brute_force_maxrs
 from repro.core import ExactMaxRS, solve_in_memory
 from repro.em import EMConfig, EMContext
@@ -111,7 +116,70 @@ class TestCorrectness:
         assert result.total_weight == 10.0
 
 
+class TestAgreesWithInMemorySweep:
+    """ExactMaxRS reports the in-memory sweep's region, bit for bit, also
+    where an event's x-range clips away (its y stays an h-line)."""
+
+    def test_object_at_infinite_x(self):
+        objs = [WeightedPoint(-math.inf, 5, 1), WeightedPoint(15, 4, 2),
+                WeightedPoint(12, 15, 2)]
+        check_against_in_memory(objs, 1.0, 3.0, 256, 2, 4)
+        result = ExactMaxRS(EMContext(EMConfig(block_size=256,
+                                               buffer_size=2048)),
+                            1.0, 3.0, fanout=2, memory_records=4).solve(objs)
+        assert (result.region.y1, result.region.y2) == (2.5, 3.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+               st.one_of(st.integers(0, 20).map(float),
+                         st.sampled_from(SPECIAL_XS)),
+               st.integers(0, 20).map(float),
+               st.sampled_from((0.0, 1.0, 2.0, 3.0))), min_size=1,
+               max_size=40),
+           st.integers(1, 8), st.integers(1, 8), st.sampled_from((256, 512)),
+           st.integers(2, 5), st.sampled_from((4, 8, 16)))
+    def test_lattice_and_special_xs(self, points, width, height, block_size,
+                                    fanout, memory_records):
+        objs = [WeightedPoint(x, y, w) for x, y, w in points]
+        check_against_in_memory(objs, float(width), float(height),
+                                block_size, fanout, memory_records)
+
+
 class TestIOAccounting:
+    def test_block_counts_are_pinned(self):
+        # The block-array passes charge what the record passes charge
+        # (tests/test_without_numpy.py checks the same pins there).
+        assert measure_io() == IO_PINS
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_passes_match_the_record_passes(self, seed):
+        pytest.importorskip("numpy")
+        rng = random.Random(seed)
+        objs = [WeightedPoint(float(rng.randint(0, 300)),
+                              float(rng.randint(0, 300)),
+                              rng.choice((1.0, 2.0, 0.5)))
+                for _ in range(rng.randint(150, 400))]
+        objs.append(WeightedPoint(math.inf, 7.0, 1.0))
+
+        def solve():
+            ctx = EMContext(EMConfig(block_size=256,
+                                     buffer_size=rng.choice((4, 8)) * 256))
+            result = ExactMaxRS(ctx, 20.0, 15.0, fanout=rng.randint(2, 6),
+                                memory_records=rng.choice((16, 40))
+                                ).solve(objs)
+            return (result.region, result.total_weight, result.io,
+                    result.leaf_count, result.recursion_levels,
+                    pool_state(ctx)[:3])
+
+        state = rng.getstate()
+        rows = solve()
+        rng.setstate(state)
+        with pytest.MonkeyPatch.context() as patch:
+            use_record_paths(patch)
+            expected = solve()
+        assert rows == expected
+        assert rows[4] >= 2
+
     def test_io_is_reported_and_positive(self, tiny_ctx, make_objects):
         objs = make_objects(200, seed=6)
         result = _tiny_external_solver(tiny_ctx, 10.0, 10.0).solve(objs)
@@ -191,6 +259,24 @@ class TestLayerSpans:
             return real_merge(*args, **kwargs)
 
         monkeypatch.setattr(exact_module, "merge_sweep", counting_merge)
+
+        # Counter deltas over each transform and division, measured from
+        # outside the spans.
+        io_deltas = {"exact_maxrs.transform": [], "exact_maxrs.divide": []}
+
+        def measured(name, method):
+            def wrapper(self, *args, **kwargs):
+                start = self.ctx.stats.snapshot()
+                result = method(self, *args, **kwargs)
+                io = self.ctx.stats.since(start)
+                io_deltas[name].append((io.block_reads, io.block_writes))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(exact_module.ExactMaxRS, "_transform", measured(
+            "exact_maxrs.transform", exact_module.ExactMaxRS._transform))
+        monkeypatch.setattr(exact_module.ExactMaxRS, "_divide", measured(
+            "exact_maxrs.divide", exact_module.ExactMaxRS._divide))
         recorder = obs.RingRecorder()
         tracer = obs.Tracer(recorder)
         objs = make_objects(300, seed=4)
@@ -219,6 +305,25 @@ class TestLayerSpans:
         sorts = [s for s in spans if s.name == "exact_maxrs.sort"]
         assert len(sorts) == 1
         assert sorts[0].attributes["records"] == 2 * len(objs)
+
+        transforms = [s for s in spans if s.name == "exact_maxrs.transform"]
+        assert len(transforms) == 1
+        assert transforms[0].attributes["records"] == len(objs)
+        divides = [s for s in spans if s.name == "exact_maxrs.divide"]
+        # One division per merge (divisions open before their children,
+        # merges close after them, so compare as multisets).
+        assert sorted(s.attributes["sub_slabs"] for s in divides) == \
+            sorted(s.attributes["sub_slabs"] for s in merge_spans)
+        assert all(s.attributes["records"] > 0 for s in divides)
+        # The I/O attributes are the counters' deltas over each span.
+        assert io_deltas["exact_maxrs.transform"] == [
+            (s.attributes["block_reads"], s.attributes["block_writes"])
+            for s in transforms]
+        assert io_deltas["exact_maxrs.divide"] == [
+            (s.attributes["block_reads"], s.attributes["block_writes"])
+            for s in divides]
+        assert all(reads > 0 and writes > 0
+                   for reads, writes in io_deltas["exact_maxrs.divide"])
 
         kernels = [s for s in spans if s.name in (
             "backend.sweep.prepare", "backend.sweep.kernel")]

@@ -309,6 +309,21 @@ class TestBlockMergeMatchesHeapMerge:
         # weight-3 rectangle's two spanned sub-slabs report one interval.
         assert (best.weight, best.x1, best.x2) == (3.0, 20.0, 40.0)
 
+    def test_spanning_edges_that_span_no_sub_slab(self, tiny_ctx):
+        # Every spanning edge of the batch spans nothing (x in [1, 2] lies
+        # inside sub-slab 0): the edges only add their h-lines.  upSum's
+        # difference matrix is then built from no edge at all.
+        slabs = [Slab(0, -math.inf, 5.0), Slab(1, 5.0, math.inf)]
+        files = [write_slab_file(tiny_ctx, [(0.0, 1.0, 3.0, 2.0)]),
+                 write_slab_file(tiny_ctx, [])]
+        spanning = _spanning_file(tiny_ctx, [(1.0, 1.0, 1.0, 2.0, 1.0),
+                                             (3.0, -1.0, 1.0, 2.0, 1.0)])
+        _, records, best, _ = _assert_same_merge(
+            tiny_ctx, (slabs, files, spanning))
+        assert records == [(0.0, 1.0, 3.0, 2.0), (1.0, 1.0, 3.0, 2.0),
+                           (3.0, 1.0, 3.0, 2.0)]
+        assert (best.weight, best.y1, best.y2) == (2.0, 0.0, 1.0)
+
     def test_get_max_interval_chains(self, tiny_ctx, monkeypatch):
         # At y = 0 twelve sub-slabs touch and tie: the winner (the leftmost
         # maximum, sub-slab 0) extends across all of them, further than

@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from external_cases import pool_state, use_record_paths
 from repro.core import Slab, choose_boundaries, collect_edge_xs, make_subslabs, \
     partition_event_file
 from repro.core.slab import spanned_slab_range
 from repro.core.transform import build_event_file
-from repro.em import EVENT_BOTTOM, EVENT_TOP
+from repro.em import EVENT_BOTTOM, EVENT_CODEC, EVENT_TOP, EMConfig, EMContext
 from repro.errors import AlgorithmError
 from repro.geometry import WeightedPoint
 
@@ -157,3 +160,96 @@ class TestSpannedRange:
         slabs = make_subslabs(Slab(0, 0.0, 30.0), [10.0, 20.0])
         first, last = spanned_slab_range(slabs, 12.0, 18.0)
         assert first > last
+
+
+# ---------------------------------------------------------------------- #
+# The block-array division against the record loops
+# ---------------------------------------------------------------------- #
+_XS = (-math.inf, -3.0, -0.0, 0.0, 1.0, 2.5, 4.0, 7.0, 10.0, 1e300, math.inf)
+
+
+@st.composite
+def _division_inputs(draw):
+    """y-sorted events with edges on and off the boundaries, signed zeros
+    and infinite or huge x; a slab and boundaries inside it."""
+    count = draw(st.integers(0, 120))
+    events = []
+    for _ in range(count):
+        x1, x2 = sorted((draw(st.sampled_from(_XS)), draw(st.sampled_from(_XS))))
+        events.append((float(draw(st.integers(0, 30))),
+                       draw(st.sampled_from((EVENT_BOTTOM, EVENT_TOP))),
+                       x1, x2, draw(st.sampled_from((0.0, 1.0, 2.5)))))
+    events.sort()
+    slab = draw(st.sampled_from((Slab.root(), Slab(2, -3.0, 7.0),
+                                 Slab(1, 0.0, 10.0))))
+    inside = sorted({x for x in (-0.0, 1.0, 2.5, 4.0) if slab.lo < x < slab.hi})
+    boundaries = draw(st.lists(st.sampled_from(inside), min_size=1,
+                               unique=True).map(sorted)) if inside else [4.0]
+    return events, slab, boundaries
+
+
+def _divide_once(events, slab, boundaries, edge_scan):
+    """Partition on a fresh 8-block pool (optionally after the edge scan,
+    whose reads the partition may hit): (files' bytes and counts, edges,
+    pool state)."""
+    ctx = EMContext(EMConfig(block_size=256, buffer_size=8 * 256))
+    event_file = ctx.create_file(EVENT_CODEC).write_all(events)
+    ctx.clear_cache()
+    edges = collect_edge_xs(event_file, slab) if edge_scan else None
+    subs, spanning, _ = partition_event_file(ctx, event_file, slab, boundaries)
+    files = [(len(f), [ctx.device.peek(b) for b in f.block_ids])
+             for f in (*subs, spanning)]
+    return files, edges, pool_state(ctx)
+
+
+class TestBlockDivision:
+    @settings(max_examples=150, deadline=None)
+    @given(_division_inputs(), st.booleans())
+    def test_same_files_and_io_as_the_record_loops(self, inputs, edge_scan):
+        pytest.importorskip("numpy")
+        with pytest.MonkeyPatch.context() as patch:
+            rows = _divide_once(*inputs, edge_scan)
+            use_record_paths(patch)
+            expected = _divide_once(*inputs, edge_scan)
+        assert rows == expected
+
+    def test_partition_rereads_hit_the_pool(self, tiny_ctx):
+        # The edge scan leaves the file's last blocks resident; the
+        # partition's reads of them are hits on both paths.
+        pytest.importorskip("numpy")
+        events = sorted((float(y), EVENT_BOTTOM, float(y % 7), y % 7 + 3.0, 1.0)
+                        for y in range(40))
+        with pytest.MonkeyPatch.context() as patch:
+            rows = _divide_once(events, Slab.root(), [2.0, 5.0], True)
+            use_record_paths(patch)
+            expected = _divide_once(events, Slab.root(), [2.0, 5.0], True)
+        assert rows == expected
+        assert rows[2][2] > 0    # pool hits
+
+    def test_clipped_away_event_keeps_its_hline_in_the_spanning_file(
+            self, tiny_ctx):
+        # x = +-inf: the dual rectangle's x-range clips away to nothing.
+        # It spans no sub-slab, but MergeSweep must still see its y.
+        events = [(1.0, EVENT_BOTTOM, -math.inf, -math.inf, 1.0),
+                  (2.0, EVENT_BOTTOM, 3.0, 6.0, 1.0),
+                  (4.0, EVENT_TOP, math.inf, math.inf, 1.0)]
+        event_file = tiny_ctx.create_file(EVENT_CODEC).write_all(events)
+        subs, spanning, slabs = partition_event_file(
+            tiny_ctx, event_file, Slab.root(), [5.0])
+        assert spanning.read_all() == [
+            (1.0, EVENT_BOTTOM, -math.inf, -math.inf, 1.0),
+            (4.0, EVENT_TOP, math.inf, math.inf, 1.0)]
+        for record in spanning.read_all():
+            assert spanned_slab_range(slabs, record[2], record[3]) == (1, 0)
+        assert [len(f) for f in subs] == [1, 1]
+
+    def test_choose_boundaries_picks_as_sorted_does(self):
+        edges = [0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 3.0]
+        picks = choose_boundaries(edges, fanout=4)
+        with pytest.MonkeyPatch.context() as patch:
+            use_record_paths(patch)
+            expected = choose_boundaries(edges, fanout=4)
+        assert [math.copysign(1.0, b) for b in picks] == \
+            [math.copysign(1.0, b) for b in expected]
+        assert picks == expected
+

@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.core.transform`."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -103,3 +105,31 @@ class TestFileTransforms:
             objects_file_to_event_file(tiny_ctx, objects_file, -1.0, 1.0)
         with pytest.raises(GeometryError):
             build_event_file(tiny_ctx, [], 1.0, 0.0)
+
+    @pytest.mark.parametrize("count", [0, 1, 20, 171, 400])
+    def test_block_transform_matches_the_record_loop(self, make_objects,
+                                                     count):
+        pytest.importorskip("numpy")
+        from external_cases import pool_state, use_record_paths
+        from repro.em import EMConfig, EMContext
+
+        objs = make_objects(count, seed=count, extent=1e6)
+        objs += [WeightedPoint(math.inf, 3.0, 1.0),
+                 WeightedPoint(-0.0, -0.0, 0.0)]
+
+        def transform():
+            ctx = EMContext(EMConfig(block_size=512, buffer_size=4 * 512))
+            objects_file = write_objects_file(ctx, objs)
+            written = [ctx.device.peek(b) for b in objects_file.block_ids]
+            ctx.clear_cache()
+            events = objects_file_to_event_file(ctx, objects_file, 3.7, 0.1)
+            return (written, len(events),
+                    [ctx.device.peek(b) for b in events.block_ids],
+                    pool_state(ctx))
+
+        rows = transform()
+        with pytest.MonkeyPatch.context() as patch:
+            use_record_paths(patch)
+            expected = transform()
+        assert rows == expected
+        assert rows[1] == 2 * len(objs)

@@ -1,10 +1,16 @@
 """Unit tests for :mod:`repro.em.external_sort`."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.em import EMConfig, EMContext, ExternalSorter, StructRecordCodec, external_sort
+from external_cases import pool_state
+from repro.em import (EVENT_CODEC, EMConfig, EMContext, ExternalSorter,
+                      StructRecordCodec, external_sort)
+from repro.em import record_file as record_file_module
 
 
 @pytest.fixture
@@ -103,3 +109,65 @@ class TestExternalSort:
         data = _shuffled(500, seed=13)
         file.write_all(data)
         assert external_sort(ctx, file, codec).read_all() == sorted(data)
+
+
+# ---------------------------------------------------------------------- #
+# The block-array sort against the record path
+# ---------------------------------------------------------------------- #
+#: Few distinct values, so records tie on leading fields; -0.0 and 0.0
+#: compare equal but differ in bits, so their order shows in the bytes.
+_VALUES = (-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf)
+
+
+def _sort_once(records, codec, block_size, buffer_blocks, key):
+    """Sort ``records`` on a fresh context: (bytes, count, pool state)."""
+    ctx = EMContext(EMConfig(block_size=block_size,
+                             buffer_size=buffer_blocks * block_size))
+    file = ctx.create_file(codec)
+    file.write_all(records)
+    ctx.clear_cache()
+    result = external_sort(ctx, file, codec, key=key)
+    ctx.pool.flush()
+    return ([ctx.device.peek(b) for b in result.block_ids], len(result),
+            pool_state(ctx))
+
+
+@pytest.mark.skipif(record_file_module.np is None,
+                    reason="the block-array sort needs numpy")
+class TestBlockArraySort:
+    """Without a key, float64 records sort on block arrays; any key takes
+    the record path, so the identity key is the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from((2, 5)), st.sampled_from((256, 512)),
+           st.sampled_from((2, 3, 6)))
+    def test_same_bytes_and_io_as_the_record_path(self, data, fields,
+                                                   block_size, buffer_blocks):
+        codec = StructRecordCodec("<" + "d" * fields)
+        records = data.draw(st.lists(
+            st.tuples(*[st.sampled_from(_VALUES)] * fields), max_size=400))
+        args = (records, codec, block_size, buffer_blocks)
+        rows = _sort_once(*args, key=None)
+        expected = _sort_once(*args, key=lambda record: record)
+        assert rows == expected
+        assert rows[1] == len(records)
+
+    def test_many_runs_and_merge_levels(self):
+        # 300 events of 40 B on 256 B blocks and a 2-block buffer: runs of
+        # 12 records, two-way merges, five merge levels.
+        rng = random.Random(4)
+        records = [(float(rng.randint(0, 9)), rng.choice((1.0, -1.0)),
+                    rng.choice(_VALUES), float(rng.randint(0, 3)), 1.0)
+                   for _ in range(300)]
+        args = (records, EVENT_CODEC, 256, 2)
+        assert _sort_once(*args, key=None) == \
+            _sort_once(*args, key=lambda record: record)
+
+    def test_signed_zeros_keep_their_input_order(self, codec):
+        # Equal records keep their input order, across runs (32 records
+        # each here) and through the merge, as list.sort and the heap do.
+        ctx = EMContext(EMConfig(block_size=256, buffer_size=512))
+        file = ctx.create_file(codec)
+        file.write_all([(0.0, 1.0), (-0.0, 1.0)] * 80)
+        result = external_sort(ctx, file, codec).read_all()
+        assert [math.copysign(1.0, r[0]) for r in result] == [1.0, -1.0] * 80

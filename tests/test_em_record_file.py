@@ -3,7 +3,7 @@
 import pytest
 
 from repro.em import OBJECT_CODEC, StructRecordCodec
-from repro.errors import StorageError
+from repro.errors import SerializationError, StorageError
 
 
 @pytest.fixture
@@ -244,3 +244,95 @@ class TestBlockArrays:
         wide = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
         with pytest.raises(SerializationError):
             wide.writer().append_rows(np.zeros((2, 5)))
+
+    def test_write_all_packs_lists_and_arrays_like_records(self, tiny_ctx):
+        np = pytest.importorskip("numpy")
+        from repro.em import EVENT_CODEC
+
+        rows = np.arange(37 * 5, dtype=np.float64).reshape(37, 5) - 90.0
+        rows[3, 2] = -0.0
+        records = [tuple(r) for r in rows.tolist()]
+        by_record = tiny_ctx.create_file(EVENT_CODEC)
+        with by_record.writer() as writer:
+            for record in records:
+                writer.append(record)
+        for source in (records, rows):
+            file = tiny_ctx.create_file(EVENT_CODEC).write_all(source)
+            assert [tiny_ctx.device.peek(b) for b in file.block_ids] == \
+                [tiny_ctx.device.peek(b) for b in by_record.block_ids]
+        with pytest.raises(SerializationError):
+            tiny_ctx.create_file(EVENT_CODEC).write_all([(1.0, 2.0)])
+
+    def test_read_rows_and_block_arrays(self, tiny_ctx):
+        np = pytest.importorskip("numpy")
+        from repro.em import MAX_INTERVAL_CODEC
+
+        records = [(float(i), -float(i), 0.5, 2.0) for i in range(40)]
+        file = tiny_ctx.create_file(MAX_INTERVAL_CODEC).write_all(records)
+        assert file.supports_arrays and file.num_blocks == 3
+        tiny_ctx.clear_cache()
+        start = tiny_ctx.stats.snapshot()
+        blocks = file.iter_block_arrays()
+        first = next(blocks)               # read lazily, one per step
+        assert tiny_ctx.stats.since(start).block_reads == 1
+        assert [len(first)] + [len(b) for b in blocks] == [16, 16, 8]
+        tiny_ctx.clear_cache()
+        rows = file.read_rows()
+        assert rows.dtype == np.float64 and rows.shape == (40, 4)
+        assert [tuple(r) for r in rows.tolist()] == records
+        empty = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
+        assert empty.read_rows().shape == (0, 4)
+
+    def test_record_paths_return_records(self, tiny_ctx, record_paths):
+        from repro.em import MAX_INTERVAL_CODEC
+
+        records = [(float(i), 1.0, 2.0, 3.0) for i in range(20)]
+        file = tiny_ctx.create_file(MAX_INTERVAL_CODEC).write_all(records)
+        assert not file.supports_arrays
+        assert file.read_rows() == records
+
+
+    def test_array_reads_of_a_deleted_file_are_rejected(self, tiny_ctx):
+        pytest.importorskip("numpy")
+        from repro.em import MAX_INTERVAL_CODEC
+
+        file = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
+        file.write_all([(1.0, 2.0, 3.0, 4.0)])
+        file.delete()
+        with pytest.raises(StorageError):
+            file.read_rows()
+        with pytest.raises(StorageError):
+            next(file.iter_block_arrays())
+
+
+class TestRowScatter:
+    """Rows bound for many files at once: each file as if appended alone."""
+
+    @pytest.mark.parametrize("batches", [1, 4, 25])
+    def test_matches_append_rows_per_file(self, batches):
+        np = pytest.importorskip("numpy")
+        from external_cases import pool_state
+        from repro.em import EMConfig, EMContext, EVENT_CODEC
+        from repro.em.record_file import RowScatter
+
+        rng = np.random.default_rng(batches)
+        rows = rng.normal(size=(700, 5))
+        # Mostly a few files, so some fill several blocks within one batch.
+        targets = np.minimum(rng.geometric(0.3, size=700) - 1, 6)
+        outcomes = []
+        for scatter in (True, False):
+            ctx = EMContext(EMConfig(block_size=256, buffer_size=1024))
+            files = [ctx.create_file(EVENT_CODEC) for _ in range(7)]
+            if scatter:
+                with RowScatter(files) as rows_out:
+                    for part in np.array_split(np.arange(700), batches):
+                        rows_out.append(targets[part], rows[part])
+            else:
+                for target, file in enumerate(files):
+                    with file.writer() as writer:
+                        writer.append_rows(rows[targets == target])
+            outcomes.append(([[ctx.device.peek(b) for b in f.block_ids]
+                              for f in files],
+                             [len(f) for f in files], pool_state(ctx)[:3]))
+        assert outcomes[0] == outcomes[1]
+        assert sum(outcomes[0][1]) == 700

@@ -1,9 +1,11 @@
 """The package on a host without numpy.
 
 numpy is optional: the package imports without it, and the pure sweep, the
-record-at-a-time MergeSweep and ApproxMaxCRS answer; only the numpy
-backend, the resident engine and the exact circle solver need it.  The
-checks run in a child interpreter where ``import numpy`` fails.
+record-at-a-time passes (external sort, transform, division, MergeSweep)
+and ApproxMaxCRS answer; only the numpy backend, the resident engine and
+the exact circle solver need it.  The checks run in a child interpreter
+where ``import numpy`` fails, and include the block-count pins and the
+in-memory agreement cases of ``tests/external_cases.py``.
 """
 
 import os
@@ -12,7 +14,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_TESTS = Path(__file__).resolve().parent
+_SRC = _TESTS.parents[0] / "src"
 
 _SCRIPT = textwrap.dedent("""
     import random
@@ -63,6 +66,15 @@ _SCRIPT = textwrap.dedent("""
         assert "numpy" in str(exc)
     else:
         raise AssertionError("exact_maxcrs answered without numpy")
+
+    import external_cases   # the tests directory is on sys.path
+
+    measured = external_cases.measure_io()
+    assert measured == external_cases.IO_PINS, measured
+    cases = random.Random(5)
+    for _ in range(150):
+        external_cases.check_against_in_memory(
+            *external_cases.random_special_case(cases))
     print("ok", len(heap_merges))
 """)
 
@@ -70,7 +82,8 @@ _SCRIPT = textwrap.dedent("""
 def test_solvers_answer_without_numpy():
     completed = subprocess.run(
         [sys.executable, "-c", _SCRIPT], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(_SRC),
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join((str(_SRC), str(_TESTS))),
              "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=300)
     assert completed.returncode == 0, completed.stderr
