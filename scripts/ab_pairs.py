@@ -12,7 +12,16 @@ side's median and quartiles, how many pairs the change won (ties count for
 neither side) and whether a gain may be claimed: the change wins at least
 nine tenths of the pairs and the medians differ, in the metric's better
 direction, by more than the parent's interquartile range.  It also prints
-each side's attempted and failed operation totals.
+the metric's no-regression verdict against the ``bound`` the file gives it
+(a fraction of the parent's median):
+
+* ``worse than bound`` -- the change's median is worse than the parent's
+  by more than the bound;
+* ``unresolved`` -- otherwise, when the parent's interquartile range is
+  wider than the bound, unless every change run beats every parent run;
+* ``within bound`` -- otherwise.
+
+Last it prints each side's attempted and failed operation totals.
 
 Usage, from the repository root::
 
@@ -40,6 +49,9 @@ from typing import Dict, List, Optional, Sequence
 #: Share of the pairs the change must win to claim a gain.
 WIN_SHARE = 0.9
 
+#: The no-regression verdicts of one metric against its bound.
+WORSE, UNRESOLVED, WITHIN = "worse than bound", "unresolved", "within bound"
+
 
 def quartiles(values: Sequence[float]):
     """``(Q1, median, Q3)``, inclusive method; one value is its own spread."""
@@ -50,26 +62,43 @@ def quartiles(values: Sequence[float]):
 
 
 def verdict(parent: Sequence[float], change: Sequence[float],
-            better: str) -> Dict[str, object]:
+            better: str, bound: Optional[float] = None) -> Dict[str, object]:
     """Compare paired runs of one metric (``better`` is higher or lower).
 
-    ``parent[i]`` and ``change[i]`` come from pair ``i``.
+    ``parent[i]`` and ``change[i]`` come from pair ``i``.  With a
+    ``bound`` (a fraction of the parent's median) the result's
+    ``"regression"`` is :data:`WORSE`, :data:`UNRESOLVED` or
+    :data:`WITHIN`; without one it is ``None``.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs per side")
     if better not in ("higher", "lower"):
         raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+    if bound is not None and bound < 0:
+        raise ValueError(f"bound must not be negative, got {bound}")
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
     gap = sign * (c_median - p_median)
+    regression = None
+    if bound is not None:
+        allowed = bound * abs(p_median)
+        if min(sign * c for c in change) > max(sign * p for p in parent):
+            regression = WITHIN    # every change run beats every parent run
+        elif -gap > allowed:
+            regression = WORSE
+        elif p_q3 - p_q1 > allowed:
+            regression = UNRESOLVED
+        else:
+            regression = WITHIN
     return {
         "parent": (p_q1, p_median, p_q3),
         "change": (c_q1, c_median, c_q3),
         "wins": wins,
         "pairs": len(parent),
         "gain": wins >= WIN_SHARE * len(parent) and gap > p_q3 - p_q1,
+        "regression": regression,
     }
 
 
@@ -117,7 +146,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     checkout = Path.cwd()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    metrics = {spec["name"]: spec["better"] for spec in declared["end_to_end"]}
+    metrics = {spec["name"]: (spec["better"], spec["bound"])
+               for spec in declared["end_to_end"]}
     runs: Dict[str, List[Dict[str, object]]] = {"parent": [], "change": []}
     scratch = Path(tempfile.mkdtemp(prefix="ab-pairs-"))
     try:
@@ -141,13 +171,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs, parent {args.parent} "
           "vs working tree; median [Q1-Q3]")
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        v = verdict(parent, change, better)
+        v = verdict(parent, change, better, bound)
         print(f"  {name} ({better} is better): parent {_format(v['parent'])}"
               f", change {_format(v['change'])}, change wins "
-              f"{v['wins']}/{v['pairs']}, gain claimable: {v['gain']}")
+              f"{v['wins']}/{v['pairs']}, gain claimable: {v['gain']}, "
+              f"{v['regression']} ({bound:g})")
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])

@@ -41,11 +41,11 @@ class BaselineResult:
     events_processed:
         Number of sweep events consumed.
     simulated:
-        ``True`` when the run used the I/O-faithful simulation mode (see
-        DESIGN.md): the block transfers are charged exactly as the real
-        implementation would incur them, while the CPU-side bookkeeping uses
-        an in-memory mirror so that paper-scale parameter sweeps finish in
-        reasonable wall-clock time.
+        ``True`` when the run used the I/O-faithful simulation mode: the
+        block transfers are charged exactly as the real implementation
+        would incur them, while the CPU-side bookkeeping uses an in-memory
+        mirror so that paper-scale parameter sweeps finish in reasonable
+        wall-clock time.
     """
 
     total_weight: float

@@ -15,7 +15,7 @@ Each of the ``2N`` events therefore costs ``Θ(A/B)`` block transfers, where
 ``A`` is the current number of active intervals, for a total of ``O(N²/B)``
 I/Os -- the quadratic curve that dominates Figures 12--16.
 
-Two execution modes are provided (see DESIGN.md):
+Two execution modes are provided:
 
 * **real mode** (default): the interval file genuinely lives on the simulated
   disk and every scan and rewrite moves blocks through the buffer pool;

@@ -121,12 +121,14 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     # A circle without an arc keeps its own weight, and its centre (no angle).
     circle_weight = ws.copy()
     circle_angle = np.full(count, np.nan)
+    circle_half_width = np.full(count, math.pi)
     for owners, slot, neighbours in _candidate_blocks(xs, ys, diameter):
-        centre_weight[owners], swept, extra, angle = _sweep_block(
+        centre_weight[owners], swept, extra, angle, half_width = _sweep_block(
             owners, slot, neighbours, xs, ys, ws, radius)
         swept = owners[swept]
         circle_weight[swept] = ws[swept] + extra
         circle_angle[swept] = angle
+        circle_half_width[swept] = half_width
 
     # The first maximum over centres then circles, in input order: the
     # loop's strict ``>`` scan.
@@ -139,9 +141,13 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     angle = float(circle_angle[i])
     if math.isnan(angle):
         return centre, float(circle_weight[i])
-    # Just inside the circle, at the midpoint of the winning arc segment:
-    # strictly inside disk ``i`` and every disk covering that segment.
-    nudge = radius * (1.0 - 1e-9)
+    # Just inside the circle, on the mid radius of the winning arc segment:
+    # strictly inside disk ``i`` and every disk covering that segment.  The
+    # point sits 1e-9 of the radius in, or at the segment's chord midpoint
+    # where that is closer to the circle: the covering disks hold the
+    # whole chord, and the lens of two disks almost ``d`` apart is thinner
+    # than the fixed nudge.
+    nudge = radius * max(1.0 - 1e-9, math.cos(float(circle_half_width[i])))
     return (Point(centre.x + nudge * math.cos(angle),
                   centre.y + nudge * math.sin(angle)),
             float(circle_weight[i]))
@@ -219,8 +225,9 @@ def _sweep_block(owners: np.ndarray, slot: np.ndarray,
     """Score the disk centres and sweep the circles of one block.
 
     The block is one :func:`_candidate_blocks` item.  Returns
-    ``(centre, swept, extra, angle)``: the weight within ``radius`` of each
-    owner's centre, and :func:`_best_arcs` over the block's arcs.
+    ``(centre, swept, extra, angle, half_width)``: the weight within
+    ``radius`` of each owner's centre, and :func:`_best_arcs` over the
+    block's arcs.
     """
     circles = owners[slot]
     dx = xs[neighbours] - xs[circles]
@@ -246,12 +253,13 @@ def _best_arcs(slot: np.ndarray, start: np.ndarray, end: np.ndarray,
     Arc ``k`` covers the angles from ``start[k]`` to ``end[k]`` (both in
     ``[0, 2*pi)``, wrapping past ``2*pi`` when ``start > end``) of circle
     ``slot[k]`` with ``weight[k]``; arcs are grouped by circle.  Returns
-    ``(swept, extra, angle)``: the circles with an arc, each one's best
-    covered weight (``0.0`` when none is positive) and the midpoint angle
-    of the first arc segment reaching it (``0.0`` then).
+    ``(swept, extra, angle, half_width)``: the circles with an arc, each
+    one's best covered weight (``0.0`` when none is positive), and the
+    midpoint angle and half-width of the first arc segment reaching it
+    (``0.0`` and ``pi``, the whole circle, then).
     """
     if len(slot) == 0:
-        return slot, start, start
+        return slot, start, start, start
     # Entries per arc: (start, +w), (end, -w); an arc past 2*pi splits into
     # (start, +w), (2*pi, -w), (0, +w), (end, -w).
     wraps = start > end
@@ -300,4 +308,7 @@ def _best_arcs(slot: np.ndarray, start: np.ndarray, end: np.ndarray,
     winner = winner[np.diff(circle_of_group[winner], prepend=-1) != 0]
     angle = np.zeros(len(top))
     angle[circle_of_group[winner]] = midpoint[winner]
-    return group_owner[new_circle], top, angle
+    half_width = np.full(len(top), math.pi)
+    half_width[circle_of_group[winner]] = (
+        following[winner] - angles[group_last[winner]]) / 2.0
+    return group_owner[new_circle], top, angle, half_width

@@ -8,7 +8,8 @@ several specialised implementations:
 
 * :class:`SweepBackend` -- the protocol: event records in, slab-file tuples
   plus the best strip out (exactly the signature of
-  :func:`repro.core.plane_sweep.sweep_events`);
+  :func:`repro.core.plane_sweep.sweep_events`), and ``sweep_slabs``, the
+  same for many slabs at once (ExactMaxRS sweeps its sibling leaves so);
 * :class:`~repro.core.backends.pure.PurePythonBackend` -- the reference
   implementation, a lazy segment tree in pure Python.  Always available;
 * :class:`~repro.core.backends.numpy_backend.NumpySweepBackend` -- a
@@ -84,6 +85,18 @@ class SweepBackend(Protocol):
         slab-file (as :func:`~repro.core.plane_sweep.solve_in_memory` does,
         which only consumes the best strip); backends may then skip
         materialising the per-h-line tuples and return an empty list.
+        """
+        ...
+
+    def sweep_slabs(self, slabs: Sequence[Tuple[Sequence[SweepRecord],
+                                                Optional[Interval]]]
+                    ) -> List[Tuple[Sequence[SweepRecord], BestStrip]]:
+        """Sweep many slabs: ``(event_records, slab_range)`` pairs.
+
+        Returns one ``(slab-file rows, best strip)`` per slab, in order,
+        each what :meth:`sweep` returns for that slab alone (with records).
+        The rows may be tuples or an ``(h, 4)`` float64 array;
+        :meth:`~repro.em.record_file.RecordFile.write_all` takes both.
         """
         ...
 
@@ -174,7 +187,8 @@ def resolve_backend(backend: BackendSpec) -> SweepBackend:
     if not isinstance(backend, SweepBackend):
         raise ConfigurationError(
             f"sweep backend must be a name or implement SweepBackend "
-            f"(a 'name' attribute and a 'sweep' method), got {backend!r}"
+            f"(a 'name' attribute and 'sweep' and 'sweep_slabs' methods), "
+            f"got {backend!r}"
         )
     return backend
 

@@ -24,10 +24,34 @@ can chew through in bulk:
 3. **Leftmost argmax and maximal runs** -- resolved per chunk with segmented
    index tricks (``np.minimum.reduceat`` over masked cell indices).  The
    runs that cross chunk-segment boundaries (every h-line of a typical
-   ExactMaxRS leaf) or sit within the floating-point run tolerance are
-   finished by ragged first-hit searches over the concatenated cell ranges
-   they still have to scan: a fixed number of numpy calls per chunk, no
-   per-h-line loop.
+   ExactMaxRS leaf) find their break segment with one dense test of the
+   chunk's segment minima; they, and the runs that sit within the
+   floating-point run tolerance, are finished by ragged first-hit searches
+   over the cell ranges they still have to scan: a fixed number of numpy
+   calls per chunk, no per-h-line loop.
+
+Full slab-file mode (``include_records=True``, and :meth:`NumpySweepBackend.
+sweep_slabs`) sweeps **many slabs in one loop** -- ExactMaxRS's sibling
+leaves, or a single slab as a batch of one (MaxkRS):
+
+* one stable sort by (slab, y) orders every event (ExactMaxRS's leaf files
+  already are), each event is clipped to its own slab, and each slab's
+  boundaries are compressed on their own -- the cells :meth:`~NumpySweep
+  Backend.sweep` would give it alone -- and laid end to end on one cell
+  axis;
+* every step of the loop advances each slab by the same number of its own
+  h-lines, with the slab starts as fixed chunk-segment boundaries, so no
+  segment crosses a slab: per (row, slab) pair the maximum comes from one
+  ``np.maximum.reduceat`` at the slab starts, and a run stops at its slab's
+  last cell even where the next slab's first cell ties;
+* the rows per step follow from the batch's shape: a step's fixed cost (a
+  few hundred numpy calls) is shared by the slabs, its cell passes grow
+  with the cells and its matrices with ``rows**2`` per slab, so about
+  ``sqrt(cells per slab + 8192 / slabs)`` rows balance them (16 for 107
+  ExactMaxRS leaves of ~197 cells, ~110 for one 4,001-cell slab), capped
+  by ``chunk_hlines``;
+* each slab's slab-file comes back as an ``(h, 4)`` float64 array, which
+  :meth:`~repro.em.record_file.RecordFile.write_all` writes as is.
 
 When the caller only needs the best strip (``include_records=False`` -- the
 resident engine's probe and refine stages), steps emitting per-h-line tuples
@@ -66,7 +90,7 @@ representable -- see the determinism contract in
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.beststrip import BestStrip
@@ -98,6 +122,12 @@ _MIN_SLAB_CELLS = 64
 #: range), which bounds their index arrays to a few MB.
 _SCAN_CELLS = 1 << 18
 
+#: The fixed cost of a records-mode step (its few hundred numpy calls),
+#: counted in cells of array work; it sets the rows per step of batches of
+#: few slabs (see ``_records_step``).  Measured best: 16 rows for 107 slabs
+#: of ~197 cells, 96-128 for one slab of 4,001 cells.
+_STEP_FIXED_CELLS = 8192
+
 
 class NumpySweepBackend:
     """Vectorised sweep backend; requires numpy.
@@ -106,8 +136,8 @@ class NumpySweepBackend:
     ----------
     chunk_hlines:
         H-lines processed per vectorised chunk, and the most h-lines of its
-        own a slab advances per step of a slab plan (performance knob only;
-        the output is independent of it).
+        own a slab advances per step of a slab plan or of the records loop
+        (performance knob only; the output is independent of it).
     """
 
     name = "numpy"
@@ -124,11 +154,14 @@ class NumpySweepBackend:
         self.chunk_hlines = chunk_hlines
 
     # ------------------------------------------------------------------ #
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------ #
     def sweep(self, event_records: Sequence[Tuple[float, ...]],
               slab_range: Optional[Interval] = None, *,
               include_records: bool = True):
+        if include_records:
+            rows, best = self.sweep_slabs([(event_records, slab_range)])[0]
+            return list(zip(*rows.T.tolist())), best
         if slab_range is None:
             slab_range = Interval.full()
         slab_lo, slab_hi = slab_range.lo, slab_range.hi
@@ -140,9 +173,43 @@ class NumpySweepBackend:
         if prepared is None:
             return [], BestStrip.empty(slab_lo, slab_hi)
         with obs.span("backend.sweep.kernel"):
-            if include_records:
-                return self._sweep_records(*prepared)
             return self._sweep_best_only(*prepared)
+
+    def sweep_slabs(self, slabs: Sequence[Tuple[Sequence[Tuple[float, ...]],
+                                                Optional[Interval]]]):
+        """Sweep many slabs in one records-mode pass.
+
+        ``slabs`` holds ``(event_rows, slab_range)`` pairs.  Returns, per
+        slab and in order, its slab-file as an ``(h, 4)`` float64 array of
+        ``(y, x1, x2, sum)`` rows and its best strip: what :meth:`sweep`
+        returns for that slab alone.
+        """
+        slabs = [(rows, Interval.full() if slab_range is None else slab_range)
+                 for rows, slab_range in slabs]
+        results = [(np.empty((0, 4)), BestStrip.empty(r.lo, r.hi))
+                   for _, r in slabs]
+        with obs.span("backend.sweep.prepare"):
+            prepared = self._prepare_slabs(slabs)
+        with obs.span("backend.sweep.kernel"):
+            if prepared is None:
+                return results
+            swept, uy, xs, lines, starts, *edges = prepared
+            value, cell, run = self._sweep_slab_lines(starts, lines, *edges)
+            # Slab k's boundaries sit k places right of its cells: every
+            # slab before it has one boundary more than it has cells.
+            shift = np.repeat(np.arange(len(lines)), lines)
+            rows = np.column_stack((uy, xs[cell + shift], xs[run + 1 + shift],
+                                    value))
+            end = np.cumsum(lines)
+            for slab, first, last in zip(swept.tolist(),
+                                         (end - lines).tolist(), end.tolist()):
+                own = rows[first:last]
+                i = int(np.argmax(own[:, 3]))
+                y2 = float(own[i + 1, 0]) if i + 1 < len(own) else math.inf
+                y1, x1, x2, weight = own[i].tolist()
+                results[slab] = (own, BestStrip(weight=weight, x1=x1, x2=x2,
+                                                y1=y1, y2=y2))
+        return results
 
     @staticmethod
     def _prepare(event_records, slab_lo, slab_hi):
@@ -202,6 +269,111 @@ class NumpySweepBackend:
 
         return uy, xs, num_cells, left, right, delta, event_h
 
+    @staticmethod
+    def _prepare_slabs(slabs):
+        """Sort, clip and compress the events of many slabs at once.
+
+        Returns ``(swept, uy, xs, lines, starts, left, right, delta, row)``,
+        or ``None`` when no slab has both events and a cell:
+
+        * ``swept`` -- the indices of the slabs that have both; the other
+          arrays describe these slabs only, in this order;
+        * ``uy`` -- the slabs' distinct h-lines, slab after slab, and
+          ``lines`` -- how many each slab has;
+        * ``xs`` -- the slabs' cell boundaries, slab after slab, and
+          ``starts`` -- each slab's first cell on the one cell axis on which
+          the slabs' cells lie end to end, then the number of cells;
+        * per applying edge, slab after slab in h-line order: its first
+          cell, exclusive end cell, signed weight, and ``row``, its h-line
+          among its own slab's.
+
+        Every slab gets the cells, h-lines and edges :meth:`_prepare` gives
+        it alone.  Of equal boundaries (``0.0`` and ``-0.0``) a slab keeps
+        the first in the order borders, clipped ``x1``, clipped ``x2``, so
+        the choice does not depend on the other slabs of the batch.
+        """
+        arrays, swept, slab_lo, slab_hi = [], [], [], []
+        for index, (rows, slab_range) in enumerate(slabs):
+            if len(rows) == 0:
+                continue
+            ev = np.asarray(rows, dtype=np.float64)
+            if ev.ndim != 2 or ev.shape[1] != 5:
+                raise AlgorithmError(
+                    f"event records must be (y, kind, x1, x2, weight) tuples, "
+                    f"got array of shape {ev.shape}"
+                )
+            lo, hi = slab_range.lo, slab_range.hi
+            if lo == hi:  # zero width: every event clips away, no cell
+                continue
+            arrays.append(ev)
+            swept.append(index)
+            slab_lo.append(lo)
+            slab_hi.append(hi)
+        if not arrays:
+            return None
+        num_slabs = len(arrays)
+        ev = np.concatenate(arrays) if num_slabs > 1 else arrays[0]
+        slab = np.repeat(np.arange(num_slabs), [len(a) for a in arrays])
+        # One stable sort by (slab, y); ExactMaxRS's leaf files are already
+        # in that order.
+        ey = ev[:, 0]
+        if not ((ey[1:] >= ey[:-1]) | (slab[1:] != slab[:-1])).all():
+            order = np.argsort(ey, kind="stable")
+            if num_slabs > 1:
+                order = order[_stable_order(slab[order], num_slabs)]
+            ev = ev[order]
+            ey = ev[:, 0]
+
+        # Clip every event to its own slab (as _prepare does).
+        slab_lo, slab_hi = np.array(slab_lo), np.array(slab_hi)
+        lo = np.maximum(ev[:, 2], slab_lo[slab])
+        hi = np.minimum(ev[:, 3], slab_hi[slab])
+        clipped = lo < hi  # False for NaN edges
+        applies = clipped & (ev[:, 4] != 0.0)
+
+        # Per-slab boundary compression: sort by (slab, x), keep one of
+        # each run of equal x within a slab (the first in input order).
+        clip_slab = slab[clipped]
+        num_clipped = len(clip_slab)
+        values = np.concatenate((slab_lo, slab_hi, lo[clipped], hi[clipped]))
+        owner = np.concatenate((np.arange(num_slabs), np.arange(num_slabs),
+                                clip_slab, clip_slab))
+        order = np.argsort(values)
+        if num_slabs > 1:
+            order = order[_stable_order(owner[order], num_slabs)]
+        sorted_x, sorted_owner = values[order], owner[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        np.logical_or(sorted_x[1:] != sorted_x[:-1],
+                      sorted_owner[1:] != sorted_owner[:-1], out=first[1:])
+        xs = values[np.minimum.reduceat(order, np.flatnonzero(first))]
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        # Slab k's boundary g is cell g - k: each earlier slab has one
+        # boundary more than cells.
+        cells = np.bincount(sorted_owner[first], minlength=num_slabs) - 1
+        starts = np.concatenate(([0], np.cumsum(cells)))
+
+        applying = applies[clipped]
+        edge_slab = clip_slab[applying]
+        clipped_at = 2 * num_slabs
+        left = inverse[clipped_at:clipped_at + num_clipped][applying] - edge_slab
+        right = inverse[clipped_at + num_clipped:][applying] - edge_slab
+        weights = ev[:, 4][applies]
+        delta = np.where(ev[:, 1][applies] == EVENT_BOTTOM, weights, -weights)
+
+        # Distinct h-lines of each slab, and each applying edge's own row.
+        new_line = np.empty(len(ey), dtype=bool)
+        new_line[0] = True
+        np.logical_or(ey[1:] != ey[:-1], slab[1:] != slab[:-1],
+                      out=new_line[1:])
+        uy = ey[new_line]
+        lines = np.bincount(slab[new_line], minlength=num_slabs)
+        line = np.cumsum(new_line) - 1
+        row = line[applies] - (np.cumsum(lines) - lines)[edge_slab]
+        return (np.array(swept), uy, xs, lines, starts, left, right, delta,
+                row)
+
     # ------------------------------------------------------------------ #
     # Shared chunk machinery
     # ------------------------------------------------------------------ #
@@ -212,7 +384,8 @@ class NumpySweepBackend:
         ``cl``/``cr``/``cd`` are the chunk's edges (first cell, exclusive
         end cell, signed weight), ``rows`` the row (h-line) of each within
         the chunk, and ``edges`` the fixed cell boundaries every chunk keeps
-        (``[0, num_cells]``, plus the slab starts of a slab plan).
+        (``[0, num_cells]``, plus the slab starts of a slab plan or of a
+        records batch).
 
         Returns ``(bnd, M0, W, net)`` where ``bnd`` are the chunk-segment
         cell boundaries, ``M0[s]`` the max of ``V0`` on segment ``s``,
@@ -324,27 +497,71 @@ class NumpySweepBackend:
     # ------------------------------------------------------------------ #
     # Full slab-file mode (ExactMaxRS leaves, MaxkRS)
     # ------------------------------------------------------------------ #
-    def _sweep_records(self, uy, xs, num_cells, left, right, delta, event_h):
-        num_hlines = len(uy)
-        out_value = np.empty(num_hlines)
-        out_cell = np.empty(num_hlines, dtype=np.int64)
-        out_run = np.empty(num_hlines, dtype=np.int64)
-        V0 = np.zeros(num_cells)
-        step = self.chunk_hlines
-        edges = np.array([0, num_cells], dtype=left.dtype)
-        bounds = np.searchsorted(event_h,
-                                 np.arange(0, num_hlines + step, step))
+    def _records_step(self, num_slabs: int, num_cells: int) -> int:
+        """Own h-lines every slab advances per step of the records loop.
 
-        for index, t0 in enumerate(range(0, num_hlines, step)):
-            t1 = min(t0 + step, num_hlines)
+        A step costs a fixed few hundred numpy calls, shared by all slabs,
+        plus passes over the cells (``cells`` per slab) and matrices of
+        about ``rows**2`` per slab.  ``sqrt(cells per slab +
+        _STEP_FIXED_CELLS / slabs)`` rows balance them; capped by
+        ``chunk_hlines``.
+        """
+        rows = round(math.sqrt((num_cells + _STEP_FIXED_CELLS) / num_slabs))
+        return max(1, min(self.chunk_hlines, rows))
+
+    def _sweep_slab_lines(self, starts, lines, left, right, delta, row):
+        """The records loop over many slabs whose cells lie end to end.
+
+        ``starts`` and ``lines`` give each slab's first cell (then the cell
+        count) and number of h-lines; ``left``/``right``/``delta``/``row``
+        the applying edges, slab after slab in h-line order.  Every step
+        advances each slab by the same number of its own h-lines, with the
+        slab starts as fixed chunk-segment boundaries, so no segment
+        crosses a slab.  Returns, per h-line (slab after slab), the
+        maximum, its leftmost cell and the last cell of its maximal run,
+        which never leaves the slab.
+        """
+        num_cells = int(starts[-1])
+        step = self._records_step(len(lines), num_cells)
+        longest = int(lines.max())
+        num_steps = -(-longest // step)
+        step_of = row // step
+        order = _stable_order(step_of, num_steps)
+        bounds = np.searchsorted(step_of[order], np.arange(num_steps + 1))
+        pieces = (left[order], right[order], delta[order], row[order])
+
+        line_offset = np.cumsum(lines) - lines
+        out_value = np.empty(int(lines.sum()))
+        out_cell = np.empty(len(out_value), dtype=np.intp)
+        out_run = np.empty(len(out_value), dtype=np.intp)
+        V0 = np.zeros(num_cells)
+        for index, first_row in enumerate(range(0, longest, step)):
             e0, e1 = int(bounds[index]), int(bounds[index + 1])
+            num_rows = min(step, longest - first_row)
+            pl, pr, pd, prow = (piece[e0:e1] for piece in pieces)
             bnd, M0, W, net = self._chunk_offsets(
-                V0, t1 - t0, left[e0:e1], right[e0:e1], delta[e0:e1],
-                event_h[e0:e1] - t0, edges)
-            Mn0 = np.minimum.reduceat(V0, bnd[:-1])
-            rows = np.arange(t1 - t0)
-            s_star = W.argmax(axis=1)
-            m = W[rows, s_star]
+                V0, num_rows, pl, pr, pd, prow - first_row, starts)
+            num_segs = len(bnd) - 1
+            # Each slab's first segment, then the segment count.
+            segs = np.searchsorted(bnd, starts)
+
+            # Per (row, slab): the maximum, its leftmost attaining segment
+            # and the run threshold, for the pairs the slabs really have.
+            if len(lines) == 1:
+                rows = np.arange(num_rows)
+                slabs = np.zeros(num_rows, dtype=np.intp)
+                s_star = W.argmax(axis=1)
+                m = W[rows, s_star]
+            else:
+                slab_max = np.maximum.reduceat(W, segs[:-1], axis=1)
+                top = W == np.repeat(slab_max, np.diff(segs), axis=1)
+                slab_seg = np.minimum.reduceat(
+                    np.where(top, np.arange(num_segs), num_segs), segs[:-1],
+                    axis=1)
+                rows, slabs = np.nonzero(
+                    first_row + np.arange(num_rows)[:, None] < lines)
+                m = slab_max[rows, slabs]
+                s_star = slab_seg[rows, slabs]
             thr = m - _RUN_TOLERANCE * np.maximum(1.0, np.abs(m))
 
             # Leftmost argmax cell (A0) and end of its run of exactly-equal
@@ -370,7 +587,7 @@ class NumpySweepBackend:
             # Delta of the attaining segment, recovered from W = M0 + Delta.
             thr0 = thr - (m - M0[s_star])
 
-            run = np.empty(t1 - t0, dtype=np.int64)
+            run = np.empty(len(rows), dtype=np.intp)
             in_seg = plateau_end < seg_end
             probe = np.where(in_seg, plateau_end, 0)
             breaks = in_seg & (V0[probe] < thr0)
@@ -379,35 +596,30 @@ class NumpySweepBackend:
             hard = np.flatnonzero(~breaks)
             if hard.size:
                 self._resolve_hard_runs(
-                    run, hard, V0, Mn0, M0, W, bnd, s_star, seg_end,
-                    plateau_end, in_seg, thr, thr0, num_cells)
+                    run, hard, V0, M0, W, bnd, segs, rows, slabs, s_star,
+                    seg_end, plateau_end, in_seg, thr, thr0)
 
-            out_value[t0:t1] = m
-            out_cell[t0:t1] = j_star
-            out_run[t0:t1] = run
+            at = line_offset[slabs] + first_row + rows
+            out_value[at] = m
+            out_cell[at] = j_star
+            out_run[at] = run
             V0 += np.repeat(net, np.diff(bnd))
-
-        x1 = xs[out_cell]
-        x2 = xs[out_run + 1]
-        records: List[Tuple[float, ...]] = list(zip(
-            uy.tolist(), x1.tolist(), x2.tolist(), out_value.tolist()))
-        i = int(np.argmax(out_value))
-        y2 = float(uy[i + 1]) if i + 1 < num_hlines else math.inf
-        best = BestStrip(weight=float(out_value[i]), x1=float(x1[i]),
-                         x2=float(x2[i]), y1=float(uy[i]), y2=y2)
-        return records, best
+        return out_value, out_cell, out_run
 
     @staticmethod
-    def _resolve_hard_runs(run, hard, V0, Mn0, M0, W, bnd, s_star, seg_end,
-                           plateau_end, in_seg, thr, thr0, num_cells):
+    def _resolve_hard_runs(run, hard, V0, M0, W, bnd, segs, rows, slabs,
+                           s_star, seg_end, plateau_end, in_seg, thr, thr0):
         """Finish the maximal runs that the vectorised fast path could not.
 
-        Two cases land here: runs whose plateau reaches the end of the
-        attaining chunk segment (they may continue into later segments), and
-        the rare floating-point case where the next cell differs from the
-        maximum by less than the run tolerance.  Both scans are ragged
-        first-hit searches (:func:`_first_below`), so all hard runs of a
-        chunk finish in a fixed number of numpy calls.
+        Entry ``p`` of the per-pair arrays belongs to row ``rows[p]`` of the
+        chunk in slab ``slabs[p]``, whose segments are ``segs[slab]`` up to
+        ``segs[slab + 1]``.  Two cases land here: runs whose plateau reaches
+        the end of the attaining chunk segment (they may go on into later
+        segments of the slab), and the rare floating-point case where the
+        next cell differs from the maximum by less than the run tolerance.
+        Both cell scans are ragged first-hit searches
+        (:func:`_first_below`), so all hard runs of a chunk finish in a
+        fixed number of numpy calls.
         """
         # Tolerance case: scan the rest of the attaining segment with the
         # exact rule of the reference tree; a run that finds no break there
@@ -422,24 +634,56 @@ class NumpySweepBackend:
             hard = np.setdiff1d(hard, tolerance[found], assume_unique=True)
         if not hard.size:
             return
-        # The first segment right of the attaining one whose minimum drops
-        # below the threshold holds the break; without one the run reaches
-        # the last cell.  Segments left of every attaining one cannot.
-        first = int(s_star[hard].min()) + 1
-        rows_w = W if len(hard) == len(W) else W[hard]
-        seg_min = rows_w[:, first:] - M0[None, first:]
-        seg_min += Mn0[None, first:]
-        candidates = seg_min < thr[hard, None]
-        candidates &= np.arange(first, len(bnd) - 1) > s_star[hard, None]
-        if not candidates.size:
-            run[hard] = num_cells - 1
-            return
-        seg = candidates.argmax(axis=1)
-        has_break = candidates[np.arange(len(hard)), seg]
-        run[hard[~has_break]] = num_cells - 1
-        hard, seg = hard[has_break], seg[has_break] + first
-        limit = thr[hard] - (W[hard, seg] - M0[seg])
+        # The break lies in the first segment right of the attaining one
+        # whose minimum drops below the threshold; without one the run
+        # reaches the slab's last cell.
+        seg = _break_segments(W, M0, np.minimum.reduceat(V0, bnd[:-1]), segs,
+                              rows[hard], slabs[hard], s_star[hard],
+                              thr[hard])
+        none = seg == len(bnd) - 1
+        run[hard[none]] = bnd[segs[slabs[hard[none]] + 1]] - 1
+        hard, seg = hard[~none], seg[~none]
+        limit = thr[hard] - (W[rows[hard], seg] - M0[seg])
         run[hard] = _first_below(V0, bnd[seg], bnd[seg + 1], limit) - 1
+
+
+def _break_segments(W, M0, Mn0, segs, rows, slabs, s_star, thr):
+    """Per run: the first segment of its slab right of ``s_star`` whose
+    minimum on row ``rows`` (``Mn0`` plus the row's offset ``W - M0``)
+    drops below ``thr``, or ``W.shape[1]`` where none does.
+
+    One slab tests the runs' rows densely, from the leftmost attaining
+    segment on.  Many slabs test the rows that hold runs densely, each
+    segment against its own slab's run on that row, and take each slab's
+    first hit with one ``np.minimum.reduceat``.
+    """
+    num_segs = W.shape[1]
+    if len(segs) == 2:
+        first = int(s_star.min()) + 1
+        below = W[rows, first:] - M0[first:]
+        below += Mn0[first:]
+        below = below < thr[:, None]
+        below &= np.arange(first, num_segs) > s_star[:, None]
+        if not below.size:
+            return np.full(len(rows), num_segs)
+        seg = below.argmax(axis=1)
+        return np.where(below[np.arange(len(rows)), seg], seg + first,
+                        num_segs)
+    held, at = np.unique(rows, return_inverse=True)
+    shape = (len(held), len(segs) - 1)
+    run_thr = np.full(shape, -math.inf)
+    run_thr[at, slabs] = thr
+    run_seg = np.zeros(shape, dtype=s_star.dtype)
+    run_seg[at, slabs] = s_star
+    counts = np.diff(segs)
+    below = W[held] - M0
+    below += Mn0
+    below = below < np.repeat(run_thr, counts, axis=1)
+    seg_ids = np.arange(num_segs)
+    below &= seg_ids > np.repeat(run_seg, counts, axis=1)
+    first = np.minimum.reduceat(np.where(below, seg_ids, num_segs),
+                                segs[:-1], axis=1)
+    return first[at, slabs]
 
 
 def _first_below(values, starts, ends, limits):

@@ -35,3 +35,8 @@ class PurePythonBackend:
         if hasattr(event_records, "tolist"):   # an (n, 5) array of rows
             event_records = event_records.tolist()
         return sweep_events(event_records, slab_range)
+
+    def sweep_slabs(self, slabs):
+        """Sweep each ``(event_records, slab_range)`` on its own, in order."""
+        return [self.sweep(records, slab_range)
+                for records, slab_range in slabs]

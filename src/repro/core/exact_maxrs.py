@@ -15,6 +15,7 @@ the distribution-sweep paradigm:
    (:mod:`repro.core.slab`).
 3. **Conquer**: a sub-problem that fits in memory is solved by the in-memory
    plane sweep (:mod:`repro.core.plane_sweep`), producing its slab-file.
+   Sibling leaves are swept together (see *Leaf batches* below).
 4. **Merge** (Section 5.2.3): the ``m`` slab-files and the spanning file are
    combined by :func:`~repro.core.merge_sweep.merge_sweep` into the parent's
    slab-file, until a single slab-file for the whole data space remains.  The
@@ -30,6 +31,31 @@ reads and writes; see :mod:`repro.em.record_file` for the read/write-order
 rule they keep) and runs record by record without it.  This module does not
 branch on numpy: the passes and :class:`~repro.em.record_file.RecordFile`
 do, and both paths read and write the same blocks, bit for bit.
+
+Leaf batches
+------------
+Consecutive leaf children of a node -- children that fit in
+``memory_records`` (the EM model's ``M``), sit past ``max_depth`` or come
+from a degenerate split -- are swept as one batch of at most ``M`` events
+(a leaf larger than ``M`` is a batch of its own).  A batch reads and deletes
+its leaves' event files in order, sweeps them all with one
+:meth:`~repro.core.backends.SweepBackend.sweep_slabs` call, then writes
+their slab-files in order.  A child that recurses flushes the pending batch
+first, and so does the end of the node.
+
+Deferring the slab-file writes this way keeps every block count:
+
+* a sequential writer's block never stays in the buffer pool (it is
+  ``put``, then ``flush_block``, then ``invalidate``), so a write evicts a
+  frame only if the pool is full at its ``put``;
+* deleting a leaf file that was just read frees at least the frame of its
+  last block, and reading and deleting further leaf files never lowers the
+  number of free frames; an empty leaf writes no slab-file block;
+* so the deferred writes evict nothing, as the writes made right after each
+  delete did, and the pool holds the same blocks before every read: reads,
+  writes and cache hits are unchanged.  Only the slab-files' block ids
+  differ (the free list is last-in, first-out), and no count depends on an
+  id.
 """
 
 from __future__ import annotations
@@ -87,7 +113,8 @@ class ExactMaxRS:
     Each layer of a solve opens a span (:mod:`repro.obs`):
     ``exact_maxrs.transform`` around the dual transform,
     ``exact_maxrs.sort`` around the external sort, ``exact_maxrs.divide``
-    around every division, ``backend.sweep`` around every leaf sweep, and
+    around every division, ``exact_maxrs.leaves`` around every batch of
+    leaves (its reads, its one ``backend.sweep`` and its writes), and
     ``exact_maxrs.merge`` around every MergeSweep.
 
     Examples
@@ -130,12 +157,12 @@ class ExactMaxRS:
         self._leaf_count = 0
         self._deepest_level = 0
 
-    def _sweep(self, records: Sequence[Tuple[float, ...]],
-               x_range) -> Tuple[List[Tuple[float, ...]], BestStrip]:
-        """Run the in-memory sweep on the resolved backend."""
+    def _sweep_slabs(self, slabs):
+        """Sweep ``(event rows, x-range)`` slabs on the resolved backend."""
         with obs.span("backend.sweep", backend=self._backend.name,
-                      events=len(records)):
-            return self._backend.sweep(records, x_range)
+                      events=sum(len(rows) for rows, _ in slabs),
+                      slabs=len(slabs)):
+            return self._backend.sweep_slabs(slabs)
 
     def _transform(self, objects_file: RecordFile) -> RecordFile:
         """Write the dual rectangles' (unsorted) event file."""
@@ -222,11 +249,15 @@ class ExactMaxRS:
         if len(event_file) <= self.memory_records:
             # The whole input fits in memory: PlaneSweep causes no further
             # I/O and there is no slab-file to materialise (Algorithm 2,
-            # line 9, invoked at the top level).
+            # line 9, invoked at the top level), so only the best strip is
+            # asked for.
             records = event_file.read_rows()
             event_file.delete()
             self._leaf_count = 1
-            _, best = self._sweep(records, root.x_range)
+            with obs.span("backend.sweep", backend=self._backend.name,
+                          events=len(records), slabs=1):
+                _, best = self._backend.sweep(records, root.x_range,
+                                              include_records=False)
             return best
         slab_file, best = self._recurse(event_file, root, depth=1)
         slab_file.delete()
@@ -234,29 +265,46 @@ class ExactMaxRS:
 
     def _recurse(self, event_file: RecordFile, slab: Slab,
                  depth: int) -> Tuple[RecordFile, BestStrip]:
-        """Return the slab-file of ``slab`` and the best strip found in it."""
-        self._deepest_level = max(self._deepest_level, depth)
-        total_events = len(event_file)
-        if total_events <= self.memory_records or depth > self.max_depth:
-            return self._leaf(event_file, slab)
+        """Return the slab-file of ``slab`` and the best strip found in it.
 
-        divided = self._divide(event_file, slab, depth)
+        ``event_file`` holds more than ``memory_records`` events; its leaf
+        children are swept in batches (see the module docstring).
+        """
+        self._deepest_level = max(self._deepest_level, depth)
+        divided = None
+        if depth <= self.max_depth:
+            divided = self._divide(event_file, slab, depth)
         if divided is None:
-            # Every edge shares one x-coordinate: division cannot separate the
-            # rectangles, so fall back to the in-memory sweep (see DESIGN.md).
-            return self._leaf(event_file, slab)
+            # Past the depth limit, or every edge shares one x-coordinate so
+            # division cannot separate the rectangles: sweep in memory.
+            return self._sweep_leaves([(event_file, slab)])[0]
         sub_files, spanning_file, sub_slabs = divided
+        total_events = len(event_file)
         event_file.delete()
 
         child_files: List[RecordFile] = []
+        batch: List[Tuple[RecordFile, Slab]] = []
+        batch_events = 0
         for sub_file, sub_slab in zip(sub_files, sub_slabs):
-            if len(sub_file) >= total_events:
-                # Degenerate split (all edges piled on one side): avoid an
-                # unbounded recursion by solving this child in memory.
-                child_file, _ = self._leaf(sub_file, sub_slab)
-            else:
-                child_file, _ = self._recurse(sub_file, sub_slab, depth + 1)
-            child_files.append(child_file)
+            events = len(sub_file)
+            # A degenerate split (all edges piled on one side) would recurse
+            # without end, so that child is a leaf too.
+            degenerate = events >= total_events
+            inner = (not degenerate and events > self.memory_records
+                     and depth < self.max_depth)
+            if batch and (inner or batch_events + events > self.memory_records):
+                child_files.extend(f for f, _ in self._sweep_leaves(batch))
+                batch, batch_events = [], 0
+            if inner:
+                child_files.append(
+                    self._recurse(sub_file, sub_slab, depth + 1)[0])
+                continue
+            if not degenerate:
+                self._deepest_level = max(self._deepest_level, depth + 1)
+            batch.append((sub_file, sub_slab))
+            batch_events += events
+        if batch:
+            child_files.extend(f for f, _ in self._sweep_leaves(batch))
 
         records_in = len(spanning_file) + sum(len(f) for f in child_files)
         with obs.span("exact_maxrs.merge", sub_slabs=len(sub_slabs),
@@ -273,16 +321,32 @@ class ExactMaxRS:
         spanning_file.delete()
         return merged, best
 
-    def _leaf(self, event_file: RecordFile, slab: Slab) -> Tuple[RecordFile, BestStrip]:
-        """Solve a sub-problem that fits in memory and write its slab-file."""
-        self._leaf_count += 1
-        records = event_file.read_rows()
-        event_file.delete()
-        tuples, best = self._sweep(records, slab.x_range)
-        slab_file = self.ctx.create_file(
-            MAX_INTERVAL_CODEC, name=f"slabfile-{slab.index}")
-        slab_file.write_all(tuples)
-        return slab_file, best
+    def _sweep_leaves(self, leaves: Sequence[Tuple[RecordFile, Slab]]
+                      ) -> List[Tuple[RecordFile, BestStrip]]:
+        """Sweep a batch of leaves in memory and write their slab-files.
+
+        Reads and deletes every leaf's event file in order, sweeps them all
+        at once, then writes one slab-file per leaf, in order.  Returns each
+        leaf's slab-file and best strip.
+        """
+        self._leaf_count += len(leaves)
+        with obs.span("exact_maxrs.leaves", leaves=len(leaves)) as span:
+            start = self.ctx.stats.snapshot()
+            slabs = []
+            for event_file, slab in leaves:
+                slabs.append((event_file.read_rows(), slab.x_range))
+                event_file.delete()
+            swept = self._sweep_slabs(slabs)
+            out = []
+            for (_, slab), (rows, best) in zip(leaves, swept):
+                slab_file = self.ctx.create_file(
+                    MAX_INTERVAL_CODEC, name=f"slabfile-{slab.index}")
+                out.append((slab_file.write_all(rows), best))
+            span.set_attributes(
+                events=sum(len(rows) for rows, _ in slabs),
+                hlines=sum(len(rows) for rows, _ in swept))
+            self._set_io(span, start)
+        return out
 
     # ------------------------------------------------------------------ #
     # Extensions beyond the paper
@@ -331,8 +395,8 @@ class ExactMaxRS:
             records = event_file.read_rows()
             event_file.delete()
             self._leaf_count = 1
-            tuples, _ = self._sweep(records, root.x_range)
-            return records_to_strips(tuples)
+            rows, _ = self._sweep_slabs([(records, root.x_range)])[0]
+            return records_to_strips(rows)
         slab_file, _ = self._recurse(event_file, root, depth=1)
         tuples = slab_file.read_all()
         slab_file.delete()
@@ -344,9 +408,12 @@ def records_to_strips(records: Sequence[Tuple[float, ...]]) -> List[BestStrip]:
 
     Each slab-file tuple ``(y, x1, x2, sum)`` describes the strip from its own
     h-line up to the next tuple's h-line; the last strip extends to ``+inf``.
-    Shared by the external MaxkRS path and the in-memory top-k fast path in
+    ``records`` may also be an ``(h, 4)`` array of such rows.  Shared by the
+    external MaxkRS path and the in-memory top-k fast path in
     :mod:`repro.core.dispatch`.
     """
+    if hasattr(records, "tolist"):   # an (h, 4) array of rows
+        records = records.tolist()
     strips: List[BestStrip] = []
     for position, record in enumerate(records):
         y, x1, x2, weight = record

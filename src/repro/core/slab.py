@@ -21,7 +21,7 @@ disk-resident event representation:
    files plus one spanning-event file, all of which stay sorted by y because
    the input is scanned in y order.
 
-Implementation note (documented in DESIGN.md): boundary selection materialises
+Implementation note: boundary selection materialises
 the edge x-coordinates of the current sub-problem in process memory to take
 exact quantiles.  The I/O charged for the step -- a single linear scan -- is
 identical to a sort-order-maintaining implementation, and I/O is the only

@@ -3,8 +3,8 @@
 * :mod:`repro.datasets.synthetic` -- the uniform and Gaussian synthetic
   workloads of Figures 12--14.
 * :mod:`repro.datasets.real` -- deterministic stand-ins for the UX and NE real
-  datasets of Table 2 and Figures 15--17 (see DESIGN.md for the substitution
-  rationale).
+  datasets of Table 2 and Figures 15--17 (the portal's files cannot ship with
+  the package, so the stand-ins keep their cardinalities and density).
 * :mod:`repro.datasets.spec` -- hashable workload descriptions.
 * :mod:`repro.datasets.io` -- CSV import/export and loading onto the simulated
   disk.

@@ -6,7 +6,7 @@ and **NE** -- "North East", 123,593 points -- both normalized to the
 ``[0, 1,000,000]^2`` domain.  The portal datasets are not redistributable with
 this reproduction and the environment has no network access, so this module
 generates deterministic synthetic stand-ins that preserve the properties the
-experiments actually depend on (see DESIGN.md, substitution table):
+experiments actually depend on:
 
 * the exact cardinalities of Table 2;
 * the normalized domain;

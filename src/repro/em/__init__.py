@@ -19,7 +19,7 @@ buffer of ``M/B`` blocks, and I/O measured as the number of transferred blocks
 * :class:`~repro.em.context.EMContext` -- the bundle handed to every
   algorithm.
 
-Substitution note (see DESIGN.md): the paper ran on a physical disk and
+Substitution note: the paper ran on a physical disk and
 measured transferred 4 KB blocks; this package reproduces the *count* of
 transfers exactly while remaining machine independent.
 """

@@ -89,7 +89,8 @@ class ExperimentScale:
         baselines -- close to the paper's, so the curves keep their shape.
     simulate_baselines:
         Run the two baselines in their I/O-faithful simulation mode (the only
-        practical option near paper scale; see DESIGN.md).
+        practical option near paper scale, where the real mode would move
+        billions of blocks).
     quality_cardinality_scale:
         Extra multiplier for the approximation-quality experiment (Figure 17).
         Its exact-MaxCRS yardstick costs ``O(n + P log P)`` for the ``P``

@@ -66,3 +66,39 @@ def test_bad_input_rejected(ab_pairs):
         ab_pairs.verdict([], [], "higher")
     with pytest.raises(ValueError):
         ab_pairs.verdict([1.0], [2.0], "faster")
+
+
+def test_no_regression_verdicts(ab_pairs):
+    # PARENT's spread is 0.0275 / 0.415, well inside a 0.25 bound.
+    assert ab_pairs.verdict(PARENT, PARENT, "higher")["regression"] is None
+    slower = [p * 0.9 for p in PARENT]
+    assert ab_pairs.verdict(PARENT, slower, "higher", 0.25)["regression"] \
+        == ab_pairs.WITHIN
+    much_slower = [p * 0.7 for p in PARENT]
+    assert ab_pairs.verdict(PARENT, much_slower, "higher", 0.25)[
+        "regression"] == ab_pairs.WORSE
+    # Lower is better: 30% more memory breaks a 0.2 bound, 10% does not.
+    rss = [68.0, 67.5, 68.2, 67.9, 68.1, 67.7, 68.0, 67.6, 68.3, 67.8]
+    assert ab_pairs.verdict(rss, [r * 1.3 for r in rss], "lower", 0.2)[
+        "regression"] == ab_pairs.WORSE
+    assert ab_pairs.verdict(rss, [r * 1.1 for r in rss], "lower", 0.2)[
+        "regression"] == ab_pairs.WITHIN
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(ab_pairs):
+    wide = [1.0, 1.6, 0.8, 1.5, 0.9, 1.4, 1.0, 1.3, 0.7, 1.6]
+    result = ab_pairs.verdict(wide, [w * 0.95 for w in wide], "higher", 0.25)
+    q1, median, q3 = result["parent"]
+    assert q3 - q1 > 0.25 * median
+    assert result["regression"] == ab_pairs.UNRESOLVED
+    # Unless every change run beats every parent run.
+    assert ab_pairs.verdict(wide, [1.7] * 10, "higher", 0.25)[
+        "regression"] == ab_pairs.WITHIN
+    # A median worse by more than the bound is worse, spread or not.
+    assert ab_pairs.verdict(wide, [w * 0.5 for w in wide], "higher", 0.25)[
+        "regression"] == ab_pairs.WORSE
+
+
+def test_negative_bound_rejected(ab_pairs):
+    with pytest.raises(ValueError):
+        ab_pairs.verdict(PARENT, PARENT, "higher", -0.1)

@@ -134,6 +134,7 @@ def _sweep_circle(i: int, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
 
     best_extra = 0.0
     best_angle = 0.0
+    best_half = math.pi   # no segment: the whole circle
     running = 0.0
     index = 0
     total = len(sorted_angles)
@@ -148,8 +149,11 @@ def _sweep_circle(i: int, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
             # inside the covering disks (rather than on their boundary).
             next_angle = sorted_angles[index] if index < total else angle + 2.0 * math.pi
             best_angle = (angle + next_angle) / 2.0
+            best_half = (next_angle - angle) / 2.0
 
-    nudge = radius * (1.0 - 1e-9)
+    # 1e-9 of the radius inside, or the segment's chord midpoint where that
+    # is closer to the circle (the lens of two disks almost d apart).
+    nudge = radius * max(1.0 - 1e-9, math.cos(best_half))
     point = Point(centre.x + nudge * math.cos(best_angle),
                   centre.y + nudge * math.sin(best_angle))
     return base + float(best_extra), point
@@ -212,6 +216,18 @@ class TestAgainstBruteForce:
         # cell, so it should achieve the optimum exactly (up to degenerate ties).
         assert achieved >= weight - 1.0
         assert achieved <= weight + 1e-9
+
+
+    def test_point_inside_a_thin_lens(self):
+        # Two disks 1 - 5.8e-11 apart, diameter 1: they overlap in a lens
+        # 5.8e-11 thick, thinner than a 1e-9 nudge off the arc.  The
+        # reported centre is the lens's middle and covers both.
+        objs = [WeightedPoint(0.0, 1.0, 0.5),
+                WeightedPoint(0.0, 5.758634883943028e-11, 0.5)]
+        point, weight = exact_maxcrs(objs, 1.0)
+        assert weight == 1.0
+        assert weight_in_circle(objs, Circle(point, 1.0)) == 1.0
+        assert (point, weight) == _loop_exact_maxcrs(objs, 1.0)
 
 
 class TestMonotonicity:
@@ -278,11 +294,11 @@ def spy(monkeypatch):
             yield block
 
     def best_arcs(slot, start, end, weight):
-        swept, extra, angle = sweep(slot, start, end, weight)
+        swept, extra, angle, half_width = sweep(slot, start, end, weight)
         owners = seen["blocks"][-1][0]
         seen["arcs"].append({"circle": owners[slot], "start": start,
                              "end": end, "swept": owners[swept]})
-        return swept, extra, angle
+        return swept, extra, angle, half_width
 
     monkeypatch.setattr(solver, "_candidate_blocks", blocks)
     monkeypatch.setattr(solver, "_best_arcs", best_arcs)
@@ -366,11 +382,12 @@ class TestPinnedBranches:
         # Circle 0's sums round (1e17 + 3 == 1e17) and end at -3, not 0.
         # Circle 1 must still start from 0.0: its two unit arcs overlap on
         # (1.5, 2.0), worth exactly 2.
-        swept, extra, angle = solver._best_arcs(
+        swept, extra, angle, half_width = solver._best_arcs(
             np.array([0, 0, 1, 1]), np.array([0.1, 0.2, 1.0, 1.5]),
             np.array([0.5, 0.6, 2.0, 2.5]), np.array([1e17, 3.0, 1.0, 1.0]))
         assert list(swept) == [0, 1]
         assert extra[1] == 2.0 and angle[1] == (1.5 + 2.0) / 2.0
+        assert half_width[1] == (2.0 - 1.5) / 2.0
         assert extra[0] == 1e17 and angle[0] == (0.1 + 0.2) / 2.0
 
     def test_block_boundary_inside_the_input(self, spy, monkeypatch):

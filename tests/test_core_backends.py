@@ -12,6 +12,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.backends as backends_module
 from repro.core.backends import (
@@ -23,6 +25,7 @@ from repro.core.backends import (
     resolve_backend,
 )
 from repro.core.backends.pure import PurePythonBackend
+from repro.core.beststrip import BestStrip
 from repro.core.dispatch import solve_point_set, solve_point_set_top_k
 from repro.core.plane_sweep import solve_columns, solve_in_memory, sweep_events
 from repro.core.transform import objects_to_event_records
@@ -216,11 +219,11 @@ class TestHardRuns:
         reached = []
         resolve = NumpySweepBackend._resolve_hard_runs
 
-        def spy(run, hard, V0, Mn0, M0, W, bnd, s_star, seg_end,
-                plateau_end, in_seg, thr, thr0, num_cells):
+        def spy(run, hard, V0, M0, W, bnd, segs, rows, slabs, s_star,
+                seg_end, plateau_end, in_seg, thr, thr0):
             reached.append(bool(in_seg[hard].any()))
-            return resolve(run, hard, V0, Mn0, M0, W, bnd, s_star, seg_end,
-                           plateau_end, in_seg, thr, thr0, num_cells)
+            return resolve(run, hard, V0, M0, W, bnd, segs, rows, slabs,
+                           s_star, seg_end, plateau_end, in_seg, thr, thr0)
 
         monkeypatch.setattr(NumpySweepBackend, "_resolve_hard_runs",
                             staticmethod(spy))
@@ -250,6 +253,157 @@ class TestHardRuns:
         expected = sweep_events(records)
         assert NumpySweepBackend().sweep(rows) == expected
         assert PurePythonBackend().sweep(rows) == expected
+
+
+def _slab_file_bytes(records):
+    """A slab-file's bytes as float64 rows (tuples or an array)."""
+    return np.asarray(records, dtype=np.float64).reshape(-1, 4).tobytes()
+
+
+def _assert_batch_matches_alone(slabs, backends=(NumpySweepBackend(),)):
+    """``sweep_slabs`` gives every slab what it gets swept alone, by the
+    reference and by numpy ``sweep``: the same slab-file bytes (so a
+    signed zero shows) and the same best strip."""
+    alone = [(sweep_events(list(map(tuple, rows)), slab_range),
+              NumpySweepBackend().sweep(rows, slab_range))
+             for rows, slab_range in slabs]
+    for backend in backends:
+        batch = backend.sweep_slabs(slabs)
+        assert len(batch) == len(slabs)
+        for (rows, best), (reference, numpy_alone) in zip(batch, alone):
+            assert isinstance(rows, np.ndarray) and rows.shape[1:] == (4,)
+            assert rows.tobytes() == _slab_file_bytes(reference[0])
+            assert rows.tobytes() == _slab_file_bytes(numpy_alone[0])
+            assert best == reference[1] == numpy_alone[1]
+
+
+_COORD = st.integers(0, 20).map(float)
+#: Exactly representable weights, zeros (of both signs) and negatives.
+_WEIGHT = st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0, 0.5, -1.0, -2.0))
+
+
+@st.composite
+def _event_rows(draw, max_rects=10):
+    """Raw event rows of up to ``max_rects`` rectangles, in random order;
+    small integer y's make shared h-lines common."""
+    rows = []
+    for xa, xb, y, height, weight in draw(st.lists(st.tuples(
+            _COORD, _COORD, st.integers(0, 8), st.integers(1, 4), _WEIGHT),
+            max_size=max_rects)):
+        x1, x2 = min(xa, xb), max(xa, xb)
+        rows.append((float(y), 1.0, x1, x2, weight))
+        rows.append((float(y + height), -1.0, x1, x2, weight))
+    return draw(st.permutations(rows)) if rows else rows
+
+
+@st.composite
+def _slab_range(draw):
+    """Finite or infinite borders; a zero-width slab has no cell."""
+    lo = draw(st.one_of(st.just(-math.inf), _COORD))
+    hi = draw(st.one_of(st.just(math.inf), _COORD))
+    return Interval(min(lo, hi), max(lo, hi))
+
+
+@st.composite
+def _neighbour_slabs(draw):
+    """One set of rectangles cut into neighbouring slabs, as ExactMaxRS's
+    sibling leaves are: equal maxima meet at the shared borders."""
+    rows = draw(_event_rows(max_rects=14))
+    inner = sorted(draw(st.sets(_COORD, max_size=12)))
+    borders = [-math.inf] + inner + [math.inf]
+    return [(rows, Interval(lo, hi)) for lo, hi in zip(borders, borders[1:])]
+
+
+class TestSweepSlabs:
+    """The multi-slab records loop against each slab swept alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.lists(st.tuples(_event_rows(), _slab_range()),
+                              min_size=1, max_size=40),
+                     _neighbour_slabs()))
+    def test_batches_match_each_slab_alone(self, slabs):
+        _assert_batch_matches_alone(
+            slabs, (NumpySweepBackend(), NumpySweepBackend(chunk_hlines=2)))
+
+    def test_runs_stop_at_slab_borders(self):
+        # One rectangle over two neighbouring slabs: both maxima touch the
+        # shared border at x = 10, and neither run may cross it.
+        rows = [(0.0, 1.0, 5.0, 15.0, 1.0), (1.0, -1.0, 5.0, 15.0, 1.0)]
+        slabs = [(rows, Interval(0.0, 10.0)), (rows, Interval(10.0, 20.0))]
+        (left, _), (right, _) = NumpySweepBackend().sweep_slabs(slabs)
+        assert left[0].tolist() == [0.0, 5.0, 10.0, 1.0]
+        assert right[0].tolist() == [0.0, 10.0, 15.0, 1.0]
+        _assert_batch_matches_alone(slabs)
+
+    def test_empty_and_cell_less_slabs(self):
+        rng = random.Random(5)
+        records = objects_to_event_records(_random_dataset(rng, 30), 6.0, 4.0)
+        slabs = [([], Interval(0.0, 50.0)), (records, Interval(5.0, 5.0)),
+                 (records, Interval(20.0, 70.0)), ([], None)]
+        batch = NumpySweepBackend().sweep_slabs(slabs)
+        for index in (0, 1, 3):
+            assert batch[index][0].shape == (0, 4)
+        assert batch[1][1] == BestStrip.empty(5.0, 5.0)
+        assert batch[3][1] == BestStrip.empty(-math.inf, math.inf)
+        _assert_batch_matches_alone(slabs[:3])
+
+    @pytest.mark.parametrize("chunk_hlines", [1, 2, 3])
+    def test_run_tolerance_case_mid_batch(self, monkeypatch, chunk_hlines):
+        reached = []
+        resolve = NumpySweepBackend._resolve_hard_runs
+
+        def spy(run, hard, V0, M0, W, bnd, segs, rows, slabs, *rest):
+            in_seg = rest[3]
+            reached.append(bool(in_seg[hard].any()))
+            return resolve(run, hard, V0, M0, W, bnd, segs, rows, slabs,
+                           *rest)
+
+        monkeypatch.setattr(NumpySweepBackend, "_resolve_hard_runs",
+                            staticmethod(spy))
+        rng = random.Random(chunk_hlines)
+        others = [objects_to_event_records(_random_dataset(rng, 25), 7.0, 5.0)
+                  for _ in range(2)]
+        slabs = [(others[0], Interval(0.0, 60.0)),
+                 (TestHardRuns._tolerance_records(), None),
+                 (others[1], Interval(30.0, 100.0))]
+        _assert_batch_matches_alone(
+            slabs, (NumpySweepBackend(chunk_hlines=chunk_hlines),))
+        assert any(reached)            # the tolerance scan ran
+
+    def test_signed_zero_borders_do_not_depend_on_the_batch(self):
+        # Boundaries 0.0 and -0.0 are one cell border; which sign a slab
+        # keeps must not depend on the slabs swept with it (numpy's sort
+        # orders equal keys differently in differently sized batches).
+        rng = random.Random(4)
+
+        def zero_rows(count):
+            rows = []
+            for _ in range(count):
+                x1, x2 = sorted(rng.choice((-0.0, 0.0, -3.0, 2.0, 5.0))
+                                for _ in range(2))
+                y = float(rng.randint(0, 9))
+                rows += [(y, 1.0, x1, x2, 1.0), (y + 2.0, -1.0, x1, x2, 1.0)]
+            return rows
+
+        slab = (zero_rows(30), Interval(-5.0, 10.0))
+        alone = NumpySweepBackend().sweep_slabs([slab])[0]
+        for _ in range(8):
+            others = [(zero_rows(rng.randint(10, 400)), Interval(-5.0, 10.0))
+                      for _ in range(rng.randint(1, 6))]
+            batch = others + [slab] + others[:2]
+            rows, best = NumpySweepBackend().sweep_slabs(batch)[len(others)]
+            assert rows.tobytes() == alone[0].tobytes()
+            assert best == alone[1]
+        reference = sweep_events(slab[0], slab[1])
+        assert np.array_equal(alone[0], np.array(reference[0]))
+
+    def test_pure_backend_sweeps_each_slab(self):
+        rng = random.Random(9)
+        slabs = [(objects_to_event_records(_random_dataset(rng, 20), 5.0,
+                                           5.0), Interval(10.0, 80.0)),
+                 ([], None)]
+        assert PurePythonBackend().sweep_slabs(slabs) == [
+            sweep_events(rows, slab_range) for rows, slab_range in slabs]
 
 
 @pytest.fixture

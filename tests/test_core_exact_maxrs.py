@@ -59,6 +59,30 @@ class TestCorrectness:
         assert result.recursion_levels == 0
         assert result.leaf_count == 1
 
+    def test_in_memory_root_asks_for_the_best_strip_only(self, monkeypatch,
+                                                          make_objects):
+        # The root sweep of an input that fits in memory has no slab-file
+        # to write, so it runs the best-only sweep solve_in_memory runs.
+        from repro.core.backends import resolve_backend
+
+        backend_type = type(resolve_backend(None))
+        real_sweep = backend_type.sweep
+        asked = []
+
+        def spy(self, records, slab_range=None, *, include_records=True):
+            asked.append(include_records)
+            return real_sweep(self, records, slab_range,
+                              include_records=include_records)
+
+        monkeypatch.setattr(backend_type, "sweep", spy)
+        objs = make_objects(300, seed=12, extent=100.0)
+        result = ExactMaxRS(EMContext(), 9.0, 6.0).solve(objs)
+        assert asked == [False]
+        assert (result.leaf_count, result.recursion_levels) == (1, 0)
+        reference = solve_in_memory(objs, 9.0, 6.0)
+        assert (result.region, result.total_weight) == \
+            (reference.region, reference.total_weight)
+
     def test_forced_recursion_goes_deep(self, tiny_ctx, make_objects):
         objs = make_objects(300, seed=2, extent=200.0)
         solver = _tiny_external_solver(tiny_ctx, 20.0, 20.0)
@@ -150,6 +174,28 @@ class TestIOAccounting:
         # The block-array passes charge what the record passes charge
         # (tests/test_without_numpy.py checks the same pins there).
         assert measure_io() == IO_PINS
+
+    def test_leaf_batches_stay_within_memory(self, monkeypatch):
+        # Sibling leaves are swept in batches of at most memory_records
+        # events (a lone leaf may be larger), and the pinned solves do
+        # batch: the pins above hold with the slab-file writes deferred.
+        import importlib
+
+        exact_module = importlib.import_module("repro.core.exact_maxrs")
+        real = exact_module.ExactMaxRS._sweep_slabs
+        batches = []
+
+        def spy(self, slabs):
+            batches.append((self.memory_records,
+                            [len(rows) for rows, _ in slabs]))
+            return real(self, slabs)
+
+        monkeypatch.setattr(exact_module.ExactMaxRS, "_sweep_slabs", spy)
+        assert measure_io() == IO_PINS
+        assert batches
+        for memory, events in batches:
+            assert sum(events) <= memory or len(events) == 1, (memory, events)
+        assert any(len(events) > 1 for _, events in batches)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_block_passes_match_the_record_passes(self, seed):
@@ -260,9 +306,10 @@ class TestLayerSpans:
 
         monkeypatch.setattr(exact_module, "merge_sweep", counting_merge)
 
-        # Counter deltas over each transform and division, measured from
-        # outside the spans.
-        io_deltas = {"exact_maxrs.transform": [], "exact_maxrs.divide": []}
+        # Counter deltas over each transform, division and leaf batch,
+        # measured from outside the spans.
+        io_deltas = {"exact_maxrs.transform": [], "exact_maxrs.divide": [],
+                     "exact_maxrs.leaves": []}
 
         def measured(name, method):
             def wrapper(self, *args, **kwargs):
@@ -277,6 +324,8 @@ class TestLayerSpans:
             "exact_maxrs.transform", exact_module.ExactMaxRS._transform))
         monkeypatch.setattr(exact_module.ExactMaxRS, "_divide", measured(
             "exact_maxrs.divide", exact_module.ExactMaxRS._divide))
+        monkeypatch.setattr(exact_module.ExactMaxRS, "_sweep_leaves", measured(
+            "exact_maxrs.leaves", exact_module.ExactMaxRS._sweep_leaves))
         recorder = obs.RingRecorder()
         tracer = obs.Tracer(recorder)
         objs = make_objects(300, seed=4)
@@ -287,11 +336,23 @@ class TestLayerSpans:
         spans = list(recorder.last().root.iter_spans())
         by_id = {span.span_id: span for span in spans}
 
+        # Leaves are swept in batches: one exact_maxrs.leaves span per
+        # batch, holding its one backend.sweep.
+        batches = [s for s in spans if s.name == "exact_maxrs.leaves"]
+        assert sum(s.attributes["leaves"] for s in batches) == \
+            result.leaf_count > 1
         leaf_sweeps = [s for s in spans if s.name == "backend.sweep"]
-        assert len(leaf_sweeps) == result.leaf_count > 1
+        assert sorted(by_id[s.parent_id].span_id for s in leaf_sweeps) == \
+            sorted(s.span_id for s in batches)
         auto = resolve_backend(None).name   # numpy wherever it imports
-        assert all(s.attributes["backend"] == auto for s in leaf_sweeps)
-        assert all(s.attributes["events"] > 0 for s in leaf_sweeps)
+        for batch in batches:
+            sweep = next(s for s in leaf_sweeps
+                         if s.parent_id == batch.span_id)
+            assert sweep.attributes["backend"] == auto
+            assert sweep.attributes["slabs"] == batch.attributes["leaves"]
+            assert sweep.attributes["events"] == \
+                batch.attributes["events"] > 0
+            assert batch.attributes["hlines"] > 0
 
         merge_spans = [s for s in spans if s.name == "exact_maxrs.merge"]
         assert len(merge_spans) == len(merges) >= 2   # one per internal node
@@ -324,6 +385,11 @@ class TestLayerSpans:
             for s in divides]
         assert all(reads > 0 and writes > 0
                    for reads, writes in io_deltas["exact_maxrs.divide"])
+        assert io_deltas["exact_maxrs.leaves"] == [
+            (s.attributes["block_reads"], s.attributes["block_writes"])
+            for s in batches]
+        assert all(reads > 0 and writes > 0
+                   for reads, writes in io_deltas["exact_maxrs.leaves"])
 
         kernels = [s for s in spans if s.name in (
             "backend.sweep.prepare", "backend.sweep.kernel")]
