@@ -6,10 +6,11 @@ engine.  This package separates the sweep's *contract* from its *execution
 strategy*, the way hybrid-engine systems keep one logical operator with
 several specialised implementations:
 
-* :class:`SweepBackend` -- the protocol: event records in, slab-file tuples
-  plus the best strip out (exactly the signature of
-  :func:`repro.core.plane_sweep.sweep_events`), and ``sweep_slabs``, the
-  same for many slabs at once (ExactMaxRS sweeps its sibling leaves so);
+* :class:`SweepBackend` -- the protocol: event records in; ``sweep``
+  returns the best strip of one slab, ``sweep_slabs`` the slab-files and
+  best strips of many slabs at once (ExactMaxRS sweeps its sibling leaves
+  so) -- between them, what :func:`repro.core.plane_sweep.sweep_events`
+  returns;
 * :class:`~repro.core.backends.pure.PurePythonBackend` -- the reference
   implementation, a lazy segment tree in pure Python.  Always available;
 * :class:`~repro.core.backends.numpy_backend.NumpySweepBackend` -- a
@@ -31,6 +32,15 @@ true for integer-valued weights up to 2**53), their slab-files and results
 are **bit-identical**.  For weights whose partial sums round, answers agree
 up to floating-point associativity of the profile sums; the property tests
 pin the exact case.
+
+One choice is left to each backend: of equal cell borders ``0.0`` and
+``-0.0`` a slab keeps one.  Numpy keeps the first in the order slab
+borders, clipped ``x1``s, clipped ``x2``s, so its ``sweep`` and
+``sweep_slabs`` agree bit for bit, whatever the other slabs of a batch;
+pure keeps the first its boundary list received.  Such borders compare
+equal but may differ in sign across backends.  Dual rectangles of objects
+never have a ``-0.0`` edge (``x - w/2`` and ``x + w/2`` are not ``-0.0``
+for a half-width ``w/2 > 0``), so only raw event rows can show it.
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ __all__ = [
 
 SweepRecord = Tuple[float, ...]
 
-#: (slab-file records, best strip) -- the output contract of every backend.
-SweepOutput = Tuple[List[SweepRecord], BestStrip]
+#: (slab-file records, best strip) -- one slab's output of ``sweep_slabs``.
+SweepOutput = Tuple[Sequence[SweepRecord], BestStrip]
 
 @runtime_checkable
 class SweepBackend(Protocol):
@@ -68,35 +78,30 @@ class SweepBackend(Protocol):
     :func:`repro.core.plane_sweep.sweep_events`: it receives the flat event
     records ``(y, kind, x1, x2, weight)`` of a slab's dual rectangles -- as
     tuples, or as the ``(n, 5)`` float64 array ExactMaxRS's leaves read
-    from their event files -- and returns the slab-file (one max-interval
-    tuple per distinct event y-coordinate, ascending) together with the
-    best strip of the sweep.
+    from their event files -- and sweeps them.  ``sweep`` returns the best
+    strip only; ``sweep_slabs`` is the one entry point for slab-files.
     """
 
     #: Stable identifier used for selection, metrics and artefact logging.
     name: str
 
     def sweep(self, event_records: Sequence[SweepRecord],
-              slab_range: Optional[Interval] = None, *,
-              include_records: bool = True) -> SweepOutput:
-        """Run the sweep.
-
-        With ``include_records=False`` the caller promises to ignore the
-        slab-file (as :func:`~repro.core.plane_sweep.solve_in_memory` does,
-        which only consumes the best strip); backends may then skip
-        materialising the per-h-line tuples and return an empty list.
-        """
+              slab_range: Optional[Interval] = None) -> BestStrip:
+        """The best strip of the sweep of one slab (``None``: the whole
+        real line); the caller gets no slab-file, so none need be built."""
         ...
 
     def sweep_slabs(self, slabs: Sequence[Tuple[Sequence[SweepRecord],
                                                 Optional[Interval]]]
-                    ) -> List[Tuple[Sequence[SweepRecord], BestStrip]]:
+                    ) -> List[SweepOutput]:
         """Sweep many slabs: ``(event_records, slab_range)`` pairs.
 
         Returns one ``(slab-file rows, best strip)`` per slab, in order,
-        each what :meth:`sweep` returns for that slab alone (with records).
-        The rows may be tuples or an ``(h, 4)`` float64 array;
-        :meth:`~repro.em.record_file.RecordFile.write_all` takes both.
+        each what :func:`~repro.core.plane_sweep.sweep_events` returns for
+        that slab alone: one ``(y, x1, x2, sum)`` row per distinct event
+        y-coordinate, ascending.  The rows may be tuples or an ``(h, 4)``
+        float64 array; :meth:`~repro.em.record_file.RecordFile.write_all`
+        takes both.
         """
         ...
 

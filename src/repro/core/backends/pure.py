@@ -2,7 +2,7 @@
 
 This is the original :func:`repro.core.plane_sweep.sweep_events` behind the
 :class:`~repro.core.backends.SweepBackend` protocol.  It exists as a named
-backend for three reasons:
+backend for two reasons:
 
 * it is always available (no third-party dependency), so ``"auto"``
   falls back to it when numpy does not import;
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.beststrip import BestStrip
 from repro.core.plane_sweep import sweep_events
 from repro.geometry import Interval
 
@@ -26,17 +27,20 @@ class PurePythonBackend:
     name = "pure"
 
     def sweep(self, event_records: Sequence[tuple],
-              slab_range: Optional[Interval] = None, *,
-              include_records: bool = True):
-        # The segment-tree sweep produces its tuples as a by-product of the
-        # per-h-line queries, so there is nothing to save when the caller
-        # only wants the best strip; ``include_records`` is accepted for
-        # protocol compatibility.
-        if hasattr(event_records, "tolist"):   # an (n, 5) array of rows
-            event_records = event_records.tolist()
-        return sweep_events(event_records, slab_range)
+              slab_range: Optional[Interval] = None) -> BestStrip:
+        # The segment-tree sweep produces the slab-file as a by-product of
+        # its per-h-line queries; only the best strip is returned.
+        return sweep_events(_as_list(event_records), slab_range)[1]
 
     def sweep_slabs(self, slabs):
         """Sweep each ``(event_records, slab_range)`` on its own, in order."""
-        return [self.sweep(records, slab_range)
+        return [sweep_events(_as_list(records), slab_range)
                 for records, slab_range in slabs]
+
+
+def _as_list(event_records):
+    """The event records as :func:`sweep_events` takes them: an ``(n, 5)``
+    array becomes a list of rows."""
+    if hasattr(event_records, "tolist"):
+        return event_records.tolist()
+    return event_records

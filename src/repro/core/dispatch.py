@@ -104,8 +104,8 @@ def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
 
     Follows the same strategy choice as :func:`solve_point_set`; the in-memory
     path runs one plane sweep (on the backend selected by ``backend``) and
-    selects the top strips directly from its slab-file tuples, with no
-    simulated I/O.
+    selects the top strips directly from its slab-file, with no simulated
+    I/O.
 
     Raises
     ------
@@ -125,8 +125,9 @@ def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
             sweep_backend = resolve_backend(backend)
             with obs.span("backend.sweep", backend=sweep_backend.name,
                           events=len(records)):
-                tuples, _ = sweep_backend.sweep(records, Interval.full())
-            chosen = select_disjoint_strips(records_to_strips(tuples), k)
+                rows, _ = sweep_backend.sweep_slabs(
+                    [(records, Interval.full())])[0]
+            chosen = select_disjoint_strips(records_to_strips(rows), k)
             results: List[MaxRSResult] = []
             for strip in chosen:
                 region = strip.to_region()

@@ -256,9 +256,7 @@ class ExactMaxRS:
             self._leaf_count = 1
             with obs.span("backend.sweep", backend=self._backend.name,
                           events=len(records), slabs=1):
-                _, best = self._backend.sweep(records, root.x_range,
-                                              include_records=False)
-            return best
+                return self._backend.sweep(records, root.x_range)
         slab_file, best = self._recurse(event_file, root, depth=1)
         slab_file.delete()
         return best

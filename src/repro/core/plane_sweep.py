@@ -210,8 +210,7 @@ def _solve_best(backend: "BackendSpec", num_events: int,
                   events=num_events):
         with obs.span("backend.sweep.events"):
             records = build(sweep_backend)
-        _, best = sweep_backend.sweep(records, Interval.full(),
-                                      include_records=False)
+        best = sweep_backend.sweep(records, Interval.full())
     region = best.to_region()
     return MaxRSResult(
         location=region.representative_point(),

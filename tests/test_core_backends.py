@@ -8,6 +8,7 @@ to the pure-Python reference sweep -- including argmax tie-breaking and
 maximal-run extension.
 """
 
+import contextlib
 import math
 import random
 
@@ -110,10 +111,6 @@ class TestRegistry:
         assert str(np.__version__) in backend_summary("numpy")
         assert "auto" in backend_summary(None)
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NumpySweepBackend(chunk_hlines=0)
-
 
 def _construct(name, spec):
     """Build one of the three objects that take a sweep backend."""
@@ -131,19 +128,34 @@ def _construct(name, spec):
     return engine
 
 
+@contextlib.contextmanager
+def _chunk_hlines(rows):
+    """Cap the numpy loop's rows per step at ``rows`` (``None``: the
+    default) inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(numpy_backend_module, "_CHUNK_HLINES", rows)
+        yield
+
+
+def _slab_file(records, slab_range=None):
+    """The numpy slab-file and best strip of one slab."""
+    return NumpySweepBackend().sweep_slabs([(records, slab_range)])[0]
+
+
 class TestParityProperty:
     """Randomised cross-backend equality of slab-files and best strips."""
 
     def _assert_parity(self, records, slab_range):
         pure_out = sweep_events(records, slab_range)
-        for backend in (NumpySweepBackend(), NumpySweepBackend(chunk_hlines=3)):
-            numpy_out = backend.sweep(records, slab_range)
-            assert numpy_out[0] == pure_out[0]  # slab-files, bit for bit
-            assert numpy_out[1] == pure_out[1]  # best strip
-            best_only = backend.sweep(records, slab_range,
-                                      include_records=False)
-            assert best_only[0] == []
-            assert best_only[1] == pure_out[1]
+        for rows in (None, 3):
+            with _chunk_hlines(rows):
+                numpy_rows, numpy_best = _slab_file(records, slab_range)
+                # Slab-files, bit for bit, and the best strip.
+                assert numpy_rows.tobytes() == _slab_file_bytes(pure_out[0])
+                assert numpy_best == pure_out[1]
+                assert NumpySweepBackend().sweep(records, slab_range) \
+                    == pure_out[1]
 
     def test_random_datasets(self):
         rng = random.Random(20260729)
@@ -166,13 +178,16 @@ class TestParityProperty:
             self._assert_parity(records, slab)
 
     def test_empty_and_degenerate(self):
-        empty = NumpySweepBackend().sweep([], None)
-        assert empty == ([], sweep_events([], None)[1])
+        empty = sweep_events([], None)
+        assert NumpySweepBackend().sweep([], None) == empty[1]
         # Degenerate slab: zero width, nothing can be strictly inside.
         records = objects_to_event_records([WeightedPoint(1.0, 1.0)], 2.0, 2.0)
         degenerate = Interval(5.0, 5.0)
-        assert NumpySweepBackend().sweep(records, degenerate) \
-            == sweep_events(records, degenerate)
+        expected = sweep_events(records, degenerate)
+        assert expected[0] == []
+        assert NumpySweepBackend().sweep(records, degenerate) == expected[1]
+        rows, best = _slab_file(records, degenerate)
+        assert rows.shape == (0, 4) and best == expected[1]
 
     def test_duplicate_coordinates_and_plateaus(self):
         # A grid of identical weights maximises argmax ties and long runs.
@@ -227,10 +242,14 @@ class TestHardRuns:
 
         monkeypatch.setattr(NumpySweepBackend, "_resolve_hard_runs",
                             staticmethod(spy))
+        monkeypatch.setattr(numpy_backend_module, "_CHUNK_HLINES",
+                            chunk_hlines)
         records = self._tolerance_records()
         expected = sweep_events(records)
-        assert NumpySweepBackend(chunk_hlines=chunk_hlines).sweep(records) \
-            == expected
+        rows, best = _slab_file(records)
+        assert rows.tobytes() == _slab_file_bytes(expected[0])
+        assert best == expected[1]
+        assert NumpySweepBackend().sweep(records) == expected[1]
         assert any(reached)            # the tolerance scan ran
         assert expected[0][1] == (1.0, 0.0, 2.0, 1.0 + 2.0 ** -44)
 
@@ -238,21 +257,28 @@ class TestHardRuns:
         # With a 4-cell budget every search is halved down to single
         # ranges; the answers stay the reference's.
         monkeypatch.setattr(numpy_backend_module, "_SCAN_CELLS", 4)
+        monkeypatch.setattr(numpy_backend_module, "_CHUNK_HLINES", 4)
         rng = random.Random(11)
         for _ in range(10):
             objs = _random_dataset(rng, 60, snap=rng.choice((None, 1.0)))
             records = objects_to_event_records(objs, 7.0, 5.0)
             records += self._tolerance_records()
-            assert NumpySweepBackend(chunk_hlines=4).sweep(records) == \
-                sweep_events(records)
+            expected = sweep_events(records)
+            rows, best = _slab_file(records)
+            assert rows.tobytes() == _slab_file_bytes(expected[0])
+            assert best == expected[1]
 
     def test_array_input_on_both_backends(self):
         rng = random.Random(2)
         records = objects_to_event_records(_random_dataset(rng, 50), 6.0, 4.0)
         rows = np.array(records)
         expected = sweep_events(records)
-        assert NumpySweepBackend().sweep(rows) == expected
-        assert PurePythonBackend().sweep(rows) == expected
+        for backend in (NumpySweepBackend(), PurePythonBackend()):
+            assert backend.sweep(rows) == expected[1]
+            slab_file, best = backend.sweep_slabs([(rows, None)])[0]
+            assert _slab_file_bytes(slab_file) == \
+                _slab_file_bytes(expected[0])
+            assert best == expected[1]
 
 
 def _slab_file_bytes(records):
@@ -260,21 +286,30 @@ def _slab_file_bytes(records):
     return np.asarray(records, dtype=np.float64).reshape(-1, 4).tobytes()
 
 
-def _assert_batch_matches_alone(slabs, backends=(NumpySweepBackend(),)):
+def _strip_bytes(strip):
+    """A best strip's fields as float64 bytes (so a signed zero shows)."""
+    return [np.float64(getattr(strip, field)).tobytes()
+            for field in ("weight", "x1", "x2", "y1", "y2")]
+
+
+def _assert_batch_matches_alone(slabs):
     """``sweep_slabs`` gives every slab what it gets swept alone, by the
-    reference and by numpy ``sweep``: the same slab-file bytes (so a
-    signed zero shows) and the same best strip."""
+    reference and by numpy ``sweep_slabs``: the same slab-file bytes (so a
+    signed zero shows) and the same best strip, which numpy's best-only
+    ``sweep`` returns bit for bit."""
     alone = [(sweep_events(list(map(tuple, rows)), slab_range),
-              NumpySweepBackend().sweep(rows, slab_range))
+              _slab_file(rows, slab_range))
              for rows, slab_range in slabs]
-    for backend in backends:
-        batch = backend.sweep_slabs(slabs)
-        assert len(batch) == len(slabs)
-        for (rows, best), (reference, numpy_alone) in zip(batch, alone):
-            assert isinstance(rows, np.ndarray) and rows.shape[1:] == (4,)
-            assert rows.tobytes() == _slab_file_bytes(reference[0])
-            assert rows.tobytes() == _slab_file_bytes(numpy_alone[0])
-            assert best == reference[1] == numpy_alone[1]
+    batch = NumpySweepBackend().sweep_slabs(slabs)
+    assert len(batch) == len(slabs)
+    for (rows, best), (reference, numpy_alone), (records, slab_range) in zip(
+            batch, alone, slabs):
+        assert isinstance(rows, np.ndarray) and rows.shape[1:] == (4,)
+        assert rows.tobytes() == _slab_file_bytes(reference[0])
+        assert rows.tobytes() == numpy_alone[0].tobytes()
+        assert best == reference[1] == numpy_alone[1]
+        assert _strip_bytes(NumpySweepBackend().sweep(records, slab_range)) \
+            == _strip_bytes(best)
 
 
 _COORD = st.integers(0, 20).map(float)
@@ -322,8 +357,9 @@ class TestSweepSlabs:
                               min_size=1, max_size=40),
                      _neighbour_slabs()))
     def test_batches_match_each_slab_alone(self, slabs):
-        _assert_batch_matches_alone(
-            slabs, (NumpySweepBackend(), NumpySweepBackend(chunk_hlines=2)))
+        for rows in (None, 2):
+            with _chunk_hlines(rows):
+                _assert_batch_matches_alone(slabs)
 
     def test_runs_stop_at_slab_borders(self):
         # One rectangle over two neighbouring slabs: both maxima touch the
@@ -360,23 +396,23 @@ class TestSweepSlabs:
 
         monkeypatch.setattr(NumpySweepBackend, "_resolve_hard_runs",
                             staticmethod(spy))
+        monkeypatch.setattr(numpy_backend_module, "_CHUNK_HLINES",
+                            chunk_hlines)
         rng = random.Random(chunk_hlines)
         others = [objects_to_event_records(_random_dataset(rng, 25), 7.0, 5.0)
                   for _ in range(2)]
         slabs = [(others[0], Interval(0.0, 60.0)),
                  (TestHardRuns._tolerance_records(), None),
                  (others[1], Interval(30.0, 100.0))]
-        _assert_batch_matches_alone(
-            slabs, (NumpySweepBackend(chunk_hlines=chunk_hlines),))
+        _assert_batch_matches_alone(slabs)
         assert any(reached)            # the tolerance scan ran
 
     def test_signed_zero_borders_do_not_depend_on_the_batch(self):
         # Boundaries 0.0 and -0.0 are one cell border; which sign a slab
-        # keeps must not depend on the slabs swept with it (numpy's sort
-        # orders equal keys differently in differently sized batches).
-        rng = random.Random(4)
-
-        def zero_rows(count):
+        # keeps must depend neither on the slabs swept with it (numpy's
+        # sort orders equal keys differently in differently sized batches)
+        # nor on whether the slab-file is asked for.
+        def zero_rows(rng, count):
             rows = []
             for _ in range(count):
                 x1, x2 = sorted(rng.choice((-0.0, 0.0, -3.0, 2.0, 5.0))
@@ -385,10 +421,12 @@ class TestSweepSlabs:
                 rows += [(y, 1.0, x1, x2, 1.0), (y + 2.0, -1.0, x1, x2, 1.0)]
             return rows
 
-        slab = (zero_rows(30), Interval(-5.0, 10.0))
+        rng = random.Random(4)
+        slab = (zero_rows(rng, 30), Interval(-5.0, 10.0))
         alone = NumpySweepBackend().sweep_slabs([slab])[0]
         for _ in range(8):
-            others = [(zero_rows(rng.randint(10, 400)), Interval(-5.0, 10.0))
+            others = [(zero_rows(rng, rng.randint(10, 400)),
+                       Interval(-5.0, 10.0))
                       for _ in range(rng.randint(1, 6))]
             batch = others + [slab] + others[:2]
             rows, best = NumpySweepBackend().sweep_slabs(batch)[len(others)]
@@ -396,6 +434,12 @@ class TestSweepSlabs:
             assert best == alone[1]
         reference = sweep_events(slab[0], slab[1])
         assert np.array_equal(alone[0], np.array(reference[0]))
+        # Both best strips end at a signed-zero border.
+        for slab in (slab, (zero_rows(random.Random(120), 120),
+                            Interval(-5.0, 10.0))):
+            best = NumpySweepBackend().sweep_slabs([slab])[0][1]
+            assert _strip_bytes(NumpySweepBackend().sweep(*slab)) == \
+                _strip_bytes(best)
 
     def test_pure_backend_sweeps_each_slab(self):
         rng = random.Random(9)
@@ -446,10 +490,10 @@ class TestSlabPlanParity:
 
     def _assert_parity(self, records, slab_plans, slab_range=None):
         expected = sweep_events(records, slab_range)[1]
-        for backend in (NumpySweepBackend(), NumpySweepBackend(chunk_hlines=3),
-                        NumpySweepBackend(chunk_hlines=1)):
-            assert backend.sweep(records, slab_range,
-                                 include_records=False) == ([], expected)
+        for rows in (None, 3, 1):
+            with _chunk_hlines(rows):
+                assert NumpySweepBackend().sweep(records, slab_range) \
+                    == expected
         assert min(slabs for slabs, _ in slab_plans) >= 4
 
     def test_ties_across_slab_borders(self, slab_plans):

@@ -66,18 +66,21 @@ class TestCorrectness:
         from repro.core.backends import resolve_backend
 
         backend_type = type(resolve_backend(None))
-        real_sweep = backend_type.sweep
         asked = []
 
-        def spy(self, records, slab_range=None, *, include_records=True):
-            asked.append(include_records)
-            return real_sweep(self, records, slab_range,
-                              include_records=include_records)
+        def spy(name):
+            real = getattr(backend_type, name)
 
-        monkeypatch.setattr(backend_type, "sweep", spy)
+            def call(self, *args):
+                asked.append(name)
+                return real(self, *args)
+            return call
+
+        for name in ("sweep", "sweep_slabs"):
+            monkeypatch.setattr(backend_type, name, spy(name))
         objs = make_objects(300, seed=12, extent=100.0)
         result = ExactMaxRS(EMContext(), 9.0, 6.0).solve(objs)
-        assert asked == [False]
+        assert asked == ["sweep"]
         assert (result.leaf_count, result.recursion_levels) == (1, 0)
         reference = solve_in_memory(objs, 9.0, 6.0)
         assert (result.region, result.total_weight) == \
