@@ -116,8 +116,9 @@ examples:
 
 # The full local gate: tier-1 tests, the perf-regression gate over the
 # checked-in BENCH_*.json trajectory, and an examples smoke run of the
-# service/observability walkthroughs.
+# service, snapshot and observability walkthroughs.
 verify: test bench-gate
 	$(PYTHON) examples/query_service.py
+	$(PYTHON) examples/persistent_service.py
 	$(PYTHON) examples/traced_query.py
 	$(PYTHON) examples/health_monitor.py

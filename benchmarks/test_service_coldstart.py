@@ -9,8 +9,8 @@ process restart:
   (snapshot, fingerprint, grid build) and answers the working set with cold
   caches, re-running every pruned exact sweep;
 * **warm start** -- ``MaxRSEngine(persist_dir=...)`` restores the snapshot
-  catalog (columns, grid aggregates, hot results) and answers the same
-  working set.
+  catalog (point columns and hot results; each grid is rebuilt from the
+  columns) and answers the same working set.
 
 Both must return bit-identical refined answers; the warm start must win by
 >= 5x at (near-)paper scale.  Snapshot traffic is charged through the EM
@@ -104,8 +104,7 @@ def test_coldstart_vs_warmstart(scale, report, artefact_dir, tmp_path):
         f"(|O|={cardinality}, {len(specs)} refined queries):\n"
         f"  cold re-ingest + cold solve : {cold_seconds:8.3f} s\n"
         f"  warm start from snapshots   : {warm_seconds:8.3f} s "
-        f"({warm_stats['grids_restored']} grid(s), "
-        f"{warm_stats['results_restored']} hot result(s) restored)\n"
+        f"({warm_stats['results_restored']} hot result(s) restored)\n"
         f"  speedup: {speedup:6.1f}x\n"
         f"  snapshot I/O: save {save_io['block_writes']} block writes, "
         f"restore {warm_stats['io']['block_reads']} block reads "
@@ -121,7 +120,6 @@ def test_coldstart_vs_warmstart(scale, report, artefact_dir, tmp_path):
         latency=warm.stats()["latency"],
         extra={"save_block_writes": save_io["block_writes"],
                "restore_block_reads": warm_stats["io"]["block_reads"],
-               "grids_restored": warm_stats["grids_restored"],
                "results_restored": warm_stats["results_restored"]})
     # Acceptance: >= 5x at (near-)paper scale.  Tiny presets register so
     # little data that fixed restore overhead dominates; there only the

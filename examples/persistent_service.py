@@ -3,11 +3,11 @@
 
 A resident engine used to lose every registered dataset on restart and pay
 ingestion again.  With ``MaxRSEngine(persist_dir=...)`` registration writes
-the dataset's packed columns -- and its grid-index aggregates -- through to a
-:mod:`repro.persist` snapshot store, ``engine.checkpoint()`` spills the hot
-refined answers, and a freshly constructed engine pointed at the same
-directory restores catalog, grids and warm cache, re-serving immediately
-with bit-identical refined answers.
+the dataset's packed columns through to a :mod:`repro.persist` snapshot
+store, ``engine.checkpoint()`` spills the hot refined answers, and a freshly
+constructed engine pointed at the same directory restores the catalog and
+the warm cache -- rebuilding each grid index from the verified columns --
+and re-serves immediately with bit-identical refined answers.
 
 Every byte of snapshot traffic flows through the simulated external-memory
 substrate (:mod:`repro.em`), so the demo can report persistence cost the way
@@ -74,8 +74,7 @@ def main() -> None:
         manifest = catalog.get("city")
         print(f"catalog                : {len(catalog)} dataset(s); 'city' -> "
               f"{manifest.count} points, fingerprint "
-              f"{manifest.fingerprint[:12]}..., grid "
-              f"{manifest.grid.n_rows}x{manifest.grid.n_cols}")
+              f"{manifest.fingerprint[:12]}...")
 
         # --- The process "restarts": all resident state is gone. -------- #
         del engine
@@ -89,7 +88,6 @@ def main() -> None:
         print(f"warm-start restore     : {restore_seconds:6.3f} s "
               f"({stats['io']['block_reads']} block reads, "
               f"{stats['datasets_restored']} dataset(s), "
-              f"{stats['grids_restored']} grid(s), "
               f"{stats['results_restored']} hot result(s))")
         print(f"re-served answer       : weight {after.total_weight:.0f} "
               f"at {after.location}")

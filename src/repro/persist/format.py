@@ -3,10 +3,10 @@
 Two kinds of files live in a persist directory (see the package docstring in
 :mod:`repro.persist` for the full layout):
 
-* **Blob files** (``*.points``, ``*.grid``) hold the raw blocks of one
-  columnar :class:`~repro.em.record_file.RecordFile`, exactly as they existed
-  on the simulated :class:`~repro.em.device.BlockDevice`, behind a fixed
-  64-byte header::
+* **Blob files** (``*.points``, ``*.results``) hold the raw blocks of one
+  :class:`~repro.em.record_file.RecordFile`, exactly as they existed on the
+  simulated :class:`~repro.em.device.BlockDevice`, behind a fixed 64-byte
+  header::
 
       magic (8 B) | block_size (u64) | num_blocks (u64) | num_records (u64)
                   | sha256 of the padded block payload (32 B)
@@ -19,10 +19,16 @@ Two kinds of files live in a persist directory (see the package docstring in
 
 * **The catalog** (``catalog.json``) is the manifest: a versioned JSON
   document mapping every ``dataset_id`` to its fingerprint, record counts,
-  codec name, blob file names and (optionally) the persisted grid-index
-  geometry.  The catalog is rewritten atomically (temp file + ``os.replace``)
-  on every save or delete, so a crash mid-write never leaves a half-updated
-  manifest -- at worst an orphaned blob, which a later save overwrites.
+  codec name and blob file names.  The catalog is rewritten atomically (temp
+  file + ``os.replace``) on every save or delete, so a crash mid-write never
+  leaves a half-updated manifest -- at worst an orphaned blob, which a later
+  save overwrites.  Every blob name a catalog lists must be a bare file name:
+  the store reads and unlinks them inside its own directory only.
+
+Grid indexes are not persisted: a restart rebuilds each grid from the
+verified points (see :mod:`repro.persist`).  Catalogs of earlier builds list
+grid blobs under a ``grid`` object; their names are read only so the store
+can delete those blobs on its next catalog write.
 
 This module knows nothing about the service layer: it deals in numpy columns,
 dataclasses and bytes.
@@ -52,11 +58,6 @@ __all__ = [
     "POINTS_CODEC_NAME",
     "RESULT_CODEC",
     "DatasetManifest",
-    "GridLevelManifest",
-    "GridLevelSnapshot",
-    "GridManifest",
-    "GridShardManifest",
-    "GridSnapshot",
     "SnapshotCatalog",
     "fingerprint_columns",
     "load_catalog",
@@ -75,13 +76,11 @@ _BLOB_HEADER = struct.Struct("<8sQQQ32s")
 #: Name of the manifest file inside a persist directory.
 CATALOG_FILENAME = "catalog.json"
 
-#: Catalog format version this build writes.  Version 2 added sharded grid
-#: manifests (one blob per shard); version 3 added grid-pyramid level blobs
-#: (one checksummed blob per coarse level).  This build writes single-blob
-#: grids only.  All three versions are read: a sharded grid entry still
-#: parses, but its grid is rebuilt from the points instead of loaded, and
-#: v1/v2 single-blob grids restore as 1-level (flat) pyramids.
-CATALOG_VERSION = 3
+#: Catalog format version this build writes: entries without a ``grid``
+#: object, which every earlier build reads.  Earlier builds also wrote
+#: version 2 (one grid blob per shard) and version 3 (grid-pyramid level
+#: blobs); this build reads all three and ignores their grid blobs.
+CATALOG_VERSION = 1
 
 #: Catalog format versions this build can read.
 SUPPORTED_CATALOG_VERSIONS = (1, 2, 3)
@@ -194,181 +193,47 @@ def read_blob(path: Path) -> Tuple[int, int, List[bytes]]:
 # ---------------------------------------------------------------------- #
 # Manifest dataclasses
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True, slots=True)
-class GridLevelSnapshot:
-    """The persistable state of one coarse grid-pyramid level (format v3).
+def _blob_name(value: object) -> str:
+    """A blob name read from a catalog, which must be a bare file name.
 
-    ``scale`` base cells fold into one level cell per axis; the aggregate
-    arrays have the level's own (coarser) shape.  Levels are stored as their
-    own checksummed blobs and verified against a fresh roll-up of the level
-    below on load, so a corrupt or stale level can never loosen a bound.
+    The store reads and unlinks catalog-listed blobs inside its own
+    directory, so a name with a directory part (``../victim``, ``/etc/x``)
+    or a special name (``""``, ``"."``, ``".."``) is a malformed entry.
     """
-
-    scale: int
-    n_rows: int
-    n_cols: int
-    cell_weights: np.ndarray  # float64, shape (n_rows, n_cols)
-    cell_counts: np.ndarray   # int64,  shape (n_rows, n_cols)
+    name = str(value)
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(f"blob name {name!r} is not a bare file name")
+    return name
 
 
-@dataclass(frozen=True, slots=True)
-class GridSnapshot:
-    """The persistable state of one :class:`~repro.service.grid_index.GridIndex`.
+def _legacy_grid_files(grid: object) -> Tuple[str, ...]:
+    """The blob names a ``grid`` object of an earlier build lists.
 
-    Geometry plus the per-cell aggregates (base grid and, since format v3,
-    the coarse pyramid levels).  The CSR point lists and the prefix-sum
-    tables are *not* persisted -- they are rebuilt from the point columns in
-    vectorised time on load, and recomputing the per-cell counts doubles as
-    a structural consistency check against the persisted ones.
+    Version 1 named one blob (``file``), version 2 one per shard
+    (``shards[].file``) and version 3 one per pyramid level
+    (``levels[].file``).  Nothing else of the object is read.
     """
-
-    n_rows: int
-    n_cols: int
-    x0: float
-    y0: float
-    cell_w: float
-    cell_h: float
-    cell_weights: np.ndarray  # float64, shape (n_rows, n_cols)
-    cell_counts: np.ndarray   # int64,  shape (n_rows, n_cols)
-    levels: Tuple[GridLevelSnapshot, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class GridShardManifest:
-    """Catalog entry describing one shard's grid blob and cell block.
-
-    Earlier builds saved a grid as one blob per shard.  This build no longer
-    writes or reads those blobs, but still parses, lists and re-serialises
-    the entry, so a catalog holding one keeps working (see
-    :attr:`GridManifest.shards`).
-    """
-
-    file: str
-    row0: int
-    row1: int
-    col0: int
-    col1: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {"file": self.file, "row0": self.row0, "row1": self.row1,
-                "col0": self.col0, "col1": self.col1}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "GridShardManifest":
-        try:
-            return cls(file=str(data["file"]),
-                       row0=int(data["row0"]), row1=int(data["row1"]),
-                       col0=int(data["col0"]), col1=int(data["col1"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistError(f"malformed grid shard manifest entry: {exc}") from exc
-
-
-@dataclass(frozen=True, slots=True)
-class GridLevelManifest:
-    """Catalog entry describing one pyramid level's blob (format v3)."""
-
-    file: str
-    scale: int
-    n_rows: int
-    n_cols: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {"file": self.file, "scale": self.scale,
-                "n_rows": self.n_rows, "n_cols": self.n_cols}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "GridLevelManifest":
-        try:
-            return cls(file=str(data["file"]), scale=int(data["scale"]),
-                       n_rows=int(data["n_rows"]), n_cols=int(data["n_cols"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistError(f"malformed grid level manifest entry: {exc}") from exc
-
-
-@dataclass(frozen=True, slots=True)
-class GridManifest:
-    """Catalog entry describing one persisted grid index.
-
-    Two base layouts share this entry: the version-1 single-blob grid
-    (``file`` set, ``shards`` ``None``) and the version-2 sharded grid
-    (``shards`` set, ``file`` ``None``).  Exactly one of the two must be
-    present.  This build writes the single-blob layout only; a sharded
-    entry from an earlier build still parses and lists its blobs, and the
-    engine rebuilds its grid on restore.  ``levels`` (format v3) is
-    orthogonal to the base layout: either may carry level blobs (finest
-    first).
-    """
-
-    file: Optional[str]
-    n_rows: int
-    n_cols: int
-    x0: float
-    y0: float
-    cell_w: float
-    cell_h: float
-    shards: Optional[Tuple[GridShardManifest, ...]] = None
-    levels: Optional[Tuple[GridLevelManifest, ...]] = None
-
-    def files(self) -> Tuple[str, ...]:
-        """Every blob file this grid entry references."""
-        base: Tuple[str, ...]
-        if self.shards is not None:
-            base = tuple(shard.file for shard in self.shards)
-        else:
-            base = (self.file,) if self.file is not None else ()
-        if self.levels:
-            base += tuple(level.file for level in self.levels)
-        return base
-
-    def to_json(self) -> Dict[str, object]:
-        document: Dict[str, object] = {
-            "file": self.file, "n_rows": self.n_rows, "n_cols": self.n_cols,
-            "x0": self.x0, "y0": self.y0,
-            "cell_w": self.cell_w, "cell_h": self.cell_h,
-        }
-        if self.shards is not None:
-            document["shards"] = [shard.to_json() for shard in self.shards]
-        if self.levels:
-            document["levels"] = [level.to_json() for level in self.levels]
-        return document
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "GridManifest":
-        try:
-            raw_shards = data.get("shards")
-            shards = None
-            if raw_shards is not None:
-                if not isinstance(raw_shards, list) or not raw_shards:
-                    raise ValueError("'shards' must be a non-empty list")
-                shards = tuple(GridShardManifest.from_json(entry)
-                               for entry in raw_shards)
-            raw_levels = data.get("levels")
-            levels = None
-            if raw_levels is not None:
-                if not isinstance(raw_levels, list) or not raw_levels:
-                    raise ValueError("'levels' must be a non-empty list")
-                levels = tuple(GridLevelManifest.from_json(entry)
-                               for entry in raw_levels)
-            raw_file = data.get("file")
-            file = str(raw_file) if raw_file is not None else None
-            if (file is None) == (shards is None):
-                raise ValueError(
-                    "exactly one of 'file' and 'shards' must be present"
-                )
-            return cls(file=file,
-                       n_rows=int(data["n_rows"]), n_cols=int(data["n_cols"]),
-                       x0=float(data["x0"]), y0=float(data["y0"]),
-                       cell_w=float(data["cell_w"]), cell_h=float(data["cell_h"]),
-                       shards=shards, levels=levels)
-        except PersistError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistError(f"malformed grid manifest entry: {exc}") from exc
+    if not isinstance(grid, dict):
+        raise ValueError("'grid' must be an object")
+    names = [grid["file"]] if grid.get("file") is not None else []
+    for key in ("shards", "levels"):
+        entries = grid.get(key)
+        if entries is None:
+            continue
+        if not isinstance(entries, list):
+            raise ValueError(f"'grid.{key}' must be a list")
+        names.extend(entry["file"] for entry in entries)
+    return tuple(_blob_name(name) for name in names)
 
 
 @dataclass(frozen=True, slots=True)
 class DatasetManifest:
-    """Catalog entry describing one persisted dataset snapshot."""
+    """Catalog entry describing one persisted dataset snapshot.
+
+    ``legacy_grid_files`` lists the grid blobs an earlier build's entry
+    names.  It is never written back: the store drops it, and unlinks the
+    blobs, on its next catalog write.
+    """
 
     dataset_id: str
     fingerprint: str
@@ -377,9 +242,14 @@ class DatasetManifest:
     codec: str
     block_size: int
     points_file: str
-    grid: Optional[GridManifest] = None
     results_file: Optional[str] = None
     results_count: int = 0
+    legacy_grid_files: Tuple[str, ...] = ()
+
+    def files(self) -> Tuple[str, ...]:
+        """Every blob file this entry references."""
+        results = (self.results_file,) if self.results_file is not None else ()
+        return (self.points_file,) + results + self.legacy_grid_files
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -389,7 +259,6 @@ class DatasetManifest:
             "codec": self.codec,
             "block_size": self.block_size,
             "points_file": self.points_file,
-            "grid": self.grid.to_json() if self.grid is not None else None,
             "results_file": self.results_file,
             "results_count": self.results_count,
         }
@@ -397,7 +266,9 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, dataset_id: str, data: Dict[str, object]) -> "DatasetManifest":
         try:
-            grid_data = data.get("grid")
+            if not isinstance(data, dict):
+                raise TypeError("the entry is not a JSON object")
+            grid = data.get("grid")
             results_file = data.get("results_file")
             return cls(
                 dataset_id=dataset_id,
@@ -406,10 +277,11 @@ class DatasetManifest:
                 total_weight=float(data["total_weight"]),
                 codec=str(data["codec"]),
                 block_size=int(data["block_size"]),
-                points_file=str(data["points_file"]),
-                grid=GridManifest.from_json(grid_data) if grid_data else None,
-                results_file=str(results_file) if results_file else None,
+                points_file=_blob_name(data["points_file"]),
+                results_file=(_blob_name(results_file)
+                              if results_file is not None else None),
                 results_count=int(data.get("results_count", 0)),
+                legacy_grid_files=_legacy_grid_files(grid) if grid else (),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistError(
@@ -438,16 +310,9 @@ class SnapshotCatalog:
         Datasets with identical content share blob files, so deletion must
         check for remaining references before unlinking.
         """
-        for dataset_id, manifest in self.datasets.items():
-            if dataset_id == excluding:
-                continue
-            if manifest.points_file == file_name:
-                return True
-            if manifest.grid is not None and file_name in manifest.grid.files():
-                return True
-            if manifest.results_file == file_name:
-                return True
-        return False
+        return any(file_name in manifest.files()
+                   for dataset_id, manifest in self.datasets.items()
+                   if dataset_id != excluding)
 
 
 def load_catalog(directory: Path) -> SnapshotCatalog:
@@ -486,24 +351,12 @@ def load_catalog(directory: Path) -> SnapshotCatalog:
 def save_catalog(directory: Path, catalog: SnapshotCatalog) -> None:
     """Atomically rewrite the catalog of a persist directory.
 
-    The stamped format version is the *lowest* one that can express the
-    catalog: a store whose grids are all single-blob (or absent) is written
-    as version 1, so it stays readable by pre-sharding builds after a
-    rollback; a catalog still holding a sharded grid entry of an earlier
-    build but no pyramid levels is stamped version 2, and only one actually
-    carrying level blobs is stamped version 3.
+    Always stamps :data:`CATALOG_VERSION` and writes no ``grid`` object, so
+    the catalog stays readable by every earlier build after a rollback.
     """
     path = Path(directory) / CATALOG_FILENAME
-    grids = [manifest.grid for manifest in catalog.datasets.values()
-             if manifest.grid is not None]
-    if any(grid.levels for grid in grids):
-        version = CATALOG_VERSION
-    elif any(grid.shards is not None for grid in grids):
-        version = 2
-    else:
-        version = 1
     document = {
-        "format_version": version,
+        "format_version": CATALOG_VERSION,
         "datasets": {dataset_id: manifest.to_json()
                      for dataset_id, manifest in sorted(catalog.datasets.items())},
     }

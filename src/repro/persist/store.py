@@ -18,6 +18,12 @@ are already "on disk"), and reads them through the buffer pool, charging one
 block read each.  Fingerprints are recomputed from the decoded columns on
 every load, so a snapshot that decodes differently than it was saved is
 rejected rather than served.
+
+Only what cannot be recomputed is saved: a dataset's point columns and its
+checkpointed results.  Every catalog write goes through one helper, which
+also drops the grid blobs that catalogs of earlier builds list and deletes
+them once nothing references them; read-only use (:func:`open_catalog`,
+``load_dataset``) never writes or deletes anything.
 """
 
 from __future__ import annotations
@@ -42,10 +48,6 @@ from repro.persist.format import (
     POINTS_CODEC_NAME,
     RESULT_CODEC,
     DatasetManifest,
-    GridLevelManifest,
-    GridLevelSnapshot,
-    GridManifest,
-    GridSnapshot,
     SnapshotCatalog,
     fingerprint_columns,
     load_catalog,
@@ -70,22 +72,12 @@ def open_catalog(persist_dir) -> SnapshotCatalog:
 
 @dataclass(frozen=True, slots=True)
 class LoadedSnapshot:
-    """One dataset read back from the snapshot store.
-
-    ``grid`` is ``None`` when no grid was persisted *or* when the persisted
-    grid could not be loaded: a blob that failed verification, or a grid
-    saved in the sharded layout of earlier builds.  A grid that could not be
-    loaded also sets ``grid_error`` so callers can report the fallback; the
-    point columns themselves are always fingerprint-verified or the load
-    raises.
-    """
+    """One dataset read back from the snapshot store (fingerprint-verified)."""
 
     manifest: DatasetManifest
     xs: np.ndarray
     ys: np.ndarray
     ws: np.ndarray
-    grid: Optional[GridSnapshot]
-    grid_error: Optional[str] = None
 
     def objects(self) -> List[WeightedPoint]:
         """Materialise the snapshot as a list of weighted points."""
@@ -141,39 +133,17 @@ class SnapshotStore:
     # Saving
     # ------------------------------------------------------------------ #
     def save_dataset(self, dataset_id: str, xs: np.ndarray, ys: np.ndarray,
-                     ws: np.ndarray, *,
-                     grid: Optional[GridSnapshot] = None) -> DatasetManifest:
-        """Persist one dataset's columns (and optionally its grid aggregates).
+                     ws: np.ndarray) -> DatasetManifest:
+        """Persist one dataset's point columns as one blob.
 
-        ``grid`` is persisted as one blob (the format-v1 layout) plus one
-        checksummed blob per pyramid level (format v3).  Overwrites any
-        existing snapshot under ``dataset_id``; blobs of the old snapshot
-        that nothing references any more are deleted.  Returns the new
-        manifest; the catalog file is rewritten atomically.
+        Overwrites any existing snapshot under ``dataset_id``; blobs of the
+        old snapshot that nothing references any more are deleted.  Returns
+        the new manifest; the catalog file is rewritten atomically.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         fingerprint = fingerprint_columns(xs, ys, ws)
-        stem = fingerprint[:16]
-        points_file = f"{stem}.points"
+        points_file = f"{fingerprint[:16]}.points"
         self._write_columns(points_file, [xs, ys, ws])
-
-        grid_manifest = None
-        if grid is not None:
-            # The resolution is part of the stem: byte-identical datasets
-            # share points blobs, but grids indexed at different resolutions
-            # are different content and must not clobber each other.
-            grid_file = f"{stem}-{grid.n_rows}x{grid.n_cols}.grid"
-            self._write_columns(
-                grid_file,
-                [grid.cell_weights.ravel(),
-                 grid.cell_counts.ravel().astype(np.float64)],
-            )
-            grid_manifest = GridManifest(
-                file=grid_file, n_rows=grid.n_rows, n_cols=grid.n_cols,
-                x0=grid.x0, y0=grid.y0,
-                cell_w=grid.cell_w, cell_h=grid.cell_h,
-                levels=self._save_grid_levels(stem, grid),
-            )
 
         # Re-saving byte-identical data keeps any persisted results (they are
         # keyed by the fingerprint and still valid); a new fingerprint drops
@@ -188,41 +158,12 @@ class SnapshotStore:
             codec=POINTS_CODEC_NAME,
             block_size=self.context.config.block_size,
             points_file=points_file,
-            grid=grid_manifest,
             results_file=previous.results_file if same_data else None,
             results_count=previous.results_count if same_data else 0,
         )
         self.catalog.datasets[dataset_id] = manifest
-        save_catalog(self.root, self.catalog)
-        if previous is not None:
-            self._remove_orphaned_blobs(previous)
+        self._commit(previous)
         return manifest
-
-    def _save_grid_levels(self, stem: str,
-                          grid: GridSnapshot) -> Optional[tuple]:
-        """Write one aggregate blob per pyramid level (format v3).
-
-        Level blobs reuse the grid blob layout (weights column, counts
-        column) behind the same checksummed header, so every level gets its
-        own integrity check.  The name carries the *base* resolution plus the
-        level scale and shape: the same data rolled up under a different
-        pyramid configuration is different content.
-        """
-        if not grid.levels:
-            return None
-        manifests = []
-        for level in grid.levels:
-            level_file = (f"{stem}-{grid.n_rows}x{grid.n_cols}"
-                          f"-L{level.scale}-{level.n_rows}x{level.n_cols}.grid")
-            self._write_columns(
-                level_file,
-                [level.cell_weights.ravel(),
-                 level.cell_counts.ravel().astype(np.float64)],
-            )
-            manifests.append(GridLevelManifest(
-                file=level_file, scale=level.scale,
-                n_rows=level.n_rows, n_cols=level.n_cols))
-        return tuple(manifests)
 
     def save_results(self, dataset_id: str,
                      records: List[tuple]) -> DatasetManifest:
@@ -243,7 +184,6 @@ class SnapshotStore:
         if not records and manifest.results_file is None:
             return manifest  # nothing persisted, nothing to clear
         self.root.mkdir(parents=True, exist_ok=True)
-        previous = manifest
         results_file: Optional[str] = None
         if records:
             # Unlike points blobs, results are per-dataset-id state (each id
@@ -252,15 +192,10 @@ class SnapshotStore:
             id_hash = hashlib.sha256(dataset_id.encode("utf-8")).hexdigest()[:8]
             results_file = f"{manifest.fingerprint[:16]}-{id_hash}.results"
             self._write_records(results_file, RESULT_CODEC, records)
-        manifest = dataclasses.replace(manifest, results_file=results_file,
-                                       results_count=len(records))
-        self.catalog.datasets[dataset_id] = manifest
-        save_catalog(self.root, self.catalog)
-        if previous.results_file is not None \
-                and previous.results_file != results_file \
-                and not self.catalog.references(previous.results_file):
-            (self.root / previous.results_file).unlink(missing_ok=True)
-        return manifest
+        self.catalog.datasets[dataset_id] = dataclasses.replace(
+            manifest, results_file=results_file, results_count=len(records))
+        self._commit(manifest)
+        return self.catalog.datasets[dataset_id]
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -299,10 +234,6 @@ class SnapshotStore:
         PersistError
             When the dataset is not in the catalog, was written with an
             incompatible codec or block size, or its points blob is corrupt.
-            A corrupt *grid* blob, or a grid in the sharded layout of
-            earlier builds, does not raise: the points still verify, so the
-            snapshot is returned with ``grid=None`` and the reason recorded
-            in ``grid_error`` (callers rebuild the index).
         """
         manifest = self.catalog.get(dataset_id)
         if manifest is None:
@@ -331,16 +262,7 @@ class SnapshotStore:
                 f"{fingerprint[:12]}..., catalog says "
                 f"{manifest.fingerprint[:12]}...; rejecting the corrupt snapshot"
             )
-
-        grid: Optional[GridSnapshot] = None
-        grid_error: Optional[str] = None
-        if manifest.grid is not None:
-            try:
-                grid = self._load_grid(dataset_id, manifest.grid)
-            except PersistError as exc:
-                grid_error = str(exc)
-        return LoadedSnapshot(manifest=manifest, xs=xs, ys=ys, ws=ws,
-                              grid=grid, grid_error=grid_error)
+        return LoadedSnapshot(manifest=manifest, xs=xs, ys=ys, ws=ws)
 
     # ------------------------------------------------------------------ #
     # Deletion
@@ -355,8 +277,7 @@ class SnapshotStore:
         manifest = self.catalog.datasets.pop(dataset_id, None)
         if manifest is None:
             return False
-        save_catalog(self.root, self.catalog)
-        self._remove_orphaned_blobs(manifest)
+        self._commit(manifest)
         return True
 
     # ------------------------------------------------------------------ #
@@ -469,80 +390,22 @@ class SnapshotStore:
                                  record_size=COLUMN_CODEC.record_size)
         return np.frombuffer(data, dtype="<f8")
 
-    def _load_grid(self, dataset_id: str, manifest: GridManifest
-                   ) -> GridSnapshot:
-        if manifest.shards is not None:
-            raise PersistError(
-                f"grid of {dataset_id!r} was saved as one blob per shard by "
-                "an earlier build; this build rebuilds it from the points")
-        weights, counts = self._read_grid_blob(
-            dataset_id, manifest.file, manifest.n_rows, manifest.n_cols)
-        return GridSnapshot(
-            n_rows=manifest.n_rows, n_cols=manifest.n_cols,
-            x0=manifest.x0, y0=manifest.y0,
-            cell_w=manifest.cell_w, cell_h=manifest.cell_h,
-            cell_weights=weights, cell_counts=counts,
-            levels=self._load_grid_levels(dataset_id, manifest),
-        )
+    def _commit(self, dropped: Optional[DatasetManifest]) -> None:
+        """Rewrite the catalog, then unlink the blobs nothing references.
 
-    def _load_grid_levels(self, dataset_id: str, manifest: GridManifest
-                          ) -> tuple:
-        """Read the pyramid level blobs back (empty for v1/v2 manifests).
-
-        A missing or corrupt level blob raises
-        :class:`~repro.errors.PersistError`, which the caller surfaces as
-        ``grid_error`` -- the whole index is rebuilt rather than served with
-        an unverifiable level.  Roll-up consistency against the base
-        aggregates is re-checked at adoption time (``adopt_pyramid``).
+        The one place catalogs are written.  ``dropped`` is the entry the
+        caller just replaced or removed; its blobs are candidates for
+        deletion.  So is every grid blob that an entry of an earlier build
+        still lists: the names are dropped from the catalog written here, and
+        the blobs are unlinked once that catalog is in place.
         """
-        if not manifest.levels:
-            return ()
-        levels = []
-        for level in manifest.levels:
-            if level.n_rows < 1 or level.n_cols < 1 or level.scale < 2:
-                raise PersistError(
-                    f"grid level of {dataset_id!r} has degenerate shape "
-                    f"{level.n_rows} x {level.n_cols} at scale {level.scale}"
-                )
-            weights, counts = self._read_grid_blob(
-                dataset_id, level.file, level.n_rows, level.n_cols)
-            levels.append(GridLevelSnapshot(
-                scale=level.scale, n_rows=level.n_rows, n_cols=level.n_cols,
-                cell_weights=weights, cell_counts=counts))
-        return tuple(levels)
-
-    def _read_grid_blob(self, dataset_id: str, file_name: str,
-                        n_rows: int, n_cols: int):
-        """Read one grid aggregate blob (weights column, counts column)."""
-        flat = self._read_columns(file_name,
-                                  expected_block_size=self.catalog.datasets[
-                                      dataset_id].block_size)
-        num_cells = n_rows * n_cols
-        if len(flat) != 2 * num_cells:
-            raise PersistError(
-                f"grid blob {file_name} of {dataset_id!r} holds {len(flat)} "
-                f"values, expected {2 * num_cells}"
-            )
-        weights = flat[:num_cells].copy().reshape(n_rows, n_cols)
-        counts_f = flat[num_cells:]
-        counts = counts_f.astype(np.int64)
-        if not np.array_equal(counts_f, counts.astype(np.float64)):
-            raise PersistError(
-                f"grid blob {file_name} of {dataset_id!r} holds non-integral "
-                "cell counts; rejecting the corrupt grid snapshot"
-            )
-        return weights, counts.reshape(n_rows, n_cols)
-
-    def _remove_orphaned_blobs(self, manifest: DatasetManifest) -> None:
-        """Unlink the blob files of a dropped manifest if nothing shares them."""
-        candidates = [manifest.points_file]
-        if manifest.grid is not None:
-            candidates.extend(manifest.grid.files())
-        if manifest.results_file is not None:
-            candidates.append(manifest.results_file)
+        candidates = list(dropped.files()) if dropped is not None else []
+        for dataset_id, manifest in list(self.catalog.datasets.items()):
+            if manifest.legacy_grid_files:
+                candidates.extend(manifest.legacy_grid_files)
+                self.catalog.datasets[dataset_id] = dataclasses.replace(
+                    manifest, legacy_grid_files=())
+        save_catalog(self.root, self.catalog)
         for file_name in candidates:
             if not self.catalog.references(file_name):
-                try:
-                    (self.root / file_name).unlink()
-                except FileNotFoundError:
-                    pass
+                (self.root / file_name).unlink(missing_ok=True)

@@ -18,10 +18,11 @@ many queries* with varying rectangle / circle sizes:
   the façade tying the pieces together (``register_dataset`` / ``query`` /
   ``query_batch`` / ``stats``).
 
-Constructed with ``persist_dir=...`` the engine is durable: datasets and
-grid aggregates are written through to a :mod:`repro.persist` snapshot store
+Constructed with ``persist_dir=...`` the engine is durable: datasets' point
+columns are written through to a :mod:`repro.persist` snapshot store
 (block-accounted through :mod:`repro.em`), and a restarted engine restores
-the catalog and re-serves without re-ingesting.
+the catalog, rebuilds each grid index from the verified columns and
+re-serves without re-ingesting.
 
 For concurrent serving -- many clients, request coalescing, backpressure, a
 network protocol -- see the asyncio front-end in :mod:`repro.aio`; it wraps

@@ -26,12 +26,13 @@ engine's **long-lived** thread pool, which the async front-end
 as a context manager) shuts it down.
 
 With ``persist_dir=...`` the engine is additionally **durable**: registered
-datasets (and their grid aggregates) are written through to a
+datasets' point columns are written through to a
 :class:`~repro.persist.SnapshotStore`, the catalog is restored on
-construction, and a restarted engine re-serves every previously registered
-dataset -- bit-identical refined answers -- without re-ingesting.  All
-snapshot I/O flows through the EM substrate and is reported, in block
-transfers, by :meth:`MaxRSEngine.stats`.
+construction (each grid index is rebuilt from the verified points, exactly
+as registration builds it), and a restarted engine re-serves every
+previously registered dataset -- bit-identical refined answers -- without
+re-ingesting.  All snapshot I/O flows through the EM substrate and is
+reported, in block transfers, by :meth:`MaxRSEngine.stats`.
 """
 
 from __future__ import annotations
@@ -221,19 +222,16 @@ class MaxRSEngine:
     persist_dir:
         Directory for durable dataset snapshots (:mod:`repro.persist`).  When
         given, the snapshot catalog found there is restored on construction
-        (every restorable dataset is registered and indexed again, ready to
-        serve), ``register_dataset`` writes new datasets through by default,
-        and ``unregister_dataset`` drops their snapshots.  Datasets whose
+        (every restorable dataset is registered and its grid index built
+        at this engine's resolution, ready to serve), ``register_dataset``
+        writes new datasets' point columns through by default, and
+        ``unregister_dataset`` drops their snapshots.  Datasets whose
         snapshots fail verification are skipped and reported under
-        ``stats()["persist"]["restore_errors"]``.
+        ``stats()["persist"]["restore_errors"]``; registering one again
+        saves it again.
     persist_config:
         External-memory configuration (block size / buffer size) for the
         snapshot store's accounting substrate; defaults to the paper's.
-    persist_grid:
-        Whether write-through saves include the grid-index aggregates
-        (default ``True``; costs roughly as many blocks as the points but
-        lets a restart adopt the exact serving resolution instead of
-        re-deriving it).
     tracer:
         Query tracing (:mod:`repro.obs`): a :class:`~repro.obs.Tracer`, a
         :class:`~repro.obs.TraceRecorder`, a recorder name (``"ring"`` /
@@ -282,7 +280,6 @@ class MaxRSEngine:
                  sweep_backend: BackendSpec = None,
                  persist_dir: Union[str, os.PathLike, None] = None,
                  persist_config: Optional[EMConfig] = None,
-                 persist_grid: bool = True,
                  tracer: Union[None, str, obs.Tracer,
                                obs.TraceRecorder] = None,
                  slo: Union[None, obs.SLOTracker,
@@ -321,7 +318,6 @@ class MaxRSEngine:
         self._max_cells_per_side = max_cells_per_side
         self._pyramid_levels = pyramid_levels
         self._grids: Dict[str, Optional[GridIndex]] = {}
-        self._persist_grid = persist_grid
         self._restore_errors: Dict[str, str] = {}
         # Per-client accounting: a bounded LRU of client_id -> cumulative
         # ledger, fed by query(client_id=...) and surfaced by stats() and
@@ -475,14 +471,23 @@ class MaxRSEngine:
         return obs.metrics_text(self.metrics, namespace=namespace,
                                 clients=self.client_ledgers())
 
-    def _build_index(self, entry: RegisteredDataset) -> GridIndex:
-        """Build the grid index for one non-empty dataset."""
-        return GridIndex(
-            *entry.columns(),
-            target_points_per_cell=self._target_points_per_cell,
-            max_cells_per_side=self._max_cells_per_side,
-            pyramid_levels=self._pyramid_levels,
-        )
+    def _index(self, dataset_id: str) -> None:
+        """Build a registered dataset's grid index (``None`` when empty).
+
+        Registration and restore both index through here, so a restarted
+        engine serves exactly the grid a fresh registration would build.
+        """
+        entry = self.store.get(dataset_id)
+        grid: Optional[GridIndex] = None
+        if entry.count > 0:
+            with self._stage("grid_build"):
+                grid = GridIndex(
+                    *entry.columns(),
+                    target_points_per_cell=self._target_points_per_cell,
+                    max_cells_per_side=self._max_cells_per_side,
+                    pyramid_levels=self._pyramid_levels,
+                )
+        self._grids[dataset_id] = grid
 
     def _backend_for(self) -> SweepBackend:
         """The sweep backend resolved at construction, for one more sweep.
@@ -553,32 +558,27 @@ class MaxRSEngine:
                 if self.persist is not None and persist is False:
                     self.persist.delete_dataset(handle.dataset_id)
             if handle.dataset_id not in self._grids:
-                entry = self.store.get(handle.dataset_id)
-                grid: Optional[GridIndex] = None
-                if entry.count > 0:
-                    with self._stage("grid_build"):
-                        grid = self._build_index(entry)
-                self._grids[handle.dataset_id] = grid
+                self._index(handle.dataset_id)
             if self.persist is not None and persist is not False:
                 self._persist_dataset(handle)
         return handle
 
     def _persist_dataset(self, handle: DatasetHandle) -> None:
-        """Write one registered dataset through to the snapshot store."""
-        grid = self._grids.get(handle.dataset_id)
-        want_grid = grid is not None and self._persist_grid
-        manifest = self.persist.manifest_for(handle.dataset_id)
+        """Write one registered dataset's columns through to the snapshot store.
+
+        Skipped when the catalog already holds the same fingerprint, unless
+        that snapshot failed to restore: then it is saved again, which
+        clears its restore error.
+        """
+        dataset_id = handle.dataset_id
+        manifest = self.persist.manifest_for(dataset_id)
         if manifest is not None and manifest.fingerprint == handle.fingerprint \
-                and (manifest.grid is not None) == want_grid \
-                and (not want_grid
-                     or _grid_layout_matches(manifest.grid, grid)):
-            return  # identical snapshot (grid coverage and layout) on disk
-        entry = self.store.get(handle.dataset_id)
+                and dataset_id not in self._restore_errors:
+            return  # identical snapshot on disk
+        entry = self.store.get(dataset_id)
         with self._stage("persist_save"):
-            self.persist.save_dataset(
-                handle.dataset_id, entry.xs, entry.ys, entry.ws,
-                grid=grid.snapshot() if want_grid else None,
-            )
+            self.persist.save_dataset(dataset_id, entry.xs, entry.ys, entry.ws)
+        self._restore_errors.pop(dataset_id, None)
         self.metrics.increment("snapshots_saved")
 
     def unregister_dataset(self, dataset: Union[str, DatasetHandle], *,
@@ -694,12 +694,11 @@ class MaxRSEngine:
     def _restore_catalog(self) -> None:
         """Re-register every restorable dataset in the snapshot catalog.
 
+        Each dataset's grid index is built from its fingerprint-verified
+        columns, as registration builds it; the restore writes nothing.
         Corrupt or mismatched snapshots are skipped (recorded in
-        ``stats()["persist"]["restore_errors"]``); a bad grid blob only
-        degrades to an in-memory grid rebuild, never loses the dataset.  So
-        does a grid saved in the sharded layout of earlier builds (one blob
-        per shard), which this build no longer reads: the rebuilt grid is
-        saved back as one blob.
+        ``stats()["persist"]["restore_errors"]``); a corrupt results blob
+        only costs the warm cache, never the dataset.
         """
         for dataset_id in self.persist.dataset_ids():
             try:
@@ -709,32 +708,7 @@ class MaxRSEngine:
                         loaded.xs, loaded.ys, loaded.ws, name=dataset_id,
                         expected_fingerprint=loaded.manifest.fingerprint,
                     )
-                    entry = self.store.get(handle.dataset_id)
-                    grid: Optional[GridIndex] = None
-                    if entry.count > 0:
-                        if loaded.grid is not None:
-                            try:
-                                grid = GridIndex.from_snapshot(
-                                    entry.xs, entry.ys, entry.ws, loaded.grid,
-                                    pyramid_levels=self._pyramid_levels)
-                                self.metrics.increment("grids_restored")
-                            except PersistError:
-                                grid = None
-                                self.metrics.increment("grid_restore_failures")
-                        elif loaded.grid_error is not None:
-                            self.metrics.increment("grid_restore_failures")
-                        if grid is None:
-                            with self._stage("grid_build"):
-                                grid = self._build_index(entry)
-                            if loaded.manifest.grid is not None and self._persist_grid:
-                                # Self-heal: the persisted grid was unusable,
-                                # so replace it with the rebuilt one (results
-                                # survive -- the fingerprint is unchanged).
-                                self.persist.save_dataset(
-                                    dataset_id, entry.xs, entry.ys, entry.ws,
-                                    grid=grid.snapshot())
-                                self.metrics.increment("grids_repaired")
-                    self._grids[handle.dataset_id] = grid
+                    self._index(handle.dataset_id)
                     try:
                         self._restore_results(handle)
                     except PersistError as exc:
@@ -1005,7 +979,6 @@ class MaxRSEngine:
                 "datasets_in_catalog": len(self.persist),
                 "snapshots_saved": snapshot["counters"].get("snapshots_saved", 0),
                 "datasets_restored": snapshot["counters"].get("datasets_restored", 0),
-                "grids_restored": snapshot["counters"].get("grids_restored", 0),
                 "results_saved": snapshot["counters"].get("results_saved", 0),
                 "results_restored": snapshot["counters"].get("results_restored", 0),
                 "restore_errors": dict(self._restore_errors),
@@ -1414,24 +1387,6 @@ def _certified_gap(anchor: float, upper: float) -> float:
     if anchor <= 0.0:
         return math.inf
     return (upper - anchor) / anchor
-
-
-def _grid_layout_matches(grid_manifest, grid: GridIndex) -> bool:
-    """Whether a persisted grid manifest matches an index's exact layout.
-
-    Used by write-through to decide whether a snapshot with the right
-    fingerprint still needs re-saving: an engine re-registering a dataset
-    under a different resolution or pyramid depth must refresh the durable
-    grid, or a restart would adopt a layout the engine no longer serves
-    with.  A grid saved in the sharded layout of earlier builds never
-    matches, so it is rewritten as one blob.
-    """
-    if (grid_manifest.n_rows, grid_manifest.n_cols) != (grid.n_rows,
-                                                        grid.n_cols):
-        return False
-    if len(grid_manifest.levels or ()) != len(grid.levels):
-        return False  # pyramid depth changed: refresh the durable levels
-    return grid_manifest.shards is None
 
 
 def _pool_map(pool: ThreadPoolExecutor, fn: Callable, items: Sequence) -> List:

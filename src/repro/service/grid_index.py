@@ -58,16 +58,15 @@ grid index runs on one thread* in ``docs/service.md``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PersistError
+from repro.errors import ConfigurationError
 from repro.geometry import is_positive_finite
-from repro.persist.format import GridLevelSnapshot, GridSnapshot
 
-__all__ = ["GridGeometry", "GridIndex", "GridLevel", "adopt_pyramid",
-           "build_pyramid", "plan_geometry", "rollup_aggregates"]
+__all__ = ["GridGeometry", "GridIndex", "GridLevel", "build_pyramid",
+           "plan_geometry", "rollup_aggregates"]
 
 #: Relative slack applied when comparing upper bounds against a lower bound,
 #: guarding against prefix-sum rounding pruning a borderline-optimal cell.
@@ -196,64 +195,6 @@ def build_pyramid(cell_weights: np.ndarray, cell_counts: np.ndarray, *,
     return tuple(levels)
 
 
-def adopt_pyramid(cell_weights: np.ndarray, cell_counts: np.ndarray,
-                  level_snaps: Sequence[GridLevelSnapshot], *,
-                  pyramid_levels: Optional[int] = None,
-                  ) -> Tuple[GridLevel, ...]:
-    """Verify persisted pyramid levels against a fresh roll-up, then adopt.
-
-    Each persisted level is checked against the roll-up of the level below
-    it: counts must match exactly, weights to float tolerance (the
-    reshape-sum reduction order may differ across numpy versions).  Any
-    disagreement raises :class:`~repro.errors.PersistError` -- a stale blob
-    must never loosen a bound -- and callers fall back to a full rebuild.
-    The *persisted* arrays are served, so a restarted engine's level bounds
-    are bit-identical to the ones it saved.  A configured ``pyramid_levels``
-    smaller than the persisted depth truncates; snapshots without levels
-    (catalog v1/v2) simply restore as a 1-level pyramid.
-    """
-    if pyramid_levels is not None:
-        level_snaps = level_snaps[:max(0, pyramid_levels - 1)]
-    levels: List[GridLevel] = []
-    weights, counts, scale = cell_weights, cell_counts, 1
-    for snap in level_snaps:
-        weights = rollup_aggregates(weights)
-        counts = rollup_aggregates(counts)
-        scale *= 2
-        persisted_w = np.asarray(snap.cell_weights, dtype=np.float64)
-        persisted_c = np.asarray(snap.cell_counts, dtype=np.int64)
-        if (int(snap.scale) != scale or persisted_w.shape != weights.shape
-                or persisted_c.shape != counts.shape):
-            raise PersistError(
-                f"persisted pyramid level has scale {snap.scale} and shape "
-                f"{persisted_w.shape}, expected scale {scale} and "
-                f"{weights.shape}")
-        if not np.array_equal(persisted_c, counts):
-            raise PersistError(
-                "persisted pyramid level counts disagree with the roll-up "
-                "of the level below; the snapshot is stale or corrupt")
-        tolerance = 1e-9 * max(1.0, float(np.abs(weights).max(initial=0.0)))
-        if not np.allclose(persisted_w, weights, rtol=0.0, atol=tolerance):
-            raise PersistError(
-                "persisted pyramid level weights disagree with the roll-up "
-                "of the level below; the snapshot is stale or corrupt")
-        levels.append(GridLevel(scale, persisted_w, persisted_c))
-        weights, counts = persisted_w, persisted_c
-    return tuple(levels)
-
-
-def snapshot_levels(levels: Sequence[GridLevel]) -> Tuple[GridLevelSnapshot, ...]:
-    """The persistable form of a pyramid (heap copies, finest first)."""
-    return tuple(
-        GridLevelSnapshot(
-            scale=level.scale, n_rows=level.n_rows, n_cols=level.n_cols,
-            cell_weights=np.array(level.cell_weights, dtype=np.float64),
-            cell_counts=np.array(level.cell_counts, dtype=np.int64),
-        )
-        for level in levels
-    )
-
-
 class GridGeometry(NamedTuple):
     """The fixed frame of a grid index: resolution, origin and cell sizes."""
 
@@ -349,93 +290,6 @@ class GridIndex:
         #: than the base); empty for a flat grid.
         self.levels = build_pyramid(self.cell_weights, self.cell_counts,
                                     pyramid_levels=pyramid_levels)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> GridSnapshot:
-        """The persistable state of this index: geometry + cell aggregates.
-
-        The per-point cell ids and the prefix-sum tables are derived data
-        and are rebuilt (vectorised) by :meth:`from_snapshot`; only what
-        cannot be reproduced bit-identically from the point columns alone --
-        the chosen resolution and the aggregate tables, base and pyramid
-        levels alike -- is part of the snapshot.
-        """
-        return GridSnapshot(
-            n_rows=self.n_rows, n_cols=self.n_cols,
-            x0=self.x0, y0=self.y0,
-            cell_w=self.cell_w, cell_h=self.cell_h,
-            cell_weights=self.cell_weights.copy(),
-            cell_counts=self.cell_counts.astype(np.int64),
-            levels=snapshot_levels(self.levels),
-        )
-
-    @classmethod
-    def from_snapshot(cls, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
-                      snap: GridSnapshot, *,
-                      pyramid_levels: Optional[int] = None) -> "GridIndex":
-        """Rebuild an index from persisted aggregates, verifying consistency.
-
-        The persisted geometry is adopted verbatim -- a restarted engine
-        prunes with *exactly* the resolution it served before, even if the
-        sizing heuristic changes between versions.  The per-cell point counts
-        are recomputed from the columns and must match the persisted ones
-        exactly; the persisted weights must agree with the recomputed ones to
-        within float tolerance (bincount summation order may differ across
-        numpy versions).  Any disagreement raises
-        :class:`~repro.errors.PersistError`, and callers fall back to a full
-        rebuild -- a stale or corrupt aggregate must never silently loosen or
-        tighten the pruning bound.
-        """
-        count = len(xs)
-        if count == 0:
-            raise ConfigurationError("GridIndex requires a non-empty dataset")
-        if (snap.n_rows < 1 or snap.n_cols < 1
-                or not (snap.cell_w > 0.0 and snap.cell_h > 0.0)
-                or not (math.isfinite(snap.x0) and math.isfinite(snap.y0))):
-            raise PersistError(
-                f"persisted grid geometry is degenerate: "
-                f"{snap.n_rows} x {snap.n_cols} cells of "
-                f"{snap.cell_w} x {snap.cell_h}"
-            )
-        if snap.cell_weights.shape != (snap.n_rows, snap.n_cols) \
-                or snap.cell_counts.shape != (snap.n_rows, snap.n_cols):
-            raise PersistError("persisted grid aggregates have the wrong shape")
-
-        self = cls.__new__(cls)
-        self.count = count
-        self.x0, self.y0 = snap.x0, snap.y0
-        self.n_rows, self.n_cols = snap.n_rows, snap.n_cols
-        self.cell_w, self.cell_h = snap.cell_w, snap.cell_h
-        self._assign_points(xs, ys)
-
-        num_cells = self.n_rows * self.n_cols
-        counts = np.bincount(self.point_cell, minlength=num_cells)
-        if not np.array_equal(counts, snap.cell_counts.ravel()):
-            raise PersistError(
-                "persisted per-cell point counts disagree with the point "
-                "columns; the grid snapshot is stale or corrupt"
-            )
-        weights = np.bincount(self.point_cell, weights=ws, minlength=num_cells)
-        persisted = snap.cell_weights.ravel()
-        tolerance = 1e-9 * max(1.0, float(np.abs(weights).max(initial=0.0)))
-        if not np.allclose(weights, persisted, rtol=0.0, atol=tolerance):
-            raise PersistError(
-                "persisted per-cell weights disagree with the point columns; "
-                "the grid snapshot is stale or corrupt"
-            )
-        # Serve from the *persisted* aggregates (not the recomputation), so a
-        # restarted engine's bounds are bit-identical to the ones it saved.
-        self.cell_weights = snap.cell_weights.astype(np.float64).reshape(
-            self.n_rows, self.n_cols)
-        self.cell_counts = snap.cell_counts.astype(np.int64).reshape(
-            self.n_rows, self.n_cols)
-        self._build_prefix()
-        self.levels = adopt_pyramid(self.cell_weights, self.cell_counts,
-                                    snap.levels,
-                                    pyramid_levels=pyramid_levels)
-        return self
 
     def _assign_points(self, xs: np.ndarray, ys: np.ndarray) -> None:
         """Bin every point into the (already fixed) grid geometry."""

@@ -13,13 +13,16 @@ The load-bearing properties, each hypothesis-driven:
   bound the exact optimum: ``exact <= approx * (1 + gap)`` with
   ``gap <= error_bound``.
 
-Plus the deterministic seams: catalog v3 round-trip of the pyramid, corrupt
-level blobs degrading to a rebuild, wire-protocol round-trips of
+Plus the deterministic seams: the pyramid rebuilt across a restart (and
+from a legacy catalog whose level blob is corrupt), wire-protocol
+round-trips of
 ``error_bound``/``gap``, spec validation, and degraded serving through the
 async front-end under overload.
 """
 
 import asyncio
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +37,7 @@ from repro.errors import ConfigurationError, ServiceDegradedError, \
     ServiceOverloadError
 from repro.geometry import WeightedPoint
 from repro.obs import metrics_text
-from repro.persist import open_catalog
+from repro.persist import SnapshotStore, open_catalog
 from repro.service import MaxRSEngine, QuerySpec
 from repro.service.grid_index import GridIndex, rollup_aggregates
 
@@ -238,10 +241,17 @@ class TestSpecAndWire:
 
 
 # ---------------------------------------------------------------------- #
-# Catalog v3 persistence
+# The pyramid across a restart
 # ---------------------------------------------------------------------- #
+#: A format-version-3 catalog of an earlier build, with pyramid level blobs.
+LEGACY_CATALOG = Path(__file__).parent / "data" / "legacy_sharded_catalog"
+
+
 class TestPyramidPersistence:
     def test_catalog_v3_round_trip(self, tmp_path, make_objects):
+        """The pyramid is rebuilt, not persisted: a restart serves the same
+        depth, exact answers and certified gaps, and no grid blob is
+        written."""
         objects = make_objects(400, seed=5)
         day1 = MaxRSEngine(persist_dir=tmp_path)
         day1.register_dataset(objects, name="ds")
@@ -251,13 +261,12 @@ class TestPyramidPersistence:
                                                         error_bound=0.5))
         day1.close()
         assert depth >= 2
-
-        catalog = open_catalog(tmp_path)
-        assert catalog.get("ds").grid.levels
+        assert open_catalog(tmp_path).get("ds").legacy_grid_files == ()
+        assert not sorted(tmp_path.glob("*.grid"))
 
         day2 = MaxRSEngine(persist_dir=tmp_path)
         stats = day2.stats()["persist"]
-        assert stats["grids_restored"] == 1
+        assert stats["datasets_restored"] == 1
         assert stats["restore_errors"] == {}
         assert day2.grid_index("ds").pyramid_depth() == depth
         restored = day2.query("ds", QuerySpec.maxrs(8.0, 8.0))
@@ -267,30 +276,34 @@ class TestPyramidPersistence:
                                                   error_bound=0.5))
         assert approx.gap == truth_approx.gap
         assert approx.total_weight == truth_approx.total_weight
+        assert not sorted(tmp_path.glob("*.grid"))
 
-    def test_corrupt_level_blob_falls_back_to_rebuild(self, tmp_path,
-                                                      make_objects):
-        objects = make_objects(400, seed=6)
-        day1 = MaxRSEngine(persist_dir=tmp_path)
-        day1.register_dataset(objects, name="ds")
-        truth = day1.query("ds", QuerySpec.maxrs(8.0, 8.0))
-        depth = day1.grid_index("ds").pyramid_depth()
-        day1.close()
-
-        level = open_catalog(tmp_path).get("ds").grid.levels[0]
-        blob = tmp_path / level.file
-        raw = bytearray(blob.read_bytes())
+    def test_corrupt_level_blob_falls_back_to_rebuild(self, tmp_path):
+        """A legacy catalog's level blobs are never read: with one corrupt,
+        the restart still builds the full pyramid from the points."""
+        legacy = tmp_path / "legacy"
+        shutil.copytree(LEGACY_CATALOG, legacy)
+        level = legacy / open_catalog(legacy).get("ds").legacy_grid_files[-1]
+        assert "-L" in level.name
+        raw = bytearray(level.read_bytes())
         raw[-3] ^= 0xFF
-        blob.write_bytes(bytes(raw))
+        level.write_bytes(bytes(raw))
 
-        day2 = MaxRSEngine(persist_dir=tmp_path)
+        day2 = MaxRSEngine(persist_dir=legacy)
         stats = day2.stats()["persist"]
         assert stats["datasets_restored"] == 1
-        assert stats["grids_restored"] == 0
-        assert day2.grid_index("ds").pyramid_depth() == depth  # rebuilt
-        result = day2.query("ds", QuerySpec.maxrs(8.0, 8.0))
-        assert result.total_weight == truth.total_weight
-        assert result.region == truth.region
+        assert stats["restore_errors"] == {}
+        fresh = MaxRSEngine()
+        handle = fresh.register_dataset(
+            SnapshotStore(legacy).load_dataset("ds").objects())
+        want = fresh.grid_index(handle)
+        assert day2.grid_index("ds").pyramid_depth() == want.pyramid_depth()
+        for spec in (QuerySpec.maxrs(8.0, 8.0),
+                     QuerySpec.maxrs(60.0, 60.0, error_bound=0.5)):
+            got, expected = day2.query("ds", spec), fresh.query(handle, spec)
+            assert got.total_weight == expected.total_weight
+            assert got.region == expected.region
+            assert got.gap == expected.gap
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Tests for the snapshot on-disk format (:mod:`repro.persist.format`)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +13,8 @@ from repro.errors import PersistError
 from repro.persist.format import (
     BLOB_MAGIC,
     CATALOG_FILENAME,
-    CATALOG_VERSION,
+    SUPPORTED_CATALOG_VERSIONS,
     DatasetManifest,
-    GridManifest,
     SnapshotCatalog,
     fingerprint_columns,
     load_catalog,
@@ -22,6 +22,7 @@ from repro.persist.format import (
     save_catalog,
     write_blob,
 )
+from repro.persist.store import SnapshotStore
 
 
 def _column(values):
@@ -99,27 +100,67 @@ class TestBlob:
         assert BLOB_MAGIC.endswith(b"\x01")
 
 
+#: The ``grid`` object an earlier build wrote into a catalog entry: a
+#: single-blob base grid (catalog v1) plus one pyramid level blob (v3).
+_LEGACY_GRID = {
+    "file": "abab-3x4.grid", "n_rows": 3, "n_cols": 4, "x0": 0.0, "y0": -1.0,
+    "cell_w": 2.5, "cell_h": 1.25,
+    "levels": [{"file": "abab-3x4-L2-2x2.grid", "scale": 2, "n_rows": 2,
+                "n_cols": 2}],
+}
+
+
 class TestCatalog:
     def _manifest(self, dataset_id="demo", fingerprint="ab" * 32, *,
-                  with_grid=True):
-        grid = GridManifest(file="abab.grid", n_rows=3, n_cols=4, x0=0.0,
-                            y0=-1.0, cell_w=2.5, cell_h=1.25) if with_grid else None
-        return DatasetManifest(
-            dataset_id=dataset_id, fingerprint=fingerprint, count=7,
-            total_weight=11.5, codec="f64-column/1", block_size=4096,
-            points_file="abab.points", grid=grid,
-            results_file="abab.results" if with_grid else None,
-            results_count=2 if with_grid else 0,
-        )
+                  legacy=True):
+        """A manifest; ``legacy`` reads it from an earlier build's entry
+        that carries a ``grid`` object and a results blob."""
+        document = {
+            "fingerprint": fingerprint, "count": 7, "total_weight": 11.5,
+            "codec": "f64-column/1", "block_size": 4096,
+            "points_file": "abab.points",
+        }
+        if legacy:
+            document.update(grid=_LEGACY_GRID, results_file="abab.results",
+                            results_count=2)
+        return DatasetManifest.from_json(dataset_id, document)
+
+    def test_legacy_grid_names_are_read(self):
+        manifest = self._manifest()
+        assert manifest.legacy_grid_files == ("abab-3x4.grid",
+                                              "abab-3x4-L2-2x2.grid")
+        assert manifest.files() == ("abab.points", "abab.results",
+                                    "abab-3x4.grid", "abab-3x4-L2-2x2.grid")
+
+    def test_sharded_legacy_grid_names_are_read(self):
+        grid = {"file": None, "n_rows": 2, "n_cols": 2, "x0": 0.0, "y0": 0.0,
+                "cell_w": 1.0, "cell_h": 1.0,
+                "shards": [{"file": "s0.grid", "row0": 0, "row1": 2,
+                            "col0": 0, "col1": 1},
+                           {"file": "s1.grid", "row0": 0, "row1": 2,
+                            "col0": 1, "col1": 2}]}
+        manifest = DatasetManifest.from_json("demo", {
+            "fingerprint": "ab" * 32, "count": 7, "total_weight": 11.5,
+            "codec": "f64-column/1", "block_size": 4096,
+            "points_file": "abab.points", "grid": grid})
+        assert manifest.legacy_grid_files == ("s0.grid", "s1.grid")
 
     def test_round_trip(self, tmp_path):
+        """Entries round-trip, except the legacy grid names: this build
+        writes version 1 and no ``grid`` object."""
         catalog = SnapshotCatalog(datasets={
             "demo": self._manifest(),
-            "bare": self._manifest("bare", "cd" * 32, with_grid=False),
+            "bare": self._manifest("bare", "cd" * 32, legacy=False),
         })
         save_catalog(tmp_path, catalog)
+        document = json.loads((tmp_path / CATALOG_FILENAME).read_text())
+        assert document["format_version"] == 1
+        assert all("grid" not in entry
+                   for entry in document["datasets"].values())
         loaded = load_catalog(tmp_path)
-        assert loaded.datasets == catalog.datasets
+        assert loaded.datasets == {
+            dataset_id: replace(manifest, legacy_grid_files=())
+            for dataset_id, manifest in catalog.datasets.items()}
 
     def test_missing_catalog_is_empty(self, tmp_path):
         assert len(load_catalog(tmp_path)) == 0
@@ -128,7 +169,7 @@ class TestCatalog:
         save_catalog(tmp_path, SnapshotCatalog())
         path = tmp_path / CATALOG_FILENAME
         document = json.loads(path.read_text())
-        document["format_version"] = CATALOG_VERSION + 1
+        document["format_version"] = max(SUPPORTED_CATALOG_VERSIONS) + 1
         path.write_text(json.dumps(document))
         with pytest.raises(PersistError, match="format version"):
             load_catalog(tmp_path)
@@ -152,10 +193,75 @@ class TestCatalog:
         with pytest.raises(PersistError, match="malformed catalog entry"):
             load_catalog(tmp_path)
 
+    def test_non_object_entry_rejected(self, tmp_path):
+        (tmp_path / CATALOG_FILENAME).write_text(json.dumps(
+            {"format_version": 1, "datasets": {"demo": ["abab.points"]}}))
+        with pytest.raises(PersistError, match="malformed catalog entry"):
+            load_catalog(tmp_path)
+
+    @pytest.mark.parametrize("grid", [
+        "abab.grid", {"file": 7, "levels": "abab.grid"},
+        {"file": None, "shards": [{"row0": 0}]},
+        {"file": None, "shards": ["abab.grid"]},
+    ])
+    def test_malformed_legacy_grid_rejected(self, grid):
+        document = {
+            "fingerprint": "ab" * 32, "count": 7, "total_weight": 11.5,
+            "codec": "f64-column/1", "block_size": 4096,
+            "points_file": "abab.points", "grid": grid,
+        }
+        with pytest.raises(PersistError, match="malformed catalog entry"):
+            DatasetManifest.from_json("demo", document)
+
+    @pytest.mark.parametrize("name", [
+        "../victim.txt", "/tmp/victim.txt", "sub/abab.points", "", ".", "..",
+    ])
+    @pytest.mark.parametrize("field", [
+        "points_file", "results_file", "grid.file", "grid.shards",
+        "grid.levels",
+    ])
+    def test_blob_names_must_be_bare_file_names(self, field, name):
+        document = {
+            "fingerprint": "ab" * 32, "count": 7, "total_weight": 11.5,
+            "codec": "f64-column/1", "block_size": 4096,
+            "points_file": "abab.points",
+        }
+        if field == "grid.file":
+            document["grid"] = {"file": name}
+        elif field.startswith("grid."):
+            document["grid"] = {"file": None,
+                                field[len("grid."):]: [{"file": name}]}
+        else:
+            document[field] = name
+        with pytest.raises(PersistError, match="bare file name"):
+            DatasetManifest.from_json("demo", document)
+
+    def test_tampered_blob_name_cannot_reach_outside_the_store(self, tmp_path):
+        """A catalog naming ``../victim.txt`` is rejected before any blob
+        is read or unlinked, so deleting the dataset cannot remove a file
+        next to the store directory."""
+        store_dir = tmp_path / "store"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("not a snapshot blob")
+        SnapshotStore(store_dir).save_dataset(
+            "ds", _column([1.0]), _column([2.0]), _column([3.0]))
+        path = store_dir / CATALOG_FILENAME
+        document = json.loads(path.read_text())
+        document["datasets"]["ds"]["results_file"] = "../victim.txt"
+        document["datasets"]["ds"]["results_count"] = 1
+        path.write_text(json.dumps(document))
+
+        with pytest.raises(PersistError, match="malformed catalog entry"):
+            load_catalog(store_dir)
+        with pytest.raises(PersistError, match="bare file name"):
+            SnapshotStore(store_dir).delete_dataset("ds")
+        assert victim.read_text() == "not a snapshot blob"
+
     def test_references_tracks_shared_blobs(self):
         catalog = SnapshotCatalog(datasets={"demo": self._manifest()})
         assert catalog.references("abab.points")
-        assert catalog.references("abab.grid")
+        assert catalog.references("abab-3x4.grid")
+        assert catalog.references("abab-3x4-L2-2x2.grid")
         assert catalog.references("abab.results")
         assert not catalog.references("abab.points", excluding="demo")
         assert not catalog.references("other.points")

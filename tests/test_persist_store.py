@@ -7,6 +7,8 @@ edge cases (empty dataset, single point, extreme weights) -- and corrupt
 snapshots are rejected, never served.
 """
 
+import json
+
 import pytest
 
 pytest.importorskip("numpy")
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from repro.em import EMConfig
 from repro.errors import PersistError
 from repro.persist import (
-    GridSnapshot,
+    CATALOG_FILENAME,
     SnapshotStore,
     fingerprint_columns,
     open_catalog,
@@ -153,54 +155,46 @@ class TestVerification:
             reopened.load_dataset("ds")
 
 
-class TestGridSnapshots:
-    def _grid(self):
-        return GridSnapshot(
-            n_rows=2, n_cols=3, x0=0.0, y0=0.0, cell_w=1.0, cell_h=1.0,
-            cell_weights=np.arange(6, dtype=np.float64).reshape(2, 3),
-            cell_counts=np.ones((2, 3), dtype=np.int64),
-        )
+class TestLegacyGridEntries:
+    """Entries of earlier builds that list grid blobs under ``grid``."""
 
-    def test_grid_round_trip(self, tmp_path):
+    def _legacy_store(self, tmp_path):
+        """A store whose ``ds`` entry names two (corrupt) grid blobs."""
+        xs = np.arange(1000, dtype=np.float64)  # 3000 records -> 6 blocks
+        SnapshotStore(tmp_path).save_dataset("ds", xs, xs, xs)
+        path = tmp_path / CATALOG_FILENAME
+        document = json.loads(path.read_text())
+        document["format_version"] = 3
+        document["datasets"]["ds"]["grid"] = {
+            "file": "old.grid", "levels": [{"file": "old-L2.grid"}]}
+        path.write_text(json.dumps(document))
+        for name in ("old.grid", "old-L2.grid"):
+            (tmp_path / name).write_bytes(b"corrupt")
+        return xs
+
+    def test_load_reads_the_points_only(self, tmp_path):
+        xs = self._legacy_store(tmp_path)
+        catalog_bytes = (tmp_path / CATALOG_FILENAME).read_bytes()
         store = SnapshotStore(tmp_path)
-        xs = np.arange(6, dtype=np.float64)
-        store.save_dataset("ds", xs, xs, xs, grid=self._grid())
         loaded = store.load_dataset("ds")
-        assert loaded.grid is not None
-        assert np.array_equal(loaded.grid.cell_weights,
-                              self._grid().cell_weights)
-        assert np.array_equal(loaded.grid.cell_counts, self._grid().cell_counts)
-        assert (loaded.grid.n_rows, loaded.grid.n_cols) == (2, 3)
-
-    def test_grids_of_different_resolutions_do_not_clobber(self, tmp_path):
-        """Same data indexed at two resolutions -> two distinct grid blobs."""
-        store = SnapshotStore(tmp_path)
-        xs = np.arange(6, dtype=np.float64)
-        coarse = GridSnapshot(
-            n_rows=1, n_cols=1, x0=0.0, y0=0.0, cell_w=6.0, cell_h=6.0,
-            cell_weights=np.full((1, 1), 15.0), cell_counts=np.full((1, 1), 6),
-        )
-        store.save_dataset("fine", xs, xs, xs, grid=self._grid())
-        store.save_dataset("coarse", xs, xs, xs, grid=coarse)
-        loaded_fine = store.load_dataset("fine")
-        loaded_coarse = store.load_dataset("coarse")
-        assert loaded_fine.grid is not None and loaded_fine.grid_error is None
-        assert loaded_coarse.grid is not None and loaded_coarse.grid_error is None
-        assert (loaded_fine.grid.n_rows, loaded_coarse.grid.n_rows) == (2, 1)
-
-    def test_corrupt_grid_degrades_not_fails(self, tmp_path):
-        """Points still verify, so a bad grid blob yields grid=None + error."""
-        store = SnapshotStore(tmp_path)
-        xs = np.arange(6, dtype=np.float64)
-        store.save_dataset("ds", xs, xs, xs, grid=self._grid())
-        blob = tmp_path / store.manifest_for("ds").grid.file
-        raw = bytearray(blob.read_bytes())
-        raw[-1] ^= 0xFF
-        blob.write_bytes(bytes(raw))
-        loaded = store.load_dataset("ds")
-        assert loaded.grid is None
-        assert loaded.grid_error is not None
         assert np.array_equal(loaded.xs, xs)
+        assert store.counters.block_reads == 6
+        # Reading writes nothing and deletes nothing.
+        assert (tmp_path / CATALOG_FILENAME).read_bytes() == catalog_bytes
+        assert (tmp_path / "old.grid").exists()
+        assert (tmp_path / "old-L2.grid").exists()
+
+    def test_next_write_drops_and_deletes_legacy_grid_blobs(self, tmp_path):
+        xs = self._legacy_store(tmp_path)
+        store = SnapshotStore(tmp_path)
+        store.save_dataset("other", *_columns([1.0], [2.0], [3.0]))
+        document = json.loads((tmp_path / CATALOG_FILENAME).read_text())
+        assert document["format_version"] == 1
+        assert "grid" not in document["datasets"]["ds"]
+        assert store.manifest_for("ds").legacy_grid_files == ()
+        assert not sorted(tmp_path.glob("*.grid"))
+        assert np.array_equal(SnapshotStore(tmp_path).load_dataset("ds").xs,
+                              xs)
 
 
 class TestResults:
@@ -270,7 +264,7 @@ class TestLifecycle:
 
     def test_delete_removes_blobs_and_entry(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        store.save_dataset("ds", *_columns([1.0], [2.0], [3.0]), grid=None)
+        store.save_dataset("ds", *_columns([1.0], [2.0], [3.0]))
         points = store.manifest_for("ds").points_file
         assert store.delete_dataset("ds")
         assert not store.delete_dataset("ds")  # already gone

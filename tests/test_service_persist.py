@@ -3,8 +3,11 @@
 The serving contract across a restart: a ``MaxRSEngine(persist_dir=...)``
 constructed over a previously written snapshot directory re-serves every
 dataset with **bit-identical** refined answers, reports its snapshot I/O in
-block transfers, and degrades gracefully (corrupt grid -> rebuild; corrupt
-points -> dataset skipped and reported, never silently wrong).
+block transfers, and degrades gracefully (corrupt results -> recomputed;
+corrupt points -> dataset skipped and reported, never silently wrong).
+Grids are never persisted: a restart builds each one from the verified
+points, and the grid blobs that catalogs of earlier builds list are ignored,
+then deleted by the store's next write.
 """
 
 import json
@@ -23,11 +26,45 @@ from repro.core.plane_sweep import solve_in_memory
 from repro.errors import ServiceError
 from repro.geometry import WeightedPoint
 from repro.persist import SnapshotStore, open_catalog
-from repro.service import GridIndex, MaxRSEngine, QuerySpec
+from repro.service import MaxRSEngine, QuerySpec
 
 #: A catalog written by an earlier build with ``MaxRSEngine(shards=2)``; see
 #: the README in that directory for how it was made.
 LEGACY_CATALOG = Path(__file__).parent / "data" / "legacy_sharded_catalog"
+
+
+def _points_blocks(count):
+    """Blocks of a points blob with the default 4 KB blocks: three float64
+    columns, 512 values a block."""
+    return math.ceil(3 * count / 512)
+
+
+def _flip_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _name_legacy_grid(persist_dir, grid, *, version):
+    """Make ``ds``'s catalog entry look like one of an earlier build: add
+    the ``grid`` object that build wrote, and stamp its format version."""
+    path = persist_dir / "catalog.json"
+    document = json.loads(path.read_text())
+    document["datasets"]["ds"]["grid"] = grid
+    document["format_version"] = version
+    path.write_text(json.dumps(document))
+
+
+def _v1_grid(persist_dir, *, corrupt=False):
+    """A version-1 single-blob ``grid`` object for ``ds``, with its blob on
+    disk (a copy of the points blob: this build never reads it)."""
+    points = persist_dir / open_catalog(persist_dir).get("ds").points_file
+    blob = persist_dir / f"{points.stem}-20x20.grid"
+    blob.write_bytes(points.read_bytes())
+    if corrupt:
+        _flip_byte(blob)
+    return {"file": blob.name, "n_rows": 20, "n_cols": 20, "x0": 0.0,
+            "y0": 0.0, "cell_w": 5.0, "cell_h": 5.0}
 
 
 def _dataset(count=400, seed=5):
@@ -50,8 +87,27 @@ class TestWriteThrough:
         catalog = open_catalog(tmp_path)
         assert "ds" in catalog
         assert catalog.get("ds").count == len(objects)
-        assert catalog.get("ds").grid is not None
+        entry = json.loads((tmp_path / "catalog.json").read_text())[
+            "datasets"]["ds"]
+        assert "grid" not in entry  # grids are rebuilt, never persisted
         assert engine.stats()["persist"]["io"]["block_writes"] > 0
+
+    def test_snapshot_io_is_the_points_blob(self, tmp_path, objects):
+        """A save and a restore each move exactly the points blob's blocks,
+        plus the results blob once there is one."""
+        blocks = _points_blocks(len(objects))
+        day1 = MaxRSEngine(persist_dir=tmp_path)
+        day1.register_dataset(objects, name="ds")
+        assert day1.stats()["persist"]["io"]["block_writes"] == blocks
+        assert MaxRSEngine(persist_dir=tmp_path) \
+            .stats()["persist"]["io"]["block_reads"] == blocks
+        day1.query("ds", QuerySpec.maxrs(6.0, 6.0))
+        day1.checkpoint()  # one 104-byte result record: one more block
+        assert day1.stats()["persist"]["io"]["block_writes"] == blocks + 1
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == \
+            [".json", ".points", ".results"]
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        assert day2.stats()["persist"]["io"]["block_reads"] == blocks + 1
 
     def test_persist_false_keeps_dataset_memory_only(self, tmp_path, objects):
         engine = MaxRSEngine(persist_dir=tmp_path)
@@ -69,20 +125,6 @@ class TestWriteThrough:
         engine.register_dataset(objects, name="ds")
         assert engine.stats()["persist"]["io"]["block_writes"] == writes
 
-    def test_persist_grid_false_omits_grid_blob(self, tmp_path, objects):
-        engine = MaxRSEngine(persist_dir=tmp_path, persist_grid=False)
-        engine.register_dataset(objects, name="ds")
-        assert open_catalog(tmp_path).get("ds").grid is None
-
-    def test_grid_can_be_added_to_an_existing_snapshot(self, tmp_path, objects):
-        """A later persist_grid=True engine upgrades a grid-less snapshot."""
-        MaxRSEngine(persist_dir=tmp_path,
-                    persist_grid=False).register_dataset(objects, name="ds")
-        MaxRSEngine(persist_dir=tmp_path,
-                    persist_grid=True).register_dataset(objects, name="ds")
-        assert open_catalog(tmp_path).get("ds").grid is not None
-
-
 class TestWarmStart:
     def test_restart_serves_bit_identical_refined_answers(self, tmp_path, objects):
         specs = [QuerySpec.maxrs(7.0, 7.0), QuerySpec.maxrs(3.0, 12.0),
@@ -94,7 +136,6 @@ class TestWarmStart:
         day2 = MaxRSEngine(persist_dir=tmp_path)
         stats = day2.stats()["persist"]
         assert stats["datasets_restored"] == 1
-        assert stats["grids_restored"] == 1
         assert stats["restore_errors"] == {}
         assert stats["io"]["block_reads"] > 0
         after = [day2.query("ds", spec) for spec in specs]
@@ -132,17 +173,28 @@ class TestWarmStart:
         assert day2.metrics.counter("descent_stop_exact") >= 1
         assert day2.store.get("ds")._objects is None  # still lazy
 
-    def test_restored_grid_is_the_persisted_one(self, tmp_path, objects):
+    def test_restart_indexes_at_its_own_resolution(self, tmp_path, objects):
+        """A restarted engine builds each grid with its own configuration,
+        exactly as registering the data with it would; exact answers do not
+        depend on the resolution."""
         day1 = MaxRSEngine(persist_dir=tmp_path, target_points_per_cell=4)
         day1.register_dataset(objects, name="ds")
         old = day1.grid_index("ds")
-        # The restarted engine is configured differently; it must still adopt
-        # the *persisted* resolution, not re-derive one.
         day2 = MaxRSEngine(persist_dir=tmp_path, target_points_per_cell=1)
         new = day2.grid_index("ds")
-        assert (new.n_rows, new.n_cols) == (old.n_rows, old.n_cols)
-        assert np.array_equal(new.cell_weights, old.cell_weights)
-        assert np.array_equal(new.cell_counts, old.cell_counts)
+        fresh = MaxRSEngine(target_points_per_cell=1)
+        fresh.register_dataset(objects, name="ds")
+        want = fresh.grid_index("ds")
+        assert (new.n_rows, new.n_cols) != (old.n_rows, old.n_cols)
+        assert (new.n_rows, new.n_cols) == (want.n_rows, want.n_cols)
+        assert np.array_equal(new.cell_weights, want.cell_weights)
+        assert np.array_equal(new.cell_counts, want.cell_counts)
+        assert new.pyramid_depth() == want.pyramid_depth()
+        for width, height in ((7.0, 7.0), (3.0, 12.0), (40.0, 30.0)):
+            truth = solve_in_memory(objects, width, height)
+            answer = day2.query("ds", QuerySpec.maxrs(width, height))
+            assert answer.total_weight == truth.total_weight
+            assert answer.region == truth.region
 
     def test_checkpointed_results_become_cache_hits(self, tmp_path, objects):
         spec = QuerySpec.maxrs(6.0, 6.0)
@@ -214,58 +266,82 @@ class TestDegradation:
         with pytest.raises(ServiceError, match="unknown dataset"):
             day2.query("ds", QuerySpec.maxrs(2.0, 2.0))
 
-    def test_corrupt_grid_blob_falls_back_to_rebuild(self, tmp_path, objects):
+    def test_corrupt_grid_blob_falls_back_to_rebuild(self, tmp_path,
+                                                     objects):
+        """A grid blob that an earlier build's catalog lists is never read,
+        so a corrupt one costs nothing: the grid is built from the points."""
         day1 = MaxRSEngine(persist_dir=tmp_path)
         day1.register_dataset(objects, name="ds")
         truth = day1.query("ds", QuerySpec.maxrs(8.0, 8.0))
-        blob = tmp_path / open_catalog(tmp_path).get("ds").grid.file
-        raw = bytearray(blob.read_bytes())
-        raw[-3] ^= 0xFF
-        blob.write_bytes(bytes(raw))
+        _name_legacy_grid(tmp_path, _v1_grid(tmp_path, corrupt=True),
+                          version=1)
 
         day2 = MaxRSEngine(persist_dir=tmp_path)
         stats = day2.stats()["persist"]
         assert stats["datasets_restored"] == 1
-        assert stats["grids_restored"] == 0
-        assert day2.grid_index("ds") is not None  # rebuilt in memory
+        assert stats["restore_errors"] == {}
+        built, rebuilt = day1.grid_index("ds"), day2.grid_index("ds")
+        assert (rebuilt.n_rows, rebuilt.n_cols) == (built.n_rows, built.n_cols)
+        assert np.array_equal(rebuilt.cell_weights, built.cell_weights)
         result = day2.query("ds", QuerySpec.maxrs(8.0, 8.0))
         assert result.total_weight == truth.total_weight
         assert result.region == truth.region
-        # ... and the rebuild self-healed the durable copy: the next restart
-        # restores the grid from disk again.
-        assert day2.metrics.counter("grids_repaired") == 1
+
+    def test_failed_restore_is_saved_again_on_reregistration(self, tmp_path,
+                                                             objects):
+        """Registering a dataset whose snapshot failed to restore writes it
+        again, though the catalog still holds its fingerprint."""
+        MaxRSEngine(persist_dir=tmp_path).register_dataset(objects, name="ds")
+        _flip_byte(tmp_path / open_catalog(tmp_path).get("ds").points_file)
+
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        assert list(day2.stats()["persist"]["restore_errors"]) == ["ds"]
+        before = day2.stats()["persist"]["io"]["block_writes"]
+        day2.register_dataset(objects, name="ds")
+        after = day2.stats()["persist"]["io"]["block_writes"]
+        assert after - before == _points_blocks(len(objects)) > 0
+        assert day2.stats()["persist"]["restore_errors"] == {}
+        day2.register_dataset(objects, name="ds")  # saved once, not twice
+        assert day2.stats()["persist"]["io"]["block_writes"] == after
+
         day3 = MaxRSEngine(persist_dir=tmp_path)
-        assert day3.stats()["persist"]["grids_restored"] == 1
+        stats = day3.stats()["persist"]
+        assert stats["restore_errors"] == {}
+        assert stats["datasets_restored"] == 1
+        truth = solve_in_memory(objects, 8.0, 8.0)
+        answer = day3.query("ds", QuerySpec.maxrs(8.0, 8.0))
+        assert answer.total_weight == truth.total_weight
+        assert answer.region == truth.region
 
-    def test_stale_grid_aggregates_rejected_by_cross_check(self, objects):
-        """from_snapshot must refuse aggregates that disagree with the points."""
-        from repro.errors import PersistError
+    def test_corrupt_results_blob_falls_back_to_recompute(self, tmp_path,
+                                                          objects):
+        """A corrupt results blob loses the warm cache, never the dataset;
+        the next checkpoint writes it again."""
+        spec = QuerySpec.maxrs(6.0, 6.0)
+        day1 = MaxRSEngine(persist_dir=tmp_path)
+        day1.register_dataset(objects, name="ds")
+        answer = day1.query("ds", spec)
+        day1.checkpoint()
+        _flip_byte(tmp_path / open_catalog(tmp_path).get("ds").results_file)
 
-        entry_xs = np.array([o.x for o in objects])
-        entry_ys = np.array([o.y for o in objects])
-        entry_ws = np.array([o.weight for o in objects])
-        grid = GridIndex(entry_xs, entry_ys, entry_ws)
-        snap = grid.snapshot()
-        tampered = snap.cell_counts.copy()
-        tampered[0, 0] += 1
-        bad = type(snap)(
-            n_rows=snap.n_rows, n_cols=snap.n_cols, x0=snap.x0, y0=snap.y0,
-            cell_w=snap.cell_w, cell_h=snap.cell_h,
-            cell_weights=snap.cell_weights, cell_counts=tampered,
-        )
-        with pytest.raises(PersistError, match="disagree"):
-            GridIndex.from_snapshot(entry_xs, entry_ys, entry_ws, bad)
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        stats = day2.stats()
+        assert stats["persist"]["datasets_restored"] == 1
+        assert list(stats["persist"]["restore_errors"]) == ["ds:results"]
+        assert stats["counters"]["result_restore_failures"] == 1
+        missed = day2.query("ds", spec)
+        assert missed.cost["cache"] == "miss"
+        assert missed.total_weight == answer.total_weight
+        assert missed.region == answer.region
+        assert missed.location == answer.location
+        day2.checkpoint()
 
-    def test_faithful_snapshot_passes_cross_check(self, objects):
-        entry_xs = np.array([o.x for o in objects])
-        entry_ys = np.array([o.y for o in objects])
-        entry_ws = np.array([o.weight for o in objects])
-        grid = GridIndex(entry_xs, entry_ys, entry_ws)
-        rebuilt = GridIndex.from_snapshot(entry_xs, entry_ys, entry_ws,
-                                          grid.snapshot())
-        bounds_a = grid.upper_bounds(5.0, 5.0)
-        bounds_b = rebuilt.upper_bounds(5.0, 5.0)
-        assert np.array_equal(bounds_a, bounds_b)
+        day3 = MaxRSEngine(persist_dir=tmp_path)
+        assert day3.stats()["persist"]["restore_errors"] == {}
+        hit = day3.query("ds", spec)
+        assert hit.cost["cache"] == "hit"
+        assert hit.total_weight == answer.total_weight
+        assert hit.region == answer.region
 
 
 class TestLifecycle:
@@ -296,12 +372,13 @@ class TestLifecycle:
 
 
 class TestShardedPersistence:
-    """Catalogs written by earlier builds, whose default engine saved each
-    grid as one blob per shard (``tests/data/legacy_sharded_catalog``).
+    """Catalogs written by earlier builds, whose entries list grid blobs
+    (``tests/data/legacy_sharded_catalog``: format version 3, a grid saved
+    as one blob per shard plus three pyramid level blobs).
 
-    This build no longer reads those blobs: a restore rebuilds the grid from
-    the fingerprint-verified points, the way it handles a corrupt grid blob,
-    and saves it back as one blob.
+    This build never reads those blobs: a restore builds each grid from the
+    fingerprint-verified points and writes nothing, and the store's next
+    catalog write drops the ``grid`` object and deletes the blobs.
     """
 
     @pytest.fixture
@@ -311,16 +388,26 @@ class TestShardedPersistence:
         return target
 
     def test_sharded_restore_matches_unsharded_restore(self, legacy_dir):
+        catalog = (legacy_dir / "catalog.json").read_bytes()
+        grid_blobs = sorted(legacy_dir.glob("*.grid"))
+        assert len(grid_blobs) == 5
+
         restored = MaxRSEngine(persist_dir=legacy_dir)
         assert restored.stats()["persist"]["restore_errors"] == {}
-        # The checkpointed answer is still a cache hit...
+        # The restore itself wrote and deleted nothing...
+        assert (legacy_dir / "catalog.json").read_bytes() == catalog
+        assert sorted(legacy_dir.glob("*.grid")) == grid_blobs
+        # ...the checkpointed answer is still a cache hit...
         hit = restored.query("ds", QuerySpec.maxrs(7.0, 5.0))
         assert hit.cost["cache"] == "hit"
-        # ...and every refined answer is bit-identical to a fresh engine's
-        # on the same points.
+        # ...and the grid and every refined answer are a fresh engine's on
+        # the same points.
         objects = SnapshotStore(legacy_dir).load_dataset("ds").objects()
         fresh = MaxRSEngine()
         handle = fresh.register_dataset(objects)
+        grid, want = restored.grid_index("ds"), fresh.grid_index(handle)
+        assert np.array_equal(grid.cell_weights, want.cell_weights)
+        assert grid.pyramid_depth() == want.pyramid_depth()
         for spec in (QuerySpec.maxrs(7.0, 5.0), QuerySpec.maxrs(12.0, 3.0),
                      QuerySpec.maxcrs(9.0)):
             got, want = restored.query("ds", spec), fresh.query(handle, spec)
@@ -330,35 +417,34 @@ class TestShardedPersistence:
                 assert got.region == want.region, spec
 
     def test_rebuilt_grid_refreshes_snapshot_layout(self, legacy_dir):
-        assert open_catalog(legacy_dir).get("ds").grid.shards is not None
-        assert sorted(legacy_dir.glob("*-r*-c*.grid"))
-
+        """The store's next write (here a checkpoint) drops the grid object
+        and deletes the shard and level blobs; results survive."""
         day1 = MaxRSEngine(persist_dir=legacy_dir)
-        counters = day1.stats()["counters"]
-        assert counters["grid_restore_failures"] == 1
-        assert counters["grids_repaired"] == 1
-        grid = open_catalog(legacy_dir).get("ds").grid
-        assert grid.file is not None and grid.shards is None
-        assert not sorted(legacy_dir.glob("*-r*-c*.grid"))  # no shard blob
+        day1.query("ds", QuerySpec.maxrs(12.0, 3.0))
+        day1.checkpoint()
+        document = json.loads((legacy_dir / "catalog.json").read_text())
+        assert document["format_version"] == 1
+        assert "grid" not in document["datasets"]["ds"]
+        assert not sorted(legacy_dir.glob("*.grid"))
 
         day2 = MaxRSEngine(persist_dir=legacy_dir)
-        stats = day2.stats()
-        assert stats["persist"]["grids_restored"] == 1
-        assert stats["persist"]["restore_errors"] == {}
-        assert "grid_restore_failures" not in stats["counters"]
+        stats = day2.stats()["persist"]
+        assert stats["restore_errors"] == {}
+        assert stats["results_restored"] == 2
+        for spec in (QuerySpec.maxrs(7.0, 5.0), QuerySpec.maxrs(12.0, 3.0)):
+            assert day2.query("ds", spec).cost["cache"] == "hit"
 
     def test_grid_less_rewrite_keeps_the_legacy_entry_loadable(
             self, legacy_dir, objects):
-        """An engine that persists no grids does not repair the legacy one;
-        its next save rewrites the catalog around the legacy entry, which a
-        later engine must still load."""
-        reader = MaxRSEngine(persist_grid=False, persist_dir=legacy_dir)
-        assert reader.stats()["persist"]["restore_errors"] == {}
-        assert reader.metrics.counter("grids_repaired") == 0
+        """Registering another dataset rewrites the catalog around the
+        legacy entry, without its grid; a later engine still serves it."""
+        reader = MaxRSEngine(persist_dir=legacy_dir)
         reader.register_dataset(objects, name="other")
-        catalog = open_catalog(legacy_dir)
-        assert catalog.get("ds").grid.shards is not None
-        assert catalog.get("other").grid is None
+        document = json.loads((legacy_dir / "catalog.json").read_text())
+        assert document["format_version"] == 1
+        assert all("grid" not in entry
+                   for entry in document["datasets"].values())
+        assert not sorted(legacy_dir.glob("*.grid"))
 
         third = MaxRSEngine(persist_dir=legacy_dir)
         stats = third.stats()["persist"]
@@ -372,48 +458,33 @@ class TestShardedPersistence:
         assert answer.region == reference.region
 
     def test_v1_catalog_still_restores(self, tmp_path, objects):
-        """A pre-sharding store (format_version 1) must keep working."""
+        """A version-1 catalog whose entry names a single-blob grid restores
+        without reading it, and loses it at the store's next write."""
         spec = QuerySpec.maxrs(7.0, 5.0)
         writer = MaxRSEngine(persist_dir=tmp_path)
         writer.register_dataset(objects, name="ds")
         before = writer.query("ds", spec)
-        catalog_path = tmp_path / "catalog.json"
-        document = json.loads(catalog_path.read_text())
-        assert document["datasets"]["ds"]["grid"].get("shards") is None
-        document["format_version"] = 1
-        catalog_path.write_text(json.dumps(document))
+        _name_legacy_grid(tmp_path, _v1_grid(tmp_path), version=1)
 
         reader = MaxRSEngine(persist_dir=tmp_path)
         assert reader.stats()["persist"]["restore_errors"] == {}
-        assert reader.stats()["persist"]["grids_restored"] == 1
         after = reader.query("ds", spec)
         assert after.total_weight == before.total_weight
         assert after.region == before.region
+        assert sorted(tmp_path.glob("*.grid"))  # the restore deleted nothing
+        reader.checkpoint()
+        document = json.loads((tmp_path / "catalog.json").read_text())
+        assert "grid" not in document["datasets"]["ds"]
+        assert not sorted(tmp_path.glob("*.grid"))
 
     def test_catalog_version_is_lowest_expressible(self, tmp_path, objects):
-        """Flat single-blob stores stay version 1 (rollback-safe); only
-        catalogs actually holding pyramid level blobs are stamped version
-        3."""
-        MaxRSEngine(pyramid_levels=1, persist_dir=tmp_path / "flat") \
-            .register_dataset(objects, name="ds")
-        flat = json.loads((tmp_path / "flat" / "catalog.json").read_text())
-        assert flat["format_version"] == 1
-        MaxRSEngine(persist_dir=tmp_path / "pyramid") \
-            .register_dataset(objects, name="ds")
-        pyramid = json.loads(
-            (tmp_path / "pyramid" / "catalog.json").read_text())
-        assert pyramid["format_version"] == 3
-
-    def test_rebuilt_grid_refreshes_snapshot_resolution(self, tmp_path,
-                                                        objects):
-        """A different resolution: the layout check must see through it and
-        refresh the durable grid."""
-        MaxRSEngine(persist_dir=tmp_path).register_dataset(objects, name="ds")
-        before = open_catalog(tmp_path).get("ds").grid
-        engine = MaxRSEngine(target_points_per_cell=4, persist_dir=tmp_path)
-        engine.unregister_dataset("ds", keep_snapshot=True)
-        engine.register_dataset(objects, name="ds")
-        after = open_catalog(tmp_path).get("ds").grid
-        assert (after.n_rows, after.n_cols) != (before.n_rows, before.n_cols)
-        served = engine.grid_index("ds")
-        assert (after.n_rows, after.n_cols) == (served.n_rows, served.n_cols)
+        """Every catalog this build writes is version 1 with no grid object,
+        flat or pyramid, so every earlier build can read it."""
+        for levels in (1, None):
+            directory = tmp_path / f"levels-{levels}"
+            MaxRSEngine(pyramid_levels=levels, persist_dir=directory) \
+                .register_dataset(objects, name="ds")
+            document = json.loads((directory / "catalog.json").read_text())
+            assert document["format_version"] == 1
+            assert "grid" not in document["datasets"]["ds"]
+            assert not sorted(directory.glob("*.grid"))
