@@ -31,8 +31,10 @@ test:
 bench-smoke:
 	REPRO_BENCH_PRESET=smoke $(PYTHON) -m pytest benchmarks -q
 
-# Quick A/B of the pluggable sweep backends (pure Python vs numpy) on the
-# refined-cold-query workload; full scale runs as part of `make bench`.
+# Quick A/B of the two sweep backends on the engine's refined cold query:
+# the platform's pick (numpy) against the pure-Python reference, which the
+# benchmark forces with the `pure_backend` fixture (the library has no
+# backend option); full scale runs as part of `make bench`.
 bench-backends:
 	REPRO_BENCH_PRESET=smoke $(PYTHON) -m pytest \
 		benchmarks/test_service_throughput.py -q -k backend

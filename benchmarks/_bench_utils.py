@@ -67,11 +67,8 @@ def weights_agree(figure: FigureResult) -> Dict[float, bool]:
 # ---------------------------------------------------------------------- #
 def _host_fingerprint() -> Dict[str, Any]:
     """What produced the numbers: platform, interpreter, cores, backend."""
-    try:
-        from repro.core.backends import backend_summary
-        backend = backend_summary()
-    except Exception:  # pragma: no cover - numpy-less host
-        backend = "unavailable"
+    from repro.core.backends import platform_backend
+
     try:
         import numpy
         numpy_version: Optional[str] = numpy.__version__
@@ -83,7 +80,7 @@ def _host_fingerprint() -> Dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
-        "sweep_backend": backend,
+        "sweep_backend": platform_backend().name,
     }
 
 

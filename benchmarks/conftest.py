@@ -93,18 +93,20 @@ def report(request, artefact_dir):
     truncates the log, so it describes the last run only, like the
     ``BENCH_*.json`` files.
 
-    Every recorded entry carries the process-default sweep-backend
-    configuration (backend name plus numpy version, or "numpy absent"), so
-    performance trajectories compared across PRs stay attributable to the
-    sweep implementation that produced them.  Benchmarks that force a
-    specific backend per measurement (the backend A/B comparison) name it in
-    their own entry text.
+    Every recorded entry carries the platform's sweep backend and the numpy
+    version, so performance trajectories compared across PRs stay
+    attributable to the sweep implementation that produced them.
+    Benchmarks that force the reference backend for a measurement (the
+    backend A/B comparison) name it in their own entry text.
     """
-    from repro.core.backends import backend_summary
+    import numpy
+
+    from repro.core.backends import platform_backend
 
     capture_manager = request.config.pluginmanager.getplugin("capturemanager")
     results_path = os.path.join(artefact_dir, "reproduced_artefacts.txt")
-    backend_note = f"  [sweep-backend default: {backend_summary()}]"
+    backend_note = (f"  [sweep backend: {platform_backend().name} "
+                    f"(numpy {numpy.__version__})]")
     mode = "w"
 
     def _print(text: str) -> None:

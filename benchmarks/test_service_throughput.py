@@ -12,9 +12,10 @@ scaling PRs (sharded grids, async engine, persistence) are measured against:
   cache, over a mixed MaxRS / MaxkRS workload.
 * **Sweep-backend comparison** -- the refined cold query (the engine's
   worst case: a near-uniform dataset barely prunes, so the exact sweep runs
-  over the whole point set) timed per sweep backend, with bit-identical
-  answers required across backends.  This is the trajectory the pluggable
-  backend layer (:mod:`repro.core.backends`) is measured against.
+  over the whole point set) timed on the platform's backend (numpy) and on
+  the pure-Python reference, forced with the ``pure_backend`` fixture, with
+  bit-identical answers required across backends.  This is the trajectory
+  the backend layer (:mod:`repro.core.backends`) is measured against.
 
 The dataset is the serving-shaped synthetic workload: a uniform background
 plus dense hot spots (real request traffic concentrates on hot spots; it is
@@ -26,6 +27,7 @@ timer noise, and it keeps the benchmark runnable at paper scale.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import pytest
@@ -178,7 +180,8 @@ def _uniform_dataset(cardinality: int, seed: int = 23) -> list[WeightedPoint]:
                                rng.choice([1.0, 2.0, 3.0], cardinality))]
 
 
-def test_backend_refined_cold_query(scale, report, artefact_dir):
+def test_backend_refined_cold_query(scale, report, artefact_dir,
+                                    pure_backend):
     """Sweep-backend A/B on the refined cold query; answers must agree."""
     cardinality = scale.cardinality(PAPER_CARDINALITY)
     objects = _uniform_dataset(cardinality)
@@ -188,11 +191,13 @@ def test_backend_refined_cold_query(scale, report, artefact_dir):
     answers = {}
     backends = available_backends()
     for name in backends:
-        engine = MaxRSEngine(sweep_backend=name)
-        handle = engine.register_dataset(objects)
-        start = time.perf_counter()
-        answers[name] = engine.query(handle, spec)
-        seconds[name] = time.perf_counter() - start
+        forced = pure_backend if name == "pure" else contextlib.nullcontext
+        with forced(), MaxRSEngine() as engine:
+            handle = engine.register_dataset(objects)
+            assert engine.stats()["sweep_backend"] == name
+            start = time.perf_counter()
+            answers[name] = engine.query(handle, spec)
+            seconds[name] = time.perf_counter() - start
 
     reference = answers[backends[0]]
     for name in backends[1:]:

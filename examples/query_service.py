@@ -63,8 +63,8 @@ def main() -> None:
     print(f"workload              : {len(workload)} queries, {len(sizes)} distinct sizes")
 
     engine = MaxRSEngine()
-    print(f"sweep backend         : "
-          f"{engine.stats()['sweep_backend']['summary']}")
+    print(f"sweep backend         : {engine.stats()['sweep_backend']} "
+          "(numpy whenever it imports, else the pure-Python reference)")
     start = time.perf_counter()
     dataset = engine.register_dataset(objects, name="city")
     register_seconds = time.perf_counter() - start
@@ -120,9 +120,8 @@ def main() -> None:
     if refine:
         print(f"refine stage          : {refine['count']} runs, "
               f"mean {refine['mean_seconds'] * 1e3:.1f} ms")
-    uses = stats["sweep_backend"]["uses"]
-    print(f"sweeps by backend     : " + ", ".join(
-        f"{name} x{count}" for name, count in uses.items()))
+    print(f"sweeps                : {stats['counters'].get('sweeps', 0)} "
+          f"on {stats['sweep_backend']}")
 
     # A big planning query ("where could a 60 km square go?") answered two
     # ways: exactly, and with a certified 20% error bound -- the pyramid

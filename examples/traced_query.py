@@ -58,8 +58,7 @@ def show_plan(plan: dict) -> None:
     """Print the interesting lines of an EXPLAIN plan."""
     print(f"  path: {plan['path']}  "
           f"(cache would_hit={plan['cache']['would_hit']}, "
-          f"backend probe={plan['backend']['probe']}/"
-          f"refine={plan['backend']['refine']})")
+          f"sweeps on {plan['backend']})")
     estimates = plan.get("estimates")
     if estimates:
         print(f"  estimates: probe~{estimates['probe_points']} pts, "

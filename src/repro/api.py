@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.circles.approx_maxcrs import ApproxMaxCRS
-from repro.core.backends import BackendSpec, resolve_backend
 from repro.circles.exact_maxcrs import exact_maxcrs
 from repro.core.dispatch import solve_point_set, solve_point_set_top_k
 from repro.core.result import MaxCRSResult, MaxRSResult
@@ -55,14 +54,10 @@ class MaxRSSolver:
         Always run the external-memory algorithm, even for datasets that fit
         in the configured memory.  By default small inputs take the in-memory
         plane-sweep fast path, exactly as Algorithm 2 does.
-    backend:
-        Execution backend for every sweep: ``"pure"``, ``"numpy"``, a
-        :class:`~repro.core.backends.SweepBackend` instance, or ``None`` /
-        ``"auto"`` (default) for numpy when it imports, pure Python
-        otherwise.  Backends return the same answers (bit-identical for
-        exactly-representable weight sums).  Resolved at construction, so
-        an unknown or unavailable backend raises
-        :class:`~repro.errors.ConfigurationError` here.
+
+    Every sweep runs on numpy when it imports and on the pure-Python
+    reference otherwise (:func:`~repro.core.backends.platform_backend`);
+    both return the same answers.
 
     Examples
     --------
@@ -74,8 +69,7 @@ class MaxRSSolver:
 
     def __init__(self, width: float, height: float, *,
                  config: Optional[EMConfig] = None,
-                 force_external: bool = False,
-                 backend: BackendSpec = None) -> None:
+                 force_external: bool = False) -> None:
         if not is_positive_finite(width, height):
             raise ConfigurationError(
                 "query rectangle must have a positive finite extent, "
@@ -85,7 +79,6 @@ class MaxRSSolver:
         self.height = height
         self.config = config if config is not None else EMConfig()
         self.force_external = force_external
-        self.backend = resolve_backend(backend)
         self._objects: Optional[List[WeightedPoint]] = None
 
     @classmethod
@@ -93,8 +86,7 @@ class MaxRSSolver:
                       width: float, height: float,
                       config: Optional[EMConfig] = None,
                       persist_config: Optional[EMConfig] = None,
-                      force_external: bool = False,
-                      backend: BackendSpec = None) -> "MaxRSSolver":
+                      force_external: bool = False) -> "MaxRSSolver":
         """Build a solver pre-loaded with a persisted dataset snapshot.
 
         Reads ``dataset_id`` from the :mod:`repro.persist` snapshot store at
@@ -120,7 +112,7 @@ class MaxRSSolver:
         store = SnapshotStore(persist_dir, config=persist_config)
         loaded = store.load_dataset(dataset_id)
         solver = cls(width=width, height=height, config=config,
-                     force_external=force_external, backend=backend)
+                     force_external=force_external)
         solver._objects = loaded.objects()
         return solver
 
@@ -145,8 +137,7 @@ class MaxRSSolver:
         return solve_point_set(self._resolve_objects(objects),
                                self.width, self.height,
                                config=self.config,
-                               force_external=self.force_external,
-                               backend=self.backend)
+                               force_external=self.force_external)
 
     def solve_top_k(self, objects: Optional[Sequence[WeightedPoint]] = None,
                     k: int = 1) -> List[MaxRSResult]:
@@ -176,8 +167,7 @@ class MaxRSSolver:
         return solve_point_set_top_k(self._resolve_objects(objects),
                                      self.width, self.height, k,
                                      config=self.config,
-                                     force_external=self.force_external,
-                                     backend=self.backend)
+                                     force_external=self.force_external)
 
 
 class MaxCRSSolver:
@@ -237,8 +227,7 @@ class MaxCRSSolver:
 def solve_many(objects: Sequence[WeightedPoint],
                sizes: Sequence[Tuple[float, float]], *,
                refine: bool = True,
-               engine: Optional["object"] = None,
-               backend: BackendSpec = None) -> List[MaxRSResult]:
+               engine: Optional["object"] = None) -> List[MaxRSResult]:
     """Answer many MaxRS queries over one dataset via the resident engine.
 
     This is the engine-backed counterpart of calling
@@ -260,14 +249,11 @@ def solve_many(objects: Sequence[WeightedPoint],
         An existing :class:`~repro.service.MaxRSEngine` to reuse (so its
         cache and indexes persist across calls); a private one is created
         when omitted.
-    backend:
-        Sweep backend for a newly created engine (ignored when ``engine`` is
-        passed -- reuse keeps the engine's own configuration).
     """
     from repro.service.engine import MaxRSEngine, QuerySpec
 
     if engine is None:
-        engine = MaxRSEngine(sweep_backend=backend)
+        engine = MaxRSEngine()
     handle = engine.register_dataset(objects)
     specs = [QuerySpec.maxrs(width, height, refine=refine)
              for width, height in sizes]

@@ -3,19 +3,18 @@
 Layout of the package (bottom-up):
 
 * :mod:`repro.core.transform` -- the dual transformation from objects to
-  query-sized rectangles (Section 4).
-* :mod:`repro.core.events` -- the sweep-event representation of rectangles
-  used throughout the recursion.
+  query-sized rectangles (Section 4), written as the sweep-event records
+  (:data:`repro.em.codecs.EVENT_CODEC`) used throughout the recursion.
 * :mod:`repro.core.segment_tree` -- the lazy max/argmax segment tree shared by
   the plane sweep and MergeSweep.
 * :mod:`repro.core.plane_sweep` -- the in-memory plane sweep, both the base
   case of the recursion and the exact reference solver.
-* :mod:`repro.core.backends` -- pluggable execution backends for that sweep:
-  the pure-Python reference tree and a numpy-vectorised implementation,
-  selected explicitly or, by default, numpy whenever it imports.
+* :mod:`repro.core.backends` -- the two implementations of that sweep: the
+  pure-Python reference tree and a numpy-vectorised one; the platform picks
+  numpy whenever it imports.
 * :mod:`repro.core.slab` -- slabs, boundary selection and the division phase.
-* :mod:`repro.core.slabfile` / :mod:`repro.core.maxinterval` -- slab-files and
-  their max-interval tuples (Definition 6).
+* :mod:`repro.core.slabfile` -- slab-files of max-interval tuples
+  (Definition 6).
 * :mod:`repro.core.merge_sweep` -- Algorithm 1 (MergeSweep).
 * :mod:`repro.core.exact_maxrs` -- Algorithm 2 (ExactMaxRS), the public
   external-memory solver, plus the MaxkRS extension.
@@ -26,7 +25,6 @@ from repro.core.backends import (
     SweepBackend,
     available_backends,
     get_backend,
-    resolve_backend,
 )
 from repro.core.beststrip import BestStrip, BestStripTracker
 from repro.core.dispatch import (
@@ -34,13 +32,11 @@ from repro.core.dispatch import (
     solve_point_set,
     solve_point_set_top_k,
 )
-from repro.core.events import SweepEvent, events_sort_key, rect_to_events
 from repro.core.exact_maxrs import (
     ExactMaxRS,
     records_to_strips,
     select_disjoint_strips,
 )
-from repro.core.maxinterval import MaxInterval
 from repro.core.merge_sweep import merge_sweep
 from repro.core.plane_sweep import solve_in_memory, sweep_events
 from repro.core.result import MaxCRSResult, MaxRegion, MaxRSResult
@@ -52,13 +48,7 @@ from repro.core.slab import (
     make_subslabs,
     partition_event_file,
 )
-from repro.core.slabfile import (
-    find_best_strip,
-    iter_slab_file,
-    read_slab_file,
-    validate_slab_file_records,
-    write_slab_file,
-)
+from repro.core.slabfile import validate_slab_file_records, write_slab_file
 from repro.core.transform import (
     build_event_file,
     dual_rectangle,
@@ -75,31 +65,23 @@ __all__ = [
     "SweepBackend",
     "available_backends",
     "get_backend",
-    "resolve_backend",
     "MaxAddSegmentTree",
     "MaxCRSResult",
-    "MaxInterval",
     "MaxRSResult",
     "MaxRegion",
     "Slab",
-    "SweepEvent",
     "build_event_file",
     "choose_boundaries",
     "collect_edge_xs",
     "dual_rectangle",
     "dual_rectangles",
-    "events_sort_key",
-    "find_best_strip",
     "fits_in_memory",
-    "iter_slab_file",
     "make_subslabs",
     "merge_sweep",
     "objects_file_to_event_file",
     "objects_to_event_records",
     "partition_event_file",
-    "read_slab_file",
     "records_to_strips",
-    "rect_to_events",
     "select_disjoint_strips",
     "solve_in_memory",
     "solve_point_set",

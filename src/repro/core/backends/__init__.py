@@ -17,11 +17,11 @@ several specialised implementations:
   numpy-vectorised sweep (chunked difference-array profile maintenance).
   Available only when numpy is importable.
 
-Selection is by name (``"pure"`` / ``"numpy"``), by instance, or automatic
-(``None`` / ``"auto"``): numpy whenever it imports, pure Python otherwise.
-The numpy sweep is at least as fast from about 20 points (40 events) up,
-and every sweep of the library that small costs well under a millisecond
-either way, so the choice does not depend on the input.
+The platform picks: :func:`platform_backend` returns numpy whenever it
+imports and pure Python otherwise, and every solve of the library sweeps on
+it.  The numpy sweep is at least as fast from about 20 points (40 events)
+up, and every sweep of the library that small costs well under a
+millisecond either way, so the choice does not depend on the input.
 
 Determinism contract
 --------------------
@@ -45,24 +45,21 @@ for a half-width ``w/2 > 0``), so only raw event rows can show it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.beststrip import BestStrip
 from repro.errors import ConfigurationError
 from repro.geometry import Interval
 
 __all__ = [
-    "BackendSpec",
     "SweepBackend",
     "SweepRecord",
     "SweepOutput",
     "auto_crossover",
     "available_backends",
-    "backend_summary",
     "get_backend",
     "numpy_available",
-    "numpy_version",
-    "resolve_backend",
+    "platform_backend",
 ]
 
 SweepRecord = Tuple[float, ...]
@@ -70,7 +67,6 @@ SweepRecord = Tuple[float, ...]
 #: (slab-file records, best strip) -- one slab's output of ``sweep_slabs``.
 SweepOutput = Tuple[Sequence[SweepRecord], BestStrip]
 
-@runtime_checkable
 class SweepBackend(Protocol):
     """The contract every sweep backend implements.
 
@@ -82,7 +78,7 @@ class SweepBackend(Protocol):
     strip only; ``sweep_slabs`` is the one entry point for slab-files.
     """
 
-    #: Stable identifier used for selection, metrics and artefact logging.
+    #: Stable identifier used by :func:`get_backend`, spans and metrics.
     name: str
 
     def sweep(self, event_records: Sequence[SweepRecord],
@@ -106,12 +102,6 @@ class SweepBackend(Protocol):
         ...
 
 
-#: Anything accepted as a backend selector throughout the library: a
-#: concrete instance, a backend name, or ``None`` / ``"auto"`` for numpy
-#: whenever it imports (see :func:`resolve_backend`).
-BackendSpec = Union[str, SweepBackend, None]
-
-
 def numpy_available() -> bool:
     """Whether the numpy backend can run in this interpreter."""
     from repro.core.backends.numpy_backend import np
@@ -119,19 +109,11 @@ def numpy_available() -> bool:
     return np is not None
 
 
-def numpy_version() -> Optional[str]:
-    """The importable numpy's version string, or ``None`` when absent."""
-    from repro.core.backends.numpy_backend import np
-
-    return None if np is None else str(np.__version__)
-
-
 def auto_crossover() -> int:
-    """Event count from which ``"auto"`` picks numpy: always 0.
+    """Event count from which :func:`platform_backend` picks numpy: always 0.
 
-    ``"auto"`` resolves to numpy whenever numpy imports, whatever the
-    sweep's size.  Kept for callers that still report the old size
-    threshold.
+    Numpy runs whenever it imports, whatever the sweep's size.  Kept for
+    callers that still report the old size threshold.
     """
     return 0
 
@@ -160,55 +142,22 @@ def get_backend(name: str) -> SweepBackend:
         if not numpy_available():
             raise ConfigurationError(
                 "the numpy sweep backend was requested but numpy is not "
-                "importable; install numpy or select backend='pure'"
+                "importable"
             )
         from repro.core.backends.numpy_backend import NumpySweepBackend
 
         return NumpySweepBackend()
     raise ConfigurationError(
-        f"unknown sweep backend {name!r}; expected 'pure' or 'numpy' "
-        "(for 'auto' use resolve_backend)"
+        f"unknown sweep backend {name!r}; expected 'pure' or 'numpy'"
     )
 
 
-def resolve_backend(backend: BackendSpec) -> SweepBackend:
-    """Resolve a backend specification to a concrete instance.
+def platform_backend() -> SweepBackend:
+    """The backend every sweep of the library runs on.
 
-    ``backend`` may be an instance (returned as-is), a name (``"pure"`` /
-    ``"numpy"``), or ``None`` / ``"auto"``: numpy when it imports, pure
-    Python otherwise.  Callers resolve once, where the specification is
-    configured, so an unknown or unavailable backend fails there.
-
-    Raises
-    ------
-    ConfigurationError
-        For unknown names, unavailable backends, or objects that do not
-        implement the :class:`SweepBackend` protocol.
+    Numpy whenever it imports, the pure-Python reference otherwise.  The
+    solvers and the engine call this when they sweep, through the module
+    attribute, so replacing the attribute (as the tests do to run the
+    reference) reaches every sweep.
     """
-    if backend is None or backend == "auto":
-        return get_backend("numpy" if numpy_available() else "pure")
-    if isinstance(backend, str):
-        return get_backend(backend)
-    if not isinstance(backend, SweepBackend):
-        raise ConfigurationError(
-            f"sweep backend must be a name or implement SweepBackend "
-            f"(a 'name' attribute and 'sweep' and 'sweep_slabs' methods), "
-            f"got {backend!r}"
-        )
-    return backend
-
-
-def backend_summary(backend: Union[str, SweepBackend, None] = None) -> str:
-    """One-line description of the active backend configuration.
-
-    Used by the benchmark artefact log so perf numbers recorded across PRs
-    stay attributable to the sweep implementation that produced them, e.g.
-    ``auto -> numpy (numpy 2.4.6)`` or ``pure (numpy absent)``.
-    """
-    version = numpy_version()
-    numpy_note = f"numpy {version}" if version is not None else "numpy absent"
-    if backend is None or backend == "auto":
-        resolved = "numpy" if version is not None else "pure"
-        return f"auto -> {resolved} ({numpy_note})"
-    name = backend if isinstance(backend, str) else backend.name
-    return f"{name} ({numpy_note})"
+    return get_backend("numpy" if numpy_available() else "pure")

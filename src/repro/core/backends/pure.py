@@ -4,8 +4,9 @@ This is the original :func:`repro.core.plane_sweep.sweep_events` behind the
 :class:`~repro.core.backends.SweepBackend` protocol.  It exists as a named
 backend for two reasons:
 
-* it is always available (no third-party dependency), so ``"auto"``
-  falls back to it when numpy does not import;
+* it is always available (no third-party dependency), so
+  :func:`~repro.core.backends.platform_backend` falls back to it when numpy
+  does not import;
 * it is the semantic reference the vectorised backends are property-tested
   against (see ``tests/test_core_backends.py``).
 """

@@ -23,11 +23,9 @@ The dispatch is controlled by two flags:
     size.  The resident service uses this: its datasets are memory-resident by
     design, so simulating disk I/O for them would only add cost.
 
-Orthogonally to the strategy choice, ``backend`` selects the *execution
-backend* of the in-memory sweep itself (:mod:`repro.core.backends`): the
-pure-Python reference tree, the numpy-vectorised sweep, or ``None``/"auto"
-for numpy whenever it imports.  The external path threads the same selection into
-the ExactMaxRS base case, so every sweep in the process honours one knob.
+Whichever strategy runs, its sweeps run on the platform's backend
+(:func:`repro.core.backends.platform_backend`): the numpy-vectorised sweep
+whenever numpy imports, the pure-Python reference tree otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.core.backends import BackendSpec, resolve_backend
+from repro.core import backends
 from repro.core.exact_maxrs import (
     ExactMaxRS,
     records_to_strips,
@@ -67,15 +65,12 @@ def solve_point_set(objects: Sequence[WeightedPoint], width: float,
                     height: float, *,
                     config: Optional[EMConfig] = None,
                     force_external: bool = False,
-                    force_in_memory: bool = False,
-                    backend: BackendSpec = None) -> MaxRSResult:
+                    force_in_memory: bool = False) -> MaxRSResult:
     """Solve a MaxRS instance, choosing the execution strategy automatically.
 
     Small inputs (per :func:`fits_in_memory`) are solved by the in-memory
     plane sweep; larger ones by the external-memory ExactMaxRS recursion on a
-    fresh :class:`~repro.em.context.EMContext`.  ``backend`` selects the
-    sweep execution backend for whichever path runs (see
-    :mod:`repro.core.backends`).
+    fresh :class:`~repro.em.context.EMContext`.
 
     Raises
     ------
@@ -88,24 +83,20 @@ def solve_point_set(objects: Sequence[WeightedPoint], width: float,
     with obs.span("dispatch.solve", kind="maxrs", objects=len(objects),
                   strategy="in_memory" if in_memory else "external"):
         if in_memory:
-            return solve_in_memory(objects, width, height, backend=backend)
-        ctx = EMContext(config)
-        return ExactMaxRS(ctx, width, height,
-                          sweep_backend=backend).solve(objects)
+            return solve_in_memory(objects, width, height)
+        return ExactMaxRS(EMContext(config), width, height).solve(objects)
 
 
 def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
                           height: float, k: int, *,
                           config: Optional[EMConfig] = None,
                           force_external: bool = False,
-                          force_in_memory: bool = False,
-                          backend: BackendSpec = None) -> List[MaxRSResult]:
+                          force_in_memory: bool = False) -> List[MaxRSResult]:
     """Solve a MaxkRS instance (``k`` best vertically-disjoint placements).
 
     Follows the same strategy choice as :func:`solve_point_set`; the in-memory
-    path runs one plane sweep (on the backend selected by ``backend``) and
-    selects the top strips directly from its slab-file, with no simulated
-    I/O.
+    path runs one plane sweep and selects the top strips directly from its
+    slab-file, with no simulated I/O.
 
     Raises
     ------
@@ -122,10 +113,10 @@ def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
                   strategy="in_memory" if in_memory else "external"):
         if in_memory:
             records = objects_to_event_records(objects, width, height)
-            sweep_backend = resolve_backend(backend)
-            with obs.span("backend.sweep", backend=sweep_backend.name,
+            backend = backends.platform_backend()
+            with obs.span("backend.sweep", backend=backend.name,
                           events=len(records)):
-                rows, _ = sweep_backend.sweep_slabs(
+                rows, _ = backend.sweep_slabs(
                     [(records, Interval.full())])[0]
             chosen = select_disjoint_strips(records_to_strips(rows), k)
             results: List[MaxRSResult] = []
@@ -140,9 +131,8 @@ def solve_point_set_top_k(objects: Sequence[WeightedPoint], width: float,
                     leaf_count=1,
                 ))
             return results
-        ctx = EMContext(config)
-        return ExactMaxRS(ctx, width, height,
-                          sweep_backend=backend).solve_topk(objects, k)
+        return ExactMaxRS(EMContext(config), width,
+                          height).solve_topk(objects, k)
 
 
 def _check_args(width: float, height: float, config: Optional[EMConfig],

@@ -6,8 +6,8 @@ the distribution-sweep paradigm:
 1. **Transform** (Section 4): every object becomes a query-sized rectangle
    centred at the object; the MaxRS answer is the most overlapped region of
    these dual rectangles.  The rectangles are represented as a y-sorted file
-   of sweep events (:mod:`repro.core.events`), produced by one linear pass
-   plus one external sort.
+   of sweep events (:data:`~repro.em.codecs.EVENT_CODEC` records), produced
+   by one linear pass plus one external sort.
 2. **Divide** (Section 5.2.1): while the events of a sub-problem exceed the
    memory capacity ``M``, the sub-problem's slab is split into ``m = Θ(M/B)``
    sub-slabs receiving roughly the same number of rectangle edges.  Rectangle
@@ -63,7 +63,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.backends import BackendSpec, resolve_backend
+from repro.core import backends
 from repro.core.beststrip import BestStrip
 from repro.core.merge_sweep import merge_sweep
 from repro.core.result import MaxRSResult
@@ -103,12 +103,9 @@ class ExactMaxRS:
     max_depth:
         Hard recursion-depth safety limit; beyond it the in-memory sweep is
         used regardless of size.
-    sweep_backend:
-        Execution backend for the in-memory sweep at the leaves (a
-        :class:`~repro.core.backends.SweepBackend`, a name, or ``None`` for
-        numpy whenever it imports; see :mod:`repro.core.backends`).
-        Resolved here, so an unknown or unavailable backend raises
-        :class:`~repro.errors.ConfigurationError` before any I/O.
+
+    The in-memory sweeps run on the platform's backend
+    (:func:`~repro.core.backends.platform_backend`), picked here.
 
     Each layer of a solve opens a span (:mod:`repro.obs`):
     ``exact_maxrs.transform`` around the dual transform,
@@ -130,8 +127,7 @@ class ExactMaxRS:
     def __init__(self, ctx: EMContext, width: float, height: float, *,
                  fanout: Optional[int] = None,
                  memory_records: Optional[int] = None,
-                 max_depth: int = 64,
-                 sweep_backend: BackendSpec = None) -> None:
+                 max_depth: int = 64) -> None:
         if not is_positive_finite(width, height):
             raise ConfigurationError(
                 "query rectangle must have a positive finite extent, "
@@ -152,13 +148,12 @@ class ExactMaxRS:
                 f"memory must hold at least two event records, got {self.memory_records}"
             )
         self.max_depth = max_depth
-        self.sweep_backend = sweep_backend
-        self._backend = resolve_backend(sweep_backend)
+        self._backend = backends.platform_backend()
         self._leaf_count = 0
         self._deepest_level = 0
 
     def _sweep_slabs(self, slabs):
-        """Sweep ``(event rows, x-range)`` slabs on the resolved backend."""
+        """Sweep ``(event rows, x-range)`` slabs on the platform's backend."""
         with obs.span("backend.sweep", backend=self._backend.name,
                       events=sum(len(rows) for rows, _ in slabs),
                       slabs=len(slabs)):

@@ -19,15 +19,15 @@ maximal interval attaining it are emitted as the slab-file tuple for the strip
 above that h-line.
 
 :func:`sweep_events` is also the reference implementation behind the
-``"pure"`` entry of the pluggable backend layer (:mod:`repro.core.backends`);
-the vectorised backends are property-tested against it.
+``"pure"`` entry of the backend layer (:mod:`repro.core.backends`); the
+vectorised backend is property-tested against it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro import obs
 from repro.core.beststrip import BestStrip, BestStripTracker
@@ -39,9 +39,6 @@ from repro.core.transform import (
 from repro.core.result import MaxRSResult
 from repro.em.codecs import EVENT_BOTTOM
 from repro.geometry import Interval, WeightedPoint
-
-if TYPE_CHECKING:  # lazily imported at runtime (see _solve_best)
-    from repro.core.backends import BackendSpec, SweepBackend
 
 __all__ = ["sweep_events", "solve_in_memory", "solve_columns",
            "PlaneSweepOutput"]
@@ -145,18 +142,14 @@ def _elementary_boundaries(events: Sequence[Record], slab_lo: float,
 
 
 def solve_in_memory(objects: Sequence[WeightedPoint], width: float,
-                    height: float, *,
-                    backend: "BackendSpec" = None) -> MaxRSResult:
+                    height: float) -> MaxRSResult:
     """Solve a MaxRS instance entirely in memory.
 
     This is the exact solver the tests use as an oracle and the fast path the
     public API takes when the dataset is small.  It performs no simulated I/O.
-
-    ``backend`` selects the sweep execution strategy (a
-    :class:`~repro.core.backends.SweepBackend` instance, a name, or ``None``
-    for numpy whenever it imports -- see :mod:`repro.core.backends`).  Only
-    the best strip is consumed here, so backends may skip materialising the
-    slab-file tuples.
+    It asks the platform's backend
+    (:func:`~repro.core.backends.platform_backend`) for the best strip
+    only, so no slab-file is built.
 
     Examples
     --------
@@ -166,51 +159,41 @@ def solve_in_memory(objects: Sequence[WeightedPoint], width: float,
     2.0
     """
     return _solve_best(
-        backend, 2 * len(objects),
-        lambda _: objects_to_event_records(objects, width, height))
+        2 * len(objects),
+        lambda: objects_to_event_records(objects, width, height))
 
 
-def solve_columns(xs, ys, ws, width: float, height: float, *,
-                  backend: "BackendSpec" = None) -> MaxRSResult:
+def solve_columns(xs, ys, ws, width: float, height: float) -> MaxRSResult:
     """:func:`solve_in_memory` over points held as numpy columns.
 
     The events are built with numpy
     (:func:`~repro.core.transform.columns_to_event_array`), so no point
-    objects are needed.  The numpy backend sweeps that array as is; any
-    other backend receives the same records as tuples.  The answer is
-    bit-identical to :func:`solve_in_memory` on the objects the columns
-    hold.  Requires numpy.
+    objects are needed, and either backend sweeps that array as is.  The
+    answer is bit-identical to :func:`solve_in_memory` on the objects the
+    columns hold.  Requires numpy.
     """
-    from repro.core.backends.numpy_backend import NumpySweepBackend
-
-    def build(sweep_backend):
-        events = columns_to_event_array(xs, ys, ws, width, height)
-        if isinstance(sweep_backend, NumpySweepBackend):
-            return events
-        return list(map(tuple, events.tolist()))
-
-    return _solve_best(backend, 2 * len(xs), build)
+    return _solve_best(
+        2 * len(xs),
+        lambda: columns_to_event_array(xs, ys, ws, width, height))
 
 
-def _solve_best(backend: "BackendSpec", num_events: int,
-                build: Callable[["SweepBackend"], Sequence[Record]]
-                ) -> MaxRSResult:
-    """Sweep the events ``build`` makes for the resolved backend.
+def _solve_best(num_events: int,
+                build: Callable[[], Sequence[Record]]) -> MaxRSResult:
+    """Sweep the events ``build`` makes on the platform's backend.
 
     Returns the best strip as a :class:`MaxRSResult`.  The event build runs
     inside the ``backend.sweep`` span, as its ``backend.sweep.events``
     child.
     """
-    # Imported lazily: repro.core.backends imports this module's
+    # Imported at call time: repro.core.backends imports this module's
     # sweep_events for its reference backend.
-    from repro.core.backends import resolve_backend
+    from repro.core.backends import platform_backend
 
-    sweep_backend = resolve_backend(backend)
-    with obs.span("backend.sweep", backend=sweep_backend.name,
-                  events=num_events):
+    backend = platform_backend()
+    with obs.span("backend.sweep", backend=backend.name, events=num_events):
         with obs.span("backend.sweep.events"):
-            records = build(sweep_backend)
-        best = sweep_backend.sweep(records, Interval.full())
+            records = build()
+        best = backend.sweep(records, Interval.full())
     region = best.to_region()
     return MaxRSResult(
         location=region.representative_point(),

@@ -3,28 +3,20 @@
 A *slab-file* (Section 5.2.2) is the y-sorted sequence of max-interval tuples
 that summarises the solution of one sub-problem of the ExactMaxRS recursion.
 On the simulated disk it is simply a :class:`~repro.em.record_file.RecordFile`
-of ``(y, x1, x2, sum)`` records; this module provides the small set of helpers
-the algorithms and tests share for creating, reading and validating them.
+of ``(y, x1, x2, sum)`` records; this module provides the helpers the tests
+use to create and validate them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from repro.core.beststrip import BestStrip, BestStripTracker
-from repro.core.maxinterval import MaxInterval
 from repro.em.codecs import MAX_INTERVAL_CODEC
 from repro.em.context import EMContext
 from repro.em.record_file import RecordFile
 from repro.errors import AlgorithmError
 
-__all__ = [
-    "write_slab_file",
-    "iter_slab_file",
-    "read_slab_file",
-    "find_best_strip",
-    "validate_slab_file_records",
-]
+__all__ = ["write_slab_file", "validate_slab_file_records"]
 
 Record = Tuple[float, ...]
 
@@ -35,31 +27,6 @@ def write_slab_file(ctx: EMContext, records: Iterable[Record],
     file = ctx.create_file(MAX_INTERVAL_CODEC, name=name)
     file.write_all(records)
     return file
-
-
-def iter_slab_file(file: RecordFile) -> Iterator[MaxInterval]:
-    """Iterate a slab-file as :class:`~repro.core.maxinterval.MaxInterval` objects."""
-    for record in file.reader():
-        yield MaxInterval.from_record(record)
-
-
-def read_slab_file(file: RecordFile) -> List[MaxInterval]:
-    """Read a whole slab-file into memory (tests and small inputs only)."""
-    return list(iter_slab_file(file))
-
-
-def find_best_strip(file: RecordFile) -> BestStrip:
-    """Scan a slab-file and return its best strip.
-
-    The ExactMaxRS driver tracks the best strip incrementally during the final
-    merge, so this linear scan is only needed when a slab-file is examined in
-    isolation (tests, the top-k extension, and diagnostics).
-    """
-    tracker = BestStripTracker()
-    for y, x1, x2, total in file.reader():
-        tracker.observe(y, x1, x2, total)
-    tracker.finish()
-    return tracker.best
 
 
 def validate_slab_file_records(records: Sequence[Record]) -> None:

@@ -8,9 +8,12 @@ The reproduction stores five kinds of records on the simulated disk:
   the ExactMaxRS recursion;
 * **max-interval records** ``(y, x1, x2, sum)`` -- the tuples of a slab-file
   (Definition 6: ``t = <y, [x1, x2], sum>``);
-* **event records** ``(y, kind, x1, x2, weight)`` -- sweep-line events used by
-  the externalized plane-sweep baselines (kind is +1 for a bottom edge and -1
-  for a top edge);
+* **event records** ``(y, kind, x1, x2, weight)`` -- sweep-line events: each
+  dual rectangle contributes a *bottom* event at its lower edge (kind +1, it
+  starts crossing the sweep line) and a *top* event at its upper edge (kind
+  -1), each carrying the rectangle's x-range and weight, so a y-sorted event
+  file describes the rectangle set completely -- the format the ExactMaxRS
+  recursion passes down to sub-problems and the externalized baselines sweep;
 * **column records** ``(value,)`` -- one float64 component of a *columnar*
   snapshot (:mod:`repro.persist`): a dataset's ``x``, ``y`` and ``weight``
   columns (and a grid index's flattened cell aggregates) are each stored as a

@@ -48,19 +48,13 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as _wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+from typing import (Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
 
 from repro.circles.exact_maxcrs import exact_maxcrs
-from repro.core.backends import (
-    BackendSpec,
-    SweepBackend,
-    backend_summary,
-    numpy_version,
-    resolve_backend,
-)
+from repro.core import backends
 from repro.core.dispatch import solve_point_set_top_k
 from repro.core.plane_sweep import solve_columns
 from repro.core.result import MaxCRSResult, MaxRegion, MaxRSResult
@@ -177,11 +171,6 @@ class QuerySpec:
         return cls(kind="maxcrs", diameter=diameter, refine=refine,
                    error_bound=error_bound)
 
-    def cache_params(self) -> Tuple[Hashable, ...]:
-        """The parameter tuple identifying this query in the result cache."""
-        return (self.kind, self.width, self.height, self.k, self.diameter,
-                self.refine, self.error_bound)
-
 
 class MaxRSEngine:
     """Resident query engine: ingest once, answer many queries.
@@ -212,13 +201,6 @@ class MaxRSEngine:
         diameter; so when the subset exceeds this many points the engine
         raises :class:`~repro.errors.ServiceError` instead of hanging on one
         query.
-    sweep_backend:
-        Execution backend for every plane sweep the engine runs (``"pure"``,
-        ``"numpy"``, a :class:`~repro.core.backends.SweepBackend` instance,
-        or ``None`` / ``"auto"`` for numpy whenever it imports).  Resolved
-        once, here: an unknown or unavailable backend raises
-        :class:`~repro.errors.ConfigurationError`.  Every sweep is counted
-        and reported by :meth:`stats`.
     persist_dir:
         Directory for durable dataset snapshots (:mod:`repro.persist`).  When
         given, the snapshot catalog found there is restored on construction
@@ -277,7 +259,6 @@ class MaxRSEngine:
                  max_cells_per_side: int = 512,
                  pyramid_levels: Optional[int] = None,
                  maxcrs_exact_limit: int = 5_000,
-                 sweep_backend: BackendSpec = None,
                  persist_dir: Union[str, os.PathLike, None] = None,
                  persist_config: Optional[EMConfig] = None,
                  tracer: Union[None, str, obs.Tracer,
@@ -305,19 +286,16 @@ class MaxRSEngine:
             raise ConfigurationError(
                 f"pyramid_levels must be positive (or None for auto), "
                 f"got {pyramid_levels}")
-        self._sweep_backend = resolve_backend(sweep_backend)
-        self.store = PointStore()
+        self.store = PointStore(index=self._build_grid)
         self.cache = LRUCache(cache_size)
         self.metrics = EngineMetrics()
         self.tracer = (tracer if isinstance(tracer, obs.Tracer)
                        else obs.Tracer(obs.resolve_recorder(tracer)))
         self.max_workers = max_workers
         self.maxcrs_exact_limit = maxcrs_exact_limit
-        self.sweep_backend = sweep_backend
         self._target_points_per_cell = target_points_per_cell
         self._max_cells_per_side = max_cells_per_side
         self._pyramid_levels = pyramid_levels
-        self._grids: Dict[str, Optional[GridIndex]] = {}
         self._restore_errors: Dict[str, str] = {}
         # Per-client accounting: a bounded LRU of client_id -> cumulative
         # ledger, fed by query(client_id=...) and surfaced by stats() and
@@ -471,32 +449,21 @@ class MaxRSEngine:
         return obs.metrics_text(self.metrics, namespace=namespace,
                                 clients=self.client_ledgers())
 
-    def _index(self, dataset_id: str) -> None:
-        """Build a registered dataset's grid index (``None`` when empty).
+    def _build_grid(self, xs: np.ndarray, ys: np.ndarray,
+                    ws: np.ndarray) -> GridIndex:
+        """The grid index of a dataset's columns (the store's ``index``).
 
-        Registration and restore both index through here, so a restarted
-        engine serves exactly the grid a fresh registration would build.
+        The store builds it before publishing the dataset, on registration
+        and on restore alike, so a restarted engine serves exactly the grid
+        a fresh registration would build.
         """
-        entry = self.store.get(dataset_id)
-        grid: Optional[GridIndex] = None
-        if entry.count > 0:
-            with self._stage("grid_build"):
-                grid = GridIndex(
-                    *entry.columns(),
-                    target_points_per_cell=self._target_points_per_cell,
-                    max_cells_per_side=self._max_cells_per_side,
-                    pyramid_levels=self._pyramid_levels,
-                )
-        self._grids[dataset_id] = grid
-
-    def _backend_for(self) -> SweepBackend:
-        """The sweep backend resolved at construction, for one more sweep.
-
-        Every probe and refine sweeps on it, whatever its size; each call
-        is counted, which is what :meth:`stats` reports.
-        """
-        self._count(f"sweep_backend_{self._sweep_backend.name}")
-        return self._sweep_backend
+        with self._stage("grid_build"):
+            return GridIndex(
+                xs, ys, ws,
+                target_points_per_cell=self._target_points_per_cell,
+                max_cells_per_side=self._max_cells_per_side,
+                pyramid_levels=self._pyramid_levels,
+            )
 
     def _count(self, counter: str, amount: int = 1) -> None:
         """Increment a work counter globally *and* on the active query ledger.
@@ -547,18 +514,15 @@ class MaxRSEngine:
             handle = self.store.register(objects, name=name, replace=replace)
             span.set_attribute("dataset", handle.dataset_id)
             if old_fingerprint is not None and old_fingerprint != handle.fingerprint:
-                # The name now means different data: drop the stale grid,
-                # evict the old fingerprint's cached results (unless another
-                # dataset still holds byte-identical data), and never let an
-                # opted-out snapshot resurrect the old binding on restart.
-                self._grids.pop(handle.dataset_id, None)
+                # The name now means different data: evict the old
+                # fingerprint's cached results (unless another dataset still
+                # holds byte-identical data), and never let an opted-out
+                # snapshot resurrect the old binding on restart.
                 if not any(h.fingerprint == old_fingerprint
                            for h in self.store.handles()):
                     self._evict_fingerprint(old_fingerprint)
                 if self.persist is not None and persist is False:
                     self.persist.delete_dataset(handle.dataset_id)
-            if handle.dataset_id not in self._grids:
-                self._index(handle.dataset_id)
             if self.persist is not None and persist is not False:
                 self._persist_dataset(handle)
         return handle
@@ -594,7 +558,6 @@ class MaxRSEngine:
         """
         dataset_id = _dataset_id(dataset)
         fingerprint = self.store.get(dataset_id).handle.fingerprint
-        self._grids.pop(dataset_id, None)
         self.store.unregister(dataset_id)
         if not any(h.fingerprint == fingerprint for h in self.store.handles()):
             self._evict_fingerprint(fingerprint)
@@ -645,17 +608,14 @@ class MaxRSEngine:
     def _hot_result_records(fingerprint: str, entries) -> List[tuple]:
         """RESULT_CODEC records for one fingerprint's cached refined answers."""
         records = []
-        for key, value, cost in entries:
-            if not (isinstance(key, tuple) and len(key) == 8):
-                continue
-            fp, kind, width, height, k, diameter, refine, error_bound = key
-            if fp != fingerprint or kind != "maxrs" or refine is not True \
-                    or error_bound is not None:
+        for (fp, spec), value, cost in entries:
+            if fp != fingerprint or spec.kind != "maxrs" or not spec.refine \
+                    or spec.error_bound is not None:
                 continue
             if not isinstance(value, MaxRSResult) or value.region is None:
                 continue
             records.append((
-                float(width), float(height),
+                float(spec.width), float(spec.height),
                 float(value.location.x), float(value.location.y),
                 float(value.region.x1), float(value.region.y1),
                 float(value.region.x2), float(value.region.y2),
@@ -676,8 +636,8 @@ class MaxRSEngine:
                 total_weight=total_weight, io=None,
                 recursion_levels=int(levels), leaf_count=int(leaves),
             )
-            key = (handle.fingerprint, "maxrs", width, height, 1, None, True,
-                   None)
+            key = self.cache_key(handle.fingerprint,
+                                 QuerySpec.maxrs(width, height))
             self.cache.put(key, result, cost=max(0.0, cost))
         if records:
             self.metrics.increment("results_restored", len(records))
@@ -685,9 +645,7 @@ class MaxRSEngine:
     def _evict_fingerprint(self, fingerprint: str) -> None:
         """Drop every cached result computed for one data fingerprint."""
         evicted = self.cache.invalidate_matching(
-            lambda key: isinstance(key, tuple) and bool(key)
-            and key[0] == fingerprint
-        )
+            lambda key: key[0] == fingerprint)
         if evicted:
             self.metrics.increment("cache_invalidated", evicted)
 
@@ -708,10 +666,9 @@ class MaxRSEngine:
                         loaded.xs, loaded.ys, loaded.ws, name=dataset_id,
                         expected_fingerprint=loaded.manifest.fingerprint,
                     )
-                    self._index(handle.dataset_id)
                     try:
                         self._restore_results(handle)
-                    except PersistError as exc:
+                    except (PersistError, ConfigurationError) as exc:
                         # Hot results are an optimisation: losing them costs
                         # recomputation, never correctness.
                         self._restore_errors[f"{dataset_id}:results"] = str(exc)
@@ -724,22 +681,21 @@ class MaxRSEngine:
     def grid_index(self, dataset: Union[str, DatasetHandle]
                    ) -> Optional[GridIndex]:
         """The grid index of a registered dataset (``None`` when empty)."""
-        entry = self.store.get(_dataset_id(dataset))
-        return self._grids.get(entry.handle.dataset_id)
+        return self.store.get(_dataset_id(dataset)).grid
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     @staticmethod
-    def cache_key(fingerprint: str, spec: QuerySpec) -> Tuple[Hashable, ...]:
+    def cache_key(fingerprint: str, spec: QuerySpec) -> Tuple[str, QuerySpec]:
         """The identity of one query against one data fingerprint.
 
-        This tuple keys the result cache -- and the async front-end's
-        in-flight coalescing table (:mod:`repro.aio`), which must stay in
-        lockstep with it: two queries may share a computation exactly when
-        they would share a cache entry.
+        ``(fingerprint, spec)`` keys the result cache -- and the async
+        front-end's in-flight coalescing table (:mod:`repro.aio`), which must
+        stay in lockstep with it: two queries may share a computation exactly
+        when they would share a cache entry.
         """
-        return (fingerprint,) + spec.cache_params()
+        return (fingerprint, spec)
 
     def query(self, dataset: Union[str, DatasetHandle],
               spec: QuerySpec, *,
@@ -748,8 +704,8 @@ class MaxRSEngine:
 
         Every answer carries a **cost ledger** on its ``cost`` field: a plain
         dict attributing the work this specific delivery cost -- wall/CPU
-        seconds, swept vs pruned points, pyramid descent, cache outcome,
-        sweep backends, snapshot block I/O (see *Query introspection* in
+        seconds, swept vs pruned points, sweeps, pyramid descent, cache
+        outcome, snapshot block I/O (see *Query introspection* in
         ``docs/observability.md`` for the field reference).  The ledger never
         changes the answer itself: ``cost`` is excluded from result equality
         and from the cache key, so ledger-carrying answers stay bit-identical
@@ -820,17 +776,13 @@ class MaxRSEngine:
                        io_before) -> Dict[str, object]:
         """Fold one finished computation's ledger into its cost record.
 
-        Counter-based fields (swept points, descent, backend uses) come
-        from the per-query :class:`QueryLedger` the compute path
+        Counter-based fields (swept points, sweeps, descent) come from the
+        per-query :class:`QueryLedger` the compute path
         double-booked into, so they attribute correctly even when
         ``query_batch`` runs queries side by side on the pool.
         """
         counters = dict(ledger.counters)
         facts = dict(ledger.fields)
-        prefix = "sweep_backend_"
-        backends = {name[len(prefix):]: int(count)
-                    for name, count in sorted(counters.items())
-                    if name.startswith(prefix)}
         # The exact-sweep footprint: the refine subset when the query
         # refined, else the probe window; everything outside it was pruned.
         swept_footprint = facts.get("subset_points",
@@ -856,7 +808,7 @@ class MaxRSEngine:
             "probe_points": int(facts.get("probe_points", 0)),
             "subset_points": int(facts.get("subset_points", 0)),
             "pruned_points": max(0, int(entry.count) - int(swept_footprint)),
-            "backends": backends,
+            "sweeps": int(counters.get("sweeps", 0)),
             "descent": descent,
             "block_reads": int(block_reads),
             "block_writes": int(block_writes),
@@ -906,7 +858,6 @@ class MaxRSEngine:
 
     def query_batch(self, dataset: Union[str, DatasetHandle],
                     specs: Sequence[QuerySpec], *,
-                    max_workers: Optional[int] = None,
                     client_id: Optional[str] = None) -> List[QueryResult]:
         """Answer many queries, deduplicating and fanning out over threads.
 
@@ -914,12 +865,10 @@ class MaxRSEngine:
         specs run concurrently on the engine's **long-lived** thread pool (one
         pool for the engine's lifetime, shared with the async front-end,
         instead of a pool built and torn down per call -- ``close()`` shuts it
-        down).  A per-call ``max_workers`` that differs from the engine's
-        cannot resize the shared pool and is honoured with a one-off pool.
-        The first distinct spec runs on the calling thread, and a spec no
-        pool thread has picked up yet is run there too, so a batch issued
-        from inside a pool task cannot deadlock and a closed engine answers
-        inline.  Results come back aligned with ``specs``; the first failure
+        down).  The first distinct spec runs on the calling thread, and a
+        spec no pool thread has picked up yet is run there too, so a batch
+        issued from inside a pool task cannot deadlock and a closed engine
+        answers inline.  Results come back aligned with ``specs``; the first failure
         in spec order propagates once no query of the batch is still
         running.  ``client_id`` attributes each *distinct* executed query to
         the client (duplicates within the batch are served from the one
@@ -942,9 +891,6 @@ class MaxRSEngine:
 
         if len(distinct) <= 1:
             answers = [run_query(spec) for spec in distinct]
-        elif max_workers is not None and max_workers != self.max_workers:
-            with ThreadPoolExecutor(max_workers=max_workers) as one_off:
-                answers = _pool_map(one_off, run_query, distinct)
         else:
             pool = self._ensure_pool()
             if pool is None:  # closed: degrade to the calling thread
@@ -968,9 +914,6 @@ class MaxRSEngine:
         cache = self.cache.stats
         self.sampler.sample()  # stats() always reports fresh gauges
         snapshot = self.metrics.snapshot()
-        configured = self.sweep_backend
-        if configured is not None and not isinstance(configured, str):
-            configured = configured.name
         persist: Optional[Dict[str, object]] = None
         if self.persist is not None:
             io = self.persist.counters
@@ -989,17 +932,10 @@ class MaxRSEngine:
                     "total_ios": io.total_ios,
                 },
             }
-        prefix = "sweep_backend_"
         return {
             "persist": persist,
-            "sweep_backend": {
-                "configured": configured if configured is not None else "auto",
-                "summary": backend_summary(self.sweep_backend),
-                "numpy": numpy_version() or "absent",
-                "uses": {name[len(prefix):]: count
-                         for name, count in sorted(snapshot["counters"].items())
-                         if name.startswith(prefix)},
-            },
+            # The platform's pick: numpy whenever it imports, else pure.
+            "sweep_backend": backends.platform_backend().name,
             # Constant: every grid is one index on the calling thread.
             # perfbench/workloads.py reads these two keys; ROADMAP.md item 4
             # deletes them.
@@ -1036,9 +972,9 @@ class MaxRSEngine:
             # for the default NullRecorder); full trees stay on the recorder.
             "traces": self.tracer.trace_summaries(),
             "grids": {
-                handle.dataset_id: (grid.stats() if grid is not None else None)
-                for handle in self.store.handles()
-                for grid in (self._grids.get(handle.dataset_id),)
+                entry.handle.dataset_id: (entry.grid.stats()
+                                          if entry.grid is not None else None)
+                for entry in self.store.entries()
             },
         }
 
@@ -1051,7 +987,7 @@ class MaxRSEngine:
         """The plan :meth:`query` would take for ``spec`` -- without running it.
 
         Reads the same structures the query path reads (cache membership,
-        grid window sums, pyramid levels, backend resolution) but performs
+        grid window sums, pyramid levels) but performs
         **no sweep and no state mutation**: the cache probe is the
         non-refreshing membership test, no work counters advance beyond
         ``explains``, and nothing is cached -- so explaining a query has
@@ -1076,7 +1012,7 @@ class MaxRSEngine:
             Per pyramid level (coarsest first): cell count and how many
             cells survive the optimistic anchor -- the descent's best case.
         ``backend``
-            The sweep backend the probe and refine solves would run on.
+            The name of the sweep backend the solves would run on.
         ``actual``
             ``result.cost`` when a previously answered ``result`` is passed
             in, placing measured work next to the estimates.
@@ -1084,7 +1020,7 @@ class MaxRSEngine:
         self.metrics.increment("explains")
         entry = self.store.get(_dataset_id(dataset))
         key = self.cache_key(entry.handle.fingerprint, spec)
-        grid = self._grids.get(entry.handle.dataset_id)
+        grid = entry.grid
         plan: Dict[str, object] = {
             "kind": spec.kind,
             "dataset": entry.handle.dataset_id,
@@ -1098,7 +1034,6 @@ class MaxRSEngine:
             # means an empty dataset whose exact answer is free.
             plan["path"] = "full_sweep" if spec.kind == "maxkrs" else "direct"
             plan["estimates"] = {"swept_points": int(entry.count)}
-            plan["backend"] = {"sweep": self._sweep_backend.name}
         else:
             w, h = _window(spec)
             bounds = grid.upper_bounds(w, h)
@@ -1125,8 +1060,7 @@ class MaxRSEngine:
                 {"scale": int(scale), "cells": int(level_bounds.size),
                  "live_cells": int((level_bounds >= best_bound - slack).sum())}
                 for scale, level_bounds in _level_ladder(grid, w, h, bounds)]
-            plan["backend"] = {"probe": self._sweep_backend.name,
-                               "refine": self._sweep_backend.name}
+        plan["backend"] = backends.platform_backend().name
         if result is not None:
             first = result[0] if isinstance(result, tuple) and result \
                 else result
@@ -1181,12 +1115,12 @@ class MaxRSEngine:
             # a region the bound would prune), so MaxkRS always solves the
             # full resident set -- caching still amortises repeats.
             with self._stage("maxkrs"):
+                self._count("sweeps")
                 return tuple(solve_point_set_top_k(
                     entry.objects, spec.width, spec.height, spec.k,
-                    force_in_memory=True,
-                    backend=self._backend_for()))
+                    force_in_memory=True))
         bounded = spec.error_bound is not None
-        grid = self._grids.get(entry.handle.dataset_id)
+        grid = entry.grid
         if grid is None:  # empty dataset: the exact answer is free
             result = self._solve(entry, spec, None)
             return replace(result, gap=0.0) if bounded else result
@@ -1240,8 +1174,9 @@ class MaxRSEngine:
         """
         count = entry.count if indices is None else len(indices)
         if spec.kind == "maxrs":
+            self._count("sweeps")
             return solve_columns(*entry.columns(indices), spec.width,
-                                 spec.height, backend=self._backend_for())
+                                 spec.height)
         if count > self.maxcrs_exact_limit:
             raise ServiceError(
                 "maxcrs would run the exact circle solver on "

@@ -14,7 +14,11 @@ every registered dataset into immutable, query-friendly form:
   (:func:`repro.persist.format.fingerprint_columns` -- the same identity the
   durable snapshot store verifies on load).  Two registrations of
   byte-identical data share one entry, and the fingerprint keys the result
-  cache so cached answers can never leak across datasets.
+  cache so cached answers can never leak across datasets;
+* the dataset's grid index, built from its own columns by the store's
+  ``index`` function before the entry is published, so a reader that sees
+  the entry sees its grid (a replaced name never pairs new points with the
+  old grid).
 
 Datasets can also be registered straight from packed columns
 (:meth:`PointStore.register_columns`) -- the warm-start path of
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +77,8 @@ class RegisteredDataset:
     read-only.  ``ys_sorted`` exists so the engine can compute, in
     ``O(n)`` vectorised time, the exact h-line that closes a pruned sweep's
     best strip (see :meth:`~repro.service.engine.MaxRSEngine.query`).
+    ``grid`` is the dataset's grid index (``None`` for an empty dataset or
+    a store without an ``index`` function).
 
     The object tuple is eager for datasets registered from objects and
     **lazy** for datasets registered from columns (snapshot warm-start):
@@ -81,16 +87,17 @@ class RegisteredDataset:
     whole-dataset path (MaxkRS, an unpruned refine) needs it.
     """
 
-    __slots__ = ("handle", "xs", "ys", "ws", "ys_sorted", "_objects")
+    __slots__ = ("handle", "xs", "ys", "ws", "ys_sorted", "grid", "_objects")
 
     def __init__(self, handle: DatasetHandle, xs: np.ndarray, ys: np.ndarray,
-                 ws: np.ndarray, ys_sorted: np.ndarray,
+                 ws: np.ndarray, ys_sorted: np.ndarray, grid=None,
                  objects: Optional[Tuple[WeightedPoint, ...]] = None) -> None:
         self.handle = handle
         self.xs = xs
         self.ys = ys
         self.ws = ws
         self.ys_sorted = ys_sorted
+        self.grid = grid
         self._objects = objects
 
     @property
@@ -135,11 +142,18 @@ class PointStore:
     resident service must never silently serve stale results for a name whose
     meaning changed; unregister first (or, at the engine level, register with
     ``replace=True``).
+
+    ``index``, when given, builds each non-empty dataset's grid from its
+    columns (see :class:`RegisteredDataset`); it runs outside the store's
+    lock, before the entry is published, and not at all when the data is
+    already registered under that id.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, index: Optional[Callable[
+            [np.ndarray, np.ndarray, np.ndarray], object]] = None) -> None:
         self._lock = threading.Lock()
         self._by_id: Dict[str, RegisteredDataset] = {}
+        self._index = index
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -207,39 +221,56 @@ class PointStore:
                 "mismatched snapshot data"
             )
         dataset_id = name if name is not None else f"ds-{fingerprint[:12]}"
-
         with self._lock:
-            existing = self._by_id.get(dataset_id)
+            existing = self._existing(dataset_id, fingerprint, replace)
+        if existing is not None:
+            return existing
+        bounds = None
+        if len(xs):
+            bounds = Rect(float(xs.min()), float(ys.min()),
+                          float(xs.max()), float(ys.max()))
+        handle = DatasetHandle(
+            dataset_id=dataset_id,
+            fingerprint=fingerprint,
+            count=int(len(xs)),
+            total_weight=float(ws.sum()),
+            bounds=bounds,
+        )
+        grid = None
+        if self._index is not None and len(xs):
+            grid = self._index(xs, ys, ws)
+        entry = RegisteredDataset(handle=handle, xs=xs, ys=ys, ws=ws,
+                                  ys_sorted=np.sort(ys), grid=grid,
+                                  objects=objects)
+        with self._lock:
+            # A concurrent registration may have taken the id meanwhile.
+            existing = self._existing(dataset_id, fingerprint, replace)
             if existing is not None:
-                if existing.handle.fingerprint == fingerprint:
-                    return existing.handle
-                if not replace:
-                    raise ServiceError(
-                        f"dataset id {dataset_id!r} is already registered with "
-                        f"different data: registered fingerprint is "
-                        f"{existing.handle.fingerprint}, the new data's is "
-                        f"{fingerprint}; unregister the id first (or use the "
-                        "engine's replace=True) instead of silently changing "
-                        "what a name means"
-                    )
-                # replace=True: fall through and overwrite the entry -- the
-                # new data has already passed validation above.
-            bounds = None
-            if len(xs):
-                bounds = Rect(float(xs.min()), float(ys.min()),
-                              float(xs.max()), float(ys.max()))
-            handle = DatasetHandle(
-                dataset_id=dataset_id,
-                fingerprint=fingerprint,
-                count=int(len(xs)),
-                total_weight=float(ws.sum()),
-                bounds=bounds,
-            )
-            self._by_id[dataset_id] = RegisteredDataset(
-                handle=handle, xs=xs, ys=ys, ws=ws,
-                ys_sorted=np.sort(ys), objects=objects,
-            )
+                return existing
+            self._by_id[dataset_id] = entry
         return handle
+
+    def _existing(self, dataset_id: str, fingerprint: str,
+                  replace: bool) -> Optional[DatasetHandle]:
+        """The handle already registered under ``dataset_id`` for this
+        fingerprint, ``None`` when the id is free (or ``replace`` rebinds
+        it); raises when the id holds different data.  Call under the lock.
+        """
+        existing = self._by_id.get(dataset_id)
+        if existing is None:
+            return None
+        if existing.handle.fingerprint == fingerprint:
+            return existing.handle
+        if not replace:
+            raise ServiceError(
+                f"dataset id {dataset_id!r} is already registered with "
+                f"different data: registered fingerprint is "
+                f"{existing.handle.fingerprint}, the new data's is "
+                f"{fingerprint}; unregister the id first (or use the "
+                "engine's replace=True) instead of silently changing "
+                "what a name means"
+            )
+        return None
 
     def unregister(self, dataset_id: str) -> None:
         """Forget a dataset; raises :class:`ServiceError` when unknown."""
@@ -267,10 +298,14 @@ class PointStore:
             )
         return entry
 
+    def entries(self) -> List[RegisteredDataset]:
+        """Every registered dataset (registration order)."""
+        with self._lock:
+            return list(self._by_id.values())
+
     def handles(self) -> List[DatasetHandle]:
         """Handles of every registered dataset (registration order)."""
-        with self._lock:
-            return [entry.handle for entry in self._by_id.values()]
+        return [entry.handle for entry in self.entries()]
 
     def __len__(self) -> int:
         with self._lock:

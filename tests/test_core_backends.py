@@ -20,10 +20,9 @@ import repro.core.backends as backends_module
 from repro.core.backends import (
     auto_crossover,
     available_backends,
-    backend_summary,
     get_backend,
     numpy_available,
-    resolve_backend,
+    platform_backend,
 )
 from repro.core.backends.pure import PurePythonBackend
 from repro.core.beststrip import BestStrip
@@ -67,16 +66,12 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_backend("cuda")
 
-    def test_resolve_passes_instances_through(self):
-        backend = PurePythonBackend()
-        assert resolve_backend(backend) is backend
-
     def test_auto_resolves_to_numpy_whatever_the_size(self, monkeypatch):
-        # No size rule: "auto" is numpy for every sweep (the crossover is 0
-        # events, so 0, 1 and 10**9 events all qualify), pure without numpy.
+        # No size rule: the platform picks numpy for every sweep (the
+        # crossover is 0 events, so 0, 1 and 10**9 events all qualify), pure
+        # without numpy.
         assert auto_crossover() == 0
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("auto").name == "numpy"
+        assert platform_backend().name == "numpy"
         # The smallest sweeps take it too: a one-point engine query.
         from repro.service import MaxRSEngine, QuerySpec
 
@@ -87,45 +82,33 @@ class TestRegistry:
             assert {span.attributes["backend"] for span in sweeps
                     if span.name == "backend.sweep"} == {"numpy"}
         monkeypatch.setattr(backends_module, "numpy_available", lambda: False)
-        assert resolve_backend(None).name == "pure"
-        assert resolve_backend("auto").name == "pure"
-
-    @pytest.mark.parametrize("spec", ["banana", "cuda", object()],
-                             ids=["banana", "cuda", "not-a-backend"])
-    @pytest.mark.parametrize("construct", ["ExactMaxRS", "MaxRSSolver",
-                                           "MaxRSEngine"])
-    def test_bad_backend_rejected_at_construction(self, construct, spec):
-        with pytest.raises(ConfigurationError):
-            _construct(construct, spec)
-
-    @pytest.mark.parametrize("construct", ["ExactMaxRS", "MaxRSSolver",
-                                           "MaxRSEngine"])
-    def test_unavailable_backend_rejected_at_construction(self, construct,
-                                                          monkeypatch):
-        monkeypatch.setattr(backends_module, "numpy_available", lambda: False)
+        assert platform_backend().name == "pure"
         with pytest.raises(ConfigurationError, match="numpy"):
-            _construct(construct, "numpy")
-        _construct(construct, "auto")  # falls back to pure
-
-    def test_backend_summary_mentions_numpy_version(self):
-        assert str(np.__version__) in backend_summary("numpy")
-        assert "auto" in backend_summary(None)
+            get_backend("numpy")
 
 
-def _construct(name, spec):
-    """Build one of the three objects that take a sweep backend."""
-    from repro import MaxRSSolver
-    from repro.core import ExactMaxRS
-    from repro.em import EMContext
-    from repro.service import MaxRSEngine
+def _traced(solve):
+    """``solve()``'s answer and the backends its ``backend.sweep`` spans
+    name."""
+    from repro import obs
 
-    if name == "ExactMaxRS":
-        return ExactMaxRS(EMContext(), 1.0, 1.0, sweep_backend=spec)
-    if name == "MaxRSSolver":
-        return MaxRSSolver(1.0, 1.0, backend=spec)
-    engine = MaxRSEngine(sweep_backend=spec)
-    engine.close()
-    return engine
+    recorder = obs.RingRecorder()
+    with obs.Tracer(recorder).trace("solve"):
+        answer = solve()
+    return answer, {span.attributes["backend"]
+                    for span in recorder.last().find_all("backend.sweep")
+                    if span.name == "backend.sweep"}
+
+
+def _both_backends(pure_backend, solve):
+    """``(reference answer, numpy answer)`` of ``solve()``, checking that
+    each ran on the backend it names."""
+    numpy_answer, swept_on = _traced(solve)
+    assert swept_on == {"numpy"}
+    with pure_backend():
+        pure_answer, swept_on = _traced(solve)
+    assert swept_on == {"pure"}
+    return pure_answer, numpy_answer
 
 
 @contextlib.contextmanager
@@ -560,89 +543,94 @@ class TestSlabPlanParity:
 
 
 class TestDispatchThreading:
-    """The backend knob reaches every solve path and changes no answer."""
+    """Every solve path sweeps on the platform's backend, and forcing the
+    reference changes no answer."""
 
     def _dataset(self, seed=7, count=120):
         rng = random.Random(seed)
         return _random_dataset(rng, count, weight_choices=(1.0, 2.0, 3.0))
 
-    def test_solve_point_set_backends_agree(self):
+    def test_solve_point_set_backends_agree(self, pure_backend):
         objs = self._dataset()
-        results = {
-            name: solve_point_set(objs, 8.0, 6.0, force_in_memory=True,
-                                  backend=name)
-            for name in ("pure", "numpy")
-        }
-        assert results["pure"].total_weight == results["numpy"].total_weight
-        assert results["pure"].region == results["numpy"].region
+        for force in ("force_in_memory", "force_external"):
+            pure, vec = _both_backends(pure_backend, lambda: solve_point_set(
+                objs, 8.0, 6.0, **{force: True}))
+            assert pure.total_weight == vec.total_weight
+            assert pure.region == vec.region
 
-    def test_solve_top_k_backends_agree(self):
+    def test_solve_top_k_backends_agree(self, pure_backend):
         objs = self._dataset(seed=11)
-        pure = solve_point_set_top_k(objs, 8.0, 6.0, 3, force_in_memory=True,
-                                     backend="pure")
-        vec = solve_point_set_top_k(objs, 8.0, 6.0, 3, force_in_memory=True,
-                                    backend="numpy")
+        pure, vec = _both_backends(pure_backend, lambda: solve_point_set_top_k(
+            objs, 8.0, 6.0, 3, force_in_memory=True))
         assert len(pure) == len(vec)
         for a, b in zip(pure, vec):
             assert a.total_weight == b.total_weight
             assert a.region == b.region
 
-    def test_solve_in_memory_backend_param(self):
+    def test_solve_in_memory_backend_param(self, pure_backend):
         objs = self._dataset(seed=3, count=40)
-        pure = solve_in_memory(objs, 5.0, 5.0, backend="pure")
-        vec = solve_in_memory(objs, 5.0, 5.0, backend="numpy")
+        pure, vec = _both_backends(pure_backend,
+                                   lambda: solve_in_memory(objs, 5.0, 5.0))
         assert pure.total_weight == vec.total_weight
         assert pure.region == vec.region
-        # The columnar entry point: array for numpy, tuples for pure.
+        # The columnar entry point: both backends sweep its event array.
         columns = [np.array([getattr(o, f) for o in objs])
                    for f in ("x", "y", "weight")]
-        for backend in ("pure", "numpy", None):
-            assert solve_columns(*columns, 5.0, 5.0, backend=backend) == pure
+        for answer in _both_backends(
+                pure_backend, lambda: solve_columns(*columns, 5.0, 5.0)):
+            assert answer == pure
 
-    def test_exact_maxrs_leaves_use_backend(self):
-        """The external recursion's base case honours the selection too."""
+    def test_exact_maxrs_leaves_use_backend(self, pure_backend):
+        """The external recursion's base case sweeps on the selection too."""
         from repro.core.exact_maxrs import ExactMaxRS
         from repro.em.context import EMContext
 
         objs = self._dataset(seed=19, count=60)
-        baseline = solve_in_memory(objs, 6.0, 6.0, backend="pure")
-        for backend in ("pure", "numpy"):
-            solver = ExactMaxRS(EMContext(), 6.0, 6.0, fanout=2,
-                                memory_records=16, sweep_backend=backend)
-            result = solver.solve(objs)
+        baseline = solve_in_memory(objs, 6.0, 6.0)
+        for result in _both_backends(pure_backend, lambda: ExactMaxRS(
+                EMContext(), 6.0, 6.0, fanout=2,
+                memory_records=16).solve(objs)):
             assert result.total_weight == baseline.total_weight
+            assert result.region == baseline.region
             assert result.recursion_levels >= 1  # genuinely recursed
 
-    def test_api_solver_exposes_backend(self):
+    def test_api_solver_exposes_backend(self, pure_backend):
         from repro.api import MaxRSSolver
 
         objs = self._dataset(seed=23, count=50)
-        pure = MaxRSSolver(width=6.0, height=6.0, backend="pure").solve(objs)
-        vec = MaxRSSolver(width=6.0, height=6.0, backend="numpy").solve(objs)
+        pure, vec = _both_backends(pure_backend, lambda: MaxRSSolver(
+            width=6.0, height=6.0).solve(objs))
         assert pure.total_weight == vec.total_weight
         assert pure.region == vec.region
 
 
 class TestEngineBackend:
-    """The resident engine's knob, use counters and stats reporting."""
+    """The resident engine's backend, sweep counts and stats reporting."""
 
     def _dataset(self, count=300, seed=31):
         rng = random.Random(seed)
         return _random_dataset(rng, count, domain=1000.0,
                                weight_choices=(1.0, 2.0, 3.0))
 
-    def test_engine_backends_bit_identical(self):
+    def test_engine_backends_bit_identical(self, pure_backend):
         from repro.service import MaxRSEngine, QuerySpec
 
         objs = self._dataset()
         answers = {}
-        for name in ("pure", "numpy"):
-            engine = MaxRSEngine(sweep_backend=name)
-            handle = engine.register_dataset(objs)
-            answers[name] = engine.query(handle, QuerySpec.maxrs(80.0, 60.0))
-            uses = engine.stats()["sweep_backend"]["uses"]
-            assert set(uses) == {name}
-            assert uses[name] >= 1
+        for name, forced in (("numpy", contextlib.nullcontext),
+                             ("pure", pure_backend)):
+            with forced(), MaxRSEngine(tracer="ring") as engine:
+                handle = engine.register_dataset(objs)
+                answers[name] = engine.query(handle,
+                                             QuerySpec.maxrs(80.0, 60.0))
+                assert engine.stats()["sweep_backend"] == name
+                sweeps = [span for span in
+                          engine.tracer.recorder.last().find_all(
+                              "backend.sweep")
+                          if span.name == "backend.sweep"]
+                assert {span.attributes["backend"] for span in sweeps} == \
+                    {name}
+                assert answers[name].cost["sweeps"] == len(sweeps) >= 1
         assert answers["pure"].total_weight == answers["numpy"].total_weight
         assert answers["pure"].region == answers["numpy"].region
 
@@ -651,8 +639,10 @@ class TestEngineBackend:
 
         engine = MaxRSEngine()
         handle = engine.register_dataset(self._dataset(count=50))
-        engine.query(handle, QuerySpec.maxrs(50.0, 50.0))
-        stats = engine.stats()["sweep_backend"]
-        assert stats["configured"] == "auto"
-        assert stats["numpy"] == str(np.__version__)
-        assert sum(stats["uses"].values()) >= 1
+        spec = QuerySpec.maxrs(50.0, 50.0)
+        result = engine.query(handle, spec)
+        stats = engine.stats()
+        assert stats["sweep_backend"] == "numpy"
+        assert engine.explain(handle, spec)["backend"] == "numpy"
+        assert result.cost["sweeps"] == stats["counters"]["sweeps"] >= 1
+        engine.close()

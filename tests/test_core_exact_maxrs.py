@@ -63,9 +63,9 @@ class TestCorrectness:
                                                           make_objects):
         # The root sweep of an input that fits in memory has no slab-file
         # to write, so it runs the best-only sweep solve_in_memory runs.
-        from repro.core.backends import resolve_backend
+        from repro.core.backends import platform_backend
 
-        backend_type = type(resolve_backend(None))
+        backend_type = type(platform_backend())
         asked = []
 
         def spy(name):
@@ -296,7 +296,7 @@ class TestLayerSpans:
         import importlib
 
         from repro import obs
-        from repro.core.backends import resolve_backend
+        from repro.core.backends import platform_backend
         from repro.core.dispatch import solve_point_set
 
         exact_module = importlib.import_module("repro.core.exact_maxrs")
@@ -347,7 +347,7 @@ class TestLayerSpans:
         leaf_sweeps = [s for s in spans if s.name == "backend.sweep"]
         assert sorted(by_id[s.parent_id].span_id for s in leaf_sweeps) == \
             sorted(s.span_id for s in batches)
-        auto = resolve_backend(None).name   # numpy wherever it imports
+        auto = platform_backend().name   # numpy wherever it imports
         for batch in batches:
             sweep = next(s for s in leaf_sweeps
                          if s.parent_id == batch.span_id)

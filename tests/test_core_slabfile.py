@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    MaxInterval,
-    find_best_strip,
-    iter_slab_file,
-    read_slab_file,
-    validate_slab_file_records,
-    write_slab_file,
-)
+from repro.core import validate_slab_file_records, write_slab_file
 from repro.errors import AlgorithmError
 
 _RECORDS = [
@@ -23,33 +16,12 @@ class TestRoundtrip:
     def test_write_and_read(self, tiny_ctx):
         file = write_slab_file(tiny_ctx, _RECORDS)
         assert file.read_all() == _RECORDS
-        assert read_slab_file(file) == [MaxInterval.from_record(r) for r in _RECORDS]
-
-    def test_iteration_yields_maxintervals(self, tiny_ctx):
-        file = write_slab_file(tiny_ctx, _RECORDS)
-        tuples = list(iter_slab_file(file))
-        assert all(isinstance(t, MaxInterval) for t in tuples)
-        assert [t.sum for t in tuples] == [1.0, 3.0, 0.0]
+        assert len(file) == len(_RECORDS)
 
     def test_empty_slab_file(self, tiny_ctx):
         file = write_slab_file(tiny_ctx, [])
-        assert read_slab_file(file) == []
-        assert find_best_strip(file).weight == 0.0
-
-
-class TestBestStripScan:
-    def test_best_strip_found(self, tiny_ctx):
-        file = write_slab_file(tiny_ctx, _RECORDS)
-        best = find_best_strip(file)
-        assert best.weight == 3.0
-        assert best.y1 == 1.0 and best.y2 == 2.0
-        assert best.x1 == 2.0 and best.x2 == 4.0
-
-    def test_last_strip_extends_to_infinity(self, tiny_ctx):
-        records = [(0.0, 0.0, 1.0, 7.0)]
-        best = find_best_strip(write_slab_file(tiny_ctx, records))
-        assert best.weight == 7.0
-        assert best.y2 == float("inf")
+        assert file.read_all() == []
+        assert len(file) == 0
 
 
 class TestValidation:

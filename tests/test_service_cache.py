@@ -145,7 +145,7 @@ class TestCostWeightedEviction:
         engine = MaxRSEngine()
         handle = engine.register_dataset(objs)
         engine.query(handle, QuerySpec.maxrs(10.0, 10.0))
-        key = (handle.fingerprint,) + QuerySpec.maxrs(10.0, 10.0).cache_params()
+        key = (handle.fingerprint, QuerySpec.maxrs(10.0, 10.0))
         cost = engine.cache.cost_of(key)
         assert cost is not None and cost > 0.0
 

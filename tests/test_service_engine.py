@@ -323,7 +323,7 @@ class TestTopKAndBatch:
         dataset = engine.register_dataset(objects)
         specs = [QuerySpec.maxrs(float(w), float(h))
                  for w, h in ((3, 4), (5, 5), (12, 2), (8, 8))]
-        batch = engine.query_batch(dataset, specs, max_workers=4)
+        batch = engine.query_batch(dataset, specs)
         for spec, result in zip(specs, batch):
             reference = solve_in_memory(objects, spec.width, spec.height)
             assert result.total_weight == reference.total_weight
@@ -402,6 +402,65 @@ class TestDatasetLifecycle:
         reference = solve_in_memory(new_objects, 4.0, 4.0)
         assert result.total_weight == reference.total_weight
         assert handle.count == 30
+
+    @pytest.mark.parametrize("old_count, new_count", [(2000, 100),
+                                                      (300, 3000)])
+    def test_query_during_replace_prunes_with_the_new_grid(
+            self, monkeypatch, old_count, new_count):
+        """A query that sees the replaced entry sees its grid too.
+
+        The store's ``register`` is paused right after it publishes the new
+        data, and another thread queries the name then: pruning the new
+        points with the old data's grid would index past the new columns
+        (fewer points) or prune the new optimum away (more points), and
+        cache that answer under the new fingerprint.
+        """
+        rng = random.Random(old_count)
+
+        def unit_points(count):
+            return [WeightedPoint(rng.uniform(0.0, 1000.0),
+                                  rng.uniform(0.0, 1000.0))
+                    for _ in range(count)]
+
+        old_points, new_points = unit_points(old_count), unit_points(new_count)
+        spec = QuerySpec.maxrs(50.0, 50.0)
+        engine = MaxRSEngine()
+        engine.register_dataset(old_points, name="ds")
+        register = engine.store.register
+        during = []
+
+        def query():
+            try:
+                during.append(engine.query("ds", spec))
+            except Exception as exc:  # reported by the assert below
+                during.append(exc)
+
+        def paused_register(*args, **kwargs):
+            handle = register(*args, **kwargs)
+            thread = threading.Thread(target=query)
+            thread.start()
+            thread.join()
+            return handle
+
+        monkeypatch.setattr(engine.store, "register", paused_register)
+        engine.register_dataset(new_points, name="ds", replace=True)
+        expected = solve_in_memory(new_points, 50.0, 50.0)
+        assert during == [expected]
+        after = engine.query("ds", spec)
+        assert after.cost["cache"] == "hit"
+        assert after == expected
+        engine.close()
+
+    def test_identical_registration_builds_no_grid(self, make_objects):
+        objects = make_objects(40, seed=46)
+        engine = MaxRSEngine()
+        engine.register_dataset(objects, name="ds")
+        grid = engine.grid_index("ds")
+        engine.register_dataset(list(objects), name="ds")
+        engine.register_dataset(list(objects), name="ds", replace=True)
+        assert engine.grid_index("ds") is grid
+        assert engine.stats()["stages"]["grid_build"]["count"] == 1
+        engine.close()
 
     def test_replace_with_invalid_data_keeps_old_dataset(self, make_objects):
         """A rejected replacement must not destroy what the name meant."""
@@ -540,16 +599,6 @@ class TestEngineLifecycle:
                                          QuerySpec.maxrs(6.0, 2.0)])
             assert engine._pool is not None
         assert engine._pool is None
-
-    def test_per_call_max_workers_override_still_works(self, make_objects):
-        engine = MaxRSEngine(max_workers=2)
-        dataset = engine.register_dataset(make_objects(40, seed=33))
-        specs = [QuerySpec.maxrs(2.0 + i, 2.0) for i in range(3)]
-        results = engine.query_batch(dataset, specs, max_workers=1)
-        for spec, result in zip(specs, results):
-            reference = engine.query(dataset, spec)
-            assert result.total_weight == reference.total_weight
-        engine.close()
 
     def test_stats_report_sharding_configuration(self, make_objects):
         """Every grid is one index on the calling thread; the two keys stay

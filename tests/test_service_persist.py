@@ -343,6 +343,23 @@ class TestDegradation:
         assert hit.total_weight == answer.total_weight
         assert hit.region == answer.region
 
+    def test_result_record_with_an_invalid_size_is_a_results_error(
+            self, tmp_path, objects):
+        """A results record whose query size is not a positive finite
+        number cannot key the cache: it costs the warm cache, never the
+        dataset or the engine."""
+        day1 = MaxRSEngine(persist_dir=tmp_path)
+        day1.register_dataset(objects, name="ds")
+        day1.persist.save_results("ds", [(float("nan"),) + (1.0,) * 12])
+
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        stats = day2.stats()
+        assert stats["persist"]["datasets_restored"] == 1
+        assert list(stats["persist"]["restore_errors"]) == ["ds:results"]
+        answer = day2.query("ds", QuerySpec.maxrs(6.0, 6.0))
+        assert answer.cost["cache"] == "miss"
+        assert answer == solve_in_memory(objects, 6.0, 6.0)
+
 
 class TestLifecycle:
     def test_unregister_drops_snapshot(self, tmp_path, objects):

@@ -16,6 +16,7 @@ its preparation (y sort, boundary compression) and its kernel, on either
 sweep backend.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -96,14 +97,16 @@ def test_one_call_feeds_span_histogram_and_ledger(path, depth):
 
 
 
-def test_sweep_spans_split_into_events_prepare_and_kernel():
-    # One engine per backend: the probe and the refine sweep both run on
-    # it, and each backend opens the same three children.
+def test_sweep_spans_split_into_events_prepare_and_kernel(pure_backend):
+    # One query on the platform's backend and one on the reference: the
+    # probe and the refine sweep both run on it, and each backend opens the
+    # same three children.
     rng = random.Random(9)
     points = [WeightedPoint(rng.uniform(0, 100), rng.uniform(0, 100))
               for _ in range(4000)]
-    for backend in ("pure", "numpy"):
-        with MaxRSEngine(tracer="ring", sweep_backend=backend) as engine:
+    for backend, forced in (("pure", pure_backend),
+                            ("numpy", contextlib.nullcontext)):
+        with forced(), MaxRSEngine(tracer="ring") as engine:
             dataset = engine.register_dataset(points)
             engine.query(dataset, QuerySpec.maxrs(10.0, 10.0))
             trace = engine.tracer.recorder.last()

@@ -25,14 +25,14 @@ _SCRIPT = textwrap.dedent("""
 
     import repro
     from repro import MaxCRSSolver, MaxRSSolver
-    from repro.core.backends import available_backends, resolve_backend
+    from repro.core.backends import available_backends, platform_backend
     from repro.core.plane_sweep import solve_in_memory
     from repro.em import EMConfig
     from repro.errors import ConfigurationError
     from repro.geometry import WeightedPoint
 
     assert available_backends() == ("pure",), available_backends()
-    assert resolve_backend(None).name == "pure"
+    assert platform_backend().name == "pure"
 
     merge_module = sys.modules["repro.core.merge_sweep"]
     heap_merges = []
