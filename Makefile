@@ -5,7 +5,7 @@
 #   make bench          - the benchmark suite at its standard preset
 #   make bench-backends - sweep-backend A/B comparison (smoke preset)
 #   make bench-persist  - warm-start vs cold re-ingest comparison (fast preset)
-#   make bench-pyramid  - grid pyramid + bounded-error descent vs flat (fast preset)
+#   make bench-pyramid  - bounded-error vs exact large queries, one engine (fast preset)
 #   make bench-async    - concurrent async clients vs sequential sync (fast preset)
 #   make bench-obs      - fleet-telemetry overhead guard (fast preset)
 #   make bench-introspect - query-introspection overhead guard (fast preset)
@@ -45,11 +45,11 @@ bench-backends:
 bench-persist:
 	$(PYTHON) -m pytest benchmarks/test_service_coldstart.py -q
 
-# Grid pyramid (bounded-error coarse-to-fine descent, error_bound=0.05) vs
-# the flat single-level index on large cold queries; the >= 2x acceptance
-# bound, the strictly-fewer-swept-points property and the <= 25% roll-up
-# build overhead are asserted at (near-)paper scale, e.g.
-# REPRO_BENCH_PRESET=paper make bench-pyramid.
+# Four large cold queries on one engine, exactly and with error_bound=0.05
+# (the name is the grid pyramid's, which the bounded path once descended);
+# every bounded query certifying, the >= 2x acceptance bound and the
+# strictly-fewer-swept-points property are asserted at (near-)paper scale,
+# e.g. REPRO_BENCH_PRESET=paper make bench-pyramid.
 bench-pyramid:
 	$(PYTHON) -m pytest benchmarks/test_service_pyramid.py -q
 

@@ -61,8 +61,8 @@ def query_mix() -> list:
     return [QuerySpec.maxrs(3_000.0, 3_000.0),
             QuerySpec.maxrs(1_500.0, 6_000.0),
             QuerySpec.maxkrs(2_500.0, 2_500.0, 2),
-            # A bounded-error big query: the pyramid descent certifies a
-            # 25% gap at a coarse level instead of sweeping exactly.
+            # A bounded-error big query: the best grid window bound
+            # certifies a 25% gap for the probe instead of sweeping exactly.
             QuerySpec.maxrs(60_000.0, 60_000.0, error_bound=0.25),
             QuerySpec.maxrs(3_000.0, 3_000.0)]  # repeat: cache hit
 
@@ -124,18 +124,11 @@ def render_frame(engine: MaxRSEngine, frame: int, note: str) -> None:
             f"burn_rate={slo['burn_rate']:.2f}  [{state}]")
     counters = stats["counters"]
     grid = stats["grids"].get("city", {})
-    ladder = " -> ".join(f"{lv['rows']}x{lv['cols']}"
-                         for lv in grid.get("levels") or [])
-    stops = {key[len("descent_stop_"):]: value
-             for key, value in sorted(counters.items())
-             if key.startswith("descent_stop_")}
     lines += [
         "",
-        f"pyramid: depth {grid.get('pyramid_depth', 1)} "
-        f"(base {grid.get('rows', '?')}x{grid.get('cols', '?')}"
-        f"{' -> ' + ladder if ladder else ''})   "
-        f"descents={counters.get('pyramid_descents', 0)} "
-        f"levels={counters.get('descent_levels', 0)} stops={stops}",
+        f"grid: {grid.get('rows', '?')}x{grid.get('cols', '?')}   "
+        f"bounded: certified={counters.get('descent_certified', 0)} "
+        f"exact={counters.get('descent_stop_exact', 0)}",
         "",
         f"counters: queries={counters.get('queries', 0)} "
         f"cache_hits={stats['cache']['hits']} "

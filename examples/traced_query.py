@@ -12,8 +12,8 @@ queries --
 * one **cold query** (cache miss, approximate probe, pruned exact refine,
   the backend sweep at the bottom),
 * the **same query again** (two spans: the cache does all the work), and
-* a **bounded-error query** (``error_bound=`` pyramid descent that stops
-  as soon as the certified gap is small enough) --
+* a **bounded-error query** (``error_bound=``: the probe is served when
+  the grid's best window bound certifies a small enough gap) --
 
 the EXPLAIN plan the engine predicted, the rendered trace tree, and the
 cost ledger the answer actually accrued.  It finishes with the slow-query
@@ -65,9 +65,6 @@ def show_plan(plan: dict) -> None:
               f"subset~{estimates['subset_points']} pts, "
               f"pruned~{estimates['pruned_points']} of "
               f"{plan['dataset_points']}")
-    for level in plan.get("levels", []):
-        print(f"  level scale={level['scale']:>3}: "
-              f"{level['live_cells']}/{level['cells']} cells live")
 
 
 def show_cost(result) -> None:

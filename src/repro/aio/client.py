@@ -217,7 +217,7 @@ class AsyncQueryClient:
 
         Returns the engine's :meth:`~repro.service.engine.MaxRSEngine.
         explain` dict (path, cache membership, probe/prune estimates,
-        pyramid level survival, backend choice).  Explaining
+        backend choice).  Explaining
         never sweeps and never mutates server state.
         """
         response = await self._call({

@@ -21,9 +21,9 @@ one event loop.  Three mechanisms do the work:
   default) or queued without bound (``overflow="wait"``), per policy.
 * **Degraded serving under overload** (opt-in) -- with
   ``degraded_error_bound=`` set, a request the admission gate would shed is
-  instead answered approximately: the engine descends its grid pyramid only
-  far enough to certify that relative optimality gap and returns an answer
-  whose ``result.gap`` carries the certificate.  Queries that cannot express
+  instead answered approximately: the engine serves its probe answer when
+  the grid's best window bound certifies that relative optimality gap, and
+  the answer's ``result.gap`` carries the certificate.  Queries that cannot express
   a certified gap (MaxkRS, ``refine=False``) raise
   :class:`~repro.errors.ServiceDegradedError` so callers can tell "retry
   later" from "cannot degrade".  Degraded serves are recorded against the
@@ -217,9 +217,9 @@ class AsyncMaxRSEngine:
         ``None`` (default) sheds overflow per the ``overflow`` policy.  A
         positive relative gap (e.g. ``0.05``) switches the front-end to
         degraded serving: a request that would have been shed is answered
-        via the engine's bounded-error pyramid descent with this certified
-        gap, bypassing admission (the work it replaces was about to be
-        refused outright, and the descent is a few vectorised array passes).
+        via the engine's bounded-error path with this certified gap,
+        bypassing admission (the work it replaces was about to be refused
+        outright, and a certified answer costs only the probe).
         Requests that already carry their own ``error_bound`` are shed
         normally (there is nothing softer to serve); MaxkRS and
         ``refine=False`` requests raise
@@ -506,8 +506,9 @@ class AsyncMaxRSEngine:
         """Serve an overloaded request approximately instead of shedding it.
 
         The spec is re-issued with the front-end's ``degraded_error_bound``,
-        so the engine's pyramid descent stops as soon as it certifies that
-        gap -- the answer's ``result.gap`` carries the certificate.  Runs
+        so the engine serves its probe whenever the grid's best window bound
+        certifies that gap -- the answer's ``result.gap`` carries the
+        certificate.  Runs
         *outside* admission control: the request was just refused a slot, and
         the whole point is to answer it anyway with bounded cheap work.
         Recorded against the ``"degraded"`` SLO kind (a latency objective of

@@ -98,9 +98,9 @@ class MaxRSResult:
         Per-query cost ledger attached by the serving engine
         (:meth:`repro.service.MaxRSEngine.query`): a plain JSON-ready dict of
         what answering cost -- wall/CPU seconds, swept vs pruned points,
-        pyramid descent, cache outcome, sweep backends, block I/O.  ``None``
-        for answers from the bare solvers.  Excluded from equality so
-        ledger-carrying answers compare bit-identical to plain ones.
+        the bounded-error certificate, cache outcome, sweeps, block I/O.
+        ``None`` for answers from the bare solvers.  Excluded from equality
+        so ledger-carrying answers compare bit-identical to plain ones.
     """
 
     location: Point

@@ -94,8 +94,8 @@ class ServiceDegradedError(ServiceError):
     """Raised when degraded (bounded-error) serving cannot satisfy a query.
 
     The async front-end can answer MaxRS/MaxCRS queries approximately under
-    overload -- descending the grid pyramid only far enough to certify an
-    optimality gap -- instead of shedding them.  Queries that cannot express a
+    overload -- serving the probe answer whose optimality gap the grid's
+    window bounds certify -- instead of shedding them.  Queries that cannot express a
     certified gap (MaxkRS, unrefined grid estimates) raise this instead, so
     callers can distinguish "retry later" (:class:`ServiceOverloadError`) from
     "this query cannot be degraded".  A :class:`ServiceError` subclass so

@@ -64,7 +64,7 @@ from repro.errors import ConfigurationError, PersistError, ServiceError
 from repro.geometry import Point, WeightedPoint, is_positive_finite
 from repro.persist.store import SnapshotStore
 from repro.service.cache import LRUCache
-from repro.service.grid_index import _PRUNE_SLACK, GridIndex
+from repro.service.grid_index import GridIndex
 from repro.service.metrics import (
     EngineMetrics,
     QueryLedger,
@@ -77,6 +77,13 @@ __all__ = ["MaxRSEngine", "QuerySpec"]
 
 #: The query kinds the engine serves.
 _KINDS = ("maxrs", "maxkrs", "maxcrs")
+
+#: Per kind, the fields it does not use and the default each must keep.
+_UNUSED_FIELDS = {
+    "maxrs": (("k", 1), ("diameter", None)),
+    "maxkrs": (("diameter", None), ("refine", True)),
+    "maxcrs": (("width", None), ("height", None), ("k", 1)),
+}
 
 #: Any result an engine query can produce.
 QueryResult = Union[MaxRSResult, Tuple[MaxRSResult, ...], MaxCRSResult]
@@ -94,14 +101,20 @@ class QuerySpec:
     the fast grid-window approximation (a lower bound with an achievable
     placement).
 
-    ``error_bound=`` requests the bounded-error fast path: the engine
-    descends the grid pyramid only far enough to *certify* that the true
-    optimum is within ``error_bound`` (relative) of the answer it returns,
-    and reports the certified gap on the result's ``gap`` field.  When the
-    pyramid cannot certify early the query falls through to the exact sweep
-    (``gap == 0.0``).  MaxkRS cannot express a certified gap (its k strips
-    interact non-locally), so ``error_bound`` is rejected for it, as it is
-    for ``refine=False`` (the unrefined estimate carries no certificate).
+    ``error_bound=`` requests the bounded-error fast path: the engine serves
+    its probe answer (the best grid window's exact solve) when the grid's
+    best window bound *certifies* that the true optimum is within
+    ``error_bound`` (relative) of it, and reports the certified gap on the
+    result's ``gap`` field.  When the bound cannot certify the probe the
+    query falls through to the exact sweep (``gap == 0.0``).  MaxkRS cannot
+    express a certified gap (its k strips interact non-locally), so
+    ``error_bound`` is rejected for it, as it is for ``refine=False`` (the
+    unrefined estimate carries no certificate).
+
+    A field the kind does not use must keep its default (``k`` outside
+    MaxkRS, ``diameter`` outside MaxCRS, ``width``/``height`` for MaxCRS,
+    ``refine=False`` for MaxkRS): the spec keys the result cache, so an
+    ignored field would split one answer over several cache entries.
     """
 
     kind: str = "maxrs"
@@ -117,6 +130,13 @@ class QuerySpec:
             raise ConfigurationError(
                 f"unknown query kind {self.kind!r}; expected one of {_KINDS}"
             )
+        for name, default in _UNUSED_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if value != default:
+                raise ConfigurationError(
+                    f"{self.kind} queries do not use {name}; leave it at "
+                    f"{default!r}, got {value!r}"
+                )
         # Sizes come from outside the program (the wire decoder accepts the
         # NaN and Infinity tokens), and NaN slips past a plain `<= 0` test.
         if self.kind in ("maxrs", "maxkrs"):
@@ -187,13 +207,6 @@ class MaxRSEngine:
     target_points_per_cell, max_cells_per_side:
         Grid-index resolution knobs (both at least 1), passed to
         :class:`~repro.service.grid_index.GridIndex`.
-    pyramid_levels:
-        Depth of the grid pyramid built on top of each dataset's base grid
-        (the base level counts, so ``1`` keeps the flat grid and ``None``
-        -- the default -- rolls up 2x-coarser levels until one side fits in
-        a handful of cells).  The pyramid powers the ``error_bound=``
-        bounded-error query mode; exact queries never consult it, so any
-        depth serves bit-identical exact answers.
     maxcrs_exact_limit:
         MaxCRS queries run the exact circle solver on the pruned subset.  It
         costs ``O(n + P log P)`` for the ``P`` point pairs closer than the
@@ -257,7 +270,6 @@ class MaxRSEngine:
                  max_workers: Optional[int] = None,
                  target_points_per_cell: int = 1,
                  max_cells_per_side: int = 512,
-                 pyramid_levels: Optional[int] = None,
                  maxcrs_exact_limit: int = 5_000,
                  persist_dir: Union[str, os.PathLike, None] = None,
                  persist_config: Optional[EMConfig] = None,
@@ -282,10 +294,6 @@ class MaxRSEngine:
                 f"target_points_per_cell and max_cells_per_side must be "
                 f"positive, got {target_points_per_cell} and "
                 f"{max_cells_per_side}")
-        if pyramid_levels is not None and pyramid_levels < 1:
-            raise ConfigurationError(
-                f"pyramid_levels must be positive (or None for auto), "
-                f"got {pyramid_levels}")
         self.store = PointStore(index=self._build_grid)
         self.cache = LRUCache(cache_size)
         self.metrics = EngineMetrics()
@@ -295,7 +303,6 @@ class MaxRSEngine:
         self.maxcrs_exact_limit = maxcrs_exact_limit
         self._target_points_per_cell = target_points_per_cell
         self._max_cells_per_side = max_cells_per_side
-        self._pyramid_levels = pyramid_levels
         self._restore_errors: Dict[str, str] = {}
         # Per-client accounting: a bounded LRU of client_id -> cumulative
         # ledger, fed by query(client_id=...) and surfaced by stats() and
@@ -462,7 +469,6 @@ class MaxRSEngine:
                 xs, ys, ws,
                 target_points_per_cell=self._target_points_per_cell,
                 max_cells_per_side=self._max_cells_per_side,
-                pyramid_levels=self._pyramid_levels,
             )
 
     def _count(self, counter: str, amount: int = 1) -> None:
@@ -704,12 +710,12 @@ class MaxRSEngine:
 
         Every answer carries a **cost ledger** on its ``cost`` field: a plain
         dict attributing the work this specific delivery cost -- wall/CPU
-        seconds, swept vs pruned points, sweeps, pyramid descent, cache
-        outcome, snapshot block I/O (see *Query introspection* in
-        ``docs/observability.md`` for the field reference).  The ledger never
-        changes the answer itself: ``cost`` is excluded from result equality
-        and from the cache key, so ledger-carrying answers stay bit-identical
-        to the solver's.
+        seconds, swept vs pruned points, sweeps, the bounded-error
+        certificate, cache outcome, snapshot block I/O (see *Query
+        introspection* in ``docs/observability.md`` for the field
+        reference).  The ledger never changes the answer itself: ``cost`` is
+        excluded from result equality and from the cache key, so
+        ledger-carrying answers stay bit-identical to the solver's.
 
         ``client_id`` (optional) additionally accounts the query against a
         per-client cumulative ledger -- surfaced by ``stats()["clients"]``
@@ -776,8 +782,8 @@ class MaxRSEngine:
                        io_before) -> Dict[str, object]:
         """Fold one finished computation's ledger into its cost record.
 
-        Counter-based fields (swept points, sweeps, descent) come from the
-        per-query :class:`QueryLedger` the compute path
+        Counter-based fields (swept points, sweeps, certify outcome) come
+        from the per-query :class:`QueryLedger` the compute path
         double-booked into, so they attribute correctly even when
         ``query_batch`` runs queries side by side on the pool.
         """
@@ -788,13 +794,10 @@ class MaxRSEngine:
         swept_footprint = facts.get("subset_points",
                                     facts.get("probe_points", entry.count))
         descent = None
-        if counters.get("pyramid_descents"):
-            descent = {
-                "levels_visited": int(counters.get("descent_levels", 0)),
-                "certified": bool(counters.get("descent_certified", 0)),
-                "stop_scale": facts.get("descent_stop_scale"),
-                "certified_gap": facts.get("descent_gap"),
-            }
+        certified = counters.get("descent_certified", 0)
+        if certified or counters.get("descent_stop_exact"):
+            descent = {"certified": bool(certified),
+                       "certified_gap": facts.get("descent_gap")}
         block_reads = block_writes = 0
         if io_before is not None:
             delta = self.persist.counters.snapshot() - io_before
@@ -987,7 +990,7 @@ class MaxRSEngine:
         """The plan :meth:`query` would take for ``spec`` -- without running it.
 
         Reads the same structures the query path reads (cache membership,
-        grid window sums, pyramid levels) but performs
+        grid window sums) but performs
         **no sweep and no state mutation**: the cache probe is the
         non-refreshing membership test, no work counters advance beyond
         ``explains``, and nothing is cached -- so explaining a query has
@@ -999,8 +1002,9 @@ class MaxRSEngine:
         ``path``
             ``"full_sweep"`` (MaxkRS), ``"direct"`` (no grid: empty
             dataset), ``"approximate"`` (``refine=False`` stops at the
-            probe), ``"bounded_descent"`` (``error_bound=`` pyramid path),
-            or ``"exact_sweep"`` (probe + prune + refined sweep).
+            probe), ``"bounded_descent"`` (``error_bound=``: probe, then the
+            certify check, then the exact sweep unless it certifies), or
+            ``"exact_sweep"`` (probe + prune + refined sweep).
         ``cache``
             ``{"would_hit": bool}`` -- membership without touching recency.
         ``estimates``
@@ -1008,9 +1012,6 @@ class MaxRSEngine:
             *optimistic* refine-subset estimate anchored at the best upper
             bound (the achieved probe weight can only be lower, so the real
             subset can only be larger; compare with ``actual``).
-        ``levels``
-            Per pyramid level (coarsest first): cell count and how many
-            cells survive the optimistic anchor -- the descent's best case.
         ``backend``
             The name of the sweep backend the solves would run on.
         ``actual``
@@ -1055,11 +1056,6 @@ class MaxRSEngine:
                 "subset_points": subset_estimate,
                 "pruned_points": max(0, int(entry.count) - subset_estimate),
             }
-            slack = _PRUNE_SLACK * max(1.0, abs(best_bound))
-            plan["levels"] = [
-                {"scale": int(scale), "cells": int(level_bounds.size),
-                 "live_cells": int((level_bounds >= best_bound - slack).sum())}
-                for scale, level_bounds in _level_ladder(grid, w, h, bounds)]
         plan["backend"] = backends.platform_backend().name
         if result is not None:
             first = result[0] if isinstance(result, tuple) and result \
@@ -1106,9 +1102,11 @@ class MaxRSEngine:
         MaxRS and MaxCRS run the same pipeline; they differ only in the
         query window (:func:`_window`) and the exact solver (:meth:`_solve`).
         The probe solves the best grid window exactly, which anchors the
-        prune; ``error_bound=`` queries then descend the pyramid and serve
-        the probe when the descent certifies it; otherwise the refine solves
-        the points of every cell that can still beat the probe.
+        prune.  An ``error_bound=`` query then checks the certificate: no
+        placement beats the best window bound ``B``, so the probe is within
+        ``(B - probe) / probe`` of the optimum, and it is served when that
+        gap is small enough.  Otherwise the refine solves the points of
+        every cell that can still beat the probe.
         """
         if spec.kind == "maxkrs":
             # Top-k strips may lie anywhere (the 2nd best placement can sit in
@@ -1127,24 +1125,25 @@ class MaxRSEngine:
         width, height = _window(spec)
         with self._stage("approximate") as note:
             bounds = grid.upper_bounds(width, height)
-            row, col, _ = grid.best_cell(width, height, bounds)
+            row, col, best_bound = grid.best_cell(width, height, bounds)
             probe_indices = grid.points_in_window(row, col, width, height)
             note(probe_points=int(len(probe_indices)))
             probe = self._solve(entry, spec, probe_indices)
             self._count("swept_points", int(len(probe_indices)))
         if not spec.refine:
             return probe
-        live = None
         if bounded:
-            gap, live = self._descend(grid, width, height, probe.total_weight,
-                                      spec.error_bound, bounds)
-            if live is None:
-                return replace(probe, gap=gap)
+            with self._stage("descend") as note:
+                gap = _certified_gap(probe.total_weight, best_bound)
+                certified = gap <= spec.error_bound
+                self._count("descent_certified" if certified
+                            else "descent_stop_exact")
+                if certified:
+                    note(descent_gap=gap)
+                    return replace(probe, gap=gap)
         with self._stage("refine") as note:
             mask = grid.candidate_mask(width, height, probe.total_weight,
                                        bounds)
-            if live is not None:
-                mask &= live
             subset_indices = grid.points_in_mask(grid.dilate(mask, width,
                                                              height))
             pruned = len(subset_indices) < entry.count
@@ -1188,51 +1187,6 @@ class MaxRSEngine:
         centre, weight = exact_maxcrs(points, spec.diameter)
         return MaxCRSResult(location=centre, total_weight=weight)
 
-    def _descend(self, grid: GridIndex, width: float, height: float,
-                 anchor: float, error_bound: float,
-                 base_bounds: np.ndarray
-                 ) -> Tuple[float, Optional[np.ndarray]]:
-        """Coarse-to-fine pyramid descent around an achievable ``anchor``.
-
-        Walks from the coarsest pyramid level down to the base grid.  Each
-        level evaluates its window-sum upper bounds only on cells whose
-        ancestors survived, kills cells that cannot beat the anchor, and
-        *certifies* as soon as the surviving maximum bound ``U`` is within
-        ``error_bound`` of the anchor -- sound because every killed cell's
-        bound caps all placements centred in it below the anchor, so the
-        true optimum is at most ``max(U, anchor)``.
-
-        Returns ``(gap, live_mask)``: ``live_mask is None`` means certified
-        (serve the anchor answer with that ``gap``); otherwise ``live_mask``
-        is the base-resolution survivor mask for the exact fall-through.
-        """
-        slack = _PRUNE_SLACK * max(1.0, abs(anchor))
-        mask: Optional[np.ndarray] = None
-        self._count("pyramid_descents")
-        with self._stage("descend") as note:
-            for scale, bounds in _level_ladder(grid, width, height,
-                                               base_bounds):
-                with obs.span(f"grid.descend[{scale}]") as span:
-                    live = bounds >= anchor - slack
-                    if mask is not None:
-                        live &= grid.refine_level_mask(mask, bounds.shape[0],
-                                                       bounds.shape[1])
-                    upper = (float(bounds[live].max()) if live.any()
-                             else -math.inf)
-                    gap = _certified_gap(anchor, upper)
-                    span.set_attribute("live_cells", int(live.sum()))
-                    span.set_attribute("gap",
-                                       gap if math.isfinite(gap) else -1.0)
-                    self._count("descent_levels")
-                    if gap <= error_bound:
-                        self._count("descent_certified")
-                        self._count(f"descent_stop_level_{scale}")
-                        note(descent_stop_scale=scale, descent_gap=gap)
-                        return gap, None
-                    mask = live
-            self._count("descent_stop_exact")
-            return 0.0, mask
-
     @contextmanager
     def _stage(self, name: str) -> Iterator[Callable[..., None]]:
         """One engine stage, instrumented by this one call.
@@ -1263,15 +1217,6 @@ def _window(spec: QuerySpec) -> Tuple[float, float]:
     if spec.kind == "maxcrs":
         return spec.diameter, spec.diameter
     return spec.width, spec.height
-
-
-def _level_ladder(grid: GridIndex, width: float, height: float,
-                  base_bounds: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """``(scale, window bounds)`` per pyramid level, coarsest first, ending
-    with the base grid's ``base_bounds`` at scale 1."""
-    for level in reversed(grid.levels):
-        yield level.scale, grid.level_bounds(level, width, height)
-    yield 1, base_bounds
 
 
 def _restore_closing_hline(result: MaxRSResult, entry: RegisteredDataset,
@@ -1310,7 +1255,7 @@ def _restore_closing_hline(result: MaxRSResult, entry: RegisteredDataset,
 
 
 def _certified_gap(anchor: float, upper: float) -> float:
-    """The relative optimality gap certified by a surviving bound ``upper``.
+    """The relative optimality gap certified by an upper bound ``upper``.
 
     ``anchor`` is achievable, so the true optimum lies in
     ``[anchor, max(upper, anchor)]``; a non-positive anchor cannot certify a

@@ -318,9 +318,9 @@ class QueryLedger:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: Summable work counters (``swept_points``, ``descent_levels``...).
+        #: Summable work counters (``swept_points``, ``sweeps``...).
         self.counters: Dict[str, float] = {}
-        #: Last-write-wins facts (``probe_points``, ``descent_stop_scale``...).
+        #: Last-write-wins facts (``probe_points``, ``descent_gap``...).
         self.fields: Dict[str, object] = {}
 
     def count(self, name: str, amount: float = 1) -> None:

@@ -184,7 +184,7 @@ class PointStore:
         object tuple is lazy; see :class:`RegisteredDataset`).  When
         ``expected_fingerprint`` is given (a snapshot manifest's), a mismatch
         raises :class:`~repro.errors.ServiceError` before anything is
-        registered.
+        registered, as do non-finite values and negative weights.
         """
         if not (len(xs) == len(ys) == len(ws)):
             raise ServiceError(
@@ -212,6 +212,14 @@ class PointStore:
             raise ServiceError(
                 "datasets registered with the query service must have finite "
                 "coordinates and weights"
+            )
+        # The grid's window sums bound a placement's weight only when no
+        # weight is negative, or pruning may drop the optimum.  WeightedPoint
+        # already rejects one; columns are checked here.
+        if len(ws) and float(ws.min()) < 0.0:
+            raise ServiceError(
+                "datasets registered with the query service must have "
+                f"non-negative weights, got {float(ws.min())}"
             )
         fingerprint = fingerprint_columns(xs, ys, ws)
         if expected_fingerprint is not None and fingerprint != expected_fingerprint:

@@ -1,26 +1,25 @@
-"""Tests for the grid pyramid and the bounded-error fast path.
+"""Tests for the bounded-error fast path (``error_bound=``).
 
-The load-bearing properties, each hypothesis-driven:
+(The file is named after the grid pyramid this path used to descend.)  The
+load-bearing properties, each hypothesis-driven:
 
-* **roll-up correctness** -- every pyramid level's aggregates equal the flat
-  base grid re-binned into ``2^k``-sized blocks (computed here by an
-  independent scatter-add, not the production roll-up);
-* **exactness is untouched** -- without ``error_bound`` the pyramid engine's
-  answers are bit-identical to the flat (``pyramid_levels=1``) engine's,
-  also when a batch runs on the engine's thread pool (the pyramid is a
-  pruning accelerator, never a semantic change);
+* **the base-grid certificate** -- a bounded answer is either the probe (the
+  ``refine=False`` answer) with ``gap`` equal to the base-grid certificate
+  ``(B - weight) / weight``, ``B`` the best window bound, served exactly
+  when that gap is within ``error_bound``; or the exact query's answer with
+  ``gap == 0.0``;
 * **the certificate holds** -- a bounded-error answer's ``gap`` really does
   bound the exact optimum: ``exact <= approx * (1 + gap)`` with
   ``gap <= error_bound``.
 
-Plus the deterministic seams: the pyramid rebuilt across a restart (and
-from a legacy catalog whose level blob is corrupt), wire-protocol
-round-trips of
+Plus the deterministic seams: bounded answers across a restart (and from a
+legacy catalog whose level blob is corrupt), wire-protocol round-trips of
 ``error_bound``/``gap``, spec validation, and degraded serving through the
 async front-end under overload.
 """
 
 import asyncio
+import random
 import shutil
 from pathlib import Path
 
@@ -28,7 +27,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.aio import AsyncMaxRSEngine
@@ -39,7 +38,6 @@ from repro.geometry import WeightedPoint
 from repro.obs import metrics_text
 from repro.persist import SnapshotStore, open_catalog
 from repro.service import MaxRSEngine, QuerySpec
-from repro.service.grid_index import GridIndex, rollup_aggregates
 
 _SETTINGS = settings(max_examples=15, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -53,111 +51,64 @@ objects_strategy = st.lists(
 )
 
 
-def _columns(objects):
-    xs = np.array([o.x for o in objects], dtype=np.float64)
-    ys = np.array([o.y for o in objects], dtype=np.float64)
-    ws = np.array([o.weight for o in objects], dtype=np.float64)
-    return xs, ys, ws
-
-
-def _rebin(array, shift):
-    """Re-bin a flat per-cell array into ``2**shift``-sized blocks.
-
-    An independent reference for the production roll-up: scatter-add every
-    base cell into the coarse cell its indices shift down to.
-    """
-    n_rows, n_cols = array.shape
-    out_shape = ((n_rows + (1 << shift) - 1) >> shift,
-                 (n_cols + (1 << shift) - 1) >> shift)
-    out = np.zeros(out_shape, dtype=array.dtype)
-    rows = np.arange(n_rows) >> shift
-    cols = np.arange(n_cols) >> shift
-    np.add.at(out, (rows[:, None], cols[None, :]), array)
-    return out
-
-
 # ---------------------------------------------------------------------- #
-# Property (a): roll-up == flat re-binned
+# The base-grid certificate
 # ---------------------------------------------------------------------- #
-class TestRollup:
-    @_SETTINGS
-    @given(objects=objects_strategy)
-    def test_levels_match_independent_rebinning(self, objects):
-        grid = GridIndex(*_columns(objects))
-        for k, level in enumerate(grid.levels, start=1):
-            assert level.scale == 1 << k
-            assert np.array_equal(level.cell_counts,
-                                  _rebin(grid.cell_counts, k))
-            # Weights from {1, 2, 3} sum exactly in float64, so the pairwise
-            # roll-up and the scatter-add must agree bit for bit.
-            assert np.array_equal(level.cell_weights,
-                                  _rebin(grid.cell_weights, k))
-            assert int(level.cell_counts.sum()) == len(objects)
-
-    def test_rollup_pads_odd_extents(self):
-        weights = np.arange(15, dtype=np.float64).reshape(3, 5)
-        counts = np.ones((3, 5), dtype=np.int64)
-        rw = rollup_aggregates(weights)
-        rc = rollup_aggregates(counts)
-        assert rw.shape == rc.shape == (2, 3)
-        assert rw.sum() == weights.sum()
-        assert rc.sum() == counts.sum()
-        assert np.array_equal(rw, _rebin(weights, 1))
+def _integer_points(seed, count):
+    rng = random.Random(seed)
+    return [WeightedPoint(float(rng.randint(0, 100)),
+                          float(rng.randint(0, 100)),
+                          float(rng.choice([1, 2, 3])))
+            for _ in range(count)]
 
 
-# ---------------------------------------------------------------------- #
-# Property (b): exact answers bit-identical flat vs pyramid
-# ---------------------------------------------------------------------- #
-_IDENTITY_SPECS = (
-    QuerySpec.maxrs(10.0, 10.0),
-    QuerySpec.maxrs(25.0, 5.0),
-    QuerySpec(kind="maxkrs", width=12.0, height=12.0, k=3),
-    QuerySpec.maxcrs(14.0),
-)
+def _same_answer(got, want):
+    assert got.location == want.location
+    assert getattr(got, "region", None) == getattr(want, "region", None)
+    assert got.total_weight == want.total_weight
 
 
-def _answers(engine, handle):
-    return [engine.query(handle, spec) for spec in _IDENTITY_SPECS]
+class TestBoundedAnswer:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(objects=objects_strategy,
+           kind=st.sampled_from(["maxrs", "maxcrs"]),
+           width=st.floats(min_value=2.0, max_value=90.0),
+           height=st.floats(min_value=2.0, max_value=90.0),
+           error_bound=st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]))
+    # Pinned: a 2x-coarser window bound would certify a gap of 0.92 here,
+    # the base grid's best bound certifies 0.68.
+    @example(objects=_integer_points(4, 120), kind="maxrs", width=50.0,
+             height=80.0, error_bound=1.0)
+    def test_bounded_answer_is_the_certified_probe_or_exact(
+            self, objects, kind, width, height, error_bound):
+        """Differential test of the bounded path against the probe, the
+        exact query and the base grid's best window bound ``B``."""
+        def spec(**options):
+            if kind == "maxcrs":
+                return QuerySpec.maxcrs(width, **options)
+            return QuerySpec.maxrs(width, height, **options)
 
-
-def _assert_identical(lhs, rhs):
-    for spec, a, b in zip(_IDENTITY_SPECS, lhs, rhs):
-        if spec.kind == "maxkrs":
-            assert len(a) == len(b)
-            pairs = zip(a, b)
+        with MaxRSEngine() as engine:
+            handle = engine.register_dataset(objects)
+            exact = engine.query(handle, spec())
+            probe = engine.query(handle, spec(refine=False))
+            bounded = engine.query(handle, spec(error_bound=error_bound))
+            window = (width, width) if kind == "maxcrs" else (width, height)
+            best = float(engine.grid_index(handle).upper_bounds(*window).max())
+        weight = probe.total_weight
+        assert weight > 0.0  # the best window holds a point
+        certificate = max(0.0, (best - weight) / weight)
+        if certificate <= error_bound:
+            assert bounded.cost["descent"] == {
+                "certified": True, "certified_gap": certificate}
+            assert bounded.gap == certificate
+            _same_answer(bounded, probe)
         else:
-            pairs = [(a, b)]
-        for x, y in pairs:
-            assert x.total_weight == y.total_weight, spec
-            assert x.location == y.location, spec
-            if hasattr(x, "region"):
-                assert x.region == y.region, spec
-            assert x.gap is None and y.gap is None, spec
-
-
-class TestExactBitIdentity:
-    @_SETTINGS
-    @given(objects=objects_strategy)
-    def test_flat_vs_pyramid_answers_match(self, objects):
-        with MaxRSEngine(pyramid_levels=1) as flat, MaxRSEngine() as pyramid:
-            truth = _answers(flat, flat.register_dataset(objects, name="ds"))
-            answers = _answers(
-                pyramid, pyramid.register_dataset(objects, name="ds"))
-        _assert_identical(truth, answers)
-
-    @pytest.mark.parametrize("workers", [2, 7],
-                             ids=lambda workers: f"{workers}-threaded")
-    def test_flat_vs_pyramid_parallel_executors(self, make_objects, workers):
-        """The pyramid engine answering one batch on its thread pool matches
-        the flat engine answering query by query."""
-        objects = make_objects(400, seed=9)
-        with MaxRSEngine(pyramid_levels=1) as flat, \
-                MaxRSEngine(max_workers=workers) as pyramid:
-            truth = _answers(flat, flat.register_dataset(objects, name="ds"))
-            answers = pyramid.query_batch(
-                pyramid.register_dataset(objects, name="ds"),
-                _IDENTITY_SPECS)
-        _assert_identical(truth, answers)
+            assert bounded.cost["descent"] == {
+                "certified": False, "certified_gap": None}
+            assert bounded.gap == 0.0
+            _same_answer(bounded, exact)
 
 
 # ---------------------------------------------------------------------- #
@@ -186,13 +137,13 @@ class TestCertifiedGap:
         with MaxRSEngine() as engine:
             handle = engine.register_dataset(make_objects(300, seed=3),
                                              name="ds")
-            engine.query(handle, QuerySpec.maxrs(60.0, 60.0,
+            engine.query(handle, QuerySpec.maxrs(80.0, 80.0,
                                                  error_bound=0.5))
+            engine.query(handle, QuerySpec.maxrs(5.0, 5.0,
+                                                 error_bound=1e-9))
             counters = engine.metrics.snapshot()["counters"]
-        assert counters.get("pyramid_descents", 0) == 1
-        assert counters.get("descent_levels", 0) >= 1
-        stop_keys = [key for key in counters if key.startswith("descent_stop_")]
-        assert stop_keys, counters
+        assert counters.get("descent_certified", 0) == 1
+        assert counters.get("descent_stop_exact", 0) == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -241,7 +192,7 @@ class TestSpecAndWire:
 
 
 # ---------------------------------------------------------------------- #
-# The pyramid across a restart
+# Bounded answers across a restart
 # ---------------------------------------------------------------------- #
 #: A format-version-3 catalog of an earlier build, with pyramid level blobs.
 LEGACY_CATALOG = Path(__file__).parent / "data" / "legacy_sharded_catalog"
@@ -249,18 +200,15 @@ LEGACY_CATALOG = Path(__file__).parent / "data" / "legacy_sharded_catalog"
 
 class TestPyramidPersistence:
     def test_catalog_v3_round_trip(self, tmp_path, make_objects):
-        """The pyramid is rebuilt, not persisted: a restart serves the same
-        depth, exact answers and certified gaps, and no grid blob is
-        written."""
+        """The grid is rebuilt, not persisted: a restart serves the same
+        exact answers and certified gaps, and no grid blob is written."""
         objects = make_objects(400, seed=5)
         day1 = MaxRSEngine(persist_dir=tmp_path)
         day1.register_dataset(objects, name="ds")
-        depth = day1.grid_index("ds").pyramid_depth()
         truth_exact = day1.query("ds", QuerySpec.maxrs(8.0, 8.0))
         truth_approx = day1.query("ds", QuerySpec.maxrs(60.0, 60.0,
                                                         error_bound=0.5))
         day1.close()
-        assert depth >= 2
         assert open_catalog(tmp_path).get("ds").legacy_grid_files == ()
         assert not sorted(tmp_path.glob("*.grid"))
 
@@ -268,7 +216,6 @@ class TestPyramidPersistence:
         stats = day2.stats()["persist"]
         assert stats["datasets_restored"] == 1
         assert stats["restore_errors"] == {}
-        assert day2.grid_index("ds").pyramid_depth() == depth
         restored = day2.query("ds", QuerySpec.maxrs(8.0, 8.0))
         assert restored.total_weight == truth_exact.total_weight
         assert restored.region == truth_exact.region
@@ -280,7 +227,7 @@ class TestPyramidPersistence:
 
     def test_corrupt_level_blob_falls_back_to_rebuild(self, tmp_path):
         """A legacy catalog's level blobs are never read: with one corrupt,
-        the restart still builds the full pyramid from the points."""
+        the restart still builds the grid from the points."""
         legacy = tmp_path / "legacy"
         shutil.copytree(LEGACY_CATALOG, legacy)
         level = legacy / open_catalog(legacy).get("ds").legacy_grid_files[-1]
@@ -297,7 +244,8 @@ class TestPyramidPersistence:
         handle = fresh.register_dataset(
             SnapshotStore(legacy).load_dataset("ds").objects())
         want = fresh.grid_index(handle)
-        assert day2.grid_index("ds").pyramid_depth() == want.pyramid_depth()
+        assert np.array_equal(day2.grid_index("ds").cell_weights,
+                              want.cell_weights)
         for spec in (QuerySpec.maxrs(8.0, 8.0),
                      QuerySpec.maxrs(60.0, 60.0, error_bound=0.5)):
             got, expected = day2.query("ds", spec), fresh.query(handle, spec)

@@ -4,7 +4,7 @@ Three contracts pinned here:
 
 * **zero effect** -- explaining a query and carrying cost ledgers changes
   no answer, bit for bit, whether the query runs on the calling thread or
-  in a batch on the engine's thread pool, flat or under a pyramid;
+  in a batch on the engine's thread pool, at several grid resolutions;
 * **reconciliation** -- per-query ``cost`` records and per-client ledgers
   are *exact* decompositions of the global ``EngineMetrics`` counters
   (on the calling thread, in pooled batches, and under concurrent
@@ -94,7 +94,9 @@ class TestCostLedger:
                 ds, QuerySpec.maxrs(30.0, 30.0, error_bound=0.5))
             descent = result.cost["descent"]
             assert descent is not None
-            assert descent["levels_visited"] >= 1
+            assert set(descent) == {"certified", "certified_gap"}
+            assert (descent["certified_gap"] is not None) \
+                is descent["certified"]
         finally:
             engine.close()
 
@@ -131,9 +133,6 @@ class TestExplain:
             estimates = plan["estimates"]
             assert 0 <= estimates["probe_points"] <= 600
             assert 0 <= estimates["pruned_points"] <= 600
-            assert plan["levels"], "pyramid level survival missing"
-            for level in plan["levels"]:
-                assert 0 <= level["live_cells"] <= level["cells"]
             assert plan["backend"] == "numpy"
         finally:
             engine.close()
@@ -197,45 +196,46 @@ class TestExplainZeroEffect:
              QuerySpec.maxrs(14.0, 5.0, error_bound=0.5),
              QuerySpec.maxkrs(8.0, 8.0, 2)]
 
-    def _reference(self, objects, depth):
-        engine = MaxRSEngine(pyramid_levels=depth)
+    def _reference(self, objects, points_per_cell):
+        engine = MaxRSEngine(target_points_per_cell=points_per_cell)
         try:
             ds = engine.register_dataset(objects)
             return [engine.query(ds, spec) for spec in self.SPECS]
         finally:
             engine.close()
 
-    def _assert_zero_effect(self, objects, want, tier, depth):
-        engine = MaxRSEngine(pyramid_levels=depth)
+    def _assert_zero_effect(self, objects, want, tier, points_per_cell):
+        engine = MaxRSEngine(target_points_per_cell=points_per_cell)
         try:
             ds = engine.register_dataset(objects)
             if tier == "serial":
                 for spec, expected in zip(self.SPECS, want):
                     engine.explain(ds, spec)               # before the query
                     got = engine.query(ds, spec)
-                    assert got == expected, (tier, depth, spec)
+                    assert got == expected, (tier, points_per_cell, spec)
                     engine.explain(ds, spec, result=got)   # and after
                     again = engine.query(ds, spec)         # cache hit path
-                    assert again == expected, (tier, depth, spec)
+                    assert again == expected, (tier, points_per_cell, spec)
             else:
                 # The batch fans the specs out over the engine's thread pool.
                 for spec in self.SPECS:
                     engine.explain(ds, spec)
                 got = engine.query_batch(ds, self.SPECS)
-                assert got == want, (tier, depth)
+                assert got == want, (tier, points_per_cell)
                 for spec, result in zip(self.SPECS, got):
                     engine.explain(ds, spec, result=result)
                 again = engine.query_batch(ds, self.SPECS)
-                assert again == want, (tier, depth)
+                assert again == want, (tier, points_per_cell)
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("depth", [1, 2, 4, 7])
+    @pytest.mark.parametrize("points_per_cell", [1, 2, 4, 7])
     @pytest.mark.parametrize("tier", ["serial", "threaded"])
-    def test_thread_tiers(self, make_objects, tier, depth):
+    def test_thread_tiers(self, make_objects, tier, points_per_cell):
         objects = make_objects(600, seed=11)
-        self._assert_zero_effect(objects, self._reference(objects, depth),
-                                 tier, depth)
+        self._assert_zero_effect(
+            objects, self._reference(objects, points_per_cell), tier,
+            points_per_cell)
 
 
 # ---------------------------------------------------------------------- #

@@ -16,11 +16,12 @@ import time
 
 import pytest
 
-pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
+np = pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.aio import protocol
 from repro.api import solve_many
 from repro.circles.exact_maxcrs import exact_maxcrs
 from repro.core.dispatch import solve_point_set_top_k
@@ -281,6 +282,37 @@ class TestQuerySpec:
         with pytest.raises(ConfigurationError):
             make_spec(bad)
 
+    #: Specs that set a field their kind ignores.  The spec keys the result
+    #: cache, so each would have filled its own entry with the same answer.
+    IGNORED_FIELDS = {
+        "maxrs-k": dict(kind="maxrs", width=5.0, height=5.0, k=3),
+        "maxrs-diameter": dict(kind="maxrs", width=5.0, height=5.0,
+                               diameter=9.0),
+        "maxkrs-diameter": dict(kind="maxkrs", width=5.0, height=5.0, k=2,
+                                diameter=9.0),
+        "maxkrs-unrefined": dict(kind="maxkrs", width=5.0, height=5.0, k=2,
+                                 refine=False),
+        "maxcrs-width": dict(kind="maxcrs", diameter=9.0, width=5.0),
+        "maxcrs-height": dict(kind="maxcrs", diameter=9.0, height=5.0),
+        "maxcrs-k": dict(kind="maxcrs", diameter=9.0, k=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IGNORED_FIELDS))
+    def test_fields_the_kind_ignores_are_rejected(self, name):
+        with pytest.raises(ConfigurationError):
+            QuerySpec(**self.IGNORED_FIELDS[name])
+
+    def test_wire_specs_with_ignored_fields_are_rejected(self):
+        """The wire decoder passes every field through to the spec."""
+        for fields in self.IGNORED_FIELDS.values():
+            with pytest.raises(ConfigurationError):
+                protocol.spec_from_wire(fields)
+        # What the constructors build, spec_to_wire sends and decodes back.
+        for spec in (QuerySpec.maxrs(5.0, 5.0, refine=False),
+                     QuerySpec.maxkrs(5.0, 5.0, 3),
+                     QuerySpec.maxcrs(9.0, error_bound=0.1)):
+            assert protocol.spec_from_wire(protocol.spec_to_wire(spec)) == spec
+
 
 class TestTopKAndBatch:
     def test_maxkrs_matches_dispatch(self, make_objects):
@@ -496,6 +528,20 @@ class TestDatasetLifecycle:
         with pytest.raises(ServiceError):
             engine.register_dataset([WeightedPoint(0.0, 0.0, float("inf"))])
 
+    def test_negative_column_weights_rejected_at_registration(self):
+        """Window sums bound a placement only when no weight is negative;
+        a refined ``maxrs(10, 10)`` over these columns used to answer 0.0
+        where ``solve_columns`` finds 19.0."""
+        rng = np.random.default_rng(2)
+        xs = rng.uniform(0.0, 100.0, 400)
+        ys = rng.uniform(0.0, 100.0, 400)
+        ws = rng.choice([-5.0, 1.0, 2.0], 400)
+        engine = MaxRSEngine()
+        with pytest.raises(ServiceError, match="non-negative"):
+            engine.store.register_columns(xs, ys, ws, name="ds")
+        assert "ds" not in engine.store
+        engine.close()
+
     def test_maxcrs_exact_limit_guards_the_quadratic_solver(self, make_objects):
         # A diameter spanning the whole dataset defeats pruning, so with a
         # tiny budget the engine must refuse rather than hang.
@@ -697,29 +743,28 @@ class TestLatencyHistograms:
 
 class TestDegenerateGeometry:
     """Datasets whose grid collapses: one point, points on a line, and
-    windows wider than the whole dataset -- on a flat grid and under a
-    pyramid of up to four levels (which the collapsed axis caps)."""
+    windows wider than the whole dataset -- on the default grid and on one
+    with about four points per cell."""
 
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_single_point_dataset(self, depth):
+    @pytest.mark.parametrize("points_per_cell", [1, 4])
+    def test_single_point_dataset(self, points_per_cell):
         objects = [WeightedPoint(3.0, 4.0, 2.5)]
-        engine = MaxRSEngine(pyramid_levels=depth)
+        engine = MaxRSEngine(target_points_per_cell=points_per_cell)
         handle = engine.register_dataset(objects)
         grid = engine.grid_index(handle)
         assert (grid.n_rows, grid.n_cols) == (1, 1)
-        assert grid.pyramid_depth() == 1
         assert grid.upper_bounds(10.0, 10.0)[0, 0] == 2.5
         result = engine.query(handle, QuerySpec.maxrs(10.0, 10.0))
         assert result.total_weight == 2.5
 
-    @pytest.mark.parametrize("depth", [1, 4])
+    @pytest.mark.parametrize("points_per_cell", [1, 4])
     @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_collinear_points_collapse_one_axis(self, axis, depth):
+    def test_collinear_points_collapse_one_axis(self, axis, points_per_cell):
         if axis == "x":
             objects = [WeightedPoint(7.0, float(i), 1.0) for i in range(30)]
         else:
             objects = [WeightedPoint(float(i), -2.0, 1.0) for i in range(30)]
-        engine = MaxRSEngine(pyramid_levels=depth)
+        engine = MaxRSEngine(target_points_per_cell=points_per_cell)
         handle = engine.register_dataset(objects)
         grid = engine.grid_index(handle)
         # The zero-extent axis collapses to one cell of nominal unit width.
@@ -727,7 +772,6 @@ class TestDegenerateGeometry:
             assert grid.n_cols == 1 and grid.cell_w == 1.0
         else:
             assert grid.n_rows == 1 and grid.cell_h == 1.0
-        assert 1 <= grid.pyramid_depth() <= depth
         bounds = grid.upper_bounds(3.0, 3.0)
         assert bounds.shape == (grid.n_rows, grid.n_cols)
         assert float(bounds.max()) <= 30.0
@@ -736,12 +780,12 @@ class TestDegenerateGeometry:
         # half-open boundary semantics exclude a 4th on the closing edge).
         assert result.total_weight == 3.0
 
-    @pytest.mark.parametrize("depth", [1, 4])
+    @pytest.mark.parametrize("points_per_cell", [1, 4])
     def test_query_window_larger_than_bounding_box(self, make_objects,
-                                                   depth):
+                                                   points_per_cell):
         objects = make_objects(60, seed=9, extent=50.0)
         total = sum(o.weight for o in objects)
-        engine = MaxRSEngine(pyramid_levels=depth)
+        engine = MaxRSEngine(target_points_per_cell=points_per_cell)
         handle = engine.register_dataset(objects)
         grid = engine.grid_index(handle)
         bounds = grid.upper_bounds(1e6, 1e6)

@@ -189,7 +189,6 @@ class TestWarmStart:
         assert (new.n_rows, new.n_cols) == (want.n_rows, want.n_cols)
         assert np.array_equal(new.cell_weights, want.cell_weights)
         assert np.array_equal(new.cell_counts, want.cell_counts)
-        assert new.pyramid_depth() == want.pyramid_depth()
         for width, height in ((7.0, 7.0), (3.0, 12.0), (40.0, 30.0)):
             truth = solve_in_memory(objects, width, height)
             answer = day2.query("ds", QuerySpec.maxrs(width, height))
@@ -265,6 +264,18 @@ class TestDegradation:
         assert "ds" in stats["restore_errors"]
         with pytest.raises(ServiceError, match="unknown dataset"):
             day2.query("ds", QuerySpec.maxrs(2.0, 2.0))
+
+    def test_negative_weight_snapshot_is_a_restore_error(self, tmp_path):
+        """The grid's window sums bound a placement only for non-negative
+        weights, so a snapshot holding a negative one is not served."""
+        xs = np.array([1.0, 2.0, 3.0])
+        SnapshotStore(tmp_path).save_dataset("ds", xs, xs,
+                                             np.array([1.0, -5.0, 2.0]))
+        engine = MaxRSEngine(persist_dir=tmp_path)
+        stats = engine.stats()["persist"]
+        assert stats["datasets_restored"] == 0
+        assert "non-negative" in stats["restore_errors"]["ds"]
+        assert "ds" not in engine.store
 
     def test_corrupt_grid_blob_falls_back_to_rebuild(self, tmp_path,
                                                      objects):
@@ -391,7 +402,8 @@ class TestLifecycle:
 class TestShardedPersistence:
     """Catalogs written by earlier builds, whose entries list grid blobs
     (``tests/data/legacy_sharded_catalog``: format version 3, a grid saved
-    as one blob per shard plus three pyramid level blobs).
+    as one blob per shard plus three level blobs of the grid pyramid that
+    earlier builds kept).
 
     This build never reads those blobs: a restore builds each grid from the
     fingerprint-verified points and writes nothing, and the store's next
@@ -424,7 +436,6 @@ class TestShardedPersistence:
         handle = fresh.register_dataset(objects)
         grid, want = restored.grid_index("ds"), fresh.grid_index(handle)
         assert np.array_equal(grid.cell_weights, want.cell_weights)
-        assert grid.pyramid_depth() == want.pyramid_depth()
         for spec in (QuerySpec.maxrs(7.0, 5.0), QuerySpec.maxrs(12.0, 3.0),
                      QuerySpec.maxcrs(9.0)):
             got, want = restored.query("ds", spec), fresh.query(handle, spec)
@@ -496,12 +507,9 @@ class TestShardedPersistence:
 
     def test_catalog_version_is_lowest_expressible(self, tmp_path, objects):
         """Every catalog this build writes is version 1 with no grid object,
-        flat or pyramid, so every earlier build can read it."""
-        for levels in (1, None):
-            directory = tmp_path / f"levels-{levels}"
-            MaxRSEngine(pyramid_levels=levels, persist_dir=directory) \
-                .register_dataset(objects, name="ds")
-            document = json.loads((directory / "catalog.json").read_text())
-            assert document["format_version"] == 1
-            assert "grid" not in document["datasets"]["ds"]
-            assert not sorted(directory.glob("*.grid"))
+        so every earlier build can read it."""
+        MaxRSEngine(persist_dir=tmp_path).register_dataset(objects, name="ds")
+        document = json.loads((tmp_path / "catalog.json").read_text())
+        assert document["format_version"] == 1
+        assert "grid" not in document["datasets"]["ds"]
+        assert not sorted(tmp_path.glob("*.grid"))

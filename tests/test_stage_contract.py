@@ -4,11 +4,12 @@ Every engine stage books itself once, and that one call feeds three
 consumers that must agree: the ``engine.<stage>`` span of the query's
 trace, the stage's timing histogram in ``stats()["stages"]``, and the
 per-query cost ledger on ``result.cost``.  One cold query per query path,
-on a flat grid and on a four-level pyramid, pins all three:
+on the default grid and on one with about four points per cell, pins all
+three:
 
 * the trace's ``engine.*`` spans are exactly the stages the path ran;
-* the point counts the spans carry equal the ledger's (the descent opens
-  one ``grid.descend[...]`` span per pyramid level it visits);
+* the point counts and the certified gap the spans carry equal the
+  ledger's;
 * each stage's histogram counted the run and reports its percentiles.
 
 Below the stages, every ``backend.sweep`` span splits into its event build,
@@ -51,13 +52,13 @@ def _clustered(count=400, seed=5):
     return points
 
 
-@pytest.mark.parametrize("depth", [1, 4])
+@pytest.mark.parametrize("points_per_cell", [1, 4])
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_one_call_feeds_span_histogram_and_ledger(path, depth):
+def test_one_call_feeds_span_histogram_and_ledger(path, points_per_cell):
     spec, stages = PATHS[path]
-    with MaxRSEngine(tracer="ring", pyramid_levels=depth) as engine:
+    with MaxRSEngine(tracer="ring",
+                     target_points_per_cell=points_per_cell) as engine:
         dataset = engine.register_dataset(_clustered())
-        assert engine.grid_index(dataset).pyramid_depth() == depth
         before = engine.stats()["stages"]
         result = engine.query(dataset, spec)
         after = engine.stats()["stages"]
@@ -83,9 +84,8 @@ def test_one_call_feeds_span_histogram_and_ledger(path, depth):
         assert cost["subset_points"] < cost["dataset_points"]
         assert refine["pruned"] is True
     if "descend" in by_stage:
-        levels = [span for span in by_stage["descend"].children
-                  if span.name.startswith("grid.descend[")]
-        assert len(levels) == cost["descent"]["levels_visited"]
+        assert by_stage["descend"].attributes.get("descent_gap") == \
+            cost["descent"]["certified_gap"]
 
     ran = {name for name, summary in after.items()
            if summary["count"] != before.get(name, {}).get("count", 0)}
