@@ -112,7 +112,8 @@ class ExactMaxRS:
     ``exact_maxrs.sort`` around the external sort, ``exact_maxrs.divide``
     around every division, ``exact_maxrs.leaves`` around every batch of
     leaves (its reads, its one ``backend.sweep`` and its writes), and
-    ``exact_maxrs.merge`` around every MergeSweep.
+    ``exact_maxrs.merge`` around every MergeSweep, whose ``applies``
+    attribute the merge sets.
 
     Examples
     --------
@@ -305,7 +306,7 @@ class ExactMaxRS:
             start = self.ctx.stats.snapshot()
             merged, best = merge_sweep(
                 self.ctx, sub_slabs, child_files, spanning_file,
-                name=f"merged-level{depth}-slab{slab.index}")
+                name=f"merged-level{depth}-slab{slab.index}", span=span)
             span.set_attributes(
                 hlines=len(merged),
                 block_reads=self.ctx.stats.since(start).block_reads)

@@ -660,6 +660,8 @@ class MaxRSEngine:
 
         Each dataset's grid index is built from its fingerprint-verified
         columns, as registration builds it; the restore writes nothing.
+        The snapshot store hashes the columns once to verify them, and the
+        point store takes them over with that fingerprint.
         Corrupt or mismatched snapshots are skipped (recorded in
         ``stats()["persist"]["restore_errors"]``); a corrupt results blob
         only costs the warm cache, never the dataset.
@@ -670,7 +672,7 @@ class MaxRSEngine:
                     loaded = self.persist.load_dataset(dataset_id)
                     handle = self.store.register_columns(
                         loaded.xs, loaded.ys, loaded.ws, name=dataset_id,
-                        expected_fingerprint=loaded.manifest.fingerprint,
+                        fingerprint=loaded.manifest.fingerprint,
                     )
                     try:
                         self._restore_results(handle)
@@ -1107,6 +1109,10 @@ class MaxRSEngine:
         ``(B - probe) / probe`` of the optimum, and it is served when that
         gap is small enough.  Otherwise the refine solves the points of
         every cell that can still beat the probe.
+
+        A bounded query that is not certified is the exact answer with gap
+        0: it is served from the exact query's cache entry when there is
+        one, and otherwise fills that entry, so the two never sweep twice.
         """
         if spec.kind == "maxkrs":
             # Top-k strips may lie anywhere (the 2nd best placement can sit in
@@ -1117,6 +1123,7 @@ class MaxRSEngine:
                 return tuple(solve_point_set_top_k(
                     entry.objects, spec.width, spec.height, spec.k,
                     force_in_memory=True))
+        started = time.perf_counter()
         bounded = spec.error_bound is not None
         grid = entry.grid
         if grid is None:  # empty dataset: the exact answer is free
@@ -1141,6 +1148,11 @@ class MaxRSEngine:
                 if certified:
                     note(descent_gap=gap)
                     return replace(probe, gap=gap)
+            exact_key = self.cache_key(entry.handle.fingerprint,
+                                       replace(spec, error_bound=None))
+            hit, exact = self.cache.get(exact_key)
+            if hit:
+                return replace(exact, gap=0.0)
         with self._stage("refine") as note:
             mask = grid.candidate_mask(width, height, probe.total_weight,
                                        bounds)
@@ -1157,7 +1169,10 @@ class MaxRSEngine:
             self._count("swept_points", int(len(subset_indices)))
             if pruned and spec.kind == "maxrs":
                 result = _restore_closing_hline(result, entry, height)
-        return replace(result, gap=0.0) if bounded else result
+        if not bounded:
+            return result
+        self.cache.put(exact_key, result, cost=time.perf_counter() - started)
+        return replace(result, gap=0.0)
 
     def _solve(self, entry: RegisteredDataset, spec: QuerySpec,
                indices: Optional[np.ndarray]) -> Union[MaxRSResult,

@@ -176,32 +176,37 @@ class PointStore:
 
     def register_columns(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
                          *, name: Optional[str] = None,
-                         expected_fingerprint: Optional[str] = None
+                         fingerprint: Optional[str] = None
                          ) -> DatasetHandle:
         """Register a dataset straight from packed float64 columns.
 
         The warm-start path: no per-object Python cost is paid up front (the
-        object tuple is lazy; see :class:`RegisteredDataset`).  When
-        ``expected_fingerprint`` is given (a snapshot manifest's), a mismatch
-        raises :class:`~repro.errors.ServiceError` before anything is
-        registered, as do non-finite values and negative weights.
+        object tuple is lazy; see :class:`RegisteredDataset`).  Non-finite
+        values and negative weights raise :class:`~repro.errors.ServiceError`
+        before anything is registered.
+
+        The columns are copied, so the entry stays immutable (and matches
+        its fingerprint) whatever the caller does with its arrays, and then
+        hashed.  A caller that passes ``fingerprint`` hands its arrays over
+        instead: a snapshot restore passes the columns it has just decoded
+        and the fingerprint it has just verified against them
+        (:meth:`~repro.persist.SnapshotStore.load_dataset`), so they are
+        neither copied nor hashed a second time.
         """
         if not (len(xs) == len(ys) == len(ws)):
             raise ServiceError(
                 f"column lengths differ: {len(xs)} x, {len(ys)} y, {len(ws)} weights"
             )
-        # Always copy: the snapshot must stay immutable (and match its
-        # fingerprint forever) even if the caller mutates the arrays later.
-        xs = np.array(xs, dtype=np.float64)
-        ys = np.array(ys, dtype=np.float64)
-        ws = np.array(ws, dtype=np.float64)
-        return self._register(xs, ys, ws, name=name,
-                              expected_fingerprint=expected_fingerprint)
+        convert = np.array if fingerprint is None else np.asarray
+        return self._register(convert(xs, dtype=np.float64),
+                              convert(ys, dtype=np.float64),
+                              convert(ws, dtype=np.float64), name=name,
+                              fingerprint=fingerprint)
 
     def _register(self, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, *,
                   name: Optional[str],
                   objects: Optional[Tuple[WeightedPoint, ...]] = None,
-                  expected_fingerprint: Optional[str] = None,
+                  fingerprint: Optional[str] = None,
                   replace: bool = False) -> DatasetHandle:
         # The one-shot solvers tolerate infinite coordinates, but the grid
         # index cannot aggregate them (an infinite extent collapses every
@@ -221,13 +226,8 @@ class PointStore:
                 "datasets registered with the query service must have "
                 f"non-negative weights, got {float(ws.min())}"
             )
-        fingerprint = fingerprint_columns(xs, ys, ws)
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-            raise ServiceError(
-                f"columns hash to fingerprint {fingerprint[:12]}..., expected "
-                f"{expected_fingerprint[:12]}...; refusing to register "
-                "mismatched snapshot data"
-            )
+        if fingerprint is None:
+            fingerprint = fingerprint_columns(xs, ys, ws)
         dataset_id = name if name is not None else f"ds-{fingerprint[:12]}"
         with self._lock:
             existing = self._existing(dataset_id, fingerprint, replace)

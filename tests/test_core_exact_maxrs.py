@@ -365,6 +365,8 @@ class TestLayerSpans:
             assert attrs["sub_slabs"] == len(sub_slabs)
             assert attrs["records_in"] > 0 and attrs["hlines"] > 0
             assert attrs["block_reads"] > 0
+            # Few records: one apply after the last read.
+            assert attrs["applies"] == 1
 
         sorts = [s for s in spans if s.name == "exact_maxrs.sort"]
         assert len(sorts) == 1

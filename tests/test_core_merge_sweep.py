@@ -7,9 +7,12 @@ is solved by the in-memory sweep, and the merged result is compared against a
 single global sweep.
 """
 
+import contextlib
 import importlib
+import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -27,12 +30,14 @@ from repro.core import (
     validate_slab_file_records,
     write_slab_file,
 )
+from repro.core.beststrip import BestStripTracker
 from repro.core.merge_sweep import heap_merge_sweep
 from repro.core.transform import build_event_file
-from repro.em import EVENT_CODEC, EMConfig, EMContext
+from repro.em import EVENT_BOTTOM, EVENT_CODEC, EMConfig, EMContext
 from repro.em.external_sort import external_sort
 from repro.errors import AlgorithmError
 from repro.geometry import WeightedPoint
+from external_cases import pool_state
 
 
 def _divide_and_merge(ctx, objs, width, height, fanout):
@@ -180,14 +185,28 @@ def _run_merge(merge, ctx, inputs):
     return blocks, records, best, (io.block_reads, io.block_writes)
 
 
+@contextlib.contextmanager
+def _step_hlines(hlines):
+    """Cap the block-batched merge's h-lines per step (and the records read
+    between two applies) at ``hlines`` (``None``: the default) inside the
+    block."""
+    with pytest.MonkeyPatch.context() as patch:
+        if hlines is not None:
+            patch.setattr(merge_module, "_STEP_HLINES", hlines)
+        yield
+
+
 def _assert_same_merge(ctx, inputs):
-    """The block-batched merge writes what the heap merge writes."""
+    """The block-batched merge writes what the heap merge writes, with the
+    default steps and with steps of one and three h-lines."""
     expected = _run_merge(heap_merge_sweep, ctx, inputs)
-    actual = _run_merge(merge_sweep, ctx, inputs)
-    assert actual[1] == expected[1]      # records
-    assert actual[0] == expected[0]      # the very bytes of every block
-    assert actual[2] == expected[2]      # best strip
-    assert actual[3] == expected[3]      # block reads and writes
+    for hlines in (None, 1, 3):
+        with _step_hlines(hlines):
+            actual = _run_merge(merge_sweep, ctx, inputs)
+        assert actual[1] == expected[1]      # records
+        assert actual[0] == expected[0]      # the very bytes of every block
+        assert actual[2] == expected[2]      # best strip
+        assert actual[3] == expected[3]      # block reads and writes
     return expected
 
 
@@ -198,7 +217,7 @@ def _spanning_file(ctx, events):
 
 
 @st.composite
-def _lattice_instances(draw):
+def _lattice_instances(draw, weights=_EXACT_WEIGHTS):
     """Points on a lattice, so h-lines coincide across streams and
     max-intervals touch at sub-slab borders; wide rectangles span
     sub-slabs."""
@@ -206,7 +225,7 @@ def _lattice_instances(draw):
     cells = draw(st.integers(4, 40))
     objs = [WeightedPoint(float(draw(st.integers(0, cells))),
                           float(draw(st.integers(0, cells))),
-                          draw(st.sampled_from(_EXACT_WEIGHTS)))
+                          draw(st.sampled_from(weights)))
             for _ in range(count)]
     width = float(draw(st.integers(1, 24)))
     height = float(draw(st.integers(1, 12)))
@@ -349,59 +368,60 @@ class TestBlockMergeMatchesHeapMerge:
         widths = []
         real_runs = merge_module._runs
 
-        def spy(index, effective, x1s, x2s, winner, value, hline, start,
-                width):
+        def spy(pieces, winner, value, row, start, width):
             widths.append(width)
-            return real_runs(index, effective, x1s, x2s, winner, value,
-                             hline, start, width)
+            return real_runs(pieces, winner, value, row, start, width)
 
         monkeypatch.setattr(merge_module, "_runs", spy)
         _, records, _, _ = _assert_same_merge(
             tiny_ctx, (slabs, files, tiny_ctx.create_file(EVENT_CODEC)))
         assert records[0][1:] == (0.0, 12.0, 2.0)     # all twelve
         assert records[1][1:] == (2.5, 8.5, 3.0)      # three either side
-        assert m in widths                             # the wide pass ran
+        # The window and the pass over every sub-slab ran.
+        assert {2 * merge_module._CHAIN_REACH + 1, m} <= set(widths)
 
     def test_tile_boundary_inside_a_batch(self, tiny_ctx, monkeypatch):
-        # Three h-lines per tile: every batch of this merge spans tiles.
-        monkeypatch.setattr(merge_module, "_TILE_CELLS", 3 * 4)
-        tiles = []
-        batches = []
-        real_tile = merge_module._TileSweep._tile
-        real_apply = merge_module._TileSweep.apply
+        # Three h-lines per step: an apply runs once three records are
+        # read, and the h-lines due by then span several steps.
+        monkeypatch.setattr(merge_module, "_STEP_HLINES", 3)
+        steps = []
+        applies = []
+        real_step = merge_module._StepSweep._step
+        real_apply = merge_module._StepSweep.apply
 
-        def spy_tile(self, hlines, *args):
-            tiles.append(len(hlines))
-            return real_tile(self, hlines, *args)
+        def spy_step(self, hlines, *args):
+            steps.append(len(hlines))
+            return real_step(self, hlines, *args)
 
         def spy_apply(self, batch):
-            before = len(tiles)
+            before = len(steps)
             real_apply(self, batch)
-            batches.append(len(tiles) - before)
+            applies.append(len(steps) - before)
 
-        monkeypatch.setattr(merge_module._TileSweep, "_tile", spy_tile)
-        monkeypatch.setattr(merge_module._TileSweep, "apply", spy_apply)
+        monkeypatch.setattr(merge_module._StepSweep, "_step", spy_step)
+        monkeypatch.setattr(merge_module._StepSweep, "apply", spy_apply)
         rng = random.Random(5)
         objs = [WeightedPoint(float(rng.randint(0, 30)),
                               float(rng.randint(0, 30)),
                               rng.choice(_EXACT_WEIGHTS)) for _ in range(60)]
         inputs = _merge_inputs(tiny_ctx, objs, 9.0, 5.0, 4)
         _assert_same_merge(tiny_ctx, inputs)
-        assert max(tiles) == 3
-        assert max(batches) > 1   # some batch ran as several tiles
+        assert max(steps) == 3
+        assert max(applies) > 1   # some apply ran as several steps
+        assert len(applies) > 1   # applies wait for three records each
 
     def test_upsum_carried_across_tiles(self, tiny_ctx, monkeypatch):
-        # Wide rectangles open in one tile and close tiles later, so the
-        # carried upSum must survive the tile (and batch) boundaries.
-        monkeypatch.setattr(merge_module, "_TILE_CELLS", 2 * 3)
+        # Wide rectangles open in one step and close steps later, so the
+        # carried upSum must survive the step (and apply) boundaries.
+        monkeypatch.setattr(merge_module, "_STEP_HLINES", 2)
         carried = []
-        real_upsum = merge_module._TileSweep._upsum
+        real_step = merge_module._StepSweep._step
 
-        def spy(self, rows, spans, span_row):
+        def spy(self, hlines, *args):
             carried.append(bool(self.upsum.any()))
-            return real_upsum(self, rows, spans, span_row)
+            return real_step(self, hlines, *args)
 
-        monkeypatch.setattr(merge_module._TileSweep, "_upsum", spy)
+        monkeypatch.setattr(merge_module._StepSweep, "_step", spy)
         slabs = [Slab(0, -math.inf, 10.0), Slab(1, 10.0, 20.0),
                  Slab(2, 20.0, math.inf)]
         left = [(float(y), 1.0, 2.0, float(y % 3)) for y in range(0, 40, 2)]
@@ -439,6 +459,172 @@ class TestBlockMergeMatchesHeapMerge:
             tiny_ctx, (slabs, files, spanning))
         assert records[-1][0] == math.inf
         assert best.weight == 1.5
+
+
+def _reference_rows(sub_slabs, slab_files, spanning_file):
+    """The merge rule, h-line by h-line, over the records of the inputs.
+
+    ``upSum`` is each sub-slab's running sum of its edges' signed weights;
+    the winner is ``np.argmax`` of base + ``upSum`` (the leftmost maximum,
+    NaN first); ``GetMaxInterval`` extends it over touching neighbours that
+    tie (``math.isclose``, as the heap merge's ``_tie``).  Returns the
+    slab-file rows as an ``(h, 4)`` array.
+    """
+    np = merge_module.np
+    m = len(sub_slabs)
+    los = [s.lo for s in sub_slabs]
+    his = [s.hi for s in sub_slabs]
+    base, upsum = np.zeros(m), np.zeros(m)
+    x1, x2 = list(los), list(his)
+    records = sorted(
+        [(r[0], i, r) for i, f in enumerate(slab_files) for r in f.read_all()]
+        + [(r[0], m, r) for r in spanning_file.read_all()],
+        key=lambda item: item[0])
+    rows = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for y, group in itertools.groupby(records, key=lambda item: item[0]):
+            for _, stream, record in group:
+                if stream < m:
+                    _, x1[stream], x2[stream], base[stream] = record
+                    continue
+                _, kind, left, right, weight = record
+                spanned = slice(bisect_left(los, left),
+                                bisect_right(his, right))
+                upsum[spanned] += weight if kind == EVENT_BOTTOM else -weight
+            effective = base + upsum
+            winner = int(np.argmax(effective))
+            value = effective[winner]
+            lo, hi = x1[winner], x2[winner]
+            j = winner - 1
+            while j >= 0 and x2[j] == lo and merge_module._tie(
+                    float(effective[j]), float(value)):
+                lo, j = x1[j], j - 1
+            j = winner + 1
+            while j < m and x1[j] == hi and merge_module._tie(
+                    float(effective[j]), float(value)):
+                hi, j = x2[j], j + 1
+            rows.append((y, lo, hi, value))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def _assert_merge_follows_the_rule(ctx, inputs):
+    """The block-batched merge writes the reference's rows, bit for bit,
+    and picks its best strip as :class:`BestStripTracker` does, with the
+    default steps and with steps of one and three h-lines."""
+    expected = _reference_rows(*inputs)
+    tracker = BestStripTracker()
+    for row in expected.tolist():
+        tracker.observe(*row)
+    tracker.finish()
+    for hlines in (None, 1, 3):
+        with _step_hlines(hlines):
+            output, best = merge_sweep(ctx, *inputs)
+        assert output.read_rows().tobytes() == expected.tobytes()
+        assert repr(best) == repr(tracker.best)   # NaN-safe
+        output.delete()
+    return expected
+
+
+@needs_numpy
+class TestMergeRule:
+    """The block-batched merge against the merge rule itself, where the
+    heap merge is no reference: once an infinite weight meets its opposite
+    edge, the segment tree's nodes hold NaN and pick by their position."""
+
+    def test_infinite_weights_follow_the_argmax_rule(self, tiny_ctx):
+        # An infinite-weight rectangle spans sub-slabs 1-2 over y in
+        # [2.5, 5.5): their sums are +inf there (their intervals touch at
+        # x = 20 and tie, so one run), a tuple arriving keeps them +inf, and
+        # after the top edge inf - inf leaves NaN, which np.argmax ranks
+        # first.  The finite rectangle over every sub-slab must not turn
+        # the sub-slabs the infinite one misses into NaN.
+        slabs = [Slab(i, float(10 * i), float(10 * i + 10)) for i in range(4)]
+        spans = [(1.0, 2.0), (11.0, 20.0), (20.0, 22.0), (31.0, 32.0)]
+        files = [write_slab_file(tiny_ctx, [(float(y), *spans[i],
+                                             float((y + i) % 3))
+                                            for y in range(8)])
+                 for i in range(4)]
+        edges = [(1.5, 1.0, 0.0, 40.0, 2.0), (2.5, 1.0, 10.0, 30.0, math.inf),
+                 (5.5, -1.0, 10.0, 30.0, math.inf),
+                 (6.5, -1.0, 0.0, 40.0, 2.0)]
+        rows = _assert_merge_follows_the_rule(
+            tiny_ctx, (slabs, files, _spanning_file(tiny_ctx, edges)))
+        by_y = {row[0]: tuple(row[1:]) for row in rows.tolist()}
+        assert by_y[2.5] == (11.0, 22.0, math.inf)
+        assert by_y[3.0][2] == math.inf
+        assert math.isnan(by_y[5.5][2]) and math.isnan(by_y[7.0][2])
+        assert not math.isnan(by_y[2.0][2])
+
+    def test_nan_sums_win_and_tie_nothing(self, tiny_ctx):
+        # At y = 2 sub-slab 0 sums to +inf and sub-slab 1 to NaN: NaN ranks
+        # first, as np.argmax has it, and ties with nothing, so its run is
+        # sub-slab 1 alone.  Before, zero sums tie and touch across the
+        # sub-slabs (a -0.0 sum plus the carried upSum is 0.0).
+        slabs = [Slab(i, float(i), float(i + 1)) for i in range(3)]
+        files = [write_slab_file(tiny_ctx, [(0.0, 0.0, 1.0, -0.0),
+                                            (2.0, 0.0, 1.0, math.inf)]),
+                 write_slab_file(tiny_ctx, [(0.0, 1.0, 2.0, 0.0),
+                                            (2.0, 1.0, 2.0, math.nan)]),
+                 write_slab_file(tiny_ctx, [(1.0, 2.0, 2.5, -1.0)])]
+        rows = _assert_merge_follows_the_rule(
+            tiny_ctx, (slabs, files, tiny_ctx.create_file(EVENT_CODEC)))
+        assert rows[:2].tolist() == [[0.0, 0.0, 3.0, 0.0],
+                                     [1.0, 0.0, 2.0, 0.0]]
+        assert rows[2, :3].tolist() == [2.0, 1.0, 2.0]
+        assert math.isnan(rows[2, 3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lattice_instances(weights=_EXACT_WEIGHTS + (math.inf,)))
+    def test_differential_with_infinite_weights(self, instance):
+        objs, width, height, block_size, fanout = instance
+        ctx = EMContext(EMConfig(block_size=block_size,
+                                 buffer_size=8 * block_size))
+        inputs = _merge_inputs(ctx, objs, width, height, fanout)
+        if inputs is None:
+            return
+        _assert_merge_follows_the_rule(ctx, inputs)
+
+    def test_warm_full_pool_keeps_its_state(self):
+        # Deferred applies move output writes past later reads.  From a
+        # pool filled with other blocks, both merges must leave the same
+        # reads, writes, hits and LRU order, and so must re-reading the
+        # blocks that were resident before the merge.
+        ctx = EMContext(EMConfig(block_size=512, buffer_size=32 * 512))
+        rng = random.Random(11)
+        objs = [WeightedPoint(float(rng.randint(0, 40)),
+                              float(rng.randint(0, 40)),
+                              rng.choice(_EXACT_WEIGHTS)) for _ in range(80)]
+        inputs = _merge_inputs(ctx, objs, 12.0, 6.0, 5)
+        warm = ctx.create_file(EVENT_CODEC)
+        warm.write_all([(float(i), 1.0, 0.0, 1.0, 1.0)
+                        for i in range(4 * ctx.pool.capacity_blocks
+                                       * warm.records_per_block)])
+
+        def merge_from_warm_pool(merge):
+            ctx.clear_cache()
+            for index in range(warm.num_blocks):
+                warm.read_block_array(index)
+            resident = list(ctx.pool._frames)
+            assert len(resident) == ctx.pool.capacity_blocks
+            before = pool_state(ctx)
+            output, _ = merge(ctx, *inputs)
+            after_merge = pool_state(ctx)
+            for block_id in reversed(resident):   # newest first
+                ctx.pool.get(block_id)
+            after = pool_state(ctx)
+            output.delete()
+            # Counter deltas and the resident blocks, after the merge and
+            # after the re-reads.
+            return [tuple(b - a for a, b in zip(before[:3], state[:3]))
+                    + state[3:] for state in (after_merge, after)]
+
+        expected = merge_from_warm_pool(heap_merge_sweep)
+        assert expected[0][2] == 0                 # the merge hits nothing
+        # Some, not all, of the re-reads hit.
+        assert 0 < expected[1][2] < ctx.pool.capacity_blocks
+        for hlines in (None, 1, 3):
+            with _step_hlines(hlines):
+                assert merge_from_warm_pool(merge_sweep) == expected
 
 
 @needs_numpy

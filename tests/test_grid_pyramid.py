@@ -111,6 +111,64 @@ class TestBoundedAnswer:
             _same_answer(bounded, exact)
 
 
+class TestBoundedSharesTheExactEntry:
+    """A bounded query the certificate does not serve is the exact answer
+    with gap 0, so it shares the exact query's cache entry: whichever of
+    the two comes first sweeps, the other is served from the cache."""
+
+    SIZE = 5.0
+
+    def _engine_and_handle(self, make_objects):
+        engine = MaxRSEngine()
+        return engine, engine.register_dataset(make_objects(300, seed=3))
+
+    def test_exact_first_then_bounded_sweeps_only_the_probe(
+            self, make_objects):
+        engine, handle = self._engine_and_handle(make_objects)
+        with engine:
+            exact = engine.query(handle, QuerySpec.maxrs(self.SIZE, self.SIZE))
+            bounded = engine.query(handle, QuerySpec.maxrs(
+                self.SIZE, self.SIZE, error_bound=1e-9))
+        assert bounded.cost["descent"] == {"certified": False,
+                                           "certified_gap": None}
+        assert exact.cost["sweeps"] == 2          # probe, then refine
+        assert bounded.cost["sweeps"] == 1        # the probe only
+        assert bounded.cost["swept_points"] == bounded.cost["probe_points"]
+        assert bounded.cost["subset_points"] == 0
+        assert (exact.gap, bounded.gap) == (None, 0.0)
+        _same_answer(bounded, exact)
+
+    def test_bounded_first_then_exact_is_a_hit(self, make_objects):
+        engine, handle = self._engine_and_handle(make_objects)
+        with engine:
+            bounded = engine.query(handle, QuerySpec.maxrs(
+                self.SIZE, self.SIZE, error_bound=1e-9))
+            exact = engine.query(handle, QuerySpec.maxrs(self.SIZE, self.SIZE))
+            sweeps = engine.metrics.snapshot()["counters"]["sweeps"]
+        assert bounded.cost["sweeps"] == 2
+        assert exact.cost["cache"] == "hit"
+        assert sweeps == 2
+        assert (exact.gap, bounded.gap) == (None, 0.0)
+        _same_answer(bounded, exact)
+        # The answers an engine that ran the exact query alone gives.
+        fresh, fresh_handle = self._engine_and_handle(make_objects)
+        with fresh:
+            alone = fresh.query(fresh_handle,
+                                QuerySpec.maxrs(self.SIZE, self.SIZE))
+        assert alone == exact and alone.gap is None
+
+    def test_maxcrs_shares_the_entry_too(self, make_objects):
+        engine, handle = self._engine_and_handle(make_objects)
+        with engine:
+            bounded = engine.query(handle, QuerySpec.maxcrs(
+                self.SIZE, error_bound=1e-9))
+            exact = engine.query(handle, QuerySpec.maxcrs(self.SIZE))
+        assert bounded.cost["descent"]["certified"] is False
+        assert exact.cost["cache"] == "hit"
+        assert bounded.gap == 0.0 and exact.gap is None
+        _same_answer(bounded, exact)
+
+
 # ---------------------------------------------------------------------- #
 # Property (c): the certificate holds
 # ---------------------------------------------------------------------- #

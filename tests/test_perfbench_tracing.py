@@ -52,3 +52,32 @@ def test_install_wraps_the_sweeps_and_restore_puts_everything_back(tracing):
         assert owner.__dict__[attr] is original
     for cls, original in originals.items():
         assert cls.__dict__["sweep"] is original
+
+
+def test_paper_external_layers_record_work(tracing, make_objects):
+    """paper-external's layers, traced on a tiny forced-external pair.
+
+    The workload runs ExactMaxRS (``solve_point_set(force_external=True)``)
+    and ApproxMaxCRS (``MaxCRSSolver.solve``); with a 2 KB buffer both
+    recurse, so each sorts, merges and (ApproxMaxCRS) scans its candidates.
+    A layer renamed, or a call that bypasses the wrapped name, records
+    nothing here, as it would read 0 in a traced benchmark run.
+    """
+    from repro import MaxCRSSolver
+    from repro.core.dispatch import solve_point_set
+    from repro.em.config import EMConfig
+
+    points = make_objects(300, seed=8)
+    config = EMConfig(block_size=512, buffer_size=4 * 512)
+    trace = tracing.LayerTrace()
+    try:
+        trace.install()
+        exact = solve_point_set(points, 6.0, 6.0, config=config,
+                                force_external=True)
+        MaxCRSSolver(6.0, config=config).solve(points)
+    finally:
+        trace.restore()
+    assert exact.recursion_levels >= 2
+    for layer in ("core.merge_sweep.merge", "em.external_sort",
+                  "circles.coverage"):
+        assert trace.total_s[layer] > 0.0, layer

@@ -137,6 +137,18 @@ def _hot_spot(seed, background, hot):
          error_bound=1e-9)
 def test_bounded_fall_through_equals_the_exact_query(objects, kind, size,
                                                      error_bound):
+    # Bounded first: a fall-through refines (restoring a pruned sweep's
+    # closing h-line) and fills the exact query's cache entry.
+    with MaxRSEngine() as engine:
+        dataset = engine.register_dataset(objects)
+        start = _refines(engine)
+        bounded = engine.query(dataset, _shape_spec(
+            kind, size, error_bound=error_bound))
+        certified = bounded.cost["descent"]["certified"]
+        assert _refines(engine) == start + (not certified)
+        exact_after = engine.query(dataset, _shape_spec(kind, size))
+        assert exact_after.cost["cache"] == ("miss" if certified else "hit")
+    # Exact first: a fall-through is served from the exact query's entry.
     with MaxRSEngine() as engine:
         dataset = engine.register_dataset(objects)
         start = _refines(engine)
@@ -144,13 +156,15 @@ def test_bounded_fall_through_equals_the_exact_query(objects, kind, size,
         assert _refines(engine) == start + 1
         engine.query(dataset, _shape_spec(kind, size, refine=False))
         assert _refines(engine) == start + 1
-        bounded = engine.query(dataset, _shape_spec(
+        served = engine.query(dataset, _shape_spec(
             kind, size, error_bound=error_bound))
-        certified = bounded.cost["descent"]["certified"]
-        assert _refines(engine) == start + 1 + (not certified)
+        assert _refines(engine) == start + 1
+        assert served.cost["descent"]["certified"] == certified
+    _assert_same_answer(exact_after, exact)
     if not certified:
-        assert bounded.gap == 0.0
+        assert bounded.gap == served.gap == 0.0
         _assert_same_answer(bounded, exact)
+        _assert_same_answer(served, exact)
 
 
 @_SETTINGS

@@ -241,6 +241,33 @@ class TestWarmStart:
         engine.checkpoint()  # nothing changed since the last one
         assert (tmp_path / "catalog.json").stat().st_mtime_ns == catalog_mtime
 
+    def test_restore_hashes_each_dataset_once(self, tmp_path, objects,
+                                              monkeypatch):
+        """The snapshot store verifies the fingerprint; the point store
+        takes the verified columns over without hashing them again."""
+        import repro.persist.format as persist_format
+        import repro.persist.store as persist_store
+        import repro.service.store as service_store
+
+        day1 = MaxRSEngine(persist_dir=tmp_path)
+        day1.register_dataset(objects, name="a")
+        day1.register_dataset(objects[:100], name="b")
+        truth = day1.query("a", QuerySpec.maxrs(8.0, 8.0))
+        hashed = []
+
+        def counting(xs, ys, ws):
+            hashed.append(len(xs))
+            return persist_format.fingerprint_columns(xs, ys, ws)
+
+        for module in (persist_store, service_store):
+            monkeypatch.setattr(module, "fingerprint_columns", counting)
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        assert day2.stats()["persist"]["datasets_restored"] == 2
+        assert sorted(hashed) == [100, len(objects)]
+        assert day2.query("a", QuerySpec.maxrs(8.0, 8.0)) == truth
+        assert {day2.store.get(name).handle.fingerprint for name in "ab"} == \
+            {day1.store.get(name).handle.fingerprint for name in "ab"}
+
     def test_empty_dataset_round_trips(self, tmp_path):
         day1 = MaxRSEngine(persist_dir=tmp_path)
         day1.register_dataset([], name="empty")
