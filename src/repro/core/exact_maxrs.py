@@ -46,8 +46,9 @@ first, and so does the end of the node.
 Deferring the slab-file writes this way keeps every block count:
 
 * a sequential writer's block never stays in the buffer pool (it is
-  ``put``, then ``flush_block``, then ``invalidate``), so a write evicts a
-  frame only if the pool is full at its ``put``;
+  written through: room is made as ``put`` makes it, then the block goes
+  to disk and keeps no frame), so a write evicts a frame only if the pool
+  is full when it is made;
 * deleting a leaf file that was just read frees at least the frame of its
   last block, and reading and deleting further leaf files never lowers the
   number of free frames; an empty leaf writes no slab-file block;
@@ -186,12 +187,14 @@ class ExactMaxRS:
         with obs.span("exact_maxrs.divide", records=len(event_file),
                       sub_slabs=0, spanning=0) as span:
             start = self.ctx.stats.snapshot()
-            boundaries = choose_boundaries(
-                collect_edge_xs(event_file, slab), self.fanout)
+            # One scan: the partition replays its own from these blocks.
+            blocks = event_file.read_blocks()
+            boundaries = choose_boundaries(collect_edge_xs(blocks, slab),
+                                           self.fanout)
             divided = None
             if boundaries:
                 divided = partition_event_file(
-                    self.ctx, event_file, slab, boundaries,
+                    self.ctx, event_file, blocks, slab, boundaries,
                     name_prefix=f"level{depth}-slab{slab.index}")
                 span.set_attributes(sub_slabs=len(divided[2]),
                                     spanning=len(divided[1]))

@@ -56,13 +56,13 @@ Applying due records later than the read that made them due keeps every
 count, as long as every ``get`` of the merge misses.  It does: each input
 block is read once, and none is resident when the merge starts, as the
 inputs were just written by sequential writers, whose blocks never stay
-in the buffer pool (each is ``put``, then ``flush_block``, then
-``invalidate``).  Then:
+in the buffer pool (each is written through: room made as ``put``
+makes it, then one device write and no frame).  Then:
 
 * the pool holds a suffix of the blocks it fetched, in LRU order.  A
   ``get`` that misses evicts the least recently used frame if the pool is
   full, then appends its block; a write of the output evicts that same
-  frame if the pool is full at its ``put``, and leaves no frame behind;
+  frame if the pool is full when it is made, and leaves no frame behind;
 * so writes between two ``get`` calls can only take a full pool one frame
   short, a frame the next ``get`` would have evicted anyway: after every
   ``get`` the pool holds the same frames, in the same LRU order, whatever

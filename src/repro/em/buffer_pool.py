@@ -86,9 +86,9 @@ class BufferPool:
             self._frames.move_to_end(block_id)
             self.device.stats.record_cache_hit()
         else:
-            self._ensure_capacity()
-            data = bytearray(self.device.read_block(block_id))
-            frame = Frame(block_id=block_id, data=data)
+            if len(self._frames) >= self.capacity_blocks:
+                self._ensure_capacity()
+            frame = Frame(block_id, bytearray(self.device.read_block(block_id)))
             self._frames[block_id] = frame
         frame.last_access = self._clock
         if pin:
@@ -116,6 +116,21 @@ class BufferPool:
         if pin:
             frame.pin_count += 1
         return frame
+
+    def write_through(self, block_id: int, data: bytes) -> None:
+        """Write ``data`` to disk as ``block_id`` and keep no frame for it.
+
+        What :meth:`put`, :meth:`flush_block` and :meth:`invalidate` do in
+        turn, in one call: a block that is not resident first makes room as
+        :meth:`put` does (evicting the least recently used unpinned frame,
+        written back if dirty), a resident one is dropped; then the block
+        costs one write.
+        """
+        self._clock += 1
+        if (self._frames.pop(block_id, None) is None
+                and len(self._frames) >= self.capacity_blocks):
+            self._ensure_capacity()
+        self.device.write_block(block_id, data)
 
     def mark_dirty(self, block_id: int) -> None:
         """Mark a resident block as modified in place."""

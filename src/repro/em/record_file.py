@@ -23,22 +23,26 @@ imports):
 
 * :meth:`RecordFile.read_block_array` reads one block as a
   ``(records, fields)`` array, :meth:`RecordFile.iter_block_arrays` reads
-  the blocks in file order, one per step, and :meth:`RecordFile.read_rows`
-  reads the whole file as one array;
+  the blocks in file order, one per step, :meth:`RecordFile.read_blocks`
+  reads them all into a list, and :meth:`RecordFile.read_rows` reads the
+  whole file as one array;
 * :meth:`RecordWriter.append_rows` appends an array's rows, cut at the
-  block boundaries, :meth:`RecordFile.write_all` takes that path for an
-  array or a list of records, and :class:`RowScatter` appends rows bound
-  for many files at once (the division phase's sub-slab files).
+  block boundaries, and :meth:`RecordFile.write_all` takes that path for an
+  array or a list of records.
 
 Both are charged exactly as the record paths are (one buffer-pool ``get``
-per block read, one flushed block write per full or final block) and the
-bytes are the struct codec's packing.  The block passes built on them (the
-external sort, the dual transform, the division phase and the leaves of
-ExactMaxRS) keep one rule, so their buffer-pool traffic, and with it every
-later cache hit, is the record paths' own: a pass reads input block ``i``,
-then makes the writes its records cause, then reads block ``i + 1``.
-Without numpy ``read_rows`` returns record tuples and ``write_all`` appends
-record by record.
+per block read, one block written straight through to disk per full or
+final block) and the bytes are the struct codec's packing.  The block
+passes built on them (the external sort, the dual transform, the division
+phase and the leaves of ExactMaxRS) keep one rule, so their buffer-pool
+traffic, and with it every later cache hit, is the record paths' own: a
+pass reads input block ``i``, then makes the writes its records cause,
+then reads block ``i + 1``.  A pass that already holds a file's rows from
+an earlier scan may replay that rule with :meth:`RecordFile.reread_block`,
+which makes a read's buffer-pool ``get`` and decodes nothing (the division
+phase does).  Without numpy ``read_rows`` returns record tuples,
+``read_blocks`` lists of them, and ``write_all`` appends record by
+record.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ try:  # guarded: the record paths run without numpy, the array paths need it
 except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
     np = None
 
-__all__ = ["RecordFile", "RecordReader", "RecordWriter", "RowScatter"]
+__all__ = ["RecordFile", "RecordReader", "RecordWriter"]
 
 Record = Tuple[float, ...]
 
@@ -161,6 +165,19 @@ class RecordFile:
             return np.empty((0, self.codec.float64_fields))
         return np.concatenate(blocks)
 
+    def read_blocks(self) -> list:
+        """Read every block once, in file order: each block's rows.
+
+        The arrays :meth:`read_block_array` returns when
+        :attr:`supports_arrays` holds, else the record lists of
+        :meth:`read_block_records`.
+        """
+        if self.supports_arrays:
+            return list(self.iter_block_arrays())
+        self._check_alive()
+        return [self.read_block_records(block_index)
+                for block_index in range(len(self.block_ids))]
+
     def iter_block_arrays(self) -> Iterator:
         """Yield every block as a float64 array, in file order.
 
@@ -173,13 +190,7 @@ class RecordFile:
 
     def read_block_records(self, block_index: int) -> List[Record]:
         """Return the records of the ``block_index``-th block of the file."""
-        self._check_alive()
-        if not 0 <= block_index < len(self.block_ids):
-            raise StorageError(
-                f"block index {block_index} out of range for file {self.name!r} "
-                f"with {len(self.block_ids)} blocks"
-            )
-        frame = self.pool.get(self.block_ids[block_index])
+        frame = self.pool.get(self._block_id(block_index))
         records = self.codec.decode_block(bytes(frame.data))
         if block_index == len(self.block_ids) - 1:
             remainder = self.num_records - block_index * self.records_per_block
@@ -195,16 +206,19 @@ class RecordFile:
         whose records are float64 runs.
         """
         fields = _float64_fields(self.codec)
-        self._check_alive()
-        if not 0 <= block_index < len(self.block_ids):
-            raise StorageError(
-                f"block index {block_index} out of range for file {self.name!r} "
-                f"with {len(self.block_ids)} blocks"
-            )
-        frame = self.pool.get(self.block_ids[block_index])
+        frame = self.pool.get(self._block_id(block_index))
         count = self._records_in_block(block_index)
         return np.frombuffer(bytes(frame.data), dtype="<f8",
                              count=count * fields).reshape(count, fields)
+
+    def reread_block(self, block_index: int) -> None:
+        """Read the ``block_index``-th block through the buffer pool, as
+        :meth:`read_block_records` does, and decode nothing.
+
+        For a pass that replays a scan of this file from the rows an
+        earlier scan read: the pool sees the same ``get``, hit or miss.
+        """
+        self.pool.get(self._block_id(block_index))
 
     def write_block_records(self, block_index: int, records: Sequence[Record]) -> None:
         """Overwrite the ``block_index``-th block with ``records``.
@@ -245,6 +259,16 @@ class RecordFile:
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
+    def _block_id(self, block_index: int) -> int:
+        """The id of the file's ``block_index``-th block, checked."""
+        self._check_alive()
+        if not 0 <= block_index < len(self.block_ids):
+            raise StorageError(
+                f"block index {block_index} out of range for file {self.name!r} "
+                f"with {len(self.block_ids)} blocks"
+            )
+        return self.block_ids[block_index]
+
     def _records_in_block(self, block_index: int) -> int:
         if block_index < len(self.block_ids) - 1:
             return self.records_per_block
@@ -306,16 +330,12 @@ class RecordWriter:
                 f"rows of shape {data.shape} do not match the {fields} "
                 f"float64 fields of file {self.file.name!r}"
             )
-        self._append_packed(memoryview(data.tobytes()), 0, len(data))
-
-    def _append_packed(self, data: memoryview, start: int, count: int) -> None:
-        """Append ``count`` records of ``data``, packed by the codec, from
-        record ``start`` on."""
-        self._check_open()
+        packed = memoryview(data.tobytes())
         size = self.file.codec.record_size
+        start, count = 0, len(data)
         while count:
             take = min(self._per_block - self._count, count)
-            self._parts.append(data[start * size:(start + take) * size])
+            self._parts.append(packed[start * size:(start + take) * size])
             self._count += take
             start += take
             count -= take
@@ -335,15 +355,12 @@ class RecordWriter:
             raise StorageError(f"writer for file {self.file.name!r} is closed")
 
     def _flush_buffer(self) -> None:
-        device = self.file.pool.device
-        block_id = device.allocate()
-        payload = b"".join(self._parts)
-        self.file.pool.put(block_id, payload)
-        # Sequential writers immediately push the block to disk and release the
-        # frame: the EM model gives a sequential writer a single output buffer,
-        # not a cache of its own output.
-        self.file.pool.flush_block(block_id)
-        self.file.pool.invalidate(block_id)
+        pool = self.file.pool
+        block_id = pool.device.allocate()
+        # Sequential writers push the block straight to disk and keep no
+        # frame: the EM model gives a sequential writer a single output
+        # buffer, not a cache of its own output.
+        pool.write_through(block_id, b"".join(self._parts))
         self.file.block_ids.append(block_id)
         self.file.num_records += self._count
         self._parts = []
@@ -393,81 +410,6 @@ class RecordReader:
             self._record_index = 0
             self._block_index += 1
         return self._records[self._record_index]
-
-
-class RowScatter:
-    """Appends rows to several files at once, each row to its own file.
-
-    Opens a :class:`RecordWriter` per file and keeps each file's one-block
-    output buffer as a row of one shared array.  Rows are only counted as
-    they arrive; they are placed in the buffers when some file's block
-    fills, so a batch costs a few numpy calls, and a batch that fills
-    blocks also one writer call per block.  Each file gets its rows in
-    arrival order, with the bytes and block writes of
-    :meth:`RecordWriter.append_rows`, and every block a batch fills is
-    written before :meth:`append` returns; which file flushes first within
-    a batch does not matter, as no block is read in between.  Closing hands
-    each partial block to its writer and closes it.  The files must share
-    one float64 record type.
-    """
-
-    def __init__(self, files: Sequence[RecordFile]) -> None:
-        self.writers = [file.writer() for file in files]
-        self._per_block = files[0].records_per_block
-        fields = _float64_fields(files[0].codec)
-        self._buffer = np.empty((len(files), self._per_block, fields))
-        self._placed = np.zeros(len(files), dtype=np.intp)  # rows in the buffer
-        self._total = np.zeros(len(files), dtype=np.intp)   # ... plus queued
-        self._queue: List = []
-
-    def append(self, targets, rows) -> None:
-        """Append ``rows[k]`` to file ``targets[k]``, for every ``k``."""
-        self._queue.append((targets, rows))
-        self._total += np.bincount(targets, minlength=len(self.writers))
-        if (self._total >= self._per_block).any():
-            self._drain()
-
-    def _drain(self) -> None:
-        """Place the queued rows; write every block that fills."""
-        if not self._queue:
-            return
-        targets = np.concatenate([t for t, _ in self._queue])
-        rows = np.concatenate([r for _, r in self._queue])
-        self._queue.clear()
-        order = np.argsort(targets, kind="stable")
-        targets, rows = targets[order], rows[order]
-        counts = np.bincount(targets, minlength=len(self.writers))
-        # Slot of each row in its file's stream of buffered rows; slot
-        # ``g * B + k`` is place ``k`` of the ``g``-th block filled here.
-        slot = (self._placed[targets] + np.arange(len(targets))
-                - (np.cumsum(counts) - counts)[targets])
-        block = slot // self._per_block
-        for g in range(int(block.max()) + 1):
-            now = block == g
-            place = slot[now] - g * self._per_block
-            self._buffer[targets[now], place] = rows[now]
-            full = self._total >= (g + 1) * self._per_block
-            for target in np.flatnonzero(full).tolist():
-                self.writers[target]._append_packed(
-                    memoryview(self._buffer[target].tobytes()), 0,
-                    self._per_block)
-        self._total %= self._per_block
-        self._placed[:] = self._total
-
-    def close(self) -> None:
-        self._drain()
-        for writer, buffer, fill in zip(self.writers, self._buffer,
-                                        self._placed.tolist()):
-            if fill:
-                writer._append_packed(memoryview(buffer[:fill].tobytes()),
-                                      0, fill)
-            writer.close()
-
-    def __enter__(self) -> "RowScatter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 def _as_rows(records, fields: int):

@@ -25,6 +25,9 @@ __all__ = [
     "bounding_rect",
 ]
 
+#: Bound once: the weight check runs for every object built.
+_INF = math.inf
+
 
 @dataclass(frozen=True, slots=True)
 class WeightedPoint:
@@ -35,8 +38,9 @@ class WeightedPoint:
     x, y:
         Location of the object.
     weight:
-        Non-negative weight ``w(o)``; defaults to ``1.0`` (the unweighted
-        "count" case used by the max-enclosing-rectangle literature).
+        Finite, non-negative weight ``w(o)``; defaults to ``1.0`` (the
+        unweighted "count" case used by the max-enclosing-rectangle
+        literature).
 
     Examples
     --------
@@ -52,8 +56,9 @@ class WeightedPoint:
     def __post_init__(self) -> None:
         if math.isnan(self.x) or math.isnan(self.y):
             raise GeometryError("object coordinates must not be NaN")
-        if math.isnan(self.weight) or self.weight < 0:
-            raise GeometryError(f"object weight must be non-negative, got {self.weight}")
+        if not 0.0 <= self.weight < _INF:   # NaN fails it too
+            raise GeometryError(
+                f"object weight must be finite and non-negative, got {self.weight}")
 
     @property
     def point(self) -> Point:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,80 @@ class TestIOAccounting:
         solver.solve(objs)
         # Everything the recursion allocated must have been freed again.
         assert tiny_ctx.device.num_allocated_blocks == 0
+
+
+def _uniform_points(count, seed):
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(seed)
+    return [WeightedPoint(float(x), float(y), 1.0)
+            for x, y in zip(rng.uniform(0.0, 1e6, count),
+                            rng.uniform(0.0, 1e6, count))]
+
+
+class TestDivisionAtTable3Sizes:
+    """Table 3's EM sizes (4 KB blocks, a 1 MB buffer, 1K x 1K queries):
+    the root divides a file larger than the buffer pool."""
+
+    def test_partitions_match_the_record_loops(self, monkeypatch):
+        objs = _uniform_points(15_000, seed=3)
+
+        def solve():
+            divisions = []
+            divide = ExactMaxRS._divide
+
+            def spy(self, event_file, slab, depth):
+                divided = divide(self, event_file, slab, depth)
+                subs, spanning, _ = divided
+                files = [*subs, spanning]
+                divisions.append((
+                    event_file.num_blocks,
+                    [(len(f), [self.ctx.device.peek(b) for b in f.block_ids])
+                     for f in files],
+                    sorted(b for f in files for b in f.block_ids),
+                    pool_state(self.ctx)))
+                return divided
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ExactMaxRS, "_divide", spy)
+                ctx = EMContext()
+                result = ExactMaxRS(ctx, 1000.0, 1000.0).solve(objs)
+            return divisions, (result.region, result.total_weight, result.io,
+                               pool_state(ctx)[:3])
+
+        rows = solve()
+        use_record_paths(monkeypatch)
+        expected = solve()
+        # The record loop writes the blocks one input block completes in
+        # record order, the block path in file order: the same block ids,
+        # given out in another order.
+        assert rows == expected
+        (blocks, *_), = rows[0]
+        assert blocks > EMContext().pool.capacity_blocks
+
+    def test_division_memory_stays_within_its_bound(self, monkeypatch):
+        # The division holds the scanned blocks until the partition has
+        # replayed them.  Its traced peak over the event file's bytes stays
+        # at most 2.99, the peak when it kept the edge xs as a Python list
+        # instead (freed before the partition).
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        objs = _uniform_points(25_000, seed=7)
+        ratios = []
+        divide = ExactMaxRS._divide
+
+        def traced(self, event_file, slab, depth):
+            tracemalloc.start()
+            try:
+                return divide(self, event_file, slab, depth)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                ratios.append(peak / (len(event_file)
+                                      * event_file.codec.record_size))
+
+        monkeypatch.setattr(ExactMaxRS, "_divide", traced)
+        ExactMaxRS(EMContext(), 1000.0, 1000.0).solve(objs)
+        assert len(ratios) == 1 and ratios[0] <= 2.99, ratios
 
 
 class TestTopK:

@@ -44,12 +44,13 @@ def _divide_and_merge(ctx, objs, width, height, fanout):
     """Run one full divide / conquer / merge round and return (file, best)."""
     events = build_event_file(ctx, objs, width, height)
     sorted_events = external_sort(ctx, events, EVENT_CODEC, delete_input=True)
-    edges = collect_edge_xs(sorted_events, Slab.root())
+    blocks = sorted_events.read_blocks()
+    edges = collect_edge_xs(blocks, Slab.root())
     boundaries = choose_boundaries(edges, fanout)
     if not boundaries:
         pytest.skip("degenerate instance: no usable boundaries")
     subs, spanning, slabs = partition_event_file(
-        ctx, sorted_events, Slab.root(), boundaries)
+        ctx, sorted_events, blocks, Slab.root(), boundaries)
     slab_files = []
     for sub, slab in zip(subs, slabs):
         tuples, _ = sweep_events(sub.read_all(), slab.x_range)
@@ -92,7 +93,8 @@ class TestMergeSweepAgainstGlobalSweep:
         combined.write_all(all_records)
         boundaries = [10.0, 20.0]
         subs, spanning, slabs = partition_event_file(
-            tiny_ctx, combined, Slab.root(), boundaries)
+            tiny_ctx, combined, combined.read_blocks(), Slab.root(),
+            boundaries)
         assert len(spanning) == 2    # the wide rectangle's two edges
         slab_files = []
         for sub, slab in zip(subs, slabs):
@@ -107,7 +109,7 @@ class TestMergeSweepAgainstGlobalSweep:
         objs = [WeightedPoint(10.0, 0.0)]
         events = build_event_file(tiny_ctx, objs, 4.0, 4.0)
         subs, spanning, slabs = partition_event_file(
-            tiny_ctx, events, Slab.root(), [10.0])
+            tiny_ctx, events, events.read_blocks(), Slab.root(), [10.0])
         slab_files = []
         for sub, slab in zip(subs, slabs):
             tuples, _ = sweep_events(sub.read_all(), slab.x_range)
@@ -156,16 +158,25 @@ needs_numpy = pytest.mark.skipif(merge_module.np is None,
 _EXACT_WEIGHTS = (1.0, 2.0, 3.0, 0.5, 0.25, 1.5)
 
 
-def _merge_inputs(ctx, objs, width, height, fanout):
-    """Divide with the real code and sweep each sub-slab: merge inputs."""
+def _merge_inputs(ctx, objs, width, height, fanout, infinite=None):
+    """Divide with the real code and sweep each sub-slab: merge inputs.
+
+    Events of weight ``infinite`` get weight ``+inf`` (no object may have
+    it)."""
     events = build_event_file(ctx, objs, width, height)
+    if infinite is not None:
+        rows = events.read_rows()
+        rows[rows[:, 4] == infinite, 4] = math.inf
+        events.delete()
+        events = ctx.create_file(EVENT_CODEC).write_all(rows)
     sorted_events = external_sort(ctx, events, EVENT_CODEC, delete_input=True)
-    boundaries = choose_boundaries(
-        collect_edge_xs(sorted_events, Slab.root()), fanout)
+    blocks = sorted_events.read_blocks()
+    boundaries = choose_boundaries(collect_edge_xs(blocks, Slab.root()),
+                                   fanout)
     if not boundaries:
         return None
     subs, spanning, slabs = partition_event_file(
-        ctx, sorted_events, Slab.root(), boundaries)
+        ctx, sorted_events, blocks, Slab.root(), boundaries)
     slab_files = []
     for sub, slab in zip(subs, slabs):
         tuples, _ = sweep_events(sub.read_all(), slab.x_range)
@@ -574,12 +585,13 @@ class TestMergeRule:
         assert math.isnan(rows[2, 3])
 
     @settings(max_examples=60, deadline=None)
-    @given(_lattice_instances(weights=_EXACT_WEIGHTS + (math.inf,)))
+    @given(_lattice_instances(weights=_EXACT_WEIGHTS + (7.0,)))
     def test_differential_with_infinite_weights(self, instance):
         objs, width, height, block_size, fanout = instance
         ctx = EMContext(EMConfig(block_size=block_size,
                                  buffer_size=8 * block_size))
-        inputs = _merge_inputs(ctx, objs, width, height, fanout)
+        inputs = _merge_inputs(ctx, objs, width, height, fanout,
+                               infinite=7.0)
         if inputs is None:
             return
         _assert_merge_follows_the_rule(ctx, inputs)

@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from external_cases import pool_state, use_record_paths
 from repro.core import Slab, choose_boundaries, collect_edge_xs, make_subslabs, \
     partition_event_file
+from repro.core import slab as slab_module
 from repro.core.slab import spanned_slab_range
 from repro.core.transform import build_event_file
 from repro.em import EVENT_BOTTOM, EVENT_CODEC, EVENT_TOP, EMConfig, EMContext
@@ -65,7 +66,7 @@ class TestCollectEdges:
     def test_collects_both_edges_inside_slab(self, tiny_ctx):
         objs = [WeightedPoint(5.0, 0.0), WeightedPoint(7.0, 1.0)]
         events = build_event_file(tiny_ctx, objs, 2.0, 2.0)
-        edges = collect_edge_xs(events, Slab.root())
+        edges = collect_edge_xs(events.read_blocks(), Slab.root())
         # Each object contributes 2 edges x 2 events = 4 entries.
         assert sorted(set(edges)) == [4.0, 6.0, 8.0]
         assert len(edges) == 8
@@ -73,25 +74,38 @@ class TestCollectEdges:
     def test_edges_outside_slab_excluded(self, tiny_ctx):
         objs = [WeightedPoint(5.0, 0.0)]
         events = build_event_file(tiny_ctx, objs, 2.0, 2.0)
-        edges = collect_edge_xs(events, Slab(0, 4.5, 100.0))
+        edges = collect_edge_xs(events.read_blocks(), Slab(0, 4.5, 100.0))
         assert set(edges) == {6.0}
 
     def test_edges_on_boundary_excluded(self, tiny_ctx):
         objs = [WeightedPoint(5.0, 0.0)]
         events = build_event_file(tiny_ctx, objs, 2.0, 2.0)
-        edges = collect_edge_xs(events, Slab(0, 4.0, 6.0))
-        assert edges == []
+        edges = collect_edge_xs(events.read_blocks(), Slab(0, 4.0, 6.0))
+        assert list(edges) == []
 
 
 class TestPartition:
     def _partition(self, ctx, objs, boundaries, width=2.0, height=2.0):
         events = build_event_file(ctx, objs, width, height)
-        return partition_event_file(ctx, events, Slab.root(), boundaries)
+        return partition_event_file(ctx, events, events.read_blocks(),
+                                    Slab.root(), boundaries)
 
     def test_requires_boundaries(self, tiny_ctx):
         events = build_event_file(tiny_ctx, [WeightedPoint(0, 0)], 1.0, 1.0)
         with pytest.raises(AlgorithmError):
-            partition_event_file(tiny_ctx, events, Slab.root(), [])
+            partition_event_file(tiny_ctx, events, events.read_blocks(),
+                                 Slab.root(), [])
+
+    def test_requires_the_blocks_of_its_file(self, tiny_ctx, make_objects):
+        events = build_event_file(tiny_ctx, make_objects(30, seed=2),
+                                  2.0, 2.0)
+        other = build_event_file(tiny_ctx, make_objects(29, seed=2),
+                                 2.0, 2.0)
+        assert events.num_blocks == other.num_blocks
+        for blocks in (events.read_blocks()[1:], other.read_blocks()):
+            with pytest.raises(AlgorithmError):
+                partition_event_file(tiny_ctx, events, blocks, Slab.root(),
+                                     [10.0])
 
     def test_non_spanning_rectangles_go_to_their_slab(self, tiny_ctx):
         objs = [WeightedPoint(2.0, 0.0), WeightedPoint(20.0, 0.0)]
@@ -135,7 +149,8 @@ class TestPartition:
         from repro.em.external_sort import external_sort
         sorted_events = external_sort(tiny_ctx, events, EVENT_CODEC, delete_input=True)
         subs, spanning, _ = partition_event_file(
-            tiny_ctx, sorted_events, Slab.root(), [15.0, 30.0])
+            tiny_ctx, sorted_events, sorted_events.read_blocks(), Slab.root(),
+            [15.0, 30.0])
         for file in (*subs, spanning):
             ys = [record[0] for record in file.read_all()]
             assert ys == sorted(ys)
@@ -188,15 +203,20 @@ def _division_inputs(draw):
     return events, slab, boundaries
 
 
-def _divide_once(events, slab, boundaries, edge_scan):
-    """Partition on a fresh 8-block pool (optionally after the edge scan,
-    whose reads the partition may hit): (files' bytes and counts, edges,
-    pool state)."""
-    ctx = EMContext(EMConfig(block_size=256, buffer_size=8 * 256))
+def _divide_once(events, slab, boundaries, warm, pool_blocks=8):
+    """Scan and partition on a fresh pool of ``pool_blocks`` 256 B blocks
+    (cleared between the two unless ``warm``, so the partition may or may
+    not hit the scan's blocks): (files' bytes and counts, edges, pool
+    state)."""
+    ctx = EMContext(EMConfig(block_size=256, buffer_size=pool_blocks * 256))
     event_file = ctx.create_file(EVENT_CODEC).write_all(events)
     ctx.clear_cache()
-    edges = collect_edge_xs(event_file, slab) if edge_scan else None
-    subs, spanning, _ = partition_event_file(ctx, event_file, slab, boundaries)
+    blocks = event_file.read_blocks()
+    edges = [float(x).hex() for x in collect_edge_xs(blocks, slab)]
+    if not warm:
+        ctx.clear_cache()
+    subs, spanning, _ = partition_event_file(ctx, event_file, blocks, slab,
+                                             boundaries)
     files = [(len(f), [ctx.device.peek(b) for b in f.block_ids])
              for f in (*subs, spanning)]
     return files, edges, pool_state(ctx)
@@ -204,13 +224,19 @@ def _divide_once(events, slab, boundaries, edge_scan):
 
 class TestBlockDivision:
     @settings(max_examples=150, deadline=None)
-    @given(_division_inputs(), st.booleans())
-    def test_same_files_and_io_as_the_record_loops(self, inputs, edge_scan):
+    @given(_division_inputs(), st.booleans(), st.sampled_from((2, 3, 8)),
+           st.sampled_from((None, 1, 2, 3)))
+    def test_same_files_and_io_as_the_record_loops(self, inputs, warm,
+                                                   pool_blocks, chunk):
+        # Pools smaller than the file, and chunks of 1-3 input blocks:
+        # neither may change a byte or a pool call.
         pytest.importorskip("numpy")
         with pytest.MonkeyPatch.context() as patch:
-            rows = _divide_once(*inputs, edge_scan)
+            if chunk is not None:
+                patch.setattr(slab_module, "_CHUNK_BLOCKS", chunk)
+            rows = _divide_once(*inputs, warm, pool_blocks)
             use_record_paths(patch)
-            expected = _divide_once(*inputs, edge_scan)
+            expected = _divide_once(*inputs, warm, pool_blocks)
         assert rows == expected
 
     def test_partition_rereads_hit_the_pool(self, tiny_ctx):
@@ -226,6 +252,33 @@ class TestBlockDivision:
         assert rows == expected
         assert rows[2][2] > 0    # pool hits
 
+    def test_blocks_one_input_block_completes_go_out_in_file_order(self):
+        # 256 B blocks hold 6 events; the input takes blocks 0-3, so the
+        # partition's writes get ids 4, 5, ...  Input block 0 completes a
+        # block of sub-slab 1, block 1 one of sub-slab 0, and block 3 one
+        # of each: sub-slab 1's first (record 18), sub-slab 0's last
+        # (record 23).  The block path writes those two in file order, the
+        # record loop in record order.
+        pytest.importorskip("numpy")
+        right, left = (6.0, 7.0), (1.0, 2.0)
+        xs = ([right] * 6 + [left] * 6 + [right] * 5 + [left]
+              + [right] + [left] * 5)
+        events = [(float(y), EVENT_BOTTOM, *x, 1.0) for y, x in enumerate(xs)]
+
+        def ids():
+            ctx = EMContext(EMConfig(block_size=256, buffer_size=8 * 256))
+            event_file = ctx.create_file(EVENT_CODEC).write_all(events)
+            subs, spanning, _ = partition_event_file(
+                ctx, event_file, event_file.read_blocks(), Slab.root(), [5.0])
+            assert event_file.block_ids == [0, 1, 2, 3]
+            assert len(spanning) == 0
+            return [f.block_ids for f in subs]
+
+        with pytest.MonkeyPatch.context() as patch:
+            assert ids() == [[5, 6], [4, 7]]
+            use_record_paths(patch)
+            assert ids() == [[5, 7], [4, 6]]
+
     def test_clipped_away_event_keeps_its_hline_in_the_spanning_file(
             self, tiny_ctx):
         # x = +-inf: the dual rectangle's x-range clips away to nothing.
@@ -235,7 +288,7 @@ class TestBlockDivision:
                   (4.0, EVENT_TOP, math.inf, math.inf, 1.0)]
         event_file = tiny_ctx.create_file(EVENT_CODEC).write_all(events)
         subs, spanning, slabs = partition_event_file(
-            tiny_ctx, event_file, Slab.root(), [5.0])
+            tiny_ctx, event_file, event_file.read_blocks(), Slab.root(), [5.0])
         assert spanning.read_all() == [
             (1.0, EVENT_BOTTOM, -math.inf, -math.inf, 1.0),
             (4.0, EVENT_TOP, math.inf, math.inf, 1.0)]
@@ -243,13 +296,21 @@ class TestBlockDivision:
             assert spanned_slab_range(slabs, record[2], record[3]) == (1, 0)
         assert [len(f) for f in subs] == [1, 1]
 
-    def test_choose_boundaries_picks_as_sorted_does(self):
-        edges = [0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 3.0]
-        picks = choose_boundaries(edges, fanout=4)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from((-0.0, 0.0, -2.0, 1.0, 2.5)), max_size=60),
+           st.integers(2, 9), st.booleans())
+    @example([0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 3.0], 4, False)
+    def test_choose_boundaries_picks_as_sorted_does(self, edges, fanout,
+                                                    as_array):
+        # Of equal edges, sorted() keeps the input order, and so the sign
+        # of a zero boundary.
+        np = pytest.importorskip("numpy")
+        given_edges = np.asarray(edges) if as_array else edges
+        picks = choose_boundaries(given_edges, fanout)
         with pytest.MonkeyPatch.context() as patch:
             use_record_paths(patch)
-            expected = choose_boundaries(edges, fanout=4)
+            expected = choose_boundaries(edges, fanout)
         assert [math.copysign(1.0, b) for b in picks] == \
             [math.copysign(1.0, b) for b in expected]
         assert picks == expected
-
+        assert all(type(b) is float for b in picks)

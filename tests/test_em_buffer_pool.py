@@ -1,6 +1,8 @@
 """Unit tests for :mod:`repro.em.buffer_pool`."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.em import BlockDevice, BufferPool, EMConfig
 from repro.errors import StorageError
@@ -137,3 +139,61 @@ class TestInvalidation:
         assert pool.resident_blocks == 0
         pool.get(_write_through_device(device))
         assert pool.resident_blocks == 1
+
+
+def _pool_state(pool):
+    """Frames in LRU order with their contents and flags, the clock, the
+    device's counters and blocks."""
+    device = pool.device
+    frames = [(block_id, bytes(frame.data), frame.dirty, frame.pin_count,
+               frame.last_access) for block_id, frame in pool._frames.items()]
+    return (frames, pool._clock,
+            (device.stats.block_reads, device.stats.block_writes,
+             device.stats.cache_hits),
+            dict(device._blocks), device._next_id, list(device._free_ids))
+
+
+class TestWriteThrough:
+    """``write_through`` leaves what ``put``, ``flush_block`` and
+    ``invalidate`` leave, in any state the pool can be in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("gpuwn"), st.integers(0, 5)),
+                    max_size=60),
+           st.integers(1, 4))
+    def test_same_state_as_put_flush_invalidate(self, ops, capacity):
+        pools = []
+        for _ in range(2):
+            device = BlockDevice(EMConfig(block_size=64, buffer_size=4 * 64))
+            for k in range(6):
+                device.write_block(device.allocate(), bytes([k]))
+            pools.append(BufferPool(device, capacity_blocks=capacity))
+        for step, (op, block) in enumerate(ops):
+            outcomes = []
+            for through, pool in enumerate(pools):
+                try:
+                    if op == "g":
+                        pool.get(block)
+                    elif op == "p":
+                        pool.put(block, bytes([step]))
+                    elif op == "u":   # pin, or unpin a pinned frame
+                        frame = pool._frames.get(block)
+                        if frame is not None and frame.pin_count:
+                            pool.unpin(block)
+                        else:
+                            pool.get(block, pin=True)
+                    else:   # "w": an existing block, "n": a new one
+                        if op == "n":
+                            block = pool.device.allocate()
+                        payload = bytes([100 + step % 100])
+                        if through:
+                            pool.write_through(block, payload)
+                        else:
+                            pool.put(block, payload)
+                            pool.flush_block(block)
+                            pool.invalidate(block)
+                    outcomes.append(None)
+                except StorageError as exc:   # every frame pinned
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert _pool_state(pools[0]) == _pool_state(pools[1])

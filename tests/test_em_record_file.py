@@ -282,6 +282,32 @@ class TestBlockArrays:
         assert [tuple(r) for r in rows.tolist()] == records
         empty = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
         assert empty.read_rows().shape == (0, 4)
+        assert empty.read_blocks() == []
+
+    def test_read_blocks_and_reread_block(self, tiny_ctx):
+        pytest.importorskip("numpy")
+        from repro.em import MAX_INTERVAL_CODEC
+
+        records = [(float(i), -float(i), 0.5, 2.0) for i in range(40)]
+        file = tiny_ctx.create_file(MAX_INTERVAL_CODEC).write_all(records)
+        tiny_ctx.clear_cache()
+        start = tiny_ctx.stats.snapshot()
+        blocks = file.read_blocks()
+        assert tiny_ctx.stats.since(start).block_reads == 3
+        assert [len(b) for b in blocks] == [16, 16, 8]
+        assert [tuple(r) for b in blocks for r in b.tolist()] == records
+        # A re-read is a get like any read: a hit while the block is
+        # resident, a charged read after it left the pool.
+        hits = tiny_ctx.stats.cache_hits
+        file.reread_block(2)
+        assert tiny_ctx.stats.cache_hits == hits + 1
+        tiny_ctx.clear_cache()
+        start = tiny_ctx.stats.snapshot()
+        file.reread_block(0)
+        assert tiny_ctx.stats.since(start).block_reads == 1
+        assert tiny_ctx.pool.is_resident(file.block_ids[0])
+        with pytest.raises(StorageError):
+            file.reread_block(3)
 
     def test_record_paths_return_records(self, tiny_ctx, record_paths):
         from repro.em import MAX_INTERVAL_CODEC
@@ -290,7 +316,7 @@ class TestBlockArrays:
         file = tiny_ctx.create_file(MAX_INTERVAL_CODEC).write_all(records)
         assert not file.supports_arrays
         assert file.read_rows() == records
-
+        assert file.read_blocks() == [records[:16], records[16:]]
 
     def test_array_reads_of_a_deleted_file_are_rejected(self, tiny_ctx):
         pytest.importorskip("numpy")
@@ -303,36 +329,7 @@ class TestBlockArrays:
             file.read_rows()
         with pytest.raises(StorageError):
             next(file.iter_block_arrays())
-
-
-class TestRowScatter:
-    """Rows bound for many files at once: each file as if appended alone."""
-
-    @pytest.mark.parametrize("batches", [1, 4, 25])
-    def test_matches_append_rows_per_file(self, batches):
-        np = pytest.importorskip("numpy")
-        from external_cases import pool_state
-        from repro.em import EMConfig, EMContext, EVENT_CODEC
-        from repro.em.record_file import RowScatter
-
-        rng = np.random.default_rng(batches)
-        rows = rng.normal(size=(700, 5))
-        # Mostly a few files, so some fill several blocks within one batch.
-        targets = np.minimum(rng.geometric(0.3, size=700) - 1, 6)
-        outcomes = []
-        for scatter in (True, False):
-            ctx = EMContext(EMConfig(block_size=256, buffer_size=1024))
-            files = [ctx.create_file(EVENT_CODEC) for _ in range(7)]
-            if scatter:
-                with RowScatter(files) as rows_out:
-                    for part in np.array_split(np.arange(700), batches):
-                        rows_out.append(targets[part], rows[part])
-            else:
-                for target, file in enumerate(files):
-                    with file.writer() as writer:
-                        writer.append_rows(rows[targets == target])
-            outcomes.append(([[ctx.device.peek(b) for b in f.block_ids]
-                              for f in files],
-                             [len(f) for f in files], pool_state(ctx)[:3]))
-        assert outcomes[0] == outcomes[1]
-        assert sum(outcomes[0][1]) == 700
+        with pytest.raises(StorageError):
+            file.read_blocks()
+        with pytest.raises(StorageError):
+            file.reread_block(0)

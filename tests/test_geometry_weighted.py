@@ -26,6 +26,14 @@ class TestWeightedPoint:
         with pytest.raises(GeometryError):
             WeightedPoint(0.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_infinite_and_nan_weights_rejected(self, weight):
+        # An infinite weight crashed the numpy sweeps, or turned their sums
+        # into NaN: solve_in_memory([WeightedPoint(0, 0, inf)], 1, 1) raised
+        # ValueError.
+        with pytest.raises(GeometryError):
+            WeightedPoint(0.0, 0.0, weight)
+
     def test_nan_coordinates_rejected(self):
         with pytest.raises(GeometryError):
             WeightedPoint(math.nan, 0.0)

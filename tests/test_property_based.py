@@ -28,6 +28,7 @@ from repro.core import (
     MaxAddSegmentTree,
     Slab,
     choose_boundaries,
+    collect_edge_xs,
     partition_event_file,
     solve_in_memory,
     sweep_events,
@@ -171,13 +172,13 @@ def test_sweep_output_is_valid_slab_file(objects, width, height):
 def test_partition_conserves_events_and_weight(objects, width, height, fanout):
     ctx = _fresh_ctx()
     events = build_event_file(ctx, objects, width, height)
-    edge_xs = []
-    for _, _, x1, x2, _ in events.read_all():
-        edge_xs.extend((x1, x2))
-    boundaries = choose_boundaries(edge_xs, fanout)
+    blocks = events.read_blocks()
+    boundaries = choose_boundaries(collect_edge_xs(blocks, Slab.root()),
+                                   fanout)
     if not boundaries:
         return
-    subs, spanning, slabs = partition_event_file(ctx, events, Slab.root(), boundaries)
+    subs, spanning, slabs = partition_event_file(ctx, events, blocks,
+                                                 Slab.root(), boundaries)
     # Every input event appears in at least one output file (it has at least
     # one piece), and per-y total weighted-width is conserved.
     input_records = events.read_all()

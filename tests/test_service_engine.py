@@ -27,7 +27,7 @@ from repro.circles.exact_maxcrs import exact_maxcrs
 from repro.core.dispatch import solve_point_set_top_k
 from repro.core.plane_sweep import solve_in_memory
 from repro.core.result import MaxCRSResult, MaxRSResult
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError, GeometryError, ServiceError
 from repro.geometry import Circle, WeightedPoint, weight_in_circle
 from repro.service import MaxRSEngine, PointStore, QuerySpec
 
@@ -539,7 +539,8 @@ class TestDatasetLifecycle:
         engine = MaxRSEngine()
         with pytest.raises(ServiceError):
             engine.register_dataset([WeightedPoint(float("inf"), 0.0)])
-        with pytest.raises(ServiceError):
+        # An infinite weight never gets that far: the object is rejected.
+        with pytest.raises(GeometryError):
             engine.register_dataset([WeightedPoint(0.0, 0.0, float("inf"))])
 
     def test_negative_column_weights_rejected_at_registration(self):
