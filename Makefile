@@ -53,10 +53,11 @@ bench-persist:
 bench-pyramid:
 	$(PYTHON) -m pytest benchmarks/test_service_pyramid.py -q
 
-# Concurrent clients through the asyncio front-end (request coalescing +
-# bounded admission) vs the same workload as naive sequential sync queries;
-# the >= 2x acceptance bound is asserted at (near-)paper scale on hosts with
-# >= 4 cores, e.g. REPRO_BENCH_PRESET=paper make bench-async.
+# Concurrent clients through the asyncio front-end (cache hits on the event
+# loop, request coalescing, bounded admission, one solver thread) vs the same
+# workload as naive sequential sync queries; answers are asserted
+# bit-identical and the speedup is recorded, e.g.
+# REPRO_BENCH_PRESET=paper make bench-async.
 bench-async:
 	$(PYTHON) -m pytest benchmarks/test_service_async.py -q
 

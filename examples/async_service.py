@@ -9,11 +9,14 @@ moment.  :mod:`repro.aio` is built for exactly that:
 * a :class:`~repro.aio.server.MaxRSServer` speaks a JSON-lines TCP protocol,
   so one resident process (one ingest, one grid index, one cache) serves any
   number of network clients;
+* a cached answer is served on the event loop, without admission; every
+  miss is solved on the front-end's one solver thread;
 * concurrent identical queries **coalesce** onto one computation -- the
   thundering herd on a hot key costs one solve, not N;
-* **admission control** bounds concurrent engine work (``max_inflight``)
-  and queue depth (``max_queue``); overflow is shed with a typed
-  ``ServiceOverloadError`` that clients can catch and retry;
+* **admission control** bounds the admitted solves (``max_inflight``: one
+  runs, the rest wait on the solver thread) and queue depth
+  (``max_queue``); overflow is shed with a typed ``ServiceOverloadError``
+  that clients can catch and retry;
 * every answer is **bit-identical** to the blocking engine's.
 
 Run with::
@@ -108,7 +111,8 @@ async def main() -> None:
 
     stats = front.stats()
     aio = stats["aio"]
-    print(f"admission             : {aio['admitted']} admitted / "
+    print(f"admission             : {aio['loop_hits']} cache hits on the "
+          f"loop / {aio['admitted']} admitted / "
           f"{aio['coalesce_hits']} coalesced / {aio['rejected']} rejected "
           f"(queue high-water {aio['queue_high_water']})")
     hot = aio["latency"].get("maxrs", {})

@@ -41,7 +41,7 @@ any answer::
     dataset = engine.register_dataset(objects)          # ingest + index once
     a = engine.query(dataset, QuerySpec.maxrs(1000.0, 1000.0))
     b = engine.query(dataset, QuerySpec.maxrs(1000.0, 1000.0))  # cache hit
-    results = engine.query_batch(dataset, many_specs)   # dedup + thread pool
+    results = engine.query_batch(dataset, many_specs)   # dedup, in order
     print(engine.stats()["cache"]["hit_rate"])
 
 See ``examples/query_service.py`` for a complete walk-through.

@@ -2,11 +2,14 @@
 
 :class:`AsyncMaxRSEngine` turns the blocking :class:`~repro.service.engine.
 MaxRSEngine` into a serving tier that can hold heavy concurrent traffic from
-one event loop.  Three mechanisms do the work:
+one event loop.  These mechanisms do the work:
 
-* **Executor offload** -- every blocking engine call (solves, ingestion) runs
-  on the engine's existing long-lived thread pool via
-  ``loop.run_in_executor``, so the event loop never blocks on a sweep;
+* **Cache hits on the loop** -- a cached answer is served on the event-loop
+  thread by :meth:`~repro.service.engine.MaxRSEngine.query_cached`, which
+  never computes; it is neither coalesced nor admitted (``loop_hits``);
+* **One solver thread** -- every other blocking engine call runs on one
+  thread the front-end owns (``loop.run_in_executor``), so the loop never
+  blocks on a sweep and solves never contend with each other;
 * **In-flight request coalescing** -- concurrent identical queries (same
   dataset fingerprint, same :class:`~repro.service.engine.QuerySpec`) await
   one shared future instead of recomputing: the async analogue of
@@ -14,8 +17,9 @@ one event loop.  Three mechanisms do the work:
   cache already makes repeats cheap once the first answer lands; coalescing
   closes the window while it is still being computed, which is exactly when
   a hot key stampedes;
-* **Bounded admission with backpressure** -- at most ``max_inflight`` queries
-  execute concurrently; up to ``max_queue`` more wait their turn in FIFO
+* **Bounded admission with backpressure** -- at most ``max_inflight``
+  leaders are admitted at once (one of them solves, the rest wait in order
+  on the solver thread); up to ``max_queue`` more wait their turn in FIFO
   order.  Overflow is shed with a typed
   :class:`~repro.errors.ServiceOverloadError` (``overflow="reject"``, the
   default) or queued without bound (``overflow="wait"``), per policy.
@@ -23,8 +27,9 @@ one event loop.  Three mechanisms do the work:
   ``degraded_error_bound=`` set, a request the admission gate would shed is
   instead answered approximately: the engine serves its probe answer when
   the grid's best window bound certifies that relative optimality gap, and
-  the answer's ``result.gap`` carries the certificate.  Queries that cannot express
-  a certified gap (MaxkRS, ``refine=False``) raise
+  the answer's ``result.gap`` carries the certificate.  Degraded serves
+  skip admission but still queue on the solver thread.  Queries that cannot
+  express a certified gap (MaxkRS, ``refine=False``) raise
   :class:`~repro.errors.ServiceDegradedError` so callers can tell "retry
   later" from "cannot degrade".  Degraded serves are recorded against the
   ``"degraded"`` SLO kind -- they consume a latency objective of their own,
@@ -33,14 +38,15 @@ one event loop.  Three mechanisms do the work:
 Dataset mutation (:meth:`~AsyncMaxRSEngine.register_dataset` /
 :meth:`~AsyncMaxRSEngine.unregister_dataset`) is serialized against queries
 by a writer-preferring read/write gate: a mutation waits for in-flight
-queries to drain, blocks new ones for its duration, and runs in the executor
--- the loop stays responsive throughout.
+queries to drain, blocks new ones (cache hits included) for its duration,
+and runs on the solver thread -- the loop stays responsive throughout.
 
 Answers are **bit-identical** to the sync engine's: the front-end never
 computes anything itself, it only schedules the same
-:meth:`~repro.service.engine.MaxRSEngine.query` calls.  Everything is
-observable through :meth:`AsyncMaxRSEngine.stats` -- admission and coalescing
-counters plus per-kind latency histograms land in ``stats()["aio"]``.
+:meth:`~repro.service.engine.MaxRSEngine.query` calls and serves their cached
+answers.  Everything is observable through :meth:`AsyncMaxRSEngine.stats` --
+admission and coalescing counters plus per-kind latency histograms land in
+``stats()["aio"]``.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import asyncio
 import contextvars
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, \
     Tuple, Union
@@ -204,9 +211,10 @@ class AsyncMaxRSEngine:
         sync path and this front-end is supported (all engine state is
         thread-safe), and :meth:`close` leaves it open.
     max_inflight:
-        Maximum queries executing concurrently (executor slots the front-end
-        will occupy).  Coalesced duplicates do not consume slots -- only the
-        leader computes.
+        Maximum admitted queries at once: one solves on the solver thread,
+        the rest wait there in order.  Cache hits answered on the loop and
+        coalesced duplicates do not consume slots -- only the leader
+        computes.
     max_queue:
         Maximum queries waiting for a slot before overflow policy applies.
     overflow:
@@ -226,7 +234,7 @@ class AsyncMaxRSEngine:
         :class:`~repro.errors.ServiceDegradedError`.
     engine_kwargs:
         Passed through to :class:`MaxRSEngine` when ``engine`` is ``None``
-        (``cache_size=``, ``max_workers=``, ``persist_dir=``, ...).
+        (``cache_size=``, ``persist_dir=``, ...).
 
     Examples
     --------
@@ -267,6 +275,8 @@ class AsyncMaxRSEngine:
         self._gate = _ReadWriteGate()
         #: In-flight coalescing table: query identity -> the leader's future.
         self._coalescing: Dict[Tuple[Hashable, ...], asyncio.Future] = {}
+        #: The one thread every blocking engine call runs on (made by _run).
+        self._solver: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -291,17 +301,22 @@ class AsyncMaxRSEngine:
         self._gate.release_write()
 
     async def close(self) -> None:
-        """Stop admitting, drain gracefully, then close an owned engine.
+        """Stop admitting, drain gracefully, then shut the solver thread down.
 
         Idempotent.  Queries already admitted (or waiting on the admission
         queue) run to completion -- closing never drops accepted work; only
-        *new* calls fail, with :class:`~repro.errors.ServiceError`.  A
-        borrowed engine is left open for its other users.
+        *new* calls fail, with :class:`~repro.errors.ServiceError`.  The
+        front-end's gauge source leaves the engine's sampler, and an owned
+        engine is closed; a borrowed engine is left open for its other users.
         """
         if self._closed:
             return
         self._closed = True
         await self.drain()
+        self._engine.sampler.remove_source(self._admission_gauge_source)
+        solver, self._solver = self._solver, None
+        if solver is not None:  # queued work (trace_profile) still runs first
+            solver.shutdown(wait=False)
         if self._owns_engine:
             self._engine.close()
 
@@ -316,16 +331,20 @@ class AsyncMaxRSEngine:
             raise ServiceError("the async engine is closed")
 
     async def _run(self, fn: Callable):
-        """Run a blocking engine call on the engine's thread pool.
+        """Run a blocking engine call on the solver thread, in call order.
 
-        The call is wrapped in a context snapshot: ``run_in_executor`` is a
-        plain ``executor.submit`` and does *not* carry ``contextvars``
-        across the thread hand-off, which would detach the engine's trace
-        spans (:mod:`repro.obs`) from the request's ambient span.
+        The thread is created on first use.  The call is wrapped in a
+        context snapshot: ``run_in_executor`` is a plain ``executor.submit``
+        and does *not* carry ``contextvars`` across the thread hand-off,
+        which would detach the engine's trace spans (:mod:`repro.obs`) from
+        the request's ambient span.
         """
+        if self._solver is None:
+            self._solver = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-solver")
         loop = asyncio.get_running_loop()
         context = contextvars.copy_context()
-        return await loop.run_in_executor(self._engine.executor(),
+        return await loop.run_in_executor(self._solver,
                                           lambda: context.run(fn))
 
     # ------------------------------------------------------------------ #
@@ -340,7 +359,7 @@ class AsyncMaxRSEngine:
         Ingestion is exclusive: it waits for in-flight queries to finish and
         holds new ones back until the dataset (and its grid index) is fully
         registered, so no query can observe a half-built index -- then runs
-        on the executor, so the event loop keeps serving other coroutines.
+        on the solver thread, so the event loop keeps serving coroutines.
         Semantics (dedup, ``replace=``, ``persist=``) are exactly
         :meth:`MaxRSEngine.register_dataset`'s.
         """
@@ -385,12 +404,13 @@ class AsyncMaxRSEngine:
     async def query(self, dataset: Union[str, DatasetHandle],
                     spec: QuerySpec, *,
                     client_id: Optional[str] = None) -> QueryResult:
-        """Answer one query; coalesce onto an identical in-flight one.
+        """Answer one query: a cache hit on the loop, else coalesce or lead.
 
-        The whole attempt -- key resolution, coalescing, admission,
-        execution -- runs under the read gate, so the fingerprint the key
-        was derived from cannot be rebound by a concurrent ``replace=True``
-        registration mid-flight (writers wait for the attempt to finish).
+        The whole attempt -- cache check, key resolution, coalescing,
+        admission, execution -- runs under the read gate, so the fingerprint
+        the key was derived from cannot be rebound by a concurrent
+        ``replace=True`` registration mid-flight (writers wait for the
+        attempt to finish; a query behind a writer sees its data).
         Within the gate the coalescing check-and-claim is synchronous (no
         ``await`` between looking up the table and publishing the leader's
         future), so any two overlapping identical queries deterministically
@@ -405,7 +425,8 @@ class AsyncMaxRSEngine:
         accounting.  Only the coalescing *leader* executes (and therefore
         attributes) the computation: each ``engine.query`` call is booked to
         exactly one client, keeping per-client totals reconciled with the
-        global counters; a follower rides the leader's answer for free.
+        global counters; a follower rides the leader's answer for free, and
+        a loop hit is booked like any engine hit.
         """
         metrics = self._engine.metrics
         metrics.increment("aio_queries")
@@ -432,8 +453,12 @@ class AsyncMaxRSEngine:
     async def _attempt(self, dataset: Union[str, DatasetHandle],
                        spec: QuerySpec,
                        client_id: Optional[str] = None) -> QueryResult:
-        """One coalesce-or-lead attempt, run entirely under the read gate."""
+        """One hit, coalesce or lead attempt, run under the read gate."""
         metrics = self._engine.metrics
+        cached = self._engine.query_cached(dataset, spec, client_id=client_id)
+        if cached is not None:
+            metrics.increment("aio_loop_hits")
+            return cached
         key = self._coalesce_key(dataset, spec)
         shared = self._coalescing.get(key)
         if shared is not None and shared.cancelled():
@@ -510,7 +535,8 @@ class AsyncMaxRSEngine:
         certifies that gap -- the answer's ``result.gap`` carries the
         certificate.  Runs
         *outside* admission control: the request was just refused a slot, and
-        the whole point is to answer it anyway with bounded cheap work.
+        the whole point is to answer it anyway with bounded cheap work.  It
+        still queues on the solver thread behind the admitted solves.
         Recorded against the ``"degraded"`` SLO kind (a latency objective of
         its own), never the exact path's error budget.
         """
@@ -541,11 +567,12 @@ class AsyncMaxRSEngine:
                           ) -> List[QueryResult]:
         """Answer many queries concurrently; results align with ``specs``.
 
-        Duplicate specs coalesce (within the batch and with any other
-        in-flight caller); distinct ones fan out, each subject to admission
-        control.  The first failure propagates -- with the ``reject`` policy
-        a batch wider than ``max_inflight + max_queue`` can overload its own
-        admission, so size batches accordingly or use ``overflow="wait"``.
+        Cached specs are served on the loop, duplicates coalesce (within the
+        batch and with any other in-flight caller), and distinct misses pass
+        admission and solve in turn.  The first failure propagates -- with
+        the ``reject`` policy a batch wider than ``max_inflight + max_queue``
+        can overload its own admission, so size batches accordingly or use
+        ``overflow="wait"``.
         """
         self._check_open()
         self._engine.metrics.increment("aio_batch_queries", len(specs))
@@ -561,9 +588,9 @@ class AsyncMaxRSEngine:
 
         Runs under the read gate (so a concurrent ``replace=True``
         registration cannot swap the dataset out from under the plan) and on
-        the executor (the grid window sums are real array work).  Like the
-        sync call, it never sweeps and never mutates: explaining has zero
-        effect on subsequent answers.
+        the solver thread (the grid window sums are real array work).  Like
+        the sync call, it never sweeps and never mutates: explaining has
+        zero effect on subsequent answers.
         """
         self._check_open()
         await self._gate.acquire_read()
@@ -588,7 +615,7 @@ class AsyncMaxRSEngine:
 
         ``stats()["aio"]`` reports the front-end's admission state (current
         in-flight and queue depth, high-water mark, admitted / rejected /
-        coalesce-hit counts) and per-query-kind end-to-end latency
+        coalesce-hit / loop-hit counts) and per-query-kind end-to-end latency
         histograms (p50/p95/p99 of admission wait + execution).
         """
         stats = self._engine.stats()
@@ -612,6 +639,7 @@ class AsyncMaxRSEngine:
             "degraded": counters.get("aio_degraded", 0),
             "degrade_refused": counters.get("aio_degrade_refused", 0),
             "coalesce_hits": counters.get("aio_coalesce_hits", 0),
+            "loop_hits": counters.get("aio_loop_hits", 0),
             "coalesce_retries": counters.get("aio_coalesce_retries", 0),
             "batch_queries": counters.get("aio_batch_queries", 0),
             "latency": latency,

@@ -32,10 +32,9 @@ __all__ = ["critical_path", "profile", "render_profile", "span_self_seconds"]
 def span_self_seconds(span_: Span) -> float:
     """Seconds spent in ``span_`` itself, excluding its children.
 
-    Clamped at zero: children running concurrently (the pool-thread
-    queries of a ``query_batch`` issued inside a trace) can sum past their
-    parent's wall clock, and that overshoot is parallelism, not negative
-    work.
+    Clamped at zero: children running concurrently (queries a caller runs
+    on threads of its own inside one trace) can sum past their parent's wall
+    clock, and that overshoot is parallelism, not negative work.
     """
     duration = span_.duration_s or 0.0
     children = sum(child.duration_s or 0.0 for child in span_.children)

@@ -135,6 +135,11 @@ class ResourceSampler:
         with self._lock:
             self._sources.append(source)
 
+    def remove_source(self, source: Callable[["EngineMetrics"], None]) -> None:
+        """Unregister a source added by :meth:`add_source`."""
+        with self._lock:
+            self._sources.remove(source)
+
     def sample(self) -> None:
         """Run every source once, isolating per-source failures."""
         with self._lock:

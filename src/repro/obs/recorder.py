@@ -20,7 +20,7 @@ Four implementations cover the deployment spectrum:
   tooling can chew on both.
 
 All recorders are thread-safe: the engine finishes traces from asyncio
-tasks and pool threads alike.
+tasks, the solver thread and callers' threads alike.
 """
 
 from __future__ import annotations

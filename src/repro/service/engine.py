@@ -19,11 +19,11 @@ parameters cheaply.  Per query it composes four layers:
 Refined (default) answers are therefore *identical* to solving the full
 dataset in memory -- same weight, same max-region -- while touching only the
 points near contention hot spots.  Each dataset is served from one grid
-index, built and queried on the calling thread.  ``query_batch``
-deduplicates identical requests and fans independent ones out over the
-engine's **long-lived** thread pool, which the async front-end
-(:mod:`repro.aio`) also runs its solves on; ``close()`` (or using the engine
-as a context manager) shuts it down.
+index, built and queried on the calling thread; the engine starts no thread
+but an optional gauge sampler.  ``query_batch`` deduplicates identical
+requests and answers the distinct ones in order.  The engine is thread-safe;
+the async front-end (:mod:`repro.aio`) solves on one thread of its own and
+answers cache hits through :meth:`MaxRSEngine.query_cached`.
 
 With ``persist_dir=...`` the engine is additionally **durable**: registered
 datasets' point columns are written through to a
@@ -37,15 +37,12 @@ reported, in block transfers, by :meth:`MaxRSEngine.stats`.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import wait as _wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterator, List, Optional,
@@ -199,11 +196,6 @@ class MaxRSEngine:
     ----------
     cache_size:
         Capacity of the LRU result cache (entries, across all datasets).
-    max_workers:
-        Width of the engine's thread pool, which :meth:`query_batch` and the
-        async front-end run queries on (``None`` lets
-        :class:`~concurrent.futures.ThreadPoolExecutor` pick; otherwise at
-        least 1).
     target_points_per_cell, max_cells_per_side:
         Grid-index resolution knobs (both at least 1), passed to
         :class:`~repro.service.grid_index.GridIndex`.
@@ -267,7 +259,6 @@ class MaxRSEngine:
     """
 
     def __init__(self, *, cache_size: int = 1024,
-                 max_workers: Optional[int] = None,
                  target_points_per_cell: int = 1,
                  max_cells_per_side: int = 512,
                  maxcrs_exact_limit: int = 5_000,
@@ -283,12 +274,7 @@ class MaxRSEngine:
             raise ConfigurationError(
                 f"max_tracked_clients must be positive, got "
                 f"{max_tracked_clients}")
-        # Fail at the configuration site, not at the first registration or
-        # the first query that needs the thread pool.
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be positive (or None for the pool's "
-                f"default), got {max_workers}")
+        # Fail at the configuration site, not at the first registration.
         if target_points_per_cell < 1 or max_cells_per_side < 1:
             raise ConfigurationError(
                 f"target_points_per_cell and max_cells_per_side must be "
@@ -299,7 +285,6 @@ class MaxRSEngine:
         self.metrics = EngineMetrics()
         self.tracer = (tracer if isinstance(tracer, obs.Tracer)
                        else obs.Tracer(obs.resolve_recorder(tracer)))
-        self.max_workers = max_workers
         self.maxcrs_exact_limit = maxcrs_exact_limit
         self._target_points_per_cell = target_points_per_cell
         self._max_cells_per_side = max_cells_per_side
@@ -310,10 +295,6 @@ class MaxRSEngine:
         self.max_tracked_clients = max_tracked_clients
         self._clients: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
         self._clients_lock = threading.Lock()
-        # One long-lived thread pool serves query_batch fan-out and the
-        # async front-end's solves; created lazily, shut down by close().
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._closed = False
         # Telemetry: health checks, SLO burn tracking and the gauge
         # sampler all live per-engine, reading engine state via closures
@@ -335,47 +316,14 @@ class MaxRSEngine:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The engine's shared thread pool (``None`` once closed)."""
-        if self._closed:
-            return None
-        with self._pool_lock:
-            if self._pool is None and not self._closed:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-engine")
-            return self._pool
+    def close(self) -> None:
+        """Stop the background sampler and fail ``readyz`` (idempotent).
 
-    def executor(self) -> Optional[ThreadPoolExecutor]:
-        """The engine's long-lived thread pool (``None`` once closed).
-
-        Exposed for front-ends that schedule engine work themselves -- the
-        async serving layer (:mod:`repro.aio`) runs blocking solves on this
-        pool via ``loop.run_in_executor``, so its queries and ``query_batch``
-        fan-out share one set of threads.
-        """
-        return self._ensure_pool()
-
-    def close(self, *, wait: bool = True) -> None:
-        """Shut down the shared thread pool (idempotent), draining by default.
-
-        ``wait=True`` (the default) blocks until every task already submitted
-        to the pool -- outstanding ``query_batch`` futures, async front-end
-        solves -- has run to completion: closing an engine never drops
-        admitted work.  ``wait=False`` returns immediately; already-running
-        tasks still finish (Python thread pools cannot be pre-empted) but
-        the caller no longer waits for them.
-
-        The engine stays queryable afterwards -- batch execution simply
-        degrades to the calling thread, so a drained service can still
+        The engine stays queryable afterwards, so a drained service can still
         answer stragglers during shutdown.
         """
+        self._closed = True
         self.sampler.stop()
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
 
     def __enter__(self) -> "MaxRSEngine":
         return self
@@ -730,22 +678,11 @@ class MaxRSEngine:
         with self.tracer.trace("engine.query", kind=spec.kind,
                                dataset=entry.handle.dataset_id) as span:
             hit, value = self.cache.get(key)
-            self.metrics.increment("queries")
-            span.set_attribute("cache_hit", hit)
             if hit:
-                # Latency is recorded per query kind for hits too: the
-                # histogram reports what callers experienced, not what
-                # computation cost.
-                served = time.perf_counter() - arrival
-                self.metrics.observe_latency(spec.kind, served)
-                if self.slo is not None:
-                    self.slo.record(spec.kind, served)
-                cost = {"cache": "hit", "wall_seconds": served,
-                        "cpu_seconds": 0.0, "swept_points": 0,
-                        "block_reads": 0, "block_writes": 0,
-                        "dataset_points": int(entry.count)}
-                self._account_client(client_id, cost)
-                return _attach_cost(value, cost)
+                return self._serve_hit(span, entry, spec, value, arrival,
+                                       client_id)
+            self.metrics.increment("queries")
+            span.set_attribute("cache_hit", False)
             ledger = QueryLedger()
             io_before = (self.persist.counters.snapshot()
                          if self.persist is not None else None)
@@ -779,6 +716,47 @@ class MaxRSEngine:
             self._account_client(client_id, cost)
             return result
 
+    def query_cached(self, dataset: Union[str, DatasetHandle],
+                     spec: QuerySpec, *,
+                     client_id: Optional[str] = None
+                     ) -> Optional[QueryResult]:
+        """The cached answer, served and booked as a :meth:`query` hit is;
+        ``None`` on a miss.  Never computes.
+
+        The membership test counts no lookup, so a miss is counted once, by
+        the :meth:`query` that computes it; an entry evicted between the
+        test and the lookup costs one extra counted miss.
+        """
+        arrival = time.perf_counter()
+        entry = self.store.get(_dataset_id(dataset))
+        key = self.cache_key(entry.handle.fingerprint, spec)
+        if key not in self.cache:
+            return None
+        with self.tracer.trace("engine.query", kind=spec.kind,
+                               dataset=entry.handle.dataset_id) as span:
+            hit, value = self.cache.get(key)
+            return self._serve_hit(span, entry, spec, value, arrival,
+                                   client_id) if hit else None
+
+    def _serve_hit(self, span, entry: RegisteredDataset, spec: QuerySpec,
+                   value: QueryResult, arrival: float,
+                   client_id: Optional[str]) -> QueryResult:
+        """Book one cache hit; return it carrying its cost record."""
+        self.metrics.increment("queries")
+        span.set_attribute("cache_hit", True)
+        # Latency is recorded per query kind for hits too: the histogram
+        # reports what callers experienced, not what computation cost.
+        served = time.perf_counter() - arrival
+        self.metrics.observe_latency(spec.kind, served)
+        if self.slo is not None:
+            self.slo.record(spec.kind, served)
+        cost = {"cache": "hit", "wall_seconds": served,
+                "cpu_seconds": 0.0, "swept_points": 0,
+                "block_reads": 0, "block_writes": 0,
+                "dataset_points": int(entry.count)}
+        self._account_client(client_id, cost)
+        return _attach_cost(value, cost)
+
     def _assemble_cost(self, entry: RegisteredDataset, ledger: QueryLedger,
                        elapsed: float, cpu_seconds: float,
                        io_before) -> Dict[str, object]:
@@ -786,8 +764,8 @@ class MaxRSEngine:
 
         Counter-based fields (swept points, sweeps, certify outcome) come
         from the per-query :class:`QueryLedger` the compute path
-        double-booked into, so they attribute correctly even when
-        ``query_batch`` runs queries side by side on the pool.
+        double-booked into, so they attribute correctly even when callers
+        run queries side by side on threads of their own.
         """
         counters = dict(ledger.counters)
         facts = dict(ledger.fields)
@@ -864,46 +842,26 @@ class MaxRSEngine:
     def query_batch(self, dataset: Union[str, DatasetHandle],
                     specs: Sequence[QuerySpec], *,
                     client_id: Optional[str] = None) -> List[QueryResult]:
-        """Answer many queries, deduplicating and fanning out over threads.
+        """Answer many queries on the calling thread, deduplicating.
 
-        Identical specs in one batch are computed once; distinct cache-missing
-        specs run concurrently on the engine's **long-lived** thread pool (one
-        pool for the engine's lifetime, shared with the async front-end,
-        instead of a pool built and torn down per call -- ``close()`` shuts it
-        down).  The first distinct spec runs on the calling thread, and a
-        spec no pool thread has picked up yet is run there too, so a batch
-        issued from inside a pool task cannot deadlock and a closed engine
-        answers inline.  Results come back aligned with ``specs``; the first failure
-        in spec order propagates once no query of the batch is still
-        running.  ``client_id`` attributes each *distinct* executed query to
-        the client (duplicates within the batch are served from the one
-        computation, so they account once -- keeping per-client query totals
-        reconciled with the global counter).
+        Identical specs in one batch are computed once; the distinct specs
+        run one after another through :meth:`query`, in the order they first
+        appear, and the first failure propagates at once.  Results come back
+        aligned with ``specs``.  ``client_id`` attributes each *distinct*
+        executed query to the client (duplicates within the batch are served
+        from the one computation, so they account once -- keeping per-client
+        query totals reconciled with the global counter).
         """
         entry = self.store.get(_dataset_id(dataset))
         dataset_id = entry.handle.dataset_id
         self.metrics.increment("batch_queries", len(specs))
-        unique: Dict[QuerySpec, int] = {}
-        for spec in specs:
-            unique.setdefault(spec, 0)
-        distinct = list(unique)
+        distinct = list(dict.fromkeys(specs))
         if len(distinct) < len(specs):
             self.metrics.increment("batch_deduplicated",
                                    len(specs) - len(distinct))
-
-        def run_query(spec: QuerySpec) -> QueryResult:
-            return self.query(dataset_id, spec, client_id=client_id)
-
-        if len(distinct) <= 1:
-            answers = [run_query(spec) for spec in distinct]
-        else:
-            pool = self._ensure_pool()
-            if pool is None:  # closed: degrade to the calling thread
-                answers = [run_query(spec) for spec in distinct]
-            else:
-                answers = _pool_map(pool, run_query, distinct)
-        by_spec = dict(zip(distinct, answers))
-        return [by_spec[spec] for spec in specs]
+        answers = {spec: self.query(dataset_id, spec, client_id=client_id)
+                   for spec in distinct}
+        return [answers[spec] for spec in specs]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1282,57 +1240,6 @@ def _certified_gap(anchor: float, upper: float) -> float:
     if anchor <= 0.0:
         return math.inf
     return (upper - anchor) / anchor
-
-
-def _pool_map(pool: ThreadPoolExecutor, fn: Callable, items: Sequence) -> List:
-    """``[fn(item) for item in items]``, fanned out over ``pool``.
-
-    Deadlock-free under nesting: the first item always runs on the calling
-    thread, and each remaining item is *cancelled-or-inlined* -- if the pool
-    never picked it up (all workers busy, e.g. saturated by a batch issued
-    from inside a pool task), the caller cancels the future and runs the
-    item itself.  Progress is therefore guaranteed even with a single
-    worker thread.  A pool shut down underneath the map (``close()`` racing
-    a batch) degrades the same way: items the pool refuses run inline.
-
-    On failure nothing is left behind: when an item raises, every
-    outstanding future is cancelled and the ones already running are
-    awaited before the first exception in item order propagates -- a failed
-    batch cannot leak orphan tasks onto the shared engine pool.
-    """
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    futures = []
-    for item in items[1:]:
-        try:
-            # Each submission carries its own context snapshot: pool threads
-            # otherwise start from an empty context, which would orphan the
-            # caller's trace spans (one copy per task -- a single Context
-            # cannot be entered concurrently).
-            context = contextvars.copy_context()
-            futures.append(pool.submit(context.run, fn, item))
-        except RuntimeError:
-            # The pool was shut down (a closed engine still answering
-            # stragglers): run this and every remaining item inline.
-            break
-    try:
-        results = [fn(items[0])]
-        for future, item in zip(futures, items[1:]):
-            if future.cancel():
-                results.append(fn(item))
-            else:
-                results.append(future.result())
-        results.extend(fn(item) for item in items[1 + len(futures):])
-        return results
-    except BaseException:
-        # First failure: cancel everything still queued and await the tasks
-        # already running, so the failed map leaves no orphan task on a pool
-        # shared with other queries.
-        for future in futures:
-            future.cancel()
-        _wait_futures(futures)
-        raise
 
 
 def _dataset_id(dataset: Union[str, DatasetHandle]) -> str:

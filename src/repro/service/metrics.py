@@ -3,7 +3,7 @@
 The engine (:mod:`repro.service.engine`) times every pipeline stage --
 registration, grid construction, approximate probing, exact refinement -- and
 counts queries per kind.  :class:`EngineMetrics` aggregates both under a lock
-so the numbers stay consistent when ``query_batch`` fans out over threads.
+so the numbers stay consistent when several threads query at once.
 
 Serving additionally wants **latency distributions**, not just means: a tail
 query stuck behind admission control is invisible in a mean.
@@ -148,10 +148,10 @@ class EngineMetrics:
     """Thread-safe counters, timing histograms and sampled gauges.
 
     Every mutator (:meth:`increment`, :meth:`observe_seconds`,
-    :meth:`observe_latency`) takes the instance lock: ``query_batch`` and
-    the async front-end mutate from pool threads.  Stage and latency timings
-    are both :class:`LatencyHistogram` tables fed through one
-    :meth:`_observe`.
+    :meth:`observe_latency`) takes the instance lock: the async front-end's
+    loop and solver thread, and callers' own threads, mutate at once.  Stage
+    and latency timings are both :class:`LatencyHistogram` tables fed
+    through one :meth:`_observe`.
     """
 
     def __init__(self) -> None:
@@ -336,8 +336,8 @@ class QueryLedger:
 
 #: The query ledger of the computation currently running on this context
 #: (``None`` outside a metered query).  A ``ContextVar`` rather than a
-#: thread-local so the asyncio front-end's wrapped calls and work submitted
-#: to the engine's pool under ``copy_context`` see their query's ledger.
+#: thread-local, like the current span, so it follows the context a query
+#: computes in.
 _ACTIVE_LEDGER: ContextVar[Optional[QueryLedger]] = ContextVar(
     "repro_query_ledger", default=None)
 

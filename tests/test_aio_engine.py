@@ -6,20 +6,29 @@ The central contracts:
   the sync engine's, for every query kind, under arbitrary concurrency (a
   hypothesis property fires shuffled duplicate-heavy workloads);
 * **coalescing** -- concurrent identical queries share one computation:
-  ``coalesce_hits`` equals the number of duplicates, deterministically,
+  ``admitted`` equals the number of distinct queries, deterministically,
   because the check-and-claim happens before the first suspension point;
+  each duplicate coalesces onto its leader or, once the leader's answer is
+  cached, is a loop hit;
 * **backpressure** -- ``max_inflight`` / ``max_queue`` bound concurrent work,
   overflow is shed with the typed :class:`ServiceOverloadError` (or queued
   under ``overflow="wait"``), and coalesced duplicates never consume slots;
 * **mutation serialization** -- registration drains in-flight queries, blocks
   new ones for its duration, and never blocks the event loop thread;
+* **one solver thread, hits on the loop** -- every miss is solved on the
+  front-end's one solver thread, never two at once; a cached answer is
+  served on the loop without admission, counted under ``loop_hits``, and
+  every query costs the result cache exactly one counted lookup;
 * **graceful close** -- accepted work always completes; only new calls fail.
 
 No pytest-asyncio dependency: every test drives its own ``asyncio.run``.
 """
 
 import asyncio
+import gc
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -86,8 +95,10 @@ class _BlockingEngine(MaxRSEngine):
         super().__init__(**kwargs)
         self.release = threading.Event()
         self.started = threading.Event()
+        self.calls = 0
 
     def query(self, dataset, spec, **kwargs):
+        self.calls += 1
         self.started.set()
         assert self.release.wait(timeout=30.0), "test never released the gate"
         return super().query(dataset, spec, **kwargs)
@@ -139,9 +150,12 @@ class TestBitIdentity:
         got, aio = asyncio.run(run())
         for g, w in zip(got, want):
             assert_same_answer(g, w)
-        # Every duplicate of a concurrently-fired identical query coalesces:
-        # all coalesce checks run before the first computation can finish.
-        assert aio["coalesce_hits"] == len(specs) - len(set(specs))
+        # Every duplicate of a concurrently-fired identical query shares its
+        # leader's computation: it coalesces while the leader runs, or is a
+        # loop hit once the answer is cached (the solver thread may finish
+        # before the loop reaches a duplicate's cache check).
+        assert aio["coalesce_hits"] + aio["loop_hits"] == \
+            len(specs) - len(set(specs))
         assert aio["admitted"] == len(set(specs))
         assert aio["rejected"] == 0
 
@@ -160,8 +174,9 @@ class TestBitIdentity:
             return stats
 
         stats = asyncio.run(run())
-        # Byte-identical datasets share one in-flight computation.
-        assert stats["coalesce_hits"] == 1
+        # Byte-identical datasets share one computation (coalesced, or a
+        # loop hit if the answer was cached first).
+        assert stats["coalesce_hits"] + stats["loop_hits"] == 1
         assert stats["admitted"] == 1
 
     def test_errors_propagate_to_every_coalesced_waiter(self):
@@ -339,6 +354,95 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------- #
+# Cache hits on the loop, misses on one solver thread
+# ---------------------------------------------------------------------- #
+class TestSolverThread:
+    def test_cached_spec_is_answered_while_the_solver_is_held(self):
+        engine = _BlockingEngine()
+        handle = engine.register_dataset(grid())
+        cached, held = QuerySpec.maxrs(5.0, 5.0), QuerySpec.maxrs(9.0, 9.0)
+        want = MaxRSEngine.query(engine, handle, cached)  # fills the cache
+
+        async def run():
+            # One slot and no queue: anything that needed admission now
+            # would be shed.
+            front = AsyncMaxRSEngine(engine, max_inflight=1, max_queue=0)
+            leader = asyncio.ensure_future(front.query(handle, held))
+            await asyncio.sleep(0)  # the leader holds the slot and the solver
+            try:
+                hit = await front.query(handle, cached)
+                stats = front.stats()["aio"]
+            finally:
+                engine.release.set()
+            await leader
+            await front.close()
+            return hit, stats
+
+        hit, stats = asyncio.run(run())
+        assert_same_answer(hit, want)
+        assert hit.cost["cache"] == "hit"
+        assert engine.calls == 1  # the held leader only
+        assert stats["loop_hits"] == 1
+        assert stats["admitted"] == 1 and stats["rejected"] == 0
+        engine.close()
+
+    def test_one_counted_cache_lookup_per_query(self):
+        specs = [QuerySpec.maxrs(3.0 + i, 4.0) for i in range(6)]
+
+        async def run():
+            async with AsyncMaxRSEngine() as front:
+                ds = await front.register_dataset(grid())
+                counts = [front.stats()["cache"]]
+                await asyncio.gather(*(front.query(ds, s) for s in specs))
+                counts.append(front.stats()["cache"])
+                await asyncio.gather(*(front.query(ds, s) for s in specs))
+                counts.append(front.stats()["cache"])
+                return counts, front.stats()["aio"]
+
+        (before, misses, hits), aio = asyncio.run(run())
+        assert misses["misses"] - before["misses"] == len(specs)
+        assert misses["hits"] == before["hits"]
+        assert hits["hits"] - misses["hits"] == len(specs)
+        assert hits["misses"] == misses["misses"]
+        assert aio["admitted"] == aio["loop_hits"] == len(specs)
+
+    def test_misses_run_one_at_a_time_on_one_solver_thread(self):
+        engine = MaxRSEngine()
+        handle = engine.register_dataset(grid())
+        specs = [QuerySpec.maxrs(2.0 + i, 3.0) for i in range(8)]
+        compute = engine._compute
+        lock = threading.Lock()
+        threads, running, overlaps = [], [0], []
+
+        def recorded(entry, spec):
+            with lock:
+                threads.append(threading.get_ident())
+                running[0] += 1
+                overlaps.append(running[0])
+            time.sleep(0.005)  # room for a second solve to overlap
+            try:
+                return compute(entry, spec)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        engine._compute = recorded
+
+        async def run():
+            front = AsyncMaxRSEngine(engine, max_inflight=4)
+            results = await asyncio.gather(
+                *(front.query(handle, spec) for spec in specs))
+            await front.close()
+            return results, threading.get_ident()
+
+        results, loop_thread = asyncio.run(run())
+        assert len(results) == len(threads) == len(specs)
+        assert len(set(threads)) == 1 and loop_thread not in threads
+        assert max(overlaps) == 1
+        engine.close()
+
+
+# ---------------------------------------------------------------------- #
 # Mutation serialization
 # ---------------------------------------------------------------------- #
 class TestMutationSerialization:
@@ -437,6 +541,9 @@ class TestMutationSerialization:
             front = AsyncMaxRSEngine(engine)
             await front.register_dataset(old, name="a")
             await front.register_dataset(old, name="b")
+            # Cache "a"'s answer: the entry stays (b holds the same data), so
+            # a cache check ahead of the gate would serve it for "a".
+            await front.query("a", spec)
             engine.block_register = True
             replace = asyncio.ensure_future(front.register_dataset(
                 new, name="a", replace=True))
@@ -447,14 +554,17 @@ class TestMutationSerialization:
             engine.release.set()
             result_a, result_b, _ = await asyncio.gather(query_a, query_b,
                                                          replace)
+            stats = front.stats()["aio"]
             await front.close()
-            return result_a, result_b
+            return result_a, result_b, stats
 
-        result_a, result_b = asyncio.run(run())
+        result_a, result_b, stats = asyncio.run(run())
         assert result_b.total_weight == want_old.total_weight
         assert result_b.region == want_old.region
         assert result_a.total_weight == want_new.total_weight
         assert result_a.region == want_new.region
+        # "b" was the cached answer, served on the loop; "a" was solved.
+        assert stats["loop_hits"] == 1 and stats["admitted"] == 2
         engine.close()
 
     def test_unregister_evicts_like_the_sync_engine(self):
@@ -502,17 +612,48 @@ class TestLifecycle:
     def test_close_is_idempotent_and_borrowed_engine_stays_open(self):
         engine = MaxRSEngine()
         handle = engine.register_dataset(grid())
+        solvers = []
+        compute = engine._compute
+
+        def recorded(entry, spec):
+            solvers.append(threading.current_thread())
+            return compute(entry, spec)
+
+        engine._compute = recorded
 
         async def run():
             front = AsyncMaxRSEngine(engine)
             await front.query(handle, QuerySpec.maxrs(5.0, 5.0))
             await front.close()
             await front.close()
+            return front
 
-        asyncio.run(run())
-        # The borrowed engine was not closed: its pool still runs batches.
-        assert engine.executor() is not None
+        front = asyncio.run(run())
+        # The front-end, still referenced, shut its solver thread down...
+        (solver,) = solvers
+        solver.join(timeout=30.0)
+        assert not solver.is_alive()
+        # ...but did not close the borrowed engine.
+        assert engine.readyz()["ready"]
         assert engine.query(handle, QuerySpec.maxrs(6.0, 6.0)).total_weight > 0
+        assert front.closed
+        engine.close()
+
+    def test_closed_front_end_is_released_by_a_borrowed_engine(self):
+        engine = MaxRSEngine()
+        handle = engine.register_dataset(grid())
+        sources = len(engine.sampler._sources)
+
+        async def run():
+            front = AsyncMaxRSEngine(engine)
+            await front.query(handle, QuerySpec.maxrs(5.0, 5.0))
+            await front.close()
+            return weakref.ref(front)
+
+        closed = asyncio.run(run())
+        gc.collect()
+        assert closed() is None
+        assert len(engine.sampler._sources) == sources
         engine.close()
 
     def test_owned_engine_is_closed_with_the_front_end(self):
@@ -524,7 +665,7 @@ class TestLifecycle:
             return inner
 
         inner = asyncio.run(run())
-        assert inner.executor() is None  # closed alongside the front-end
+        assert not inner.readyz()["ready"]  # closed alongside the front-end
 
     def test_stats_shape(self):
         async def run():
@@ -539,7 +680,7 @@ class TestLifecycle:
         assert aio["max_inflight"] == 2 and aio["max_queue"] == 7
         assert aio["overflow"] == "reject"
         assert aio["queries"] == 3 and aio["batch_queries"] == 3
-        assert aio["admitted"] + aio["coalesce_hits"] == 3
+        assert aio["admitted"] + aio["coalesce_hits"] + aio["loop_hits"] == 3
         assert aio["inflight"] == 0 and aio["queue_depth"] == 0
         assert aio["coalescing_now"] == 0
         # End-to-end latency histograms per kind, alongside the sync ones.

@@ -4,11 +4,12 @@ Three contracts pinned here:
 
 * **zero effect** -- explaining a query and carrying cost ledgers changes
   no answer, bit for bit, whether the query runs on the calling thread or
-  in a batch on the engine's thread pool, at several grid resolutions;
+  in batches run side by side on the caller's threads, at several grid
+  resolutions;
 * **reconciliation** -- per-query ``cost`` records and per-client ledgers
   are *exact* decompositions of the global ``EngineMetrics`` counters
-  (on the calling thread, in pooled batches, and under concurrent
-  clients);
+  (on the calling thread, in batches on concurrent caller threads, and
+  under concurrent clients);
 * **bounded cardinality** -- client accounting cannot grow without bound:
   the tracked-ledger LRU evicts and counts, it never expands.
 """
@@ -217,15 +218,22 @@ class TestExplainZeroEffect:
                     again = engine.query(ds, spec)         # cache hit path
                     assert again == expected, (tier, points_per_cell, spec)
             else:
-                # The batch fans the specs out over the engine's thread pool.
+                # Two batches of the specs run side by side on the caller's
+                # threads, racing on every cache key.
+                def batches():
+                    with ThreadPoolExecutor(max_workers=2) as pool:
+                        return list(pool.map(
+                            lambda _: engine.query_batch(ds, self.SPECS),
+                            range(2)))
+
                 for spec in self.SPECS:
                     engine.explain(ds, spec)
-                got = engine.query_batch(ds, self.SPECS)
-                assert got == want, (tier, points_per_cell)
-                for spec, result in zip(self.SPECS, got):
+                got = batches()
+                assert got == [want, want], (tier, points_per_cell)
+                for spec, result in zip(self.SPECS, got[0]):
                     engine.explain(ds, spec, result=result)
-                again = engine.query_batch(ds, self.SPECS)
-                assert again == want, (tier, points_per_cell)
+                again = batches()
+                assert again == [want, want], (tier, points_per_cell)
         finally:
             engine.close()
 
@@ -246,19 +254,22 @@ class TestReconciliation:
         """Run :data:`QUERY_MIX` for two alternating clients; return one
         result per executed query.  ``serial`` issues every query on the
         calling thread; ``threaded`` sends each client's share as one
-        ``query_batch`` over the engine's pool, which answers a repeated spec
-        once."""
+        ``query_batch``, which answers a repeated spec once, and runs the
+        two batches side by side on the caller's threads."""
         ds = engine.register_dataset(objects)
         if tier == "serial":
             return [engine.query(ds, spec,
                                  client_id=f"client-{index % 2}")
                     for index, spec in enumerate(QUERY_MIX)]
-        executed = []
-        for client in range(2):
+
+        def client_batch(client):
             batch = engine.query_batch(ds, QUERY_MIX[client::2],
                                        client_id=f"client-{client}")
-            executed += {id(result): result for result in batch}.values()
-        return executed
+            return {id(result): result for result in batch}.values()
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return [result for executed in pool.map(client_batch, range(2))
+                    for result in executed]
 
     def _assert_reconciled(self, engine, objects, tier):
         before = engine.metrics.snapshot()["counters"]
@@ -282,7 +293,7 @@ class TestReconciliation:
 
     @pytest.mark.parametrize("tier", ["serial", "threaded"])
     def test_thread_tiers(self, make_objects, tier):
-        engine = MaxRSEngine(max_workers=4)
+        engine = MaxRSEngine()
         try:
             self._assert_reconciled(engine, make_objects(900, seed=12), tier)
         finally:

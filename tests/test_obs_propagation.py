@@ -1,14 +1,15 @@
 """Trace propagation across threads, asyncio tasks, and the TCP wire.
 
-The engine's execution model makes three hand-offs that would each orphan
-spans if context were not carried explicitly:
+Two hand-offs would each orphan spans if context were not carried
+explicitly:
 
-1. ``AsyncMaxRSEngine`` hops from the event loop into the engine's thread
-   pool via ``run_in_executor``;
-2. ``MaxRSEngine.query_batch`` fans a batch's queries out over the same
-   pool;
-3. ``AsyncQueryClient`` crosses process (and potentially host) boundaries
+1. ``AsyncMaxRSEngine`` hops from the event loop onto its solver thread via
+   ``run_in_executor``;
+2. ``AsyncQueryClient`` crosses process (and potentially host) boundaries
    over the JSON-lines protocol's ``trace`` field.
+
+A caller that runs ``MaxRSEngine.query_batch`` on threads of its own carries
+its context there itself, and every query of the batch joins its trace.
 
 These tests pin each hand-off down, plus the interop guarantees (peers
 without the field keep working) and the end-to-end acceptance shape: one
@@ -20,7 +21,9 @@ pytest-asyncio: each test drives its own ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -48,7 +51,7 @@ def assert_same_answer(got, want):
 
 
 # ---------------------------------------------------------------------- #
-# Hand-off 1: the event loop -> engine thread pool
+# Hand-off 1: the event loop -> the solver thread
 # ---------------------------------------------------------------------- #
 def test_trace_context_survives_run_in_executor():
     engine = MaxRSEngine(tracer="ring")
@@ -61,8 +64,9 @@ def test_trace_context_survives_run_in_executor():
 
     asyncio.run(run())
     trace = next(t for t in recorder.traces() if t.name == "aio.query")
-    # The engine.query work ran on a pool thread, yet its span is a child of
-    # the event-loop-side aio.query span -- context crossed the executor.
+    # The engine.query work ran on the solver thread, yet its span is a
+    # child of the event-loop-side aio.query span -- context crossed the
+    # executor.
     engine_span = trace.find("engine.query")
     assert engine_span is not None
     admission = trace.find("aio.admission")
@@ -93,10 +97,10 @@ def test_coalesced_followers_get_their_own_span():
 
 
 # ---------------------------------------------------------------------- #
-# Hand-off 2: query_batch on the engine's thread pool
+# query_batch on the caller's threads
 # ---------------------------------------------------------------------- #
 def test_batch_spans_carry_the_caller_trace_id():
-    engine = MaxRSEngine(tracer="ring", max_workers=2)
+    engine = MaxRSEngine(tracer="ring")
     dataset = engine.register_dataset(grid())
     specs = [QuerySpec.maxrs(4.0 + 2.0 * i, 6.0) for i in range(6)]
     seen = []  # (thread, ambient trace id) of every computed query
@@ -109,12 +113,19 @@ def test_batch_spans_carry_the_caller_trace_id():
     engine._compute = recorded
     try:
         with engine.tracer.trace("caller") as root:
-            engine.query_batch(dataset, specs)
+            # Two batches side by side on the caller's threads, each in its
+            # own copy of the caller's context.
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                batches = [pool.submit(contextvars.copy_context().run,
+                                       engine.query_batch, dataset, half)
+                           for half in (specs[:3], specs[3:])]
+                for batch in batches:
+                    batch.result()
     finally:
         engine.close()
 
-    # Some queries ran on pool threads, and each saw the caller's trace...
-    assert any(thread is not threading.current_thread()
+    # The queries ran on the caller's pool threads, and each saw its trace...
+    assert all(thread is not threading.current_thread()
                for thread, _ in seen)
     assert {trace_id for _, trace_id in seen} == {root.trace_id}
     # ...so their engine.query spans joined the caller's tree.

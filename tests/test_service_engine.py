@@ -12,7 +12,6 @@ import math
 import os
 import random
 import threading
-import time
 
 import pytest
 
@@ -625,19 +624,7 @@ def test_region_restoration_against_dense_ties(make_objects):
 
 
 class TestEngineLifecycle:
-    """The long-lived thread pool: one pool per engine, shut down by close()."""
-
-    def test_query_batch_reuses_one_pool(self, make_objects):
-        engine = MaxRSEngine()
-        dataset = engine.register_dataset(make_objects(60, seed=30))
-        specs = [QuerySpec.maxrs(4.0 + i, 3.0) for i in range(4)]
-        engine.query_batch(dataset, specs)
-        pool = engine._pool
-        assert pool is not None
-        engine.query_batch(dataset, [QuerySpec.maxrs(2.0 + i, 2.0)
-                                     for i in range(4)])
-        assert engine._pool is pool  # same pool, not a fresh one per call
-        engine.close()
+    """close() stops the sampler and fails readyz; the engine still answers."""
 
     def test_close_is_idempotent_and_keeps_engine_queryable(self, make_objects):
         engine = MaxRSEngine()
@@ -646,20 +633,23 @@ class TestEngineLifecycle:
         before = engine.query_batch(dataset, specs)
         engine.close()
         engine.close()
-        assert engine._pool is None
-        # A closed engine degrades to the calling thread but still answers.
+        assert not engine.readyz()["ready"]
+        engine.clear_cache()
+        # A closed engine still answers, on the calling thread.
         after = engine.query_batch(dataset, specs)
         for lhs, rhs in zip(before, after):
             assert lhs.total_weight == rhs.total_weight
             assert lhs.region == rhs.region
 
-    def test_context_manager_closes_the_pool(self, make_objects):
-        with MaxRSEngine() as engine:
+    def test_context_manager_closes_the_engine(self, make_objects):
+        with MaxRSEngine(sample_interval_s=60.0) as engine:
             dataset = engine.register_dataset(make_objects(40, seed=32))
             engine.query_batch(dataset, [QuerySpec.maxrs(3.0, 3.0),
                                          QuerySpec.maxrs(6.0, 2.0)])
-            assert engine._pool is not None
-        assert engine._pool is None
+            sampler = engine.sampler._thread
+            assert sampler.is_alive() and engine.readyz()["ready"]
+        assert not sampler.is_alive()
+        assert not engine.readyz()["ready"]
 
     def test_stats_report_sharding_configuration(self, make_objects):
         """Every grid is one index on the calling thread; the two keys stay
@@ -671,73 +661,6 @@ class TestEngineLifecycle:
                                      "resolved_executor": "serial"}
         assert "shard_count" not in stats["grids"][handle.dataset_id]
         engine.close()
-
-    def test_close_drains_outstanding_batch_work(self, make_objects):
-        """Regression: close() must not drop query_batch work in flight.
-
-        A batch is started on another thread and held at its first query;
-        close() (the default ``wait=True``) may then only return after every
-        batch query has produced its answer -- no future is abandoned.
-        """
-        import threading
-
-        engine = MaxRSEngine(max_workers=2)
-        dataset = engine.register_dataset(make_objects(60, seed=35))
-        specs = [QuerySpec.maxrs(3.0 + i, 3.0) for i in range(6)]
-        reference = [engine.query(dataset, spec) for spec in specs]
-        engine.clear_cache()
-
-        started = threading.Event()
-        hold = threading.Event()
-        original_compute = engine._compute
-
-        def gated_compute(entry, spec):
-            started.set()
-            assert hold.wait(timeout=30.0)
-            return original_compute(entry, spec)
-
-        engine._compute = gated_compute
-        outcome = {}
-
-        def run_batch():
-            outcome["results"] = engine.query_batch(dataset, specs)
-
-        batch_thread = threading.Thread(target=run_batch)
-        batch_thread.start()
-        assert started.wait(timeout=30.0)
-
-        closer = threading.Thread(target=engine.close)
-        closer.start()
-        # close(wait=True) is blocked behind the held batch work...
-        closer.join(timeout=0.1)
-        assert closer.is_alive()
-        hold.set()
-        closer.join(timeout=30.0)
-        batch_thread.join(timeout=30.0)
-        assert not closer.is_alive() and not batch_thread.is_alive()
-        # ...and every answer of the batch survived the shutdown, intact.
-        assert len(outcome["results"]) == len(specs)
-        for got, want in zip(outcome["results"], reference):
-            assert got.total_weight == want.total_weight
-            assert got.region == want.region
-
-    def test_close_without_wait_returns_immediately(self, make_objects):
-        engine = MaxRSEngine()
-        dataset = engine.register_dataset(make_objects(40, seed=36))
-        engine.query_batch(dataset, [QuerySpec.maxrs(3.0, 3.0),
-                                     QuerySpec.maxrs(5.0, 2.0)])
-        engine.close(wait=False)
-        assert engine._pool is None
-        # Still queryable (degrades to the calling thread), like close().
-        assert engine.query(dataset, QuerySpec.maxrs(3.0, 3.0)).total_weight > 0
-
-    def test_executor_accessor_tracks_lifecycle(self, make_objects):
-        engine = MaxRSEngine()
-        pool = engine.executor()
-        assert pool is not None
-        assert engine.executor() is pool  # one long-lived pool
-        engine.close()
-        assert engine.executor() is None
 
 
 class TestLatencyHistograms:
@@ -830,12 +753,10 @@ def test_effective_cpu_count_is_affinity_aware():
 
 
 class TestEngineConfiguration:
-    @pytest.mark.parametrize("option", ["max_workers",
-                                        "target_points_per_cell",
+    @pytest.mark.parametrize("option", ["target_points_per_cell",
                                         "max_cells_per_side"])
     def test_non_positive_option_rejected_at_construction(self, option):
-        """Fail at the configuration site, not at the first registration or
-        the first query that needs the thread pool."""
+        """Fail at the configuration site, not at the first registration."""
         with pytest.raises(ConfigurationError, match=option):
             MaxRSEngine(**{option: 0})
 
@@ -850,41 +771,40 @@ def _position(spec):
 
 
 class TestBatchPoolContract:
-    """How ``query_batch`` maps a batch over the engine's thread pool."""
+    """How ``query_batch`` runs a batch: in spec order on the calling thread."""
 
     def test_results_come_back_in_spec_order(self, make_objects):
         objects = make_objects(80, seed=50)
-        engine = MaxRSEngine(max_workers=3)
+        engine = MaxRSEngine()
         dataset = engine.register_dataset(objects)
         specs = _batch_specs(6)
         compute = engine._compute
+        runs = []
 
-        def late_first(entry, spec):
-            # Earlier specs finish later: completion order is reversed.
-            time.sleep(0.02 * (len(specs) - _position(spec)))
+        def recorded(entry, spec):
+            runs.append((_position(spec), threading.current_thread()))
             return compute(entry, spec)
 
-        engine._compute = late_first
+        engine._compute = recorded
         try:
-            results = engine.query_batch(dataset, specs)
+            results = engine.query_batch(dataset, specs[::-1] + specs)
         finally:
             engine.close()
-        for spec, result in zip(specs, results):
+        assert runs == [(position, threading.current_thread())
+                        for position in reversed(range(len(specs)))]
+        for spec, result in zip(specs[::-1] + specs, results):
             reference = solve_in_memory(objects, spec.width, spec.height)
             assert result.total_weight == reference.total_weight
             assert result.region == reference.region
 
     def test_first_failure_in_spec_order_propagates(self, make_objects):
-        engine = MaxRSEngine(max_workers=2)
+        engine = MaxRSEngine()
         dataset = engine.register_dataset(make_objects(40, seed=51))
         compute = engine._compute
 
         def failing(entry, spec):
-            if _position(spec) == 4:
-                raise ValueError("spec 4 failed")  # the first to fail in time
-            if _position(spec) == 2:
-                time.sleep(0.1)
-                raise ValueError("spec 2 failed")
+            if _position(spec) in (2, 4):
+                raise ValueError(f"spec {_position(spec)} failed")
             return compute(entry, spec)
 
         engine._compute = failing
@@ -896,7 +816,7 @@ class TestBatchPoolContract:
 
     def test_pool_serves_again_after_a_failed_batch(self, make_objects):
         objects = make_objects(40, seed=55)
-        engine = MaxRSEngine(max_workers=2)
+        engine = MaxRSEngine()
         dataset = engine.register_dataset(objects)
         compute = engine._compute
 
@@ -922,55 +842,24 @@ class TestBatchPoolContract:
             assert result.region == reference.region
 
     def test_failure_leaves_no_batch_query_running(self, make_objects):
-        engine = MaxRSEngine(max_workers=2)
+        engine = MaxRSEngine()
         dataset = engine.register_dataset(make_objects(40, seed=52))
         compute = engine._compute
-        started, finished = set(), set()
-        gate = threading.Event()
+        started = []
 
-        def gated(entry, spec):
-            position = _position(spec)
-            if position == 0:
-                # Let some siblings reach the pool before the failure lands.
-                gate.wait(2.0)
+        def failing_first(entry, spec):
+            started.append(_position(spec))
+            if _position(spec) == 0:
                 raise ValueError("first spec failed")
-            started.add(position)
-            if position == 1:
-                gate.set()
-            time.sleep(0.05)
-            result = compute(entry, spec)
-            finished.add(position)
-            return result
+            return compute(entry, spec)
 
-        engine._compute = gated
+        engine._compute = failing_first
         try:
             with pytest.raises(ValueError, match="first spec"):
                 engine.query_batch(dataset, _batch_specs(12))
-            # Every query that began had finished before the batch raised...
-            assert started == finished
-            snapshot = set(started)
-            time.sleep(0.2)
-            # ...and no query of the batch started afterwards.
-            assert started == snapshot
         finally:
             engine.close()
-
-    def test_batch_inside_a_pool_task_does_not_deadlock(self, make_objects):
-        objects = make_objects(60, seed=53)
-        engine = MaxRSEngine(max_workers=1)
-        dataset = engine.register_dataset(objects)
-        specs = _batch_specs(4)
-        try:
-            # The outer task holds the pool's only worker, so the inner
-            # batch's queries must run on that worker, inline.
-            task = engine.executor().submit(engine.query_batch, dataset, specs)
-            results = task.result(timeout=60)
-        finally:
-            engine.close()
-        for spec, result in zip(specs, results):
-            reference = solve_in_memory(objects, spec.width, spec.height)
-            assert result.total_weight == reference.total_weight
-            assert result.region == reference.region
+        assert started == [0]  # the failure stopped the batch at once
 
     def test_closed_engine_answers_a_batch_inline(self, make_objects):
         engine = MaxRSEngine()
@@ -987,4 +876,3 @@ class TestBatchPoolContract:
         results = engine.query_batch(dataset, _batch_specs(3))
         assert len(results) == 3
         assert threads == [threading.current_thread()] * 3
-        assert engine.executor() is None
