@@ -23,10 +23,16 @@ the metric's no-regression verdict against the ``bound`` the file gives it
 
 Last it prints each side's attempted and failed operation totals.
 
+With ``--trace`` both sides run ``perfbench/run.py --trace 1``, and it
+prints the same medians, quartiles and wins for every per-layer metric
+``BENCHMARK.json`` declares, with no bound and no gain verdict (per-layer
+metrics have neither): the before/after of the layers a change moved.
+Metrics that read 0 on every run of both sides are left out.
+
 Usage, from the repository root::
 
     python scripts/ab_pairs.py --parent HEAD~1 --workload paper-external \\
-        --pairs 10 --seconds 20 --seed-base 500
+        --pairs 10 --seconds 20 --seed-base 500 [--trace]
 
 Pair ``i`` runs seed ``seed-base + i``.  Nothing is written into the
 checkout: the export lives in a temporary directory that is removed at the
@@ -102,14 +108,16 @@ def verdict(parent: Sequence[float], change: Sequence[float],
     }
 
 
-def run_benchmark(root: Path, workload: str, seed: int,
-                  seconds: float) -> Dict[str, object]:
-    """One ``perfbench/run.py`` run in ``root``; its result object."""
+def run_benchmark(root: Path, workload: str, seed: int, seconds: float,
+                  trace: int = 0) -> Dict[str, object]:
+    """One ``perfbench/run.py --trace trace`` run in ``root``; its result
+    object."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)   # each side imports its own src/
     completed = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=root, env=env, capture_output=True, text=True, check=False)
     if completed.returncode != 0:
         raise RuntimeError(
@@ -140,14 +148,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--trace", action="store_true",
+                        help="compare the per-layer metrics of traced runs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
 
     checkout = Path.cwd()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    metrics = {spec["name"]: (spec["better"], spec["bound"])
-               for spec in declared["end_to_end"]}
+    if args.trace:
+        metrics = {spec["name"]: (spec["better"], None)
+                   for spec in declared["per_layer"]}
+    else:
+        metrics = {spec["name"]: (spec["better"], spec["bound"])
+                   for spec in declared["end_to_end"]}
     runs: Dict[str, List[Dict[str, object]]] = {"parent": [], "change": []}
     scratch = Path(tempfile.mkdtemp(prefix="ab-pairs-"))
     try:
@@ -159,26 +173,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 else ("change", "parent")
             for side in order:
                 result = run_benchmark(sides[side], args.workload, seed,
-                                       args.seconds)
+                                       args.seconds, int(args.trace))
                 runs[side].append(result)
                 values = {name: result["metrics"][name]["value"]
                           for name in metrics}
                 print(f"pair {pair} seed {seed} {side}: "
-                      + " ".join(f"{k}={v:.4g}" for k, v in values.items())
+                      + " ".join(f"{k}={v:.4g}" for k, v in values.items()
+                                 if v)
                       + f" failed={result['failed']}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, parent {args.parent} "
-          "vs working tree; median [Q1-Q3]")
+          f"vs working tree{', traced' if args.trace else ''}; "
+          "median [Q1-Q3]")
     for name, (better, bound) in metrics.items():
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
+        if not any(parent + change):
+            continue
         v = verdict(parent, change, better, bound)
-        print(f"  {name} ({better} is better): parent {_format(v['parent'])}"
-              f", change {_format(v['change'])}, change wins "
-              f"{v['wins']}/{v['pairs']}, gain claimable: {v['gain']}, "
-              f"{v['regression']} ({bound:g})")
+        line = (f"  {name} ({better} is better): parent "
+                f"{_format(v['parent'])}, change {_format(v['change'])}, "
+                f"change wins {v['wins']}/{v['pairs']}")
+        if bound is not None:
+            line += (f", gain claimable: {v['gain']}, {v['regression']} "
+                     f"({bound:g})")
+        print(line)
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])

@@ -158,7 +158,7 @@ class ASBTree:
             return self._memory_nodes[level][index]
         meta = self._levels[level][index]
         frame = self.ctx.pool.get(meta.block_id)
-        return list(self._codec.decode_all(bytes(frame.data))[0])
+        return list(self._codec.decode_all(frame.data)[0])
 
     def _store_slots(self, level: int, index: int, slots: List[float]) -> None:
         if self.simulate_io:

@@ -18,9 +18,10 @@ Algorithm sketch (equal radii ``r = d/2``):
 * For every object ``i`` the algorithm sweeps the boundary circle of its disk:
   every other object ``j`` within distance ``< 2r`` covers an angular arc of
   that circle; the maximum total weight over all arcs (plus ``w_i`` itself,
-  since points just inside the boundary are covered by disk ``i``) is the best
-  depth attainable on that circle.  Together with the disk-centre candidates
-  this yields the global optimum.
+  since points just inside the boundary are covered by disk ``i``, and the
+  weight of every other object on ``i``'s centre, whose disk is disk ``i``)
+  is the best depth attainable on that circle.  Together with the
+  disk-centre candidates this yields the global optimum.
 
 The pass over all circles has three parts:
 
@@ -118,15 +119,18 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     radius = diameter / 2.0
 
     centre_weight = np.zeros(count)
-    # A circle without an arc keeps its own weight, and its centre (no angle).
+    # A circle without an arc keeps its own weight and that of the objects
+    # on its centre, and its centre (no angle).
     circle_weight = ws.copy()
     circle_angle = np.full(count, np.nan)
     circle_half_width = np.full(count, math.pi)
     for owners, slot, neighbours in _candidate_blocks(xs, ys, diameter):
-        centre_weight[owners], swept, extra, angle, half_width = _sweep_block(
-            owners, slot, neighbours, xs, ys, ws, radius)
+        (centre_weight[owners], coincident, swept, extra, angle,
+         half_width) = _sweep_block(owners, slot, neighbours, xs, ys, ws,
+                                    radius)
+        circle_weight[owners] += coincident
         swept = owners[swept]
-        circle_weight[swept] = ws[swept] + extra
+        circle_weight[swept] += extra
         circle_angle[swept] = angle
         circle_half_width[swept] = half_width
 
@@ -225,9 +229,11 @@ def _sweep_block(owners: np.ndarray, slot: np.ndarray,
     """Score the disk centres and sweep the circles of one block.
 
     The block is one :func:`_candidate_blocks` item.  Returns
-    ``(centre, swept, extra, angle, half_width)``: the weight within
-    ``radius`` of each owner's centre, and :func:`_best_arcs` over the
-    block's arcs.
+    ``(centre, coincident, swept, extra, angle, half_width)``: the weight
+    within ``radius`` of each owner's centre, the weight of the other
+    objects on it, and :func:`_best_arcs` over the block's arcs.  An object
+    on circle ``i``'s centre has no arc: its disk is disk ``i``, so it
+    covers all of circle ``i`` as object ``i`` does.
     """
     circles = owners[slot]
     dx = xs[neighbours] - xs[circles]
@@ -237,10 +243,14 @@ def _sweep_block(owners: np.ndarray, slot: np.ndarray,
                          minlength=len(owners))
 
     dist = np.hypot(dx, dy)
+    on_centre = (dist == 0.0) & (neighbours != circles)
+    coincident = np.bincount(slot[on_centre],
+                             weights=ws[neighbours[on_centre]],
+                             minlength=len(owners))
     arc = (dist > 0.0) & (dist < 2.0 * radius)
     theta = np.arctan2(dy[arc], dx[arc])
     half_angle = np.arccos(np.clip(dist[arc] / (2.0 * radius), -1.0, 1.0))
-    return (centre,) + _best_arcs(slot[arc],
+    return (centre, coincident) + _best_arcs(slot[arc],
                                   (theta - half_angle) % _TWO_PI,
                                   (theta + half_angle) % _TWO_PI,
                                   ws[neighbours[arc]])

@@ -52,23 +52,31 @@ cells.  The loop has two modes:
   uniform data), and each x-slab numbers its own h-lines.  Where an x-slab
   would span more than a quarter of the cells (wide windows, most clustered
   data) the plan is the slab itself: its rows are the global h-lines and
-  its pieces the prepared edges.  The answer's weight is the largest slab
-  maximum (or the untouched ``0`` of an x-slab that has not started yet),
-  its h-line the earliest at which any x-slab reaches it; that h-line's
-  profile is rebuilt once for the leftmost argmax and maximal run, so no
-  merge across x-slab borders is needed.
+  its pieces the prepared edges.  Either plan is swept in two levels
+  (``_sweep_best_lines``), the way ExactMaxRS solves a compressed
+  sub-problem where the whole does not fit: a *long* step advances every
+  slab by hundreds to thousands of its own h-lines, its edges cut the cells
+  into a few segments, and the step loop above runs its *short* steps over
+  these segments alone, from each one's maximum of ``V0``.  So only two
+  passes per long step touch every cell, not two per short step.  The
+  answer's weight is the largest slab maximum (or the untouched ``0`` of an
+  x-slab that has not started yet), its h-line the earliest at which any
+  x-slab reaches it; that h-line's profile is rebuilt once for the leftmost
+  argmax and maximal run, so no merge across x-slab borders is needed.
 
 A step's fixed cost (a few hundred numpy calls) is shared by its slabs,
-its passes over the cells grow with the cells and its matrices with
-``rows**2`` per slab.  Three rules balance them, each capped by
+its passes over the cells (or segments) grow with them and its matrices
+with ``rows**2`` per slab.  Two rules balance them, capped by
 ``_CHUNK_HLINES``; the output never depends on the rows per step:
 
-* best-only, the plan is the slab itself: ``_CHUNK_HLINES`` rows;
-* best-only, x-slab plan: ``0.4 * sqrt(x-slab width)`` rows;
-* slab-file: ``sqrt(cells per slab + _STEP_FIXED_CELLS / slabs)`` rows (16
-  for 107 ExactMaxRS leaves of ~197 cells, ~110 for one 4,001-cell slab);
-  one slab of at most ``2 * _CHUNK_HLINES`` cells takes ``_CHUNK_HLINES``,
-  since its steps' segments already cover it.
+* best-only (``_best_steps``): long steps of ``2 * width ** (2/3)`` own
+  h-lines for slabs ``width`` cells wide, short steps of ``0.8 * sqrt(long
+  + _STEP_FIXED_CELLS / slabs)``; slabs with no more h-lines than a long
+  step run the short steps over the cells directly;
+* slab-file (``_records_step``): ``sqrt(cells per slab + _STEP_FIXED_CELLS
+  / slabs)`` rows (16 for 107 ExactMaxRS leaves of ~197 cells, ~110 for one
+  4,001-cell slab); one slab of at most ``2 * _CHUNK_HLINES`` cells takes
+  ``_CHUNK_HLINES``, since its steps' segments already cover it.
 
 The slab-files and best strips follow the reference backend's conventions
 exactly (same cell boundaries, leftmost argmax, same ``1e-12`` relative run
@@ -95,10 +103,11 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
 
 __all__ = ["NumpySweepBackend"]
 
-#: The most own h-lines a slab advances per step of the loop, and the rows
-#: of a best-only sweep whose plan is the slab itself.  Large enough to
-#: amortise per-step numpy dispatch and the O(cells) segment rebuild, small
-#: enough that the per-step difference matrix stays cache-resident.
+#: The most own h-lines a slab advances per step of the loop (a short step
+#: of a best-only sweep), and the most short steps in a long one.  Large
+#: enough to amortise per-step numpy dispatch and the O(cells) segment
+#: rebuild, small enough that the per-step difference matrix stays
+#: cache-resident.
 _CHUNK_HLINES = 128
 
 #: Relative tolerance of the maximal-run extension -- must match
@@ -109,14 +118,21 @@ _RUN_TOLERANCE = 1e-12
 #: this the per-step fixed costs outweigh the shorter steps.
 _MIN_SLAB_CELLS = 64
 
+#: Step matrices wider than this many segments accumulate over rows by one
+#: vector add per row: ``np.cumsum`` along an axis costs ~4.5 ns per
+#: element here, a row add ~0.3 ns per element plus ~1.2 us per call.
+#: Either way the sums are the same, added in the same order.
+_ROW_ADD_SEGMENTS = 256
+
 #: Cells one batch of the maximal-run scans gathers at most (plus one
 #: range), which bounds their index arrays to a few MB.
 _SCAN_CELLS = 1 << 18
 
-#: The fixed cost of a slab-file step (its few hundred numpy calls),
-#: counted in cells of array work; it sets the rows per step of batches of
-#: few slabs (see ``_records_step``).  Measured best: 16 rows for 107 slabs
-#: of ~197 cells, 96-128 for one slab of 4,001 cells.
+#: The fixed cost of a step (its few hundred numpy calls), counted in
+#: cells of array work; it sets the rows per step of batches of few slabs
+#: (see ``_records_step`` and ``_best_steps``).  Measured best for
+#: slab-files: 16 rows for 107 slabs of ~197 cells, 96-128 for one slab of
+#: 4,001 cells.
 _STEP_FIXED_CELLS = 8192
 
 
@@ -326,19 +342,13 @@ class NumpySweepBackend:
             # The slab itself: its rows are the global h-lines and its
             # pieces the prepared edges.
             line_h = np.arange(num_hlines)
-            slab_best = self._sweep_slab_lines(
-                starts, lines, left, right, delta, row, _CHUNK_HLINES,
-                runs=False)[0]
+            slab_best = self._sweep_best_lines(starts, lines, left, right,
+                                               delta, row)
         else:
-            # A step's pass over the cells costs ~width per x-slab and its
-            # matrix ~rows**2 per x-slab, so rows ~ sqrt(width) balances
-            # them (0.4 measured best on 200k uniform points).
-            step = min(_CHUNK_HLINES, max(1, int(0.4 * math.sqrt(width))))
             slab_starts = np.append(np.arange(0, num_cells, width), num_cells)
             pieces, lines, line_h = _cut_into_slabs(
                 width, len(slab_starts) - 1, left, right, delta, row)
-            slab_best = self._sweep_slab_lines(
-                slab_starts, lines, *pieces, step, runs=False)[0]
+            slab_best = self._sweep_best_lines(slab_starts, lines, *pieces)
 
         weight = float(slab_best.max())
         t_best = int(line_h[slab_best == weight].min())
@@ -354,9 +364,8 @@ class NumpySweepBackend:
         # Reconstruct the winning h-line's profile once to recover the
         # leftmost maximal run (the x-extent of the best strip).
         count = int(np.searchsorted(row, t_best, side="right"))
-        G = np.zeros(num_cells + 1)
-        np.add.at(G, left[:count], delta[:count])
-        np.add.at(G, right[:count], -delta[:count])
+        G = _edge_sums(np.concatenate((left[:count], right[:count])),
+                       delta[:count], num_cells + 1)
         V = np.cumsum(G[:num_cells])
         j = int(np.argmax(V))
         threshold = weight - _RUN_TOLERANCE * max(1.0, abs(weight))
@@ -390,6 +399,49 @@ class NumpySweepBackend:
         return max(1, min(_CHUNK_HLINES, rows))
 
     @staticmethod
+    def _best_steps(num_slabs: int, num_cells: int) -> Tuple[int, int]:
+        """``(long, short)``: own h-lines every slab advances per long and
+        per short step of a best-only sweep; ``long`` is 0 where long steps
+        do not pay, and the short steps run over the cells directly.
+
+        Per slab, a long step passes twice over its ``width`` cells; each of
+        its short steps passes twice over the long step's ~``2 * long``
+        segments, builds a matrix of ~``2 * short**2`` entries and shares a
+        fixed few hundred numpy calls (``_STEP_FIXED_CELLS``) with the
+        other slabs.  Per h-line that is about ``width / long + (2 * long +
+        _STEP_FIXED_CELLS / slabs) / short + 2 * short``, least at ``short
+        ~ sqrt(long + _STEP_FIXED_CELLS / slabs)`` and ``long ~ width **
+        (2/3)``.  The constants are fitted to the best steps measured on
+        200k uniform points (2 vCPUs; the optimum is flat, fixed steps
+        within ~1.5x of these time within ~10%): ``long = 2 * width **
+        (2/3)`` and ``short = 0.8 * sqrt(long + _STEP_FIXED_CELLS /
+        slabs)``.  They give (315, 15) for 201 x-slabs of 1,996 cells
+        (0.5% windows), (980, 28) for 37 of 10,857 (2.75%), (1428, 34) for
+        21 of 19,519 (5%) and (10890, 110) for the slab itself, 400,001
+        cells (30%), where the loop takes 0.63 / 1.18 / 1.18 / 1.74 s
+        against 0.82 / 1.74 / 1.79 / 4.39 s in one level of steps of
+        ``0.4 * sqrt(width)`` rows on x-slabs and 128 on the slab itself
+        (medians of interleaved runs).
+
+        A long step pays only where a short step's passes over the cells
+        outweigh its matrix several times over, ``width >= 6 * short**2``:
+        a small profile stays in the cache, where its passes cost less
+        than a long step's sort and bookkeeping.  Measured against the
+        short steps alone, long steps took 0.91-0.93x at 8-40k cells
+        (``width / short**2`` 1.4-4.9), 0.93-0.98x at 100k cells (5.9),
+        1.01-1.04x at 7.4-7.8, and 1.07-1.9x from 8.9 up (100-400k
+        cells).  ``short`` is capped by ``_CHUNK_HLINES``, and ``long`` is
+        a whole number of short steps, at most ``_CHUNK_HLINES`` of them.
+        """
+        width = num_cells / num_slabs
+        long = 2 * width ** (2 / 3)
+        short = round(0.8 * math.sqrt(long + _STEP_FIXED_CELLS / num_slabs))
+        short = max(1, min(_CHUNK_HLINES, short))
+        if width < 6 * short ** 2:
+            return 0, short
+        return short * max(1, min(_CHUNK_HLINES, round(long / short))), short
+
+    @staticmethod
     def _chunk_offsets(V0, num_rows, cl, cr, cd, rows, edges):
         """Segment structure and per-row offset matrix of one step.
 
@@ -408,18 +460,66 @@ class NumpySweepBackend:
         bnd, inverse = np.unique(np.concatenate((cl, cr, edges)),
                                  return_inverse=True)
         M0 = np.maximum.reduceat(V0, bnd[:-1])
-        diff = np.zeros((num_rows, len(bnd)))
-        np.add.at(diff, (rows, inverse[:num_edges]), cd)
-        np.add.at(diff, (rows, inverse[num_edges:2 * num_edges]), -cd)
+        ends = np.tile(rows * len(bnd), 2) + inverse[:2 * num_edges]
+        diff = _edge_sums(ends, cd, num_rows * len(bnd)).reshape(num_rows,
+                                                                 len(bnd))
         np.cumsum(diff, axis=1, out=diff)      # un-diff over segments
-        np.cumsum(diff, axis=0, out=diff)      # accumulate over rows
+        if len(bnd) > _ROW_ADD_SEGMENTS:       # accumulate over rows
+            for t in range(1, num_rows):
+                np.add(diff[t], diff[t - 1], out=diff[t])
+        else:
+            np.cumsum(diff, axis=0, out=diff)
         W = diff[:, :-1]
         net = W[-1].copy()
         W += M0
         return bnd, M0, W, net
 
+    def _sweep_best_lines(self, starts, lines, left, right, delta, row):
+        """The maximum of every h-line (slab after slab) of a best-only
+        sweep, in long steps of short steps.
+
+        Arguments as :meth:`_sweep_slab_lines` takes them.  A long step
+        advances every slab by ``long`` of its own h-lines (see
+        :meth:`_best_steps`).  Its edges, with the slab starts, cut the
+        cells into segments on each of which the long step changes the
+        profile by one amount per row, so the short-step loop runs over
+        these segments alone, starting from each one's maximum of ``V0``.
+        Only two passes per long step touch every cell: that maximum, and
+        carrying ``V0`` forward by the long step's net change.  Slabs of at
+        most ``long`` h-lines, and slabs too narrow for long steps to pay,
+        run the short loop over the cells directly.
+        """
+        num_cells = int(starts[-1])
+        long, short = self._best_steps(len(lines), num_cells)
+        if int(lines.max()) <= long or not long:
+            return self._sweep_slab_lines(starts, lines, left, right, delta,
+                                          row, short, runs=False)[0]
+        line_offset = np.cumsum(lines) - lines
+        out_value = np.empty(int(lines.sum()))
+        V0 = np.zeros(num_cells)
+        for first_row, _, e0, e1 in _steps(lines, left, right, delta, row,
+                                           long):
+            num_edges = e1 - e0
+            bnd, inverse = np.unique(
+                np.concatenate((left[e0:e1], right[e0:e1], starts)),
+                return_inverse=True)
+            # The short loop may reorder these views of the step's edges in
+            # place, all alike, which the net change below does not mind.
+            ends, step_delta = inverse[:2 * num_edges], delta[e0:e1]
+            step_lines = np.clip(lines - first_row, 0, long)
+            value = self._sweep_slab_lines(
+                inverse[2 * num_edges:], step_lines, ends[:num_edges],
+                ends[num_edges:], step_delta, row[e0:e1] - first_row, short,
+                runs=False, profile=np.maximum.reduceat(V0, bnd[:-1]))[0]
+            step_offset = np.cumsum(step_lines) - step_lines
+            out_value[np.repeat(line_offset + first_row - step_offset,
+                                step_lines) + np.arange(len(value))] = value
+            net = np.cumsum(_edge_sums(ends, step_delta, len(bnd))[:-1])
+            V0 += np.repeat(net, np.diff(bnd))
+        return out_value
+
     def _sweep_slab_lines(self, starts, lines, left, right, delta, row, step,
-                          runs=True):
+                          runs=True, profile=None):
         """The step loop over many slabs whose cells lie end to end.
 
         ``starts`` and ``lines`` give each slab's first cell (then the cell
@@ -428,34 +528,21 @@ class NumpySweepBackend:
         slabs, the loop reorders these four arrays in place).  Every step
         advances each slab by ``step`` of its own h-lines, with the slab
         starts as fixed segment boundaries, so no segment crosses a slab.
-        Returns, per h-line (slab after slab), the maximum and, with
+        The profile starts at ``profile`` (the loop adds to it), or at
+        zeros.  Returns, per h-line (slab after slab), the maximum and, with
         ``runs``, its leftmost cell and the last cell of its maximal run,
         which never leaves the slab (``None`` without).
         """
         num_cells = int(starts[-1])
-        longest = int(lines.max())
-        num_steps = -(-longest // step)
-        if len(lines) > 1:
-            # Step-major, in place (a copy would double the pieces of a big
-            # slab plan); stable, so slab after slab within a step.
-            step_of = row // step
-            order = _stable_order(step_of, num_steps)
-            for edge in (left, right, delta, row):
-                edge[:] = edge[order]
-            bounds = np.searchsorted(step_of[order], np.arange(num_steps + 1))
-        else:  # one slab's edges are in row order already
-            bounds = np.searchsorted(row, step * np.arange(num_steps + 1))
-
         line_offset = np.cumsum(lines) - lines
         out_value = np.empty(int(lines.sum()))
         out_cell = out_run = None
         if runs:
             out_cell = np.empty(len(out_value), dtype=np.intp)
             out_run = np.empty(len(out_value), dtype=np.intp)
-        V0 = np.zeros(num_cells)
-        for index, first_row in enumerate(range(0, longest, step)):
-            e0, e1 = int(bounds[index]), int(bounds[index + 1])
-            num_rows = min(step, longest - first_row)
+        V0 = np.zeros(num_cells) if profile is None else profile
+        for first_row, num_rows, e0, e1 in _steps(lines, left, right, delta,
+                                                  row, step):
             bnd, M0, W, net = self._chunk_offsets(
                 V0, num_rows, left[e0:e1], right[e0:e1], delta[e0:e1],
                 row[e0:e1] - first_row, starts)
@@ -708,6 +795,41 @@ def _cut_into_slabs(width, num_slabs, left, right, delta, event_h):
               np.minimum(right.astype(np.int32)[event], slab + width),
               delta[event], row)
     return pieces, lines, line_h
+
+
+def _steps(lines, left, right, delta, row, step):
+    """``(first row, rows, first edge, end edge)`` of every step that
+    advances each slab by ``step`` of its own h-lines.
+
+    With many slabs the four edge arrays are reordered step-major, in place
+    (a copy would double the pieces of a big slab plan), and stably, so
+    slab after slab within a step; one slab's edges are in that order
+    already.
+    """
+    longest = int(lines.max())
+    num_steps = -(-longest // step)
+    if len(lines) > 1:
+        step_of = row // step
+        order = _stable_order(step_of, num_steps)
+        for edge in (left, right, delta, row):
+            edge[:] = edge[order]
+        bounds = np.searchsorted(step_of[order], np.arange(num_steps + 1))
+    else:
+        bounds = np.searchsorted(row, step * np.arange(num_steps + 1))
+    bounds = bounds.tolist()
+    for index, first_row in enumerate(range(0, longest, step)):
+        yield (first_row, min(step, longest - first_row), bounds[index],
+               bounds[index + 1])
+
+
+def _edge_sums(ends, delta, length):
+    """Per position below ``length``, the ``delta`` of the edges whose left
+    end (in ``ends[:len(delta)]``) lies there minus that of the edges whose
+    right end (in ``ends[len(delta):]``) does, summed in that order, as
+    ``np.add.at`` sums."""
+    # Without keys ``np.bincount`` returns integers.
+    return np.bincount(ends, np.concatenate((delta, -delta)),
+                       length).astype(np.float64, copy=False)
 
 
 def _stable_order(keys, bound):

@@ -25,10 +25,15 @@ __all__ = ["BufferPool", "Frame"]
 
 @dataclass(slots=True)
 class Frame:
-    """A buffer-pool frame holding one block image."""
+    """A buffer-pool frame holding one block image.
+
+    ``data`` is immutable: a frame holds the device's own bytes after a
+    read, and :meth:`BufferPool.put` replaces it whole, so readers decode
+    it without copying.
+    """
 
     block_id: int
-    data: bytearray
+    data: bytes
     dirty: bool = False
     pin_count: int = 0
     #: Monotonic access stamp, informational only (LRU order is kept by the
@@ -88,7 +93,7 @@ class BufferPool:
         else:
             if len(self._frames) >= self.capacity_blocks:
                 self._ensure_capacity()
-            frame = Frame(block_id, bytearray(self.device.read_block(block_id)))
+            frame = Frame(block_id, self.device.read_block(block_id))
             self._frames[block_id] = frame
         frame.last_access = self._clock
         if pin:
@@ -106,10 +111,10 @@ class BufferPool:
         frame = self._frames.get(block_id)
         if frame is None:
             self._ensure_capacity()
-            frame = Frame(block_id=block_id, data=bytearray(data))
+            frame = Frame(block_id=block_id, data=bytes(data))
             self._frames[block_id] = frame
         else:
-            frame.data = bytearray(data)
+            frame.data = bytes(data)
             self._frames.move_to_end(block_id)
         frame.dirty = True
         frame.last_access = self._clock
@@ -132,13 +137,6 @@ class BufferPool:
             self._ensure_capacity()
         self.device.write_block(block_id, data)
 
-    def mark_dirty(self, block_id: int) -> None:
-        """Mark a resident block as modified in place."""
-        try:
-            self._frames[block_id].dirty = True
-        except KeyError:
-            raise StorageError(f"block {block_id} is not resident in the pool") from None
-
     def unpin(self, block_id: int) -> None:
         """Decrement the pin count of a resident block."""
         frame = self._frames.get(block_id)
@@ -155,14 +153,14 @@ class BufferPool:
         """Write back one dirty resident block (no-op if clean or absent)."""
         frame = self._frames.get(block_id)
         if frame is not None and frame.dirty:
-            self.device.write_block(block_id, bytes(frame.data))
+            self.device.write_block(block_id, frame.data)
             frame.dirty = False
 
     def flush(self) -> None:
         """Write back every dirty resident block."""
         for frame in self._frames.values():
             if frame.dirty:
-                self.device.write_block(frame.block_id, bytes(frame.data))
+                self.device.write_block(frame.block_id, frame.data)
                 frame.dirty = False
 
     def evict_all(self) -> None:
@@ -200,7 +198,7 @@ class BufferPool:
             victim_id = self._find_victim()
             victim = self._frames.pop(victim_id)
             if victim.dirty:
-                self.device.write_block(victim.block_id, bytes(victim.data))
+                self.device.write_block(victim.block_id, victim.data)
 
     def _find_victim(self) -> int:
         for block_id, frame in self._frames.items():  # iteration order = LRU order

@@ -191,7 +191,7 @@ class RecordFile:
     def read_block_records(self, block_index: int) -> List[Record]:
         """Return the records of the ``block_index``-th block of the file."""
         frame = self.pool.get(self._block_id(block_index))
-        records = self.codec.decode_block(bytes(frame.data))
+        records = self.codec.decode_block(frame.data)
         if block_index == len(self.block_ids) - 1:
             remainder = self.num_records - block_index * self.records_per_block
             records = records[:remainder]
@@ -208,7 +208,7 @@ class RecordFile:
         fields = _float64_fields(self.codec)
         frame = self.pool.get(self._block_id(block_index))
         count = self._records_in_block(block_index)
-        return np.frombuffer(bytes(frame.data), dtype="<f8",
+        return np.frombuffer(frame.data, dtype="<f8",
                              count=count * fields).reshape(count, fields)
 
     def reread_block(self, block_index: int) -> None:

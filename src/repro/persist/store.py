@@ -367,7 +367,7 @@ class SnapshotStore:
             usable = (block_size // record_size) * record_size
             parts = []
             for block_id in block_ids:
-                parts.append(bytes(pool.get(block_id).data)[:usable])
+                parts.append(pool.get(block_id).data[:usable])
             for block_id in block_ids:
                 pool.invalidate(block_id)
                 device.free(block_id)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,50 @@ def test_a_spread_wider_than_the_bound_is_unresolved(ab_pairs):
 def test_negative_bound_rejected(ab_pairs):
     with pytest.raises(ValueError):
         ab_pairs.verdict(PARENT, PARENT, "higher", -0.1)
+
+
+def test_trace_compares_the_per_layer_metrics(ab_pairs, monkeypatch,
+                                              capsys, tmp_path):
+    # Stubbed runs: the change halves the sweep layer and leaves the event
+    # build alone; every other per-layer metric reads 0.
+    calls = []
+
+    def run_benchmark(root, workload, seed, seconds, trace=0):
+        change = root == Path.cwd()
+        calls.append((change, workload, seed, trace))
+        sweep = (0.5 if change else 1.0) + seed / 100.0
+        values = {"core.backends.numpy.sweep_s": sweep,
+                  "core.transform.events_s": 0.2 + seed / 1000.0}
+        return {"attempted": 7, "failed": 0,
+                "metrics": {name: {"value": values.get(name, 0.0)}
+                            for name in _per_layer_names()}}
+
+    monkeypatch.chdir(_SCRIPT.parents[1])
+    monkeypatch.setattr(ab_pairs, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(ab_pairs, "export_revision",
+                        lambda checkout, revision, into: tmp_path)
+    assert ab_pairs.main(["--parent", "HEAD", "--workload", "uniform-exact",
+                          "--pairs", "4", "--seconds", "1", "--seed-base",
+                          "10", "--trace"]) == 0
+    assert len(calls) == 8
+    assert {trace for *_, trace in calls} == {1}
+    summary = capsys.readouterr().out.split("median [Q1-Q3]")[1]
+    lines = [line.strip() for line in summary.strip().splitlines()]
+    sweep = next(line for line in lines
+                 if line.startswith("core.backends.numpy.sweep_s"))
+    assert "parent 1.115 [1.107-1.123]" in sweep
+    assert "change 0.615 [0.6075-0.6225]" in sweep
+    assert sweep.endswith("change wins 4/4")
+    events = next(line for line in lines
+                  if line.startswith("core.transform.events_s"))
+    assert events.endswith("change wins 0/4")
+    # No bound, no claim, and no line for a metric that read 0 throughout.
+    assert not any("claimable" in line or "bound" in line for line in lines)
+    assert not any(line.startswith("em.block_reads") for line in lines)
+    assert lines[-2:] == ["parent: attempted 28, failed 0",
+                          "change: attempted 28, failed 0"]
+
+
+def _per_layer_names():
+    declared = json.loads((_SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    return [spec["name"] for spec in declared["per_layer"]]

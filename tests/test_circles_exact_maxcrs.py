@@ -103,7 +103,10 @@ def _sweep_circle(i: int, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray,
     dy = ys - ys[i]
     dist = np.hypot(dx, dy)
     neighbour = (dist > 0.0) & (dist < 2.0 * radius)
-    base = float(ws[i])
+    # Objects on centre i cover all of circle i, as object i does.
+    coincident = dist == 0.0
+    coincident[i] = False
+    base = float(ws[i]) + float(ws[coincident].sum())
     centre = Point(float(xs[i]), float(ys[i]))
     if not neighbour.any():
         return base, centre
@@ -319,6 +322,20 @@ class TestPinnedBranches:
         assert len(_arcs(spy, "circle")) == 0
         assert answer == (Point(1.0, 1.0), 5.0)
         assert answer == _loop_exact_maxcrs(objects, 1.0)
+
+    @pytest.mark.parametrize("weight", [0.5, 1.0])
+    def test_coincident_points_add_to_each_others_circles(self, spy, weight):
+        # Two pairs of coincident points 2 apart, d = 3: a circle through
+        # both centres covers all four, but only from a circle's arcs (no
+        # disk centre holds the other pair).  Each circle's coincident
+        # twin must count, as its own point does.
+        objects = [WeightedPoint(x, 0.0, weight)
+                   for x in (0.0, 0.0, 2.0, 2.0)]
+        point, total = exact_maxcrs(objects, 3.0)
+        assert len(_arcs(spy, "circle")) > 0
+        assert total == 4 * weight == brute_force_maxcrs(objects, 3.0)[1]
+        assert weight_in_circle(objects, Circle(point, 3.0)) == total
+        assert (point, total) == _loop_exact_maxcrs(objects, 3.0)
 
     def test_pair_exactly_d_apart_is_tangent_without_arc(self, spy):
         objects = [WeightedPoint(0.0, 0.0), WeightedPoint(2.0, 0.0)]

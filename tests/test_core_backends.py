@@ -121,6 +121,38 @@ def _chunk_hlines(rows):
         yield
 
 
+@contextlib.contextmanager
+def _step_levels():
+    """Record, per best-only sweep inside the block, ``(long steps, most
+    short steps in one long step, most own h-lines of a slab)``; a sweep
+    that runs its short loop over the cells directly (its slabs fit one
+    long step, or are too narrow for long steps) counts one long step."""
+    sweeps, active = [], []
+    steps = numpy_backend_module._steps
+    best_lines = NumpySweepBackend._sweep_best_lines
+
+    def counted(*args):
+        made = list(steps(*args))
+        if active:
+            active[-1].append(len(made))
+        return iter(made)
+
+    def spy(self, starts, lines, *edges):
+        active.append([])
+        try:
+            return best_lines(self, starts, lines, *edges)
+        finally:
+            counts = active.pop()
+            long, short = ((len(counts) - 1, max(counts[1:]))
+                           if len(counts) > 1 else (1, counts[0]))
+            sweeps.append((long, short, int(lines.max())))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numpy_backend_module, "_steps", counted)
+        patch.setattr(NumpySweepBackend, "_sweep_best_lines", spy)
+        yield sweeps
+
+
 def _slab_file(records, slab_range=None):
     """The numpy slab-file and best strip of one slab."""
     return NumpySweepBackend().sweep_slabs([(records, slab_range)])[0]
@@ -129,19 +161,24 @@ def _slab_file(records, slab_range=None):
 class TestParityProperty:
     """Randomised cross-backend equality of slab-files and best strips."""
 
-    def _assert_parity(self, records, slab_range):
+    def _assert_parity(self, records, slab_range, levels=None):
+        """Numpy equals the reference; with ``levels`` (a list), each
+        best-only sweep at 3 rows per step adds its step levels to it."""
         pure_out = sweep_events(records, slab_range)
         for rows in (None, 3):
-            with _chunk_hlines(rows):
+            with _chunk_hlines(rows), _step_levels() as seen:
                 numpy_rows, numpy_best = _slab_file(records, slab_range)
                 # Slab-files, bit for bit, and the best strip.
                 assert numpy_rows.tobytes() == _slab_file_bytes(pure_out[0])
                 assert numpy_best == pure_out[1]
                 assert NumpySweepBackend().sweep(records, slab_range) \
                     == pure_out[1]
+            if rows == 3 and levels is not None:
+                levels += seen
 
     def test_random_datasets(self):
         rng = random.Random(20260729)
+        levels = []
         for trial in range(25):
             count = rng.randrange(0, 60)
             snap = rng.choice((None, None, 1.0))  # 1/3 of trials force ties
@@ -149,16 +186,20 @@ class TestParityProperty:
             width = rng.uniform(0.5, 30.0)
             height = rng.uniform(0.5, 30.0)
             records = objects_to_event_records(objs, width, height) if objs else []
-            self._assert_parity(records, None)
+            self._assert_parity(records, None, levels)
+        # 3 rows per step: several long steps of several short steps.
+        assert any(long > 1 and short > 1 for long, short, _ in levels)
 
     def test_random_datasets_clipped_slab(self):
         rng = random.Random(42)
+        levels = []
         for trial in range(15):
             objs = _random_dataset(rng, rng.randrange(1, 50))
             records = objects_to_event_records(
                 objs, rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0))
             slab = Interval(rng.uniform(0.0, 40.0), rng.uniform(60.0, 100.0))
-            self._assert_parity(records, slab)
+            self._assert_parity(records, slab, levels)
+        assert any(long > 1 and short > 1 for long, short, _ in levels)
 
     def test_empty_and_degenerate(self):
         empty = sweep_events([], None)
@@ -474,9 +515,15 @@ class TestSlabPlanParity:
     def _assert_parity(self, records, slab_plans, slab_range=None):
         expected = sweep_events(records, slab_range)[1]
         for rows in (None, 3, 1):
-            with _chunk_hlines(rows):
+            with _chunk_hlines(rows), _step_levels() as levels:
                 assert NumpySweepBackend().sweep(records, slab_range) \
                     == expected
+            if rows is not None:
+                # Capped at ``rows`` rows per short step and ``rows`` short
+                # steps per long step, every h-line is stepped through.
+                (long, short, longest), = levels
+                assert long == -(-longest // rows ** 2)
+                assert short == min(rows, -(-longest // rows))
         assert min(slabs for slabs, _ in slab_plans) >= 4
 
     def test_ties_across_slab_borders(self, slab_plans):
@@ -540,6 +587,62 @@ class TestSlabPlanParity:
             slab = Interval(rng.uniform(0.0, 20.0), rng.uniform(80.0, 100.0))
             self._assert_parity(objects_to_event_records(objs, 1.0, 4.0),
                                 slab_plans, slab)
+
+
+class TestTwoLevelSteps:
+    """The best-only loop's long steps of short steps against the reference
+    sweep, in both slab plans, each case checked to reach its levels."""
+
+    @staticmethod
+    def _sweep(records, slab_plans, rows=None):
+        """The numpy best strip (equal to the reference's), its slab plan's
+        slab count and its step levels."""
+        with _chunk_hlines(rows), _step_levels() as levels:
+            best = NumpySweepBackend().sweep(records)
+        assert best == sweep_events(records)[1]
+        (long, short, _), = levels
+        return slab_plans[-1][0], long, short
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_several_long_and_short_steps_in_both_plans(self, slab_plans,
+                                                        rows):
+        rng = random.Random(rows)
+        # Wide windows plan the slab itself, narrow ones x-slabs.
+        for count, side, plan in ((60, 60.0, 1), (500, 1.0, 4)):
+            objs = _random_dataset(rng, count, weight_choices=(1.0, 2.0, 3.0))
+            records = objects_to_event_records(objs, side, side)
+            slabs, long, short = self._sweep(records, slab_plans, rows)
+            assert (slabs == 1) if plan == 1 else (slabs >= plan)
+            assert long > 1 and short == rows
+
+    def test_plans_that_fit_one_long_step(self, slab_plans):
+        # At 3 rows per step a long step holds 9 h-lines, and slabs of 54
+        # cells or more are wide enough for long steps.  Points on two rows
+        # give 4 h-lines: 30 of them one slab of 60 cells, 400 many x-slabs
+        # of at least 64 cells.
+        rng = random.Random(3)
+        for count, side, plan in ((30, 30.0, 1), (400, 1.0, 4)):
+            objs = [WeightedPoint(rng.uniform(0.0, 100.0), float(y), 1.0)
+                    for y in (3, 5) for _ in range(count // 2)]
+            slabs, long, short = self._sweep(
+                objects_to_event_records(objs, side, side), slab_plans, 3)
+            assert (slabs == 1) if plan == 1 else (slabs >= plan)
+            assert long == 1 and short > 1
+
+    @pytest.mark.parametrize("count, side, long_steps", [
+        (5000, 50.0, False), (22000, 400.0, True)])
+    def test_uniform_points_at_the_rules_steps(self, slab_plans, count, side,
+                                               long_steps):
+        # Integer weights, no patched cap: the rule's own steps.  5k points
+        # at 5% windows plan x-slabs of ~500 cells, too narrow for long
+        # steps; 22k points at 40% plan the slab itself, 44,001 cells wide
+        # enough for them.
+        objs = _random_dataset(random.Random(count), count, domain=1000.0,
+                               weight_choices=(1.0, 2.0, 3.0))
+        slabs, long, short = self._sweep(
+            objects_to_event_records(objs, side, side), slab_plans)
+        assert (slabs == 1) if long_steps else (slabs > 4)
+        assert (long > 1) == long_steps and short > 1
 
 
 class TestDispatchThreading:

@@ -32,6 +32,16 @@ class TestBasicCaching:
         assert bytes(frame.data) == b"payload"
         assert device.stats.block_reads == 1
 
+    def test_frames_hold_the_blocks_bytes_uncopied(self, device, pool):
+        # A missed block's frame is the device's immutable block image, and
+        # a written frame goes back to the device as is.
+        block = _write_through_device(device)
+        assert pool.get(block).data is device.peek(block)
+        payload = b"rewritten"
+        pool.put(block, payload)
+        pool.flush_block(block)
+        assert pool.get(block).data is payload is device.peek(block)
+
     def test_second_get_is_a_cache_hit(self, device, pool):
         block = _write_through_device(device)
         pool.get(block)
@@ -75,10 +85,6 @@ class TestWriteBack:
             pool.get(_write_through_device(device))
         assert device.peek(dirty) == b"dirty"
         assert device.stats.block_writes >= 1
-
-    def test_mark_dirty_requires_residency(self, pool):
-        with pytest.raises(StorageError):
-            pool.mark_dirty(12345)
 
 
 class TestEvictionPolicy:
