@@ -73,9 +73,11 @@ class SweepBackend(Protocol):
     A backend is a drop-in execution strategy for
     :func:`repro.core.plane_sweep.sweep_events`: it receives the flat event
     records ``(y, kind, x1, x2, weight)`` of a slab's dual rectangles -- as
-    tuples, or as the ``(n, 5)`` float64 array ExactMaxRS's leaves read
-    from their event files -- and sweeps them.  ``sweep`` returns the best
-    strip only; ``sweep_slabs`` is the one entry point for slab-files.
+    tuples, as the ``(n, 5)`` float64 array ExactMaxRS's leaves read from
+    their event files, or as the engine's
+    :class:`~repro.core.transform.ColumnEvents`, which give either on
+    demand -- and sweeps them.  ``sweep`` returns the best strip only;
+    ``sweep_slabs`` is the one entry point for slab-files.
     """
 
     #: Stable identifier used by :func:`get_backend`, spans and metrics.

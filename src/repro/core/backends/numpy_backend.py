@@ -8,14 +8,15 @@ loop -- run in two modes.
 
 **Preparation** (``_prepare_slabs``) takes a batch of slabs; a best-only
 sweep is a batch of one.  Each slab's events may be a list of event tuples
-or an ``(n, 5)`` float array -- the resident engine builds the latter
-straight from its point columns
-(:func:`repro.core.transform.columns_to_event_array`), ExactMaxRS's leaves
-read it from their event files.  One stable sort by (slab, y) orders every
-event (ExactMaxRS's leaf files already are in that order), each event is
-clipped to its own slab, and each slab's boundaries are compressed on their
-own and laid end to end on one cell axis.  A batch of one skips the
-per-slab bookkeeping.
+or an ``(n, 5)`` float array, which ExactMaxRS's leaves read from their
+event files.  One stable sort by (slab, y) orders every event (ExactMaxRS's
+leaf files already are in that order), each event is clipped to its own
+slab, and each slab's boundaries are compressed on their own and laid end
+to end on one cell axis.  A batch of one skips the per-slab bookkeeping.
+The engine's sweeps pass point columns instead
+(:class:`repro.core.transform.ColumnEvents`): ``_prepare_columns`` makes
+the same arrays by merging one sort of the x's and one of the y's, as an
+event's y is its point's ``y -+ h/2`` and an edge end its ``x -+ w/2``.
 
 **The step loop** (``_sweep_slab_lines``) advances every slab by the same
 number of its own h-lines per step.  The location-weight profile at a
@@ -92,6 +93,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.beststrip import BestStrip
+from repro.core.transform import ColumnEvents
 from repro.em.codecs import EVENT_BOTTOM
 from repro.errors import AlgorithmError, ConfigurationError
 from repro.geometry import Interval
@@ -159,7 +161,11 @@ class NumpySweepBackend:
             return BestStrip.empty(slab_range.lo, slab_range.hi)
 
         with obs.span("backend.sweep.prepare"):
-            prepared = self._prepare_slabs([(event_records, slab_range)])
+            if (isinstance(event_records, ColumnEvents)
+                    and slab_range == Interval.full()):
+                prepared = self._prepare_columns(event_records)
+            else:
+                prepared = self._prepare_slabs([(event_records, slab_range)])
         if prepared is None:
             return BestStrip.empty(slab_range.lo, slab_range.hi)
         with obs.span("backend.sweep.kernel"):
@@ -296,13 +302,8 @@ class NumpySweepBackend:
         delta = np.where(ev[:, 1][applies] == EVENT_BOTTOM, weights, -weights)
 
         # Distinct h-lines of each slab, and each applying edge's own row.
-        new_line = np.empty(len(ey), dtype=bool)
-        new_line[0] = True
-        np.not_equal(ey[1:], ey[:-1], out=new_line[1:])
-        if many:
-            new_line[1:] |= new_slab
-        uy = ey[new_line]
-        row = (np.cumsum(new_line) - 1)[applies]
+        new_line, uy, row = _distinct(ey, new_slab if many else None)
+        row = row[applies]
         if many:
             # Slab k's boundary g is cell g - k: each earlier slab has one
             # boundary more than cells.
@@ -315,6 +316,48 @@ class NumpySweepBackend:
             lines = np.array([len(uy)])
         return (np.array(swept), uy, xs, lines, starts, left, right, delta,
                 row)
+
+    @staticmethod
+    def _prepare_columns(events):
+        """:meth:`_prepare_slabs`'s arrays, bit for bit, for the whole-line
+        sweep of :class:`~repro.core.transform.ColumnEvents`.  The cells
+        merge the sorted ``x -+ w/2``; the event order merges the sorted
+        bottoms ``y - h/2`` (event ``2i``) and tops ``y + h/2`` (``2i + 1``)
+        as the rows' stable sort orders them: equal y's by event, NaNs last.
+        """
+        xs, ys, ws = events.xs, events.ys, events.ws
+        half_w, half_h = events.width / 2.0, events.height / 2.0
+        count = len(xs)
+        order = np.argsort(xs)
+        lower, upper = xs[order] - half_w, xs[order] + half_w
+        kept = lower < upper  # False at NaN, and where both ends round alike
+        order, lower, upper = order[kept], lower[kept], upper[kept]
+        at_lower, at_upper = (at + 1 for at in _merge(lower, upper))
+        ends = np.full(2 * len(order) + 2, math.inf)  # between the borders
+        ends[0], ends[at_lower], ends[at_upper] = -math.inf, lower, upper
+        _, xs, rank = _distinct(ends)
+        left, right = np.zeros((2, count), dtype=np.intp)  # 0: clipped away
+        left[order], right[order] = rank[at_lower], rank[at_upper]
+
+        real = count - np.count_nonzero(np.isnan(ys))
+        order = np.argsort(ys)
+        order[real:].sort()  # the NaN y's, each point's two events in turn
+        below, above = (_stable(ys + shift, order)[:real]
+                        for shift in (-half_h, half_h))
+        bottoms, tops = ys[below] - half_h, ys[above] + half_h
+        at_bottom, at_top = _merge(bottoms, tops, below, above)
+        event, ey = np.empty(2 * count, dtype=np.intp), np.empty(2 * count)
+        event[at_bottom], event[at_top] = 2 * below, 2 * above + 1
+        event[2 * real:] = (2 * order[real:, None] + (0, 1)).ravel()
+        ey[at_bottom], ey[at_top] = bottoms, tops
+        ey[2 * real:] = (ys[order[real:], None] + (-half_h, half_h)).ravel()
+        _, uy, row = _distinct(ey)
+        applies = ((right > 0) & (ws != 0.0))[event >> 1]
+        event = event[applies]
+        point = event >> 1
+        return (np.array([0]), uy, xs, np.array([len(uy)]),
+                np.array([0, len(xs) - 1]), left[point], right[point],
+                np.column_stack((ws, -ws)).ravel()[event], row[applies])
 
     # ------------------------------------------------------------------ #
     # Best-only mode (the engine's probe and refine stages)
@@ -662,6 +705,45 @@ class NumpySweepBackend:
         run[hard] = _first_below(V0, bnd[seg], bnd[seg + 1], limit) - 1
 
 
+def _distinct(values, new_run=None):
+    """``(first, distinct, run)`` of sorted ``values``: which of them start
+    a run of equal values (or where ``new_run`` flags, for ``values[1:]``),
+    each run's first value, and each value's run."""
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    if new_run is not None:
+        first[1:] |= new_run
+    return first, values[first], np.cumsum(first) - 1
+
+
+def _stable(values, order):
+    """``order``, which sorts ``values`` with NaNs last, or a stable sort
+    where it leaves equal values out of index order (an unstable sort may,
+    and so may distinct y's that round to one end)."""
+    run = values[order]
+    if ((run[1:] == run[:-1]) & (order[1:] < order[:-1])).any():
+        return np.argsort(values, kind="stable")
+    return order
+
+
+def _merge(first, second, first_of=None, second_of=None):
+    """``(at_first, at_second)``: the places of sorted ``first`` and
+    ``second`` in their merge.  With ids (ascending where values are equal),
+    ``first[i]`` goes before an equal ``second[j]`` if ``first_of[i] <=
+    second_of[j]``; without, ties go in any order."""
+    before = np.searchsorted(first, second)
+    tied = first.take(before, mode="clip") == second
+    if first_of is not None and tied.any():  # by (run of equal values, id)
+        run = _distinct(first)[2] * (1 + max(first_of.max(), second_of.max()))
+        before[tied] = np.searchsorted(run + first_of, run[before[tied]]
+                                       + second_of[tied], side="right")
+    at_second = before + np.arange(len(second))
+    is_first = np.ones(len(first) + len(second), dtype=bool)
+    is_first[at_second] = False
+    return np.flatnonzero(is_first), at_second
+
+
 def _compress(values, owner, num_slabs):
     """Compress each slab's cell boundaries on their own.
 
@@ -674,18 +756,13 @@ def _compress(values, owner, num_slabs):
     order = np.argsort(values)
     if owner is not None:
         order = order[_stable_order(owner[order], num_slabs)]
-    sorted_x = values[order]
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_x[1:], sorted_x[:-1], out=first[1:])
-    if owner is not None:
-        sorted_owner = owner[order]
-        first[1:] |= sorted_owner[1:] != sorted_owner[:-1]
-    xs = sorted_x[first]
+        owner = owner[order]
+    first, xs, run = _distinct(values[order], None if owner is None
+                               else owner[1:] != owner[:-1])
     cells = ([len(xs) - 1] if owner is None
-             else np.bincount(sorted_owner[first], minlength=num_slabs) - 1)
+             else np.bincount(owner[first], minlength=num_slabs) - 1)
     inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
+    inverse[order] = run
     # Equal boundaries differ in bits only as 0.0 and -0.0: a slab keeps
     # the zero that comes first in ``values``.
     zeros = np.flatnonzero(values == 0.0)

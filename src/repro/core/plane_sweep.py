@@ -32,10 +32,7 @@ from typing import Callable, List, Sequence, Tuple
 from repro import obs
 from repro.core.beststrip import BestStrip, BestStripTracker
 from repro.core.segment_tree import MaxAddSegmentTree
-from repro.core.transform import (
-    columns_to_event_array,
-    objects_to_event_records,
-)
+from repro.core.transform import ColumnEvents, objects_to_event_records
 from repro.core.result import MaxRSResult
 from repro.em.codecs import EVENT_BOTTOM
 from repro.geometry import Interval, WeightedPoint
@@ -166,15 +163,14 @@ def solve_in_memory(objects: Sequence[WeightedPoint], width: float,
 def solve_columns(xs, ys, ws, width: float, height: float) -> MaxRSResult:
     """:func:`solve_in_memory` over points held as numpy columns.
 
-    The events are built with numpy
-    (:func:`~repro.core.transform.columns_to_event_array`), so no point
-    objects are needed, and either backend sweeps that array as is.  The
-    answer is bit-identical to :func:`solve_in_memory` on the objects the
-    columns hold.  Requires numpy.
+    No point objects are needed: the backend gets the columns' events
+    (:class:`~repro.core.transform.ColumnEvents`), which the numpy backend
+    prepares from the columns' own x and y orders and the reference lays
+    out as rows.  The answer is bit-identical to :func:`solve_in_memory` on
+    the objects the columns hold.  Requires numpy.
     """
-    return _solve_best(
-        2 * len(xs),
-        lambda: columns_to_event_array(xs, ys, ws, width, height))
+    return _solve_best(2 * len(xs),
+                       lambda: ColumnEvents(xs, ys, ws, width, height))
 
 
 def _solve_best(num_events: int,

@@ -14,8 +14,9 @@ the library:
 
 * purely in memory (lists of objects -> lists of rectangles / events), used by
   the plane-sweep base case, the baselines' oracles and the tests -- plus a
-  columnar twin (numpy point columns -> one event array) for the resident
-  query engine, whose datasets live as columns;
+  columnar twin (numpy point columns -> one event array, or
+  :class:`ColumnEvents`, which the numpy sweep prepares from the columns
+  themselves) for the resident query engine, whose datasets live as columns;
 * streaming over the external-memory substrate (an object
   :class:`~repro.em.record_file.RecordFile` -> an event file), used by
   ExactMaxRS and the externalized baselines.  The streaming form costs one
@@ -49,6 +50,7 @@ __all__ = [
     "dual_rectangles",
     "objects_to_event_records",
     "columns_to_event_array",
+    "ColumnEvents",
     "build_event_file",
     "objects_file_to_event_file",
     "write_objects_file",
@@ -108,6 +110,27 @@ def columns_to_event_array(xs, ys, ws, width: float, height: float):
     """
     _check_extent(width, height)
     return _event_rows(xs, ys, ws, width / 2.0, height / 2.0)
+
+
+class ColumnEvents:
+    """The events of points held as numpy columns, before any row is built:
+    ``len()`` counts them, the numpy backend sweeps them from the columns,
+    and as an array or a list they are :func:`columns_to_event_array`'s."""
+
+    def __init__(self, xs, ys, ws, width: float, height: float) -> None:
+        _check_extent(width, height)
+        self.xs, self.ys, self.ws, self.width, self.height = (
+            xs, ys, ws, width, height)
+
+    def __len__(self) -> int:
+        return 2 * len(self.xs)
+
+    def __array__(self, dtype=None, copy=None):
+        return columns_to_event_array(self.xs, self.ys, self.ws, self.width,
+                                      self.height)
+
+    def tolist(self) -> List[List[float]]:
+        return self.__array__().tolist()
 
 
 def _event_rows(xs, ys, ws, half_w: float, half_h: float):

@@ -106,6 +106,9 @@ class SnapshotStore:
         # (warm-start restore, MaxRSSolver.from_snapshot) must not turn a
         # mistyped persist_dir into a plausible-looking empty store.
         self.catalog = load_catalog(self.root)
+        # Points blobs this store has written or verified: content-addressed,
+        # so one that a catalog entry names for a fingerprint holds its data.
+        self._sound_blobs = set()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -137,13 +140,21 @@ class SnapshotStore:
         """Persist one dataset's point columns as one blob.
 
         Overwrites any existing snapshot under ``dataset_id``; blobs of the
-        old snapshot that nothing references any more are deleted.  Returns
-        the new manifest; the catalog file is rewritten atomically.
+        old snapshot that nothing references any more are deleted.  The
+        blob is named by the columns' fingerprint and shared by every entry
+        over the same data: it is written unless an entry already names it
+        and this store has written or verified it.  Returns the new
+        manifest; the catalog file is rewritten atomically.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         fingerprint = fingerprint_columns(xs, ys, ws)
         points_file = f"{fingerprint[:16]}.points"
-        self._write_columns(points_file, [xs, ys, ws])
+        if not (points_file in self._sound_blobs and any(
+                (entry.points_file, entry.fingerprint) == (points_file,
+                                                           fingerprint)
+                for entry in self.catalog.datasets.values())):
+            self._write_columns(points_file, [xs, ys, ws])
+            self._sound_blobs.add(points_file)
 
         # Re-saving byte-identical data keeps any persisted results (they are
         # keyed by the fingerprint and still valid); a new fingerprint drops
@@ -262,6 +273,7 @@ class SnapshotStore:
                 f"{fingerprint[:12]}..., catalog says "
                 f"{manifest.fingerprint[:12]}...; rejecting the corrupt snapshot"
             )
+        self._sound_blobs.add(manifest.points_file)
         return LoadedSnapshot(manifest=manifest, xs=xs, ys=ys, ws=ws)
 
     # ------------------------------------------------------------------ #

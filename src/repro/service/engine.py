@@ -9,9 +9,8 @@ parameters cheaply.  Per query it composes four layers:
    from the best pre-aggregated window (``refine=False`` stops here);
 3. safe pruning -- cells whose aggregate upper bound cannot reach the
    approximate answer are discarded, and the exact sweep
-   (:func:`~repro.core.plane_sweep.solve_columns`, which builds its events
-   straight from the store's point columns) runs on the surviving points
-   only;
+   (:func:`~repro.core.plane_sweep.solve_columns`, which sweeps the
+   store's point columns) runs on the surviving points only;
 4. region restoration -- the one answer component pruning can coarsen is the
    h-line closing the best strip (an event of a pruned point may close it
    earlier); it is recomputed exactly from the dataset's sorted y-column.
@@ -289,6 +288,9 @@ class MaxRSEngine:
         self._target_points_per_cell = target_points_per_cell
         self._max_cells_per_side = max_cells_per_side
         self._restore_errors: Dict[str, str] = {}
+        # The results records last saved or restored, per (dataset id,
+        # fingerprint): a checkpoint with none new reads nothing.
+        self._saved_results: Dict[Tuple[str, str], frozenset] = {}
         # Per-client accounting: a bounded LRU of client_id -> cumulative
         # ledger, fed by query(client_id=...) and surfaced by stats() and
         # the metrics exposition's client= series.
@@ -528,7 +530,9 @@ class MaxRSEngine:
         sweeps.  Checkpoints *merge*: previously persisted results whose
         query is no longer cached (evicted under LRU pressure) are kept --
         they are fingerprint-keyed, hence still valid -- so a checkpoint can
-        only grow or refresh the durable warm state, never erase it.
+        only grow or refresh the durable warm state, never erase it.  A
+        dataset whose hot answers are all among the records the engine last
+        saved or restored for it is skipped without reading its blob.
         Approximate and MaxkRS/MaxCRS entries are not persisted -- they are
         cheap to recompute or structurally variable -- and datasets
         registered with ``persist=False`` are skipped.  Call it whenever the
@@ -546,6 +550,11 @@ class MaxRSEngine:
                 if manifest is None or manifest.fingerprint != handle.fingerprint:
                     continue
                 records = self._hot_result_records(handle.fingerprint, entries)
+                key = (handle.dataset_id, handle.fingerprint)
+                saved = self._saved_results.get(key)
+                if saved is not None and len(saved) == manifest.results_count \
+                        and saved.issuperset(records):
+                    continue  # nothing new since the last save or restore
                 try:
                     existing = self.persist.load_results(handle.dataset_id)
                 except PersistError:
@@ -553,10 +562,10 @@ class MaxRSEngine:
                 by_query = {record[:2]: record for record in existing}
                 by_query.update((record[:2], record) for record in records)
                 merged = list(by_query.values())
-                if merged == existing:
-                    continue  # nothing new to persist
-                self.persist.save_results(handle.dataset_id, merged)
-                self.metrics.increment("results_saved", len(merged))
+                if merged != existing:
+                    self.persist.save_results(handle.dataset_id, merged)
+                    self.metrics.increment("results_saved", len(merged))
+                self._saved_results[key] = frozenset(merged)
 
     @staticmethod
     def _hot_result_records(fingerprint: str, entries) -> List[tuple]:
@@ -582,6 +591,8 @@ class MaxRSEngine:
     def _restore_results(self, handle: DatasetHandle) -> None:
         """Reload a dataset's persisted hot results into the result cache."""
         records = self.persist.load_results(handle.dataset_id)
+        self._saved_results[handle.dataset_id, handle.fingerprint] = \
+            frozenset(records)
         for (width, height, loc_x, loc_y, x1, y1, x2, y2, region_weight,
              total_weight, levels, leaves, cost) in records:
             region = MaxRegion(x1=x1, y1=y1, x2=x2, y2=y2, weight=region_weight)
@@ -1137,12 +1148,11 @@ class MaxRSEngine:
                                                        MaxCRSResult]:
         """The exact answer over the entry's points at ``indices`` (all: None).
 
-        MaxRS sweeps with events built straight from the store's columns, so
-        no point object is built (a column-registered dataset stays lazy).
-        MaxCRS runs the exact circle solver, quadratic on a dense subset,
-        which a resident service must not let block on one innocuous query:
-        past ``maxcrs_exact_limit`` points it fails fast with guidance
-        instead.
+        MaxRS sweeps the store's columns, so no point object is built (a
+        column-registered dataset stays lazy).  MaxCRS runs the exact circle
+        solver, quadratic on a dense subset, which a resident service must
+        not let block on one innocuous query: past ``maxcrs_exact_limit``
+        points it fails fast with guidance instead.
         """
         count = entry.count if indices is None else len(indices)
         if spec.kind == "maxrs":

@@ -28,7 +28,11 @@ from repro.core.backends.pure import PurePythonBackend
 from repro.core.beststrip import BestStrip
 from repro.core.dispatch import solve_point_set, solve_point_set_top_k
 from repro.core.plane_sweep import solve_columns, solve_in_memory, sweep_events
-from repro.core.transform import objects_to_event_records
+from repro.core.transform import (
+    ColumnEvents,
+    columns_to_event_array,
+    objects_to_event_records,
+)
 from repro.errors import ConfigurationError
 from repro.geometry import Interval, WeightedPoint
 
@@ -676,7 +680,8 @@ class TestDispatchThreading:
                                    lambda: solve_in_memory(objs, 5.0, 5.0))
         assert pure.total_weight == vec.total_weight
         assert pure.region == vec.region
-        # The columnar entry point: both backends sweep its event array.
+        # The columnar entry point: numpy sweeps the columns, the reference
+        # their event rows.
         columns = [np.array([getattr(o, f) for o in objs])
                    for f in ("x", "y", "weight")]
         for answer in _both_backends(
@@ -705,6 +710,148 @@ class TestDispatchThreading:
             width=6.0, height=6.0).solve(objs))
         assert pure.total_weight == vec.total_weight
         assert pure.region == vec.region
+
+
+#: Coordinates that tie on a small grid, round into each other (0.1 + 0.1
+#: vs 0.3 - 0.1), lose their half-extent (|x| = 1e16), come near or past
+#: the largest double with it (1e308, 1.7e308), or are signed zeros,
+#: infinities or NaN.
+_COLUMN_COORD = st.one_of(
+    st.integers(0, 6).map(float),
+    st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 1e308,
+                     -1e308, 1.7e308, -1.7e308, math.inf, -math.inf,
+                     math.nan)))
+#: Zeros of both signs, and non-integer weights whose sums round.
+_COLUMN_WEIGHT = st.sampled_from((0.0, -0.0, 1.0, 2.0, 0.1, 0.7, 1.3))
+_COLUMN_SIDE = st.sampled_from((1.0, 2.0, 4.0, 0.2, 0.4, 3e-16, 1e308))
+
+
+@st.composite
+def _columns(draw, max_points=12):
+    """``(xs, ys, ws, width, height)`` of 0 to ``max_points`` points, some
+    duplicated."""
+    points = draw(st.lists(st.tuples(_COLUMN_COORD, _COLUMN_COORD,
+                                     _COLUMN_WEIGHT), max_size=max_points))
+    points += draw(st.lists(st.sampled_from(points), max_size=3)
+                   if points else st.just([]))
+    xs, ys, ws = (np.array([p[k] for p in points], dtype=np.float64)
+                  for k in range(3))
+    return xs, ys, ws, draw(_COLUMN_SIDE), draw(_COLUMN_SIDE)
+
+
+def _result_bytes(result):
+    """A result's weight, region and location as float64 bytes."""
+    region = result.region
+    return [np.float64(value).tobytes() for value in (
+        result.total_weight, region.x1, region.y1, region.x2, region.y2,
+        region.weight, result.location.x, result.location.y)]
+
+
+class TestColumnPrepare:
+    """The column route (``_prepare_columns``, from the points' own orders)
+    against the event route (``_prepare_slabs`` of the event rows)."""
+
+    @staticmethod
+    def _assert_same_prepare(xs, ys, ws, width, height):
+        rows = columns_to_event_array(xs, ys, ws, width, height)
+        expected = NumpySweepBackend._prepare_slabs([(rows, Interval.full())])
+        if not len(xs):
+            assert expected is None
+            return
+        prepared = NumpySweepBackend._prepare_columns(
+            ColumnEvents(xs, ys, ws, width, height))
+        assert len(prepared) == len(expected) == 9
+        for got, want in zip(prepared, expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_columns())
+    def test_prepared_arrays_and_answers_are_the_event_routes(self, columns):
+        from repro.core.plane_sweep import _solve_best
+
+        def rows():
+            return columns_to_event_array(*columns)
+
+        with np.errstate(over="ignore"):  # x -+ w/2 past the largest double
+            self._assert_same_prepare(*columns)
+            assert _strip_bytes(NumpySweepBackend().sweep(ColumnEvents(
+                *columns))) == _strip_bytes(NumpySweepBackend().sweep(rows()))
+            assert _result_bytes(solve_columns(*columns)) == \
+                _result_bytes(_solve_best(2 * len(columns[0]), rows))
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_tiny_sets(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            xs, ys = (rng.integers(0, 3, count).astype(float)
+                      for _ in range(2))
+            self._assert_same_prepare(xs, ys, rng.choice((0.0, 0.5, 1.0),
+                                                         count), 2.0, 2.0)
+
+    def test_bottoms_tying_tops_go_in_event_order(self):
+        # Point 0's bottom (y = 3 - 1) ties point 1's top (1 + 1), and its
+        # top (3 + 1) ties point 2's bottom (5 - 1): the stable sort of the
+        # rows puts bottom 0 before top 3, and top 1 before bottom 4.
+        xs = np.array([0.0, 0.5, 1.0, 1.5])
+        ys = np.array([3.0, 1.0, 5.0, 7.0])
+        self._assert_same_prepare(xs, ys, np.array([1.0, 2.0, 3.0, 4.0]),
+                                  1.0, 2.0)
+
+    def test_clipped_away_and_non_finite_points(self):
+        # At |x| = 1e16, x -+ 0.5 round to one end, and infinite or NaN x's
+        # give no cell either: none of these edges is a cell boundary.  NaN
+        # y's go last, each point's bottom before its top.
+        xs = np.array([1e16, -1e16, math.nan, math.inf, 0.0, 1.0, 2.0])
+        ys = np.array([0.0, 1.0, 2.0, math.nan, -0.0, math.inf, math.nan])
+        ws = np.array([1.0, 2.0, 0.5, 3.0, 0.0, 1.5, 0.25])
+        self._assert_same_prepare(xs, ys, ws, 1.0, 1.0)
+
+    def test_uniform_points_at_serving_scale(self):
+        rng = np.random.default_rng(29)
+        xs, ys = rng.uniform(0.0, 1e6, (2, 20_000))
+        ws = rng.choice((0.0, 0.3, 1.0), 20_000)
+        for side in (5e3, 3e4):
+            self._assert_same_prepare(xs, ys, ws, side, side / 2)
+        # Coarsened: ties within and between the bottoms and tops.
+        self._assert_same_prepare(np.round(xs, -4), np.round(ys, -4), ws,
+                                  2e4, 2e4)
+
+    def test_engine_sweeps_columns_without_event_rows(self, pure_backend,
+                                                      monkeypatch):
+        from repro.core import transform
+        from repro.core.backends import pure
+        from repro.service import MaxRSEngine, QuerySpec
+
+        built, swept = [], []
+        build, sweep = transform.columns_to_event_array, pure.sweep_events
+
+        def spy_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def spy_sweep(records, slab_range=None):
+            swept.append(records)
+            return sweep(records, slab_range)
+
+        monkeypatch.setattr(transform, "columns_to_event_array", spy_build)
+        monkeypatch.setattr(pure, "sweep_events", spy_sweep)
+        objs = _random_dataset(random.Random(41), 300, domain=1000.0)
+        answers = []
+        for forced in (contextlib.nullcontext, pure_backend):
+            with forced(), MaxRSEngine() as engine:
+                handle = engine.register_dataset(objs)
+                answers.append(engine.query(handle,
+                                            QuerySpec.maxrs(80.0, 60.0)))
+                assert answers[-1].cost["sweeps"] >= 1
+            if forced is contextlib.nullcontext:
+                assert built == [] and swept == []
+        # The reference swept the rows built from the same columns.
+        assert len(built) == len(swept) == answers[-1].cost["sweeps"]
+        for args, records in zip(built, swept):
+            assert records == build(*args).tolist()
+        assert answers[0].total_weight == answers[1].total_weight
+        assert answers[0].region == answers[1].region
 
 
 class TestEngineBackend:

@@ -282,6 +282,33 @@ class TestLifecycle:
         assert (tmp_path / points).exists()
         store.load_dataset("b")  # still serveable
 
+    def test_shared_blob_is_written_once(self, tmp_path):
+        """A points blob is named by its content: saving the same columns
+        under another id, or again under the same one, writes no block;
+        a blob this store could not verify is written again."""
+        store = SnapshotStore(tmp_path)
+        xs = np.arange(1000, dtype=np.float64)
+        store.save_dataset("a", xs, xs, xs)
+        assert store.counters.block_writes == 6
+        store.save_dataset("b", xs, xs, xs)
+        store.save_dataset("a", xs, xs, xs)
+        assert store.counters.block_writes == 6
+        blob = tmp_path / store.manifest_for("b").points_file
+        raw = bytearray(blob.read_bytes())
+        raw[-5] ^= 0xFF
+        blob.write_bytes(bytes(raw))
+
+        reopened = SnapshotStore(tmp_path)
+        with pytest.raises(PersistError, match="checksum"):
+            reopened.load_dataset("a")
+        reopened.save_dataset("a", xs, xs, xs)  # repairs the shared blob
+        assert reopened.counters.block_writes == 6
+        reopened.save_dataset("c", xs, xs, xs)
+        assert reopened.counters.block_writes == 6
+        for name in "abc":
+            assert SnapshotStore(tmp_path).load_dataset(name).xs.tobytes() \
+                == xs.tobytes()
+
     def test_read_only_open_does_not_create_the_directory(self, tmp_path):
         """A mistyped persist_dir must not turn into an empty-looking store."""
         missing = tmp_path / "no-such-store"

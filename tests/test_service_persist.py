@@ -109,6 +109,27 @@ class TestWriteThrough:
         day2 = MaxRSEngine(persist_dir=tmp_path)
         assert day2.stats()["persist"]["io"]["block_reads"] == blocks + 1
 
+    def test_same_data_under_a_second_name_writes_no_points(self, tmp_path):
+        """The second name shares the first one's points blob, which
+        outlives the first name's snapshot."""
+        points = _dataset(count=20_000, seed=7)
+        engine = MaxRSEngine(persist_dir=tmp_path)
+        engine.register_dataset(points, name="a")
+        writes = engine.stats()["persist"]["io"]["block_writes"]
+        assert writes == _points_blocks(len(points)) == 118
+        engine.register_dataset(points, name="b")
+        assert engine.stats()["persist"]["io"]["block_writes"] == writes
+        blob = open_catalog(tmp_path).get("b").points_file
+        assert open_catalog(tmp_path).get("a").points_file == blob
+        engine.unregister_dataset("a")
+        assert "a" not in open_catalog(tmp_path)
+        assert (tmp_path / blob).exists()
+
+        revived = MaxRSEngine(persist_dir=tmp_path)
+        assert revived.stats()["persist"]["datasets_restored"] == 1
+        spec = QuerySpec.maxrs(3.0, 3.0)
+        assert revived.query("b", spec) == engine.query("b", spec)
+
     def test_persist_false_keeps_dataset_memory_only(self, tmp_path, objects):
         engine = MaxRSEngine(persist_dir=tmp_path)
         engine.register_dataset(objects, name="ds", persist=False)
@@ -240,6 +261,31 @@ class TestWarmStart:
         catalog_mtime = (tmp_path / "catalog.json").stat().st_mtime_ns
         engine.checkpoint()  # nothing changed since the last one
         assert (tmp_path / "catalog.json").stat().st_mtime_ns == catalog_mtime
+
+    def test_idle_checkpoint_reads_nothing(self, tmp_path, objects):
+        """A checkpoint with no answer new since the last save or restore
+        moves no block, before a restart and after it."""
+        engine = MaxRSEngine(persist_dir=tmp_path)
+        for name, points in (("a", objects), ("b", objects[:200])):
+            engine.register_dataset(points, name=name)
+            engine.query(name, QuerySpec.maxrs(6.0, 6.0))
+        engine.checkpoint()
+        io = dict(engine.stats()["persist"]["io"])
+        engine.checkpoint()
+        assert engine.stats()["persist"]["io"] == io
+
+        day2 = MaxRSEngine(persist_dir=tmp_path)
+        assert day2.stats()["persist"]["results_restored"] == 2
+        io = dict(day2.stats()["persist"]["io"])
+        day2.checkpoint()
+        assert day2.stats()["persist"]["io"] == io
+        # A new answer is merged with the saved one, as before.
+        day2.query("a", QuerySpec.maxrs(3.0, 11.0))
+        day2.checkpoint()
+        assert day2.stats()["persist"]["io"]["block_reads"] > \
+            io["block_reads"]
+        assert MaxRSEngine(persist_dir=tmp_path).stats()["persist"][
+            "results_restored"] == 3
 
     def test_restore_hashes_each_dataset_once(self, tmp_path, objects,
                                               monkeypatch):
