@@ -8,6 +8,8 @@ import platform
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.experiments.results import FigureResult
 
 __all__ = ["run_once", "series_values", "assert_exact_is_cheapest",
@@ -69,17 +71,12 @@ def _host_fingerprint() -> Dict[str, Any]:
     """What produced the numbers: platform, interpreter, cores, backend."""
     from repro.core.backends import platform_backend
 
-    try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy-less host
-        numpy_version = None
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy": np.__version__,
         "sweep_backend": platform_backend().name,
     }
 

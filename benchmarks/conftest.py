@@ -22,34 +22,19 @@ import os
 
 import pytest
 
-try:
-    from repro.experiments.config import PRESETS, ExperimentScale
-except ImportError:
-    # The experiment harness (like every benchmark module) is numpy-backed.
-    # Without numpy the whole directory is skipped at collection so
-    # `make test` stays green on numpy-less hosts; any other import failure
-    # is a real bug and must surface.
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        collect_ignore_glob = ["test_*.py"]
-        PRESETS = None
-    else:
-        raise
+from repro.experiments.config import PRESETS, ExperimentScale
 
-if PRESETS is not None:
-    #: The default benchmark scale: small enough for minutes-long runs, large
-    #: enough that ExactMaxRS still recurses and the baselines' curves
-    #: separate.
-    FAST_SCALE = ExperimentScale(
-        cardinality_scale=0.02,
-        buffer_scale=0.08,
-        simulate_baselines=True,
-        quality_cardinality_scale=0.008,
-    )
+#: The default benchmark scale: small enough for minutes-long runs, large
+#: enough that ExactMaxRS still recurses and the baselines' curves separate.
+FAST_SCALE = ExperimentScale(
+    cardinality_scale=0.02,
+    buffer_scale=0.08,
+    simulate_baselines=True,
+    quality_cardinality_scale=0.008,
+)
 
-    _PRESETS = dict(PRESETS)
-    _PRESETS["fast"] = FAST_SCALE
+_PRESETS = dict(PRESETS)
+_PRESETS["fast"] = FAST_SCALE
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,8 @@ def test_micro_external_sort(benchmark):
         ctx = _context()
         file = ctx.create_file(OBJECT_CODEC)
         file.write_all((o.x, o.y, o.weight) for o in objects)
-        result = external_sort(ctx, file, OBJECT_CODEC, key=lambda r: r[0])
+        # Whole-record order on (x, y, weight) sorts by x first.
+        result = external_sort(ctx, file, OBJECT_CODEC)
         return len(result)
 
     assert benchmark(sort_once) == 20_000

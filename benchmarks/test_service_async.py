@@ -31,9 +31,7 @@ import os
 import statistics
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")  # engine grid index and dataset generation
+import numpy as np
 
 from _bench_utils import write_bench_json
 from repro.aio import AsyncMaxRSEngine

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")  # engine grid index and dataset generation
+import numpy as np
 
 from _bench_utils import write_bench_json
 from repro.geometry import WeightedPoint

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")  # index construction is numpy-backed
+import numpy as np
 
 from _bench_utils import write_bench_json
 from repro.geometry import WeightedPoint

@@ -30,9 +30,7 @@ from __future__ import annotations
 import contextlib
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")  # engine grid index and dataset generation
+import numpy as np
 
 from _bench_utils import write_bench_json
 from repro.api import MaxRSSolver

@@ -28,12 +28,12 @@ def pure_backend():
     """``with pure_backend():`` runs every sweep in the block on the
     pure-Python reference backend.
 
-    The library sweeps on numpy whenever it imports
+    The library sweeps on numpy
     (:func:`repro.core.backends.platform_backend`, which every solver and
     the engine look up when they sweep); the block swaps that selection for
     the reference, so a test or benchmark runs both implementations in one
     interpreter, as ``tests/external_cases.py::use_record_paths`` does for
-    the block passes.
+    the external-memory passes.
     """
     @contextlib.contextmanager
     def forced():

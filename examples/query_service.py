@@ -63,8 +63,7 @@ def main() -> None:
     print(f"workload              : {len(workload)} queries, {len(sizes)} distinct sizes")
 
     engine = MaxRSEngine()
-    print(f"sweep backend         : {engine.stats()['sweep_backend']} "
-          "(numpy whenever it imports, else the pure-Python reference)")
+    print(f"sweep backend         : {engine.stats()['sweep_backend']}")
     start = time.perf_counter()
     dataset = engine.register_dataset(objects, name="city")
     register_seconds = time.perf_counter() - start

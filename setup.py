@@ -2,11 +2,9 @@
 
 Install with ``pip install .`` (or ``pip install -e .`` for a development
 checkout); the tests and examples also run uninstalled with
-``PYTHONPATH=src``.  numpy is optional: the package imports without it,
-and ExactMaxRS (pure sweeps and the record-at-a-time MergeSweep),
-ApproxMaxCRS, ``MaxRSSolver``, ``MaxCRSSolver`` and the baselines still
-answer.  The numpy sweep backend, the block-batched MergeSweep, the
-resident engine and the exact circle solver need it.
+``PYTHONPATH=src``.  numpy is required: every external-memory pass moves
+its blocks as numpy arrays, and the sweeps, the resident engine and the
+exact circle solver are numpy-vectorised.
 """
 
 import re
@@ -26,4 +24,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    install_requires=["numpy"],
 )

@@ -93,9 +93,9 @@ def __getattr__(name: str):
 
     ``MaxRSSolver`` / ``MaxCRSSolver`` live in :mod:`repro.api` and
     ``MaxRSEngine`` / ``QuerySpec`` in :mod:`repro.service`, which pull in
-    the circle subsystem and numpy; importing them lazily keeps ``import
-    repro`` light and avoids import cycles for code that only needs the core
-    types.
+    the circle subsystem and the engine's layers; importing them lazily
+    keeps ``import repro`` light and avoids import cycles for code that only
+    needs the core types.
     """
     if name in ("MaxRSSolver", "MaxCRSSolver"):
         from repro import api

@@ -55,9 +55,9 @@ class MaxRSSolver:
         in the configured memory.  By default small inputs take the in-memory
         plane-sweep fast path, exactly as Algorithm 2 does.
 
-    Every sweep runs on numpy when it imports and on the pure-Python
-    reference otherwise (:func:`~repro.core.backends.platform_backend`);
-    both return the same answers.
+    Every sweep runs on the platform's numpy backend
+    (:func:`~repro.core.backends.platform_backend`), which returns the
+    pure-Python reference's answers.
 
     Examples
     --------

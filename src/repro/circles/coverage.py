@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.em.record_file import RecordFile
 from repro.errors import ConfigurationError
 from repro.geometry import Point, WeightedPoint, is_positive_finite
-
-try:  # guarded: without numpy the file scan runs record by record
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
 
 __all__ = ["coverage_of_candidates", "coverage_of_candidates_file", "best_candidate"]
 
@@ -55,40 +52,30 @@ def coverage_of_candidates_file(objects_file: RecordFile,
     final step costs exactly one linear pass of I/O regardless of how many
     candidates are evaluated.
 
-    When the file moves blocks as arrays (:attr:`RecordFile.supports_arrays`)
-    the scan tests a whole block against every candidate at once, with the
-    same ``pool.get`` per block in file order.  Each total still adds its
-    covered weights one at a time in file order (``np.add.accumulate`` is
+    The scan tests a whole block against every candidate at once, with one
+    ``pool.get`` per block in file order.  Each total still adds its covered
+    weights one at a time in file order (``np.add.accumulate`` is
     sequential, adding ``0.0`` for an uncovered object leaves a total as it
-    is, and no total is ever ``-0.0``), so the totals are the record loop's,
-    bit for bit.
+    is, and no total is ever ``-0.0``), so the totals are those of
+    :func:`coverage_of_candidates`' loop over the same objects, bit for bit.
     """
     if not is_positive_finite(diameter):
         raise ConfigurationError(
             f"diameter must be positive and finite, got {diameter}")
     radius_sq = (diameter / 2.0) ** 2
-    if objects_file.supports_arrays:
-        centre_x = np.array([candidate.x for candidate in candidates])
-        centre_y = np.array([candidate.y for candidate in candidates])
-        totals = np.zeros((1, len(candidates)))
-        # inf - inf and 1e300 * 1e300 stay as quiet as in the record loop.
-        with np.errstate(invalid="ignore", over="ignore"):
-            for block in objects_file.iter_block_arrays():   # (x, y, weight)
-                dx = block[:, :1] - centre_x
-                dy = block[:, 1:2] - centre_y
-                covered = np.where(dx * dx + dy * dy < radius_sq,
-                                   block[:, 2:], 0.0)
-                totals = np.add.accumulate(
-                    np.concatenate((totals, covered)))[-1:]
-        return totals[0].tolist()
-    totals = [0.0] * len(candidates)
-    for x, y, weight in objects_file.reader():
-        for index, candidate in enumerate(candidates):
-            dx = x - candidate.x
-            dy = y - candidate.y
-            if dx * dx + dy * dy < radius_sq:
-                totals[index] += weight
-    return totals
+    centre_x = np.array([candidate.x for candidate in candidates])
+    centre_y = np.array([candidate.y for candidate in candidates])
+    totals = np.zeros((1, len(candidates)))
+    # inf - inf and 1e300 * 1e300 stay as quiet as in a loop over floats.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in objects_file.iter_block_arrays():   # (x, y, weight)
+            dx = block[:, :1] - centre_x
+            dy = block[:, 1:2] - centre_y
+            covered = np.where(dx * dx + dy * dy < radius_sq,
+                               block[:, 2:], 0.0)
+            totals = np.add.accumulate(
+                np.concatenate((totals, covered)))[-1:]
+    return totals[0].tolist()
 
 
 def best_candidate(candidates: Sequence[Point],

@@ -54,13 +54,10 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.geometry import Point, WeightedPoint, is_positive_finite
-
-try:  # guarded: the package imports without numpy; this solver needs it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
 
 __all__ = ["exact_maxcrs"]
 
@@ -93,8 +90,7 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     Raises
     ------
     ConfigurationError
-        If ``diameter`` is not positive and finite, or numpy does not
-        import.
+        If ``diameter`` is not positive and finite.
 
     Notes
     -----
@@ -103,9 +99,6 @@ def exact_maxcrs(objects: Sequence[WeightedPoint],
     ``Θ(n^2 log n)`` when every object is within ``diameter`` of every
     other.
     """
-    if np is None:
-        raise ConfigurationError(
-            "the exact MaxCRS solver needs numpy, which is not importable")
     if not is_positive_finite(diameter):
         raise ConfigurationError(
             f"diameter must be positive and finite, got {diameter}")

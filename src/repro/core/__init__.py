@@ -10,8 +10,8 @@ Layout of the package (bottom-up):
 * :mod:`repro.core.plane_sweep` -- the in-memory plane sweep, both the base
   case of the recursion and the exact reference solver.
 * :mod:`repro.core.backends` -- the two implementations of that sweep: the
-  pure-Python reference tree and a numpy-vectorised one; the platform picks
-  numpy whenever it imports.
+  pure-Python reference tree and a numpy-vectorised one, which every solve
+  runs on.
 * :mod:`repro.core.slab` -- slabs, boundary selection and the division phase.
 * :mod:`repro.core.slabfile` -- slab-files of max-interval tuples
   (Definition 6).

@@ -12,16 +12,17 @@ several specialised implementations:
   so) -- between them, what :func:`repro.core.plane_sweep.sweep_events`
   returns;
 * :class:`~repro.core.backends.pure.PurePythonBackend` -- the reference
-  implementation, a lazy segment tree in pure Python.  Always available;
+  implementation, a lazy segment tree in pure Python;
 * :class:`~repro.core.backends.numpy_backend.NumpySweepBackend` -- a
   numpy-vectorised sweep (chunked difference-array profile maintenance).
-  Available only when numpy is importable.
 
-The platform picks: :func:`platform_backend` returns numpy whenever it
-imports and pure Python otherwise, and every solve of the library sweeps on
-it.  The numpy sweep is at least as fast from about 20 points (40 events)
-up, and every sweep of the library that small costs well under a
-millisecond either way, so the choice does not depend on the input.
+Every solve of the library sweeps on :func:`platform_backend`, the numpy
+sweep.  It is at least as fast from about 20 points (40 events) up, and
+every sweep of the library that small costs well under a millisecond
+either way, so the choice does not depend on the input.  The reference
+runs where a test or benchmark swaps it in (the root ``conftest.py``'s
+``pure_backend`` fixture); the naive baseline's simulated sweep calls its
+:func:`~repro.core.plane_sweep.sweep_events` directly.
 
 Determinism contract
 --------------------
@@ -58,7 +59,6 @@ __all__ = [
     "auto_crossover",
     "available_backends",
     "get_backend",
-    "numpy_available",
     "platform_backend",
 ]
 
@@ -104,28 +104,18 @@ class SweepBackend(Protocol):
         ...
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend can run in this interpreter."""
-    from repro.core.backends.numpy_backend import np
-
-    return np is not None
-
-
 def auto_crossover() -> int:
     """Event count from which :func:`platform_backend` picks numpy: always 0.
 
-    Numpy runs whenever it imports, whatever the sweep's size.  Kept for
-    callers that still report the old size threshold.
+    Numpy runs whatever the sweep's size.  Kept for callers that still
+    report the old size threshold.
     """
     return 0
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of the backends that can run right now, reference first."""
-    names = ["pure"]
-    if numpy_available():
-        names.append("numpy")
-    return tuple(names)
+    """Names of the backends, reference first."""
+    return ("pure", "numpy")
 
 
 def get_backend(name: str) -> SweepBackend:
@@ -134,18 +124,13 @@ def get_backend(name: str) -> SweepBackend:
     Raises
     ------
     ConfigurationError
-        For unknown names, or for ``"numpy"`` when numpy is not importable.
+        For unknown names.
     """
     if name == "pure":
         from repro.core.backends.pure import PurePythonBackend
 
         return PurePythonBackend()
     if name == "numpy":
-        if not numpy_available():
-            raise ConfigurationError(
-                "the numpy sweep backend was requested but numpy is not "
-                "importable"
-            )
         from repro.core.backends.numpy_backend import NumpySweepBackend
 
         return NumpySweepBackend()
@@ -155,11 +140,10 @@ def get_backend(name: str) -> SweepBackend:
 
 
 def platform_backend() -> SweepBackend:
-    """The backend every sweep of the library runs on.
+    """The backend every sweep of the library runs on: numpy.
 
-    Numpy whenever it imports, the pure-Python reference otherwise.  The
-    solvers and the engine call this when they sweep, through the module
-    attribute, so replacing the attribute (as the tests do to run the
-    reference) reaches every sweep.
+    The solvers and the engine call this when they sweep, through the
+    module attribute, so replacing the attribute (as the tests do to run
+    the reference) reaches every sweep.
     """
-    return get_backend("numpy" if numpy_available() else "pure")
+    return get_backend("numpy")

@@ -91,17 +91,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.beststrip import BestStrip
 from repro.core.transform import ColumnEvents
 from repro.em.codecs import EVENT_BOTTOM
-from repro.errors import AlgorithmError, ConfigurationError
+from repro.errors import AlgorithmError
 from repro.geometry import Interval
-
-try:  # guarded: the package must import (and report) cleanly without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
 
 __all__ = ["NumpySweepBackend"]
 
@@ -139,15 +136,9 @@ _STEP_FIXED_CELLS = 8192
 
 
 class NumpySweepBackend:
-    """Vectorised sweep backend; requires numpy."""
+    """Vectorised sweep backend."""
 
     name = "numpy"
-
-    def __init__(self) -> None:
-        if np is None:
-            raise ConfigurationError(
-                "NumpySweepBackend requires numpy, which is not importable"
-            )
 
     # ------------------------------------------------------------------ #
     # Entry points

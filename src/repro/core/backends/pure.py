@@ -1,14 +1,11 @@
 """The reference sweep backend: the pure-Python lazy segment tree.
 
 This is the original :func:`repro.core.plane_sweep.sweep_events` behind the
-:class:`~repro.core.backends.SweepBackend` protocol.  It exists as a named
-backend for two reasons:
-
-* it is always available (no third-party dependency), so
-  :func:`~repro.core.backends.platform_backend` falls back to it when numpy
-  does not import;
-* it is the semantic reference the vectorised backends are property-tested
-  against (see ``tests/test_core_backends.py``).
+:class:`~repro.core.backends.SweepBackend` protocol.  It is the semantic
+reference the vectorised backend is property-tested against (see
+``tests/test_core_backends.py``), and as a named backend it can stand in
+for :func:`~repro.core.backends.platform_backend` in a whole solve (the
+root ``conftest.py``'s ``pure_backend`` fixture) or a traced benchmark run.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ The dispatch is controlled by two flags:
     design, so simulating disk I/O for them would only add cost.
 
 Whichever strategy runs, its sweeps run on the platform's backend
-(:func:`repro.core.backends.platform_backend`): the numpy-vectorised sweep
-whenever numpy imports, the pure-Python reference tree otherwise.
+(:func:`repro.core.backends.platform_backend`), the numpy-vectorised sweep.
 """
 
 from __future__ import annotations

@@ -25,12 +25,11 @@ the distribution-sweep paradigm:
 Total cost: ``O((N/B) log_{M/B}(N/B))`` I/Os (Theorem 2), dominated by the
 initial sort and by one linear pass per recursion level.
 
-Every pass moves whole blocks as float64 arrays whenever numpy imports
-(the transform, the external sort, the division and the leaves' slab-file
-reads and writes; see :mod:`repro.em.record_file` for the read/write-order
-rule they keep) and runs record by record without it.  This module does not
-branch on numpy: the passes and :class:`~repro.em.record_file.RecordFile`
-do, and both paths read and write the same blocks, bit for bit.
+Every pass moves whole blocks as float64 arrays (the transform, the
+external sort, the division, the leaves' slab-file reads and writes and
+MergeSweep; see :mod:`repro.em.record_file` for the read/write-order rule
+they keep), and reads and writes the blocks a record-at-a-time pass would,
+bit for bit.
 
 Leaf batches
 ------------

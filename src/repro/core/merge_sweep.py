@@ -16,7 +16,7 @@ simultaneously:
   whose intervals touch and tie for the maximum are merged into one longer
   max-interval (the paper's ``GetMaxInterval``).
 
-Whenever numpy imports, the sweep runs in **block batches**:
+The sweep runs in **block batches**:
 
 * one block of every stream is read through the buffer pool, with the same
   ``pool.get`` per block as a sequential reader.  The *bound* is the
@@ -70,34 +70,27 @@ makes it, then one device write and no frame).  Then:
   unchanged, and as the output writer is the only allocator during a
   merge, even the output's block ids repeat.
 
-Without numpy, :func:`heap_merge_sweep` runs: a heap over the streams and a
-:class:`~repro.core.segment_tree.MaxAddSegmentTree` of the effective sums
-(point updates for tuples, range updates for spanning edges), ``O(log m)``
-per record.  It is also the tests' reference: both write the same slab-file,
-bit for bit whenever the sums are exactly representable (integer weights),
-with the same block reads and writes.
+The merge writes the slab-file of a record-at-a-time merge (a heap over
+the streams and segment trees of the effective sums, ``O(log m)`` per
+record; ``tests/record_passes.py`` keeps it as the reference), bit for bit
+whenever the sums are exactly representable (integer weights), with the
+same block reads and writes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left, bisect_right
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
-from repro.core.beststrip import BestStrip, BestStripTracker
-from repro.core.segment_tree import MaxAddSegmentTree
+from repro.core.beststrip import BestStrip
 from repro.core.slab import Slab
 from repro.em.codecs import EVENT_BOTTOM, MAX_INTERVAL_CODEC
 from repro.em.context import EMContext
 from repro.em.record_file import RecordFile, RecordWriter
 from repro.errors import AlgorithmError
-
-try:  # guarded: numpy-less hosts run the heap merge
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
 
 __all__ = ["merge_sweep"]
 
@@ -115,14 +108,6 @@ _TIE_TOLERANCE = 1e-12
 #: looks for the run; the few longer runs are redone over every sub-slab.
 _CHAIN_REACH = 4
 
-#: Heap tag identifying entries that come from a slab-file stream.
-_TAG_TUPLE = 0
-#: Heap tag identifying entries that come from the spanning-event stream.
-_TAG_SPANNING = 1
-
-_MergeFn = Callable[[Sequence[Slab], Sequence[RecordFile], RecordFile,
-                     RecordWriter], Tuple[BestStrip, int]]
-
 
 def merge_sweep(
     ctx: EMContext,
@@ -133,10 +118,8 @@ def merge_sweep(
     name: str = "merged",
     span=obs.NOOP_SPAN,
 ) -> Tuple[RecordFile, BestStrip]:
-    """Merge ``m`` slab-files and a spanning-event file into one slab-file.
-
-    Runs in block batches when numpy imports, else record by record (see
-    the module docstring); both read and write the same blocks.
+    """Merge ``m`` slab-files and a spanning-event file into one slab-file,
+    in block batches (see the module docstring).
 
     Parameters
     ----------
@@ -155,38 +138,13 @@ def merge_sweep(
         Name for the output slab-file.
     span:
         The caller's span; the merge sets its ``applies`` attribute (how
-        many times the block-batched merge applied due records, 0 for the
-        record-at-a-time merge).
+        many times it applied due records).
 
     Returns
     -------
     (output, best):
         The merged slab-file (y-sorted) and the best strip it contains.
     """
-    merge = _heap_merge if np is None else _block_merge
-    return _run(merge, ctx, sub_slabs, slab_files, spanning_file, name, span)
-
-
-def heap_merge_sweep(
-    ctx: EMContext,
-    sub_slabs: Sequence[Slab],
-    slab_files: Sequence[RecordFile],
-    spanning_file: RecordFile,
-    *,
-    name: str = "merged",
-) -> Tuple[RecordFile, BestStrip]:
-    """:func:`merge_sweep` one record at a time (heap + segment trees).
-
-    The path :func:`merge_sweep` takes when numpy does not import, and the
-    reference the block-batched pass is tested against.
-    """
-    return _run(_heap_merge, ctx, sub_slabs, slab_files, spanning_file, name,
-                obs.NOOP_SPAN)
-
-
-def _run(merge: _MergeFn, ctx: EMContext, sub_slabs: Sequence[Slab],
-         slab_files: Sequence[RecordFile], spanning_file: RecordFile,
-         name: str, span) -> Tuple[RecordFile, BestStrip]:
     m = len(sub_slabs)
     if m == 0:
         raise AlgorithmError("MergeSweep needs at least one sub-slab")
@@ -196,14 +154,12 @@ def _run(merge: _MergeFn, ctx: EMContext, sub_slabs: Sequence[Slab],
         )
     output = ctx.create_file(MAX_INTERVAL_CODEC, name=name)
     with output.writer() as writer:
-        best, applies = merge(sub_slabs, slab_files, spanning_file, writer)
+        best, applies = _block_merge(sub_slabs, slab_files, spanning_file,
+                                     writer)
     span.set_attribute("applies", applies)
     return output, best
 
 
-# ---------------------------------------------------------------------- #
-# Block-batched merge (numpy)
-# ---------------------------------------------------------------------- #
 # Pending records are rows (y, stream, x1, x2, value): a slab-file tuple of
 # sub-slab ``stream`` carries its sum, a spanning edge (``stream == m``)
 # its signed weight.
@@ -577,110 +533,3 @@ def _ties(values, best):
     bound *= _TIE_TOLERANCE
     np.maximum(bound, _TIE_TOLERANCE, out=bound)
     return (values == best) | ((diff <= bound) & (diff < math.inf))
-
-
-# ---------------------------------------------------------------------- #
-# Record-at-a-time merge (heap + segment trees)
-# ---------------------------------------------------------------------- #
-def _heap_merge(sub_slabs: Sequence[Slab], slab_files: Sequence[RecordFile],
-                spanning_file: RecordFile,
-                writer: RecordWriter) -> Tuple[BestStrip, int]:
-    m = len(sub_slabs)
-    tree = MaxAddSegmentTree(m)       # effective sums (base + upSum)
-    upsum = MaxAddSegmentTree(m)      # upSum alone (range add / point query)
-    base_interval: List[Tuple[float, float]] = [(s.lo, s.hi) for s in sub_slabs]
-    slab_los = [s.lo for s in sub_slabs]
-    slab_his = [s.hi for s in sub_slabs]
-
-    readers = [f.reader() for f in slab_files]
-    spanning_reader = spanning_file.reader()
-
-    # Heap entries: (y, tag, stream index, record).  Stream indices are unique
-    # per stream so records never get compared.
-    heap: List[Tuple[float, int, int, Tuple[float, ...]]] = []
-    for idx, reader in enumerate(readers):
-        record = next(reader, None)
-        if record is not None:
-            heap.append((record[0], _TAG_TUPLE, idx, record))
-    spanning_record = next(spanning_reader, None)
-    if spanning_record is not None:
-        heap.append((spanning_record[0], _TAG_SPANNING, m, spanning_record))
-    heapq.heapify(heap)
-
-    tracker = BestStripTracker()
-    while heap:
-        y = heap[0][0]
-        while heap and heap[0][0] == y:
-            _, tag, idx, record = heapq.heappop(heap)
-            if tag == _TAG_SPANNING:
-                _apply_spanning(record, slab_los, slab_his, tree, upsum)
-                nxt = next(spanning_reader, None)
-                if nxt is not None:
-                    heapq.heappush(heap, (nxt[0], _TAG_SPANNING, m, nxt))
-            else:
-                _apply_tuple(record, idx, tree, upsum, base_interval)
-                nxt = next(readers[idx], None)
-                if nxt is not None:
-                    heapq.heappush(heap, (nxt[0], _TAG_TUPLE, idx, nxt))
-        x_lo, x_hi, best_value = _current_max_interval(tree, base_interval, m)
-        writer.append((y, x_lo, x_hi, best_value))
-        tracker.observe(y, x_lo, x_hi, best_value)
-
-    tracker.finish()
-    return tracker.best, 0
-
-
-def _apply_spanning(record: Tuple[float, ...], slab_los: Sequence[float],
-                    slab_his: Sequence[float], tree: MaxAddSegmentTree,
-                    upsum: MaxAddSegmentTree) -> None:
-    """Apply one spanning-rectangle edge: adjust ``upSum`` of the spanned slabs."""
-    _, kind, x1, x2, weight = record
-    first = bisect_left(slab_los, x1)
-    last = bisect_right(slab_his, x2) - 1
-    if first > last:
-        return
-    delta = weight if kind == EVENT_BOTTOM else -weight
-    tree.range_add(first, last, delta)
-    upsum.range_add(first, last, delta)
-
-
-def _apply_tuple(record: Tuple[float, ...], slab_index: int,
-                 tree: MaxAddSegmentTree, upsum: MaxAddSegmentTree,
-                 base_interval: List[Tuple[float, float]]) -> None:
-    """Apply one slab-file tuple: replace the sub-slab's base max-interval."""
-    _, x1, x2, base_sum = record
-    effective_new = base_sum + upsum.point_value(slab_index)
-    effective_old = tree.point_value(slab_index)
-    tree.range_add(slab_index, slab_index, effective_new - effective_old)
-    base_interval[slab_index] = (x1, x2)
-
-
-def _current_max_interval(tree: MaxAddSegmentTree,
-                          base_interval: Sequence[Tuple[float, float]],
-                          m: int) -> Tuple[float, float, float]:
-    """Return the merged max-interval and its sum for the current strip.
-
-    Implements ``GetMaxInterval``: the winning sub-slab's interval is extended
-    over adjacent sub-slabs whose intervals touch it and whose effective sums
-    tie with the maximum.
-    """
-    best_value = tree.global_max()
-    winner = tree.argmax_leftmost()
-    x_lo, x_hi = base_interval[winner]
-    j = winner - 1
-    while j >= 0 and base_interval[j][1] == x_lo and \
-            _tie(tree.point_value(j), best_value):
-        x_lo = base_interval[j][0]
-        j -= 1
-    j = winner + 1
-    while j < m and base_interval[j][0] == x_hi and \
-            _tie(tree.point_value(j), best_value):
-        x_hi = base_interval[j][1]
-        j += 1
-    return x_lo, x_hi, best_value
-
-
-def _tie(value: float, best: float) -> bool:
-    """Floating-point-tolerant equality used when merging tied sub-slabs."""
-    return math.isclose(value, best, rel_tol=_TIE_TOLERANCE,
-                        abs_tol=_TIE_TOLERANCE)

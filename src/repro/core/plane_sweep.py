@@ -167,7 +167,7 @@ def solve_columns(xs, ys, ws, width: float, height: float) -> MaxRSResult:
     (:class:`~repro.core.transform.ColumnEvents`), which the numpy backend
     prepares from the columns' own x and y orders and the reference lays
     out as rows.  The answer is bit-identical to :func:`solve_in_memory` on
-    the objects the columns hold.  Requires numpy.
+    the objects the columns hold.
     """
     return _solve_best(2 * len(xs),
                        lambda: ColumnEvents(xs, ys, ws, width, height))

@@ -35,15 +35,15 @@ covers nothing, but its y is still an h-line of the in-memory sweep.  It
 goes to the spanning file, where it spans no sub-slab: MergeSweep emits its
 h-line and changes no sum.
 
-Whenever numpy imports, the steps run on arrays: :func:`collect_edge_xs`
-masks all the blocks' edges at once, :func:`choose_boundaries` picks from a
-sorted array, and :func:`partition_event_file` replays its scan.  The event
-file does not change between the two scans, so the partition already holds
-every record its scan would read.  For a chunk of ``_CHUNK_BLOCKS`` input
-blocks it splits all the records at once (``np.searchsorted`` with the
-sides of ``bisect_right`` and ``bisect_left``), counts which output blocks
-each input block completes, then walks the chunk's blocks in order: for
-each it makes the one buffer-pool ``get`` its scan made
+The steps run on arrays: :func:`collect_edge_xs` masks all the blocks'
+edges at once, :func:`choose_boundaries` picks from a sorted array, and
+:func:`partition_event_file` replays its scan.  The event file does not
+change between the two scans, so the partition already holds every record
+its scan would read.  For a chunk of ``_CHUNK_BLOCKS`` input blocks it
+splits all the records at once (``np.searchsorted`` with the sides of
+``bisect_right`` and ``bisect_left``), counts which output blocks each
+input block completes, then walks the chunk's blocks in order: for each it
+makes the one buffer-pool ``get`` its scan made
 (:meth:`~repro.em.record_file.RecordFile.reread_block`), then writes the
 blocks it completes.  Those go out in file order: a record gives each
 output file at most one piece, and a file holds fewer than ``B`` pieces
@@ -58,19 +58,20 @@ input block, then the writes its pieces cause (each written straight
 through: room made as ``put`` makes it, one device write), then the next
 ``get``.  No write moves past a read, as MergeSweep's deferred applies
 do, so reads, writes, pool hits and even block ids are that scan's,
-including hits on blocks the edge scan left in the pool.
-The record loop, the numpy-less path and the reference, replays the scan
-record by record: the same files, bit for bit, and the same reads and
-writes, except that within one input block it writes the completed blocks
-in record order, so block ids may be given out in another order.
+including hits on blocks the edge scan left in the pool.  The
+record-at-a-time reference (``tests/record_passes.py``) writes the same
+files, bit for bit, with the same reads and writes; only within one input
+block it writes the completed blocks in record order, so it may give out
+block ids in another order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.em.codecs import EVENT_CODEC
 from repro.em.context import EMContext
@@ -78,18 +79,12 @@ from repro.em.record_file import RecordFile, RecordWriter
 from repro.errors import AlgorithmError
 from repro.geometry import Interval
 
-try:  # guarded: the record loops divide without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
-
 __all__ = [
     "Slab",
     "collect_edge_xs",
     "choose_boundaries",
     "make_subslabs",
     "partition_event_file",
-    "spanned_slab_range",
 ]
 
 
@@ -124,25 +119,16 @@ def collect_edge_xs(blocks, slab: Slab):
     """Return the vertical-edge x-coordinates strictly inside ``slab``.
 
     ``blocks`` are the blocks one scan of the slab's event file read, in
-    file order (:meth:`~repro.em.record_file.RecordFile.read_blocks`):
-    arrays of rows give an array of edges, record lists a list.  Both edges
-    of every event's x-range are collected (with multiplicity), in record
-    order, so quantiles over them balance the *edge* counts across
-    sub-slabs exactly as in the proof of Lemma 1.
+    file order (:meth:`~repro.em.record_file.RecordFile.read_blocks`).
+    Both edges of every event's x-range are collected (with multiplicity),
+    in record order, as one array, so quantiles over them balance the
+    *edge* counts across sub-slabs exactly as in the proof of Lemma 1.
     """
-    lo, hi = slab.lo, slab.hi
-    if np is not None and blocks and isinstance(blocks[0], np.ndarray):
-        # x1, x2 of each record in turn.
-        xs = np.concatenate([block[:, 2:4] for block in blocks]).ravel()
-        return xs[(lo < xs) & (xs < hi)]
-    edges: List[float] = []
-    for block in blocks:
-        for _, _, x1, x2, _ in block:
-            if lo < x1 < hi:
-                edges.append(x1)
-            if lo < x2 < hi:
-                edges.append(x2)
-    return edges
+    if not blocks:
+        return np.empty(0)
+    # x1, x2 of each record in turn.
+    xs = np.concatenate([block[:, 2:4] for block in blocks]).ravel()
+    return xs[(slab.lo < xs) & (xs < slab.hi)]
 
 
 def choose_boundaries(edge_xs, fanout: int) -> List[float]:
@@ -161,24 +147,19 @@ def choose_boundaries(edge_xs, fanout: int) -> List[float]:
         return []
     positions = [p for p in ((k * count) // fanout for k in range(1, fanout))
                  if 0 < p < count]
-    if np is not None:
-        edge_xs = np.asarray(edge_xs, dtype=np.float64)
-        ordered = np.sort(edge_xs)
-        smallest, picks = float(ordered[0]), ordered[positions]
-        # Of equal edges only -0.0 and 0.0 differ, and the sort need not
-        # keep their order: sorted() does, so a zero pick is the zero at
-        # its rank among the zeros in input order.
-        zero = np.flatnonzero(picks == 0)
-        if len(zero):
-            zeros = edge_xs[edge_xs == 0]
-            first = np.searchsorted(ordered, 0.0)
-            picks[zero] = zeros[np.asarray(positions)[zero] - first]
-        picks = picks.tolist()
-    else:
-        ordered = sorted(edge_xs)
-        smallest, picks = ordered[0], [ordered[p] for p in positions]
+    edge_xs = np.asarray(edge_xs, dtype=np.float64)
+    ordered = np.sort(edge_xs)
+    smallest, picks = float(ordered[0]), ordered[positions]
+    # Of equal edges only -0.0 and 0.0 differ, and the sort need not keep
+    # their order: sorted() does, so a zero pick is the zero at its rank
+    # among the zeros in input order.
+    zero = np.flatnonzero(picks == 0)
+    if len(zero):
+        zeros = edge_xs[edge_xs == 0]
+        first = np.searchsorted(ordered, 0.0)
+        picks[zero] = zeros[np.asarray(positions)[zero] - first]
     boundaries: List[float] = []
-    for candidate in picks:
+    for candidate in picks.tolist():
         if candidate <= smallest:
             # A boundary at (or below) the smallest edge cannot separate
             # anything: skip it so fully degenerate inputs (all edges equal)
@@ -246,80 +227,16 @@ def partition_event_file(
         for i in range(fanout)
     ]
     spanning_file = ctx.create_file(EVENT_CODEC, name=f"{name_prefix}-spanning")
-    writers: List[RecordWriter] = [f.writer() for f in sub_files]
-    spanning_writer = spanning_file.writer()
+    writers = [f.writer() for f in (*sub_files, spanning_file)]
     try:
-        if event_file.supports_arrays:
-            _partition_blocks(event_file, blocks, slab, boundaries,
-                              [*writers, spanning_writer])
-        else:
-            _partition_records(event_file, blocks, slab, boundaries,
-                               writers, spanning_writer)
+        _partition_blocks(event_file, blocks, slab, boundaries, writers)
     finally:
         for writer in writers:
             writer.close()
-        spanning_writer.close()
     return sub_files, spanning_file, sub_slabs
 
 
-def _partition_records(event_file: RecordFile, blocks: list, slab: Slab,
-                       boundaries: Sequence[float],
-                       writers: Sequence[RecordWriter],
-                       spanning_writer: RecordWriter) -> None:
-    """:func:`partition_event_file` one record at a time (no numpy).
-
-    Replays the scan that read ``blocks`` (record lists), taking each out
-    of the list as it goes: re-reads a block, then splits its records.
-    """
-    bs = list(boundaries)
-    slab_lo, slab_hi = slab.lo, slab.hi
-    for record in _replayed_records(event_file, blocks):
-        y, kind, x1, x2, weight = record
-        a = max(x1, slab_lo)
-        b = min(x2, slab_hi)
-        if a >= b:
-            # Clipped away: spans no sub-slab, keeps its h-line.
-            spanning_writer.append((y, kind, a, b, weight))
-            continue
-        i = bisect_right(bs, a)
-        j = bisect_left(bs, b)
-        lo_i = bs[i - 1] if i > 0 else slab_lo
-        hi_i = bs[i] if i < len(bs) else slab_hi
-        if i == j:
-            if a <= lo_i and b >= hi_i:
-                spanning_writer.append((y, kind, lo_i, hi_i, weight))
-            else:
-                writers[i].append((y, kind, a, b, weight))
-            continue
-        lo_j = bs[j - 1] if j > 0 else slab_lo
-        hi_j = bs[j] if j < len(bs) else slab_hi
-        # Left piece: keeps the original left edge when it is strictly
-        # inside sub-slab i; otherwise sub-slab i is fully spanned.
-        if a > lo_i:
-            writers[i].append((y, kind, a, hi_i, weight))
-            span_lo = hi_i
-        else:
-            span_lo = lo_i
-        # Right piece, symmetrically.
-        if b < hi_j:
-            writers[j].append((y, kind, lo_j, b, weight))
-            span_hi = lo_j
-        else:
-            span_hi = hi_j
-        if span_lo < span_hi:
-            spanning_writer.append((y, kind, span_lo, span_hi, weight))
-
-
-def _replayed_records(event_file: RecordFile, blocks: list):
-    """Yield the records of ``blocks``, re-reading each block of
-    ``event_file`` before its first record, as a scan reads it."""
-    for block_index in range(len(blocks)):
-        records = blocks.pop(0)
-        event_file.reread_block(block_index)
-        yield from records
-
-
-#: Input blocks whose pieces the block path computes at once before it
+#: Input blocks whose pieces the partition computes at once before it
 #: replays their reads and writes.  Any value gives the same files and I/O.
 _CHUNK_BLOCKS = 16
 
@@ -327,8 +244,8 @@ _CHUNK_BLOCKS = 16
 def _partition_blocks(event_file: RecordFile, blocks: list, slab: Slab,
                       boundaries: Sequence[float],
                       writers: Sequence[RecordWriter]) -> None:
-    """:func:`_partition_records` on the blocks a scan of ``event_file``
-    read, which it removes from ``blocks`` as it goes.
+    """Split the records of the blocks a scan of ``event_file`` read,
+    which it removes from ``blocks`` as it goes.
 
     ``writers`` are the sub-slabs' writers and, last, the spanning file's.
     For every chunk of input blocks, the pieces of all its records are
@@ -474,21 +391,3 @@ def _fill_blocks(targets, pieces, source, carry, held, input_blocks: int):
     held[:] = total - full * per_block
     written = np.bincount(block_source, minlength=input_blocks)
     return full_blocks, block_file[order].tolist(), written.tolist()
-
-
-def spanned_slab_range(sub_slabs: Sequence[Slab], x1: float,
-                       x2: float) -> Tuple[int, int]:
-    """Return the inclusive range ``(first, last)`` of sub-slab indices fully
-    spanned by the x-range ``[x1, x2]``, or ``(1, 0)`` (an empty range) when no
-    sub-slab is fully covered.
-
-    Used by ``MergeSweep`` to translate a spanning rectangle into the slabs
-    whose ``upSum`` it affects.
-    """
-    los = [s.lo for s in sub_slabs]
-    his = [s.hi for s in sub_slabs]
-    first = bisect_left(los, x1)
-    last = bisect_right(his, x2) - 1
-    if first > last:
-        return 1, 0
-    return first, last

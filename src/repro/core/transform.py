@@ -22,28 +22,24 @@ the library:
   ExactMaxRS and the externalized baselines.  The streaming form costs one
   linear read of the object file plus one linear write of the event file.
 
-Whenever numpy imports the streaming form moves whole blocks: each object
-block becomes its event rows (bottom, then top, per object) with the
-arithmetic of :func:`columns_to_event_array`, appended before the next
-object block is read, and :func:`write_objects_file` packs the objects
-once.  The files get the record path's bytes and block transfers, which
-is what a host without numpy runs.
+The streaming form moves whole blocks: each object block becomes its event
+rows (bottom, then top, per object) with the arithmetic of
+:func:`columns_to_event_array`, appended before the next object block is
+read, and :func:`write_objects_file` packs the objects once.  The files get
+the bytes and block transfers of a record-by-record pass.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
+
+import numpy as np
 
 from repro.em.codecs import EVENT_BOTTOM, EVENT_CODEC, EVENT_TOP, OBJECT_CODEC
 from repro.em.context import EMContext
 from repro.em.record_file import RecordFile
 from repro.errors import GeometryError
 from repro.geometry import Rect, WeightedPoint, is_positive_finite
-
-try:  # guarded: the object and record paths run without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
 
 __all__ = [
     "dual_rectangle",
@@ -105,8 +101,7 @@ def columns_to_event_array(xs, ys, ws, width: float, height: float):
     Returns one ``(2n, 5)`` float64 array: row ``2i`` is object ``i``'s
     bottom-edge record and row ``2i + 1`` its top-edge record, equal bit for
     bit to the tuples :func:`objects_to_event_records` builds from the same
-    points (the same IEEE-754 operations on the same doubles).  Requires
-    numpy.
+    points (the same IEEE-754 operations on the same doubles).
     """
     _check_extent(width, height)
     return _event_rows(xs, ys, ws, width / 2.0, height / 2.0)
@@ -188,22 +183,8 @@ def objects_file_to_event_file(ctx: EMContext, objects_file: RecordFile,
     event_file = ctx.create_file(EVENT_CODEC, name=name)
     half_w = width / 2.0
     half_h = height / 2.0
-    if objects_file.supports_arrays:
-        with event_file.writer() as writer:
-            for block in objects_file.iter_block_arrays():
-                writer.append_rows(_event_rows(
-                    block[:, 0], block[:, 1], block[:, 2], half_w, half_h))
-        return event_file
     with event_file.writer() as writer:
-        for x, y, weight in objects_file.reader():
-            x1 = x - half_w
-            x2 = x + half_w
-            writer.append((y - half_h, EVENT_BOTTOM, x1, x2, weight))
-            writer.append((y + half_h, EVENT_TOP, x1, x2, weight))
+        for block in objects_file.iter_block_arrays():
+            writer.append_rows(_event_rows(
+                block[:, 0], block[:, 1], block[:, 2], half_w, half_h))
     return event_file
-
-
-def count_objects(objects: Sequence[WeightedPoint]) -> int:
-    """Return the cardinality ``N = |O|`` of a dataset (trivial helper used by
-    the experiment reporting)."""
-    return len(objects)

@@ -15,46 +15,36 @@ external merge sort implemented here:
 Total cost ``O((N/B) log_{M/B}(N/B))``, the sorting bound that also lower
 bounds the MaxRS problem itself (Theorem 2).
 
-Records are ordered as whole tuples unless the caller passes a ``key``.
-That whole-record order on float64 records (every file of ExactMaxRS and
-the baselines) runs on block arrays whenever numpy imports:
+Records are ordered as whole tuples (the first field decides, ties go to
+the next, equal records keep their input order), and every file of
+ExactMaxRS and the baselines stores float64 records, so the sort runs on
+block arrays:
 
 * a run is read block by block, ordered by one stable ``np.lexsort`` over
-  all columns (``list.sort``'s order: the first column decides, ties go to
-  the next, equal records keep their input order) and written with
-  ``append_rows``;
+  all columns and written with ``append_rows``;
 * a merge holds the unconsumed rows of every run, ordered by byte keys that
-  compare as the records do, then by run index -- the heap's ``(key,
-  run)`` order.  It steps one run block at a time, exactly when the heap
-  merge would read: it emits every pending row up to the smallest
-  last-read row among the runs that still have unread blocks, flushes the
-  output blocks that fill, then reads that run's next block.
+  compare as the records do, then by run index -- the order of a heap of
+  ``(record, run)`` entries.  It steps one run block at a time, exactly
+  when such a heap merge would read: it emits every pending row up to the
+  smallest last-read row among the runs that still have unread blocks,
+  flushes the output blocks that fill, then reads that run's next block.
 
-So both paths write the same bytes with the same block reads and writes,
-in the same order.  A caller's own ``key``, a codec that is not float64 or
-a host without numpy take the record path: ``list.sort`` per run and a
-heap of ``(key, run)`` entries per merge.
+So the sort writes the bytes of a ``list.sort`` per run and a heap merge,
+with their block reads and writes, in the same order.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.em.context import EMContext
-from repro.em.record_file import RecordFile, RecordReader
+from repro.em.record_file import RecordFile
 from repro.em.serializer import RecordCodec
 from repro.errors import AlgorithmError
 
-try:  # guarded: the record path sorts without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None  # RecordFile.supports_arrays is then False: no array path runs
-
 __all__ = ["ExternalSorter", "external_sort"]
-
-Record = Tuple[float, ...]
-KeyFunc = Callable[[Record], object]
 
 
 class ExternalSorter:
@@ -65,18 +55,13 @@ class ExternalSorter:
     ctx:
         The external-memory context providing disk, buffer pool and counters.
     codec:
-        Codec of the records being sorted (also used for the temporary runs).
-    key:
-        Sort key, as for :func:`sorted`.  Defaults to the whole record,
-        which sorts float64 records on block arrays when numpy imports.
+        Codec of the records being sorted (also used for the temporary
+        runs); its records must be float64 runs.
     """
 
-    def __init__(self, ctx: EMContext, codec: RecordCodec,
-                 key: Optional[KeyFunc] = None) -> None:
+    def __init__(self, ctx: EMContext, codec: RecordCodec) -> None:
         self.ctx = ctx
         self.codec = codec
-        self.key: KeyFunc = key if key is not None else (lambda record: record)
-        self._whole_records = key is None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -108,39 +93,12 @@ class ExternalSorter:
     # ------------------------------------------------------------------ #
     # Phase 1: run formation
     # ------------------------------------------------------------------ #
-    def _on_rows(self, file: RecordFile) -> bool:
-        """Whether ``file`` sorts on block arrays: whole-record order on
-        float64 records, with numpy."""
-        return self._whole_records and file.supports_arrays
-
     def _form_runs(self, file: RecordFile) -> List[RecordFile]:
+        """Runs of ``M`` records, each written as soon as it fills, before
+        the next input block is read."""
         memory_records = self.ctx.memory_capacity_records(self.codec.record_size)
         if memory_records < 1:
             raise AlgorithmError("memory cannot hold even one record")
-        if self._on_rows(file):
-            return self._form_row_runs(file, memory_records)
-        runs: List[RecordFile] = []
-        chunk: List[Record] = []
-        for record in file.reader():
-            chunk.append(record)
-            if len(chunk) >= memory_records:
-                runs.append(self._write_run(chunk, len(runs)))
-                chunk = []
-        if chunk:
-            runs.append(self._write_run(chunk, len(runs)))
-        return runs
-
-    def _write_run(self, chunk: List[Record], index: int) -> RecordFile:
-        chunk.sort(key=self.key)
-        run = self.ctx.create_file(self.codec, name=f"sort-run-{index}")
-        run.write_all(chunk)
-        return run
-
-    def _form_row_runs(self, file: RecordFile,
-                       memory_records: int) -> List[RecordFile]:
-        """Runs of ``memory_records`` rows, cut and written as the record
-        path cuts them: a run is written as soon as it fills, before the
-        next input block is read."""
         runs: List[RecordFile] = []
         pending: List = []
         count = 0
@@ -149,15 +107,14 @@ class ExternalSorter:
             count += len(block)
             while count >= memory_records:
                 rows = np.concatenate(pending)
-                runs.append(
-                    self._write_row_run(rows[:memory_records], len(runs)))
+                runs.append(self._write_run(rows[:memory_records], len(runs)))
                 pending = [rows[memory_records:]]
                 count -= memory_records
         if count:
-            runs.append(self._write_row_run(np.concatenate(pending), len(runs)))
+            runs.append(self._write_run(np.concatenate(pending), len(runs)))
         return runs
 
-    def _write_row_run(self, rows, index: int) -> RecordFile:
+    def _write_run(self, rows, index: int) -> RecordFile:
         # lexsort's last key is the primary one.
         order = np.lexsort(rows.T[::-1])
         run = self.ctx.create_file(self.codec, name=f"sort-run-{index}")
@@ -176,32 +133,10 @@ class ExternalSorter:
         return merged
 
     def _merge_group(self, group: Sequence[RecordFile]) -> RecordFile:
+        """Merge ``group`` into one run, one run block at a time (see the
+        module docstring)."""
         if len(group) == 1:
             return group[0]
-        if self._on_rows(group[0]):
-            return self._merge_row_group(group)
-        output = self.ctx.create_file(self.codec, name="sort-merge")
-        readers = [run.reader() for run in group]
-        heap: List[Tuple[object, int, Record, RecordReader]] = []
-        for idx, reader in enumerate(readers):
-            record = next(reader, None)
-            if record is not None:
-                heap.append((self.key(record), idx, record, reader))
-        heapq.heapify(heap)
-        with output.writer() as writer:
-            while heap:
-                _, idx, record, reader = heapq.heappop(heap)
-                writer.append(record)
-                nxt = next(reader, None)
-                if nxt is not None:
-                    heapq.heappush(heap, (self.key(nxt), idx, nxt, reader))
-        for run in group:
-            run.delete()
-        return output
-
-    def _merge_row_group(self, group: Sequence[RecordFile]) -> RecordFile:
-        """:meth:`_merge_group` one run block at a time (see the module
-        docstring): the same output, reads and writes, in the same order."""
         output = self.ctx.create_file(self.codec, name="sort-merge")
         next_block = [0] * len(group)
         last: List[bytes] = [b""] * len(group)   # each run's last read key
@@ -261,16 +196,14 @@ def _order_keys(rows, run: int):
     return keys.view(f"S{8 * fields + 4}").ravel()
 
 
-def external_sort(ctx: EMContext, file: RecordFile, codec: RecordCodec,
-                  key: Optional[KeyFunc] = None, *,
+def external_sort(ctx: EMContext, file: RecordFile, codec: RecordCodec, *,
                   delete_input: bool = False) -> RecordFile:
     """Convenience wrapper around :class:`ExternalSorter`.
 
     Examples
     --------
-    Sort a file of object records by x-coordinate::
+    Sort a file of object records by x-coordinate (then y, then weight)::
 
-        sorted_file = external_sort(ctx, objects_file, OBJECT_CODEC,
-                                    key=lambda record: record[0])
+        sorted_file = external_sort(ctx, objects_file, OBJECT_CODEC)
     """
-    return ExternalSorter(ctx, codec, key).sort(file, delete_input=delete_input)
+    return ExternalSorter(ctx, codec).sort(file, delete_input=delete_input)

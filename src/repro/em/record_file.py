@@ -14,12 +14,11 @@ Access patterns provided:
   ``O(n/B)`` accounting used throughout the paper's proofs.
 * :class:`RecordReader` -- sequential scanner.  Reading costs one block read
   per block not already resident in the buffer pool.
-* :meth:`RecordFile.read_block_records` -- random access to one block, used by
-  the external merge and by the aSB-tree baseline.
+* :meth:`RecordFile.read_block_records` -- random access to one block as
+  records, which the sequential reader reads through.
 
 Files whose records are runs of float64 fields also move whole blocks as
-numpy arrays (:attr:`RecordFile.supports_arrays`, true whenever numpy
-imports):
+numpy arrays, and every external-memory pass of the program moves them so:
 
 * :meth:`RecordFile.read_block_array` reads one block as a
   ``(records, fields)`` array, :meth:`RecordFile.iter_block_arrays` reads
@@ -27,36 +26,31 @@ imports):
   reads them all into a list, and :meth:`RecordFile.read_rows` reads the
   whole file as one array;
 * :meth:`RecordWriter.append_rows` appends an array's rows, cut at the
-  block boundaries, and :meth:`RecordFile.write_all` takes that path for an
-  array or a list of records.
+  block boundaries, and :meth:`RecordFile.write_all` takes that path for
+  every float64 codec.
 
-Both are charged exactly as the record paths are (one buffer-pool ``get``
-per block read, one block written straight through to disk per full or
-final block) and the bytes are the struct codec's packing.  The block
-passes built on them (the external sort, the dual transform, the division
-phase and the leaves of ExactMaxRS) keep one rule, so their buffer-pool
-traffic, and with it every later cache hit, is the record paths' own: a
-pass reads input block ``i``, then makes the writes its records cause,
-then reads block ``i + 1``.  A pass that already holds a file's rows from
-an earlier scan may replay that rule with :meth:`RecordFile.reread_block`,
-which makes a read's buffer-pool ``get`` and decodes nothing (the division
-phase does).  Without numpy ``read_rows`` returns record tuples,
-``read_blocks`` lists of them, and ``write_all`` appends record by
-record.
+Both are charged exactly as a record-at-a-time pass is (one buffer-pool
+``get`` per block read, one block written straight through to disk per
+full or final block) and the bytes are the struct codec's packing.  The
+block passes built on them (the external sort, the dual transform, the
+division phase, MergeSweep, the leaves of ExactMaxRS and ApproxMaxCRS's
+coverage scan) keep one rule, so their buffer-pool traffic, and with it
+every later cache hit, is that of a pass over records: a pass reads input
+block ``i``, then makes the writes its records cause, then reads block
+``i + 1``.  A pass that already holds a file's rows from an earlier scan
+may replay that rule with :meth:`RecordFile.reread_block`, which makes a
+read's buffer-pool ``get`` and decodes nothing (the division phase does).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.em.buffer_pool import BufferPool
 from repro.em.serializer import RecordCodec
 from repro.errors import SerializationError, StorageError
-
-try:  # guarded: the record paths run without numpy, the array paths need it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None
 
 __all__ = ["RecordFile", "RecordReader", "RecordWriter"]
 
@@ -113,27 +107,21 @@ class RecordFile:
             )
         return RecordWriter(self)
 
-    @property
-    def supports_arrays(self) -> bool:
-        """``True`` when blocks can move as float64 arrays: numpy imports
-        and the codec stores float64 records."""
-        return np is not None and self.codec.float64_fields is not None
-
     def write_all(self, records: Iterable[Record]) -> "RecordFile":
-        """Append every record in ``records`` and return ``self``.
+        """Append every record in ``records`` (an array or any iterable of
+        records) and return ``self``.
 
-        An array, or a list or tuple of records, is appended as rows when
-        :attr:`supports_arrays` holds: the same bytes and block writes
-        without a per-record encode.
+        A float64 codec's records are appended as rows: the same bytes and
+        block writes as appending them one by one, without a per-record
+        encode.  Other codecs append record by record.
         """
+        fields = self.codec.float64_fields
         with self.writer() as writer:
-            if self.supports_arrays and isinstance(
-                    records, (list, tuple, np.ndarray)):
-                writer.append_rows(
-                    _as_rows(records, self.codec.float64_fields))
-            else:
+            if fields is None:
                 for record in records:
                     writer.append(record)
+            else:
+                writer.append_rows(_as_rows(records, fields))
         return self
 
     # ------------------------------------------------------------------ #
@@ -152,31 +140,17 @@ class RecordFile:
         return list(self.reader())
 
     def read_rows(self):
-        """Read the entire file into memory as rows.
-
-        A ``(records, fields)`` float64 array when :attr:`supports_arrays`
-        holds, else the list :meth:`read_all` returns.  Either way every
-        block is read once, in file order.
-        """
-        if not self.supports_arrays:
-            return self.read_all()
-        blocks = list(self.iter_block_arrays())
+        """Read the entire file into memory as one ``(records, fields)``
+        float64 array, every block once, in file order."""
+        blocks = self.read_blocks()
         if not blocks:
-            return np.empty((0, self.codec.float64_fields))
+            return np.empty((0, _float64_fields(self.codec)))
         return np.concatenate(blocks)
 
     def read_blocks(self) -> list:
-        """Read every block once, in file order: each block's rows.
-
-        The arrays :meth:`read_block_array` returns when
-        :attr:`supports_arrays` holds, else the record lists of
-        :meth:`read_block_records`.
-        """
-        if self.supports_arrays:
-            return list(self.iter_block_arrays())
-        self._check_alive()
-        return [self.read_block_records(block_index)
-                for block_index in range(len(self.block_ids))]
+        """Read every block once, in file order: the arrays
+        :meth:`read_block_array` returns."""
+        return list(self.iter_block_arrays())
 
     def iter_block_arrays(self) -> Iterator:
         """Yield every block as a float64 array, in file order.
@@ -202,8 +176,8 @@ class RecordFile:
 
         The array has shape ``(records, fields)`` and dtype float64; the
         block is fetched through the buffer pool exactly as
-        :meth:`read_block_records` fetches it.  Requires numpy and a codec
-        whose records are float64 runs.
+        :meth:`read_block_records` fetches it.  Requires a codec whose
+        records are float64 runs.
         """
         fields = _float64_fields(self.codec)
         frame = self.pool.get(self._block_id(block_index))
@@ -219,28 +193,6 @@ class RecordFile:
         earlier scan read: the pool sees the same ``get``, hit or miss.
         """
         self.pool.get(self._block_id(block_index))
-
-    def write_block_records(self, block_index: int, records: Sequence[Record]) -> None:
-        """Overwrite the ``block_index``-th block with ``records``.
-
-        Only the aSB-tree baseline uses in-place block updates; sequential
-        algorithms always write fresh files.  The record count of the file is
-        unchanged, so ``records`` must contain exactly as many records as the
-        block previously held.
-        """
-        self._check_alive()
-        if not 0 <= block_index < len(self.block_ids):
-            raise StorageError(
-                f"block index {block_index} out of range for file {self.name!r}"
-            )
-        expected = self._records_in_block(block_index)
-        if len(records) != expected:
-            raise StorageError(
-                f"block {block_index} of file {self.name!r} holds {expected} records; "
-                f"got {len(records)}"
-            )
-        payload = self.codec.encode_block(records, self.pool.device.config.block_size)
-        self.pool.put(self.block_ids[block_index], payload)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -413,7 +365,9 @@ class RecordReader:
 
 
 def _as_rows(records, fields: int):
-    """``records`` (an array or a sequence of records) as float64 rows."""
+    """``records`` (an array or any iterable of records) as float64 rows."""
+    if not isinstance(records, (list, tuple, np.ndarray)):
+        records = list(records)
     try:
         rows = np.asarray(records, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -424,11 +378,9 @@ def _as_rows(records, fields: int):
 
 def _float64_fields(codec: RecordCodec) -> int:
     """The float64 field count of ``codec``'s records, for the array paths."""
-    if np is None:
-        raise StorageError("block arrays need numpy, which is not importable")
     if codec.float64_fields is None:
         raise SerializationError(
             f"codec {codec!r} does not store float64 records; "
-            "use the record paths"
+            "read it record by record"
         )
     return codec.float64_fields

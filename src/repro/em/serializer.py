@@ -14,7 +14,7 @@ them exactly, so no special casing is needed.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SerializationError
 
@@ -105,16 +105,6 @@ class StructRecordCodec(RecordCodec):
                 f"record {record!r} does not match format {self.fmt!r}: {exc}"
             ) from exc
 
-    def encode_many(self, records: Iterable[Record]) -> bytes:
-        """Encode an iterable of records into one contiguous buffer."""
-        pack = self._struct.pack
-        try:
-            return b"".join(pack(*r) for r in records)
-        except struct.error as exc:
-            raise SerializationError(
-                f"a record does not match format {self.fmt!r}: {exc}"
-            ) from exc
-
     def decode_all(self, data: bytes) -> List[Record]:
         if len(data) % self.record_size != 0:
             raise SerializationError(
@@ -122,12 +112,3 @@ class StructRecordCodec(RecordCodec):
                 f"{self.record_size} B"
             )
         return list(self._struct.iter_unpack(data))
-
-    def iter_decode(self, data: bytes) -> Iterator[Record]:
-        """Yield records lazily from a buffer (no intermediate list)."""
-        if len(data) % self.record_size != 0:
-            raise SerializationError(
-                f"buffer of {len(data)} B is not a multiple of record size "
-                f"{self.record_size} B"
-            )
-        return self._struct.iter_unpack(data)

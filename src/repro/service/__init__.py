@@ -49,10 +49,10 @@ __all__ = [
     "QuerySpec",
 ]
 
-#: Lazily exported symbols and their defining submodules.  The engine, grid
-#: index and point store are numpy-backed; deferring their
-#: import keeps the numpy-free parts of the package (result cache, metrics)
-#: usable -- and their tests runnable -- on hosts without numpy.
+#: Lazily exported symbols and their defining submodules.  Deferring the
+#: engine, grid index and point store keeps ``import repro.service`` from
+#: loading the solvers behind them for code that needs only the result
+#: cache or the metrics.
 _LAZY_EXPORTS = {
     "MaxRSEngine": "repro.service.engine",
     "QuerySpec": "repro.service.engine",
@@ -63,7 +63,7 @@ _LAZY_EXPORTS = {
 
 
 def __getattr__(name: str):
-    """Lazily expose the numpy-backed service components."""
+    """Lazily expose the engine, grid index and point store."""
     module_name = _LAZY_EXPORTS.get(name)
     if module_name is None:
         raise AttributeError(

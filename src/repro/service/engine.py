@@ -908,7 +908,7 @@ class MaxRSEngine:
             }
         return {
             "persist": persist,
-            # The platform's pick: numpy whenever it imports, else pure.
+            # The platform's backend: numpy, unless a test swaps it.
             "sweep_backend": backends.platform_backend().name,
             # Constant: every grid is one index on the calling thread.
             # perfbench/workloads.py reads these two keys; ROADMAP.md item 4

@@ -50,12 +50,3 @@ def make_objects() -> Callable[..., List[WeightedPoint]]:
         return objects
 
     return factory
-
-
-@pytest.fixture
-def record_paths(monkeypatch):
-    """Run the record-at-a-time passes for one test (see
-    ``external_cases.use_record_paths``)."""
-    from external_cases import use_record_paths
-
-    use_record_paths(monkeypatch)

@@ -1,18 +1,16 @@
-"""External-memory cases shared by the tier-1 tests and the numpy-less child.
-
-``tests/test_core_exact_maxrs.py`` checks them in-process (block-array
-passes) and ``tests/test_without_numpy.py`` in a child interpreter where
-numpy does not import (record-at-a-time passes), so both paths answer to
-the same literal numbers.
+"""External-memory cases shared by the tests of the solvers and passes.
 
 * :data:`IO_PINS` -- the exact (block reads, block writes) of ExactMaxRS,
-  ApproxMaxCRS and the two baselines on three small configurations; the
-  counts the record-at-a-time passes charge, so any pass that reorders its
-  reads and writes (and with them the buffer pool's hits) shows here.
+  ApproxMaxCRS and the two baselines on three small configurations: the
+  literal counts of the block passes, which are those of the
+  record-at-a-time references in ``tests/record_passes.py``, so any pass
+  that reorders its reads and writes (and with them the buffer pool's
+  hits) shows here.
 * :func:`check_against_in_memory` -- ExactMaxRS must report
   :func:`~repro.core.plane_sweep.solve_in_memory`'s region and weight.
 * :func:`use_record_paths` and :func:`pool_state` -- the tests' switch to
-  the record-at-a-time passes in-process, and what a pass leaves behind.
+  the record-at-a-time references in whole solves, and what a pass leaves
+  behind.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import math
 import random
 from typing import Dict, List, Tuple
 
+import record_passes
 from repro.baselines.asb_tree import ASBTreeSweep
 from repro.baselines.naive_sweep import NaivePlaneSweep
 from repro.circles.approx_maxcrs import ApproxMaxCRS
@@ -119,33 +118,28 @@ def check_against_in_memory(objects: List[WeightedPoint], width: float,
         (reference.region, reference.total_weight), (objects, width, height)
 
 
-def random_special_case(rng: random.Random):
-    """Arguments of :func:`check_against_in_memory`: lattice points, some
-    at an x of :data:`SPECIAL_XS`."""
-    objects = []
-    for _ in range(rng.randint(1, 40)):
-        x = (rng.choice(SPECIAL_XS) if rng.random() < 0.2
-             else float(rng.randint(0, 20)))
-        objects.append(WeightedPoint(x, float(rng.randint(0, 20)),
-                                     rng.choice((0.0, 1.0, 2.0, 3.0))))
-    return (objects, float(rng.randint(1, 8)), float(rng.randint(1, 8)),
-            rng.choice((256, 512)), rng.randint(2, 5),
-            rng.choice((4, 8, 16)))
+#: The solver modules and the passes each one looks up by name.
+_PASS_USERS = {
+    "repro.core.exact_maxrs": (
+        "objects_file_to_event_file", "external_sort", "collect_edge_xs",
+        "choose_boundaries", "partition_event_file", "merge_sweep"),
+    "repro.baselines.naive_sweep": (
+        "objects_file_to_event_file", "external_sort"),
+    "repro.baselines.asb_tree": (
+        "objects_file_to_event_file", "external_sort"),
+    "repro.circles.approx_maxcrs": ("coverage_of_candidates_file",),
+}
 
 
 def use_record_paths(patch) -> None:
-    """Run the record-at-a-time passes, as a host without numpy does.
-
-    Every block pass chooses its path through
-    :attr:`~repro.em.record_file.RecordFile.supports_arrays` (and the
-    division's boundary choice through its module's ``np``), so the tests
-    can compare both paths in one interpreter.  ``patch`` is a
-    ``pytest.MonkeyPatch``.
+    """Run every solver on the record-at-a-time references of its
+    external-memory passes (``tests/record_passes.py``), so a test can
+    compare whole solves on both.  ``patch`` is a ``pytest.MonkeyPatch``.
     """
-    from repro.em.record_file import RecordFile
-
-    patch.setattr(RecordFile, "supports_arrays", property(lambda self: False))
-    patch.setattr(importlib.import_module("repro.core.slab"), "np", None)
+    for module_name, passes in _PASS_USERS.items():
+        module = importlib.import_module(module_name)
+        for name in passes:
+            patch.setattr(module, name, getattr(record_passes, name))
 
 
 def pool_state(ctx: EMContext):

@@ -32,8 +32,6 @@ import weakref
 
 import pytest
 
-pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -10,6 +10,7 @@ arbitrary float patterns to pin the JSON float path.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hypothesis import given
@@ -188,7 +189,6 @@ class TestErrors:
 
 class TestJsonable:
     def test_numpy_scalars_and_tuple_keys_become_json_types(self):
-        np = pytest.importorskip("numpy")
         tree = {
             "a": np.int64(3),
             "b": np.float64(0.5),

@@ -13,8 +13,6 @@ import threading
 
 import pytest
 
-pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
-
 from repro.aio import AsyncMaxRSEngine, AsyncQueryClient, serve
 from repro.aio.server import MaxRSServer
 from repro.errors import (

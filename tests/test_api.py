@@ -2,8 +2,6 @@
 
 import pytest
 
-pytest.importorskip("numpy")  # the circle solvers behind MaxCRSSolver are numpy-backed
-
 import repro
 from repro import MaxCRSSolver, MaxRSSolver
 from repro.em import EMConfig

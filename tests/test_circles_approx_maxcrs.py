@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")  # the exact circle solver is numpy-backed
-
 from repro.circles import ApproxMaxCRS, exact_maxcrs
 from repro.em import EMConfig, EMContext
 from repro.errors import ConfigurationError

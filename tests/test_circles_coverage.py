@@ -6,10 +6,8 @@ import warnings
 
 import pytest
 
-pytest.importorskip("numpy")  # repro.circles pulls the numpy-backed exact solver
-
-from external_cases import pool_state, use_record_paths  # noqa: E402
-
+import record_passes
+from external_cases import pool_state
 from repro.circles import best_candidate, coverage_of_candidates, \
     coverage_of_candidates_file
 from repro.core.transform import write_objects_file
@@ -57,18 +55,17 @@ class TestCoverageOfCandidates:
 
 
 class TestBlockArrayScan:
-    """The block-array scan against the record loop it replaces."""
+    """The block-array scan against the record-at-a-time reference."""
 
     @staticmethod
-    def _scan(ctx, objects_file, candidates, diameter):
-        """Totals, and the counter deltas and resident blocks the scan
+    def _scan(ctx, scan, objects_file, candidates, diameter):
+        """Totals, and the counter deltas and resident blocks ``scan``
         leaves, from a pool holding the file's first blocks."""
         ctx.clear_cache()
         for index in range(3):
             objects_file.read_block_array(index)
         before = pool_state(ctx)
-        totals = coverage_of_candidates_file(objects_file, candidates,
-                                             diameter)
+        totals = scan(objects_file, candidates, diameter)
         after = pool_state(ctx)
         return totals, [b - a for a, b in zip(before[:3], after[:3])], \
             after[3]
@@ -84,10 +81,10 @@ class TestBlockArrayScan:
         objects_file = write_objects_file(ctx, objs)
         candidates = [Point(5.0, 5.0), Point(0.0, 0.0), Point(2.5, 7.5),
                       Point(50.0, 50.0), Point(5.0, 5.0)]
-        arrays = self._scan(ctx, objects_file, candidates, 6.0)
-        with pytest.MonkeyPatch.context() as patch:
-            use_record_paths(patch)
-            records = self._scan(ctx, objects_file, candidates, 6.0)
+        arrays = self._scan(ctx, coverage_of_candidates_file, objects_file,
+                            candidates, 6.0)
+        records = self._scan(ctx, record_passes.coverage_of_candidates_file,
+                             objects_file, candidates, 6.0)
         assert arrays == records
         totals, (reads, _, hits), _ = arrays
         assert reads == objects_file.num_blocks - 3 and hits == 3
@@ -107,10 +104,8 @@ class TestBlockArrayScan:
             warnings.simplefilter("error")
             arrays = coverage_of_candidates_file(objects_file, candidates,
                                                  2.0)
-        with pytest.MonkeyPatch.context() as patch:
-            use_record_paths(patch)
-            records = coverage_of_candidates_file(objects_file, candidates,
-                                                  2.0)
+        records = record_passes.coverage_of_candidates_file(
+            objects_file, candidates, 2.0)
         assert arrays == records == [2.0, 0.0, 1.0]
 
 

@@ -13,9 +13,8 @@ import tracemalloc
 import warnings
 from typing import Sequence, Tuple
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the exact circle solver is numpy-backed
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

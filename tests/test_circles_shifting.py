@@ -4,8 +4,6 @@ import math
 
 import pytest
 
-pytest.importorskip("numpy")  # repro.circles pulls the numpy-backed exact solver
-
 from repro.circles import (
     candidate_points,
     default_shift_distance,

@@ -12,16 +12,16 @@ import contextlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.backends as backends_module
+import repro.core.backends.numpy_backend as numpy_backend_module
 from repro.core.backends import (
     auto_crossover,
     available_backends,
     get_backend,
-    numpy_available,
     platform_backend,
 )
 from repro.core.backends.pure import PurePythonBackend
@@ -33,13 +33,9 @@ from repro.core.transform import (
     columns_to_event_array,
     objects_to_event_records,
 )
+from repro.core.backends.numpy_backend import NumpySweepBackend
 from repro.errors import ConfigurationError
 from repro.geometry import Interval, WeightedPoint
-
-np = pytest.importorskip("numpy")
-
-import repro.core.backends.numpy_backend as numpy_backend_module  # noqa: E402
-from repro.core.backends.numpy_backend import NumpySweepBackend  # noqa: E402
 
 
 def _random_dataset(rng, count, *, domain=100.0, weight_choices=(0.0, 1.0, 2.0, 3.0),
@@ -58,9 +54,7 @@ def _random_dataset(rng, count, *, domain=100.0, weight_choices=(0.0, 1.0, 2.0, 
 
 class TestRegistry:
     def test_available_backends_include_pure_first(self):
-        names = available_backends()
-        assert names[0] == "pure"
-        assert "numpy" in names  # numpy importable in this environment
+        assert available_backends() == ("pure", "numpy")
 
     def test_get_backend_by_name(self):
         assert get_backend("pure").name == "pure"
@@ -70,10 +64,9 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_backend("cuda")
 
-    def test_auto_resolves_to_numpy_whatever_the_size(self, monkeypatch):
+    def test_auto_resolves_to_numpy_whatever_the_size(self):
         # No size rule: the platform picks numpy for every sweep (the
-        # crossover is 0 events, so 0, 1 and 10**9 events all qualify), pure
-        # without numpy.
+        # crossover is 0 events, so 0, 1 and 10**9 events all qualify).
         assert auto_crossover() == 0
         assert platform_backend().name == "numpy"
         # The smallest sweeps take it too: a one-point engine query.
@@ -85,10 +78,6 @@ class TestRegistry:
             sweeps = engine.tracer.recorder.last().find_all("backend.sweep")
             assert {span.attributes["backend"] for span in sweeps
                     if span.name == "backend.sweep"} == {"numpy"}
-        monkeypatch.setattr(backends_module, "numpy_available", lambda: False)
-        assert platform_backend().name == "pure"
-        with pytest.raises(ConfigurationError, match="numpy"):
-            get_backend("numpy")
 
 
 def _traced(solve):

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,9 +175,11 @@ class TestAgreesWithInMemorySweep:
 
 
 class TestIOAccounting:
-    def test_block_counts_are_pinned(self):
-        # The block-array passes charge what the record passes charge
-        # (tests/test_without_numpy.py checks the same pins there).
+    def test_block_counts_are_pinned(self, monkeypatch):
+        # The block-array passes charge what their record-at-a-time
+        # references charge, for every pinned solver.
+        assert measure_io() == IO_PINS
+        use_record_paths(monkeypatch)
         assert measure_io() == IO_PINS
 
     def test_leaf_batches_stay_within_memory(self, monkeypatch):
@@ -203,7 +206,6 @@ class TestIOAccounting:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_block_passes_match_the_record_passes(self, seed):
-        pytest.importorskip("numpy")
         rng = random.Random(seed)
         objs = [WeightedPoint(float(rng.randint(0, 300)),
                               float(rng.randint(0, 300)),
@@ -259,7 +261,6 @@ class TestIOAccounting:
 
 
 def _uniform_points(count, seed):
-    np = pytest.importorskip("numpy")
     rng = np.random.default_rng(seed)
     return [WeightedPoint(float(x), float(y), 1.0)
             for x, y in zip(rng.uniform(0.0, 1e6, count),

@@ -14,6 +14,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,12 +32,12 @@ from repro.core import (
     write_slab_file,
 )
 from repro.core.beststrip import BestStripTracker
-from repro.core.merge_sweep import heap_merge_sweep
 from repro.core.transform import build_event_file
 from repro.em import EVENT_BOTTOM, EVENT_CODEC, EMConfig, EMContext
 from repro.em.external_sort import external_sort
 from repro.errors import AlgorithmError
 from repro.geometry import WeightedPoint
+import record_passes
 from external_cases import pool_state
 
 
@@ -149,10 +150,6 @@ class TestMergeSweepValidation:
 # exports, so reach the module itself through importlib.
 merge_module = importlib.import_module("repro.core.merge_sweep")
 
-#: The block-batched merge runs only where numpy imports.
-needs_numpy = pytest.mark.skipif(merge_module.np is None,
-                                 reason="the block-batched merge needs numpy")
-
 #: Integer and binary-fraction weights: every sum is exact, so both merges
 #: must agree bit for bit.
 _EXACT_WEIGHTS = (1.0, 2.0, 3.0, 0.5, 0.25, 1.5)
@@ -210,7 +207,7 @@ def _step_hlines(hlines):
 def _assert_same_merge(ctx, inputs):
     """The block-batched merge writes what the heap merge writes, with the
     default steps and with steps of one and three h-lines."""
-    expected = _run_merge(heap_merge_sweep, ctx, inputs)
+    expected = _run_merge(record_passes.merge_sweep, ctx, inputs)
     for hlines in (None, 1, 3):
         with _step_hlines(hlines):
             actual = _run_merge(merge_sweep, ctx, inputs)
@@ -245,7 +242,6 @@ def _lattice_instances(draw, weights=_EXACT_WEIGHTS):
     return objs, width, height, block_size, fanout
 
 
-@needs_numpy
 class TestBlockMergeMatchesHeapMerge:
     @settings(max_examples=120, deadline=None)
     @given(_lattice_instances())
@@ -478,10 +474,9 @@ def _reference_rows(sub_slabs, slab_files, spanning_file):
     ``upSum`` is each sub-slab's running sum of its edges' signed weights;
     the winner is ``np.argmax`` of base + ``upSum`` (the leftmost maximum,
     NaN first); ``GetMaxInterval`` extends it over touching neighbours that
-    tie (``math.isclose``, as the heap merge's ``_tie``).  Returns the
+    tie (``math.isclose``, as the heap merge's ``tie``).  Returns the
     slab-file rows as an ``(h, 4)`` array.
     """
-    np = merge_module.np
     m = len(sub_slabs)
     los = [s.lo for s in sub_slabs]
     his = [s.hi for s in sub_slabs]
@@ -507,11 +502,11 @@ def _reference_rows(sub_slabs, slab_files, spanning_file):
             value = effective[winner]
             lo, hi = x1[winner], x2[winner]
             j = winner - 1
-            while j >= 0 and x2[j] == lo and merge_module._tie(
+            while j >= 0 and x2[j] == lo and record_passes.tie(
                     float(effective[j]), float(value)):
                 lo, j = x1[j], j - 1
             j = winner + 1
-            while j < m and x1[j] == hi and merge_module._tie(
+            while j < m and x1[j] == hi and record_passes.tie(
                     float(effective[j]), float(value)):
                 hi, j = x2[j], j + 1
             rows.append((y, lo, hi, value))
@@ -536,7 +531,6 @@ def _assert_merge_follows_the_rule(ctx, inputs):
     return expected
 
 
-@needs_numpy
 class TestMergeRule:
     """The block-batched merge against the merge rule itself, where the
     heap merge is no reference: once an infinite weight meets its opposite
@@ -630,7 +624,7 @@ class TestMergeRule:
             return [tuple(b - a for a, b in zip(before[:3], state[:3]))
                     + state[3:] for state in (after_merge, after)]
 
-        expected = merge_from_warm_pool(heap_merge_sweep)
+        expected = merge_from_warm_pool(record_passes.merge_sweep)
         assert expected[0][2] == 0                 # the merge hits nothing
         # Some, not all, of the re-reads hit.
         assert 0 < expected[1][2] < ctx.pool.capacity_blocks
@@ -639,7 +633,6 @@ class TestMergeRule:
                 assert merge_from_warm_pool(merge_sweep) == expected
 
 
-@needs_numpy
 class TestExternalSolverBitIdentical:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60),

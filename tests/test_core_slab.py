@@ -2,15 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from external_cases import pool_state, use_record_paths
+import record_passes
+from external_cases import pool_state
+from record_passes import spanned_slab_range
 from repro.core import Slab, choose_boundaries, collect_edge_xs, make_subslabs, \
     partition_event_file
 from repro.core import slab as slab_module
-from repro.core.slab import spanned_slab_range
 from repro.core.transform import build_event_file
 from repro.em import EVENT_BOTTOM, EVENT_CODEC, EVENT_TOP, EMConfig, EMContext
 from repro.errors import AlgorithmError
@@ -178,7 +180,7 @@ class TestSpannedRange:
 
 
 # ---------------------------------------------------------------------- #
-# The block-array division against the record loops
+# The block-array division against the record-at-a-time reference
 # ---------------------------------------------------------------------- #
 _XS = (-math.inf, -3.0, -0.0, 0.0, 1.0, 2.5, 4.0, 7.0, 10.0, 1e300, math.inf)
 
@@ -203,8 +205,10 @@ def _division_inputs(draw):
     return events, slab, boundaries
 
 
-def _divide_once(events, slab, boundaries, warm, pool_blocks=8):
-    """Scan and partition on a fresh pool of ``pool_blocks`` 256 B blocks
+def _divide_once(events, slab, boundaries, warm, pool_blocks=8,
+                 passes=slab_module):
+    """Scan and partition with ``passes`` (the program's division or
+    ``record_passes``) on a fresh pool of ``pool_blocks`` 256 B blocks
     (cleared between the two unless ``warm``, so the partition may or may
     not hit the scan's blocks): (files' bytes and counts, edges, pool
     state)."""
@@ -212,11 +216,11 @@ def _divide_once(events, slab, boundaries, warm, pool_blocks=8):
     event_file = ctx.create_file(EVENT_CODEC).write_all(events)
     ctx.clear_cache()
     blocks = event_file.read_blocks()
-    edges = [float(x).hex() for x in collect_edge_xs(blocks, slab)]
+    edges = [float(x).hex() for x in passes.collect_edge_xs(blocks, slab)]
     if not warm:
         ctx.clear_cache()
-    subs, spanning, _ = partition_event_file(ctx, event_file, blocks, slab,
-                                             boundaries)
+    subs, spanning, _ = passes.partition_event_file(ctx, event_file, blocks,
+                                                    slab, boundaries)
     files = [(len(f), [ctx.device.peek(b) for b in f.block_ids])
              for f in (*subs, spanning)]
     return files, edges, pool_state(ctx)
@@ -230,25 +234,21 @@ class TestBlockDivision:
                                                    pool_blocks, chunk):
         # Pools smaller than the file, and chunks of 1-3 input blocks:
         # neither may change a byte or a pool call.
-        pytest.importorskip("numpy")
         with pytest.MonkeyPatch.context() as patch:
             if chunk is not None:
                 patch.setattr(slab_module, "_CHUNK_BLOCKS", chunk)
             rows = _divide_once(*inputs, warm, pool_blocks)
-            use_record_paths(patch)
-            expected = _divide_once(*inputs, warm, pool_blocks)
+        expected = _divide_once(*inputs, warm, pool_blocks, record_passes)
         assert rows == expected
 
     def test_partition_rereads_hit_the_pool(self, tiny_ctx):
         # The edge scan leaves the file's last blocks resident; the
         # partition's reads of them are hits on both paths.
-        pytest.importorskip("numpy")
         events = sorted((float(y), EVENT_BOTTOM, float(y % 7), y % 7 + 3.0, 1.0)
                         for y in range(40))
-        with pytest.MonkeyPatch.context() as patch:
-            rows = _divide_once(events, Slab.root(), [2.0, 5.0], True)
-            use_record_paths(patch)
-            expected = _divide_once(events, Slab.root(), [2.0, 5.0], True)
+        rows = _divide_once(events, Slab.root(), [2.0, 5.0], True)
+        expected = _divide_once(events, Slab.root(), [2.0, 5.0], True,
+                                passes=record_passes)
         assert rows == expected
         assert rows[2][2] > 0    # pool hits
 
@@ -259,25 +259,22 @@ class TestBlockDivision:
         # of each: sub-slab 1's first (record 18), sub-slab 0's last
         # (record 23).  The block path writes those two in file order, the
         # record loop in record order.
-        pytest.importorskip("numpy")
         right, left = (6.0, 7.0), (1.0, 2.0)
         xs = ([right] * 6 + [left] * 6 + [right] * 5 + [left]
               + [right] + [left] * 5)
         events = [(float(y), EVENT_BOTTOM, *x, 1.0) for y, x in enumerate(xs)]
 
-        def ids():
+        def ids(partition):
             ctx = EMContext(EMConfig(block_size=256, buffer_size=8 * 256))
             event_file = ctx.create_file(EVENT_CODEC).write_all(events)
-            subs, spanning, _ = partition_event_file(
+            subs, spanning, _ = partition(
                 ctx, event_file, event_file.read_blocks(), Slab.root(), [5.0])
             assert event_file.block_ids == [0, 1, 2, 3]
             assert len(spanning) == 0
             return [f.block_ids for f in subs]
 
-        with pytest.MonkeyPatch.context() as patch:
-            assert ids() == [[5, 6], [4, 7]]
-            use_record_paths(patch)
-            assert ids() == [[5, 7], [4, 6]]
+        assert ids(partition_event_file) == [[5, 6], [4, 7]]
+        assert ids(record_passes.partition_event_file) == [[5, 7], [4, 6]]
 
     def test_clipped_away_event_keeps_its_hline_in_the_spanning_file(
             self, tiny_ctx):
@@ -304,12 +301,9 @@ class TestBlockDivision:
                                                     as_array):
         # Of equal edges, sorted() keeps the input order, and so the sign
         # of a zero boundary.
-        np = pytest.importorskip("numpy")
         given_edges = np.asarray(edges) if as_array else edges
         picks = choose_boundaries(given_edges, fanout)
-        with pytest.MonkeyPatch.context() as patch:
-            use_record_paths(patch)
-            expected = choose_boundaries(edges, fanout)
+        expected = record_passes.choose_boundaries(edges, fanout)
         assert [math.copysign(1.0, b) for b in picks] == \
             [math.copysign(1.0, b) for b in expected]
         assert picks == expected

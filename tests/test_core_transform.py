@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import record_passes
+from external_cases import pool_state
 from repro.core import (
     build_event_file,
     dual_rectangle,
@@ -12,7 +15,7 @@ from repro.core import (
     objects_to_event_records,
     write_objects_file,
 )
-from repro.em import EVENT_BOTTOM, EVENT_TOP
+from repro.em import EVENT_BOTTOM, EVENT_TOP, EMConfig, EMContext
 from repro.errors import GeometryError
 from repro.geometry import Rect, WeightedPoint
 
@@ -48,7 +51,6 @@ class TestDualRectangles:
         assert top == (23.0, EVENT_TOP, 8.0, 12.0, 5.0)
 
     def test_column_events_equal_object_records_bit_for_bit(self, make_objects):
-        np = pytest.importorskip("numpy")
         from repro.core.transform import columns_to_event_array
 
         objs = make_objects(300, seed=5, extent=1e6)
@@ -109,27 +111,21 @@ class TestFileTransforms:
     @pytest.mark.parametrize("count", [0, 1, 20, 171, 400])
     def test_block_transform_matches_the_record_loop(self, make_objects,
                                                      count):
-        pytest.importorskip("numpy")
-        from external_cases import pool_state, use_record_paths
-        from repro.em import EMConfig, EMContext
-
         objs = make_objects(count, seed=count, extent=1e6)
         objs += [WeightedPoint(math.inf, 3.0, 1.0),
                  WeightedPoint(-0.0, -0.0, 0.0)]
 
-        def transform():
+        def transform(to_events):
             ctx = EMContext(EMConfig(block_size=512, buffer_size=4 * 512))
             objects_file = write_objects_file(ctx, objs)
             written = [ctx.device.peek(b) for b in objects_file.block_ids]
             ctx.clear_cache()
-            events = objects_file_to_event_file(ctx, objects_file, 3.7, 0.1)
+            events = to_events(ctx, objects_file, 3.7, 0.1)
             return (written, len(events),
                     [ctx.device.peek(b) for b in events.block_ids],
                     pool_state(ctx))
 
-        rows = transform()
-        with pytest.MonkeyPatch.context() as patch:
-            use_record_paths(patch)
-            expected = transform()
+        rows = transform(objects_file_to_event_file)
+        expected = transform(record_passes.objects_file_to_event_file)
         assert rows == expected
         assert rows[1] == 2 * len(objs)

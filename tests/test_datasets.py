@@ -2,8 +2,6 @@
 
 import pytest
 
-pytest.importorskip("numpy")  # the dataset generators are numpy-backed
-
 from repro.datasets import (
     DEFAULT_DOMAIN,
     DatasetSpec,

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import record_passes
 from external_cases import pool_state
 from repro.em import (EVENT_CODEC, EMConfig, EMContext, ExternalSorter,
                       StructRecordCodec, external_sort)
-from repro.em import record_file as record_file_module
+from repro.errors import SerializationError
 
 
 @pytest.fixture
@@ -45,13 +46,6 @@ class TestExternalSort:
         file.write_all(records)
         result = external_sort(tiny_ctx, file, codec)
         assert result.read_all() == sorted(records)
-
-    def test_sort_with_key(self, tiny_ctx, codec):
-        records = _shuffled(500, seed=5)
-        file = tiny_ctx.create_file(codec)
-        file.write_all(records)
-        result = external_sort(tiny_ctx, file, codec, key=lambda r: r[1])
-        assert result.read_all() == sorted(records, key=lambda r: r[1])
 
     def test_sort_preserves_record_count_and_multiset(self, tiny_ctx, codec):
         records = [(float(random.Random(9).randint(0, 5)), 0.0) for _ in range(300)]
@@ -96,12 +90,19 @@ class TestExternalSort:
         assert total <= 12 * blocks
 
     def test_sorter_reuse(self, tiny_ctx, codec):
-        sorter = ExternalSorter(tiny_ctx, codec, key=lambda r: r[0])
+        sorter = ExternalSorter(tiny_ctx, codec)
         for seed in (1, 2):
             file = tiny_ctx.create_file(codec)
             data = _shuffled(150, seed=seed)
             file.write_all(data)
             assert sorter.sort(file).read_all() == sorted(data)
+
+    def test_records_must_be_float64(self, tiny_ctx):
+        # The runs move as float64 arrays; other records are rejected.
+        mixed = StructRecordCodec("<dq")
+        file = tiny_ctx.create_file(mixed).write_all([(1.0, 2), (0.0, 1)])
+        with pytest.raises(SerializationError):
+            external_sort(tiny_ctx, file, mixed)
 
     def test_large_memory_single_run_shortcut(self, codec):
         ctx = EMContext(EMConfig(block_size=4096, buffer_size=1024 * 1024))
@@ -112,31 +113,30 @@ class TestExternalSort:
 
 
 # ---------------------------------------------------------------------- #
-# The block-array sort against the record path
+# The block-array sort against the record-at-a-time reference
 # ---------------------------------------------------------------------- #
 #: Few distinct values, so records tie on leading fields; -0.0 and 0.0
 #: compare equal but differ in bits, so their order shows in the bytes.
 _VALUES = (-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf)
 
 
-def _sort_once(records, codec, block_size, buffer_blocks, key):
-    """Sort ``records`` on a fresh context: (bytes, count, pool state)."""
+def _sort_once(records, codec, block_size, buffer_blocks, sort):
+    """Sort ``records`` with ``sort`` on a fresh context: (bytes, count,
+    pool state)."""
     ctx = EMContext(EMConfig(block_size=block_size,
                              buffer_size=buffer_blocks * block_size))
     file = ctx.create_file(codec)
     file.write_all(records)
     ctx.clear_cache()
-    result = external_sort(ctx, file, codec, key=key)
+    result = sort(ctx, file, codec)
     ctx.pool.flush()
     return ([ctx.device.peek(b) for b in result.block_ids], len(result),
             pool_state(ctx))
 
 
-@pytest.mark.skipif(record_file_module.np is None,
-                    reason="the block-array sort needs numpy")
 class TestBlockArraySort:
-    """Without a key, float64 records sort on block arrays; any key takes
-    the record path, so the identity key is the reference."""
+    """The block-array sort writes what ``list.sort`` runs and a heap merge
+    write (``record_passes.external_sort``)."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.sampled_from((2, 5)), st.sampled_from((256, 512)),
@@ -147,8 +147,8 @@ class TestBlockArraySort:
         records = data.draw(st.lists(
             st.tuples(*[st.sampled_from(_VALUES)] * fields), max_size=400))
         args = (records, codec, block_size, buffer_blocks)
-        rows = _sort_once(*args, key=None)
-        expected = _sort_once(*args, key=lambda record: record)
+        rows = _sort_once(*args, external_sort)
+        expected = _sort_once(*args, record_passes.external_sort)
         assert rows == expected
         assert rows[1] == len(records)
 
@@ -160,8 +160,8 @@ class TestBlockArraySort:
                     rng.choice(_VALUES), float(rng.randint(0, 3)), 1.0)
                    for _ in range(300)]
         args = (records, EVENT_CODEC, 256, 2)
-        assert _sort_once(*args, key=None) == \
-            _sort_once(*args, key=lambda record: record)
+        assert _sort_once(*args, external_sort) == \
+            _sort_once(*args, record_passes.external_sort)
 
     def test_signed_zeros_keep_their_input_order(self, codec):
         # Equal records keep their input order, across runs (32 records

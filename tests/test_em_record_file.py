@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.em.record_file`."""
 
+import numpy as np
 import pytest
 
 from repro.em import OBJECT_CODEC, StructRecordCodec
@@ -80,21 +81,6 @@ class TestRandomAccess:
         with pytest.raises(StorageError):
             file.read_block_records(5)
 
-    def test_write_block_records_in_place(self, tiny_ctx, small_codec):
-        file = tiny_ctx.create_file(small_codec)
-        file.write_all(_records(40))
-        replacement = [(99.0, 99.0)] * file.records_per_block
-        file.write_block_records(0, replacement)
-        assert file.read_block_records(0) == replacement
-        # Other blocks untouched.
-        assert file.read_block_records(1) == _records(40)[file.records_per_block:]
-
-    def test_write_block_records_wrong_count_rejected(self, tiny_ctx, small_codec):
-        file = tiny_ctx.create_file(small_codec)
-        file.write_all(_records(40))
-        with pytest.raises(StorageError):
-            file.write_block_records(0, [(1.0, 1.0)])
-
 
 class TestWriterSemantics:
     def test_writer_context_manager_flushes_partial_block(self, tiny_ctx, small_codec):
@@ -171,7 +157,6 @@ class TestBlockArrays:
     @pytest.mark.parametrize("chunks", [1, 3, 7])
     def test_append_rows_matches_record_appends(self, tiny_ctx, count,
                                                 chunks):
-        np = pytest.importorskip("numpy")
         from repro.em import EVENT_CODEC, MAX_INTERVAL_CODEC
 
         for codec in (MAX_INTERVAL_CODEC, EVENT_CODEC):
@@ -185,7 +170,9 @@ class TestBlockArrays:
 
             before = tiny_ctx.stats.snapshot()
             by_record = tiny_ctx.create_file(codec)
-            by_record.write_all(records)
+            with by_record.writer() as writer:
+                for record in records:
+                    writer.append(record)
             record_io = tiny_ctx.io_since(before)
 
             before = tiny_ctx.stats.snapshot()
@@ -215,7 +202,6 @@ class TestBlockArrays:
             assert got == records
 
     def test_mixed_record_and_row_appends_keep_order(self, tiny_ctx):
-        np = pytest.importorskip("numpy")
         from repro.em import MAX_INTERVAL_CODEC
 
         file = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
@@ -229,7 +215,6 @@ class TestBlockArrays:
         assert records[21] == (4.0, 5.0, 6.0, 7.0)
 
     def test_array_paths_need_float64_records(self, tiny_ctx):
-        np = pytest.importorskip("numpy")
         from repro.em import MAX_INTERVAL_CODEC
         from repro.errors import SerializationError
 
@@ -240,13 +225,14 @@ class TestBlockArrays:
         with pytest.raises(SerializationError):
             file.read_block_array(0)
         with pytest.raises(SerializationError):
+            file.read_rows()
+        with pytest.raises(SerializationError):
             tiny_ctx.create_file(mixed).writer().append_rows(np.zeros((1, 2)))
         wide = tiny_ctx.create_file(MAX_INTERVAL_CODEC)
         with pytest.raises(SerializationError):
             wide.writer().append_rows(np.zeros((2, 5)))
 
     def test_write_all_packs_lists_and_arrays_like_records(self, tiny_ctx):
-        np = pytest.importorskip("numpy")
         from repro.em import EVENT_CODEC
 
         rows = np.arange(37 * 5, dtype=np.float64).reshape(37, 5) - 90.0
@@ -256,7 +242,7 @@ class TestBlockArrays:
         with by_record.writer() as writer:
             for record in records:
                 writer.append(record)
-        for source in (records, rows):
+        for source in (records, rows, iter(records)):
             file = tiny_ctx.create_file(EVENT_CODEC).write_all(source)
             assert [tiny_ctx.device.peek(b) for b in file.block_ids] == \
                 [tiny_ctx.device.peek(b) for b in by_record.block_ids]
@@ -264,12 +250,11 @@ class TestBlockArrays:
             tiny_ctx.create_file(EVENT_CODEC).write_all([(1.0, 2.0)])
 
     def test_read_rows_and_block_arrays(self, tiny_ctx):
-        np = pytest.importorskip("numpy")
         from repro.em import MAX_INTERVAL_CODEC
 
         records = [(float(i), -float(i), 0.5, 2.0) for i in range(40)]
         file = tiny_ctx.create_file(MAX_INTERVAL_CODEC).write_all(records)
-        assert file.supports_arrays and file.num_blocks == 3
+        assert file.num_blocks == 3
         tiny_ctx.clear_cache()
         start = tiny_ctx.stats.snapshot()
         blocks = file.iter_block_arrays()
@@ -285,7 +270,6 @@ class TestBlockArrays:
         assert empty.read_blocks() == []
 
     def test_read_blocks_and_reread_block(self, tiny_ctx):
-        pytest.importorskip("numpy")
         from repro.em import MAX_INTERVAL_CODEC
 
         records = [(float(i), -float(i), 0.5, 2.0) for i in range(40)]
@@ -309,17 +293,7 @@ class TestBlockArrays:
         with pytest.raises(StorageError):
             file.reread_block(3)
 
-    def test_record_paths_return_records(self, tiny_ctx, record_paths):
-        from repro.em import MAX_INTERVAL_CODEC
-
-        records = [(float(i), 1.0, 2.0, 3.0) for i in range(20)]
-        file = tiny_ctx.create_file(MAX_INTERVAL_CODEC).write_all(records)
-        assert not file.supports_arrays
-        assert file.read_rows() == records
-        assert file.read_blocks() == [records[:16], records[16:]]
-
     def test_array_reads_of_a_deleted_file_are_rejected(self, tiny_ctx):
-        pytest.importorskip("numpy")
         from repro.em import MAX_INTERVAL_CODEC
 
         file = tiny_ctx.create_file(MAX_INTERVAL_CODEC)

@@ -8,8 +8,6 @@ fewest blocks, and the ApproxMaxCRS quality ratios respect the 1/4 bound.
 
 import pytest
 
-pytest.importorskip("numpy")  # the experiment harness generates numpy-backed datasets
-
 from repro.experiments import ExperimentScale, PRESETS, figures, reporting, run_maxrs
 from repro.experiments.config import ALGORITHMS, PaperDefaults
 from repro.experiments.results import FigureResult, TableResult

@@ -23,9 +23,8 @@ import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st

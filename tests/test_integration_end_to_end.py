@@ -14,8 +14,6 @@ small (but externally processed) workloads:
 
 import pytest
 
-pytest.importorskip("numpy")  # spans the numpy-backed service and datasets
-
 from repro.baselines import ASBTreeSweep, NaivePlaneSweep
 from repro.circles import ApproxMaxCRS, exact_maxcrs
 from repro.core import ExactMaxRS, solve_in_memory

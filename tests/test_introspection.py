@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
-
 from repro.service.engine import MaxRSEngine, QuerySpec
 
 #: A mixed workload: repeats (cache hits), several kinds, both refine

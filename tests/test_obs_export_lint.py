@@ -14,8 +14,6 @@ import re
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro import obs
 from repro.geometry import WeightedPoint
 from repro.service import MaxRSEngine, QuerySpec

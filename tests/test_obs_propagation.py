@@ -25,10 +25,6 @@ import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
-pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
-
 from repro import obs
 from repro.aio import AsyncMaxRSEngine, AsyncQueryClient
 from repro.aio.server import MaxRSServer

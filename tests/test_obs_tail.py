@@ -211,13 +211,11 @@ class TestSlowQuerySpans:
 class TestIntrospectionWire:
     @pytest.fixture
     def objects(self):
-        pytest.importorskip("numpy")
         from repro.geometry import WeightedPoint
         return [WeightedPoint(float(i % 7) * 3.0, float(i // 7) * 3.0,
                               1.0 + i % 3) for i in range(49)]
 
     def test_explain_trace_profile_and_client_accounting(self, objects):
-        pytest.importorskip("numpy")
         from repro.aio import AsyncQueryClient, serve
         from repro.service import MaxRSEngine, QuerySpec
 
@@ -267,7 +265,6 @@ class TestIntrospectionWire:
         assert profile["recorder"]["kept"] >= 1
 
     def test_cost_round_trip_elides_none(self, objects):
-        pytest.importorskip("numpy")
         from repro.aio import protocol
         from repro.service import MaxRSEngine, QuerySpec
 

@@ -16,9 +16,7 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.service import MaxRSEngine  # noqa: E402
+from repro.service import MaxRSEngine
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

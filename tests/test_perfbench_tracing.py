@@ -13,10 +13,8 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.core.backends.numpy_backend import NumpySweepBackend  # noqa: E402
-from repro.core.backends.pure import PurePythonBackend  # noqa: E402
+from repro.core.backends.numpy_backend import NumpySweepBackend
+from repro.core.backends.pure import PurePythonBackend
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

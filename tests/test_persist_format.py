@@ -5,8 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-pytest.importorskip("numpy")  # the format helpers hash numpy columns
-
 import numpy as np
 
 from repro.errors import PersistError

@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-pytest.importorskip("numpy")
-
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

@@ -12,10 +12,6 @@ These complement the example-based tests with randomized invariants:
 * slab partitioning conserves rectangle edges and spanning weight.
 """
 
-import pytest
-
-pytest.importorskip("numpy")  # exercises numpy-backed subsystems
-
 import math
 
 from hypothesis import HealthCheck, example, given, settings

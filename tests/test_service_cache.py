@@ -134,8 +134,6 @@ class TestCostWeightedEviction:
         """The engine charges cached answers their solve wall-clock."""
         import random
 
-        pytest.importorskip("numpy")  # the engine needs its grid index
-
         from repro.geometry import WeightedPoint
         from repro.service import MaxRSEngine, QuerySpec
 

@@ -13,9 +13,8 @@ import os
 import random
 import threading
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st

@@ -6,9 +6,8 @@ the candidate mask derived from any achievable lower bound must retain every
 optimal placement.  Both are exercised against brute-force evaluation.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.plane_sweep import solve_in_memory
 from repro.errors import ConfigurationError

@@ -18,8 +18,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
-
 import numpy as np
 
 from repro.core.plane_sweep import solve_in_memory

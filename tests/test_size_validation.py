@@ -10,9 +10,8 @@ type.
 
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # exact_maxcrs and solve_columns need it
 
 from repro import MaxCRSSolver, MaxRSSolver
 from repro.baselines.asb_tree import ASBTreeSweep

@@ -22,8 +22,6 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")  # the engine's grid index is numpy-backed
-
 from repro.geometry import WeightedPoint
 from repro.service import MaxRSEngine, QuerySpec
 
@@ -94,7 +92,6 @@ def test_one_call_feeds_span_histogram_and_ledger(path, points_per_cell):
         summary = after[stage]
         assert summary["count"] == before.get(stage, {}).get("count", 0) + 1
         assert 0.0 <= summary["p50_seconds"] <= summary["p99_seconds"]
-
 
 
 def test_sweep_spans_split_into_events_prepare_and_kernel(pure_backend):
